@@ -8,8 +8,10 @@ import (
 
 // Client is the transport-agnostic face of a Mycroft deployment: the one
 // method set every consumer — CLI, scenario runner, dashboard — programs
-// against, whether the engine runs in-process (*Service) or behind a
-// mycroft-serve daemon (*RemoteClient, via Dial).
+// against, whether the engine runs in-process (*Service), behind a
+// mycroft-serve daemon (*RemoteClient, via Dial) or across a fleet of them
+// (*ClusterClient, via DialCluster). Every method but Subscribe is declared
+// once more, for the transports, in the operation table in ops.go.
 //
 // Queries return explicit pagination (Total plus a cursor or NextOffset),
 // and Subscribe hands back a *Stream: the streaming cursor. On a remote
@@ -50,10 +52,11 @@ type Client interface {
 	Subscribe(EventFilter) *Stream
 }
 
-// Both transports satisfy the one Client contract.
+// Every transport satisfies the one Client contract.
 var (
 	_ Client = (*Service)(nil)
 	_ Client = (*RemoteClient)(nil)
+	_ Client = (*ClusterClient)(nil)
 )
 
 // JobInfo describes one hosted job: identity, size, progress, store

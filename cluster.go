@@ -12,7 +12,6 @@ import (
 	"mycroft/internal/cluster"
 	"mycroft/internal/obs"
 	"mycroft/internal/otrace"
-	"mycroft/internal/sim"
 )
 
 // Cluster mode: N mycroft-serve daemons form one diagnosis plane. A
@@ -79,11 +78,8 @@ type peerAck struct {
 
 // EnableCluster turns this server into a cluster peer. Call after every job
 // is added (the per-job logs are fixed here) and before the drive loop
-// starts. Requires an in-process Service (a proxy has no engine to tap).
+// starts.
 func (sv *Server) EnableCluster(cfg ClusterConfig) error {
-	if sv.svc == nil {
-		return fmt.Errorf("mycroft: cluster mode requires an in-process service")
-	}
 	peers := make(map[string]string, len(cfg.Peers))
 	for name, addr := range cfg.Peers {
 		peers[name] = normalizeBase(addr)
@@ -154,15 +150,6 @@ func (sv *Server) loadCluster() *serverCluster {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	return sv.cluster
-}
-
-// ClusterNode exposes this server's membership view (nil when cluster mode
-// is disabled); cmd/mycroft-serve uses it for placement logging.
-func (sv *Server) ClusterNode() *cluster.Node {
-	if cl := sv.loadCluster(); cl != nil {
-		return cl.node
-	}
-	return nil
 }
 
 // drainTap moves every event the engine has dispatched since the last drain
@@ -236,12 +223,8 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 	trace, traceWM := sv.traceSinceLocked(job, a.traceNs, cl.cfg.Batch)
 	// Replication runs off-engine, so the virtual instant and the job's
 	// tracer are captured while serialized with the drive loop.
-	var tracer *otrace.Tracer
-	var vnow sim.Time
-	if sv.svc != nil {
-		tracer = sv.svc.Tracer(job)
-		vnow = sv.svc.Eng.Now()
-	}
+	tracer := sv.svc.Tracer(job)
+	vnow := sv.svc.Eng.Now()
 	sv.mu.Unlock()
 
 	// One replicate-ship span per non-empty batch, labeled with the target
@@ -295,7 +278,7 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 // snapshotLocked builds the coarse replicated state for one job. Callers
 // hold sv.mu.
 func (sv *Server) snapshotLocked(job JobID) *api.ClusterSnapshot {
-	jobs, err := sv.c.ListJobs()
+	jobs, err := sv.svc.ListJobs()
 	if err != nil {
 		return nil
 	}
@@ -311,7 +294,7 @@ func (sv *Server) snapshotLocked(job JobID) *api.ClusterSnapshot {
 	if !found {
 		return nil
 	}
-	if health, err := sv.c.Health(); err == nil {
+	if health, err := sv.svc.Health(); err == nil {
 		hw := healthResultToWire(health)
 		for _, jh := range hw.Jobs {
 			if jh.Job == string(job) {
@@ -319,7 +302,7 @@ func (sv *Server) snapshotLocked(job JobID) *api.ClusterSnapshot {
 			}
 		}
 	}
-	if stats, err := sv.c.ChannelStats(job); err == nil {
+	if stats, err := sv.svc.ChannelStats(job); err == nil {
 		cw := channelStatsToWire(stats)
 		snap.Channels = &cw
 	}
@@ -332,11 +315,7 @@ func (sv *Server) snapshotLocked(job JobID) *api.ClusterSnapshot {
 // boundary timestamp with the watermark can be skipped on the next window —
 // the mirror is documented best-effort; the event log is the exact record.
 func (sv *Server) traceSinceLocked(job JobID, afterNs int64, limit int) ([]api.TraceRecord, int64) {
-	q, err := traceQueryFromWire(api.TraceRequest{Job: string(job), FromNs: afterNs + 1, Limit: limit})
-	if err != nil {
-		return nil, afterNs
-	}
-	res, err := sv.c.QueryTrace(q)
+	res, err := sv.svc.QueryTrace(TraceQuery{Job: job, From: time.Duration(afterNs + 1), Limit: limit})
 	if err != nil {
 		return nil, afterNs
 	}
@@ -354,36 +333,30 @@ func (sv *Server) traceSinceLocked(job JobID, afterNs int64, limit int) ([]api.T
 // views that come back. Unreachable peers are marked and retried by the
 // gossip loop; join is best-effort because membership is static anyway.
 func (sv *Server) JoinPeers() {
-	cl := sv.loadCluster()
-	if cl == nil {
-		return
-	}
-	for _, peer := range cl.node.Others() {
-		var resp api.JoinResponse
-		err := clusterPost(cl.hc, cl.node.Addr(peer), "/cluster/join",
-			api.JoinRequest{ClusterID: cl.cfg.ID, Name: cl.cfg.Self, Addr: cl.cfg.SelfAddr}, &resp)
-		cl.node.MarkContact(peer, err == nil)
-		if err == nil {
-			cl.node.Merge(resp.Peers)
-		}
+	if cl := sv.loadCluster(); cl != nil {
+		join := api.JoinRequest{ClusterID: cl.cfg.ID, Name: cl.cfg.Self, Addr: cl.cfg.SelfAddr}
+		exchangeViews(cl, "/cluster/join", join, func(r api.JoinResponse) []api.ClusterPeer { return r.Peers })
 	}
 }
 
 // GossipOnce exchanges health views with every other peer and merges the
 // responses by freshest LastSeen.
 func (sv *Server) GossipOnce() {
-	cl := sv.loadCluster()
-	if cl == nil {
-		return
+	if cl := sv.loadCluster(); cl != nil {
+		gossip := api.GossipRequest{ClusterID: cl.cfg.ID, From: cl.cfg.Self, Peers: cl.node.View()}
+		exchangeViews(cl, "/cluster/gossip", gossip, func(r api.GossipResponse) []api.ClusterPeer { return r.Peers })
 	}
-	view := cl.node.View()
+}
+
+// exchangeViews posts req to every other peer, records each contact's outcome
+// on the health ladder and merges the membership view each answer carries.
+func exchangeViews[Resp any](cl *serverCluster, path string, req any, view func(Resp) []api.ClusterPeer) {
 	for _, peer := range cl.node.Others() {
-		var resp api.GossipResponse
-		err := clusterPost(cl.hc, cl.node.Addr(peer), "/cluster/gossip",
-			api.GossipRequest{ClusterID: cl.cfg.ID, From: cl.cfg.Self, Peers: view}, &resp)
+		var resp Resp
+		err := clusterPost(cl.hc, cl.node.Addr(peer), path, req, &resp)
 		cl.node.MarkContact(peer, err == nil)
 		if err == nil {
-			cl.node.Merge(resp.Peers)
+			cl.node.Merge(view(resp))
 		}
 	}
 }
@@ -457,16 +430,15 @@ func clusterPost(hc *http.Client, base, path string, in, out any) error {
 	if base == "" {
 		return fmt.Errorf("mycroft: no address for peer")
 	}
-	c := &RemoteClient{base: base, hc: hc}
-	return c.post(api.Prefix+path, in, out)
+	return roundTrip(hc, http.MethodPost, base, api.Prefix+path, in, out)
 }
 
-// --- /v1/cluster/* backend endpoints -------------------------------------
+// --- /v1/cluster/* endpoints ----------------------------------------------
 
 var errClusterDisabled = fmt.Errorf("mycroft: cluster mode disabled on this daemon")
 
-func (b *apiBackend) ClusterInfo() (api.ClusterInfoResponse, error) {
-	cl := b.sv.loadCluster()
+func (sv *Server) clusterInfo() (api.ClusterInfoResponse, error) {
+	cl := sv.loadCluster()
 	if cl == nil {
 		return api.ClusterInfoResponse{}, errClusterDisabled
 	}
@@ -507,8 +479,8 @@ func (cl *serverCluster) checkID(id string) error {
 	return nil
 }
 
-func (b *apiBackend) ClusterJoin(req api.JoinRequest) (api.JoinResponse, error) {
-	cl := b.sv.loadCluster()
+func (sv *Server) clusterJoin(req api.JoinRequest) (api.JoinResponse, error) {
+	cl := sv.loadCluster()
 	if cl == nil {
 		return api.JoinResponse{}, errClusterDisabled
 	}
@@ -519,8 +491,8 @@ func (b *apiBackend) ClusterJoin(req api.JoinRequest) (api.JoinResponse, error) 
 	return api.JoinResponse{Accepted: true, Self: cl.node.Self, Peers: cl.node.View()}, nil
 }
 
-func (b *apiBackend) ClusterGossip(req api.GossipRequest) (api.GossipResponse, error) {
-	cl := b.sv.loadCluster()
+func (sv *Server) clusterGossip(req api.GossipRequest) (api.GossipResponse, error) {
+	cl := sv.loadCluster()
 	if cl == nil {
 		return api.GossipResponse{}, errClusterDisabled
 	}
@@ -532,8 +504,8 @@ func (b *apiBackend) ClusterGossip(req api.GossipRequest) (api.GossipResponse, e
 	return api.GossipResponse{Peers: cl.node.View()}, nil
 }
 
-func (b *apiBackend) ClusterReplicate(req api.ReplicateRequest) (api.ReplicateResponse, error) {
-	cl := b.sv.loadCluster()
+func (sv *Server) clusterReplicate(req api.ReplicateRequest) (api.ReplicateResponse, error) {
+	cl := sv.loadCluster()
 	if cl == nil {
 		return api.ReplicateResponse{}, errClusterDisabled
 	}
@@ -541,15 +513,15 @@ func (b *apiBackend) ClusterReplicate(req api.ReplicateRequest) (api.ReplicateRe
 		return api.ReplicateResponse{}, err
 	}
 	cl.node.Heard(req.From)
-	return cl.store.Apply(req), nil
+	return cl.store.Apply(req)
 }
 
-// ClusterTail serves the seq-resumable event tail. On the job's primary it
+// clusterTail serves the seq-resumable event tail. On the job's primary it
 // reads the live log; on a follower, the replicated one — same request,
 // same semantics, which is exactly what lets a subscription move between
 // peers. The long-poll parks outside the server mutex.
-func (b *apiBackend) ClusterTail(req api.TailRequest) (api.TailResponse, error) {
-	cl := b.sv.loadCluster()
+func (sv *Server) clusterTail(req api.TailRequest) (api.TailResponse, error) {
+	cl := sv.loadCluster()
 	if cl == nil {
 		return api.TailResponse{}, errClusterDisabled
 	}
@@ -575,8 +547,8 @@ func (b *apiBackend) ClusterTail(req api.TailRequest) (api.TailResponse, error) 
 	return api.TailResponse{Job: req.Job, Entries: entries, Watermark: wm, Source: source}, nil
 }
 
-func (b *apiBackend) ClusterHandoff(req api.HandoffRequest) (api.HandoffResponse, error) {
-	cl := b.sv.loadCluster()
+func (sv *Server) clusterHandoff(req api.HandoffRequest) (api.HandoffResponse, error) {
+	cl := sv.loadCluster()
 	if cl == nil {
 		return api.HandoffResponse{}, errClusterDisabled
 	}
@@ -591,164 +563,127 @@ func (b *apiBackend) ClusterHandoff(req api.HandoffRequest) (api.HandoffResponse
 	return api.HandoffResponse{Accepted: true, Lag: lag}, nil
 }
 
-// --- replica-backed query fallbacks --------------------------------------
+// --- replica answers -------------------------------------------------------
 //
 // A peer asked about jobs it does not host answers from its replica store
 // when every requested job is followed here; otherwise the live path (and
-// its "unknown job" error) stands. DialCluster routes per job, so in
-// practice these see exactly one job per request.
+// its "unknown job" error) stands. These are the operation table's replica
+// hooks: they read the store's decoded domain values and answer in domain
+// results, through the same query functions a Service uses.
 
-// replicaJobsFor resolves the request's job list against the replica store.
-// It returns nil unless every listed job is non-local and followed here.
-func (cl *serverCluster) replicaJobsFor(jobs []string) []*cluster.ReplicaJob {
-	if cl == nil || len(jobs) == 0 {
+// follows returns the replica state of a job this peer follows but does not
+// host, nil for any other job.
+func (cl *serverCluster) follows(job JobID) *cluster.ReplicaJob {
+	if cl == nil {
 		return nil
 	}
-	out := make([]*cluster.ReplicaJob, 0, len(jobs))
+	if _, local := cl.logs[job]; local {
+		return nil
+	}
+	return cl.store.Job(string(job))
+}
+
+// followed resolves a job list to the verdict histories replicated here. It
+// returns nil unless every listed job is followed.
+func (cl *serverCluster) followed(jobs ...JobID) []jobLog {
+	var out []jobLog
 	for _, j := range jobs {
-		if _, local := cl.logs[JobID(j)]; local {
-			return nil
-		}
-		rj := cl.store.Job(j)
+		rj := cl.follows(j)
 		if rj == nil {
 			return nil
 		}
-		out = append(out, rj)
+		out = append(out, jobLog{j, rj})
 	}
 	return out
 }
 
-func (b *apiBackend) replicaTriggers(req api.TriggersRequest) (api.TriggersResponse, bool) {
-	rjs := b.sv.loadCluster().replicaJobsFor(req.Jobs)
-	if rjs == nil {
-		return api.TriggersResponse{}, false
+// snapshots returns the latest replicated coarse state of every followed
+// job, in job order (nil on a standalone daemon).
+func (cl *serverCluster) snapshots() []*api.ClusterSnapshot {
+	if cl == nil {
+		return nil
 	}
-	if len(rjs) == 1 {
-		return rjs[0].QueryTriggers(req), true
-	}
-	full := req
-	full.Offset, full.Limit = 0, 0
-	var all []api.JobTrigger
-	for _, rj := range rjs {
-		all = append(all, rj.QueryTriggers(full).Triggers...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Trigger.AtNs < all[j].Trigger.AtNs })
-	lo, hi, next := cluster.Page(len(all), req.Offset, req.Limit)
-	return api.TriggersResponse{Triggers: all[lo:hi], Total: len(all), NextOffset: next}, true
-}
-
-func (b *apiBackend) replicaReports(req api.ReportsRequest) (api.ReportsResponse, bool) {
-	rjs := b.sv.loadCluster().replicaJobsFor(req.Jobs)
-	if rjs == nil {
-		return api.ReportsResponse{}, false
-	}
-	if len(rjs) == 1 {
-		return rjs[0].QueryReports(req), true
-	}
-	full := req
-	full.Offset, full.Limit = 0, 0
-	var all []api.JobReport
-	for _, rj := range rjs {
-		all = append(all, rj.QueryReports(full).Reports...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Report.AnalyzedAtNs < all[j].Report.AnalyzedAtNs })
-	lo, hi, next := cluster.Page(len(all), req.Offset, req.Limit)
-	return api.ReportsResponse{Reports: all[lo:hi], Total: len(all), NextOffset: next}, true
-}
-
-func (b *apiBackend) replicaRemediations(req api.RemediationsRequest) (api.RemediationsResponse, bool) {
-	rjs := b.sv.loadCluster().replicaJobsFor(req.Jobs)
-	if rjs == nil {
-		return api.RemediationsResponse{}, false
-	}
-	if len(rjs) == 1 {
-		return rjs[0].QueryRemediations(req), true
-	}
-	full := req
-	full.Offset, full.Limit = 0, 0
-	var all []api.JobAttempt
-	for _, rj := range rjs {
-		all = append(all, rj.QueryRemediations(full).Attempts...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Attempt.ReportedAtNs < all[j].Attempt.ReportedAtNs })
-	lo, hi, next := cluster.Page(len(all), req.Offset, req.Limit)
-	return api.RemediationsResponse{Attempts: all[lo:hi], Total: len(all), NextOffset: next}, true
-}
-
-// replicaSpans answers a span query for a followed (non-local) job. Span
-// rings live only in the primary's engine — a replica answers with an empty
-// page rather than an error so a CLI riding a failover degrades gracefully.
-func (b *apiBackend) replicaSpans(req api.SpansRequest) (api.SpansResponse, bool) {
-	if req.Job == "" {
-		return api.SpansResponse{}, false
-	}
-	rjs := b.sv.loadCluster().replicaJobsFor([]string{req.Job})
-	if rjs == nil {
-		return api.SpansResponse{}, false
-	}
-	return api.SpansResponse{Job: req.Job}, true
-}
-
-func (b *apiBackend) replicaTrace(req api.TraceRequest) (api.TraceResponse, bool) {
-	if req.Job == "" {
-		return api.TraceResponse{}, false
-	}
-	rjs := b.sv.loadCluster().replicaJobsFor([]string{req.Job})
-	if rjs == nil {
-		return api.TraceResponse{}, false
-	}
-	return rjs[0].QueryTrace(req), true
-}
-
-func (b *apiBackend) replicaChannels(job string) (api.ChannelsResponse, bool) {
-	if job == "" {
-		return api.ChannelsResponse{}, false
-	}
-	rjs := b.sv.loadCluster().replicaJobsFor([]string{job})
-	if rjs == nil {
-		return api.ChannelsResponse{}, false
-	}
-	snap := rjs[0].Snapshot()
-	if snap == nil || snap.Channels == nil {
-		return api.ChannelsResponse{}, false
-	}
-	return *snap.Channels, true
-}
-
-func (b *apiBackend) replicaTriage(job string) (api.TriageResponse, bool) {
-	if job == "" {
-		return api.TriageResponse{}, false
-	}
-	rjs := b.sv.loadCluster().replicaJobsFor([]string{job})
-	if rjs == nil {
-		return api.TriageResponse{}, false
-	}
-	events := rjs[0].Events()
-	for i := len(events) - 1; i >= 0; i-- {
-		if rep := events[i].Event.Report; rep != nil {
-			return api.TriageResponse{
-				Job: job, Source: "mycroft", Rank: rep.Suspect,
-				Summary: fmt.Sprintf("replicated verdict: %s at rank %d via %s", rep.Category, rep.Suspect, rep.Via),
-				OK:      false,
-			}, true
+	var out []*api.ClusterSnapshot
+	for _, id := range cl.store.Jobs() {
+		if snap := cl.store.Job(id).Snapshot(); snap != nil {
+			out = append(out, snap)
 		}
 	}
-	return api.TriageResponse{Job: job, Source: "mycroft", Summary: "no incident in replicated window", OK: true}, true
+	return out
 }
 
-// replicaGraphErr answers the endpoints a replica cannot serve: dependency
+// replicaTrace answers from the trace mirror, which has no index to push the
+// query's predicates into and no cursor: pages are Limit-bounded prefixes in
+// arrival order and Next is always nil, which Total makes visible.
+func (cl *serverCluster) replicaTrace(q TraceQuery) (TraceResult, bool, error) {
+	rj := cl.follows(q.Job)
+	if rj == nil {
+		return TraceResult{}, false, nil
+	}
+	keep := func(r *TraceRecord) bool {
+		if len(q.Ranks) > 0 && !slices.Contains(q.Ranks, r.Rank) {
+			return false
+		}
+		if q.Comm != 0 && r.CommID != q.Comm {
+			return false
+		}
+		if len(q.Kinds) > 0 && !slices.Contains(q.Kinds, r.Kind) {
+			return false
+		}
+		return inWindow(time.Duration(r.Time), q.From, q.To)
+	}
+	recs, total := rj.Trace(keep, q.Limit)
+	return TraceResult{Job: q.Job, Records: recs, Total: total}, true, nil
+}
+
+// replicaSpans answers a span query for a followed job. Span rings live only
+// in the primary's engine — a replica answers with an empty page rather than
+// an error so a CLI riding a failover degrades gracefully.
+func (cl *serverCluster) replicaSpans(q SpanQuery) (SpanResult, bool, error) {
+	return SpanResult{Job: q.Job}, cl.follows(q.Job) != nil, nil
+}
+
+// replicaChannels answers from the channel mirror in the job's latest
+// replicated snapshot, once one carrying it has arrived.
+func (cl *serverCluster) replicaChannels(job JobID) (ChannelStatsResult, bool, error) {
+	rj := cl.follows(job)
+	if rj == nil {
+		return ChannelStatsResult{}, false, nil
+	}
+	snap := rj.Snapshot()
+	if snap == nil || snap.Channels == nil {
+		return ChannelStatsResult{}, false, nil
+	}
+	res, err := channelStatsFromWire(*snap.Channels)
+	return res, true, err
+}
+
+// replicaTriage answers from the followed job's latest replicated verdict:
+// the py-spy and Flight Recorder stages need the live job, so a replica can
+// only repeat what Mycroft itself concluded.
+func (cl *serverCluster) replicaTriage(job JobID) (TriageResult, bool, error) {
+	rj := cl.follows(job)
+	if rj == nil {
+		return TriageResult{}, false, nil
+	}
+	reps := rj.Reports()
+	if len(reps) == 0 {
+		return TriageResult{Job: job, Source: "mycroft", Summary: "no incident in replicated window", OK: true}, true, nil
+	}
+	rep := reps[len(reps)-1]
+	return TriageResult{
+		Job: job, Source: "mycroft", Rank: rep.Suspect,
+		Summary: fmt.Sprintf("replicated verdict: %s at rank %d via %s", rep.Category, rep.Suspect, rep.Via),
+	}, true, nil
+}
+
+// refuseGraph answers the operations a replica cannot serve: dependency
 // graphs live only in the primary's engine.
-func (cl *serverCluster) replicaGraphErr(job string) error {
-	if cl == nil || job == "" {
+func (cl *serverCluster) refuseGraph(job JobID) error {
+	if cl.follows(job) == nil {
 		return nil
 	}
-	if _, local := cl.logs[JobID(job)]; local {
-		return nil
-	}
-	if cl.store.Job(job) == nil {
-		return nil
-	}
-	primary, _ := cl.node.Placement(job)
+	primary, _ := cl.node.Placement(string(job))
 	return fmt.Errorf("mycroft: job %q is served from a replica here; dependency graphs are not replicated — ask its primary %s at %s",
 		job, primary, cl.node.Addr(primary))
 }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -372,6 +374,83 @@ func TestClusterHandoffPromotesReplica(t *testing.T) {
 	}
 }
 
+// TestClusterMultiJobQuery: a paged query naming several jobs whose primaries
+// differ must answer with the union of the single-job answers — each listed
+// job is placed by the ring like a single-job call, so no peer is asked about
+// a mix of jobs it hosts and jobs it merely follows — and must keep doing so
+// from replicas once one of the primaries is gone.
+func TestClusterMultiJobQuery(t *testing.T) {
+	// Pinned placement: job-0 lives on p2 and replicates to p1, job-2 the
+	// other way round — each of the two hosts one job and follows the other,
+	// and p3 holds neither.
+	both := []JobID{"job-0", "job-2"}
+	peers := startCluster(t, []string{"p1", "p2", "p3"}, both, 1)
+	peers["p2"].handles["job-0"].Inject(Fault{Kind: NICDown, Rank: 5, At: 15 * time.Second})
+	peers["p1"].handles["job-2"].Inject(Fault{Kind: GPUHang, Rank: 2, At: 20 * time.Second})
+	for i := 0; i < 50; i++ {
+		for _, p := range peers {
+			p.srv.Advance(time.Second)
+			if errs := p.srv.ReplicateNow(); len(errs) > 0 {
+				t.Fatalf("replication: %v", errs[0])
+			}
+		}
+	}
+	cc, err := DialCluster([]string{peers["p3"].addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	check := func(when string) {
+		t.Helper()
+		var trig []JobTrigger
+		var reps []JobReport
+		for _, job := range both {
+			tr, err := cc.QueryTriggers(TriggerQuery{Jobs: []JobID{job}})
+			if err != nil || tr.Total == 0 {
+				t.Fatalf("%s: triggers of %s alone: %d, %v", when, job, tr.Total, err)
+			}
+			trig = append(trig, tr.Triggers...)
+			rp, err := cc.QueryReports(ReportQuery{Jobs: []JobID{job}})
+			if err != nil || rp.Total == 0 {
+				t.Fatalf("%s: reports of %s alone: %d, %v", when, job, rp.Total, err)
+			}
+			reps = append(reps, rp.Reports...)
+		}
+		sort.SliceStable(trig, func(i, j int) bool { return trig[i].At < trig[j].At })
+		sort.SliceStable(reps, func(i, j int) bool { return reps[i].AnalyzedAt < reps[j].AnalyzedAt })
+
+		gotTrig, err := cc.QueryTriggers(TriggerQuery{Jobs: both})
+		if err != nil {
+			t.Fatalf("%s: triggers of both jobs: %v", when, err)
+		}
+		if gotTrig.Total != len(trig) || gotTrig.NextOffset != -1 || !reflect.DeepEqual(gotTrig.Triggers, trig) {
+			t.Fatalf("%s: triggers of both jobs = %+v, want the union %+v", when, gotTrig, trig)
+		}
+		gotReps, err := cc.QueryReports(ReportQuery{Jobs: both})
+		if err != nil {
+			t.Fatalf("%s: reports of both jobs: %v", when, err)
+		}
+		if gotReps.Total != len(reps) || !reflect.DeepEqual(gotReps.Reports, reps) {
+			t.Fatalf("%s: reports of both jobs = %+v, want the union %+v", when, gotReps, reps)
+		}
+		// The merged set pages like any other.
+		page, err := cc.QueryTriggers(TriggerQuery{Jobs: both, Offset: 1, Limit: 1})
+		if err != nil || page.Total != len(trig) || len(page.Triggers) != 1 || !reflect.DeepEqual(page.Triggers[0], trig[1]) {
+			t.Fatalf("%s: second trigger of both jobs = %+v, %v", when, page, err)
+		}
+		if rem, err := cc.QueryRemediations(RemediationQuery{Jobs: both}); err != nil || rem.Total != 0 {
+			t.Fatalf("%s: remediations of both jobs: %+v, %v", when, rem, err)
+		}
+	}
+	check("fleet whole")
+	peers["p2"].hs.Close() // kill -9 job-0's primary
+	check("job-0 on a replica")
+	if cc.Failovers() == 0 {
+		t.Fatal("job-0 answered after its primary died, yet Failovers() is 0")
+	}
+}
+
 func postJSON(t *testing.T, url string, in, out any) {
 	t.Helper()
 	body, err := json.Marshal(in)
@@ -395,11 +474,7 @@ func postJSON(t *testing.T, url string, in, out any) {
 // HTTP: drain the primary's tap after one virtual second of fleet activity
 // and ship the event-log suffix, trace window, and snapshot to the
 // follower. The reported events/op is how much log each round moved.
-func BenchmarkReplicationLag(b *testing.B) { runReplicationLagBench(b) }
-
-// runReplicationLagBench is the body, shared with the BENCH_cluster.json
-// emitter (TestEmitClusterBench).
-func runReplicationLagBench(b *testing.B) {
+func BenchmarkReplicationLag(b *testing.B) {
 	names := []string{"a", "b"}
 	ring := cluster.NewRing(names, 0)
 	primaryName := ring.Primary("trace")

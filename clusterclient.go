@@ -16,11 +16,12 @@ import (
 // ClusterClient is the cluster-aware Client: it rebuilds the fleet's
 // consistent-hash ring from one peer's /v1/cluster/info and routes every
 // call to the owning primary by JobID — no proxy hop, no coordination
-// traffic. When a primary stops answering at the transport layer the call
-// retries on the job's replicas in ring order (the same placement every
-// peer computed), and live subscriptions resume their event tail on a
-// replica from the exact sequence number they had reached; anything the
-// replica never received surfaces as a counted drop on Stream.Dropped,
+// traffic (clusterCall in ops.go places each operation by the routing class
+// its table entry declares). When a primary stops answering at the transport
+// layer the call retries on the job's replicas in ring order (the same
+// placement every peer computed), and live subscriptions resume their event
+// tail on a replica from the exact sequence number they had reached; anything
+// the replica never received surfaces as a counted drop on Stream.Dropped,
 // never as silence.
 type ClusterClient struct {
 	clusterID string
@@ -58,7 +59,7 @@ func DialCluster(addrs []string, opts ...DialOption) (*ClusterClient, error) {
 			continue
 		}
 		var info api.ClusterInfoResponse
-		if err := rc.get(api.Prefix+"/cluster/info", &info); err != nil {
+		if err := rc.do(http.MethodGet, api.Prefix+"/cluster/info", nil, &info); err != nil {
 			lastErr = fmt.Errorf("mycroft: %s: %w", addr, err)
 			continue
 		}
@@ -126,7 +127,11 @@ func (cc *ClusterClient) markUp(name string) {
 // peers inside their down-cooldown moved to the back (still tried — a
 // cooldown is a hint, not a verdict).
 func (cc *ClusterClient) candidates(job string) []string {
-	peers := cc.ring.Candidates(job, 1+cc.replicas)
+	return cc.upFirst(cc.ring.Candidates(job, 1+cc.replicas))
+}
+
+// upFirst stably moves the peers inside their down-cooldown to the back.
+func (cc *ClusterClient) upFirst(peers []string) []string {
 	now := time.Now()
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -142,73 +147,50 @@ func (cc *ClusterClient) candidates(job string) []string {
 	return append(up, down...)
 }
 
-// allPeers lists every fleet member, up first.
-func (cc *ClusterClient) allPeers() []string {
-	names := cc.ring.Peers()
-	now := time.Now()
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	up := make([]string, 0, len(names))
-	var down []string
-	for _, p := range names {
-		if until, bad := cc.downUntil[p]; bad && now.Before(until) {
-			down = append(down, p)
-		} else {
-			up = append(up, p)
-		}
-	}
-	return append(up, down...)
-}
-
 // routed runs fn against the job's primary, failing over to its replicas on
 // transport errors. Application errors return immediately — the answering
 // peer is authoritative for them.
-func (cc *ClusterClient) routed(job JobID, fn func(*RemoteClient) error) error {
+func routed[R any](cc *ClusterClient, job JobID, fn func(*RemoteClient) (R, error)) (res R, err error) {
 	peers := cc.candidates(string(job))
 	if len(peers) == 0 {
-		return fmt.Errorf("mycroft: empty cluster ring")
+		return res, fmt.Errorf("mycroft: empty cluster ring")
 	}
-	var lastErr error
 	for i, p := range peers {
-		err := fn(cc.client(p))
-		if err == nil {
+		if res, err = fn(cc.client(p)); err == nil {
 			cc.markUp(p)
-			return nil
+			return res, nil
 		}
 		if !isTransportErr(err) {
-			return err
+			return res, err
 		}
 		cc.markDown(p)
 		if i < len(peers)-1 {
 			cc.failovers.Add(1)
 		}
-		lastErr = err
 	}
-	return fmt.Errorf("mycroft: job %s: every candidate peer failed: %w: %v", job, ErrUnreachable, lastErr)
+	return res, fmt.Errorf("mycroft: job %s: every candidate peer failed: %w: %v", job, ErrUnreachable, err)
 }
 
-// eachPeer runs fn against every reachable peer, collecting successes;
+// eachPeer runs fn against every reachable peer and collects the answers;
 // transport failures mark the peer down and are skipped. It errors only
 // when no peer answered.
-func (cc *ClusterClient) eachPeer(fn func(peer string, rc *RemoteClient) error) error {
-	answered := 0
-	var lastErr error
-	for _, p := range cc.allPeers() {
-		err := fn(p, cc.client(p))
-		if err == nil {
+func eachPeer[R any](cc *ClusterClient, fn func(*RemoteClient) (R, error)) (answers []R, err error) {
+	for _, p := range cc.upFirst(cc.ring.Peers()) {
+		res, e := fn(cc.client(p))
+		if e == nil {
 			cc.markUp(p)
-			answered++
+			answers = append(answers, res)
 			continue
 		}
-		if isTransportErr(err) {
+		if isTransportErr(e) {
 			cc.markDown(p)
 		}
-		lastErr = err
+		err = e
 	}
-	if answered == 0 {
-		return fmt.Errorf("mycroft: no cluster peer answered: %w: %v", ErrUnreachable, lastErr)
+	if len(answers) == 0 {
+		return nil, fmt.Errorf("mycroft: no cluster peer answered: %w: %v", ErrUnreachable, err)
 	}
-	return nil
+	return answers, nil
 }
 
 // resolveJob fills an empty job selector the way a single daemon does:
@@ -233,313 +215,23 @@ func (cc *ClusterClient) resolveJob(job JobID) (JobID, error) {
 	return "", fmt.Errorf("mycroft: cluster hosts %d jobs; specify one", len(live))
 }
 
-// ListJobs merges every peer's view: live rows win over replicated
-// snapshots of the same job, and Now is the furthest virtual clock.
-func (cc *ClusterClient) ListJobs() (JobsResult, error) {
-	var out JobsResult
-	byID := make(map[JobID]JobInfo)
-	err := cc.eachPeer(func(_ string, rc *RemoteClient) error {
-		res, err := rc.ListJobs()
-		if err != nil {
-			return err
-		}
-		if res.Now > out.Now {
-			out.Now = res.Now
-		}
-		for _, j := range res.Jobs {
-			if have, ok := byID[j.ID]; !ok || (have.Source != "" && j.Source == "") {
-				byID[j.ID] = j
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return JobsResult{}, err
-	}
-	for _, j := range byID {
-		out.Jobs = append(out.Jobs, j)
-	}
-	sort.Slice(out.Jobs, func(i, j int) bool { return out.Jobs[i].ID < out.Jobs[j].ID })
-	return out, nil
-}
-
-// Health merges every peer's health: one row per job (the peer that hosts
-// it wins), summed subscription stats, furthest clock, longest uptime.
-func (cc *ClusterClient) Health() (HealthResult, error) {
-	var out HealthResult
-	seen := make(map[JobID]bool)
-	peersAnswered := 0
-	err := cc.eachPeer(func(_ string, rc *RemoteClient) error {
-		res, err := rc.Health()
-		if err != nil {
-			return err
-		}
-		peersAnswered++
-		if res.Now > out.Now {
-			out.Now = res.Now
-		}
-		if res.Uptime > out.Uptime {
-			out.Uptime = res.Uptime
-		}
-		out.Subs.Active += res.Subs.Active
-		out.Subs.Delivered += res.Subs.Delivered
-		out.Subs.Dropped += res.Subs.Dropped
-		for _, j := range res.Jobs {
-			if !seen[j.Job] {
-				seen[j.Job] = true
-				out.Jobs = append(out.Jobs, j)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return HealthResult{}, err
-	}
-	sort.Slice(out.Jobs, func(i, j int) bool { return out.Jobs[i].Job < out.Jobs[j].Job })
-	out.Server = fmt.Sprintf("mycroft-cluster/%d peers=%d", api.Version, peersAnswered)
-	return out, nil
-}
-
-// QueryTrace routes by the query's job.
-func (cc *ClusterClient) QueryTrace(q TraceQuery) (TraceResult, error) {
-	job, err := cc.resolveJob(q.Job)
-	if err != nil {
-		return TraceResult{}, err
-	}
-	q.Job = job
-	var out TraceResult
-	err = cc.routed(job, func(rc *RemoteClient) error {
-		var e error
-		out, e = rc.QueryTrace(q)
-		return e
-	})
-	return out, err
-}
-
-// QueryTriggers routes single-job queries by job; multi-job (or all-job)
-// queries fan out to every peer and merge, paginating the merged set.
-func (cc *ClusterClient) QueryTriggers(q TriggerQuery) (TriggerResult, error) {
-	if len(q.Jobs) == 1 {
-		var out TriggerResult
-		err := cc.routed(q.Jobs[0], func(rc *RemoteClient) error {
-			var e error
-			out, e = rc.QueryTriggers(q)
-			return e
-		})
-		return out, err
-	}
-	full := q
-	full.Offset, full.Limit = 0, 0
-	var all []JobTrigger
-	err := cc.eachPeer(func(_ string, rc *RemoteClient) error {
-		res, err := rc.QueryTriggers(full)
-		if err != nil {
-			return err
-		}
-		all = append(all, res.Triggers...)
-		return nil
-	})
-	if err != nil {
-		return TriggerResult{}, err
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	page := paginate(all, q.Offset, q.Limit)
-	return TriggerResult{Triggers: page, Total: len(all), NextOffset: nextOffset(q.Offset, len(page), len(all))}, nil
-}
-
-// QueryReports mirrors QueryTriggers' routing.
-func (cc *ClusterClient) QueryReports(q ReportQuery) (ReportResult, error) {
-	if len(q.Jobs) == 1 {
-		var out ReportResult
-		err := cc.routed(q.Jobs[0], func(rc *RemoteClient) error {
-			var e error
-			out, e = rc.QueryReports(q)
-			return e
-		})
-		return out, err
-	}
-	full := q
-	full.Offset, full.Limit = 0, 0
-	var all []JobReport
-	err := cc.eachPeer(func(_ string, rc *RemoteClient) error {
-		res, err := rc.QueryReports(full)
-		if err != nil {
-			return err
-		}
-		all = append(all, res.Reports...)
-		return nil
-	})
-	if err != nil {
-		return ReportResult{}, err
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].AnalyzedAt < all[j].AnalyzedAt })
-	page := paginate(all, q.Offset, q.Limit)
-	return ReportResult{Reports: page, Total: len(all), NextOffset: nextOffset(q.Offset, len(page), len(all))}, nil
-}
-
-// QueryRemediations mirrors QueryTriggers' routing.
-func (cc *ClusterClient) QueryRemediations(q RemediationQuery) (RemediationResult, error) {
-	if len(q.Jobs) == 1 {
-		var out RemediationResult
-		err := cc.routed(q.Jobs[0], func(rc *RemoteClient) error {
-			var e error
-			out, e = rc.QueryRemediations(q)
-			return e
-		})
-		return out, err
-	}
-	full := q
-	full.Offset, full.Limit = 0, 0
-	var all []JobRemediation
-	err := cc.eachPeer(func(_ string, rc *RemoteClient) error {
-		res, err := rc.QueryRemediations(full)
-		if err != nil {
-			return err
-		}
-		all = append(all, res.Attempts...)
-		return nil
-	})
-	if err != nil {
-		return RemediationResult{}, err
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].ReportedAt < all[j].ReportedAt })
-	page := paginate(all, q.Offset, q.Limit)
-	return RemediationResult{Attempts: page, Total: len(all), NextOffset: nextOffset(q.Offset, len(page), len(all))}, nil
-}
-
-// QueryDependencies routes by the query's job. Dependency graphs are not
-// replicated, so with the primary down this returns the replica's explicit
-// refusal rather than inventing edges.
-func (cc *ClusterClient) QueryDependencies(q DependencyQuery) (DependencyResult, error) {
-	job, err := cc.resolveJob(q.Job)
-	if err != nil {
-		return DependencyResult{}, err
-	}
-	q.Job = job
-	var out DependencyResult
-	err = cc.routed(job, func(rc *RemoteClient) error {
-		var e error
-		out, e = rc.QueryDependencies(q)
-		return e
-	})
-	return out, err
-}
-
-// BlastRadius routes by job.
-func (cc *ClusterClient) BlastRadius(job JobID, suspect Rank) ([]Rank, error) {
-	job, err := cc.resolveJob(job)
-	if err != nil {
-		return nil, err
-	}
-	var out []Rank
-	err = cc.routed(job, func(rc *RemoteClient) error {
-		var e error
-		out, e = rc.BlastRadius(job, suspect)
-		return e
-	})
-	return out, err
-}
-
-// QuerySpans routes by job. Span rings live in the primary's engine — the
-// whole incident tree, including the peer-labeled replicate-ship spans, is
-// answered from one place; a replica reached via failover answers an empty
-// page.
-func (cc *ClusterClient) QuerySpans(q SpanQuery) (SpanResult, error) {
-	job, err := cc.resolveJob(q.Job)
-	if err != nil {
-		return SpanResult{}, err
-	}
-	q.Job = job
-	var out SpanResult
-	err = cc.routed(job, func(rc *RemoteClient) error {
-		var e error
-		out, e = rc.QuerySpans(q)
-		return e
-	})
-	return out, err
-}
-
-// IngestLogs routes channel ingest to the job's primary (replicas cannot
-// analyze; a failed-over replica promoted to primary can).
-func (cc *ClusterClient) IngestLogs(job JobID, lines []LogLine) (IngestResult, error) {
-	job, err := cc.resolveJob(job)
-	if err != nil {
-		return IngestResult{}, err
-	}
-	var out IngestResult
-	err = cc.routed(job, func(rc *RemoteClient) error {
-		var e error
-		out, e = rc.IngestLogs(job, lines)
-		return e
-	})
-	return out, err
-}
-
-// IngestTimings routes channel ingest to the job's primary.
-func (cc *ClusterClient) IngestTimings(job JobID, samples []IterationSample) (IngestResult, error) {
-	job, err := cc.resolveJob(job)
-	if err != nil {
-		return IngestResult{}, err
-	}
-	var out IngestResult
-	err = cc.routed(job, func(rc *RemoteClient) error {
-		var e error
-		out, e = rc.IngestTimings(job, samples)
-		return e
-	})
-	return out, err
-}
-
-// ChannelStats routes by job; a replica answers from its replicated
-// snapshot's channel mirror.
-func (cc *ClusterClient) ChannelStats(job JobID) (ChannelStatsResult, error) {
-	job, err := cc.resolveJob(job)
-	if err != nil {
-		return ChannelStatsResult{}, err
-	}
-	var out ChannelStatsResult
-	err = cc.routed(job, func(rc *RemoteClient) error {
-		var e error
-		out, e = rc.ChannelStats(job)
-		return e
-	})
-	return out, err
-}
-
-// Triage routes by job; a replica answers from its replicated verdicts.
-func (cc *ClusterClient) Triage(job JobID) (TriageResult, error) {
-	job, err := cc.resolveJob(job)
-	if err != nil {
-		return TriageResult{}, err
-	}
-	var out TriageResult
-	err = cc.routed(job, func(rc *RemoteClient) error {
-		var e error
-		out, e = rc.Triage(job)
-		return e
-	})
-	return out, err
-}
-
 // ClusterInfo merges the fleet's own view with this client's direct
 // observations: the first answering peer's table is the base, every peer
 // the client cannot reach right now is overridden to dead, and job rows are
 // merged across peers preferring the hosting (Local) row.
 func (cc *ClusterClient) ClusterInfo() (api.ClusterInfoResponse, error) {
-	var base *api.ClusterInfoResponse
+	infos, err := eachPeer(cc, func(rc *RemoteClient) (info api.ClusterInfoResponse, err error) {
+		return info, rc.do(http.MethodGet, api.Prefix+"/cluster/info", nil, &info)
+	})
+	if err != nil {
+		return api.ClusterInfoResponse{}, err
+	}
 	reached := make(map[string]bool)
 	jobs := make(map[string]api.ClusterJob)
 	var stats api.ClusterStats
 	statsSeen := false
-	err := cc.eachPeer(func(peer string, rc *RemoteClient) error {
-		var info api.ClusterInfoResponse
-		if err := rc.get(api.Prefix+"/cluster/info", &info); err != nil {
-			return err
-		}
+	for _, info := range infos {
 		reached[info.Self] = true
-		if base == nil {
-			base = &info
-		}
 		if s := info.Stats; s != nil {
 			statsSeen = true
 			stats.ReplicatedEvents += s.ReplicatedEvents
@@ -556,12 +248,8 @@ func (cc *ClusterClient) ClusterInfo() (api.ClusterInfoResponse, error) {
 				jobs[row.ID] = row
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return api.ClusterInfoResponse{}, err
 	}
-	resp := *base
+	resp := infos[0]
 	if statsSeen {
 		// Fleet-wide counters: the sum across every answering peer.
 		resp.Stats = &stats
@@ -631,7 +319,7 @@ func (cc *ClusterClient) tailLoop(job string, st *Stream) {
 				req.TimeoutMs = 0
 			}
 			var resp api.TailResponse
-			err := rc.post(api.Prefix+"/cluster/tail", req, &resp)
+			err := rc.do(http.MethodPost, api.Prefix+"/cluster/tail", req, &resp)
 			if err != nil {
 				if isTransportErr(err) {
 					cc.markDown(p)

@@ -1,7 +1,5 @@
 package api
 
-import "fmt"
-
 // Cluster-mode wire types: the /v1/cluster/* endpoint set that turns N
 // mycroft-serve daemons into one diagnosis plane. Peers replicate each
 // job's event stream (plus periodic snapshots and a best-effort trace
@@ -17,15 +15,6 @@ const (
 	PeerSuspect = "suspect"
 	PeerDead    = "dead"
 )
-
-// ParsePeerState validates a peer state from the wire.
-func ParsePeerState(s string) (string, error) {
-	switch s {
-	case PeerAlive, PeerSuspect, PeerDead:
-		return s, nil
-	}
-	return "", fmt.Errorf("api: unknown peer state %q", s)
-}
 
 // ClusterPeer is one member of the cluster as seen by the answering peer.
 type ClusterPeer struct {

@@ -1,257 +1,49 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mycroft/internal/obs"
 )
 
-// Backend is the wire-level service the HTTP server fronts. The root
-// package's Server adapts any mycroft.Client (an in-process Service or even
-// another remote) to this interface; the server itself never touches domain
-// types, only the versioned wire forms.
+// Mux is the /v1 route set. Every route is mounted under Prefix and carries
+// a request counter, an error counter and a latency histogram labeled by its
+// pattern (not the raw URL, so job and subscription ids never explode the
+// label space). The root package's Server fills it: one route per entry of
+// its Client operation table, plus the stateful endpoints (subscriptions,
+// record download, /v1/cluster/*) mounted as plain handlers.
 //
-// Implementations must be safe for concurrent calls. Poll is the one method
-// expected to block (up to its request's timeout); everything else should
-// answer promptly so a long poll never starves queries.
-type Backend interface {
-	Ping() (PingResponse, error)
-	Health() (HealthResponse, error)
-	ListJobs() (JobsResponse, error)
-	QueryTrace(TraceRequest) (TraceResponse, error)
-	QueryTriggers(TriggersRequest) (TriggersResponse, error)
-	QueryReports(ReportsRequest) (ReportsResponse, error)
-	QueryDependencies(DependenciesRequest) (DependenciesResponse, error)
-	BlastRadius(BlastRadiusRequest) (BlastRadiusResponse, error)
-	QueryRemediations(RemediationsRequest) (RemediationsResponse, error)
-	QuerySpans(SpansRequest) (SpansResponse, error)
-	Triage(TriageRequest) (TriageResponse, error)
-	Subscribe(SubscribeRequest) (SubscribeResponse, error)
-	Poll(PollRequest) (PollResponse, error)
-	Unsubscribe(id string) error
-	// Record streams a job's incident artifact (the recorder's current
-	// snapshot: a valid, possibly footer-less capture) to w. It errors when
-	// the job is unknown or the daemon is not recording it.
-	Record(job string, w io.Writer) error
-
-	// Diagnosis channels: log and timing ingest feed a job's non-tracepoint
-	// detectors; Channels reports per-channel counters and fusion state.
-	IngestLogs(job string, req LogsRequest) (IngestChannelResponse, error)
-	IngestTimings(job string, req TimingsRequest) (IngestChannelResponse, error)
-	Channels(job string) (ChannelsResponse, error)
-
-	// Cluster endpoints: peer membership, health gossip, replication and the
-	// seq-resumable event tail ride the same /v1 transport queries use. A
-	// standalone daemon answers every one with a "cluster disabled" error.
-	// ClusterTail may block like Poll (up to its request's timeout).
-	ClusterInfo() (ClusterInfoResponse, error)
-	ClusterJoin(JoinRequest) (JoinResponse, error)
-	ClusterGossip(GossipRequest) (GossipResponse, error)
-	ClusterReplicate(ReplicateRequest) (ReplicateResponse, error)
-	ClusterTail(TailRequest) (TailResponse, error)
-	ClusterHandoff(HandoffRequest) (HandoffResponse, error)
+// Requests are JSON bodies (or a query string on GET routes); errors come
+// back as ErrorResponse with a 400.
+type Mux struct {
+	mux    *http.ServeMux
+	reg    *obs.Registry
+	routes []string
 }
 
-// NewHandler mounts the /v1 wire protocol over a Backend:
-//
-//	GET    /v1/ping                     → PingResponse
-//	GET    /v1/health                   → HealthResponse
-//	GET    /v1/jobs                     → JobsResponse
-//	POST   /v1/trace/query              → TraceResponse
-//	POST   /v1/triggers/query           → TriggersResponse
-//	POST   /v1/reports/query            → ReportsResponse
-//	POST   /v1/dependencies/query       → DependenciesResponse
-//	POST   /v1/blast-radius             → BlastRadiusResponse
-//	POST   /v1/remediations/query       → RemediationsResponse
-//	GET    /v1/jobs/{id}/spans          → SpansResponse
-//	POST   /v1/jobs/{id}/logs           → IngestChannelResponse
-//	POST   /v1/jobs/{id}/timings        → IngestChannelResponse
-//	GET    /v1/jobs/{id}/channels       → ChannelsResponse
-//	POST   /v1/triage                   → TriageResponse
-//	POST   /v1/subscribe                → SubscribeResponse
-//	POST   /v1/poll                     → PollResponse (long poll)
-//	DELETE /v1/subscriptions/{id}       → 204
-//	GET    /v1/subscriptions/{id}/sse   → text/event-stream
-//	GET    /v1/cluster/info             → ClusterInfoResponse
-//	POST   /v1/cluster/join             → JoinResponse
-//	POST   /v1/cluster/gossip           → GossipResponse
-//	POST   /v1/cluster/replicate        → ReplicateResponse
-//	POST   /v1/cluster/tail             → TailResponse (long poll)
-//	POST   /v1/cluster/handoff          → HandoffResponse
-//
-// Requests are JSON bodies; errors come back as ErrorResponse with a 400.
-func NewHandler(b Backend) http.Handler { return NewInstrumentedHandler(b, nil) }
-
-// NewInstrumentedHandler is NewHandler plus per-endpoint request counters,
-// error counters and a latency histogram registered on reg (nil disables
-// instrumentation). Endpoints are labeled by their route, not the raw URL,
-// so subscription ids never explode the label space.
-func NewInstrumentedHandler(b Backend, reg *obs.Registry) http.Handler {
-	mm := &muxMetrics{reg: reg}
-	mux := http.NewServeMux()
-	handle := func(method, path, endpoint string, fn http.HandlerFunc) {
-		mux.HandleFunc(method+" "+Prefix+path, mm.wrap(endpoint, fn))
-	}
-	handle("GET", "/ping", "/v1/ping", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := b.Ping()
-		answer(w, resp, err)
-	})
-	handle("GET", "/health", "/v1/health", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := b.Health()
-		answer(w, resp, err)
-	})
-	handle("GET", "/jobs", "/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := b.ListJobs()
-		answer(w, resp, err)
-	})
-	post(handle, "/trace/query", b.QueryTrace)
-	post(handle, "/triggers/query", b.QueryTriggers)
-	post(handle, "/reports/query", b.QueryReports)
-	post(handle, "/dependencies/query", b.QueryDependencies)
-	post(handle, "/blast-radius", b.BlastRadius)
-	post(handle, "/remediations/query", b.QueryRemediations)
-	post(handle, "/triage", b.Triage)
-	post(handle, "/subscribe", b.Subscribe)
-	post(handle, "/poll", b.Poll)
-	handle("GET", "/jobs/{id}/record", "/v1/jobs/{id}/record", func(w http.ResponseWriter, r *http.Request) {
-		// Stage the artifact before writing: a recording error must become a
-		// clean HTTP error, not a torn 200. The snapshot is bounded by the
-		// recorder's current file size, and the chunked format means a
-		// client can replay it even though it has no footer yet.
-		var buf bytes.Buffer
-		if err := b.Record(r.PathValue("id"), &buf); err != nil {
-			fail(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
-		io.Copy(w, &buf)
-	})
-	handle("GET", "/jobs/{id}/spans", "/v1/jobs/{id}/spans", func(w http.ResponseWriter, r *http.Request) {
-		req := SpansRequest{Job: r.PathValue("id")}
-		q := r.URL.Query()
-		req.Incident, req.Stage = q.Get("incident"), q.Get("stage")
-		var err error
-		if v := q.Get("after_id"); v != "" {
-			if req.AfterID, err = strconv.ParseUint(v, 10, 64); err != nil {
-				fail(w, fmt.Errorf("api: bad after_id %q", v))
-				return
-			}
-		}
-		if v := q.Get("min_wall_ns"); v != "" {
-			if req.MinWallNs, err = strconv.ParseInt(v, 10, 64); err != nil {
-				fail(w, fmt.Errorf("api: bad min_wall_ns %q", v))
-				return
-			}
-		}
-		if v := q.Get("limit"); v != "" {
-			if req.Limit, err = strconv.Atoi(v); err != nil {
-				fail(w, fmt.Errorf("api: bad limit %q", v))
-				return
-			}
-		}
-		resp, err := b.QuerySpans(req)
-		answer(w, resp, err)
-	})
-	handle("POST", "/jobs/{id}/logs", "/v1/jobs/{id}/logs", func(w http.ResponseWriter, r *http.Request) {
-		var req LogsRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		resp, err := b.IngestLogs(r.PathValue("id"), req)
-		answer(w, resp, err)
-	})
-	handle("POST", "/jobs/{id}/timings", "/v1/jobs/{id}/timings", func(w http.ResponseWriter, r *http.Request) {
-		var req TimingsRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		resp, err := b.IngestTimings(r.PathValue("id"), req)
-		answer(w, resp, err)
-	})
-	handle("GET", "/jobs/{id}/channels", "/v1/jobs/{id}/channels", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := b.Channels(r.PathValue("id"))
-		answer(w, resp, err)
-	})
-	handle("DELETE", "/subscriptions/{id}", "/v1/subscriptions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if err := b.Unsubscribe(r.PathValue("id")); err != nil {
-			fail(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	handle("GET", "/subscriptions/{id}/sse", "/v1/subscriptions/{id}/sse", func(w http.ResponseWriter, r *http.Request) {
-		serveSSE(b, w, r)
-	})
-	handle("GET", "/cluster/info", "/v1/cluster/info", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := b.ClusterInfo()
-		answer(w, resp, err)
-	})
-	post(handle, "/cluster/join", b.ClusterJoin)
-	post(handle, "/cluster/gossip", b.ClusterGossip)
-	post(handle, "/cluster/replicate", b.ClusterReplicate)
-	post(handle, "/cluster/tail", b.ClusterTail)
-	post(handle, "/cluster/handoff", b.ClusterHandoff)
-	return mux
+// NewMux builds an empty route set whose instruments register on reg.
+func NewMux(reg *obs.Registry) *Mux {
+	return &Mux{mux: http.NewServeMux(), reg: reg}
 }
 
-// decodeBody reads and decodes a JSON request body, answering the error
-// itself; it returns false when the caller should stop.
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
-	if err != nil {
-		fail(w, fmt.Errorf("api: reading request: %w", err))
-		return false
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, into); err != nil {
-			fail(w, fmt.Errorf("api: decoding request: %w", err))
-			return false
-		}
-	}
-	return true
-}
+func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) { m.mux.ServeHTTP(w, r) }
 
-// post mounts one decode→call→encode JSON-RPC style endpoint.
-func post[Req, Resp any](handle func(method, path, endpoint string, fn http.HandlerFunc), path string, fn func(Req) (Resp, error)) {
-	handle("POST", path, Prefix+path, func(w http.ResponseWriter, r *http.Request) {
-		var req Req
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
-		if err != nil {
-			fail(w, fmt.Errorf("api: reading request: %w", err))
-			return
-		}
-		if len(body) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
-				fail(w, fmt.Errorf("api: decoding request: %w", err))
-				return
-			}
-		}
-		resp, err := fn(req)
-		answer(w, resp, err)
-	})
-}
+// Routes lists every mounted route as "METHOD pattern", in mount order.
+func (m *Mux) Routes() []string { return m.routes }
 
-// muxMetrics holds the per-endpoint HTTP instruments.
-type muxMetrics struct{ reg *obs.Registry }
-
-// wrap instruments one route: request count, wall-clock latency, and an
-// error count for 4xx/5xx answers. With no registry it returns fn untouched.
-func (m *muxMetrics) wrap(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
-	if m.reg == nil {
-		return fn
-	}
-	el := obs.L("endpoint", endpoint)
+// Handle mounts fn at method + Prefix + path, instrumented.
+func (m *Mux) Handle(method, path string, fn http.HandlerFunc) {
+	pattern := Prefix + path
+	el := obs.L("endpoint", pattern)
 	requests := m.reg.Counter("mycroft_http_requests_total", "HTTP requests served, by endpoint.", el)
 	errors := m.reg.Counter("mycroft_http_errors_total", "HTTP requests answered 4xx/5xx, by endpoint.", el)
 	latency := m.reg.Histogram("mycroft_http_request_seconds", "Wall-clock HTTP request latency in seconds.", obs.LatencyBuckets, el)
-	return func(w http.ResponseWriter, r *http.Request) {
+	m.routes = append(m.routes, method+" "+pattern)
+	m.mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -260,7 +52,43 @@ func (m *muxMetrics) wrap(endpoint string, fn http.HandlerFunc) http.HandlerFunc
 		if sw.status >= 400 {
 			errors.Inc()
 		}
+	})
+}
+
+// Get mounts one call→encode endpoint that takes no request.
+func Get[Resp any](m *Mux, path string, fn func() (Resp, error)) {
+	m.Handle("GET", path, func(w http.ResponseWriter, r *http.Request) {
+		resp, err := fn()
+		Answer(w, resp, err)
+	})
+}
+
+// Post mounts one decode→call→encode JSON-RPC style endpoint.
+func Post[Req, Resp any](m *Mux, path string, fn func(Req) (Resp, error)) {
+	m.Handle("POST", path, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := ReadJSON(w, r, &req); err != nil {
+			Fail(w, err)
+			return
+		}
+		resp, err := fn(req)
+		Answer(w, resp, err)
+	})
+}
+
+// ReadJSON decodes a size-capped JSON request body into v; an empty body
+// leaves v at its zero value.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
+	if err != nil {
+		return fmt.Errorf("api: reading request: %w", err)
 	}
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, v); err != nil {
+			return fmt.Errorf("api: decoding request: %w", err)
+		}
+	}
+	return nil
 }
 
 // statusWriter records the response code and forwards Flush so the SSE
@@ -281,27 +109,29 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-func answer(w http.ResponseWriter, resp any, err error) {
+// Answer writes resp as JSON, or err through Fail.
+func Answer(w http.ResponseWriter, resp any, err error) {
 	if err != nil {
-		fail(w, err)
+		Fail(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
 
-func fail(w http.ResponseWriter, err error) {
+// Fail is the one place an error becomes an HTTP answer.
+func Fail(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusBadRequest)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-// serveSSE streams a subscription as server-sent events: each matched event
+// ServeSSE streams a subscription as server-sent events: each matched event
 // is one `data:` frame of wire-form Event JSON; buffer overflow shows up as
 // a `: dropped=N` comment and the terminal frame is `event: closed`. The
-// loop long-polls the backend in short slices so a client disconnect is
-// noticed within half a second.
-func serveSSE(b Backend, w http.ResponseWriter, r *http.Request) {
+// loop long-polls in short slices so a client disconnect is noticed within
+// half a second.
+func ServeSSE(poll func(PollRequest) (PollResponse, error), w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -320,7 +150,7 @@ func serveSSE(b Backend, w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
-		resp, err := b.Poll(PollRequest{ID: id, TimeoutMs: 500, Max: 64})
+		resp, err := poll(PollRequest{ID: id, TimeoutMs: 500, Max: 64})
 		if err != nil {
 			fmt.Fprintf(w, "event: error\ndata: %s\n\n", jsonLine(ErrorResponse{Error: err.Error()}))
 			fl.Flush()

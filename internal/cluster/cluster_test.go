@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"mycroft/internal/api"
+	"mycroft/internal/core"
+	"mycroft/internal/remedy"
+	"mycroft/internal/trace"
 )
 
 func TestRingDeterministicPlacement(t *testing.T) {
@@ -147,21 +150,35 @@ func TestEventLogTailWait(t *testing.T) {
 	}
 }
 
+// TestReplicaStoreApplyAndQueries: a batch is acked, its verdicts and trace
+// records are decoded once into the domain values the root package's shared
+// query functions read (their filter and page rules are pinned there, in
+// TestPagedQueriesShareFilters), redeliveries add nothing, an attempt's later
+// transition overwrites its row, and a batch that does not decode is refused
+// untouched.
 func TestReplicaStoreApplyAndQueries(t *testing.T) {
+	attempt := func(outcome string) *api.Attempt {
+		return &api.Attempt{ID: 1, Action: api.Action{Kind: "isolate-rank", Rank: 5}, Outcome: outcome, ReportedAtNs: 300}
+	}
 	rs := NewReplicaStore(0, 0)
-	resp := rs.Apply(api.ReplicateRequest{
+	req := api.ReplicateRequest{
 		From: "p1", Job: "job-0",
 		Entries: []api.SeqEvent{
-			{Seq: 1, Event: api.Event{Job: "job-0", Kind: "trigger", AtNs: 100, Trigger: &api.Trigger{Kind: "timeout", Rank: 5, AtNs: 100}}},
-			{Seq: 2, Event: api.Event{Job: "job-0", Kind: "report", AtNs: 200, Report: &api.Report{Suspect: 5, Category: "nic", AnalyzedAtNs: 200}}},
-			{Seq: 3, Event: api.Event{Job: "job-0", Kind: "remedy", AtNs: 300, Action: &api.Attempt{Action: api.Action{Kind: "isolate", Rank: 5}, Outcome: "resolved", ReportedAtNs: 300}}},
+			{Seq: 1, Event: api.Event{Job: "job-0", Kind: "trigger", AtNs: 100, Trigger: &api.Trigger{Kind: "failure", Rank: 5, AtNs: 100}}},
+			{Seq: 2, Event: api.Event{Job: "job-0", Kind: "report", AtNs: 200, Report: &api.Report{Trigger: api.Trigger{Kind: "failure"}, Suspect: 5, Category: "nic", AnalyzedAtNs: 200}}},
+			{Seq: 3, Event: api.Event{Job: "job-0", Kind: "action", AtNs: 300, Action: attempt("pending")}},
+			{Seq: 4, Event: api.Event{Job: "job-0", Kind: "health", AtNs: 350}},
 		},
-		Trace:            []api.TraceRecord{{Kind: "op", TimeNs: 50, Rank: 1}, {Kind: "op", TimeNs: 150, Rank: 5}},
+		Trace:            []api.TraceRecord{{Kind: "completion", Op: "AllReduce", TimeNs: 50, Rank: 1}, {Kind: "completion", Op: "AllReduce", TimeNs: 150, Rank: 5}},
 		TraceWatermarkNs: 150,
 		Snapshot:         &api.ClusterSnapshot{NowNs: 400, Job: api.JobInfo{ID: "job-0", WorldSize: 8}},
-		Watermark:        3,
-	})
-	if resp.AckSeq != 3 || resp.Gap != 0 || resp.TraceAckNs != 150 {
+		Watermark:        4,
+	}
+	resp, err := rs.Apply(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.AckSeq != 4 || resp.Gap != 0 || resp.TraceAckNs != 150 {
 		t.Fatalf("ack: %+v", resp)
 	}
 	rj := rs.Job("job-0")
@@ -171,37 +188,60 @@ func TestReplicaStoreApplyAndQueries(t *testing.T) {
 	if s := rj.Snapshot(); s == nil || s.Job.WorldSize != 8 {
 		t.Fatalf("snapshot: %+v", s)
 	}
-
-	tr := rj.QueryTriggers(api.TriggersRequest{Ranks: []int{5}})
-	if tr.Total != 1 || len(tr.Triggers) != 1 || tr.Triggers[0].Trigger.Kind != "timeout" {
-		t.Fatalf("triggers: %+v", tr)
+	check := func(when string, logged int) {
+		t.Helper()
+		if tr := rj.Triggers(); len(tr) != 1 || tr[0].Kind != core.TriggerFailure || tr[0].Rank != 5 || tr[0].At != 100 {
+			t.Fatalf("%s: triggers: %+v", when, tr)
+		}
+		if rp := rj.Reports(); len(rp) != 1 || rp[0].Suspect != 5 || rp[0].Category != "nic" {
+			t.Fatalf("%s: reports: %+v", when, rp)
+		}
+		if tail, _ := rj.Log.TailAfter(0, 10); len(tail) != logged {
+			t.Fatalf("%s: verbatim log holds %d entries, want %d", when, len(tail), logged)
+		}
 	}
-	if tr := rj.QueryTriggers(api.TriggersRequest{Ranks: []int{6}}); tr.Total != 0 {
-		t.Fatalf("rank filter leak: %+v", tr)
-	}
-	rp := rj.QueryReports(api.ReportsRequest{Categories: []string{"nic"}})
-	if rp.Total != 1 || rp.Reports[0].Report.Suspect != 5 {
-		t.Fatalf("reports: %+v", rp)
-	}
-	rm := rj.QueryRemediations(api.RemediationsRequest{Outcomes: []string{"resolved"}})
-	if rm.Total != 1 || rm.Attempts[0].Attempt.Action.Kind != "isolate" {
+	check("first batch", 4)
+	if rm := rj.RemediationLog(); len(rm) != 1 || rm[0].Outcome != remedy.OutcomePending {
 		t.Fatalf("remediations: %+v", rm)
 	}
-	tq := rj.QueryTrace(api.TraceRequest{FromNs: 100})
-	if tq.Total != 1 || tq.Records[0].TimeNs != 150 {
-		t.Fatalf("trace window: %+v", tq)
+	page, total := rj.Trace(func(r *trace.Record) bool { return r.Time >= 100 }, 0)
+	if total != 1 || len(page) != 1 || page[0].Time != 150 || page[0].Rank != 5 {
+		t.Fatalf("trace window: %d %+v", total, page)
+	}
+	if page, total := rj.Trace(func(*trace.Record) bool { return true }, 1); total != 2 || len(page) != 1 || page[0].Time != 50 {
+		t.Fatalf("trace prefix page: %d %+v", total, page)
 	}
 
-	// Pagination conventions match the live side: NextOffset -1 when done.
-	page := rj.QueryTriggers(api.TriggersRequest{Limit: 1})
-	if page.NextOffset != -1 || len(page.Triggers) != 1 {
-		t.Fatalf("page: %+v", page)
+	// A redelivered batch (its ack was lost) changes nothing; the attempt's
+	// next transition replaces its row instead of adding one.
+	req.Trace, req.Snapshot = nil, nil
+	req.Entries = append(req.Entries, api.SeqEvent{Seq: 5, Event: api.Event{Job: "job-0", Kind: "action", AtNs: 400, Action: attempt("succeeded")}})
+	if resp, err := rs.Apply(req); err != nil || resp.AckSeq != 5 || resp.Gap != 0 {
+		t.Fatalf("redelivery: %+v %v", resp, err)
 	}
+	if rm := rj.RemediationLog(); len(rm) != 1 || rm[0].Outcome != remedy.OutcomeSucceeded {
+		t.Fatalf("attempt transition: %+v", rm)
+	}
+
+	// An entry this peer cannot decode refuses the whole batch.
+	bad := api.ReplicateRequest{From: "p1", Job: "job-0", Entries: []api.SeqEvent{
+		{Seq: 6, Event: api.Event{Job: "job-0", Kind: "trigger", Trigger: &api.Trigger{Kind: "failure", Rank: 6}}},
+		{Seq: 7, Event: api.Event{Job: "job-0", Kind: "trigger", Trigger: &api.Trigger{Kind: "from-the-future"}}},
+	}}
+	if _, err := rs.Apply(bad); err == nil {
+		t.Fatal("undecodable batch accepted")
+	}
+	if wm := rj.Log.Watermark(); wm != 5 {
+		t.Fatalf("refused batch moved the log to %d", wm)
+	}
+	check("after redelivery and refusal", 5)
 }
 
 func TestReplicaStorePromote(t *testing.T) {
 	rs := NewReplicaStore(0, 0)
-	rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{{Seq: 1}, {Seq: 2}}, Watermark: 2})
+	if _, err := rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{{Seq: 1}, {Seq: 2}}, Watermark: 2}); err != nil {
+		t.Fatal(err)
+	}
 	lag, err := rs.Promote("j", "p1", 5)
 	if err != nil || lag != 3 {
 		t.Fatalf("lag=%d err=%v", lag, err)

@@ -108,17 +108,6 @@ func (n *Node) Placement(job string) (primary string, replicas []string) {
 // Owns reports whether this node is job's primary.
 func (n *Node) Owns(job string) bool { return n.Primary(job) == n.Self }
 
-// Follows reports whether this node is in job's replica set.
-func (n *Node) Follows(job string) bool {
-	_, reps := n.Placement(job)
-	for _, r := range reps {
-		if r == n.Self {
-			return true
-		}
-	}
-	return false
-}
-
 // Addr returns a peer's address ("" when unknown).
 func (n *Node) Addr(name string) string {
 	n.mu.Lock()

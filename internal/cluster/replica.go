@@ -1,13 +1,14 @@
 package cluster
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"mycroft/internal/api"
+	"mycroft/internal/core"
+	"mycroft/internal/remedy"
+	"mycroft/internal/trace"
 )
 
 // DefaultTraceMirror bounds how many trace records a replica keeps per job.
@@ -16,20 +17,25 @@ import (
 const DefaultTraceMirror = 65536
 
 // ReplicaJob is everything a peer holds for one job it follows: the
-// replicated event log, the latest coarse snapshot, the trace mirror and
-// the handoff/promotion state.
+// replicated event log (verbatim wire entries, for tail and re-replication),
+// the verdicts those entries carried decoded to domain values, the latest
+// coarse snapshot, the trace mirror and the handoff/promotion state.
 type ReplicaJob struct {
 	Job     string
 	Primary string
 	Log     *EventLog
 
-	mu        sync.Mutex
-	snapshot  *api.ClusterSnapshot
-	trace     []api.TraceRecord // ascending by (Time, arrival)
-	traceWM   int64             // max record Time received
-	gaps      uint64            // seq numbers lost in transit, lifetime
-	promoted  bool
-	lastBatch time.Time // wall clock, liveness only
+	mu       sync.Mutex
+	snapshot *api.ClusterSnapshot
+	// Verdict history in seq order, each list bounded like the log. attempts
+	// mirrors the primary's audit log: one row per attempt ID, overwritten by
+	// each later transition.
+	triggers []core.Trigger
+	reports  []core.Report
+	attempts []remedy.Attempt
+	trace    []trace.Record // ascending by (Time, arrival)
+	traceWM  int64          // max record Time received
+	promoted bool
 }
 
 // Snapshot returns the latest replicated coarse state (nil before the
@@ -47,49 +53,44 @@ func (rj *ReplicaJob) Promoted() bool {
 	return rj.promoted
 }
 
-// Gaps reports sequence numbers lost in transit, lifetime.
-func (rj *ReplicaJob) Gaps() uint64 {
+// Triggers returns the replicated Algorithm 1 firings in seq order.
+func (rj *ReplicaJob) Triggers() []core.Trigger {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	return rj.gaps
+	return slices.Clone(rj.triggers)
 }
 
-// LastBatch is the wall-clock arrival of the latest replication batch.
-func (rj *ReplicaJob) LastBatch() time.Time {
+// Reports returns the replicated Algorithm 2 verdicts in seq order.
+func (rj *ReplicaJob) Reports() []core.Report {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	return rj.lastBatch
+	return slices.Clone(rj.reports)
 }
 
-// TraceWatermark is the max record Time the mirror has received.
-func (rj *ReplicaJob) TraceWatermark() int64 {
+// RemediationLog returns the replicated audit log in attempt order.
+func (rj *ReplicaJob) RemediationLog() []remedy.Attempt {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	return rj.traceWM
+	return slices.Clone(rj.attempts)
 }
 
-// Events returns the replicated events in seq order (the full retained log).
-func (rj *ReplicaJob) Events() []api.SeqEvent {
-	out, _ := rj.Log.TailAfter(0, rj.Log.Len()+1)
-	return out
-}
-
-// TraceRecords returns the mirror records matching the predicate, in
-// arrival (time-ascending) order. limit <= 0 returns everything.
-func (rj *ReplicaJob) TraceRecords(match func(api.TraceRecord) bool, limit int) []api.TraceRecord {
+// Trace walks the mirror once in arrival (time-ascending) order: it returns
+// the first limit records keep accepts (limit <= 0 = all of them) and how
+// many it accepted in total. The mirror has no cursor, so a page is always a
+// prefix.
+func (rj *ReplicaJob) Trace(keep func(*trace.Record) bool, limit int) (page []trace.Record, total int) {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	var out []api.TraceRecord
-	for _, r := range rj.trace {
-		if match != nil && !match(r) {
+	for i := range rj.trace {
+		if !keep(&rj.trace[i]) {
 			continue
 		}
-		out = append(out, r)
-		if limit > 0 && len(out) >= limit {
-			break
+		total++
+		if limit <= 0 || len(page) < limit {
+			page = append(page, rj.trace[i])
 		}
 	}
-	return out
+	return page, total
 }
 
 // ReplicaStore holds every job this peer follows, keyed by job id. Batches
@@ -105,6 +106,9 @@ type ReplicaStore struct {
 // NewReplicaStore builds an empty store. logCap/traceCap <= 0 pick the
 // package defaults.
 func NewReplicaStore(logCap, traceCap int) *ReplicaStore {
+	if logCap <= 0 {
+		logCap = DefaultLogCap
+	}
 	if traceCap <= 0 {
 		traceCap = DefaultTraceMirror
 	}
@@ -144,36 +148,105 @@ func (rs *ReplicaStore) obtain(job, primary string) *ReplicaJob {
 	return rj
 }
 
+// verdict is what one replicated event decodes to (all nil for the kinds a
+// replica only relays: health, lifecycle, log anomalies).
+type verdict struct {
+	trigger *core.Trigger
+	report  *core.Report
+	attempt *remedy.Attempt
+}
+
+func decodeVerdict(e api.Event) (v verdict, err error) {
+	switch {
+	case e.Trigger != nil:
+		var t core.Trigger
+		t, err = e.Trigger.Trigger()
+		v.trigger = &t
+	case e.Report != nil:
+		var r core.Report
+		r, err = e.Report.Report()
+		v.report = &r
+	case e.Action != nil:
+		var a remedy.Attempt
+		a, err = e.Action.Attempt()
+		v.attempt = &a
+	}
+	return v, err
+}
+
 // Apply ingests one replication batch and returns the ack the sender uses
-// as its next cursor.
-func (rs *ReplicaStore) Apply(req api.ReplicateRequest) api.ReplicateResponse {
+// as its next cursor. The whole batch is decoded to domain values before
+// anything is stored, so one this peer cannot decode is refused untouched.
+func (rs *ReplicaStore) Apply(req api.ReplicateRequest) (api.ReplicateResponse, error) {
 	if req.Job == "" {
-		return api.ReplicateResponse{}
+		return api.ReplicateResponse{}, nil
+	}
+	verdicts := make([]verdict, len(req.Entries))
+	for i, se := range req.Entries {
+		v, err := decodeVerdict(se.Event)
+		if err != nil {
+			return api.ReplicateResponse{}, err
+		}
+		verdicts[i] = v
+	}
+	recs := make([]trace.Record, len(req.Trace))
+	for i, w := range req.Trace {
+		r, err := w.Record()
+		if err != nil {
+			return api.ReplicateResponse{}, err
+		}
+		recs[i] = r
 	}
 	rj := rs.obtain(req.Job, req.From)
-	gap := rj.Log.AppendEntries(req.Entries)
 
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	rj.gaps += gap
-	rj.lastBatch = time.Now()
+	// The log's own duplicate rule: an entry at or below the running head is
+	// a redelivery and carries nothing new.
+	head := rj.Log.Watermark()
+	for i, se := range req.Entries {
+		if se.Seq <= head {
+			continue
+		}
+		head = se.Seq
+		switch v := verdicts[i]; {
+		case v.trigger != nil:
+			rj.triggers = appendBounded(rj.triggers, rs.logCap, *v.trigger)
+		case v.report != nil:
+			rj.reports = appendBounded(rj.reports, rs.logCap, *v.report)
+		case v.attempt != nil:
+			if at := slices.IndexFunc(rj.attempts, func(a remedy.Attempt) bool { return a.ID == v.attempt.ID }); at >= 0 {
+				rj.attempts[at] = *v.attempt
+			} else {
+				rj.attempts = appendBounded(rj.attempts, rs.logCap, *v.attempt)
+			}
+		}
+	}
+	gap := rj.Log.AppendEntries(req.Entries)
 	if req.Snapshot != nil {
 		snap := *req.Snapshot
 		rj.snapshot = &snap
 	}
-	for _, r := range req.Trace {
-		if r.TimeNs > rj.traceWM {
-			rj.traceWM = r.TimeNs
+	for _, r := range recs {
+		if ns := int64(r.Time); ns > rj.traceWM {
+			rj.traceWM = ns
 		}
-		rj.trace = append(rj.trace, r)
 	}
-	if over := len(rj.trace) - rs.traceCap; over > 0 {
-		rj.trace = append(rj.trace[:0], rj.trace[over:]...)
-	}
+	rj.trace = appendBounded(rj.trace, rs.traceCap, recs...)
 	if req.TraceWatermarkNs > rj.traceWM {
 		rj.traceWM = req.TraceWatermarkNs
 	}
-	return api.ReplicateResponse{AckSeq: rj.Log.Watermark(), TraceAckNs: rj.traceWM, Gap: gap}
+	return api.ReplicateResponse{AckSeq: rj.Log.Watermark(), TraceAckNs: rj.traceWM, Gap: gap}, nil
+}
+
+// appendBounded appends more to held and ages the oldest entries out past
+// max, reusing the backing array.
+func appendBounded[T any](held []T, max int, more ...T) []T {
+	held = append(held, more...)
+	if over := len(held) - max; over > 0 {
+		held = append(held[:0], held[over:]...)
+	}
+	return held
 }
 
 // Promote records a handoff: this peer now answers authoritatively for the
@@ -196,152 +269,9 @@ func (rs *ReplicaStore) Promote(job, from string, primaryWatermark uint64) (lag 
 	return lag, nil
 }
 
-// ---------------------------------------------------------------------------
-// Wire-level query evaluation over replicated state.
-//
-// A replica answers the paged query endpoints for jobs it follows by
-// deriving results from the event log (triggers, reports, remediations) and
-// the trace mirror. The filters mirror the service-side query layer's
-// semantics on the wire forms; pagination clamps negatives exactly like the
-// in-process paginate helper.
-
-// Page normalizes offset/limit over n matches and returns the page
-// bounds plus the NextOffset convention (-1 when the page exhausts them).
-func Page(n, offset, limit int) (lo, hi, next int) {
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > n {
-		offset = n
-	}
-	hi = n
-	if limit > 0 && offset+limit < n {
-		hi = offset + limit
-	}
-	next = -1
-	if hi < n {
-		next = hi
-	}
-	return offset, hi, next
-}
-
-// inWindow applies the (from, to] wire time window; to 0 = unbounded.
-func inWindow(atNs, fromNs, toNs int64) bool {
-	if atNs < fromNs {
-		return false
-	}
-	if toNs > 0 && atNs > toNs {
-		return false
-	}
-	return true
-}
-
-// QueryTriggers derives a TriggersResponse from the replicated event log.
-func (rj *ReplicaJob) QueryTriggers(req api.TriggersRequest) api.TriggersResponse {
-	var all []api.JobTrigger
-	for _, se := range rj.Events() {
-		e := se.Event
-		if e.Trigger == nil {
-			continue
-		}
-		t := *e.Trigger
-		if len(req.Kinds) > 0 && !slices.Contains(req.Kinds, t.Kind) {
-			continue
-		}
-		if len(req.Ranks) > 0 && !slices.Contains(req.Ranks, t.Rank) {
-			continue
-		}
-		if !inWindow(t.AtNs, req.FromNs, req.ToNs) {
-			continue
-		}
-		all = append(all, api.JobTrigger{Job: rj.Job, Trigger: t})
-	}
-	lo, hi, next := Page(len(all), req.Offset, req.Limit)
-	return api.TriggersResponse{Triggers: all[lo:hi], Total: len(all), NextOffset: next}
-}
-
-// QueryReports derives a ReportsResponse from the replicated event log.
-func (rj *ReplicaJob) QueryReports(req api.ReportsRequest) api.ReportsResponse {
-	var all []api.JobReport
-	for _, se := range rj.Events() {
-		e := se.Event
-		if e.Report == nil {
-			continue
-		}
-		r := *e.Report
-		if len(req.Suspects) > 0 && !slices.Contains(req.Suspects, r.Suspect) {
-			continue
-		}
-		if len(req.Categories) > 0 && !slices.Contains(req.Categories, r.Category) {
-			continue
-		}
-		if req.Comm != 0 && r.CommID != req.Comm {
-			continue
-		}
-		if !inWindow(r.AnalyzedAtNs, req.FromNs, req.ToNs) {
-			continue
-		}
-		all = append(all, api.JobReport{Job: rj.Job, Report: r})
-	}
-	lo, hi, next := Page(len(all), req.Offset, req.Limit)
-	return api.ReportsResponse{Reports: all[lo:hi], Total: len(all), NextOffset: next}
-}
-
-// QueryRemediations derives a RemediationsResponse from the event log.
-func (rj *ReplicaJob) QueryRemediations(req api.RemediationsRequest) api.RemediationsResponse {
-	var all []api.JobAttempt
-	for _, se := range rj.Events() {
-		e := se.Event
-		if e.Action == nil {
-			continue
-		}
-		a := *e.Action
-		if len(req.Ranks) > 0 && !slices.Contains(req.Ranks, a.Action.Rank) {
-			continue
-		}
-		if len(req.Actions) > 0 && !slices.Contains(req.Actions, a.Action.Kind) {
-			continue
-		}
-		if len(req.Outcomes) > 0 && !slices.Contains(req.Outcomes, a.Outcome) {
-			continue
-		}
-		if !inWindow(a.ReportedAtNs, req.FromNs, req.ToNs) {
-			continue
-		}
-		all = append(all, api.JobAttempt{Job: rj.Job, Attempt: a})
-	}
-	lo, hi, next := Page(len(all), req.Offset, req.Limit)
-	return api.RemediationsResponse{Attempts: all[lo:hi], Total: len(all), NextOffset: next}
-}
-
-// QueryTrace answers from the trace mirror. The mirror has no cursor
-// support: pages are Limit-bounded prefixes and Next is always nil, which
-// the response's Total makes visible.
-func (rj *ReplicaJob) QueryTrace(req api.TraceRequest) api.TraceResponse {
-	match := func(r api.TraceRecord) bool {
-		if len(req.Ranks) > 0 && !slices.Contains(req.Ranks, r.Rank) {
-			return false
-		}
-		if req.Comm != 0 && r.CommID != req.Comm {
-			return false
-		}
-		if len(req.Kinds) > 0 && !slices.Contains(req.Kinds, r.Kind) {
-			return false
-		}
-		return inWindow(r.TimeNs, req.FromNs, req.ToNs)
-	}
-	total := len(rj.TraceRecords(match, 0))
-	recs := rj.TraceRecords(match, req.Limit)
-	return api.TraceResponse{Job: rj.Job, Records: recs, Total: total}
-}
-
 // Describe renders this replica slot as a ClusterJob row.
 func (rj *ReplicaJob) Describe() api.ClusterJob {
 	return api.ClusterJob{
 		ID: rj.Job, Replicated: true, Promoted: rj.Promoted(), Watermark: rj.Log.Watermark(),
 	}
-}
-
-func (rj *ReplicaJob) String() string {
-	return fmt.Sprintf("replica[%s] wm=%d gaps=%d promoted=%v", rj.Job, rj.Log.Watermark(), rj.Gaps(), rj.Promoted())
 }

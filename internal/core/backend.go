@@ -64,15 +64,6 @@ type Backend struct {
 	spans   *otrace.Tracer
 	fusion  *Fusion
 
-	// OnTrigger fires on every Algorithm 1 firing, before analysis.
-	//
-	// Deprecated: install a publisher with SetPublisher (or subscribe via
-	// the mycroft.Service API); the callback remains as a thin shim.
-	OnTrigger func(Trigger)
-	// OnReport fires with each Algorithm 2 verdict.
-	//
-	// Deprecated: see OnTrigger.
-	OnReport func(Report)
 	// Evaluations counts trigger passes (for the M-benchmarks).
 	Evaluations uint64
 }

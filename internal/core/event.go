@@ -72,22 +72,12 @@ type Event struct {
 
 // SetPublisher routes every subsequent event (triggers, reports, lifecycle
 // changes) to fn. The multi-job service layer installs one publisher per
-// hosted job; the legacy OnTrigger/OnReport callbacks keep firing alongside.
+// hosted job.
 func (b *Backend) SetPublisher(fn func(Event)) { b.publish = fn }
 
-// emit fans an event out to the publisher and the deprecated callbacks.
+// emit hands an event to the publisher, if one is installed.
 func (b *Backend) emit(ev Event) {
 	if b.publish != nil {
 		b.publish(ev)
-	}
-	switch ev.Kind {
-	case EventTrigger:
-		if b.OnTrigger != nil {
-			b.OnTrigger(*ev.Trigger)
-		}
-	case EventReport:
-		if b.OnReport != nil {
-			b.OnReport(*ev.Report)
-		}
 	}
 }

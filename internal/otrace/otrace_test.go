@@ -212,7 +212,7 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 }
 
 // TestSpanRecordAllocs pins the 0-alloc budget for the record path — the
-// same budget BenchmarkSpanRecord reports into BENCH_obs.json.
+// same budget BenchmarkSpanRecord reports.
 func TestSpanRecordAllocs(t *testing.T) {
 	r, _ := testRecorder(1024)
 	if allocs := testing.AllocsPerRun(1000, func() {

@@ -5,7 +5,7 @@ import (
 )
 
 // jobSpec is one resolved fleet member: the shape the runner builds a
-// mycroft.System from.
+// mycroft.Service job from.
 type jobSpec struct {
 	Template        string
 	Topo            Topo

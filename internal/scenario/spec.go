@@ -1,9 +1,9 @@
 // Package scenario is the declarative fault-scenario engine: a Spec names a
 // cluster (or a generated fleet of clusters), a timed event list of fault
 // injections and operational changes, and assertions over the triggers and
-// verdicts Mycroft produces. The runner executes a Spec on the existing
-// mycroft.System deterministic engine and emits a structured pass/fail
-// Result, so stress campaigns reproduce bit-for-bit from a seed.
+// verdicts Mycroft produces. The runner executes a Spec as jobs on one
+// mycroft.Service — one deterministic engine — and emits a structured
+// pass/fail Result, so stress campaigns reproduce bit-for-bit from a seed.
 //
 // Specs are plain data: they round-trip through JSON (cmd/mycroft-scenario
 // loads them from files) and a built-in library in library.go covers every

@@ -33,20 +33,14 @@
 // Attempt transitions flow through subscriptions as EventAction events and
 // QueryRemediations answers over the audit log.
 //
-// The single-job System with its OnTrigger/OnReport callbacks remains as a
-// deprecated shim over a one-job Service.
-//
 // See README.md for the build, the CLI tools (including the declarative
 // scenario runner, cmd/mycroft-scenario) and the scenario file format;
 // bench_test.go regenerates every reproduced table and figure.
 package mycroft
 
 import (
-	"time"
-
 	"mycroft/internal/core"
 	"mycroft/internal/faults"
-	"mycroft/internal/sim"
 	"mycroft/internal/topo"
 	"mycroft/internal/trace"
 	"mycroft/internal/train"
@@ -123,121 +117,3 @@ const (
 	CatNotLaunched      = core.CatNotLaunched
 	CatUnknown          = core.CatUnknown
 )
-
-// Options configures a System. The zero value is a runnable 8-GPU job.
-//
-// Deprecated: build a Service with ServiceOptions and JobOptions instead;
-// Options remains for the single-job shim.
-type Options struct {
-	// Seed makes the run reproducible. Default 1.
-	Seed int64
-	// Topo sizes the cluster. Default: 2 nodes × 4 GPUs, TP=2 PP=2 DP=2.
-	Topo TopoConfig
-	// Train overrides the workload; leave zero to derive from Topo with
-	// defaults. If both Train.Topo and Topo are set they must agree.
-	Train *TrainConfig
-	// Backend tunes the trigger/RCA thresholds (§9 heuristics).
-	Backend BackendConfig
-	// CommHeavy weights iterations toward communication.
-	CommHeavy bool
-}
-
-// System is a fully wired single-job simulation: cluster, CCL, trace
-// pipeline, training job and Mycroft backend on one virtual clock.
-//
-// Deprecated: System is a thin shim over a one-job Service. New code should
-// use NewService/AddJob, Subscribe for observation, and the Query* layer
-// for trace access.
-type System struct {
-	Eng     *sim.Engine
-	Job     *train.Job
-	Backend *core.Backend
-
-	// OnTrigger and OnReport observe the backend live (set before Start).
-	//
-	// Deprecated: use Service.Subscribe with an EventFilter.
-	OnTrigger func(Trigger)
-	OnReport  func(Report)
-
-	svc *Service
-	h   *JobHandle
-}
-
-// NewSystem builds a System: a Service hosting exactly one job.
-func NewSystem(opts Options) (*System, error) {
-	svc := NewService(ServiceOptions{Seed: opts.Seed})
-	h, err := svc.AddJob("job-0", JobOptions{
-		Topo: opts.Topo, Train: opts.Train, Backend: opts.Backend, CommHeavy: opts.CommHeavy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sys := &System{Eng: svc.Eng, Job: h.Job, Backend: h.Backend, svc: svc, h: h}
-	svc.Subscribe(EventFilter{Kinds: []EventKind{EventTrigger, EventReport}}).Each(func(e Event) {
-		switch e.Kind {
-		case EventTrigger:
-			if sys.OnTrigger != nil {
-				sys.OnTrigger(*e.Trigger)
-			}
-		case EventReport:
-			if sys.OnReport != nil {
-				sys.OnReport(*e.Report)
-			}
-		}
-	})
-	return sys, nil
-}
-
-// MustNewSystem is NewSystem for known-good options.
-func MustNewSystem(opts Options) *System {
-	sys, err := NewSystem(opts)
-	if err != nil {
-		panic(err)
-	}
-	return sys
-}
-
-// Service returns the one-job Service backing the shim, for incremental
-// migration to the subscription and query APIs.
-func (s *System) Service() *Service { return s.svc }
-
-// Start launches the training job and the always-on backend.
-func (s *System) Start() { s.svc.Start() }
-
-// Run advances virtual time by d.
-func (s *System) Run(d time.Duration) { s.svc.Run(d) }
-
-// Now returns the current virtual time from the start of the run.
-func (s *System) Now() time.Duration { return s.svc.Now() }
-
-// Inject schedules a fault.
-func (s *System) Inject(f Fault) { s.h.Inject(f) }
-
-// InjectPlan schedules a whole programmatic injection plan.
-func (s *System) InjectPlan(p faults.Plan) { s.h.InjectPlan(p) }
-
-// Recover schedules the undo of a recoverable fault (see faults.Recover).
-func (s *System) Recover(f Fault) { s.h.Recover(f) }
-
-// WorldSize returns the number of ranks in the simulated cluster.
-func (s *System) WorldSize() int { return s.h.WorldSize() }
-
-// RecordsIngested returns how many trace records have reached the cloud DB
-// (the scenario runner's ingest metric).
-func (s *System) RecordsIngested() uint64 { return s.h.RecordsIngested() }
-
-// Triggers returns every Algorithm 1 firing so far.
-func (s *System) Triggers() []Trigger { return s.h.Triggers() }
-
-// Reports returns every Algorithm 2 verdict so far.
-func (s *System) Reports() []Report { return s.h.Reports() }
-
-// Triage runs the Fig. 6 integration pipeline (py-spy → Flight Recorder →
-// Mycroft) over the latest report and returns the combined verdict source,
-// suspect rank and summary.
-func (s *System) Triage() (source string, rank Rank, summary string, ok bool) {
-	return s.h.Triage()
-}
-
-// Stop halts the job and backend.
-func (s *System) Stop() { s.svc.Stop() }

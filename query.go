@@ -97,13 +97,18 @@ type TriggerResult struct {
 
 // QueryTriggers answers a TriggerQuery across the selected jobs.
 func (s *Service) QueryTriggers(q TriggerQuery) (TriggerResult, error) {
-	hs, err := s.selectJobs(q.Jobs)
+	jobs, err := s.selectJobs(q.Jobs)
 	if err != nil {
 		return TriggerResult{}, err
 	}
+	return q.over(jobs), nil
+}
+
+// over answers the query from the given jobs' histories.
+func (q TriggerQuery) over(jobs []jobLog) TriggerResult {
 	var all []JobTrigger
-	for _, h := range hs {
-		for _, tr := range h.Backend.Triggers() {
+	for _, j := range jobs {
+		for _, tr := range j.Triggers() {
 			if len(q.Ranks) > 0 && !slices.Contains(q.Ranks, tr.Rank) {
 				continue
 			}
@@ -113,13 +118,16 @@ func (s *Service) QueryTriggers(q TriggerQuery) (TriggerResult, error) {
 			if !inWindow(time.Duration(tr.At), q.From, q.To) {
 				continue
 			}
-			all = append(all, JobTrigger{Job: h.ID, Trigger: tr})
+			all = append(all, JobTrigger{Job: j.id, Trigger: tr})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	total := len(all)
-	page := paginate(all, q.Offset, q.Limit)
-	return TriggerResult{Triggers: page, Total: total, NextOffset: nextOffset(q.Offset, len(page), total)}, nil
+	return q.page(all)
+}
+
+// page orders the matches by firing time and cuts the query's page.
+func (q TriggerQuery) page(all []JobTrigger) TriggerResult {
+	page, total, next := mergePage(all, func(t JobTrigger) sim.Time { return t.At }, q.Offset, q.Limit)
+	return TriggerResult{Triggers: page, Total: total, NextOffset: next}
 }
 
 // ReportQuery asks for Algorithm 2 verdicts across hosted jobs.
@@ -155,13 +163,18 @@ type ReportResult struct {
 
 // QueryReports answers a ReportQuery across the selected jobs.
 func (s *Service) QueryReports(q ReportQuery) (ReportResult, error) {
-	hs, err := s.selectJobs(q.Jobs)
+	jobs, err := s.selectJobs(q.Jobs)
 	if err != nil {
 		return ReportResult{}, err
 	}
+	return q.over(jobs), nil
+}
+
+// over answers the query from the given jobs' histories.
+func (q ReportQuery) over(jobs []jobLog) ReportResult {
 	var all []JobReport
-	for _, h := range hs {
-		for _, rep := range h.Backend.Reports() {
+	for _, j := range jobs {
+		for _, rep := range j.Reports() {
 			if len(q.Suspects) > 0 && !slices.Contains(q.Suspects, rep.Suspect) {
 				continue
 			}
@@ -174,13 +187,16 @@ func (s *Service) QueryReports(q ReportQuery) (ReportResult, error) {
 			if !inWindow(time.Duration(rep.AnalyzedAt), q.From, q.To) {
 				continue
 			}
-			all = append(all, JobReport{Job: h.ID, Report: rep})
+			all = append(all, JobReport{Job: j.id, Report: rep})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].AnalyzedAt < all[j].AnalyzedAt })
-	total := len(all)
-	page := paginate(all, q.Offset, q.Limit)
-	return ReportResult{Reports: page, Total: total, NextOffset: nextOffset(q.Offset, len(page), total)}, nil
+	return q.page(all)
+}
+
+// page orders the matches by analysis time and cuts the query's page.
+func (q ReportQuery) page(all []JobReport) ReportResult {
+	page, total, next := mergePage(all, func(r JobReport) sim.Time { return r.AnalyzedAt }, q.Offset, q.Limit)
+	return ReportResult{Reports: page, Total: total, NextOffset: next}
 }
 
 // Dependency-graph views. The graph is maintained incrementally as each
@@ -258,6 +274,31 @@ func (s *Service) BlastRadius(job JobID, suspect Rank) ([]Rank, error) {
 		return nil, err
 	}
 	return h.Backend.Graph().Victims(suspect), nil
+}
+
+// verdictLog is one job's verdict history as the paged queries read it: a
+// hosted job answers from its backend and remediation loop, a job this
+// daemon merely follows from its replica's decoded event log.
+type verdictLog interface {
+	Triggers() []Trigger
+	Reports() []Report
+	RemediationLog() []RemedyAttempt
+}
+
+// jobLog is a verdictLog tagged with the job it belongs to.
+type jobLog struct {
+	id JobID
+	verdictLog
+}
+
+// mergePage is the step every paged verdict answer ends in — a Service over
+// its hosted jobs, a replica over the jobs it follows, a cluster client over
+// its peers' answers: order the gathered matches by time and cut one page.
+// The sort is stable, so ties keep the order the caller gathered them in.
+func mergePage[T any](all []T, at func(T) sim.Time, offset, limit int) (page []T, total, next int) {
+	sort.SliceStable(all, func(i, j int) bool { return at(all[i]) < at(all[j]) })
+	page = paginate(all, offset, limit)
+	return page, len(all), nextOffset(offset, len(page), len(all))
 }
 
 func inWindow(at, from, to time.Duration) bool {

@@ -3,12 +3,12 @@ package mycroft
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"mycroft/internal/core"
 	"mycroft/internal/faults"
 	"mycroft/internal/remedy"
+	"mycroft/internal/sim"
 	"mycroft/internal/topo"
 )
 
@@ -237,13 +237,18 @@ type RemediationResult struct {
 
 // QueryRemediations answers a RemediationQuery across the selected jobs.
 func (s *Service) QueryRemediations(q RemediationQuery) (RemediationResult, error) {
-	hs, err := s.selectJobs(q.Jobs)
+	jobs, err := s.selectJobs(q.Jobs)
 	if err != nil {
 		return RemediationResult{}, err
 	}
+	return q.over(jobs), nil
+}
+
+// over answers the query from the given jobs' audit logs.
+func (q RemediationQuery) over(jobs []jobLog) RemediationResult {
 	var all []JobRemediation
-	for _, h := range hs {
-		for _, a := range h.RemediationLog() {
+	for _, j := range jobs {
+		for _, a := range j.RemediationLog() {
 			if len(q.Ranks) > 0 && !slices.Contains(q.Ranks, topo.Rank(a.Action.Rank)) {
 				continue
 			}
@@ -256,11 +261,14 @@ func (s *Service) QueryRemediations(q RemediationQuery) (RemediationResult, erro
 			if !inWindow(time.Duration(a.ReportedAt), q.From, q.To) {
 				continue
 			}
-			all = append(all, JobRemediation{Job: h.ID, RemedyAttempt: a})
+			all = append(all, JobRemediation{Job: j.id, RemedyAttempt: a})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].ReportedAt < all[j].ReportedAt })
-	total := len(all)
-	page := paginate(all, q.Offset, q.Limit)
-	return RemediationResult{Attempts: page, Total: total, NextOffset: nextOffset(q.Offset, len(page), total)}, nil
+	return q.page(all)
+}
+
+// page orders the matches by report time and cuts the query's page.
+func (q RemediationQuery) page(all []JobRemediation) RemediationResult {
+	page, total, next := mergePage(all, func(a JobRemediation) sim.Time { return a.ReportedAt }, q.Offset, q.Limit)
+	return RemediationResult{Attempts: page, Total: total, NextOffset: next}
 }

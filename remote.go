@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -29,9 +28,10 @@ var ErrUnreachable = errors.New("daemon unreachable")
 var ErrSubscriptionLost = errors.New("subscription lost")
 
 // RemoteClient is the Client implementation that speaks the /v1 wire
-// protocol to a mycroft-serve daemon. Every query converts to the versioned
-// wire form, crosses HTTP, and converts back, so code written against
-// Client runs unchanged in-process or remote. Subscriptions are fed by a
+// protocol to a mycroft-serve daemon. Every operation converts to the
+// versioned wire form, crosses HTTP, and converts back (remoteCall in ops.go,
+// driven by the operation table), so code written against Client runs
+// unchanged in-process or remote. Subscriptions are fed by a
 // background long-poller into the same *Stream type the in-process Service
 // hands out; transport failures close the stream and surface via
 // Stream.Err.
@@ -116,7 +116,7 @@ func Dial(addr string, opts ...DialOption) (*RemoteClient, error) {
 	var err error
 	delay := cfg.baseDelay
 	for attempt := 1; ; attempt++ {
-		err = c.get(api.Prefix+"/ping", &ping)
+		err = c.do(http.MethodGet, api.Prefix+"/ping", nil, &ping)
 		if err == nil {
 			break
 		}
@@ -147,135 +147,20 @@ func (c *RemoteClient) ServerInfo() (string, time.Time) {
 	return c.serverID, c.serverStarted
 }
 
-// Health implements Client over the wire. Uptime and Server come filled by
-// the daemon, unlike the in-process Service where both are zero.
-func (c *RemoteClient) Health() (HealthResult, error) {
-	var resp api.HealthResponse
-	if err := c.get(api.Prefix+"/health", &resp); err != nil {
-		return HealthResult{}, err
-	}
-	return healthResultFromWire(resp)
-}
-
 // Now returns the daemon's current virtual time.
 func (c *RemoteClient) Now() (time.Duration, error) {
 	var ping api.PingResponse
-	if err := c.get(api.Prefix+"/ping", &ping); err != nil {
+	if err := c.do(http.MethodGet, api.Prefix+"/ping", nil, &ping); err != nil {
 		return 0, err
 	}
 	return time.Duration(ping.NowNs), nil
 }
 
-// ListJobs describes every job the daemon hosts.
-func (c *RemoteClient) ListJobs() (JobsResult, error) {
-	var resp api.JobsResponse
-	if err := c.get(api.Prefix+"/jobs", &resp); err != nil {
-		return JobsResult{}, err
-	}
-	return jobsResultFromWire(resp), nil
-}
-
-// QueryTrace implements Client over the wire.
-func (c *RemoteClient) QueryTrace(q TraceQuery) (TraceResult, error) {
-	var resp api.TraceResponse
-	if err := c.post(api.Prefix+"/trace/query", traceQueryToWire(q), &resp); err != nil {
-		return TraceResult{}, err
-	}
-	return traceResultFromWire(resp)
-}
-
-// QueryTriggers implements Client over the wire.
-func (c *RemoteClient) QueryTriggers(q TriggerQuery) (TriggerResult, error) {
-	var resp api.TriggersResponse
-	if err := c.post(api.Prefix+"/triggers/query", triggerQueryToWire(q), &resp); err != nil {
-		return TriggerResult{}, err
-	}
-	return triggerResultFromWire(resp)
-}
-
-// QueryReports implements Client over the wire.
-func (c *RemoteClient) QueryReports(q ReportQuery) (ReportResult, error) {
-	var resp api.ReportsResponse
-	if err := c.post(api.Prefix+"/reports/query", reportQueryToWire(q), &resp); err != nil {
-		return ReportResult{}, err
-	}
-	return reportResultFromWire(resp)
-}
-
-// QueryDependencies implements Client over the wire.
-func (c *RemoteClient) QueryDependencies(q DependencyQuery) (DependencyResult, error) {
-	var resp api.DependenciesResponse
-	if err := c.post(api.Prefix+"/dependencies/query", dependencyQueryToWire(q), &resp); err != nil {
-		return DependencyResult{}, err
-	}
-	return dependencyResultFromWire(resp)
-}
-
-// BlastRadius implements Client over the wire.
-func (c *RemoteClient) BlastRadius(job JobID, suspect Rank) ([]Rank, error) {
-	var resp api.BlastRadiusResponse
-	if err := c.post(api.Prefix+"/blast-radius", api.BlastRadiusRequest{Job: string(job), Suspect: int(suspect)}, &resp); err != nil {
-		return nil, err
-	}
-	return intsToRanks(resp.Victims), nil
-}
-
-// QueryRemediations implements Client over the wire.
-func (c *RemoteClient) QueryRemediations(q RemediationQuery) (RemediationResult, error) {
-	var resp api.RemediationsResponse
-	if err := c.post(api.Prefix+"/remediations/query", remediationQueryToWire(q), &resp); err != nil {
-		return RemediationResult{}, err
-	}
-	return remediationResultFromWire(resp)
-}
-
-// QuerySpans implements Client over the wire: the filters ride the query
-// string of GET /v1/jobs/{id}/spans. An empty Job resolves against the
-// daemon's job list, mirroring the in-process "sole hosted job" rule.
-func (c *RemoteClient) QuerySpans(q SpanQuery) (SpanResult, error) {
-	job := string(q.Job)
-	if job == "" {
-		res, err := c.ListJobs()
-		if err != nil {
-			return SpanResult{}, err
-		}
-		if len(res.Jobs) != 1 {
-			return SpanResult{}, fmt.Errorf("mycroft: query needs a Job id (daemon hosts %d jobs)", len(res.Jobs))
-		}
-		job = string(res.Jobs[0].ID)
-	}
-	params := url.Values{}
-	if q.Incident != "" {
-		params.Set("incident", q.Incident)
-	}
-	if q.Stage != "" {
-		params.Set("stage", q.Stage)
-	}
-	if q.AfterID != 0 {
-		params.Set("after_id", strconv.FormatUint(uint64(q.AfterID), 10))
-	}
-	if q.MinWall > 0 {
-		params.Set("min_wall_ns", strconv.FormatInt(int64(q.MinWall), 10))
-	}
-	if q.Limit > 0 {
-		params.Set("limit", strconv.Itoa(q.Limit))
-	}
-	path := api.Prefix + "/jobs/" + url.PathEscape(job) + "/spans"
-	if enc := params.Encode(); enc != "" {
-		path += "?" + enc
-	}
-	var resp api.SpansResponse
-	if err := c.get(path, &resp); err != nil {
-		return SpanResult{}, err
-	}
-	return spanResultFromWire(resp), nil
-}
-
 // resolveRemoteJob fills an empty job selector against the daemon's job
 // list, mirroring the in-process "sole hosted job" rule.
-func (c *RemoteClient) resolveRemoteJob(job JobID) (string, error) {
+func (c *RemoteClient) resolveRemoteJob(job JobID) (JobID, error) {
 	if job != "" {
-		return string(job), nil
+		return job, nil
 	}
 	res, err := c.ListJobs()
 	if err != nil {
@@ -284,63 +169,7 @@ func (c *RemoteClient) resolveRemoteJob(job JobID) (string, error) {
 	if len(res.Jobs) != 1 {
 		return "", fmt.Errorf("mycroft: query needs a Job id (daemon hosts %d jobs)", len(res.Jobs))
 	}
-	return string(res.Jobs[0].ID), nil
-}
-
-// IngestLogs implements Client over the wire (POST /v1/jobs/{id}/logs).
-func (c *RemoteClient) IngestLogs(job JobID, lines []LogLine) (IngestResult, error) {
-	id, err := c.resolveRemoteJob(job)
-	if err != nil {
-		return IngestResult{}, err
-	}
-	req := api.LogsRequest{Lines: make([]api.LogLine, 0, len(lines))}
-	for _, l := range lines {
-		req.Lines = append(req.Lines, api.LogLine{Rank: int(l.Rank), AtNs: int64(l.At), Level: l.Level, Text: l.Text})
-	}
-	var resp api.IngestChannelResponse
-	if err := c.post(api.Prefix+"/jobs/"+url.PathEscape(id)+"/logs", req, &resp); err != nil {
-		return IngestResult{}, err
-	}
-	return IngestResult{Job: JobID(resp.Job), Accepted: resp.Accepted, Anomalies: resp.Anomalies}, nil
-}
-
-// IngestTimings implements Client over the wire (POST /v1/jobs/{id}/timings).
-func (c *RemoteClient) IngestTimings(job JobID, samples []IterationSample) (IngestResult, error) {
-	id, err := c.resolveRemoteJob(job)
-	if err != nil {
-		return IngestResult{}, err
-	}
-	req := api.TimingsRequest{Samples: make([]api.TimingSample, 0, len(samples))}
-	for _, s := range samples {
-		req.Samples = append(req.Samples, api.TimingSample{Rank: int(s.Rank), Iter: s.Iter, AtNs: int64(s.At)})
-	}
-	var resp api.IngestChannelResponse
-	if err := c.post(api.Prefix+"/jobs/"+url.PathEscape(id)+"/timings", req, &resp); err != nil {
-		return IngestResult{}, err
-	}
-	return IngestResult{Job: JobID(resp.Job), Accepted: resp.Accepted, Anomalies: resp.Anomalies}, nil
-}
-
-// ChannelStats implements Client over the wire (GET /v1/jobs/{id}/channels).
-func (c *RemoteClient) ChannelStats(job JobID) (ChannelStatsResult, error) {
-	id, err := c.resolveRemoteJob(job)
-	if err != nil {
-		return ChannelStatsResult{}, err
-	}
-	var resp api.ChannelsResponse
-	if err := c.get(api.Prefix+"/jobs/"+url.PathEscape(id)+"/channels", &resp); err != nil {
-		return ChannelStatsResult{}, err
-	}
-	return channelStatsFromWire(resp)
-}
-
-// Triage implements Client over the wire.
-func (c *RemoteClient) Triage(job JobID) (TriageResult, error) {
-	var resp api.TriageResponse
-	if err := c.post(api.Prefix+"/triage", api.TriageRequest{Job: string(job)}, &resp); err != nil {
-		return TriageResult{}, err
-	}
-	return TriageResult{Job: JobID(resp.Job), Source: resp.Source, Rank: Rank(resp.Rank), Summary: resp.Summary, OK: resp.OK}, nil
+	return res.Jobs[0].ID, nil
 }
 
 // FetchRecord streams a job's incident artifact snapshot from the daemon
@@ -349,7 +178,7 @@ func (c *RemoteClient) Triage(job JobID) (TriageResult, error) {
 // responses, the download is unbounded — artifacts from long runs can exceed
 // the JSON response cap by design.
 func (c *RemoteClient) FetchRecord(job JobID, w io.Writer) error {
-	path := api.Prefix + "/jobs/" + string(job) + "/record"
+	path := jobPath("/jobs/{id}/record", job)
 	resp, err := c.hc.Get(c.base + path)
 	if err != nil {
 		return err
@@ -374,7 +203,7 @@ func (c *RemoteClient) FetchRecord(job JobID, w io.Writer) error {
 func (c *RemoteClient) Subscribe(f EventFilter) *Stream {
 	st := newStream(nil, f)
 	var resp api.SubscribeResponse
-	if err := c.post(api.Prefix+"/subscribe", api.SubscribeRequest{Filter: eventFilterToWire(f)}, &resp); err != nil {
+	if err := c.do(http.MethodPost, api.Prefix+"/subscribe", api.SubscribeRequest{Filter: eventFilterToWire(f)}, &resp); err != nil {
 		st.fail(err)
 		return st
 	}
@@ -391,7 +220,7 @@ func (c *RemoteClient) pollLoop(id string, st *Stream) {
 			return
 		}
 		var resp api.PollResponse
-		if err := c.post(api.Prefix+"/poll", api.PollRequest{ID: id, TimeoutMs: 1000, Max: 256}, &resp); err != nil {
+		if err := c.do(http.MethodPost, api.Prefix+"/poll", api.PollRequest{ID: id, TimeoutMs: 1000, Max: 256}, &resp); err != nil {
 			st.fail(err)
 			return
 		}
@@ -436,20 +265,30 @@ func (c *RemoteClient) Close() error {
 	return nil
 }
 
-func (c *RemoteClient) get(path string, out any) error {
-	resp, err := c.hc.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	return decode(path, resp, out)
+// do is one wire round trip against this client's daemon.
+func (c *RemoteClient) do(method, path string, in, out any) error {
+	return roundTrip(c.hc, method, c.base, path, in, out)
 }
 
-func (c *RemoteClient) post(path string, in, out any) error {
-	body, err := json.Marshal(in)
+// roundTrip sends one request to base+path — in as a JSON body, or none when
+// nil — and decodes the JSON answer into out.
+func roundTrip(hc *http.Client, method, base, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(data)
+	}
+	req, err := http.NewRequest(method, base+path, body)
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(body))
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
 		return err
 	}

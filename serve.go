@@ -1,9 +1,11 @@
 package mycroft
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,9 +16,9 @@ import (
 	"mycroft/internal/obs"
 )
 
-// Server exposes any Client over the versioned /v1 wire protocol — the
-// serving half of the transport-agnostic API. cmd/mycroft-serve wraps an
-// in-process Service in one; tests mount Handler on an httptest server.
+// Server exposes a Service over the versioned /v1 wire protocol — the
+// serving half of the transport-agnostic API. cmd/mycroft-serve wraps its
+// Service in one; tests mount Handler on an httptest server.
 //
 // All wire requests are serialized through one mutex, because the
 // deterministic engine underneath is single-threaded; the only blocking
@@ -25,8 +27,7 @@ import (
 // virtual time under the same serialization.
 type Server struct {
 	mu  sync.Mutex
-	c   Client
-	svc *Service // non-nil when c is in-process, enabling Advance
+	svc *Service
 
 	subs   map[string]*wireSub
 	subSeq int
@@ -67,37 +68,31 @@ type wireSub struct {
 // match events until daemon restart.
 const subIdleTTL = 10 * time.Minute
 
-// NewServer wraps a Client for HTTP exposure.
-func NewServer(c Client) *Server {
-	svc, _ := c.(*Service)
+// NewServer wraps a Service for HTTP exposure.
+func NewServer(svc *Service) *Server {
 	sv := &Server{
-		c: c, svc: svc, subs: make(map[string]*wireSub),
+		svc: svc, subs: make(map[string]*wireSub),
 		records:  make(map[JobID]*servedRecord),
 		identity: fmt.Sprintf("mycroft-serve/%d", api.Version), started: time.Now(),
 	}
-	if svc != nil {
-		// The serving process stamps its identity and uptime on the service
-		// registry (idempotent: re-wrapping the same Service replaces the
-		// callbacks, so the newest server wins).
-		reg := svc.Metrics()
-		reg.GaugeFunc("mycroft_build_info", "Serving process identity; value is always 1.",
-			func() float64 { return 1 },
-			obs.L("server", sv.identity), obs.L("go", runtime.Version()))
-		reg.GaugeFunc("mycroft_uptime_seconds", "Wall-clock seconds since the serving process started.",
-			func() float64 { return time.Since(sv.started).Seconds() })
-	}
+	// The serving process stamps its identity and uptime on the service
+	// registry (idempotent: re-wrapping the same Service replaces the
+	// callbacks, so the newest server wins).
+	reg := svc.Metrics()
+	reg.GaugeFunc("mycroft_build_info", "Serving process identity; value is always 1.",
+		func() float64 { return 1 },
+		obs.L("server", sv.identity), obs.L("go", runtime.Version()))
+	reg.GaugeFunc("mycroft_uptime_seconds", "Wall-clock seconds since the serving process started.",
+		func() float64 { return time.Since(sv.started).Seconds() })
 	return sv
 }
 
 // RecordTo attaches an incident recorder to every hosted job, writing one
-// artifact per job to <dir>/<job>.mycrec, and makes the live captures
+// artifact per job to <dir>/<job>.mycrec (the job id path-escaped, so an id
+// holding a separator still names one file), and makes the live captures
 // downloadable at GET /v1/jobs/{id}/record. Call before the first Advance so
-// the artifacts replay byte-for-byte. Only an in-process Service can record;
-// a proxy has no engine to observe.
+// the artifacts replay byte-for-byte.
 func (sv *Server) RecordTo(dir string) error {
-	if sv.svc == nil {
-		return fmt.Errorf("mycroft: recording requires an in-process service")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -111,7 +106,7 @@ func (sv *Server) RecordTo(dir string) error {
 		if _, dup := sv.records[j.ID]; dup {
 			continue
 		}
-		path := filepath.Join(dir, string(j.ID)+".mycrec")
+		path := filepath.Join(dir, url.PathEscape(string(j.ID))+".mycrec")
 		f, err := os.Create(path)
 		if err != nil {
 			return err
@@ -167,18 +162,42 @@ func (sv *Server) reapIdleLocked(now time.Time) {
 	}
 }
 
-// Handler mounts the /v1 endpoint set (see internal/api.NewHandler for the
-// route table) plus, when the wrapped Client is an in-process Service,
-// GET /metrics serving the service registry in Prometheus text format.
-// Every /v1 route carries per-endpoint request/error/latency instruments
-// registered on the same registry.
-func (sv *Server) Handler() http.Handler {
-	if sv.svc == nil {
-		return api.NewHandler(&apiBackend{sv}) // a proxy has no registry to serve
+// v1 mounts the /v1 route set: one route per entry of the Client operation
+// table (ops.go), then the endpoints that are conversations or byte streams
+// rather than a request and a response — ping, subscriptions, record download
+// and the peer-to-peer /v1/cluster/* set — as plain handlers.
+func (sv *Server) v1() *api.Mux {
+	mux := api.NewMux(sv.svc.Metrics())
+	for _, o := range opTable {
+		o.mount(sv, mux)
 	}
+	api.Get(mux, "/ping", sv.ping)
+	api.Post(mux, "/subscribe", sv.subscribe)
+	api.Post(mux, "/poll", sv.poll)
+	mux.Handle("DELETE", "/subscriptions/{id}", func(w http.ResponseWriter, r *http.Request) {
+		sv.unsubscribe(r.PathValue("id"))
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.Handle("GET", "/subscriptions/{id}/sse", func(w http.ResponseWriter, r *http.Request) {
+		api.ServeSSE(sv.poll, w, r)
+	})
+	mux.Handle("GET", "/jobs/{id}/record", sv.serveRecord)
+	api.Get(mux, "/cluster/info", sv.clusterInfo)
+	api.Post(mux, "/cluster/join", sv.clusterJoin)
+	api.Post(mux, "/cluster/gossip", sv.clusterGossip)
+	api.Post(mux, "/cluster/replicate", sv.clusterReplicate)
+	api.Post(mux, "/cluster/tail", sv.clusterTail)
+	api.Post(mux, "/cluster/handoff", sv.clusterHandoff)
+	return mux
+}
+
+// Handler serves the /v1 endpoint set plus GET /metrics, the service
+// registry in Prometheus text format. Every /v1 route carries per-endpoint
+// request/error/latency instruments registered on the same registry.
+func (sv *Server) Handler() http.Handler {
 	reg := sv.svc.Metrics()
 	mux := http.NewServeMux()
-	mux.Handle(api.Prefix+"/", api.NewInstrumentedHandler(&apiBackend{sv}, reg))
+	mux.Handle(api.Prefix+"/", sv.v1())
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Scrape under the server mutex: gauge callbacks read engine-owned
 		// state (store occupancy, stream lists) that the drive loop mutates.
@@ -190,13 +209,9 @@ func (sv *Server) Handler() http.Handler {
 	return mux
 }
 
-// Advance steps the wrapped Service's virtual time by d, serialized against
-// in-flight wire requests. It reports false when the wrapped Client is not
-// an in-process Service (a proxy has no clock to drive).
-func (sv *Server) Advance(d time.Duration) bool {
-	if sv.svc == nil {
-		return false
-	}
+// Advance steps the Service's virtual time by d, serialized against
+// in-flight wire requests.
+func (sv *Server) Advance(d time.Duration) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	sv.svc.Run(d)
@@ -206,7 +221,6 @@ func (sv *Server) Advance(d time.Duration) bool {
 		// as fresh as the engine.
 		sv.cluster.drainTap()
 	}
-	return true
 }
 
 // AnnounceShutdown delivers a terminal lifecycle event (Phase
@@ -217,10 +231,7 @@ func (sv *Server) Advance(d time.Duration) bool {
 func (sv *Server) AnnounceShutdown() int {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	e := Event{Kind: EventLifecycle, Phase: PhaseServerShutdown}
-	if sv.svc != nil {
-		e.At = sv.svc.Now()
-	}
+	e := Event{Kind: EventLifecycle, Phase: PhaseServerShutdown, At: sv.svc.Now()}
 	for _, ws := range sv.subs {
 		ws.st.deliver(e)
 	}
@@ -245,229 +256,13 @@ func (sv *Server) CloseSubscriptions() int {
 	return n
 }
 
-// apiBackend adapts the Server to the wire-level api.Backend: every method
-// converts the request down to domain types, calls the Client under the
-// server mutex, and converts the result back up.
-type apiBackend struct{ sv *Server }
-
-func (b *apiBackend) Ping() (api.PingResponse, error) {
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.ListJobs()
-	if err != nil {
-		return api.PingResponse{}, err
-	}
+func (sv *Server) ping() (api.PingResponse, error) {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
 	return api.PingResponse{
-		Version: api.Version, NowNs: int64(res.Now),
-		Server: b.sv.identity, StartedUnixNs: b.sv.started.UnixNano(),
+		Version: api.Version, NowNs: int64(sv.svc.Now()),
+		Server: sv.identity, StartedUnixNs: sv.started.UnixNano(),
 	}, nil
-}
-
-func (b *apiBackend) Health() (api.HealthResponse, error) {
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.Health()
-	if err != nil {
-		return api.HealthResponse{}, err
-	}
-	w := healthResultToWire(res)
-	// The serving process, not the wrapped client, owns uptime and identity.
-	w.UptimeMs = time.Since(b.sv.started).Milliseconds()
-	w.Server = b.sv.identity
-	if cl := b.sv.cluster; cl != nil {
-		for _, id := range cl.store.Jobs() {
-			if snap := cl.store.Job(id).Snapshot(); snap != nil && snap.Health.Job != "" {
-				w.Jobs = append(w.Jobs, snap.Health)
-			}
-		}
-	}
-	return w, nil
-}
-
-func (b *apiBackend) ListJobs() (api.JobsResponse, error) {
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.ListJobs()
-	if err != nil {
-		return api.JobsResponse{}, err
-	}
-	w := jobsResultToWire(res)
-	if cl := b.sv.cluster; cl != nil {
-		// Followed jobs ride along from their latest replicated snapshot,
-		// marked so clients can tell live from mirrored rows.
-		for _, id := range cl.store.Jobs() {
-			if snap := cl.store.Job(id).Snapshot(); snap != nil {
-				ji := snap.Job
-				ji.Source = "replica"
-				w.Jobs = append(w.Jobs, ji)
-			}
-		}
-	}
-	return w, nil
-}
-
-func (b *apiBackend) QueryTrace(req api.TraceRequest) (api.TraceResponse, error) {
-	if resp, ok := b.replicaTrace(req); ok {
-		return resp, nil
-	}
-	q, err := traceQueryFromWire(req)
-	if err != nil {
-		return api.TraceResponse{}, err
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.QueryTrace(q)
-	if err != nil {
-		return api.TraceResponse{}, err
-	}
-	return traceResultToWire(res), nil
-}
-
-func (b *apiBackend) QueryTriggers(req api.TriggersRequest) (api.TriggersResponse, error) {
-	if resp, ok := b.replicaTriggers(req); ok {
-		return resp, nil
-	}
-	q, err := triggerQueryFromWire(req)
-	if err != nil {
-		return api.TriggersResponse{}, err
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.QueryTriggers(q)
-	if err != nil {
-		return api.TriggersResponse{}, err
-	}
-	return triggerResultToWire(res), nil
-}
-
-func (b *apiBackend) QueryReports(req api.ReportsRequest) (api.ReportsResponse, error) {
-	if resp, ok := b.replicaReports(req); ok {
-		return resp, nil
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.QueryReports(reportQueryFromWire(req))
-	if err != nil {
-		return api.ReportsResponse{}, err
-	}
-	return reportResultToWire(res), nil
-}
-
-func (b *apiBackend) QueryDependencies(req api.DependenciesRequest) (api.DependenciesResponse, error) {
-	if err := b.sv.loadCluster().replicaGraphErr(req.Job); err != nil {
-		return api.DependenciesResponse{}, err
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.QueryDependencies(dependencyQueryFromWire(req))
-	if err != nil {
-		return api.DependenciesResponse{}, err
-	}
-	return dependencyResultToWire(res), nil
-}
-
-func (b *apiBackend) BlastRadius(req api.BlastRadiusRequest) (api.BlastRadiusResponse, error) {
-	if err := b.sv.loadCluster().replicaGraphErr(req.Job); err != nil {
-		return api.BlastRadiusResponse{}, err
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	victims, err := b.sv.c.BlastRadius(JobID(req.Job), Rank(req.Suspect))
-	if err != nil {
-		return api.BlastRadiusResponse{}, err
-	}
-	return api.BlastRadiusResponse{Job: req.Job, Suspect: req.Suspect, Victims: ranksToInts(victims)}, nil
-}
-
-func (b *apiBackend) QueryRemediations(req api.RemediationsRequest) (api.RemediationsResponse, error) {
-	if resp, ok := b.replicaRemediations(req); ok {
-		return resp, nil
-	}
-	q, err := remediationQueryFromWire(req)
-	if err != nil {
-		return api.RemediationsResponse{}, err
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.QueryRemediations(q)
-	if err != nil {
-		return api.RemediationsResponse{}, err
-	}
-	return remediationResultToWire(res), nil
-}
-
-func (b *apiBackend) QuerySpans(req api.SpansRequest) (api.SpansResponse, error) {
-	if resp, ok := b.replicaSpans(req); ok {
-		return resp, nil
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.QuerySpans(SpanQuery{
-		Job: JobID(req.Job), Incident: req.Incident, Stage: req.Stage,
-		AfterID: SpanID(req.AfterID), MinWall: time.Duration(req.MinWallNs), Limit: req.Limit,
-	})
-	if err != nil {
-		return api.SpansResponse{}, err
-	}
-	w := api.SpansResponse{Job: string(res.Job), Total: res.Total, Dropped: res.Dropped}
-	for _, s := range res.Spans {
-		w.Spans = append(w.Spans, api.FromSpan(s))
-	}
-	return w, nil
-}
-
-func (b *apiBackend) Triage(req api.TriageRequest) (api.TriageResponse, error) {
-	if resp, ok := b.replicaTriage(req.Job); ok {
-		return resp, nil
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.Triage(JobID(req.Job))
-	if err != nil {
-		return api.TriageResponse{}, err
-	}
-	return api.TriageResponse{Job: string(res.Job), Source: res.Source, Rank: int(res.Rank), Summary: res.Summary, OK: res.OK}, nil
-}
-
-func (b *apiBackend) IngestLogs(job string, req api.LogsRequest) (api.IngestChannelResponse, error) {
-	lines := make([]LogLine, 0, len(req.Lines))
-	for _, l := range req.Lines {
-		lines = append(lines, LogLine{Rank: Rank(l.Rank), At: time.Duration(l.AtNs), Level: l.Level, Text: l.Text})
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.IngestLogs(JobID(job), lines)
-	if err != nil {
-		return api.IngestChannelResponse{}, err
-	}
-	return api.IngestChannelResponse{Job: string(res.Job), Accepted: res.Accepted, Anomalies: res.Anomalies}, nil
-}
-
-func (b *apiBackend) IngestTimings(job string, req api.TimingsRequest) (api.IngestChannelResponse, error) {
-	samples := make([]IterationSample, 0, len(req.Samples))
-	for _, s := range req.Samples {
-		samples = append(samples, IterationSample{Rank: Rank(s.Rank), Iter: s.Iter, At: time.Duration(s.AtNs)})
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.IngestTimings(JobID(job), samples)
-	if err != nil {
-		return api.IngestChannelResponse{}, err
-	}
-	return api.IngestChannelResponse{Job: string(res.Job), Accepted: res.Accepted, Anomalies: res.Anomalies}, nil
-}
-
-func (b *apiBackend) Channels(job string) (api.ChannelsResponse, error) {
-	if resp, ok := b.replicaChannels(job); ok {
-		return resp, nil
-	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	res, err := b.sv.c.ChannelStats(JobID(job))
-	if err != nil {
-		return api.ChannelsResponse{}, err
-	}
-	return channelStatsToWire(res), nil
 }
 
 // defaultWireBuffer caps a wire subscription whose filter asks for an
@@ -477,7 +272,7 @@ func (b *apiBackend) Channels(job string) (api.ChannelsResponse, error) {
 // to the client as PollResponse.Dropped.
 const defaultWireBuffer = 4096
 
-func (b *apiBackend) Subscribe(req api.SubscribeRequest) (api.SubscribeResponse, error) {
+func (sv *Server) subscribe(req api.SubscribeRequest) (api.SubscribeResponse, error) {
 	f, err := eventFilterFromWire(req.Filter)
 	if err != nil {
 		return api.SubscribeResponse{}, err
@@ -485,32 +280,32 @@ func (b *apiBackend) Subscribe(req api.SubscribeRequest) (api.SubscribeResponse,
 	if f.Buffer <= 0 {
 		f.Buffer = defaultWireBuffer
 	}
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	b.sv.reapIdleLocked(time.Now())
-	st := b.sv.c.Subscribe(f)
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	sv.reapIdleLocked(time.Now())
+	st := sv.svc.Subscribe(f)
 	if err := st.Err(); err != nil {
 		return api.SubscribeResponse{}, err
 	}
-	b.sv.subSeq++
-	id := fmt.Sprintf("sub-%d", b.sv.subSeq)
-	b.sv.subs[id] = &wireSub{st: st, lastSeen: time.Now()}
+	sv.subSeq++
+	id := fmt.Sprintf("sub-%d", sv.subSeq)
+	sv.subs[id] = &wireSub{st: st, lastSeen: time.Now()}
 	return api.SubscribeResponse{ID: id}, nil
 }
 
-// Poll long-polls one subscription. Only the stream lookup holds the server
+// poll long-polls one subscription. Only the stream lookup holds the server
 // mutex; the bounded wait parks on the stream itself so the drive loop (and
 // every other request) keeps running while this handler blocks.
-func (b *apiBackend) Poll(req api.PollRequest) (api.PollResponse, error) {
-	b.sv.mu.Lock()
-	b.sv.reapIdleLocked(time.Now())
-	ws := b.sv.subs[req.ID]
+func (sv *Server) poll(req api.PollRequest) (api.PollResponse, error) {
+	sv.mu.Lock()
+	sv.reapIdleLocked(time.Now())
+	ws := sv.subs[req.ID]
 	var st *Stream
 	if ws != nil {
 		ws.lastSeen = time.Now()
 		st = ws.st
 	}
-	b.sv.mu.Unlock()
+	sv.mu.Unlock()
 	if st == nil {
 		// An ID this server never issued (or already reaped): the
 		// subscription is gone for good — most often a daemon restart wiped
@@ -542,14 +337,39 @@ func (b *apiBackend) Poll(req api.PollRequest) (api.PollResponse, error) {
 	return api.PollResponse{Events: events, Dropped: st.Dropped(), Closed: st.isClosed() && len(events) == 0}, nil
 }
 
-// Record streams the job's current artifact snapshot: the recorder's buffer
-// is flushed (so the file is a valid, footer-less capture as of now) and the
-// file copied out. Runs entirely under the server mutex — the drive loop is
-// parked, so the snapshot is consistent to an exact virtual instant.
-func (b *apiBackend) Record(job string, w io.Writer) error {
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	sr := b.sv.records[JobID(job)]
+func (sv *Server) unsubscribe(id string) {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	if ws := sv.subs[id]; ws != nil {
+		ws.st.Close()
+		delete(sv.subs, id)
+	}
+}
+
+// serveRecord streams the job's current artifact snapshot. The artifact is
+// staged before writing: a recording error must become a clean HTTP error,
+// not a torn 200. The snapshot is bounded by the recorder's current file
+// size, and the chunked format means a client can replay it even though it
+// has no footer yet.
+func (sv *Server) serveRecord(w http.ResponseWriter, r *http.Request) {
+	var buf bytes.Buffer
+	if err := sv.snapshotRecord(JobID(r.PathValue("id")), &buf); err != nil {
+		api.Fail(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
+	io.Copy(w, &buf)
+}
+
+// snapshotRecord flushes the job's recorder (so the file is a valid,
+// footer-less capture as of now) and copies the file out. It runs entirely
+// under the server mutex — the drive loop is parked, so the snapshot is
+// consistent to an exact virtual instant.
+func (sv *Server) snapshotRecord(job JobID, w io.Writer) error {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	sr := sv.records[job]
 	if sr == nil {
 		return fmt.Errorf("mycroft: recording not enabled for job %q", job)
 	}
@@ -563,14 +383,4 @@ func (b *apiBackend) Record(job string, w io.Writer) error {
 	defer f.Close()
 	_, err = io.Copy(w, f)
 	return err
-}
-
-func (b *apiBackend) Unsubscribe(id string) error {
-	b.sv.mu.Lock()
-	defer b.sv.mu.Unlock()
-	if ws := b.sv.subs[id]; ws != nil {
-		ws.st.Close()
-		delete(b.sv.subs, id)
-	}
-	return nil
 }

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"io"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"mycroft/internal/cluster"
 )
 
 // faultedService builds the canonical one-job test run: seed 1, nic-down on
@@ -94,121 +99,116 @@ func TestRemoteSubscribeEquivalence(t *testing.T) {
 	}
 }
 
-// TestRemoteQueriesMatchInProcess spot-checks that every Client query
-// answers identically through the wire, including the new pagination
-// fields.
+// TestRemoteQueriesMatchInProcess runs one fixed query set through all four
+// ways of reaching a job — the in-process *Service, a *RemoteClient on its
+// daemon, a *ClusterClient on the fleet, and a *RemoteClient dialed straight
+// to a peer that only follows the job — and requires equal values, not
+// merely equal renderings. Every operation must agree between the first
+// three; the replica must agree on every operation whose answer replication
+// carries in full.
 func TestRemoteQueriesMatchInProcess(t *testing.T) {
-	local := faultedService(t)
-	local.Run(40 * time.Second)
+	const job = JobID("trace")
+	names := []string{"a", "b"}
+	peers := startCluster(t, names, []JobID{job}, 1)
+	primary, follower := peers["a"], peers["b"]
+	if cluster.NewRing(names, 0).Primary(string(job)) == "b" {
+		primary, follower = follower, primary
+	}
+	if err := primary.svc.AttachPolicy(job, SelfHealPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	primary.handles[job].Inject(Fault{Kind: NICDown, Rank: 5, At: 15 * time.Second})
+	for i := 0; i < 60; i++ {
+		for _, p := range peers {
+			p.srv.Advance(time.Second)
+			if errs := p.srv.ReplicateNow(); len(errs) > 0 {
+				t.Fatalf("replication: %v", errs[0])
+			}
+		}
+	}
 
-	remoteSvc := faultedService(t)
-	srv := NewServer(remoteSvc)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	srv.Advance(40 * time.Second)
-	rc, err := Dial(ts.URL)
+	local := primary.svc
+	rc, err := Dial(primary.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Triggers, paged one at a time through NextOffset.
-	wantTr, err := local.QueryTriggers(TriggerQuery{})
+	cc, err := DialCluster([]string{follower.addr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var paged []JobTrigger
-	q := TriggerQuery{Limit: 1}
-	for {
-		res, err := rc.QueryTriggers(q)
+	replica, err := Dial(follower.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []JobID{job}
+	queries := []struct {
+		name string
+		// replicated marks an answer a follower can give in full.
+		replicated bool
+		ask        func(Client) (any, error)
+	}{
+		{"triggers", true, func(c Client) (any, error) { return c.QueryTriggers(TriggerQuery{Jobs: jobs}) }},
+		{"triggers by rank", true, func(c Client) (any, error) { return c.QueryTriggers(TriggerQuery{Jobs: jobs, Ranks: []Rank{5}}) }},
+		{"triggers page 2", true, func(c Client) (any, error) { return c.QueryTriggers(TriggerQuery{Jobs: jobs, Offset: 1, Limit: 1}) }},
+		{"reports", true, func(c Client) (any, error) { return c.QueryReports(ReportQuery{Jobs: jobs}) }},
+		{"reports by suspect", true, func(c Client) (any, error) { return c.QueryReports(ReportQuery{Jobs: jobs, Suspects: []Rank{5}}) }},
+		{"reports before the fault", true, func(c Client) (any, error) { return c.QueryReports(ReportQuery{Jobs: jobs, To: 15 * time.Second}) }},
+		{"remediations", true, func(c Client) (any, error) { return c.QueryRemediations(RemediationQuery{Jobs: jobs}) }},
+		{"remediations succeeded", true, func(c Client) (any, error) {
+			return c.QueryRemediations(RemediationQuery{Jobs: jobs, Outcomes: []RemedyOutcome{RemedySucceeded}})
+		}},
+		{"channels", true, func(c Client) (any, error) { return c.ChannelStats(job) }},
+		{"trace page", false, func(c Client) (any, error) { return c.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 10}) }},
+		{"dependencies", false, func(c Client) (any, error) { return c.QueryDependencies(DependencyQuery{Job: job, RenderDOT: true}) }},
+		{"blast radius", false, func(c Client) (any, error) { return c.BlastRadius(job, 5) }},
+		{"triage", false, func(c Client) (any, error) { return c.Triage(job) }},
+		{"spans", false, func(c Client) (any, error) { return c.QuerySpans(SpanQuery{Job: job, Incident: "trigger-1"}) }},
+		{"all triggers", false, func(c Client) (any, error) { return c.QueryTriggers(TriggerQuery{}) }},
+		{"sole job", false, func(c Client) (any, error) { return c.BlastRadius("", 5) }},
+		{"jobs", false, func(c Client) (any, error) { return c.ListJobs() }},
+	}
+	for _, q := range queries {
+		want, err := q.ask(local)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s in process: %v", q.name, err)
 		}
-		if res.Total != wantTr.Total {
-			t.Fatalf("paged Total %d, want %d", res.Total, wantTr.Total)
+		clients := map[string]Client{"remote": rc, "cluster": cc}
+		if q.replicated {
+			clients["replica"] = replica
 		}
-		paged = append(paged, res.Triggers...)
-		if res.NextOffset < 0 {
-			break
-		}
-		q.Offset = res.NextOffset
-	}
-	if len(paged) != wantTr.Total {
-		t.Fatalf("NextOffset walk returned %d triggers, want %d", len(paged), wantTr.Total)
-	}
-	for i := range paged {
-		if paged[i].String() != wantTr.Triggers[i].String() {
-			t.Errorf("trigger %d differs over wire:\n %v\n %v", i, paged[i], wantTr.Triggers[i])
+		for via, c := range clients {
+			got, err := q.ask(c)
+			if err != nil {
+				t.Errorf("%s via %s: %v", q.name, via, err)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s via %s differs:\n got  %+v\n want %+v", q.name, via, got, want)
+			}
 		}
 	}
 
-	// Reports.
-	wantRep, _ := local.QueryReports(ReportQuery{})
-	gotRep, err := rc.QueryReports(ReportQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotRep.Reports) != len(wantRep.Reports) || gotRep.Total != wantRep.Total || gotRep.NextOffset != wantRep.NextOffset {
-		t.Fatalf("reports over wire: %d/%d/%d, want %d/%d/%d",
-			len(gotRep.Reports), gotRep.Total, gotRep.NextOffset,
-			len(wantRep.Reports), wantRep.Total, wantRep.NextOffset)
-	}
-	for i := range wantRep.Reports {
-		if gotRep.Reports[i].Report.String() != wantRep.Reports[i].Report.String() {
-			t.Errorf("report %d differs over wire", i)
-		}
+	// The set above must not pass on empty answers.
+	trig, _ := local.QueryTriggers(TriggerQuery{Jobs: jobs})
+	rem, _ := local.QueryRemediations(RemediationQuery{Jobs: jobs, Outcomes: []RemedyOutcome{RemedySucceeded}})
+	if trig.Total < 2 || rem.Total == 0 {
+		t.Fatalf("run too quiet to compare: %d triggers, %d succeeded remediations", trig.Total, rem.Total)
 	}
 
-	// Trace page with Total and cursor.
-	wantPage, _ := local.QueryTrace(TraceQuery{Ranks: []Rank{5}, Limit: 10})
-	gotPage, err := rc.QueryTrace(TraceQuery{Ranks: []Rank{5}, Limit: 10})
-	if err != nil {
-		t.Fatal(err)
+	// What a follower cannot give in full it still answers, honestly: the
+	// trace mirror pages without a cursor, span rings stay on the primary,
+	// triage repeats the replicated verdict, and graphs are refused.
+	page, err := replica.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 10})
+	wantPage, _ := local.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 10})
+	if err != nil || len(page.Records) != 10 || page.Next != nil || wantPage.Next == nil {
+		t.Fatalf("replica trace page: %d records, next %v, err %v", len(page.Records), page.Next, err)
 	}
-	if gotPage.Total != wantPage.Total || len(gotPage.Records) != len(wantPage.Records) {
-		t.Fatalf("trace page over wire: %d records Total %d, want %d Total %d",
-			len(gotPage.Records), gotPage.Total, len(wantPage.Records), wantPage.Total)
+	if sp, err := replica.QuerySpans(SpanQuery{Job: job}); err != nil || sp.Job != job || len(sp.Spans) != 0 {
+		t.Fatalf("replica spans: %+v, %v", sp, err)
 	}
-	if (gotPage.Next == nil) != (wantPage.Next == nil) {
-		t.Fatalf("trace cursor mismatch: %v vs %v", gotPage.Next, wantPage.Next)
+	if tri, err := replica.Triage(job); err != nil || tri.Rank != 5 || !strings.Contains(tri.Summary, "replicated verdict") {
+		t.Fatalf("replica triage: %+v, %v", tri, err)
 	}
-	if gotPage.Next != nil && *gotPage.Next != *wantPage.Next {
-		t.Fatalf("trace cursor differs: %+v vs %+v", *gotPage.Next, *wantPage.Next)
-	}
-
-	// Dependencies + blast radius + triage + job listing.
-	wantDep, _ := local.QueryDependencies(DependencyQuery{RenderDOT: true})
-	gotDep, err := rc.QueryDependencies(DependencyQuery{RenderDOT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDep.DOT != wantDep.DOT || len(gotDep.Edges) != len(wantDep.Edges) {
-		t.Fatalf("dependencies differ over wire: %d edges, want %d", len(gotDep.Edges), len(wantDep.Edges))
-	}
-	wantBR, _ := local.BlastRadius("", 5)
-	gotBR, err := rc.BlastRadius("", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotBR) != len(wantBR) {
-		t.Fatalf("blast radius differs: %v vs %v", gotBR, wantBR)
-	}
-	wantTri, _ := local.Triage("")
-	gotTri, err := rc.Triage("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTri != wantTri {
-		t.Fatalf("triage differs: %+v vs %+v", gotTri, wantTri)
-	}
-	wantJobs, _ := local.ListJobs()
-	gotJobs, err := rc.ListJobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotJobs.Now != wantJobs.Now || len(gotJobs.Jobs) != 1 ||
-		gotJobs.Jobs[0].Records != wantJobs.Jobs[0].Records ||
-		gotJobs.Jobs[0].WorldSize != wantJobs.Jobs[0].WorldSize {
-		t.Fatalf("job listing differs: %+v vs %+v", gotJobs, wantJobs)
+	if _, err := replica.QueryDependencies(DependencyQuery{Job: job}); err == nil || !strings.Contains(err.Error(), "not replicated") {
+		t.Fatalf("replica dependencies: %v", err)
 	}
 }
 
@@ -266,10 +266,18 @@ func TestServiceQueryNextOffset(t *testing.T) {
 
 // TestRecordDownloadRoundTrip: a daemon recording with RecordTo serves a
 // live artifact snapshot at GET /v1/jobs/{id}/record that replays cleanly,
-// and the final on-disk artifact reproduces the run byte-for-byte.
+// and the final on-disk artifact reproduces the run byte-for-byte. The second
+// job id holds every character a URL path segment must escape: the record
+// download — and each other by-job route — must reach it all the same.
 func TestRecordDownloadRoundTrip(t *testing.T) {
+	for _, job := range []JobID{"trace", "llm/70b v2?"} {
+		t.Run(string(job), func(t *testing.T) { recordDownloadRoundTrip(t, job) })
+	}
+}
+
+func recordDownloadRoundTrip(t *testing.T, job JobID) {
 	svc := NewService(ServiceOptions{Seed: 1})
-	h, err := svc.AddJob("trace", JobOptions{})
+	h, err := svc.AddJob(job, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +302,7 @@ func TestRecordDownloadRoundTrip(t *testing.T) {
 	// Mid-run snapshot: valid but incomplete, consistent to "now".
 	srv.Advance(30 * time.Second)
 	var snap bytes.Buffer
-	if err := rc.FetchRecord("trace", &snap); err != nil {
+	if err := rc.FetchRecord(job, &snap); err != nil {
 		t.Fatal(err)
 	}
 	mid, err := Replay(&snap, ReplayOptions{})
@@ -308,6 +316,20 @@ func TestRecordDownloadRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot too empty: %d records, %d triggers", mid.RecordsIngested, len(mid.Replayed.Triggers))
 	}
 
+	// The other by-job routes address the same job and agree with the
+	// in-process answers.
+	wantSpans, _ := svc.QuerySpans(SpanQuery{Job: job, Stage: StageDetect})
+	if got, err := rc.QuerySpans(SpanQuery{Job: job, Stage: StageDetect}); err != nil || len(got.Spans) == 0 || !reflect.DeepEqual(got, wantSpans) {
+		t.Fatalf("spans over the wire: %+v, %v; want %+v", got, err, wantSpans)
+	}
+	if res, err := rc.IngestLogs(job, []LogLine{{Rank: 1, Level: "info", Text: "step 12 done"}}); err != nil || res.Job != job || res.Accepted != 1 {
+		t.Fatalf("log ingest over the wire: %+v, %v", res, err)
+	}
+	wantStats, _ := svc.ChannelStats(job)
+	if got, err := rc.ChannelStats(job); err != nil || !reflect.DeepEqual(got, wantStats) {
+		t.Fatalf("channel stats over the wire: %+v, %v; want %+v", got, err, wantStats)
+	}
+
 	// Unknown job and un-recorded daemons are clean errors, not torn bodies.
 	if err := rc.FetchRecord("ghost", io.Discard); err == nil {
 		t.Fatal("FetchRecord of unknown job did not error")
@@ -318,7 +340,7 @@ func TestRecordDownloadRoundTrip(t *testing.T) {
 	if err := srv.CloseRecorders(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "trace.mycrec"))
+	data, err := os.ReadFile(filepath.Join(dir, url.PathEscape(string(job))+".mycrec"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +355,7 @@ func TestRecordDownloadRoundTrip(t *testing.T) {
 		t.Fatalf("daemon-recorded artifact drifted on replay:\n%s", d.Render())
 	}
 	// The recorder slot frees after CloseRecorders; downloads now error.
-	if err := rc.FetchRecord("trace", io.Discard); err == nil {
+	if err := rc.FetchRecord(job, io.Discard); err == nil {
 		t.Fatal("FetchRecord after CloseRecorders did not error")
 	}
 }

@@ -291,14 +291,7 @@ func (s *Service) resolveJob(id JobID) (*JobHandle, error) {
 
 // selectJobs resolves a multi-job filter: nil/empty = every job, else the
 // named jobs in arrival order.
-func (s *Service) selectJobs(ids []JobID) ([]*JobHandle, error) {
-	if len(ids) == 0 {
-		out := make([]*JobHandle, 0, len(s.order))
-		for _, id := range s.order {
-			out = append(out, s.jobs[id])
-		}
-		return out, nil
-	}
+func (s *Service) selectJobs(ids []JobID) ([]jobLog, error) {
 	want := make(map[JobID]bool, len(ids))
 	for _, id := range ids {
 		if _, ok := s.jobs[id]; !ok {
@@ -306,10 +299,10 @@ func (s *Service) selectJobs(ids []JobID) ([]*JobHandle, error) {
 		}
 		want[id] = true
 	}
-	var out []*JobHandle
+	out := make([]jobLog, 0, len(s.order))
 	for _, id := range s.order {
-		if want[id] {
-			out = append(out, s.jobs[id])
+		if len(ids) == 0 || want[id] {
+			out = append(out, jobLog{id, s.jobs[id]})
 		}
 	}
 	return out, nil

@@ -295,10 +295,11 @@ func TestQueryTriggersAndReports(t *testing.T) {
 }
 
 // TestOptionsTopoMismatch: a caller-supplied Train.Topo that disagrees with
-// Options.Topo must error instead of being silently clobbered.
+// JobOptions.Topo must error instead of being silently clobbered.
 func TestOptionsTopoMismatch(t *testing.T) {
+	svc := NewService(ServiceOptions{})
 	tc := TrainConfig{Topo: TopoConfig{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 2, DP: 4}}
-	_, err := NewSystem(Options{
+	_, err := svc.AddJob("clash", JobOptions{
 		Topo:  TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2},
 		Train: &tc,
 	})
@@ -308,18 +309,118 @@ func TestOptionsTopoMismatch(t *testing.T) {
 
 	// Agreeing topologies pass.
 	tc2 := TrainConfig{Topo: TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}}
-	if _, err := NewSystem(Options{Topo: tc2.Topo, Train: &tc2}); err != nil {
+	if _, err := svc.AddJob("agree", JobOptions{Topo: tc2.Topo, Train: &tc2}); err != nil {
 		t.Fatalf("matching topos rejected: %v", err)
 	}
 
 	// Train.Topo alone sizes the job.
 	tc3 := TrainConfig{Topo: TopoConfig{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 2, DP: 4}}
-	sys, err := NewSystem(Options{Train: &tc3})
+	h, err := svc.AddJob("train-only", JobOptions{Train: &tc3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.WorldSize() != 16 {
-		t.Fatalf("world = %d, want 16 from Train.Topo", sys.WorldSize())
+	if h.WorldSize() != 16 {
+		t.Fatalf("world = %d, want 16 from Train.Topo", h.WorldSize())
+	}
+}
+
+// Whole-system smoke tests: one job with default options on a Service, run
+// end to end.
+
+func TestSystemDefaultsRun(t *testing.T) {
+	svc := NewService(ServiceOptions{})
+	h := svc.MustAddJob("", JobOptions{})
+	svc.Start()
+	svc.Start() // idempotent
+	svc.Run(20 * time.Second)
+	if h.Job.IterationsDone() < 3 {
+		t.Fatalf("iterations = %d", h.Job.IterationsDone())
+	}
+	if len(h.Triggers()) != 0 {
+		t.Fatalf("healthy system triggered: %v", h.Triggers())
+	}
+	if svc.Now() != 20*time.Second {
+		t.Fatalf("Now = %v", svc.Now())
+	}
+	svc.Stop()
+}
+
+func TestSystemDetectsInjectedFault(t *testing.T) {
+	svc := NewService(ServiceOptions{Seed: 2})
+	h := svc.MustAddJob("", JobOptions{})
+	var triggers, reports int
+	svc.Subscribe(EventFilter{Kinds: []EventKind{EventTrigger, EventReport}}).Each(func(e Event) {
+		switch e.Kind {
+		case EventTrigger:
+			triggers++
+		case EventReport:
+			reports++
+		}
+	})
+	svc.Start()
+	h.Inject(Fault{Kind: NICDown, Rank: 5, At: 15 * time.Second})
+	svc.Run(45 * time.Second)
+	if triggers == 0 || reports == 0 {
+		t.Fatalf("triggers=%d reports=%d", triggers, reports)
+	}
+	rep := h.Reports()[0]
+	if rep.Suspect != 5 {
+		t.Fatalf("suspect = %d, want 5 (%v)", rep.Suspect, rep)
+	}
+	if rep.Category != CatNetworkSendPath && rep.Category != CatNetworkDegrade {
+		t.Fatalf("category = %v", rep.Category)
+	}
+	source, rank, _, ok := h.Triage()
+	if !ok || source != "mycroft" || rank != 5 {
+		t.Fatalf("triage = %q rank %d ok=%v", source, rank, ok)
+	}
+}
+
+func TestSystemTriageDataloader(t *testing.T) {
+	svc := NewService(ServiceOptions{Seed: 3})
+	h := svc.MustAddJob("", JobOptions{})
+	svc.Start()
+	h.Inject(Fault{Kind: DataloaderStall, Rank: 2, At: 15 * time.Second})
+	svc.Run(45 * time.Second)
+	source, rank, summary, ok := h.Triage()
+	if !ok || source != "py-spy" || rank != 2 || summary == "" {
+		t.Fatalf("triage = %q rank %d ok=%v", source, rank, ok)
+	}
+}
+
+func TestSystemRejectsBadTopo(t *testing.T) {
+	bad := JobOptions{Topo: TopoConfig{Nodes: 1, GPUsPerNode: 1, TP: 2, PP: 1, DP: 1}}
+	svc := NewService(ServiceOptions{})
+	if _, err := svc.AddJob("", bad); err == nil {
+		t.Fatal("bad topo accepted")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustAddJob did not panic")
+		}
+	}()
+	svc.MustAddJob("", bad)
+}
+
+func TestSystemCustomTrainConfig(t *testing.T) {
+	tc := TrainConfig{ComputePerLayer: 100 * time.Millisecond, DPBytes: 64 << 20}
+	svc := NewService(ServiceOptions{})
+	h := svc.MustAddJob("", JobOptions{Train: &tc, CommHeavy: true})
+	svc.Start()
+	svc.Run(10 * time.Second)
+	if h.Job.IterationsDone() == 0 {
+		t.Fatal("custom config did not run")
+	}
+}
+
+func TestTriageBeforeAnyReport(t *testing.T) {
+	svc := NewService(ServiceOptions{})
+	h := svc.MustAddJob("", JobOptions{})
+	if _, _, _, ok := h.Triage(); ok {
+		t.Fatal("triage with no reports reported ok")
+	}
+	if res, err := svc.Triage(""); err != nil || res.OK {
+		t.Fatalf("Service.Triage with no reports: %+v, %v", res, err)
 	}
 }
 

@@ -1,59 +1,72 @@
 package mycroft
 
 // Domain ↔ wire conversions shared by the two transport endpoints: the
-// Server adapter (wire request in, domain query out, domain result in, wire
-// response out) and the RemoteClient (the exact inverse). Keeping both
-// directions in one file makes a wire-breaking asymmetry a local diff.
+// Server (wire request in, domain query out, domain result in, wire response
+// out) and the RemoteClient (the exact inverse). The operation table in
+// ops.go names one pair per direction for each Client operation; keeping
+// both directions in one file makes a wire-breaking asymmetry a local diff.
 
 import (
+	"fmt"
+	"net/url"
+	"strconv"
 	"time"
 
 	"mycroft/internal/api"
 	"mycroft/internal/core"
-	"mycroft/internal/remedy"
 	"mycroft/internal/sim"
 )
 
-func ranksToInts(rs []Rank) []int {
-	if rs == nil {
+// mapSlice converts a slice element by element. An empty input maps to nil,
+// so an empty list crosses the wire the way it always has (null, or omitted).
+func mapSlice[A, B any](in []A, f func(A) B) []B {
+	if len(in) == 0 {
 		return nil
 	}
-	out := make([]int, len(rs))
-	for i, r := range rs {
-		out[i] = int(r)
+	out := make([]B, len(in))
+	for i, v := range in {
+		out[i] = f(v)
 	}
 	return out
 }
 
-func intsToRanks(is []int) []Rank {
-	if is == nil {
+// mapSliceErr is mapSlice for a conversion that can refuse an element.
+func mapSliceErr[A, B any](in []A, f func(A) (B, error)) ([]B, error) {
+	if len(in) == 0 {
+		return nil, nil
+	}
+	out := make([]B, len(in))
+	for i, v := range in {
+		var err error
+		if out[i], err = f(v); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// ints re-types a list of integer-kinded values (ranks) between its domain
+// and wire types. Unlike mapSlice it keeps nil and empty apart: an empty
+// blast radius is [] on the wire, not null.
+func ints[B, A ~int](in []A) []B {
+	if in == nil {
 		return nil
 	}
-	out := make([]Rank, len(is))
-	for i, v := range is {
-		out[i] = Rank(v)
+	out := make([]B, len(in))
+	for i, v := range in {
+		out[i] = B(v)
 	}
 	return out
 }
 
-func jobsToStrings(ids []JobID) []string {
-	if ids == nil {
+// strs is ints for string-kinded values (job ids, categories, outcomes).
+func strs[B, A ~string](in []A) []B {
+	if in == nil {
 		return nil
 	}
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = string(id)
-	}
-	return out
-}
-
-func stringsToJobs(ss []string) []JobID {
-	if ss == nil {
-		return nil
-	}
-	out := make([]JobID, len(ss))
-	for i, s := range ss {
-		out[i] = JobID(s)
+	out := make([]B, len(in))
+	for i, v := range in {
+		out[i] = B(v)
 	}
 	return out
 }
@@ -75,267 +88,359 @@ func traceCursorFromWire(c *api.TraceCursor) *TraceCursor {
 }
 
 func traceQueryToWire(q TraceQuery) api.TraceRequest {
-	req := api.TraceRequest{
-		Job: string(q.Job), Ranks: ranksToInts(q.Ranks), Comm: q.Comm,
+	return api.TraceRequest{
+		Job: string(q.Job), Ranks: ints[int](q.Ranks), Comm: q.Comm,
+		Kinds:  mapSlice(q.Kinds, api.RecordKindName),
 		FromNs: int64(q.From), ToNs: int64(q.To), Limit: q.Limit,
 		Cursor: traceCursorToWire(q.Cursor),
 	}
-	for _, k := range q.Kinds {
-		req.Kinds = append(req.Kinds, api.RecordKindName(k))
-	}
-	return req
 }
 
 func traceQueryFromWire(req api.TraceRequest) (TraceQuery, error) {
-	q := TraceQuery{
-		Job: JobID(req.Job), Ranks: intsToRanks(req.Ranks), Comm: req.Comm,
+	kinds, err := mapSliceErr(req.Kinds, api.ParseRecordKind)
+	return TraceQuery{
+		Job: JobID(req.Job), Ranks: ints[Rank](req.Ranks), Comm: req.Comm, Kinds: kinds,
 		From: time.Duration(req.FromNs), To: time.Duration(req.ToNs), Limit: req.Limit,
 		Cursor: traceCursorFromWire(req.Cursor),
-	}
-	for _, s := range req.Kinds {
-		k, err := api.ParseRecordKind(s)
-		if err != nil {
-			return TraceQuery{}, err
-		}
-		q.Kinds = append(q.Kinds, k)
-	}
-	return q, nil
+	}, err
 }
 
 func traceResultToWire(res TraceResult) api.TraceResponse {
-	resp := api.TraceResponse{Job: string(res.Job), Total: res.Total, Next: traceCursorToWire(res.Next)}
-	for _, r := range res.Records {
-		resp.Records = append(resp.Records, api.FromRecord(r))
+	return api.TraceResponse{
+		Job: string(res.Job), Records: mapSlice(res.Records, api.FromRecord),
+		Total: res.Total, Next: traceCursorToWire(res.Next),
 	}
-	return resp
 }
 
 func traceResultFromWire(resp api.TraceResponse) (TraceResult, error) {
-	res := TraceResult{Job: JobID(resp.Job), Total: resp.Total, Next: traceCursorFromWire(resp.Next)}
-	for _, r := range resp.Records {
-		rec, err := r.Record()
-		if err != nil {
-			return TraceResult{}, err
-		}
-		res.Records = append(res.Records, rec)
-	}
-	return res, nil
+	recs, err := mapSliceErr(resp.Records, api.TraceRecord.Record)
+	return TraceResult{Job: JobID(resp.Job), Records: recs, Total: resp.Total, Next: traceCursorFromWire(resp.Next)}, err
 }
 
 // --- triggers ---
 
 func triggerQueryToWire(q TriggerQuery) api.TriggersRequest {
-	req := api.TriggersRequest{
-		Jobs: jobsToStrings(q.Jobs), Ranks: ranksToInts(q.Ranks),
+	return api.TriggersRequest{
+		Jobs: strs[string](q.Jobs), Ranks: ints[int](q.Ranks), Kinds: mapSlice(q.Kinds, api.TriggerKindName),
 		FromNs: int64(q.From), ToNs: int64(q.To), Offset: q.Offset, Limit: q.Limit,
 	}
-	for _, k := range q.Kinds {
-		req.Kinds = append(req.Kinds, api.TriggerKindName(k))
-	}
-	return req
 }
 
 func triggerQueryFromWire(req api.TriggersRequest) (TriggerQuery, error) {
-	q := TriggerQuery{
-		Jobs: stringsToJobs(req.Jobs), Ranks: intsToRanks(req.Ranks),
+	kinds, err := mapSliceErr(req.Kinds, api.ParseTriggerKind)
+	return TriggerQuery{
+		Jobs: strs[JobID](req.Jobs), Ranks: ints[Rank](req.Ranks), Kinds: kinds,
 		From: time.Duration(req.FromNs), To: time.Duration(req.ToNs), Offset: req.Offset, Limit: req.Limit,
-	}
-	for _, s := range req.Kinds {
-		k, err := api.ParseTriggerKind(s)
-		if err != nil {
-			return TriggerQuery{}, err
-		}
-		q.Kinds = append(q.Kinds, k)
-	}
-	return q, nil
+	}, err
 }
 
 func triggerResultToWire(res TriggerResult) api.TriggersResponse {
-	resp := api.TriggersResponse{Total: res.Total, NextOffset: res.NextOffset}
-	for _, t := range res.Triggers {
-		resp.Triggers = append(resp.Triggers, api.JobTrigger{Job: string(t.Job), Trigger: api.FromTrigger(t.Trigger)})
+	return api.TriggersResponse{
+		Triggers: mapSlice(res.Triggers, func(t JobTrigger) api.JobTrigger {
+			return api.JobTrigger{Job: string(t.Job), Trigger: api.FromTrigger(t.Trigger)}
+		}),
+		Total: res.Total, NextOffset: res.NextOffset,
 	}
-	return resp
 }
 
 func triggerResultFromWire(resp api.TriggersResponse) (TriggerResult, error) {
-	res := TriggerResult{Total: resp.Total, NextOffset: resp.NextOffset}
-	for _, t := range resp.Triggers {
+	triggers, err := mapSliceErr(resp.Triggers, func(t api.JobTrigger) (JobTrigger, error) {
 		tr, err := t.Trigger.Trigger()
-		if err != nil {
-			return TriggerResult{}, err
-		}
-		res.Triggers = append(res.Triggers, JobTrigger{Job: JobID(t.Job), Trigger: tr})
-	}
-	return res, nil
+		return JobTrigger{Job: JobID(t.Job), Trigger: tr}, err
+	})
+	return TriggerResult{Triggers: triggers, Total: resp.Total, NextOffset: resp.NextOffset}, err
 }
 
 // --- reports ---
 
 func reportQueryToWire(q ReportQuery) api.ReportsRequest {
-	req := api.ReportsRequest{
-		Jobs: jobsToStrings(q.Jobs), Suspects: ranksToInts(q.Suspects), Comm: q.Comm,
-		FromNs: int64(q.From), ToNs: int64(q.To), Offset: q.Offset, Limit: q.Limit,
+	return api.ReportsRequest{
+		Jobs: strs[string](q.Jobs), Suspects: ints[int](q.Suspects), Categories: strs[string](q.Categories),
+		Comm: q.Comm, FromNs: int64(q.From), ToNs: int64(q.To), Offset: q.Offset, Limit: q.Limit,
 	}
-	for _, c := range q.Categories {
-		req.Categories = append(req.Categories, string(c))
-	}
-	return req
 }
 
-func reportQueryFromWire(req api.ReportsRequest) ReportQuery {
-	q := ReportQuery{
-		Jobs: stringsToJobs(req.Jobs), Suspects: intsToRanks(req.Suspects), Comm: req.Comm,
-		From: time.Duration(req.FromNs), To: time.Duration(req.ToNs), Offset: req.Offset, Limit: req.Limit,
-	}
-	for _, s := range req.Categories {
-		q.Categories = append(q.Categories, core.Category(s))
-	}
-	return q
+func reportQueryFromWire(req api.ReportsRequest) (ReportQuery, error) {
+	return ReportQuery{
+		Jobs: strs[JobID](req.Jobs), Suspects: ints[Rank](req.Suspects), Categories: strs[core.Category](req.Categories),
+		Comm: req.Comm, From: time.Duration(req.FromNs), To: time.Duration(req.ToNs), Offset: req.Offset, Limit: req.Limit,
+	}, nil
 }
 
 func reportResultToWire(res ReportResult) api.ReportsResponse {
-	resp := api.ReportsResponse{Total: res.Total, NextOffset: res.NextOffset}
-	for _, r := range res.Reports {
-		resp.Reports = append(resp.Reports, api.JobReport{Job: string(r.Job), Report: api.FromReport(r.Report)})
+	return api.ReportsResponse{
+		Reports: mapSlice(res.Reports, func(r JobReport) api.JobReport {
+			return api.JobReport{Job: string(r.Job), Report: api.FromReport(r.Report)}
+		}),
+		Total: res.Total, NextOffset: res.NextOffset,
 	}
-	return resp
 }
 
 func reportResultFromWire(resp api.ReportsResponse) (ReportResult, error) {
-	res := ReportResult{Total: resp.Total, NextOffset: resp.NextOffset}
-	for _, r := range resp.Reports {
+	reports, err := mapSliceErr(resp.Reports, func(r api.JobReport) (JobReport, error) {
 		rep, err := r.Report.Report()
-		if err != nil {
-			return ReportResult{}, err
-		}
-		res.Reports = append(res.Reports, JobReport{Job: JobID(r.Job), Report: rep})
-	}
-	return res, nil
+		return JobReport{Job: JobID(r.Job), Report: rep}, err
+	})
+	return ReportResult{Reports: reports, Total: resp.Total, NextOffset: resp.NextOffset}, err
 }
 
 // --- dependencies ---
 
 func dependencyQueryToWire(q DependencyQuery) api.DependenciesRequest {
-	return api.DependenciesRequest{Job: string(q.Job), Comm: q.Comm, Ranks: ranksToInts(q.Ranks), RenderDOT: q.RenderDOT}
+	return api.DependenciesRequest{Job: string(q.Job), Comm: q.Comm, Ranks: ints[int](q.Ranks), RenderDOT: q.RenderDOT}
 }
 
-func dependencyQueryFromWire(req api.DependenciesRequest) DependencyQuery {
-	return DependencyQuery{Job: JobID(req.Job), Comm: req.Comm, Ranks: intsToRanks(req.Ranks), RenderDOT: req.RenderDOT}
+func dependencyQueryFromWire(req api.DependenciesRequest) (DependencyQuery, error) {
+	return DependencyQuery{Job: JobID(req.Job), Comm: req.Comm, Ranks: ints[Rank](req.Ranks), RenderDOT: req.RenderDOT}, nil
 }
 
 func dependencyResultToWire(res DependencyResult) api.DependenciesResponse {
-	resp := api.DependenciesResponse{Job: string(res.Job), DOT: res.DOT}
-	for _, e := range res.Edges {
-		resp.Edges = append(resp.Edges, api.FromEdge(e))
-	}
-	return resp
+	return api.DependenciesResponse{Job: string(res.Job), Edges: mapSlice(res.Edges, api.FromEdge), DOT: res.DOT}
 }
 
 func dependencyResultFromWire(resp api.DependenciesResponse) (DependencyResult, error) {
-	res := DependencyResult{Job: JobID(resp.Job), DOT: resp.DOT}
-	for _, e := range resp.Edges {
-		edge, err := e.Edge()
-		if err != nil {
-			return DependencyResult{}, err
-		}
-		res.Edges = append(res.Edges, edge)
-	}
-	return res, nil
+	edges, err := mapSliceErr(resp.Edges, api.Edge.Edge)
+	return DependencyResult{Job: JobID(resp.Job), Edges: edges, DOT: resp.DOT}, err
+}
+
+func blastArgsToWire(a blastArgs) api.BlastRadiusRequest {
+	return api.BlastRadiusRequest{Job: string(a.Job), Suspect: int(a.Suspect)}
+}
+
+func blastArgsFromWire(req api.BlastRadiusRequest) (blastArgs, error) {
+	return blastArgs{Job: JobID(req.Job), Suspect: Rank(req.Suspect)}, nil
+}
+
+func blastResultToWire(res blastResult) api.BlastRadiusResponse {
+	return api.BlastRadiusResponse{Job: string(res.Job), Suspect: int(res.Suspect), Victims: ints[int](res.Victims)}
+}
+
+func blastResultFromWire(resp api.BlastRadiusResponse) (blastResult, error) {
+	return blastResult{
+		blastArgs: blastArgs{Job: JobID(resp.Job), Suspect: Rank(resp.Suspect)},
+		Victims:   ints[Rank](resp.Victims),
+	}, nil
 }
 
 // --- remediations ---
 
 func remediationQueryToWire(q RemediationQuery) api.RemediationsRequest {
-	req := api.RemediationsRequest{
-		Jobs: jobsToStrings(q.Jobs), Ranks: ranksToInts(q.Ranks),
+	return api.RemediationsRequest{
+		Jobs: strs[string](q.Jobs), Ranks: ints[int](q.Ranks),
+		Actions: strs[string](q.Actions), Outcomes: strs[string](q.Outcomes),
 		FromNs: int64(q.From), ToNs: int64(q.To), Offset: q.Offset, Limit: q.Limit,
 	}
-	for _, a := range q.Actions {
-		req.Actions = append(req.Actions, string(a))
-	}
-	for _, o := range q.Outcomes {
-		req.Outcomes = append(req.Outcomes, string(o))
-	}
-	return req
 }
 
 func remediationQueryFromWire(req api.RemediationsRequest) (RemediationQuery, error) {
-	q := RemediationQuery{
-		Jobs: stringsToJobs(req.Jobs), Ranks: intsToRanks(req.Ranks),
+	actions, err := mapSliceErr(req.Actions, api.ParseActionKind)
+	if err != nil {
+		return RemediationQuery{}, err
+	}
+	outcomes, err := mapSliceErr(req.Outcomes, api.ParseOutcome)
+	return RemediationQuery{
+		Jobs: strs[JobID](req.Jobs), Ranks: ints[Rank](req.Ranks), Actions: actions, Outcomes: outcomes,
 		From: time.Duration(req.FromNs), To: time.Duration(req.ToNs), Offset: req.Offset, Limit: req.Limit,
-	}
-	for _, s := range req.Actions {
-		a, err := api.ParseActionKind(s)
-		if err != nil {
-			return RemediationQuery{}, err
-		}
-		q.Actions = append(q.Actions, a)
-	}
-	for _, s := range req.Outcomes {
-		o, err := api.ParseOutcome(s)
-		if err != nil {
-			return RemediationQuery{}, err
-		}
-		q.Outcomes = append(q.Outcomes, o)
-	}
-	return q, nil
+	}, err
 }
 
 func remediationResultToWire(res RemediationResult) api.RemediationsResponse {
-	resp := api.RemediationsResponse{Total: res.Total, NextOffset: res.NextOffset}
-	for _, a := range res.Attempts {
-		resp.Attempts = append(resp.Attempts, api.JobAttempt{Job: string(a.Job), Attempt: api.FromAttempt(a.RemedyAttempt)})
+	return api.RemediationsResponse{
+		Attempts: mapSlice(res.Attempts, func(a JobRemediation) api.JobAttempt {
+			return api.JobAttempt{Job: string(a.Job), Attempt: api.FromAttempt(a.RemedyAttempt)}
+		}),
+		Total: res.Total, NextOffset: res.NextOffset,
 	}
-	return resp
 }
 
 func remediationResultFromWire(resp api.RemediationsResponse) (RemediationResult, error) {
-	res := RemediationResult{Total: resp.Total, NextOffset: resp.NextOffset}
-	for _, a := range resp.Attempts {
+	attempts, err := mapSliceErr(resp.Attempts, func(a api.JobAttempt) (JobRemediation, error) {
 		att, err := a.Attempt.Attempt()
-		if err != nil {
-			return RemediationResult{}, err
-		}
-		res.Attempts = append(res.Attempts, JobRemediation{Job: JobID(a.Job), RemedyAttempt: att})
-	}
-	return res, nil
+		return JobRemediation{Job: JobID(a.Job), RemedyAttempt: att}, err
+	})
+	return RemediationResult{Attempts: attempts, Total: resp.Total, NextOffset: resp.NextOffset}, err
 }
 
 // --- spans ---
 
-func spanResultFromWire(resp api.SpansResponse) SpanResult {
-	res := SpanResult{Job: JobID(resp.Job), Total: resp.Total, Dropped: resp.Dropped}
-	for _, s := range resp.Spans {
-		res.Spans = append(res.Spans, s.Span())
+func spanQueryToWire(q SpanQuery) api.SpansRequest {
+	return api.SpansRequest{
+		Job: string(q.Job), Incident: q.Incident, Stage: q.Stage,
+		AfterID: uint64(q.AfterID), MinWallNs: int64(q.MinWall), Limit: q.Limit,
 	}
-	return res
+}
+
+func spanQueryFromWire(req api.SpansRequest) (SpanQuery, error) {
+	return SpanQuery{
+		Job: JobID(req.Job), Incident: req.Incident, Stage: req.Stage,
+		AfterID: SpanID(req.AfterID), MinWall: time.Duration(req.MinWallNs), Limit: req.Limit,
+	}, nil
+}
+
+// spansRequestToValues renders a span query's filters as the query string
+// GET /v1/jobs/{id}/spans takes (the job rides the path).
+func spansRequestToValues(req api.SpansRequest) url.Values {
+	v := url.Values{}
+	if req.Incident != "" {
+		v.Set("incident", req.Incident)
+	}
+	if req.Stage != "" {
+		v.Set("stage", req.Stage)
+	}
+	if req.AfterID != 0 {
+		v.Set("after_id", strconv.FormatUint(req.AfterID, 10))
+	}
+	if req.MinWallNs > 0 {
+		v.Set("min_wall_ns", strconv.FormatInt(req.MinWallNs, 10))
+	}
+	if req.Limit > 0 {
+		v.Set("limit", strconv.Itoa(req.Limit))
+	}
+	return v
+}
+
+func spansRequestFromValues(v url.Values) (api.SpansRequest, error) {
+	req := api.SpansRequest{Incident: v.Get("incident"), Stage: v.Get("stage")}
+	var err error
+	if s := v.Get("after_id"); s != "" {
+		if req.AfterID, err = strconv.ParseUint(s, 10, 64); err != nil {
+			return req, fmt.Errorf("api: bad after_id %q", s)
+		}
+	}
+	if s := v.Get("min_wall_ns"); s != "" {
+		if req.MinWallNs, err = strconv.ParseInt(s, 10, 64); err != nil {
+			return req, fmt.Errorf("api: bad min_wall_ns %q", s)
+		}
+	}
+	if s := v.Get("limit"); s != "" {
+		if req.Limit, err = strconv.Atoi(s); err != nil {
+			return req, fmt.Errorf("api: bad limit %q", s)
+		}
+	}
+	return req, nil
+}
+
+func spanResultToWire(res SpanResult) api.SpansResponse {
+	return api.SpansResponse{Job: string(res.Job), Spans: mapSlice(res.Spans, api.FromSpan), Total: res.Total, Dropped: res.Dropped}
+}
+
+func spanResultFromWire(resp api.SpansResponse) (SpanResult, error) {
+	return SpanResult{Job: JobID(resp.Job), Spans: mapSlice(resp.Spans, api.Span.Span), Total: resp.Total, Dropped: resp.Dropped}, nil
+}
+
+// --- triage ---
+
+func triageJobToWire(job JobID) api.TriageRequest { return api.TriageRequest{Job: string(job)} }
+
+func triageJobFromWire(req api.TriageRequest) (JobID, error) { return JobID(req.Job), nil }
+
+func triageResultToWire(res TriageResult) api.TriageResponse {
+	return api.TriageResponse{Job: string(res.Job), Source: res.Source, Rank: int(res.Rank), Summary: res.Summary, OK: res.OK}
+}
+
+func triageResultFromWire(resp api.TriageResponse) (TriageResult, error) {
+	return TriageResult{Job: JobID(resp.Job), Source: resp.Source, Rank: Rank(resp.Rank), Summary: resp.Summary, OK: resp.OK}, nil
+}
+
+// --- diagnosis channels ---
+
+func logsArgsToWire(a logsArgs) api.LogsRequest {
+	return api.LogsRequest{Lines: mapSlice(a.Lines, func(l LogLine) api.LogLine {
+		return api.LogLine{Rank: int(l.Rank), AtNs: int64(l.At), Level: l.Level, Text: l.Text}
+	})}
+}
+
+func logsArgsFromWire(req api.LogsRequest) (logsArgs, error) {
+	return logsArgs{Lines: mapSlice(req.Lines, func(l api.LogLine) LogLine {
+		return LogLine{Rank: Rank(l.Rank), At: time.Duration(l.AtNs), Level: l.Level, Text: l.Text}
+	})}, nil
+}
+
+func timingsArgsToWire(a timingsArgs) api.TimingsRequest {
+	return api.TimingsRequest{Samples: mapSlice(a.Samples, func(s IterationSample) api.TimingSample {
+		return api.TimingSample{Rank: int(s.Rank), Iter: s.Iter, AtNs: int64(s.At)}
+	})}
+}
+
+func timingsArgsFromWire(req api.TimingsRequest) (timingsArgs, error) {
+	return timingsArgs{Samples: mapSlice(req.Samples, func(s api.TimingSample) IterationSample {
+		return IterationSample{Rank: Rank(s.Rank), Iter: s.Iter, At: time.Duration(s.AtNs)}
+	})}, nil
+}
+
+func ingestResultToWire(res IngestResult) api.IngestChannelResponse {
+	return api.IngestChannelResponse{Job: string(res.Job), Accepted: res.Accepted, Anomalies: res.Anomalies}
+}
+
+func ingestResultFromWire(resp api.IngestChannelResponse) (IngestResult, error) {
+	return IngestResult{Job: JobID(resp.Job), Accepted: resp.Accepted, Anomalies: resp.Anomalies}, nil
+}
+
+func channelStatsToWire(res ChannelStatsResult) api.ChannelsResponse {
+	w := api.ChannelsResponse{
+		Job: string(res.Job),
+		Channels: mapSlice(res.Channels, func(c ChannelInfo) api.ChannelInfo {
+			return api.ChannelInfo{
+				Channel: string(c.Channel), Ingested: c.Ingested,
+				Anomalies: c.Anomalies, Reports: c.Reports, Templates: c.Templates,
+			}
+		}),
+		Fusion: api.FusionInfo{
+			WindowNs: int64(res.Fusion.Window), LastOutcome: res.Fusion.LastOutcome,
+			LastConfidence: res.Fusion.LastConfidence,
+		},
+	}
+	if len(res.Fusion.Outcomes) > 0 {
+		w.Fusion.Outcomes = make(map[string]uint64, len(res.Fusion.Outcomes))
+		for k, v := range res.Fusion.Outcomes {
+			w.Fusion.Outcomes[k] = v
+		}
+	}
+	return w
+}
+
+func channelStatsFromWire(w api.ChannelsResponse) (ChannelStatsResult, error) {
+	channels, err := mapSliceErr(w.Channels, func(c api.ChannelInfo) (ChannelInfo, error) {
+		m, err := api.ParseModality(c.Channel)
+		return ChannelInfo{
+			Channel: m, Ingested: c.Ingested,
+			Anomalies: c.Anomalies, Reports: c.Reports, Templates: c.Templates,
+		}, err
+	})
+	res := ChannelStatsResult{
+		Job: JobID(w.Job), Channels: channels,
+		Fusion: FusionInfo{
+			Window: time.Duration(w.Fusion.WindowNs), LastOutcome: w.Fusion.LastOutcome,
+			LastConfidence: w.Fusion.LastConfidence,
+			Outcomes:       make(map[string]uint64, len(w.Fusion.Outcomes)),
+		},
+	}
+	for k, v := range w.Fusion.Outcomes {
+		res.Fusion.Outcomes[k] = v
+	}
+	return res, err
 }
 
 // --- jobs ---
 
 func jobsResultToWire(res JobsResult) api.JobsResponse {
-	resp := api.JobsResponse{NowNs: int64(res.Now)}
-	for _, j := range res.Jobs {
-		resp.Jobs = append(resp.Jobs, api.JobInfo{
+	return api.JobsResponse{NowNs: int64(res.Now), Jobs: mapSlice(res.Jobs, func(j JobInfo) api.JobInfo {
+		return api.JobInfo{
 			ID: string(j.ID), WorldSize: j.WorldSize, Iterations: j.Iterations,
 			Records: j.Records, Store: api.FromStats(j.Store),
-			Isolated: ranksToInts(j.Isolated), Policy: j.Policy, Source: j.Source,
-		})
-	}
-	return resp
+			Isolated: ints[int](j.Isolated), Policy: j.Policy, Source: j.Source,
+		}
+	})}
 }
 
-func jobsResultFromWire(resp api.JobsResponse) JobsResult {
-	res := JobsResult{Now: time.Duration(resp.NowNs)}
-	for _, j := range resp.Jobs {
-		res.Jobs = append(res.Jobs, JobInfo{
+func jobsResultFromWire(resp api.JobsResponse) (JobsResult, error) {
+	return JobsResult{Now: time.Duration(resp.NowNs), Jobs: mapSlice(resp.Jobs, func(j api.JobInfo) JobInfo {
+		return JobInfo{
 			ID: JobID(j.ID), WorldSize: j.WorldSize, Iterations: j.Iterations,
 			Records: j.Records, Store: j.Store.Stats(),
-			Isolated: intsToRanks(j.Isolated), Policy: j.Policy, Source: j.Source,
-		})
-	}
-	return res
+			Isolated: ints[Rank](j.Isolated), Policy: j.Policy, Source: j.Source,
+		}
+	})}, nil
 }
 
 // --- health ---
@@ -363,85 +468,59 @@ func healthChangeFromWire(w api.HealthChange) (HealthChange, error) {
 }
 
 func healthResultToWire(res HealthResult) api.HealthResponse {
-	resp := api.HealthResponse{
+	return api.HealthResponse{
 		NowNs: int64(res.Now), UptimeMs: res.Uptime.Milliseconds(),
 		Server: res.Server, Version: api.Version,
 		Subscriptions: api.SubscriptionStats{
 			Active: res.Subs.Active, Delivered: res.Subs.Delivered, Dropped: res.Subs.Dropped,
 		},
+		Jobs: mapSlice(res.Jobs, func(j JobHealth) api.JobHealthInfo {
+			return api.JobHealthInfo{
+				Job: string(j.Job), State: string(j.State),
+				SinceNs: int64(j.Since), LastIngestNs: int64(j.LastIngest), Reason: j.Reason,
+			}
+		}),
 	}
-	for _, j := range res.Jobs {
-		resp.Jobs = append(resp.Jobs, api.JobHealthInfo{
-			Job: string(j.Job), State: string(j.State),
-			SinceNs: int64(j.Since), LastIngestNs: int64(j.LastIngest), Reason: j.Reason,
-		})
-	}
-	return resp
 }
 
 func healthResultFromWire(resp api.HealthResponse) (HealthResult, error) {
-	res := HealthResult{
+	jobs, err := mapSliceErr(resp.Jobs, func(j api.JobHealthInfo) (JobHealth, error) {
+		state, err := api.ParseHealthState(j.State)
+		return JobHealth{
+			Job: JobID(j.Job), State: HealthState(state),
+			Since: time.Duration(j.SinceNs), LastIngest: time.Duration(j.LastIngestNs), Reason: j.Reason,
+		}, err
+	})
+	return HealthResult{
 		Now: time.Duration(resp.NowNs), Uptime: time.Duration(resp.UptimeMs) * time.Millisecond,
-		Server: resp.Server,
+		Server: resp.Server, Jobs: jobs,
 		Subs: SubStats{
 			Active: resp.Subscriptions.Active, Delivered: resp.Subscriptions.Delivered, Dropped: resp.Subscriptions.Dropped,
 		},
-	}
-	for _, j := range resp.Jobs {
-		state, err := api.ParseHealthState(j.State)
-		if err != nil {
-			return HealthResult{}, err
-		}
-		res.Jobs = append(res.Jobs, JobHealth{
-			Job: JobID(j.Job), State: HealthState(state),
-			Since: time.Duration(j.SinceNs), LastIngest: time.Duration(j.LastIngestNs), Reason: j.Reason,
-		})
-	}
-	return res, nil
+	}, err
 }
 
 // --- events and filters ---
 
 func eventFilterToWire(f EventFilter) api.EventFilter {
-	w := api.EventFilter{
-		Jobs: jobsToStrings(f.Jobs), Ranks: ranksToInts(f.Ranks), Victims: ranksToInts(f.Victims),
+	return api.EventFilter{
+		Jobs: strs[string](f.Jobs), Ranks: ints[int](f.Ranks), Victims: ints[int](f.Victims),
+		Kinds: mapSlice(f.Kinds, api.EventKindName), Categories: strs[string](f.Categories), Outcomes: strs[string](f.Outcomes),
 		MinChain: f.MinChain, FromNs: int64(f.From), ToNs: int64(f.To), Buffer: f.Buffer,
 	}
-	for _, k := range f.Kinds {
-		w.Kinds = append(w.Kinds, api.EventKindName(k))
-	}
-	for _, c := range f.Categories {
-		w.Categories = append(w.Categories, string(c))
-	}
-	for _, o := range f.Outcomes {
-		w.Outcomes = append(w.Outcomes, string(o))
-	}
-	return w
 }
 
 func eventFilterFromWire(w api.EventFilter) (EventFilter, error) {
-	f := EventFilter{
-		Jobs: stringsToJobs(w.Jobs), Ranks: intsToRanks(w.Ranks), Victims: intsToRanks(w.Victims),
+	kinds, err := mapSliceErr(w.Kinds, api.ParseEventKind)
+	if err != nil {
+		return EventFilter{}, err
+	}
+	outcomes, err := mapSliceErr(w.Outcomes, api.ParseOutcome)
+	return EventFilter{
+		Jobs: strs[JobID](w.Jobs), Ranks: ints[Rank](w.Ranks), Victims: ints[Rank](w.Victims),
+		Kinds: kinds, Categories: strs[core.Category](w.Categories), Outcomes: outcomes,
 		MinChain: w.MinChain, From: time.Duration(w.FromNs), To: time.Duration(w.ToNs), Buffer: w.Buffer,
-	}
-	for _, s := range w.Kinds {
-		k, err := api.ParseEventKind(s)
-		if err != nil {
-			return EventFilter{}, err
-		}
-		f.Kinds = append(f.Kinds, k)
-	}
-	for _, s := range w.Categories {
-		f.Categories = append(f.Categories, core.Category(s))
-	}
-	for _, s := range w.Outcomes {
-		o, err := api.ParseOutcome(s)
-		if err != nil {
-			return EventFilter{}, err
-		}
-		f.Outcomes = append(f.Outcomes, remedy.Outcome(o))
-	}
-	return f, nil
+	}, err
 }
 
 func eventToWire(e Event) api.Event {
@@ -511,54 +590,4 @@ func eventFromWire(w api.Event) (Event, error) {
 		e.LogAnomaly = &a
 	}
 	return e, nil
-}
-
-// channelStatsToWire converts a ChannelStats answer to its wire form.
-func channelStatsToWire(res ChannelStatsResult) api.ChannelsResponse {
-	w := api.ChannelsResponse{
-		Job: string(res.Job),
-		Fusion: api.FusionInfo{
-			WindowNs: int64(res.Fusion.Window), LastOutcome: res.Fusion.LastOutcome,
-			LastConfidence: res.Fusion.LastConfidence,
-		},
-	}
-	if len(res.Fusion.Outcomes) > 0 {
-		w.Fusion.Outcomes = make(map[string]uint64, len(res.Fusion.Outcomes))
-		for k, v := range res.Fusion.Outcomes {
-			w.Fusion.Outcomes[k] = v
-		}
-	}
-	for _, c := range res.Channels {
-		w.Channels = append(w.Channels, api.ChannelInfo{
-			Channel: string(c.Channel), Ingested: c.Ingested,
-			Anomalies: c.Anomalies, Reports: c.Reports, Templates: c.Templates,
-		})
-	}
-	return w
-}
-
-// channelStatsFromWire converts a wire channels response back to the domain.
-func channelStatsFromWire(w api.ChannelsResponse) (ChannelStatsResult, error) {
-	res := ChannelStatsResult{
-		Job: JobID(w.Job),
-		Fusion: FusionInfo{
-			Window: time.Duration(w.Fusion.WindowNs), LastOutcome: w.Fusion.LastOutcome,
-			LastConfidence: w.Fusion.LastConfidence,
-			Outcomes:       make(map[string]uint64, len(w.Fusion.Outcomes)),
-		},
-	}
-	for k, v := range w.Fusion.Outcomes {
-		res.Fusion.Outcomes[k] = v
-	}
-	for _, c := range w.Channels {
-		m, err := api.ParseModality(c.Channel)
-		if err != nil {
-			return ChannelStatsResult{}, err
-		}
-		res.Channels = append(res.Channels, ChannelInfo{
-			Channel: m, Ingested: c.Ingested,
-			Anomalies: c.Anomalies, Reports: c.Reports, Templates: c.Templates,
-		})
-	}
-	return res, nil
 }
