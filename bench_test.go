@@ -265,6 +265,8 @@ func BenchmarkScenarioRun(b *testing.B) {
 	if !ok {
 		b.Fatal("nic-down builtin missing")
 	}
+	b.ReportAllocs()
+	var records uint64
 	for i := 0; i < b.N; i++ {
 		res, err := scenario.Run(spec, 1)
 		if err != nil {
@@ -273,7 +275,12 @@ func BenchmarkScenarioRun(b *testing.B) {
 		if !res.Pass {
 			b.Fatalf("scenario failed:\n%s", res.Render())
 		}
+		records = 0
+		for _, j := range res.Jobs {
+			records += j.Records
+		}
 	}
+	b.ReportMetric(float64(records), "records/run")
 }
 
 // --- E-benchmarks: the paper's tables and figures ---

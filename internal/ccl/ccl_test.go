@@ -163,13 +163,12 @@ func TestBroadcastRoles(t *testing.T) {
 	e := newEnv(3, 1)
 	c := e.comm(Config{Channels: 1})
 	var doneAt sim.Time
-	c.Broadcast(64<<20, 0, func(ts sim.Time) { doneAt = ts })
+	op := c.Broadcast(64<<20, 0, func(ts sim.Time) { doneAt = ts }).run
 	e.eng.RunFor(time.Second)
 	if doneAt == 0 {
 		t.Fatal("broadcast did not complete")
 	}
 	// Root emits but receives nothing; tail receives but sends nothing.
-	op := c.ops[0]
 	root := op.rankRuns[0].chans[0]
 	tail := op.rankRuns[2].chans[0]
 	if len(root.sends) == 0 || root.expectRecv != 0 {
@@ -558,6 +557,45 @@ func TestChunkListProperty(t *testing.T) {
 	}
 }
 
+// TestChunkPathAllocatesNothing is the allocation gate of the per-chunk path:
+// planning an op may allocate, moving its chunks may not, so an all-reduce of
+// four times the bytes (four times the chunks) costs exactly the mallocs of
+// the small one — over RDMA QPs and over NVLink, with and without the
+// synchronous per-chunk tracer cost.
+func TestChunkPathAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		nodes, gpusPer int
+		overhead       time.Duration
+	}{
+		{"rdma", 8, 1, 0},
+		{"nvlink", 1, 8, 0},
+		{"rdma+overhead", 8, 1, 2 * time.Microsecond},
+		{"nvlink+overhead", 1, 8, 2 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(tc.nodes, tc.gpusPer)
+			c := NewCommunicator(e.eng, 1, e.infos, Config{ChunkOverhead: tc.overhead})
+			allReduce := func(bytes int64) func() {
+				return func() {
+					op := c.AllReduce(bytes, nil)
+					e.eng.RunFor(time.Second)
+					if !op.Done() {
+						t.Fatalf("all-reduce of %d bytes incomplete", bytes)
+					}
+				}
+			}
+			const small = 64 << 20 // 14 chunks per channel; 4x is 56
+			allReduce(4 * small)() // the event queue and free lists reach their depth
+			one := testing.AllocsPerRun(3, allReduce(small))
+			four := testing.AllocsPerRun(3, allReduce(4*small))
+			if one != four {
+				t.Errorf("1x op: %v mallocs, 4x op: %v — the chunk path allocates", one, four)
+			}
+		})
+	}
+}
+
 // Property: for every op kind, all chunk accounting converges exactly at
 // completion (acked == sends, delivered == expectRecv on every channel).
 func TestChunkConservation(t *testing.T) {
@@ -565,9 +603,8 @@ func TestChunkConservation(t *testing.T) {
 	for _, kind := range kinds {
 		e := newEnv(2, 2)
 		c := e.comm(Config{})
-		c.Submit(OpSpec{Kind: kind, Bytes: 48 << 20}, nil)
+		op := c.Submit(OpSpec{Kind: kind, Bytes: 48 << 20}, nil).run
 		e.eng.RunFor(5 * time.Second)
-		op := c.ops[0]
 		if !op.globalDone {
 			t.Fatalf("%v incomplete", kind)
 		}

@@ -143,7 +143,7 @@ type rankCtx struct {
 	sink    trace.Sink
 	crashed bool
 	held    bool // rank busy outside the CCL (compute, dataloader…)
-	cursor  int  // index into comm.ops of the next op this rank will work on
+	cursor  int  // number of the next op this rank will work on (see Communicator.ops)
 	pumping bool // re-entrancy guard for pump
 	ticker  *sim.Ticker
 
@@ -169,7 +169,12 @@ type Communicator struct {
 
 	direct map[directKey]rdma.Link // lazy point-to-point links for SendRecv
 
+	// ops is the window of ops some rank has yet to pass: op number n lives
+	// at ops[n-opsBase]. An op leaves the front once every rank's cursor has
+	// moved beyond it, so a long-running job holds its in-flight ops, not
+	// every op it ever ran.
 	ops     []*opRun
+	opsBase int
 	nextSeq uint64
 	nextQP  int
 	closed  bool
@@ -299,6 +304,16 @@ func (c *Communicator) directLink(ch, src, dst int) rdma.Link {
 	return l
 }
 
+// opAt returns op number n, or nil when it has not been submitted yet. n is
+// never below the window: a rank's cursor only moves forward and the window
+// only drops what every cursor has passed.
+func (c *Communicator) opAt(n int) *opRun {
+	if i := n - c.opsBase; i < len(c.ops) {
+		return c.ops[i]
+	}
+	return nil
+}
+
 // ID returns the communicator id (comm_id in trace metadata).
 func (c *Communicator) ID() uint64 { return c.id }
 
@@ -321,6 +336,11 @@ func (c *Communicator) IndexOf(r topo.Rank) int {
 	}
 	return -1
 }
+
+// Pending returns how many submitted ops some rank has yet to pass — what the
+// communicator still holds. A healthy job keeps it at a handful however long
+// it runs; it grows only while a rank is stuck.
+func (c *Communicator) Pending() int { return len(c.ops) }
 
 // NextSeq returns the op_seq the next submitted op will get.
 func (c *Communicator) NextSeq() uint64 { return c.nextSeq }
@@ -386,10 +406,10 @@ func (rc *rankCtx) emitStateLogs(now sim.Time) {
 	if rc.crashed || rc.comm.closed {
 		return
 	}
-	if rc.cursor >= len(rc.comm.ops) {
+	op := rc.comm.opAt(rc.cursor)
+	if op == nil {
 		return // idle
 	}
-	op := rc.comm.ops[rc.cursor]
 	rr := op.rankRuns[rc.idx]
 	if rr == nil || !rr.started || rr.done {
 		return

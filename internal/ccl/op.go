@@ -105,9 +105,10 @@ type opRun struct {
 	comm       *Communicator
 	meta       OpMeta
 	spec       OpSpec
-	idx        int // position in comm.ops
+	idx        int // op number on the communicator (see Communicator.ops)
 	rankRuns   []*rankRun
 	remaining  int
+	passed     int // ranks whose cursor has moved beyond this op
 	started    bool
 	startTime  sim.Time
 	doneTime   sim.Time
@@ -165,7 +166,7 @@ func (c *Communicator) Submit(spec OpSpec, onAllDone func(sim.Time)) *Op {
 	}
 	meta := OpMeta{CommID: c.id, Seq: c.nextSeq, Kind: spec.Kind, Bytes: spec.Bytes}
 	c.nextSeq++
-	op := &opRun{comm: c, meta: meta, spec: spec, idx: len(c.ops), onAllDone: onAllDone}
+	op := &opRun{comm: c, meta: meta, spec: spec, idx: c.opsBase + len(c.ops), onAllDone: onAllDone}
 	op.rankRuns = make([]*rankRun, len(c.ranks))
 	for i, rc := range c.ranks {
 		if spec.Skip[rc.info.Rank] {
@@ -312,23 +313,30 @@ func (rc *rankCtx) pump() {
 	}
 	rc.pumping = true
 	defer func() { rc.pumping = false }()
-	for rc.cursor < len(rc.comm.ops) {
-		op := rc.comm.ops[rc.cursor]
-		rr := op.rankRuns[rc.idx]
-		if rr == nil { // skipped: pretend this rank never saw the op
-			rc.cursor++
-			continue
-		}
-		if !rr.started {
-			if rc.held {
-				return // busy outside the CCL; Release will pump again
+	c := rc.comm
+	for op := c.opAt(rc.cursor); op != nil; op = c.opAt(rc.cursor) {
+		// A skipped rank (nil share) pretends it never saw the op.
+		if rr := op.rankRuns[rc.idx]; rr != nil {
+			if !rr.started {
+				if rc.held {
+					return // busy outside the CCL; Release will pump again
+				}
+				rr.begin()
 			}
-			rr.begin()
-		}
-		if !rr.done {
-			return
+			if !rr.done {
+				return
+			}
 		}
 		rc.cursor++
+		op.passed++
+		if op.passed == len(c.ranks) {
+			// Every rank passes ops in order, so the last one past op finds
+			// it at the front of the window (a handful of ops).
+			last := copy(c.ops, c.ops[1:])
+			c.ops[last] = nil
+			c.ops = c.ops[:last]
+			c.opsBase++
+		}
 	}
 }
 
@@ -366,18 +374,22 @@ func (cr *chanRun) fillStaging() {
 	for cr.stageReq < len(cr.sends) && cr.stageReq < cr.acked+depth {
 		i := cr.stageReq
 		cr.stageReq++
-		rc.info.GPU.Copy(cr.sends[i], func() {
-			if rc.crashed || cr.rr.done {
-				return
-			}
-			cr.staged++
-			cr.progress()
-			if h := rc.comm.cfg.OnChunkEvent; h != nil {
-				h(rc.info.Rank, StageGPUReady, cr.sends[i])
-			}
-			cr.trySend()
-		})
+		rc.info.GPU.Copy(cr.sends[i], cr, int32(i))
 	}
+}
+
+// CopyDone implements gpusim.CopyDone: chunk i is staged (GPU_ready).
+func (cr *chanRun) CopyDone(i int32) {
+	rc := cr.rr.rc
+	if rc.crashed || cr.rr.done {
+		return
+	}
+	cr.staged++
+	cr.progress()
+	if h := rc.comm.cfg.OnChunkEvent; h != nil {
+		h(rc.info.Rank, StageGPUReady, cr.sends[i])
+	}
+	cr.trySend()
 }
 
 // trySend posts every eligible chunk: staged, dependency satisfied, in order.
@@ -413,36 +425,6 @@ func (cr *chanRun) post(i int) {
 	if h := rc.comm.cfg.OnChunkEvent; h != nil {
 		h(rc.info.Rank, StageTransmit, cr.sends[i])
 	}
-	send := func() {
-		if rc.crashed {
-			return
-		}
-		cr.link.Send(cr.sends[i], rdma.SendCallbacks{
-			OnTransmit: func() {
-				if rc.crashed {
-					return
-				}
-				cr.transmitted++
-			},
-			OnDeliver: func() {
-				if cr.peer != nil {
-					cr.peer.onDelivered()
-				}
-			},
-			OnCQE: func() {
-				if rc.crashed {
-					return
-				}
-				cr.acked++
-				cr.progress()
-				if h := rc.comm.cfg.OnChunkEvent; h != nil {
-					h(rc.info.Rank, StageDone, cr.sends[i])
-				}
-				cr.fillStaging()
-				cr.checkDone()
-			},
-		})
-	}
 	if oh := rc.comm.cfg.ChunkOverhead; oh > 0 {
 		// Synchronous instrumentation serializes on the proxy thread.
 		at := rc.overheadBusy
@@ -451,10 +433,51 @@ func (cr *chanRun) post(i int) {
 		}
 		at = at.Add(oh)
 		rc.overheadBusy = at
-		rc.comm.eng.At(at, send)
+		rc.comm.eng.Schedule(at, cr, int32(i))
 	} else {
-		send()
+		cr.Fire(int32(i))
 	}
+}
+
+// Fire implements sim.Handler: chunk i goes onto the link, with the chanRun
+// itself observing the transfer's three stages (rdma.Completion).
+func (cr *chanRun) Fire(i int32) {
+	if cr.rr.rc.crashed {
+		return
+	}
+	cr.link.Send(cr.sends[i], cr, i)
+}
+
+// OnTransmit implements rdma.Completion.
+func (cr *chanRun) OnTransmit(int32) {
+	if cr.rr.rc.crashed {
+		return
+	}
+	cr.transmitted++
+}
+
+// OnDeliver implements rdma.Completion: the chunk landed at our ring
+// successor (or the SendRecv destination).
+func (cr *chanRun) OnDeliver(int32) {
+	if cr.peer != nil {
+		cr.peer.onDelivered()
+	}
+}
+
+// OnCQE implements rdma.Completion: chunk i's WR completed (RDMA_done), which
+// frees its staging slot.
+func (cr *chanRun) OnCQE(i int32) {
+	rc := cr.rr.rc
+	if rc.crashed {
+		return
+	}
+	cr.acked++
+	cr.progress()
+	if h := rc.comm.cfg.OnChunkEvent; h != nil {
+		h(rc.info.Rank, StageDone, cr.sends[i])
+	}
+	cr.fillStaging()
+	cr.checkDone()
 }
 
 // onDelivered counts a chunk arriving from the ring predecessor (or the

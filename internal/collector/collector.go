@@ -16,7 +16,8 @@ import (
 )
 
 // Ingester is the downstream the agent uploads batches into. The production
-// store is *clouddb.DB; tests can substitute a capture.
+// store is *clouddb.DB; tests can substitute a capture. An Ingester must not
+// retain the batch slice: the agent reuses it once Ingest has returned.
 type Ingester interface {
 	Ingest(batch []trace.Record)
 }
@@ -55,10 +56,22 @@ type Agent struct {
 	cfg    Config
 	ticker *sim.Ticker
 
+	// uploads holds the batches in flight through the pipeline, addressed
+	// by slot: the upload event carries the slot number, and a delivered
+	// slot (listed in idle) keeps its buffer for the next drain.
+	uploads []upload
+	idle    []int32
+
 	batches       uint64
 	recordsSent   uint64
 	bytesUploaded uint64
 	spans         *otrace.Tracer
+}
+
+// upload is one drained batch on its way to the store.
+type upload struct {
+	batch []trace.Record
+	span  otrace.SpanID
 }
 
 // SetTracer attaches a pipeline span tracer: each drained batch records one
@@ -76,18 +89,35 @@ func NewAgent(eng *sim.Engine, ring *trace.Ring, db Ingester, cfg Config) *Agent
 }
 
 func (a *Agent) drain() {
-	batch := a.reader.Drain()
+	// Drain into the buffer of a delivered slot when there is one.
+	slot, buf := int32(-1), []trace.Record(nil)
+	if k := len(a.idle); k > 0 {
+		slot = a.idle[k-1]
+		buf = a.uploads[slot].batch[:0]
+	}
+	batch := a.reader.DrainInto(buf)
 	if len(batch) == 0 {
 		return
+	}
+	if slot < 0 {
+		slot = int32(len(a.uploads))
+		a.uploads = append(a.uploads, upload{})
+	} else {
+		a.idle = a.idle[:len(a.idle)-1]
 	}
 	a.batches++
 	a.recordsSent += uint64(len(batch))
 	a.bytesUploaded += uint64(len(batch)) * trace.WireSize
-	span := a.spans.Batch(otrace.StageUpload)
-	a.eng.After(a.cfg.UploadLatency, func() {
-		a.db.Ingest(batch)
-		a.spans.End(span)
-	})
+	a.uploads[slot] = upload{batch: batch, span: a.spans.Batch(otrace.StageUpload)}
+	a.eng.ScheduleAfter(a.cfg.UploadLatency, a, slot)
+}
+
+// Fire implements sim.Handler: the batch in slot reaches the store.
+func (a *Agent) Fire(slot int32) {
+	u := a.uploads[slot]
+	a.db.Ingest(u.batch)
+	a.spans.End(u.span)
+	a.idle = append(a.idle, slot)
 }
 
 // Stop halts the drain loop (host decommissioned).

@@ -50,14 +50,27 @@ type GPU struct {
 
 	copyFree sim.Time // copy-engine serialization pointer
 	stalled  []*copyReq
+	free     sim.FreeList[copyReq]
 
 	copies      uint64
 	bytesStaged uint64
 }
 
+// CopyDone receives a staging copy's completion. arg is whatever the caller
+// passed to Copy (the CCL passes the chunk index), so one long-lived receiver
+// serves every copy of a pipeline without a closure per chunk.
+type CopyDone interface {
+	CopyDone(arg int32)
+}
+
+// copyReq is one staging copy and the receiver of its completion event. It
+// returns to the GPU's free list when that event fires; a request stalled by
+// a hang is held, not recycled, until it has run.
 type copyReq struct {
+	g     *GPU
 	bytes int64
-	done  func()
+	done  CopyDone
+	arg   int32
 }
 
 // New creates a GPU on the engine.
@@ -119,14 +132,16 @@ func (g *GPU) SetCopyBandwidthScale(s float64) {
 	g.copyScale = s
 }
 
-// Copy stages n bytes into the proxy buffer and calls done on completion.
-// While hung, requests queue silently (the gray-failure signature: the
-// proxy's GPU_ready counter simply stops advancing).
-func (g *GPU) Copy(n int64, done func()) {
+// Copy stages n bytes into the proxy buffer and calls done.CopyDone(arg) on
+// completion (done may be nil). While hung, requests queue silently (the
+// gray-failure signature: the proxy's GPU_ready counter simply stops
+// advancing).
+func (g *GPU) Copy(n int64, done CopyDone, arg int32) {
 	if n < 0 {
 		panic(fmt.Sprintf("gpusim: negative copy size %d", n))
 	}
-	r := &copyReq{bytes: n, done: done}
+	r := g.free.Get()
+	*r = copyReq{g: g, bytes: n, done: done, arg: arg}
 	if g.hang {
 		g.stalled = append(g.stalled, r)
 		return
@@ -144,13 +159,18 @@ func (g *GPU) schedule(r *copyReq) {
 	dur := time.Duration(float64(r.bytes) / bw * float64(time.Second))
 	finish := start.Add(dur)
 	g.copyFree = finish
-	g.eng.At(finish, func() {
-		g.copies++
-		g.bytesStaged += uint64(r.bytes)
-		if r.done != nil {
-			r.done()
-		}
-	})
+	g.eng.Schedule(finish, r, 0)
+}
+
+// Fire implements sim.Handler: the copy finished.
+func (r *copyReq) Fire(int32) {
+	g, done, arg := r.g, r.done, r.arg
+	g.copies++
+	g.bytesStaged += uint64(r.bytes)
+	g.free.Put(r)
+	if done != nil {
+		done.CopyDone(arg)
+	}
 }
 
 // Compute models a compute phase of nominal duration d, stretched by the

@@ -56,6 +56,7 @@ type NIC struct {
 
 	nextFree sim.Time // transmit serialization pointer
 	pending  []*wr    // WRs accepted while down
+	free     sim.FreeList[wr]
 
 	counters Counters
 }
@@ -152,23 +153,50 @@ func (n *NIC) SetWireLoss(on bool) { n.wireLoss = on }
 // WireLoss reports whether the black-hole fault is active.
 func (n *NIC) WireLoss() bool { return n.wireLoss }
 
-// SendCallbacks carries the three observation points of one transfer, in
-// temporal order. Any may be nil.
-type SendCallbacks struct {
+// Completion receives the three observation points of one transfer, in
+// temporal order. arg is whatever the sender passed with the transfer (the
+// CCL passes the chunk index), so one long-lived receiver observes every
+// transfer of a flow without a closure per chunk. A nil Completion observes
+// nothing.
+type Completion interface {
 	// OnTransmit fires when the sender NIC finished pushing the bytes onto
 	// the wire (this is what the proxy's RDMA_transmitted counter observes).
-	OnTransmit func()
+	OnTransmit(arg int32)
 	// OnDeliver fires when the data lands at the receiver.
-	OnDeliver func()
+	OnDeliver(arg int32)
 	// OnCQE fires when the sender polls the completion-queue entry.
-	OnCQE func()
+	OnCQE(arg int32)
 }
 
-// wr is an in-flight work request.
+// funcs adapts plain funcs to Completion for callers off the per-chunk path
+// (PostWrite, tests). Any may be nil.
+type funcs struct{ transmit, deliver, cqe func() }
+
+func (f *funcs) OnTransmit(int32) { call(f.transmit) }
+func (f *funcs) OnDeliver(int32)  { call(f.deliver) }
+func (f *funcs) OnCQE(int32)      { call(f.cqe) }
+
+func call(fn func()) {
+	if fn != nil {
+		fn()
+	}
+}
+
+// The stages of a transfer, as the engine-event argument.
+const (
+	stageTransmit int32 = iota
+	stageDeliver
+	stageCQE
+)
+
+// wr is an in-flight work request and the receiver of its own three engine
+// events. It returns to its NIC's free list when the last of them has fired.
 type wr struct {
-	qp    *QP
-	bytes int64
-	cb    SendCallbacks
+	qp        *QP
+	bytes     int64
+	done      Completion
+	arg       int32
+	blackHole bool // transmit is the last event: nothing delivers or completes
 }
 
 // QP is a queue pair: a unidirectional flow from a source NIC to a
@@ -210,29 +238,32 @@ func (q *QP) BytesSent() uint64 { return q.bytesSent }
 
 func (q *QP) String() string { return q.name }
 
-// Post posts an RDMA write of n bytes with full observability callbacks.
+// Post posts an RDMA write of n bytes; done observes its transmit, delivery
+// and completion with arg.
 //
 // If the source NIC is down the WR is queued and will transmit after
 // recovery — exactly the silent-stall gray failure of §2.1: the post
 // "succeeds" and nothing errors out.
-func (q *QP) Post(n int64, cb SendCallbacks) {
+func (q *QP) Post(n int64, done Completion, arg int32) {
 	if n < 0 {
 		panic(fmt.Sprintf("rdma: negative write size %d", n))
 	}
 	q.posted++
-	q.src.counters.WRsPosted++
-	w := &wr{qp: q, bytes: n, cb: cb}
-	if q.src.down {
-		q.src.pending = append(q.src.pending, w)
+	nic := q.src
+	nic.counters.WRsPosted++
+	w := nic.free.Get()
+	*w = wr{qp: q, bytes: n, done: done, arg: arg}
+	if nic.down {
+		nic.pending = append(nic.pending, w)
 		return
 	}
-	q.src.transmit(w)
+	nic.transmit(w)
 }
 
-// PostWrite is a convenience wrapper over Post for callers that do not need
-// the transmit-stage callback.
+// PostWrite is a convenience wrapper over Post for callers that want plain
+// funcs and do not need the transmit stage.
 func (q *QP) PostWrite(n int64, onDelivered, onCQE func()) {
-	q.Post(n, SendCallbacks{OnDeliver: onDelivered, OnCQE: onCQE})
+	q.Post(n, &funcs{deliver: onDelivered, cqe: onCQE}, 0)
 }
 
 // transmit serializes w on the NIC and schedules transmit/delivery/CQE.
@@ -246,39 +277,52 @@ func (n *NIC) transmit(w *wr) {
 	dur := time.Duration(float64(w.bytes) / goodput * float64(time.Second))
 	finish := start.Add(dur)
 	n.nextFree = finish
-	blackHole := n.wireLoss
+	w.blackHole = n.wireLoss
 
-	n.eng.At(finish, func() {
-		// Transmission finished at the sender; bytes leave the wire propLat later.
-		n.counters.BytesSent += uint64(w.bytes)
-		w.qp.bytesSent += uint64(w.bytes)
-		if w.cb.OnTransmit != nil {
-			w.cb.OnTransmit()
-		}
-	})
-	if blackHole {
+	n.eng.Schedule(finish, w, stageTransmit)
+	if w.blackHole {
 		return // data vanishes on the wire: no delivery, no CQE
 	}
-	n.eng.At(finish.Add(n.propLat), func() {
-		if w.cb.OnDeliver != nil {
-			w.cb.OnDeliver()
+	n.eng.Schedule(finish.Add(n.propLat), w, stageDeliver)
+	n.eng.Schedule(finish.Add(2*n.propLat), w, stageCQE)
+}
+
+// Fire implements sim.Handler: one stage of the transfer.
+func (w *wr) Fire(stage int32) {
+	q, done, arg := w.qp, w.done, w.arg
+	n := q.src
+	switch stage {
+	case stageTransmit:
+		// Transmission finished at the sender; bytes leave the wire propLat later.
+		n.counters.BytesSent += uint64(w.bytes)
+		q.bytesSent += uint64(w.bytes)
+		if w.blackHole {
+			n.free.Put(w)
 		}
-	})
-	n.eng.At(finish.Add(2*n.propLat), func() {
+		if done != nil {
+			done.OnTransmit(arg)
+		}
+	case stageDeliver:
+		if done != nil {
+			done.OnDeliver(arg)
+		}
+	case stageCQE:
 		n.counters.WRsCompleted++
 		n.counters.BytesAcked += uint64(w.bytes)
-		w.qp.completed++
-		if w.cb.OnCQE != nil {
-			w.cb.OnCQE()
+		q.completed++
+		n.free.Put(w)
+		if done != nil {
+			done.OnCQE(arg)
 		}
-	})
+	}
 }
 
 // Link is an abstract point-to-point transport. RDMA QPs and intra-node
 // NVLink paths both satisfy it, so the CCL can pipeline over either.
 type Link interface {
-	// Send moves n bytes, reporting the transmit/deliver/CQE stages.
-	Send(n int64, cb SendCallbacks)
+	// Send moves n bytes, reporting the transmit/deliver/CQE stages to done
+	// with arg.
+	Send(n int64, done Completion, arg int32)
 	// Describe returns trace metadata for this flow.
 	Describe() (qpID int, kind string)
 }
@@ -289,8 +333,8 @@ type qpLink struct{ qp *QP }
 // AsLink exposes the QP as a generic Link.
 func (q *QP) AsLink() Link { return qpLink{q} }
 
-func (l qpLink) Send(n int64, cb SendCallbacks) { l.qp.Post(n, cb) }
-func (l qpLink) Describe() (int, string)        { return l.qp.id, "rdma" }
+func (l qpLink) Send(n int64, done Completion, arg int32) { l.qp.Post(n, done, arg) }
+func (l qpLink) Describe() (int, string)                  { return l.qp.id, "rdma" }
 
 // NVLink is a dedicated intra-node path between two GPUs: full bandwidth per
 // pair, no NIC contention. It shares the QP fault hooks shape where relevant
@@ -302,6 +346,14 @@ type NVLink struct {
 	lat      time.Duration
 	nextFree sim.Time
 	scale    float64
+	free     sim.FreeList[nvSend]
+}
+
+// nvSend is one NVLink transfer and the receiver of its two engine events.
+type nvSend struct {
+	l    *NVLink
+	done Completion
+	arg  int32
 }
 
 // NewNVLink creates an intra-node link (default A100-class: 200 GB/s,
@@ -323,7 +375,7 @@ func (l *NVLink) SetBandwidthScale(s float64) {
 
 // Send implements Link. NVLink transfers report all three stages at the
 // completion instant (there is no separate ACK path on the fabric).
-func (l *NVLink) Send(n int64, cb SendCallbacks) {
+func (l *NVLink) Send(n int64, done Completion, arg int32) {
 	start := l.nextFree
 	if now := l.eng.Now(); start < now {
 		start = now
@@ -331,19 +383,27 @@ func (l *NVLink) Send(n int64, cb SendCallbacks) {
 	dur := time.Duration(float64(n) / (l.bw * l.scale) * float64(time.Second))
 	finish := start.Add(dur)
 	l.nextFree = finish
-	l.eng.At(finish, func() {
-		if cb.OnTransmit != nil {
-			cb.OnTransmit()
+	s := l.free.Get()
+	*s = nvSend{l: l, done: done, arg: arg}
+	l.eng.Schedule(finish, s, stageTransmit)
+	l.eng.Schedule(finish.Add(l.lat), s, stageDeliver)
+}
+
+// Fire implements sim.Handler: transmit, then delivery and completion
+// together.
+func (s *nvSend) Fire(stage int32) {
+	done, arg := s.done, s.arg
+	if stage == stageTransmit {
+		if done != nil {
+			done.OnTransmit(arg)
 		}
-	})
-	l.eng.At(finish.Add(l.lat), func() {
-		if cb.OnDeliver != nil {
-			cb.OnDeliver()
-		}
-		if cb.OnCQE != nil {
-			cb.OnCQE()
-		}
-	})
+		return
+	}
+	s.l.free.Put(s)
+	if done != nil {
+		done.OnDeliver(arg)
+		done.OnCQE(arg)
+	}
 }
 
 // Describe implements Link.

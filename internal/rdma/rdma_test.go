@@ -201,11 +201,11 @@ func TestQPAsLink(t *testing.T) {
 		t.Fatalf("Describe = (%d, %s)", id, kind)
 	}
 	var stages []string
-	l.Send(100, SendCallbacks{
-		OnTransmit: func() { stages = append(stages, "tx") },
-		OnDeliver:  func() { stages = append(stages, "deliver") },
-		OnCQE:      func() { stages = append(stages, "cqe") },
-	})
+	l.Send(100, &funcs{
+		transmit: func() { stages = append(stages, "tx") },
+		deliver:  func() { stages = append(stages, "deliver") },
+		cqe:      func() { stages = append(stages, "cqe") },
+	}, 0)
 	eng.Run()
 	want := []string{"tx", "deliver", "cqe"}
 	if len(stages) != 3 || stages[0] != want[0] || stages[1] != want[1] || stages[2] != want[2] {
@@ -220,11 +220,11 @@ func TestWireLossTransmitsButNeverCompletes(t *testing.T) {
 		t.Fatal("WireLoss() = false")
 	}
 	var tx, deliver, cqe bool
-	qp.Post(1000, SendCallbacks{
-		OnTransmit: func() { tx = true },
-		OnDeliver:  func() { deliver = true },
-		OnCQE:      func() { cqe = true },
-	})
+	qp.Post(1000, &funcs{
+		transmit: func() { tx = true },
+		deliver:  func() { deliver = true },
+		cqe:      func() { cqe = true },
+	}, 0)
 	eng.RunFor(10 * time.Second)
 	if !tx {
 		t.Fatal("transmit stage did not fire under wire loss")
@@ -247,7 +247,7 @@ func TestNVLink(t *testing.T) {
 		t.Fatalf("Describe = (%d, %s)", id, kind)
 	}
 	var done sim.Time
-	l.Send(200_000_000, SendCallbacks{OnDeliver: func() { done = eng.Now() }}) // 1ms at 200GB/s
+	l.Send(200_000_000, &funcs{deliver: func() { done = eng.Now() }}, 0) // 1ms at 200GB/s
 	eng.Run()
 	if done < sim.Time(time.Millisecond) || done > sim.Time(time.Millisecond+10*time.Microsecond) {
 		t.Fatalf("nvlink delivery at %v, want ~1ms", done)
@@ -259,8 +259,8 @@ func TestNVLinkSerializationAndScale(t *testing.T) {
 	l := NewNVLink(eng, 0, 200e9, 0)
 	l.SetBandwidthScale(0.5)
 	var times []sim.Time
-	l.Send(100_000_000, SendCallbacks{OnDeliver: func() { times = append(times, eng.Now()) }})
-	l.Send(100_000_000, SendCallbacks{OnDeliver: func() { times = append(times, eng.Now()) }})
+	l.Send(100_000_000, &funcs{deliver: func() { times = append(times, eng.Now()) }}, 0)
+	l.Send(100_000_000, &funcs{deliver: func() { times = append(times, eng.Now()) }}, 0)
 	eng.Run()
 	if len(times) != 2 {
 		t.Fatal("sends incomplete")
@@ -304,5 +304,67 @@ func TestSetDownIdempotent(t *testing.T) {
 	}
 	if qp.Completed() != 1 {
 		t.Fatalf("completed = %d, want 1 (double replay?)", qp.Completed())
+	}
+}
+
+// stageLog is a closure-free Completion: it records which stages each arg saw.
+type stageLog struct {
+	seen  map[int32]string
+	onCQE func(arg int32)
+}
+
+func (l *stageLog) OnTransmit(arg int32) { l.seen[arg] += "t" }
+func (l *stageLog) OnDeliver(arg int32)  { l.seen[arg] += "d" }
+func (l *stageLog) OnCQE(arg int32) {
+	l.seen[arg] += "c"
+	if l.onCQE != nil {
+		l.onCQE(arg)
+	}
+}
+
+// TestWRRecyclingKeepsIdentity: a recycled WR never leaks one transfer's
+// receiver or argument into another — not when its completion posts the next
+// write at once, and not when a black-holed or parked WR sits beside it.
+func TestWRRecyclingKeepsIdentity(t *testing.T) {
+	eng, a, _, qp := pair(t)
+	log := &stageLog{seen: map[int32]string{}}
+	log.onCQE = func(arg int32) {
+		if arg < 10 {
+			qp.Post(1000, log, arg+10) // reuses the WR that just completed
+		}
+	}
+	for i := int32(0); i < 10; i++ {
+		qp.Post(1000, log, i)
+	}
+	a.SetWireLoss(true)
+	qp.Post(1000, log, 100) // transmits, then vanishes
+	a.SetWireLoss(false)
+	qp.Post(1000, log, 101)
+	eng.Run()
+	a.SetDown(true)
+	qp.Post(1000, log, 102) // parked until the NIC recovers
+	eng.RunFor(time.Second)
+	if log.seen[102] != "" {
+		t.Fatalf("WR on a down NIC progressed: %q", log.seen[102])
+	}
+	a.SetDown(false)
+	qp.Post(1000, log, 103)
+	eng.Run()
+
+	for arg := int32(0); arg < 20; arg++ {
+		if log.seen[arg] != "tdc" {
+			t.Errorf("transfer %d saw stages %q, want tdc", arg, log.seen[arg])
+		}
+	}
+	for arg, want := range map[int32]string{100: "t", 101: "tdc", 102: "tdc", 103: "tdc"} {
+		if log.seen[arg] != want {
+			t.Errorf("transfer %d saw stages %q, want %q", arg, log.seen[arg], want)
+		}
+	}
+	if c := a.Counters(); c.WRsPosted != 24 || c.WRsCompleted != 23 {
+		t.Errorf("counters = %+v, want 24 posted, 23 completed", c)
+	}
+	if len(a.free) > 12 {
+		t.Errorf("free list holds %d WRs for at most 12 in flight", len(a.free))
 	}
 }

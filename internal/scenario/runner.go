@@ -52,6 +52,9 @@ type JobResult struct {
 	reports      []core.Report
 	remediations []remedy.Attempt
 	channels     mycroft.ChannelStatsResult
+	// dispatched is the hosting engine's event count at the horizon (shared
+	// by every member of a shared-engine fleet).
+	dispatched uint64
 }
 
 // channelInfo finds one channel's counters in the job's stats.
@@ -502,6 +505,7 @@ func collect(js jobSpec, idx int, svc *mycroft.Service, h *mycroft.JobHandle, pl
 		Index: idx, JobID: string(h.ID), Template: js.Template, Topo: js.Topo, CommHeavy: js.CommHeavy,
 		WorldSize: h.WorldSize(), Iterations: h.Job.IterationsDone(), Records: h.RecordsIngested(),
 		injected: plan, triggers: h.Triggers(), reports: h.Reports(), remediations: h.RemediationLog(),
+		dispatched: svc.Eng.Dispatched(),
 	}
 	if stats, err := svc.ChannelStats(h.ID); err == nil {
 		jr.channels = stats

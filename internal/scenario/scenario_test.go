@@ -1,9 +1,14 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -19,21 +24,33 @@ import (
 // TestBuiltinsPass runs every shipped scenario at its default seed and
 // checks (a) its own assertions pass and (b) for every injected fault, some
 // verdict's category is one the fault's expectation accepts — the library
-// is the regression suite for the whole detection pipeline.
+// is the regression suite for the whole detection pipeline. The same run
+// (c) is recorded, and each job's artifact digest, record count and engine
+// event count must equal testdata/artifact_digests.golden.json: the artifact
+// has no wall-clock field, so it is a pure function of the seed and pins
+// every batch boundary, evaluation instant and event of the substrate.
 func TestBuiltinsPass(t *testing.T) {
 	builtins := Builtins()
 	if len(builtins) < 12 {
 		t.Fatalf("library has %d scenarios, want >= 12", len(builtins))
 	}
+	golden := readArtifactDigests(t)
+	if len(golden) != len(builtins) {
+		t.Errorf("golden pins %d builtins, library has %d", len(golden), len(builtins))
+	}
 	for _, spec := range builtins {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := Run(spec, 0)
+			dir := t.TempDir()
+			res, err := RunWith(spec, 0, RunOptions{RecordDir: dir})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			if !res.Pass {
 				t.Fatalf("scenario failed:\n%s", res.Render())
+			}
+			if got, want := artifactDigests(t, dir, res), golden[spec.Name]; !reflect.DeepEqual(got, want) {
+				t.Errorf("artifact digests differ from the golden:\n got %+v\nwant %+v", got, want)
 			}
 			for _, j := range res.Jobs {
 				for _, inj := range j.injected {
@@ -56,6 +73,44 @@ func TestBuiltinsPass(t *testing.T) {
 			}
 		})
 	}
+}
+
+// artifactDigest pins one recorded job.
+type artifactDigest struct {
+	SHA256     string `json:"sha256"`
+	Records    uint64 `json:"records"`
+	Dispatched uint64 `json:"dispatched"`
+}
+
+const artifactDigestsGolden = "testdata/artifact_digests.golden.json"
+
+// readArtifactDigests loads builtin → job → digest.
+func readArtifactDigests(t *testing.T) map[string]map[string]artifactDigest {
+	t.Helper()
+	raw, err := os.ReadFile(artifactDigestsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]map[string]artifactDigest
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("%s: %v", artifactDigestsGolden, err)
+	}
+	return out
+}
+
+// artifactDigests digests the artifacts a recorded run left in dir.
+func artifactDigests(t *testing.T, dir string, res *Result) map[string]artifactDigest {
+	t.Helper()
+	out := make(map[string]artifactDigest, len(res.Jobs))
+	for _, j := range res.Jobs {
+		raw, err := os.ReadFile(filepath.Join(dir, j.JobID+".mycrec"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		out[j.JobID] = artifactDigest{SHA256: hex.EncodeToString(sum[:]), Records: j.Records, Dispatched: j.dispatched}
+	}
+	return out
 }
 
 // TestBuiltinsCoverAllKinds: the library exercises the full fault catalog.

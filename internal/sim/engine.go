@@ -2,13 +2,17 @@
 //
 // Every substrate in this repository (RDMA NICs, GPUs, the collective
 // communication library, the trace pipeline and the Mycroft backend itself)
-// is an entity on a single Engine. Events are closures ordered by virtual
+// is an entity on a single Engine. An event is a receiver (Handler) plus a
+// small integer argument, held by value in one min-heap ordered by virtual
 // time with FIFO tie-breaking, so a run is fully deterministic for a given
-// seed. Virtual time is measured in nanoseconds from the start of the run.
+// seed and scheduling or dispatching an event allocates nothing. At and After
+// schedule a plain func as the receiver; hot paths implement Handler on a
+// long-lived object and pass a chunk index or stage as the argument instead
+// of building a closure per event. Virtual time is measured in nanoseconds
+// from the start of the run.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -36,38 +40,60 @@ func (t Time) String() string {
 // Infinity is a time later than any event a run will schedule.
 const Infinity = Time(1<<63 - 1)
 
+// Handler receives a scheduled event. arg is the small integer the scheduler
+// passed to Schedule — a chunk index, a stage, a slot — so one long-lived
+// receiver serves many events without a closure per event.
+type Handler interface {
+	Fire(arg int32)
+}
+
+// Func adapts a plain func to Handler; it ignores the argument. A func value
+// is pointer-shaped, so the conversion to Handler allocates nothing.
+type Func func()
+
+// Fire implements Handler.
+func (f Func) Fire(int32) { f() }
+
+// event is one queue entry, held by value: scheduling boxes nothing.
 type event struct {
 	at  Time
 	seq uint64 // FIFO tie-break for equal times
-	fn  func()
+	h   Handler
+	arg int32
 }
 
-type eventHeap []*event
+// before is the queue order: time, then scheduling order. seq is unique, so
+// the order is total and the dispatch sequence does not depend on heap shape.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// FreeList recycles the per-event objects of one device (work requests, copy
+// requests): Get hands out a recycled object or a new one, Put takes one back
+// once its last scheduled event has fired. The engine is single-threaded, so
+// a plain slice will do.
+type FreeList[T any] []*T
+
+// Get returns a recycled object, or a new zero one. A recycled object still
+// holds its previous contents; the caller overwrites it.
+func (f *FreeList[T]) Get() *T {
+	if k := len(*f); k > 0 {
+		x := (*f)[k-1]
+		*f = (*f)[:k-1]
+		return x
 	}
-	return h[i].seq < h[j].seq
+	return new(T)
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
+
+// Put recycles x. Nothing scheduled may still refer to it.
+func (f *FreeList[T]) Put(x *T) { *f = append(*f, x) }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all simulated concurrency is expressed as events.
 type Engine struct {
 	now        Time
 	seq        uint64
-	events     eventHeap
+	events     []event // binary min-heap by (at, seq)
 	rng        *rand.Rand
 	dispatched uint64
 }
@@ -92,22 +118,70 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // Pending reports how many events are scheduled but not yet dispatched.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// At schedules fn to run at time t. Scheduling in the past panics: it is
-// always a logic error in a discrete-event model.
-func (e *Engine) At(t Time, fn func()) {
+// Schedule arranges for h.Fire(arg) to run at time t. Scheduling in the past
+// panics: it is always a logic error in a discrete-event model.
+func (e *Engine) Schedule(t Time, h Handler, arg int32) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, h: h, arg: arg}
+	q := append(e.events, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+	e.events = q
 }
 
-// After schedules fn to run d after the current time. Negative d panics.
-func (e *Engine) After(d Duration, fn func()) {
+// ScheduleAfter is Schedule at d after the current time. Negative d panics.
+func (e *Engine) ScheduleAfter(d Duration, h Handler, arg int32) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.At(e.now.Add(d), fn)
+	e.Schedule(e.now.Add(d), h, arg)
+}
+
+// At schedules fn to run at time t; see Schedule.
+func (e *Engine) At(t Time, fn func()) { e.Schedule(t, Func(fn), 0) }
+
+// After schedules fn to run d after the current time; see ScheduleAfter.
+func (e *Engine) After(d Duration, fn func()) { e.ScheduleAfter(d, Func(fn), 0) }
+
+// pop removes and returns the earliest event. The queue must not be empty.
+func (e *Engine) pop() event {
+	q := e.events
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the handler reference the vacated slot holds
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	e.events = q
+	return top
 }
 
 // Step dispatches the single earliest pending event. It reports false when no
@@ -116,10 +190,10 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.pop()
 	e.now = ev.at
 	e.dispatched++
-	ev.fn()
+	ev.h.Fire(ev.arg)
 	return true
 }
 
@@ -143,7 +217,9 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the simulation by d. See RunUntil.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Ticker invokes a callback periodically until cancelled.
+// Ticker invokes a callback periodically until cancelled. It is its own
+// event: each tick re-schedules the same receiver, so ticking allocates
+// nothing.
 type Ticker struct {
 	eng     *Engine
 	period  Duration
@@ -158,20 +234,21 @@ func (e *Engine) NewTicker(period Duration, fn func(Time)) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
 	}
 	t := &Ticker{eng: e, period: period, fn: fn}
-	t.arm()
+	e.ScheduleAfter(period, t, 0)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.eng.After(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn(t.eng.Now())
-		if !t.stopped {
-			t.arm()
-		}
-	})
+// Fire implements Handler: one tick. The next tick is scheduled after the
+// callback returns, so an event the callback schedules for that same instant
+// runs before it.
+func (t *Ticker) Fire(int32) {
+	if t.stopped {
+		return
+	}
+	t.fn(t.eng.now)
+	if !t.stopped {
+		t.eng.ScheduleAfter(t.period, t, 0)
+	}
 }
 
 // Stop cancels the ticker. It is safe to call from within the tick callback

@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -194,25 +194,150 @@ func TestDispatchedCount(t *testing.T) {
 	}
 }
 
-// Property: for any set of non-negative offsets, events fire in sorted order
-// and the clock is monotone.
+// recorder is a closure-free receiver: it appends the argument it fires with.
+type recorder struct{ fired []int32 }
+
+func (r *recorder) Fire(arg int32) { r.fired = append(r.fired, arg) }
+
+// Property: the queue dispatches exactly what a stable sort by time of the
+// scheduling order would — 10⁵ events over 10³ instants, so ties are the
+// common case — and stays exact when pops and pushes interleave.
 func TestEventOrderProperty(t *testing.T) {
-	f := func(offsets []uint16) bool {
-		e := NewEngine(7)
-		var fired []Time
-		for _, off := range offsets {
-			e.At(Time(off), func() { fired = append(fired, e.Now()) })
+	const n = 100_000
+	e := NewEngine(7)
+	rng := e.Rand()
+	var rec recorder
+	at := make([]Time, n)
+	want := make([]int32, n)
+	for i := range at {
+		at[i] = Time(rng.Intn(1000))
+		want[i] = int32(i)
+		e.Schedule(at[i], &rec, int32(i))
+	}
+	sort.SliceStable(want, func(a, b int) bool { return at[want[a]] < at[want[b]] })
+	e.Run()
+	if len(rec.fired) != n {
+		t.Fatalf("fired %d of %d events", len(rec.fired), n)
+	}
+	for i := range want {
+		if rec.fired[i] != want[i] {
+			t.Fatalf("dispatch %d was event %d (t=%v), reference says %d (t=%v)",
+				i, rec.fired[i], at[rec.fired[i]], want[i], at[want[i]])
 		}
-		e.Run()
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
+	}
+
+	// Interleaved: every event schedules a successor while the queue drains.
+	// The reference keeps the pending set in a slice and scans for the
+	// minimum (time, scheduling order).
+	type pending struct {
+		at  Time
+		seq int
+	}
+	const m = 3000
+	delays := make([]Duration, m)
+	for i := range delays {
+		delays[i] = Duration(rng.Intn(20))
+	}
+	var ref []pending
+	var wantSeq []int
+	next := 0
+	push := func(now Time) {
+		if next < m {
+			ref = append(ref, pending{now.Add(delays[next]), next})
+			next++
+		}
+	}
+	for i := 0; i < 50; i++ {
+		push(0)
+	}
+	for len(ref) > 0 {
+		best := 0
+		for i, p := range ref {
+			if p.at < ref[best].at || (p.at == ref[best].at && p.seq < ref[best].seq) {
+				best = i
 			}
 		}
-		return len(fired) == len(offsets)
+		p := ref[best]
+		ref = append(ref[:best], ref[best+1:]...)
+		wantSeq = append(wantSeq, p.seq)
+		push(p.at)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+
+	e = NewEngine(7)
+	var gotSeq []int
+	next = 0
+	var spawn func()
+	spawn = func() {
+		if next < m {
+			id := next
+			next++
+			e.After(delays[id], func() {
+				gotSeq = append(gotSeq, id)
+				spawn()
+			})
+		}
+	}
+	for i := 0; i < 50; i++ {
+		spawn()
+	}
+	e.Run()
+	if len(gotSeq) != len(wantSeq) {
+		t.Fatalf("interleaved run fired %d events, reference %d", len(gotSeq), len(wantSeq))
+	}
+	for i := range wantSeq {
+		if gotSeq[i] != wantSeq[i] {
+			t.Fatalf("interleaved dispatch %d was event %d, reference says %d", i, gotSeq[i], wantSeq[i])
+		}
+	}
+}
+
+// TestTickerSeqAfterCallback: a tick takes its place in the queue after its
+// callback returns, so an event the callback schedules for the next tick's
+// instant runs before that tick.
+func TestTickerSeqAfterCallback(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	e.NewTicker(10, func(now Time) {
+		order = append(order, "tick")
+		if now == 10 {
+			e.At(20, func() { order = append(order, "scheduled-by-tick") })
+		}
+	})
+	e.RunUntil(20)
+	want := []string{"tick", "scheduled-by-tick", "tick"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestSteadyStateAllocatesNothing is the substrate's allocation gate: a
+// ticker tick and a closure-free schedule+dispatch cost no mallocs.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	ticks := 0
+	e.NewTicker(time.Millisecond, func(Time) { ticks++ })
+	e.Step() // the queue's backing array exists from here on
+	if got := testing.AllocsPerRun(1000, func() { e.Step() }); got != 0 {
+		t.Errorf("ticker tick: %v allocs, want 0", got)
+	}
+	if ticks < 1000 {
+		t.Fatalf("ticker ticked %d times", ticks)
+	}
+
+	e = NewEngine(1)
+	rec := &recorder{fired: make([]int32, 0, 2048)}
+	e.Schedule(0, rec, 0)
+	e.Step()
+	if got := testing.AllocsPerRun(1000, func() {
+		e.ScheduleAfter(time.Microsecond, rec, 1)
+		e.Step()
+	}); got != 0 {
+		t.Errorf("closure-free schedule+dispatch: %v allocs, want 0", got)
 	}
 }
 
@@ -226,5 +351,52 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if tm.String() != "1.5s" {
 		t.Fatalf("String() = %q, want 1.5s", tm.String())
+	}
+}
+
+// BenchmarkEngineTickers: 512 tickers at 50 ms — the per-host drain loops of
+// a 512-rank job — one op per tick.
+func BenchmarkEngineTickers(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	ticks := 0
+	for i := 0; i < 512; i++ {
+		e.NewTicker(50*time.Millisecond, func(Time) { ticks++ })
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	if ticks != b.N {
+		b.Fatalf("%d ticks in %d steps", ticks, b.N)
+	}
+}
+
+// churner reschedules itself at a pseudo-random delay each time it fires.
+type churner struct {
+	eng   *Engine
+	fired int
+}
+
+func (c *churner) Fire(arg int32) {
+	c.fired++
+	c.eng.ScheduleAfter(Duration(1+(uint32(arg)*2654435761)>>20), c, arg+1)
+}
+
+// BenchmarkEngineChurn: ~3 k pending self-rescheduling events, the queue
+// depth of a 512-rank job — one op per pop+push.
+func BenchmarkEngineChurn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	c := &churner{eng: e}
+	for i := 0; i < 3000; i++ {
+		e.Schedule(Time(i), c, int32(i))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	if c.fired != b.N {
+		b.Fatalf("%d events in %d steps", c.fired, b.N)
 	}
 }

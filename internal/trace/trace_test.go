@@ -220,27 +220,107 @@ func TestRingInvalidCapacity(t *testing.T) {
 	NewRing(0)
 }
 
-// Property: drains never duplicate or reorder records.
-func TestRingNoDuplicationProperty(t *testing.T) {
-	f := func(batches []uint8) bool {
-		rb := NewRing(32)
-		rd := rb.NewReader()
-		next := uint64(0)
-		expect := uint64(0)
-		for _, n := range batches {
-			for i := 0; i < int(n%16); i++ {
-				r := Record{OpSeq: next}
-				next++
-				rb.Emit(r)
-			}
-			for _, rec := range rd.Drain() {
-				if rec.OpSeq < expect {
-					return false // duplicate or reorder
-				}
-				expect = rec.OpSeq + 1
+// TestRingHoldsOccupancyNotBudget: the backing store follows what a
+// registered reader has left undrained, never the budget, and growing it
+// changes nothing a reader sees or loses.
+func TestRingHoldsOccupancyNotBudget(t *testing.T) {
+	const capacity = 1000 // not a power of two: growth must land on it exactly
+	rb := NewRing(capacity)
+	initial := len(rb.slots)
+	if initial >= capacity {
+		t.Fatalf("ring of %d starts with %d slots", capacity, initial)
+	}
+
+	// A reader that keeps up: 10⁶ emits, drained every 50, never grow it.
+	rd := rb.NewReader()
+	var buf []Record
+	for i := 0; i < 1_000_000; i++ {
+		rb.Emit(Record{OpSeq: uint64(i)})
+		if i%50 == 49 {
+			buf = rd.DrainInto(buf[:0])
+			if len(buf) != 50 || buf[0].OpSeq != uint64(i-49) || buf[49].OpSeq != uint64(i) {
+				t.Fatalf("drain at %d returned %d records from %d", i, len(buf), buf[0].OpSeq)
 			}
 		}
-		return true
+	}
+	if len(rb.slots) != initial || rd.Lost() != 0 {
+		t.Fatalf("kept-up ring has %d slots (started with %d), lost %d", len(rb.slots), initial, rd.Lost())
+	}
+
+	// A stalled reader grows it to exactly Capacity; from there the writer
+	// laps it and Lost counts as with a preallocated ring.
+	base := rb.Written()
+	for i := 0; i < capacity; i++ {
+		rb.Emit(Record{OpSeq: base + uint64(i)})
+	}
+	if len(rb.slots) != capacity {
+		t.Fatalf("stalled reader grew the ring to %d slots, want %d", len(rb.slots), capacity)
+	}
+	for i := capacity; i < capacity+6; i++ {
+		rb.Emit(Record{OpSeq: base + uint64(i)})
+	}
+	recs := rd.Drain()
+	if len(recs) != capacity || len(rb.slots) != capacity {
+		t.Fatalf("drained %d records from %d slots, want %d", len(recs), len(rb.slots), capacity)
+	}
+	if rd.Lost() != 6 {
+		t.Fatalf("lost = %d, want 6", rd.Lost())
+	}
+	for i, r := range recs {
+		if r.OpSeq != base+6+uint64(i) {
+			t.Fatalf("record %d is %d, want %d", i, r.OpSeq, base+6+uint64(i))
+		}
+	}
+
+	// With no reader registered nothing is owed to anyone: the ring stays
+	// small and a late reader sees only what follows it.
+	quiet := NewRing(capacity)
+	for i := 0; i < 3*capacity; i++ {
+		quiet.Emit(Record{OpSeq: uint64(i)})
+	}
+	if len(quiet.slots) != initial {
+		t.Fatalf("readerless ring grew to %d slots", len(quiet.slots))
+	}
+	late := quiet.NewReader()
+	quiet.Emit(Record{OpSeq: 7})
+	if recs := late.Drain(); len(recs) != 1 || recs[0].OpSeq != 7 {
+		t.Fatalf("late reader drained %v", recs)
+	}
+}
+
+// Property: drains never lose, duplicate or reorder records while no reader
+// falls a whole ring behind — for two readers at different cursors, across
+// growth of the backing store.
+func TestRingNoDuplicationProperty(t *testing.T) {
+	f := func(batches []uint8) bool {
+		rb := NewRing(2 * ringInitialSlots)
+		eager, lazy := rb.NewReader(), rb.NewReader()
+		var next, eagerNext, lazyNext uint64
+		check := func(rd *Reader, expect *uint64) bool {
+			for _, rec := range rd.Drain() {
+				if rec.OpSeq != *expect {
+					return false // lost, duplicate or reorder
+				}
+				*expect++
+			}
+			return true
+		}
+		for i, n := range batches {
+			for k := 0; k < int(n); k++ {
+				rb.Emit(Record{OpSeq: next})
+				next++
+			}
+			if !check(eager, &eagerNext) {
+				return false
+			}
+			// Two batches of at most 255 stay inside the 512-slot budget
+			// but outgrow the initial store.
+			if i%2 == 1 && !check(lazy, &lazyNext) {
+				return false
+			}
+		}
+		return check(eager, &eagerNext) && check(lazy, &lazyNext) &&
+			eagerNext == next && lazyNext == next && eager.Lost() == 0 && lazy.Lost() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

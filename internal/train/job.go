@@ -154,10 +154,34 @@ type Job struct {
 type commState struct {
 	comm      *ccl.Communicator
 	submitted int
-	ops       []*ccl.Op
-	specs     []ccl.OpSpec
-	waiters   []map[topo.Rank]func() // per op: rank continuations
-	onOpDone  func(*ccl.Op, sim.Time)
+	// pending is the window of submitted ops some rank has yet to finish
+	// with: op number n lives at pending[n-base]. An op leaves the front
+	// once every rank has arrived at it and every continuation has run, so
+	// a long-running job holds its in-flight ops, not its history.
+	pending  []*pendingOp
+	base     int
+	onOpDone func(*ccl.Op, sim.Time)
+}
+
+// pendingOp is the await protocol's state for one submitted op.
+type pendingOp struct {
+	skip    map[topo.Rank]bool // ranks that silently skip the op
+	waiters map[topo.Rank]func()
+	arrived int // ranks whose script has reached the op
+}
+
+// release drops fully-served ops from the front of the window.
+func (cs *commState) release() {
+	for len(cs.pending) > 0 {
+		p := cs.pending[0]
+		if p.arrived < cs.comm.Size() || len(p.waiters) > 0 {
+			return
+		}
+		last := copy(cs.pending, cs.pending[1:]) // the window is a handful of ops
+		cs.pending[last] = nil
+		cs.pending = cs.pending[:last]
+		cs.base++
+	}
 }
 
 // rankDriver runs one rank's iteration script.

@@ -29,13 +29,13 @@ func (rd *rankDriver) await(cs *commState, mkSpec func() ccl.OpSpec, cont func()
 
 	if cs.submitted == idx {
 		spec := mkSpec()
-		waiters := make(map[topo.Rank]func())
-		cs.waiters = append(cs.waiters, waiters)
-		cs.specs = append(cs.specs, spec)
+		p := &pendingOp{skip: spec.Skip, waiters: make(map[topo.Rank]func())}
+		cs.pending = append(cs.pending, p)
 		spec.OnRankDone = func(r topo.Rank, _ sim.Time) {
 			cs.comm.Hold(r)
-			if f := waiters[r]; f != nil {
-				delete(waiters, r)
+			if f := p.waiters[r]; f != nil {
+				delete(p.waiters, r)
+				cs.release()
 				f()
 			}
 		}
@@ -46,21 +46,23 @@ func (rd *rankDriver) await(cs *commState, mkSpec func() ccl.OpSpec, cont func()
 				cs.onOpDone(holder.op, t)
 			}
 		})
-		cs.ops = append(cs.ops, holder.op)
 		cs.submitted++
 	} else if cs.submitted < idx {
 		panic("train: await ordering violated")
 	}
 
-	if cs.specs[idx].Skip[rd.rank] {
+	p := cs.pending[idx-cs.base]
+	p.arrived++
+	if p.skip[rd.rank] {
 		// Synchronization bug: this rank silently skips the collective and
 		// moves on. Release so the FIFO can pass over the skipped op.
+		cs.release()
 		cs.comm.Release(rd.rank)
 		cs.comm.Hold(rd.rank)
 		rd.job.Eng.At(rd.job.Eng.Now(), cont)
 		return
 	}
-	cs.waiters[idx][rd.rank] = cont
+	p.waiters[rd.rank] = cont
 	rd.job.PyStack.Set(rd.rank, pystack.FrameCollWait)
 	cs.comm.Release(rd.rank)
 }

@@ -274,6 +274,59 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestCompletedOpsReleased: a communicator and its await state hold the ops
+// in flight, not every op the job ever ran — and releasing them changes
+// nothing the job computes. The expected values are the parent commit's (which
+// kept every op) for the same seed and config.
+func TestCompletedOpsReleased(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := smallCfg()
+	cfg.Topo = topo.Config{Nodes: 2, GPUsPerNode: 8, TP: 2, PP: 2, DP: 4}
+	j := MustNew(eng, cfg)
+	j.Start()
+	states := map[*commState]bool{}
+	for _, rd := range j.ranks {
+		states[rd.tp], states[rd.pp], states[rd.dp] = true, true, true
+	}
+	// retained is the most ops, await entries and continuations any one
+	// communicator held at a step boundary so far.
+	var retained int
+	observe := func() {
+		for cs := range states {
+			waiters := 0
+			for _, p := range cs.pending {
+				waiters += len(p.waiters)
+			}
+			retained = max(retained, cs.comm.Pending(), len(cs.pending), waiters)
+		}
+	}
+	var at10 int
+	for j.IterationsDone() < 40 {
+		eng.RunFor(100 * time.Millisecond)
+		observe()
+		if at10 == 0 && j.IterationsDone() >= 10 {
+			at10 = retained
+		}
+	}
+	// A rank's script awaits one op at a time, so a communicator holds the op
+	// in flight, perhaps the next one a faster rank submitted, and at most a
+	// continuation per member (the DP groups have four).
+	if retained > 4 {
+		t.Errorf("a communicator retained %d ops/continuations, want a handful", retained)
+	}
+	if retained != at10 {
+		t.Errorf("retention grew with iterations: %d after 10, %d after 40", at10, retained)
+	}
+	if now := eng.Now(); now != sim.Time(24500*time.Millisecond) {
+		t.Errorf("40 iterations took %v, want 24.5s", now)
+	}
+	bw, _ := j.DPBusBandwidth()
+	if n, recs := j.IterationsDone(), j.DB.Ingested(); n != 40 || bw != 8.727818525652646e+10 || recs != 8280 || eng.Dispatched() != 105738 {
+		t.Errorf("iterations=%d bus bandwidth=%v records=%d events=%d, want 40, 8.727818525652646e+10, 8280, 105738",
+			n, bw, recs, eng.Dispatched())
+	}
+}
+
 func TestBadTopoRejected(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Topo.TP = 3
