@@ -7,6 +7,21 @@
 // predicate/pagination query layer (see query.go), a retention horizon (the
 // production system keeps one day), and volume accounting so the data-volume
 // experiment (E6) can extrapolate to cluster scale.
+//
+// # Layout
+//
+// At fleet size the store, not the simulator, is what fills the heap, so a
+// rank's records are not kept as trace.Records. Each rank has a log of
+// fixed-length segments of 88-byte slots (seglog.go): a slot is a record
+// without its Rank and IP — the same on every record of a rank, and IP the
+// record's only pointer — so a segment is pointer-free memory the collector
+// never scans, sized to fill one of the allocator's size classes. Ingest
+// writes one slot and allocates only when a rank's last segment is full;
+// nothing stored is ever copied, cleared or regrown. Retention releases whole
+// segments as the horizon passes them, and all of a rank's once it has no
+// live record. Readers binary-search and walk the slots in place, test their
+// time, communicator and kind predicates there, and rebuild a trace.Record
+// only for what they return.
 package clouddb
 
 import (
@@ -30,11 +45,18 @@ const DefaultShards = 8
 const maxShards = 64
 
 // rankSeries holds one rank's records in emission order plus the per-rank
-// facts Ingest would otherwise re-derive per record (reporting IP, the set
-// of communicators already indexed).
+// facts Ingest would otherwise re-derive per record (the set of communicators
+// already indexed) and the two record fields that are the same on every
+// record of a rank, which the stored slots therefore leave out: the rank and
+// the IP it reports from. ip is the first-seen IP — what IPOf and the shard's
+// IP index answer with; a record that arrives with a different one (a rank
+// re-homed to another host mid-run) gets an entry in ips and its slot an
+// index into it, so every read returns exactly the record that was ingested.
 type rankSeries struct {
+	rank  topo.Rank
 	ip    topo.IP
-	recs  []trace.Record
+	ips   []topo.IP // IPs other than ip this rank has reported from, in order seen
+	log   recLog
 	comms map[uint64]bool
 }
 
@@ -115,7 +137,7 @@ func (db *DB) seriesFor(r topo.Rank, ip topo.IP) (int, *shard, *rankSeries) {
 	sh := db.shards[idx]
 	s := sh.byRank[r]
 	if s == nil {
-		s = &rankSeries{ip: ip, comms: make(map[uint64]bool)}
+		s = &rankSeries{rank: r, ip: ip, comms: make(map[uint64]bool)}
 		sh.byRank[r] = s
 		sh.ipRanks[ip] = append(sh.ipRanks[ip], r)
 	}
@@ -146,10 +168,10 @@ func (db *DB) Ingest(batch []trace.Record) {
 			last = r.Rank
 			touched |= 1 << uint(idx)
 		}
-		if n := len(series.recs); n > 0 && series.recs[n-1].Time > r.Time {
-			panic(fmt.Sprintf("clouddb: out-of-order ingest for rank %d: %v after %v", r.Rank, r.Time, series.recs[n-1].Time))
+		if newest := series.log.newest; newest != nil && newest.time > r.Time {
+			panic(fmt.Sprintf("clouddb: out-of-order ingest for rank %d: %v after %v", r.Rank, r.Time, newest.time))
 		}
-		series.recs = append(series.recs, *r)
+		series.store(series.log.push(), r)
 		if !series.comms[r.CommID] {
 			series.comms[r.CommID] = true
 			cr := sh.commRanks[r.CommID]
@@ -201,8 +223,9 @@ func (db *DB) AddIngestObserver(fn func([]trace.Record)) (remove func()) {
 // invariant the store guarantees, and Replay preserves it.
 func (db *DB) Replay(fn func(trace.Record)) {
 	for _, r := range db.Ranks() {
-		for _, rec := range db.series(r).recs {
-			fn(rec)
+		s := db.series(r)
+		for i := 0; i < s.log.n; i++ {
+			fn(s.record(s.log.at(i)))
 		}
 	}
 }
@@ -218,15 +241,16 @@ func (db *DB) Replay(fn func(trace.Record)) {
 func (db *DB) Export(from, to sim.Time, fn func(trace.Record) bool) uint64 {
 	ranks := db.Ranks()
 	type cursor struct {
-		recs []trace.Record
-		i    int
+		s     *rankSeries
+		i, hi int
+		next  *slot // slot i, nil once the cursor is spent
 	}
 	cursors := make([]cursor, 0, len(ranks))
 	for _, r := range ranks {
 		s := db.series(r)
-		lo, hi := window(s.recs, from, to)
+		lo, hi := s.log.window(from, to)
 		if lo < hi {
-			cursors = append(cursors, cursor{recs: s.recs[lo:hi]})
+			cursors = append(cursors, cursor{s: s, i: lo, hi: hi, next: s.log.at(lo)})
 		}
 	}
 	var visited uint64
@@ -234,17 +258,12 @@ func (db *DB) Export(from, to sim.Time, fn func(trace.Record) bool) uint64 {
 		best := -1
 		for i := range cursors {
 			c := &cursors[i]
-			if c.i >= len(c.recs) {
+			if c.next == nil {
 				continue
 			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := &cursors[best]
-			// Cursors are rank-ascending, so strict Time comparison alone
+			// Cursors are rank-ascending, so strict time comparison alone
 			// gives the (Time, Rank) order: ties keep the earlier cursor.
-			if c.recs[c.i].Time < b.recs[b.i].Time {
+			if best < 0 || c.next.time < cursors[best].next.time {
 				best = i
 			}
 		}
@@ -252,8 +271,12 @@ func (db *DB) Export(from, to sim.Time, fn func(trace.Record) bool) uint64 {
 			return visited
 		}
 		c := &cursors[best]
-		rec := c.recs[c.i]
-		c.i++
+		rec := c.s.record(c.next)
+		if c.i++; c.i < c.hi {
+			c.next = c.s.log.at(c.i)
+		} else {
+			c.next = nil
+		}
 		visited++
 		if !fn(rec) {
 			return visited
@@ -262,7 +285,8 @@ func (db *DB) Export(from, to sim.Time, fn func(trace.Record) bool) uint64 {
 }
 
 // prune drops records older than the retention horizon from the touched
-// shards.
+// shards. A series gives back every segment the cut has passed, and all of
+// them once it has no live record left.
 func (db *DB) prune(touched uint64) {
 	if db.retention == 0 {
 		return
@@ -277,11 +301,10 @@ func (db *DB) prune(touched uint64) {
 			continue
 		}
 		for _, s := range sh.byRank {
-			i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].Time >= cut })
-			if i > 0 {
+			if i := s.log.firstFrom(cut); i > 0 {
 				sh.pruned += uint64(i)
 				dropped += uint64(i)
-				s.recs = s.recs[i:]
+				s.log.dropFront(i)
 			}
 		}
 	}
@@ -338,7 +361,7 @@ func (db *DB) Stats() Stats {
 	for i, sh := range db.shards {
 		ss := ShardStats{Ranks: len(sh.byRank), Ingested: sh.ingested, Pruned: sh.pruned}
 		for _, s := range sh.byRank {
-			ss.Records += len(s.recs)
+			ss.Records += s.log.n
 		}
 		st.Shards[i] = ss
 		st.Ranks += ss.Ranks
@@ -411,18 +434,7 @@ func (db *DB) QueryRank(r topo.Rank, from, to sim.Time) []trace.Record {
 	if s == nil {
 		return nil
 	}
-	lo, hi := window(s.recs, from, to)
-	if lo >= hi {
-		return nil
-	}
-	return append([]trace.Record(nil), s.recs[lo:hi]...)
-}
-
-// window returns the half-open index range of records with Time in (from, to].
-func window(rs []trace.Record, from, to sim.Time) (lo, hi int) {
-	lo = sort.Search(len(rs), func(i int) bool { return rs[i].Time > from })
-	hi = sort.Search(len(rs), func(i int) bool { return rs[i].Time > to })
-	return lo, hi
+	return s.records(s.log.window(from, to))
 }
 
 // QueryGroup returns, per member rank of the communicator, the records in
@@ -430,13 +442,15 @@ func window(rs []trace.Record, from, to sim.Time) (lo, hi int) {
 func (db *DB) QueryGroup(commID uint64, from, to sim.Time) map[topo.Rank][]trace.Record {
 	out := make(map[topo.Rank][]trace.Record)
 	for _, r := range db.RanksOfComm(commID) {
-		var recs []trace.Record
-		for _, rec := range db.QueryRank(r, from, to) {
-			if rec.CommID == commID {
-				recs = append(recs, rec)
+		s := db.series(r)
+		var members []trace.Record // stays nil for a member silent in the window
+		lo, hi := s.log.window(from, to)
+		for i := lo; i < hi; i++ {
+			if sl := s.log.at(i); sl.commID == commID {
+				members = s.appendTo(members, sl)
 			}
 		}
-		out[r] = recs
+		out[r] = members
 	}
 	return out
 }
@@ -448,10 +462,9 @@ func (db *DB) LastRecord(r topo.Rank, commID uint64, t sim.Time) (trace.Record, 
 	if s == nil {
 		return trace.Record{}, false
 	}
-	i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].Time > t })
-	for i--; i >= 0; i-- {
-		if commID == 0 || s.recs[i].CommID == commID {
-			return s.recs[i], true
+	for i := s.log.firstAfter(t) - 1; i >= 0; i-- {
+		if sl := s.log.at(i); commID == 0 || sl.commID == commID {
+			return s.record(sl), true
 		}
 	}
 	return trace.Record{}, false
@@ -464,10 +477,9 @@ func (db *DB) LastCompletion(r topo.Rank, t sim.Time) (trace.Record, bool) {
 	if s == nil {
 		return trace.Record{}, false
 	}
-	i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].Time > t })
-	for i--; i >= 0; i-- {
-		if s.recs[i].Kind == trace.KindCompletion {
-			return s.recs[i], true
+	for i := s.log.firstAfter(t) - 1; i >= 0; i-- {
+		if sl := s.log.at(i); sl.kind == trace.KindCompletion {
+			return s.record(sl), true
 		}
 	}
 	return trace.Record{}, false
@@ -477,9 +489,18 @@ func (db *DB) LastCompletion(r topo.Rank, t sim.Time) (trace.Record, bool) {
 // a communicator, looking back at most window from t.
 func (db *DB) LastStatePerChannel(r topo.Rank, commID uint64, t sim.Time, window time.Duration) map[int32]trace.Record {
 	out := make(map[int32]trace.Record)
-	for _, rec := range db.QueryRank(r, t.Add(-window), t) {
-		if rec.Kind == trace.KindState && rec.CommID == commID {
-			out[rec.Channel] = rec // query order is ascending: last wins
+	s := db.series(r)
+	if s == nil {
+		return out
+	}
+	lo, hi := s.log.window(t.Add(-window), t)
+	for i := hi - 1; i >= lo; i-- { // newest first: a channel's first hit is its last state
+		sl := s.log.at(i)
+		if sl.kind != trace.KindState || sl.commID != commID {
+			continue
+		}
+		if _, seen := out[sl.channel]; !seen {
+			out[sl.channel] = s.record(sl)
 		}
 	}
 	return out

@@ -27,7 +27,7 @@ func (db *DB) SetMetrics(m *Metrics) { db.metrics = m }
 func (db *DB) ShardRecords(i int) int {
 	n := 0
 	for _, s := range db.shards[i].byRank {
-		n += len(s.recs)
+		n += s.log.n
 	}
 	return n
 }

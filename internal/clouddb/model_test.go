@@ -1,0 +1,464 @@
+package clouddb
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"mycroft/internal/sim"
+	"mycroft/internal/topo"
+	"mycroft/internal/trace"
+)
+
+// flatSeries is one rank of the reference model: the layout the store had
+// before segments — whole records in one slice, every read a linear scan.
+type flatSeries struct {
+	ip   topo.IP
+	recs []trace.Record
+	seen map[uint64]bool // every communicator the rank ever used; pruning forgets none
+}
+
+// flatStore is the reference model TestStoreMatchesFlatModel holds the DB to.
+// It restates the documented behaviour of every read with no index, no
+// binary search and no shard beyond what the accounting needs.
+type flatStore struct {
+	retention time.Duration
+	series    map[topo.Rank]*flatSeries
+	ingested  []uint64 // per shard
+	pruned    []uint64
+}
+
+func newFlatStore(retention time.Duration, shards int) *flatStore {
+	return &flatStore{
+		retention: retention, series: make(map[topo.Rank]*flatSeries),
+		ingested: make([]uint64, shards), pruned: make([]uint64, shards),
+	}
+}
+
+func (m *flatStore) shardOf(r topo.Rank) int {
+	if r < 0 {
+		r = -r
+	}
+	return int(r) % len(m.ingested)
+}
+
+func (m *flatStore) ingest(now sim.Time, batch []trace.Record) {
+	touched := make(map[int]bool)
+	for _, r := range batch {
+		s := m.series[r.Rank]
+		if s == nil {
+			s = &flatSeries{ip: r.IP, seen: make(map[uint64]bool)}
+			m.series[r.Rank] = s
+		}
+		s.recs = append(s.recs, r)
+		s.seen[r.CommID] = true
+		m.ingested[m.shardOf(r.Rank)]++
+		touched[m.shardOf(r.Rank)] = true
+	}
+	cut := now.Add(-m.retention)
+	if m.retention == 0 || cut <= 0 {
+		return
+	}
+	for r, s := range m.series {
+		if !touched[m.shardOf(r)] {
+			continue
+		}
+		var keep []trace.Record
+		for _, rec := range s.recs {
+			if rec.Time >= cut {
+				keep = append(keep, rec)
+			}
+		}
+		m.pruned[m.shardOf(r)] += uint64(len(s.recs) - len(keep))
+		s.recs = keep
+	}
+}
+
+func (m *flatStore) ranks() []topo.Rank {
+	var out []topo.Rank
+	for r := range m.series {
+		out = append(out, r)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (m *flatStore) ranksOfComm(comm uint64) []topo.Rank {
+	var out []topo.Rank
+	for _, r := range m.ranks() {
+		if m.series[r].seen[comm] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// scan returns rank r's records with Time in (from, to] that pass keep, in
+// order; nil when there are none.
+func (m *flatStore) scan(r topo.Rank, from, to sim.Time, keep func(*trace.Record) bool) []trace.Record {
+	s := m.series[r]
+	if s == nil {
+		return nil
+	}
+	var out []trace.Record
+	for i := range s.recs {
+		if rec := &s.recs[i]; rec.Time > from && rec.Time <= to && keep(rec) {
+			out = append(out, *rec)
+		}
+	}
+	return out
+}
+
+func anyRecord(*trace.Record) bool { return true }
+
+func (m *flatStore) queryGroup(comm uint64, from, to sim.Time) map[topo.Rank][]trace.Record {
+	out := make(map[topo.Rank][]trace.Record)
+	for _, r := range m.ranksOfComm(comm) {
+		out[r] = m.scan(r, from, to, func(rec *trace.Record) bool { return rec.CommID == comm })
+	}
+	return out
+}
+
+// last returns the newest record of rank r at or before t that passes keep.
+func (m *flatStore) last(r topo.Rank, t sim.Time, keep func(*trace.Record) bool) (trace.Record, bool) {
+	if recs := m.scan(r, -1<<63, t, keep); len(recs) > 0 {
+		return recs[len(recs)-1], true
+	}
+	return trace.Record{}, false
+}
+
+func (m *flatStore) lastStatePerChannel(r topo.Rank, comm uint64, t sim.Time, window time.Duration) map[int32]trace.Record {
+	out := make(map[int32]trace.Record)
+	for _, rec := range m.scan(r, t.Add(-window), t, anyRecord) {
+		if rec.Kind == trace.KindState && rec.CommID == comm {
+			out[rec.Channel] = rec
+		}
+	}
+	return out
+}
+
+// export returns the records in (from, to] in (Time, Rank) order, each rank's
+// in ingestion order.
+func (m *flatStore) export(from, to sim.Time) []trace.Record {
+	var out []trace.Record
+	for _, r := range m.ranks() {
+		out = append(out, m.scan(r, from, to, anyRecord)...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	return out
+}
+
+// matches returns every record q selects, ignoring Limit and Cursor, in
+// (rank, time) order.
+func (m *flatStore) matches(q Query) []trace.Record {
+	ranks := m.ranks()
+	switch {
+	case len(q.Ranks) > 0:
+		ranks = slices.Clone(q.Ranks)
+		slices.Sort(ranks)
+	case q.Comm != 0:
+		ranks = m.ranksOfComm(q.Comm)
+	}
+	to := q.To
+	if to == 0 {
+		to = sim.Infinity
+	}
+	var out []trace.Record
+	for _, r := range ranks {
+		out = append(out, m.scan(r, q.From, to, func(rec *trace.Record) bool {
+			return (q.Comm == 0 || rec.CommID == q.Comm) && (len(q.Kinds) == 0 || slices.Contains(q.Kinds, rec.Kind))
+		})...)
+	}
+	return out
+}
+
+// page is the Result the documentation promises for the page of a walk that
+// begins at all[pos], all being every match of the query.
+func page(all []trace.Record, pos, limit int, resumed bool) Result {
+	rest := all[pos:]
+	if len(rest) == 0 {
+		return Result{}
+	}
+	if limit == 0 || len(rest) <= limit {
+		return Result{Records: rest, Total: len(rest)}
+	}
+	last := rest[limit-1]
+	emitted := 0 // matches at last's (rank, time) returned so far, earlier pages included
+	for i := pos + limit - 1; i >= 0 && all[i].Rank == last.Rank && all[i].Time == last.Time; i-- {
+		emitted++
+	}
+	res := Result{Records: rest[:limit], Total: len(rest), Next: &Cursor{Rank: last.Rank, Time: last.Time, Emitted: emitted}}
+	if resumed {
+		res.Total = -1
+	}
+	return res
+}
+
+func (m *flatStore) stats() Stats {
+	st := Stats{Shards: make([]ShardStats, len(m.ingested))}
+	for i := range st.Shards {
+		st.Shards[i] = ShardStats{Ingested: m.ingested[i], Pruned: m.pruned[i]}
+		st.Ingested += m.ingested[i]
+		st.Pruned += m.pruned[i]
+	}
+	for r, s := range m.series {
+		ss := &st.Shards[m.shardOf(r)]
+		ss.Ranks++
+		ss.Records += len(s.recs)
+		st.Ranks++
+		st.Records += len(s.recs)
+	}
+	st.BytesIngested = st.Ingested * trace.WireSize
+	return st
+}
+
+// storeProgram drives a DB and the model through the same seeded steps.
+type storeProgram struct {
+	t     *testing.T
+	rng   *rand.Rand
+	eng   *sim.Engine
+	db    *DB
+	model *flatStore
+	ranks []topo.Rank
+	clock map[topo.Rank]sim.Time // newest record time per rank
+	moved bool                   // rank ranks[3] reports from its second host
+}
+
+const (
+	modelRetention = time.Second
+	modelComms     = 3
+)
+
+// record draws one record for rank r at time at; every stored field varies so
+// a slot that drops or swaps one cannot round-trip.
+func (p *storeProgram) record(r topo.Rank, at sim.Time) trace.Record {
+	rng := p.rng
+	ip := topo.IP(fmt.Sprintf("10.0.%d.1", int(r)%7))
+	if r == p.ranks[3] && p.moved {
+		ip = "10.9.9.9"
+	}
+	return trace.Record{
+		Kind: trace.Kind(1 + rng.Intn(2)), Time: at, IP: ip,
+		CommID: uint64(1 + rng.Intn(modelComms)), Rank: r,
+		GPUID: rng.Int31(), Channel: int32(rng.Intn(4)), QPID: -rng.Int31(),
+		Op: trace.OpKind(rng.Intn(8)), OpSeq: rng.Uint64(), MsgSize: rng.Int63(),
+		Start: sim.Time(rng.Int63()), End: sim.Time(-rng.Int63()),
+		TotalChunks: rng.Uint32(), GPUReady: rng.Uint32(),
+		RDMATransmitted: rng.Uint32(), RDMADone: rng.Uint32(), StuckNs: -rng.Int63(),
+	}
+}
+
+// ingest sends one batch holding a run of n[i] records for each of a few
+// ranks, the runs interleaved at random with each rank's order kept.
+func (p *storeProgram) ingest(n ...int) {
+	now := p.eng.Now()
+	runs := make([][]trace.Record, len(n))
+	total := 0
+	for i, perm := 0, p.rng.Perm(len(p.ranks)); i < len(n); i++ {
+		r := p.ranks[perm[i]]
+		at := p.clock[r]
+		if floor := now.Add(-time.Duration(p.rng.Intn(300)) * time.Millisecond); at < floor {
+			at = floor
+		}
+		for j := 0; j < n[i]; j++ {
+			// Whole milliseconds, zero included: equal timestamps are common
+			// both within a rank and across ranks.
+			at = at.Add(time.Duration(p.rng.Intn(3)) * time.Millisecond)
+			runs[i] = append(runs[i], p.record(r, at))
+		}
+		p.clock[r] = at
+		total += n[i]
+	}
+	batch := make([]trace.Record, 0, total)
+	for len(batch) < total {
+		if i := p.rng.Intn(len(runs)); len(runs[i]) > 0 {
+			batch = append(batch, runs[i][0])
+			runs[i] = runs[i][1:]
+		}
+	}
+	p.db.Ingest(slices.Clone(batch))
+	p.model.ingest(now, batch)
+}
+
+// burst draws a run length that leaves a rank's log short of, on, or past 0,
+// 1 or many segment boundaries.
+func (p *storeProgram) burst() int {
+	switch p.rng.Intn(8) {
+	case 0:
+		return segLen - 1 + p.rng.Intn(3)
+	case 1:
+		return 3*segLen + p.rng.Intn(segLen)
+	default:
+		return p.rng.Intn(12)
+	}
+}
+
+func (p *storeProgram) step() {
+	switch k := p.rng.Intn(10); {
+	case k < 6:
+		n := make([]int, 1+p.rng.Intn(4))
+		for i := range n {
+			n[i] = p.burst()
+		}
+		p.ingest(n...)
+	case k < 9:
+		p.eng.RunFor(time.Duration(p.rng.Intn(400)) * time.Millisecond)
+	default:
+		// Far past the horizon: the next ingest empties every series of the
+		// shards it touches, and the step after refills them.
+		p.eng.RunFor(3 * modelRetention)
+		p.ingest(1)
+	}
+}
+
+func (p *storeProgram) equal(what string, got, want any, context ...any) {
+	p.t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		p.t.Fatalf("at %v: %s %+v:\n got %+v\nwant %+v", p.eng.Now(), what, context, got, want)
+	}
+}
+
+// check compares every read the store offers against the model.
+func (p *storeProgram) check() {
+	p.t.Helper()
+	db, m, rng := p.db, p.model, p.rng
+	now := p.eng.Now()
+	when := func() sim.Time { return now.Add(-time.Duration(rng.Intn(2000)) * time.Millisecond) }
+	windows := [][2]sim.Time{{-1, sim.Infinity}, {when(), now}, {0, 0}}
+	if a, b := when(), when(); a < b {
+		windows[2] = [2]sim.Time{a, b}
+	}
+
+	p.equal("Ranks", db.Ranks(), m.ranks())
+	p.equal("Stats", db.Stats(), m.stats())
+	p.equal("Pruned", db.Pruned(), m.stats().Pruned)
+	p.equal("LiveRecords", db.LiveRecords(), m.stats().Records)
+	p.equal("Ingested", db.Ingested(), m.stats().Ingested)
+	p.equal("BytesIngested", db.BytesIngested(), m.stats().BytesIngested)
+	for i, ss := range m.stats().Shards {
+		p.equal("ShardRecords", db.ShardRecords(i), ss.Records)
+	}
+
+	for _, r := range append([]topo.Rank{-7}, p.ranks...) {
+		ip, ok := db.IPOf(r)
+		if s := m.series[r]; s != nil {
+			p.equal("IPOf", []any{ip, ok}, []any{s.ip, true})
+		} else {
+			p.equal("IPOf", []any{ip, ok}, []any{topo.IP(""), false})
+		}
+		comm := uint64(1 + rng.Intn(modelComms))
+		for _, w := range windows {
+			p.equal("QueryRank", db.QueryRank(r, w[0], w[1]), m.scan(r, w[0], w[1], anyRecord))
+		}
+		for _, t := range []sim.Time{now, when()} {
+			for _, c := range []uint64{0, comm} {
+				got, ok := db.LastRecord(r, c, t)
+				want, wantOK := m.last(r, t, func(rec *trace.Record) bool { return c == 0 || rec.CommID == c })
+				p.equal("LastRecord", []any{got, ok}, []any{want, wantOK})
+			}
+			got, ok := db.LastCompletion(r, t)
+			want, wantOK := m.last(r, t, func(rec *trace.Record) bool { return rec.Kind == trace.KindCompletion })
+			p.equal("LastCompletion", []any{got, ok}, []any{want, wantOK})
+			win := time.Duration(rng.Intn(1000)) * time.Millisecond
+			p.equal("LastStatePerChannel", db.LastStatePerChannel(r, comm, t, win), m.lastStatePerChannel(r, comm, t, win))
+		}
+	}
+
+	for comm := uint64(1); comm <= modelComms+1; comm++ {
+		p.equal("RanksOfComm", db.RanksOfComm(comm), m.ranksOfComm(comm))
+		w := windows[rng.Intn(len(windows))]
+		p.equal("QueryGroup", db.QueryGroup(comm, w[0], w[1]), m.queryGroup(comm, w[0], w[1]))
+	}
+
+	for _, w := range windows {
+		var got []trace.Record
+		visited := db.Export(w[0], w[1], func(rec trace.Record) bool { got = append(got, rec); return true })
+		want := m.export(w[0], w[1])
+		p.equal("Export", got, want)
+		p.equal("Export count", visited, uint64(len(want)))
+	}
+	var replayed, stored []trace.Record
+	db.Replay(func(rec trace.Record) { replayed = append(replayed, rec) })
+	for _, r := range m.ranks() {
+		stored = append(stored, m.series[r].recs...)
+	}
+	p.equal("Replay", replayed, stored)
+
+	some := []topo.Rank{p.ranks[rng.Intn(len(p.ranks))], p.ranks[3], p.ranks[rng.Intn(len(p.ranks))]}
+	slices.Sort(some)
+	queries := []Query{
+		{},
+		{Comm: uint64(1 + rng.Intn(modelComms))},
+		{Kinds: []trace.Kind{trace.KindCompletion}, From: windows[1][0]},
+		{Ranks: slices.Compact(some), Comm: uint64(rng.Intn(modelComms + 1)), From: windows[2][0], To: windows[2][1]},
+	}
+	for _, q := range queries {
+		all := m.matches(q)
+		for _, limit := range []int{0, 1, 7, 256} {
+			q.Limit, q.Cursor = limit, nil
+			for pos := 0; ; {
+				got := db.Query(q)
+				p.equal("Query page", got, page(all, pos, limit, q.Cursor != nil), q, pos)
+				if got.Next == nil {
+					break
+				}
+				pos += len(got.Records)
+				q.Cursor = got.Next
+			}
+		}
+	}
+}
+
+// TestStoreMatchesFlatModel: the segmented store answers every read exactly
+// as the flat per-rank slice it replaced, under seeded random programs of
+// interleaved ingest, retention pruning and engine advances.
+func TestStoreMatchesFlatModel(t *testing.T) {
+	steps := 120
+	if testing.Short() {
+		steps = 25
+	}
+	for _, shards := range []int{1, 8, 64} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			p := &storeProgram{
+				t: t, rng: rand.New(rand.NewSource(int64(shards))), eng: eng,
+				db: NewSharded(eng, modelRetention, shards), model: newFlatStore(modelRetention, shards),
+				ranks: []topo.Rank{0, 1, 2, 3, 8, 9, 64, 65, 129, 511},
+				clock: make(map[topo.Rank]sim.Time),
+			}
+			// A cut that lands exactly on a segment boundary: one rank holds
+			// one whole segment at a single instant and two records a second
+			// later; the next prune falls between them.
+			eng.RunFor(2 * modelRetention)
+			first := make([]trace.Record, segLen)
+			for i := range first {
+				first[i] = p.record(0, eng.Now())
+			}
+			p.db.Ingest(slices.Clone(first))
+			p.model.ingest(eng.Now(), first)
+			p.check()
+			eng.RunFor(modelRetention + time.Millisecond)
+			second := []trace.Record{p.record(0, eng.Now()), p.record(0, eng.Now())}
+			p.db.Ingest(slices.Clone(second))
+			p.model.ingest(eng.Now(), second)
+			p.clock[0] = eng.Now()
+			if got := p.db.Pruned(); got != segLen {
+				t.Fatalf("boundary cut pruned %d records, want %d", got, segLen)
+			}
+			p.check()
+
+			for i := 0; i < steps; i++ {
+				p.moved = i >= steps/3 && i < 2*steps/3 // there and back again
+				p.step()
+				p.check()
+			}
+			if p.db.Pruned() == 0 || p.db.LiveRecords() == 0 {
+				t.Fatalf("program pruned %d and left %d live: it exercised nothing", p.db.Pruned(), p.db.LiveRecords())
+			}
+		})
+	}
+}

@@ -57,12 +57,13 @@ type Result struct {
 	Next *Cursor
 }
 
-// matches applies the non-window predicates.
-func (q *Query) matches(r *trace.Record) bool {
-	if q.Comm != 0 && r.CommID != q.Comm {
+// matches applies the non-window predicates to a stored slot, so a record
+// the query does not return is never rebuilt.
+func (q *Query) matches(sl *slot) bool {
+	if q.Comm != 0 && sl.commID != q.Comm {
 		return false
 	}
-	return len(q.Kinds) == 0 || slices.Contains(q.Kinds, r.Kind)
+	return len(q.Kinds) == 0 || slices.Contains(q.Kinds, sl.kind)
 }
 
 // queryRanks resolves the rank list a query walks, ascending.
@@ -112,19 +113,19 @@ func (db *DB) Query(q Query) Result {
 		if s == nil {
 			continue
 		}
-		lo, hi := window(s.recs, q.From, to)
+		lo, hi := s.log.window(q.From, to)
 		if resuming {
 			// Restart at the cursor time, then skip the matches already
 			// emitted at exactly that time.
-			lo = sort.Search(len(s.recs), func(i int) bool { return s.recs[i].Time >= q.Cursor.Time })
+			lo = s.log.firstFrom(q.Cursor.Time)
 		}
 		skip := 0
 		for i := lo; i < hi; i++ {
-			rec := &s.recs[i]
-			if !q.matches(rec) {
+			sl := s.log.at(i)
+			if !q.matches(sl) {
 				continue
 			}
-			if resuming && rec.Time == q.Cursor.Time && skip < q.Cursor.Emitted {
+			if resuming && sl.time == q.Cursor.Time && skip < q.Cursor.Emitted {
 				skip++
 				continue
 			}
@@ -154,7 +155,11 @@ func (db *DB) Query(q Query) Result {
 				}
 				continue
 			}
-			res.Records = append(res.Records, *rec)
+			if res.Records == nil && q.Limit > 0 {
+				// Size the page once instead of doubling up to it.
+				res.Records = make([]trace.Record, 0, min(q.Limit, hi-i))
+			}
+			res.Records = s.appendTo(res.Records, sl)
 		}
 	}
 	return res

@@ -71,6 +71,8 @@ const spanHistory = 8
 type rankComm struct {
 	rank topo.Rank
 	comm uint64
+	rv   *rankView // the rank's view, for its record ordinal
+	cv   *commView // the communicator's view, for its maxSeq
 
 	seq  uint64     // highest op seq observed
 	kind trace.Kind // newest record kind at that seq (completion wins)
@@ -106,6 +108,10 @@ type Graph struct {
 	comms   map[uint64]*commView
 	ranks   map[topo.Rank]*rankView
 	records uint64
+	// prev is the frontier the previous record landed on: a rank emits its
+	// state logs channel after channel on one communicator, so a run of
+	// records resolves its (rank, comm) once.
+	prev *rankComm
 }
 
 // New returns an empty graph; feed it with Observe / ObserveBatch.
@@ -116,26 +122,38 @@ func New() *Graph {
 // Observe folds one trace record into the graph. Records for one rank must
 // arrive in emission order (the cloud store enforces the same invariant);
 // interleaving across ranks is arbitrary.
-func (g *Graph) Observe(rec trace.Record) {
-	g.records++
-	rv := g.ranks[rec.Rank]
+func (g *Graph) Observe(rec trace.Record) { g.observe(&rec) }
+
+// frontier returns (creating on first sight) the frontier of (rank, comm).
+func (g *Graph) frontier(rank topo.Rank, comm uint64) *rankComm {
+	rv := g.ranks[rank]
 	if rv == nil {
 		rv = &rankView{comms: make(map[uint64]*rankComm)}
-		g.ranks[rec.Rank] = rv
+		g.ranks[rank] = rv
 	}
-	rv.ord++
-
-	rc := rv.comms[rec.CommID]
+	rc := rv.comms[comm]
 	if rc == nil {
-		rc = &rankComm{rank: rec.Rank, comm: rec.CommID}
-		rv.comms[rec.CommID] = rc
-		cv := g.comms[rec.CommID]
+		cv := g.comms[comm]
 		if cv == nil {
-			cv = &commView{id: rec.CommID, members: make(map[topo.Rank]*rankComm)}
-			g.comms[rec.CommID] = cv
+			cv = &commView{id: comm, members: make(map[topo.Rank]*rankComm)}
+			g.comms[comm] = cv
 		}
-		cv.members[rec.Rank] = rc
+		rc = &rankComm{rank: rank, comm: comm, rv: rv, cv: cv}
+		rv.comms[comm] = rc
+		cv.members[rank] = rc
 	}
+	return rc
+}
+
+func (g *Graph) observe(rec *trace.Record) {
+	g.records++
+	rc := g.prev
+	if rc == nil || rc.rank != rec.Rank || rc.comm != rec.CommID {
+		rc = g.frontier(rec.Rank, rec.CommID)
+		g.prev = rc
+	}
+	rv := rc.rv
+	rv.ord++
 
 	switch {
 	case rec.OpSeq > rc.seq || (rc.last == 0 && rc.kind == 0):
@@ -150,8 +168,8 @@ func (g *Graph) Observe(rec trace.Record) {
 	}
 	rc.op = rec.Op
 	rc.last = rec.Time
-	if cv := g.comms[rec.CommID]; rec.OpSeq > cv.maxSeq {
-		cv.maxSeq = rec.OpSeq
+	if rec.OpSeq > rc.cv.maxSeq {
+		rc.cv.maxSeq = rec.OpSeq
 	}
 
 	if rec.Kind == trace.KindState {
@@ -173,7 +191,7 @@ func (g *Graph) Observe(rec trace.Record) {
 // store's ingest observer hook expects.
 func (g *Graph) ObserveBatch(batch []trace.Record) {
 	for i := range batch {
-		g.Observe(batch[i])
+		g.observe(&batch[i])
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"time"
 
 	"mycroft/internal/api"
@@ -442,6 +443,7 @@ type Decoder struct {
 	off      int    // read offset into chunk
 	lastAt   int64
 	rankLast map[topo.Rank]int64
+	lastIP   topo.IP // the IP of the last record decoded; batches are per host
 
 	footer   *Footer
 	seen     Footer // running counts, cross-checked against the footer
@@ -603,19 +605,41 @@ func (d *Decoder) Next() (Entry, error) {
 			return Entry{}, d.fail(fmt.Errorf("%w: batch of %d records overruns chunk", ErrCorrupt, n))
 		}
 		recs := make([]trace.Record, n)
+		// rankLast is read when a run of one rank's records begins and written
+		// back when it ends; last is its value in between, and MinInt64 for a
+		// rank not seen before (no record is earlier than that).
+		var (
+			run  topo.Rank
+			last int64
+		)
 		for i := range recs {
 			b, err := d.take(trace.WireSize)
 			if err != nil {
 				return Entry{}, err
 			}
-			if err := recs[i].UnmarshalBinary(b); err != nil {
+			r := &recs[i]
+			r.IP = d.lastIP // UnmarshalBinary keeps it when the bytes agree
+			if err := r.UnmarshalBinary(b); err != nil {
 				return Entry{}, d.fail(fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err))
 			}
-			r := &recs[i]
-			if last, ok := d.rankLast[r.Rank]; ok && int64(r.Time) < last {
+			d.lastIP = r.IP
+			if i == 0 || r.Rank != run {
+				if i > 0 {
+					d.rankLast[run] = last
+				}
+				run = r.Rank
+				var seen bool
+				if last, seen = d.rankLast[run]; !seen {
+					last = math.MinInt64
+				}
+			}
+			if int64(r.Time) < last {
 				return Entry{}, d.fail(fmt.Errorf("%w: rank %d record at %dns after %dns", ErrOutOfOrder, r.Rank, int64(r.Time), last))
 			}
-			d.rankLast[r.Rank] = int64(r.Time)
+			last = int64(r.Time)
+		}
+		if n > 0 {
+			d.rankLast[run] = last
 		}
 		d.seen.Records += uint64(n)
 		return Entry{Kind: EntryBatch, At: at, Batch: recs}, nil

@@ -354,3 +354,60 @@ func FuzzDecodeArtifact(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeInternsIP: batches are per host, so the decoder allocates an IP
+// string when the host changes, not once per record; what it yields is still
+// exactly what was encoded, and a rank's order is still checked across the
+// batches of an interleaved second host.
+func TestDecodeInternsIP(t *testing.T) {
+	const batches, perBatch = 64, 128 // 8 ranks per host, 16 records each, per batch
+	hosts := []topo.IP{"10.0.0.1", "10.0.0.2"}
+	var want [][]trace.Record
+	var buf bytes.Buffer
+	enc, err := NewEncoder(&buf, fixtureHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < batches; b++ {
+		at := int64(b+1) * 1_000_000
+		batch := make([]trace.Record, perBatch)
+		for i := range batch {
+			batch[i] = fixtureRecord(8*(b%2)+i/16, at+int64(i%16))
+			batch[i].IP = hosts[b%2]
+		}
+		if err := enc.WriteBatch(at+16, batch); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, batch)
+	}
+	if err := enc.Close(int64(batches+1) * 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+
+	dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	one := func() {
+		e, err := dec.Next()
+		if err != nil || e.Kind != EntryBatch {
+			t.Fatalf("batch %d: kind %q, err %v", next, e.Kind, err)
+		}
+		if !reflect.DeepEqual(e.Batch, want[next]) {
+			t.Fatalf("batch %d decoded to\n%+v\nwant\n%+v", next, e.Batch, want[next])
+		}
+		next++
+	}
+	one() // both hosts seen once: steady state from here
+	one()
+	// Per batch: the record slice, a chunk payload every few batches, and one
+	// IP string because the host alternates.
+	perRecord := testing.AllocsPerRun(batches-3, one) / perBatch
+	if perRecord >= 0.05 {
+		t.Errorf("%.3f allocations per decoded record, want < 0.05", perRecord)
+	}
+	if _, err := dec.Next(); err != io.EOF || !dec.Complete() {
+		t.Fatalf("after the last batch: err %v, complete %v", err, dec.Complete())
+	}
+}

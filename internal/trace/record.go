@@ -144,7 +144,10 @@ func (r *Record) MarshalBinaryTo(b []byte) error {
 	return nil
 }
 
-// UnmarshalBinary decodes a fixed WireSize buffer.
+// UnmarshalBinary decodes a fixed WireSize buffer. The IP is the one field
+// that needs heap memory; when r already holds the encoded IP its string is
+// kept, so a decoder that seeds r.IP with the previous record's pays for one
+// string per run of records from the same host instead of one per record.
 func (r *Record) UnmarshalBinary(b []byte) error {
 	if len(b) < WireSize {
 		return fmt.Errorf("trace: short buffer %d < %d", len(b), WireSize)
@@ -156,7 +159,9 @@ func (r *Record) UnmarshalBinary(b []byte) error {
 	if n > ipBytes-1 {
 		return fmt.Errorf("trace: corrupt IP length %d", n)
 	}
-	r.IP = topo.IP(b[3 : 3+n])
+	if string(r.IP) != string(b[3:3+n]) {
+		r.IP = topo.IP(b[3 : 3+n])
+	}
 	r.Time = sim.Time(le.Uint64(b[18:]))
 	r.CommID = le.Uint64(b[26:])
 	r.Rank = topo.Rank(int32(le.Uint32(b[34:])))
