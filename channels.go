@@ -1,6 +1,7 @@
 package mycroft
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -119,6 +120,18 @@ const (
 	channelReportMute    = 30 * time.Second
 )
 
+// ErrInvalidRank reports a channel ingest item naming a rank the job does not
+// have. The batch it arrived in is refused whole.
+var ErrInvalidRank = errors.New("invalid rank")
+
+// channelState is one non-tracepoint channel's bookkeeping: the counts
+// ChannelStats answers with, their Prometheus twins, and the report mute.
+type channelState struct {
+	ingested, anomalies           uint64
+	muteUntil                     time.Duration
+	mIngest, mAnomalies, mReports *obs.Counter
+}
+
 // jobChannels is one hosted job's non-tracepoint diagnosis state: the two
 // detectors, the shared fusion, and the rate-limit/counter bookkeeping.
 type jobChannels struct {
@@ -127,48 +140,71 @@ type jobChannels struct {
 	fusion *core.Fusion
 
 	lastEvent map[string]time.Duration // anomaly key → last publish time
-	muteUntil map[Modality]time.Duration
-
-	logIngested, perfIngested   uint64
-	logAnomalies, perfAnomalies uint64
-	logReports, perfReports     uint64
+	by        map[Modality]*channelState
 
 	fusionOutcomes map[string]uint64
 	lastOutcome    string
 	lastConfidence float64
-
-	// Prometheus twins of the counters above (set by registerJobMetrics).
-	mIngest, mAnomalies, mReports map[Modality]*obs.Counter
 }
 
-func newJobChannels(world int, fusion *core.Fusion) *jobChannels {
-	return &jobChannels{
+// newJobChannels builds a job's channel state with its per-channel instrument
+// set, labeled {job, channel}.
+func (s *Service) newJobChannels(id JobID, world int, fusion *core.Fusion) *jobChannels {
+	ch := &jobChannels{
 		logs:           logdiag.New(world, logdiag.Config{}),
 		perf:           perfdiag.New(world, perfdiag.Config{}),
 		fusion:         fusion,
 		lastEvent:      make(map[string]time.Duration),
-		muteUntil:      make(map[Modality]time.Duration),
+		by:             make(map[Modality]*channelState),
 		fusionOutcomes: make(map[string]uint64),
 	}
-}
-
-// registerChannelMetrics attaches the per-channel instrument set, labeled
-// {job, channel}.
-func (s *Service) registerChannelMetrics(h *JobHandle) {
-	jl := obs.L("job", string(h.ID))
-	ch := h.channels
-	ch.mIngest = make(map[Modality]*obs.Counter)
-	ch.mAnomalies = make(map[Modality]*obs.Counter)
-	ch.mReports = make(map[Modality]*obs.Counter)
+	jl := obs.L("job", string(id))
 	for _, m := range []Modality{ModalityLog, ModalityPerf} {
 		ml := obs.L("channel", string(m))
-		ch.mIngest[m] = s.reg.Counter("mycroft_channel_ingest_total",
-			"Channel-native items ingested (log lines, timing samples).", jl, ml)
-		ch.mAnomalies[m] = s.reg.Counter("mycroft_channel_anomalies_total",
-			"Channel anomalies published.", jl, ml)
-		ch.mReports[m] = s.reg.Counter("mycroft_channel_reports_total",
-			"Verdicts escalated by the channel.", jl, ml)
+		ch.by[m] = &channelState{
+			mIngest: s.reg.Counter("mycroft_channel_ingest_total",
+				"Channel-native items ingested (log lines, timing samples).", jl, ml),
+			mAnomalies: s.reg.Counter("mycroft_channel_anomalies_total",
+				"Channel anomalies published.", jl, ml),
+			mReports: s.reg.Counter("mycroft_channel_reports_total",
+				"Verdicts escalated by the channel.", jl, ml),
+		}
 	}
+	return ch
+}
+
+// ingestChannel is the pipeline IngestLogs and IngestTimings share around
+// their own fold loop and analysis pass: resolve the job, refuse the whole
+// batch if any item's rank is outside [0, WorldSize) — before anything is
+// folded, counted or analyzed — then fold, count, bump the heartbeat, analyze.
+func (s *Service) ingestChannel(job JobID, m Modality, n int, rank func(i int) Rank,
+	fold func(ch *jobChannels, now sim.Time), analyze func(h *JobHandle, now sim.Time) int) (IngestResult, error) {
+	h, err := s.resolveJob(job)
+	if err != nil {
+		return IngestResult{}, err
+	}
+	for i, world := 0, h.WorldSize(); i < n; i++ {
+		if r := rank(i); r < 0 || int(r) >= world {
+			return IngestResult{}, fmt.Errorf("mycroft: job %q: %w %d (world size %d)", h.ID, ErrInvalidRank, r, world)
+		}
+	}
+	now := s.Eng.Now()
+	fold(h.channels, now)
+	c := h.channels.by[m]
+	c.ingested += uint64(n)
+	c.mIngest.Add(uint64(n))
+	// Any channel's ingest proves the job is alive: bump the heartbeat
+	// watermark the health ladder reads.
+	h.lastIngest = s.Now()
+	return IngestResult{Job: h.ID, Accepted: n, Anomalies: analyze(h, now)}, nil
+}
+
+// stampOr is an ingest item's virtual time: zero (or less) means "now".
+func stampOr(at time.Duration, now sim.Time) sim.Time {
+	if at <= 0 {
+		return now
+	}
+	return sim.Time(at)
 }
 
 // IngestLogs feeds structured training-log lines into a job's log-diagnosis
@@ -176,53 +212,25 @@ func (s *Service) registerChannelMetrics(h *JobHandle) {
 // a job that never emits a single trace record still reaches verdicts (and
 // remediation) through here.
 func (s *Service) IngestLogs(job JobID, lines []LogLine) (IngestResult, error) {
-	h, err := s.resolveJob(job)
-	if err != nil {
-		return IngestResult{}, err
-	}
-	ch := h.channels
-	now := s.Eng.Now()
-	for _, l := range lines {
-		at := sim.Time(l.At)
-		if l.At <= 0 {
-			at = now
-		}
-		ch.logs.Ingest(logdiag.Line{Rank: l.Rank, At: at, Level: l.Level, Text: l.Text})
-	}
-	ch.logIngested += uint64(len(lines))
-	if c := ch.mIngest[ModalityLog]; c != nil {
-		c.Add(uint64(len(lines)))
-	}
-	// Any channel's ingest proves the job is alive: bump the heartbeat
-	// watermark the health ladder reads.
-	h.lastIngest = s.Now()
-	n := h.analyzeLogs(now)
-	return IngestResult{Job: h.ID, Accepted: len(lines), Anomalies: n}, nil
+	return s.ingestChannel(job, ModalityLog, len(lines),
+		func(i int) Rank { return lines[i].Rank },
+		func(ch *jobChannels, now sim.Time) {
+			for _, l := range lines {
+				ch.logs.Ingest(logdiag.Line{Rank: l.Rank, At: stampOr(l.At, now), Level: l.Level, Text: l.Text})
+			}
+		}, (*JobHandle).analyzeLogs)
 }
 
 // IngestTimings feeds per-rank iteration timestamps into a job's black-box
 // perf channel and runs one analysis pass.
 func (s *Service) IngestTimings(job JobID, samples []IterationSample) (IngestResult, error) {
-	h, err := s.resolveJob(job)
-	if err != nil {
-		return IngestResult{}, err
-	}
-	ch := h.channels
-	now := s.Eng.Now()
-	for _, smp := range samples {
-		at := sim.Time(smp.At)
-		if smp.At <= 0 {
-			at = now
-		}
-		ch.perf.Ingest(perfdiag.Sample{Rank: smp.Rank, Iter: smp.Iter, At: at})
-	}
-	ch.perfIngested += uint64(len(samples))
-	if c := ch.mIngest[ModalityPerf]; c != nil {
-		c.Add(uint64(len(samples)))
-	}
-	h.lastIngest = s.Now()
-	n := h.analyzePerf(now)
-	return IngestResult{Job: h.ID, Accepted: len(samples), Anomalies: n}, nil
+	return s.ingestChannel(job, ModalityPerf, len(samples),
+		func(i int) Rank { return samples[i].Rank },
+		func(ch *jobChannels, now sim.Time) {
+			for _, smp := range samples {
+				ch.perf.Ingest(perfdiag.Sample{Rank: smp.Rank, Iter: smp.Iter, At: stampOr(smp.At, now)})
+			}
+		}, (*JobHandle).analyzePerf)
 }
 
 // analyzeLogs runs one log-channel analysis pass under its pipeline span:
@@ -236,10 +244,7 @@ func (h *JobHandle) analyzeLogs(now sim.Time) int {
 		ch.logs.Ingested(), ch.logs.Templates(), len(anoms)))
 	h.tracer.EndAt(span, now)
 	for _, a := range anoms {
-		ch.fusion.Observe(Evidence{
-			Channel: ModalityLog, Rank: a.Rank, Category: a.Category,
-			Score: a.Score, At: now, Detail: a.Template,
-		})
+		ch.fusion.Observe(logEvidence(a, now))
 		h.publishAnomaly(ChannelAnomaly{
 			Channel: ModalityLog, Rank: a.Rank, Ranks: a.Ranks,
 			Template: a.Template, Level: a.Level, Count: a.Count, Fleet: a.Fleet,
@@ -252,7 +257,7 @@ func (h *JobHandle) analyzeLogs(now sim.Time) int {
 		if a.Level == "info" {
 			continue
 		}
-		h.escalateLog(a, now)
+		h.escalateLog(a, logEvidence(a, now))
 		break
 	}
 	return len(anoms)
@@ -268,17 +273,18 @@ func (h *JobHandle) analyzePerf(now sim.Time) int {
 	h.tracer.EndAt(span, now)
 	for _, f := range finds {
 		cat := CatComputeStraggler
-		ch.fusion.Observe(Evidence{
+		own := Evidence{
 			Channel: ModalityPerf, Rank: f.Rank, Category: cat,
 			Score: f.Ratio, At: now, Detail: string(f.Kind),
-		})
+		}
+		ch.fusion.Observe(own)
 		h.publishAnomaly(ChannelAnomaly{
 			Channel: ModalityPerf, Rank: f.Rank, Ranks: f.Ranks,
 			Template: string(f.Kind), Level: "warn",
 			Count: f.Persisted, Fleet: h.WorldSize(),
 			Score: f.Ratio, Category: cat, At: now,
 		})
-		h.escalatePerf(f, now)
+		h.escalatePerf(f, own)
 	}
 	return len(finds)
 }
@@ -294,87 +300,62 @@ func (h *JobHandle) publishAnomaly(a ChannelAnomaly) {
 		return
 	}
 	ch.lastEvent[key] = at
-	switch a.Channel {
-	case ModalityLog:
-		ch.logAnomalies++
-	case ModalityPerf:
-		ch.perfAnomalies++
-	}
-	if c := ch.mAnomalies[a.Channel]; c != nil {
-		c.Inc()
-	}
+	c := ch.by[a.Channel]
+	c.anomalies++
+	c.mAnomalies.Inc()
 	h.svc.dispatch(Event{Job: h.ID, Kind: EventLogAnomaly, At: at, LogAnomaly: &a})
 }
 
-// channelMuted gates report escalation per channel and arms the mute on
-// passage.
-func (ch *jobChannels) channelMuted(m Modality, now sim.Time) bool {
-	at := time.Duration(now)
-	if at < ch.muteUntil[m] {
-		return true
-	}
-	ch.muteUntil[m] = at + channelReportMute
-	return false
-}
-
-// escalateLog turns one log divergence into a full Report on the standard
-// delivery path: subscribers, remediation and cluster replication see it
-// exactly like a tracepoint verdict.
-func (h *JobHandle) escalateLog(a logdiag.Anomaly, now sim.Time) {
-	ch := h.channels
-	if ch.channelMuted(ModalityLog, now) {
-		return
-	}
-	ip := h.Job.Cluster.IPOf(a.Rank)
-	rep := core.Report{
-		Trigger: core.Trigger{
-			Kind: core.TriggerFailure, Rank: a.Rank, IP: ip, At: now,
-			Reason: fmt.Sprintf("log-template divergence: %q", a.Template),
-		},
-		Suspect: a.Rank, SuspectIP: ip, Category: a.Category,
-		Via: ViaLogTemplate, AnalyzedAt: now,
-		Details: fmt.Sprintf("log channel: template %q (%s) concentrated on rank %d (%d/%d in window, score %.2f)",
-			a.Template, a.Level, a.Rank, a.Count, a.Fleet, a.Score),
-		Chain:   []core.Hop{{Suspect: a.Rank, Via: ViaLogTemplate}},
-		Victims: victimsBeside(a.Ranks, a.Rank),
-	}
-	h.Backend.DeliverExternal(rep, Evidence{
+// logEvidence is the log channel's own evidence for one divergence.
+func logEvidence(a logdiag.Anomaly, now sim.Time) Evidence {
+	return Evidence{
 		Channel: ModalityLog, Rank: a.Rank, Category: a.Category,
 		Score: a.Score, At: now, Detail: a.Template,
-	})
-	ch.logReports++
-	if c := ch.mReports[ModalityLog]; c != nil {
-		c.Inc()
 	}
+}
+
+// escalateLog turns one log divergence into a full Report.
+func (h *JobHandle) escalateLog(a logdiag.Anomaly, own Evidence) {
+	h.escalate(own, core.TriggerFailure, ViaLogTemplate, a.Ranks, func() (string, string) {
+		return fmt.Sprintf("log-template divergence: %q", a.Template),
+			fmt.Sprintf("log channel: template %q (%s) concentrated on rank %d (%d/%d in window, score %.2f)",
+				a.Template, a.Level, a.Rank, a.Count, a.Fleet, a.Score)
+	})
 }
 
 // escalatePerf turns one timing-envelope finding into a Report.
-func (h *JobHandle) escalatePerf(f perfdiag.Finding, now sim.Time) {
-	ch := h.channels
-	if ch.channelMuted(ModalityPerf, now) {
+func (h *JobHandle) escalatePerf(f perfdiag.Finding, own Evidence) {
+	h.escalate(own, core.TriggerStraggler, ViaPerfEnvelope, f.Ranks, func() (string, string) {
+		return fmt.Sprintf("timing envelope: %s", f.Kind),
+			fmt.Sprintf("perf channel: %s on rank %d (median %.3fs vs fleet %.3fs, ×%.2f over %d passes)",
+				f.Kind, f.Rank, f.RankMedian, f.FleetMedian, f.Ratio, f.Persisted)
+	})
+}
+
+// escalate is the tail both channels' escalations share. The per-channel
+// mute comes first (an ongoing anomaly is one incident, not one per ingest
+// batch) and is armed on passage; text renders the channel's own trigger
+// reason and report details only for a finding the mute lets through. The
+// report then takes the standard delivery path — subscribers, remediation and
+// cluster replication see it exactly like a tracepoint verdict — and is
+// counted.
+func (h *JobHandle) escalate(own Evidence, kind core.TriggerKind, via core.Via, ranks []Rank, text func() (reason, details string)) {
+	c := h.channels.by[own.Channel]
+	at := time.Duration(own.At)
+	if at < c.muteUntil {
 		return
 	}
-	ip := h.Job.Cluster.IPOf(f.Rank)
-	rep := core.Report{
-		Trigger: core.Trigger{
-			Kind: core.TriggerStraggler, Rank: f.Rank, IP: ip, At: now,
-			Reason: fmt.Sprintf("timing envelope: %s", f.Kind),
-		},
-		Suspect: f.Rank, SuspectIP: ip, Category: CatComputeStraggler,
-		Via: ViaPerfEnvelope, AnalyzedAt: now,
-		Details: fmt.Sprintf("perf channel: %s on rank %d (median %.3fs vs fleet %.3fs, ×%.2f over %d passes)",
-			f.Kind, f.Rank, f.RankMedian, f.FleetMedian, f.Ratio, f.Persisted),
-		Chain:   []core.Hop{{Suspect: f.Rank, Via: ViaPerfEnvelope}},
-		Victims: victimsBeside(f.Ranks, f.Rank),
-	}
-	h.Backend.DeliverExternal(rep, Evidence{
-		Channel: ModalityPerf, Rank: f.Rank, Category: CatComputeStraggler,
-		Score: f.Ratio, At: now, Detail: string(f.Kind),
-	})
-	ch.perfReports++
-	if c := ch.mReports[ModalityPerf]; c != nil {
-		c.Inc()
-	}
+	c.muteUntil = at + channelReportMute
+	ip := h.Job.Cluster.IPOf(own.Rank)
+	reason, details := text()
+	h.Backend.DeliverExternal(core.Report{
+		Trigger: core.Trigger{Kind: kind, Rank: own.Rank, IP: ip, At: own.At, Reason: reason},
+		Suspect: own.Rank, SuspectIP: ip, Category: own.Category,
+		Via: via, AnalyzedAt: own.At, Details: details,
+		Chain:   []core.Hop{{Suspect: own.Rank, Via: via}},
+		Victims: victimsBeside(ranks, own.Rank),
+	}, own)
+	c.mReports.Inc()
 }
 
 // victimsBeside returns the affected set minus the suspect (already sorted by
@@ -409,26 +390,28 @@ func (s *Service) ChannelStats(job JobID) (ChannelStatsResult, error) {
 		return ChannelStatsResult{}, err
 	}
 	ch := h.channels
-	var traceReports, logReports, perfReports uint64
+	// Reports are counted from the ledger, by the channel that delivered them.
+	var viaTrace, viaLog, viaPerf uint64
 	for _, rep := range h.Backend.Reports() {
 		switch rep.Via {
 		case ViaLogTemplate:
-			logReports++
+			viaLog++
 		case ViaPerfEnvelope:
-			perfReports++
+			viaPerf++
 		default:
-			traceReports++
+			viaTrace++
 		}
 	}
+	logs, perf := ch.by[ModalityLog], ch.by[ModalityPerf]
 	res := ChannelStatsResult{
 		Job: h.ID,
 		Channels: []ChannelInfo{
 			{Channel: ModalityTracepoint, Ingested: h.Job.DB.Ingested(),
-				Anomalies: uint64(len(h.Backend.Triggers())), Reports: traceReports},
-			{Channel: ModalityLog, Ingested: ch.logIngested,
-				Anomalies: ch.logAnomalies, Reports: logReports, Templates: ch.logs.Templates()},
-			{Channel: ModalityPerf, Ingested: ch.perfIngested,
-				Anomalies: ch.perfAnomalies, Reports: perfReports},
+				Anomalies: uint64(len(h.Backend.Triggers())), Reports: viaTrace},
+			{Channel: ModalityLog, Ingested: logs.ingested,
+				Anomalies: logs.anomalies, Reports: viaLog, Templates: ch.logs.Templates()},
+			{Channel: ModalityPerf, Ingested: perf.ingested,
+				Anomalies: perf.anomalies, Reports: viaPerf},
 		},
 		Fusion: FusionInfo{
 			Window:         ch.fusion.Config().Window,

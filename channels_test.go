@@ -1,8 +1,10 @@
 package mycroft
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -269,5 +271,65 @@ func TestLogIngestKeepsTracelessJobAlive(t *testing.T) {
 	}
 	if recs := h.StoreStats().Ingested; recs != 0 {
 		t.Fatalf("%d trace records ingested, want 0 with tracing disabled", recs)
+	}
+}
+
+// TestIngestRejectsUnknownRank: a channel ingest batch naming a rank the job
+// does not have is refused whole, on both transports, before any state
+// changes. Each hostile batch leads with items that are valid on their own —
+// three error lines on one rank would trip the template detector, the samples
+// would be enveloped — so a check that ran after the fold, or per item, would
+// show up in the counters, the heartbeat or the anomaly stream.
+func TestIngestRejectsUnknownRank(t *testing.T) {
+	svc, h := tracelessService(t)
+	srv := NewServer(svc)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	rc, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Run(5 * time.Second)
+	anomalies := svc.Subscribe(EventFilter{Kinds: []EventKind{EventLogAnomaly}})
+	before, err := svc.ChannelStats("llm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heartbeat := h.lastIngest
+	srv.Advance(time.Second) // so a bumped heartbeat reads a later time than the one saved
+
+	world := Rank(h.WorldSize())
+	for _, bad := range []Rank{-1, world} {
+		lines := []LogLine{
+			{Rank: 5, Level: "error", Text: "NET/IB rdma qp 17 timeout on port 1"},
+			{Rank: 5, Level: "error", Text: "NET/IB rdma qp 18 timeout on port 1"},
+			{Rank: 5, Level: "error", Text: "NET/IB rdma qp 19 timeout on port 1"},
+			{Rank: bad, Level: "error", Text: "NET/IB rdma qp 20 timeout on port 1"},
+		}
+		samples := []IterationSample{{Rank: 0, Iter: 1, At: time.Second}, {Rank: bad, Iter: 1, At: time.Second}}
+		for name, c := range map[string]Client{"in-process": svc, "remote": rc} {
+			_, logErr := c.IngestLogs("llm", lines)
+			_, perfErr := c.IngestTimings("llm", samples)
+			want := fmt.Sprintf("job %q: %v %d", "llm", ErrInvalidRank, bad)
+			for call, err := range map[string]error{"IngestLogs": logErr, "IngestTimings": perfErr} {
+				if err == nil || !strings.Contains(err.Error(), want) || (c == Client(svc) && !errors.Is(err, ErrInvalidRank)) {
+					t.Errorf("%s %s of rank %d in a %d-rank job: error %v, want ErrInvalidRank saying %q", name, call, bad, world, err, want)
+				}
+			}
+		}
+	}
+
+	after, err := svc.ChannelStats("llm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%+v", before) != fmt.Sprintf("%+v", after) {
+		t.Errorf("refused batches changed ChannelStats:\n before %+v\n after  %+v", before, after)
+	}
+	if h.lastIngest != heartbeat {
+		t.Errorf("refused batches bumped the heartbeat: %v → %v", heartbeat, h.lastIngest)
+	}
+	if n := anomalies.Len(); n != 0 {
+		t.Errorf("refused batches published %d log anomalies: %v", n, anomalies.Drain())
 	}
 }

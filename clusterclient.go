@@ -24,11 +24,10 @@ import (
 // the replica never received surfaces as a counted drop on Stream.Dropped,
 // never as silence.
 type ClusterClient struct {
-	clusterID string
-	ring      *cluster.Ring
-	replicas  int
-	addrs     map[string]string // peer name → base URL
-	hc        *http.Client
+	ring     *cluster.Ring
+	replicas int
+	addrs    map[string]string // peer name → base URL
+	hc       *http.Client
 
 	mu        sync.Mutex
 	clients   map[string]*RemoteClient
@@ -64,7 +63,6 @@ func DialCluster(addrs []string, opts ...DialOption) (*ClusterClient, error) {
 			continue
 		}
 		cc := &ClusterClient{
-			clusterID: info.ClusterID,
 			ring:      cluster.NewRing(peerNames(info.Peers), info.VNodes),
 			replicas:  info.Replicas,
 			addrs:     make(map[string]string, len(info.Peers)),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -151,27 +152,39 @@ func TestRemoteOutputByteIdentical(t *testing.T) {
 		}
 	})
 
-	t.Run("remedy", func(t *testing.T) {
-		const remedyHorizon = 70 * time.Second
-		local, err := buildService(seed, fault, rank, at, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local.Run(remedyHorizon)
-		remote := dialTestDaemon(t, seed, fault, rank, at, remedyHorizon, true)
+	// Two views of the same self-healing run: the audit log and the
+	// per-channel counters with the fusion summary.
+	for name, view := range map[string]struct {
+		dump func(mycroft.Client, mycroft.JobID, io.Writer) error
+		want []string
+	}{
+		"remedy":   {dumpRemedy, []string{"remedy #"}},
+		"channels": {dumpChannels, []string{"tracepoint", "fusion (window", "last verdict: single"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			const remedyHorizon = 70 * time.Second
+			local, err := buildService(seed, fault, rank, at, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local.Run(remedyHorizon)
+			remote := dialTestDaemon(t, seed, fault, rank, at, remedyHorizon, true)
 
-		var inproc, overWire bytes.Buffer
-		if err := dumpRemedy(local, "", &inproc); err != nil {
-			t.Fatal(err)
-		}
-		if err := dumpRemedy(remote, "", &overWire); err != nil {
-			t.Fatal(err)
-		}
-		if inproc.String() != overWire.String() {
-			t.Errorf("remedy dump differs:\n--- in-process ---\n%s\n--- over wire ---\n%s", inproc.String(), overWire.String())
-		}
-		if !bytes.Contains(inproc.Bytes(), []byte("remedy")) {
-			t.Errorf("remedy dump has no attempts:\n%s", inproc.String())
-		}
-	})
+			var inproc, overWire bytes.Buffer
+			if err := view.dump(local, "", &inproc); err != nil {
+				t.Fatal(err)
+			}
+			if err := view.dump(remote, "", &overWire); err != nil {
+				t.Fatal(err)
+			}
+			if inproc.String() != overWire.String() {
+				t.Errorf("%s dump differs:\n--- in-process ---\n%s\n--- over wire ---\n%s", name, inproc.String(), overWire.String())
+			}
+			for _, want := range view.want {
+				if !bytes.Contains(inproc.Bytes(), []byte(want)) {
+					t.Errorf("%s dump missing %q:\n%s", name, want, inproc.String())
+				}
+			}
+		})
+	}
 }

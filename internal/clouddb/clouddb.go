@@ -1,8 +1,8 @@
 // Package clouddb is the in-memory stand-in for Mycroft's cloud trace
 // database (§6.1): the caching layer the always-on backend queries. Records
 // are sharded by rank-hash into independently pruned shards, each with its
-// own per-rank series, IP index and communicator index, so fleet-scale
-// ingest and the Algorithms 1/2 window queries never walk one global map.
+// own per-rank series and communicator index, so fleet-scale ingest and the
+// Algorithms 1/2 window queries never walk one global map.
 // The store supports the time-window lookups the backend issues, a unified
 // predicate/pagination query layer (see query.go), a retention horizon (the
 // production system keeps one day), and volume accounting so the data-volume
@@ -48,10 +48,10 @@ const maxShards = 64
 // facts Ingest would otherwise re-derive per record (the set of communicators
 // already indexed) and the two record fields that are the same on every
 // record of a rank, which the stored slots therefore leave out: the rank and
-// the IP it reports from. ip is the first-seen IP — what IPOf and the shard's
-// IP index answer with; a record that arrives with a different one (a rank
-// re-homed to another host mid-run) gets an entry in ips and its slot an
-// index into it, so every read returns exactly the record that was ingested.
+// the IP it reports from. ip is the first-seen IP — what IPOf answers with; a
+// record that arrives with a different one (a rank re-homed to another host
+// mid-run) gets an entry in ips and its slot an index into it, so every read
+// returns exactly the record that was ingested.
 type rankSeries struct {
 	rank  topo.Rank
 	ip    topo.IP
@@ -63,7 +63,6 @@ type rankSeries struct {
 // shard is one independently pruned partition of the store.
 type shard struct {
 	byRank    map[topo.Rank]*rankSeries
-	ipRanks   map[topo.IP][]topo.Rank
 	commRanks map[uint64]map[topo.Rank]bool
 
 	ingested uint64
@@ -74,7 +73,6 @@ type shard struct {
 func newShard() *shard {
 	return &shard{
 		byRank:    make(map[topo.Rank]*rankSeries),
-		ipRanks:   make(map[topo.IP][]topo.Rank),
 		commRanks: make(map[uint64]map[topo.Rank]bool),
 	}
 }
@@ -129,9 +127,7 @@ func (db *DB) shardIdx(r topo.Rank) int {
 	return int(r) % len(db.shards)
 }
 
-// seriesFor returns (creating on first sight) the series for a rank. First
-// sight is the only time the IP index is touched — the per-record lookups
-// the unsharded store did are hoisted here.
+// seriesFor returns (creating on first sight) the series for a rank.
 func (db *DB) seriesFor(r topo.Rank, ip topo.IP) (int, *shard, *rankSeries) {
 	idx := db.shardIdx(r)
 	sh := db.shards[idx]
@@ -139,7 +135,6 @@ func (db *DB) seriesFor(r topo.Rank, ip topo.IP) (int, *shard, *rankSeries) {
 	if s == nil {
 		s = &rankSeries{rank: r, ip: ip, comms: make(map[uint64]bool)}
 		sh.byRank[r] = s
-		sh.ipRanks[ip] = append(sh.ipRanks[ip], r)
 	}
 	return idx, sh, s
 }
@@ -389,17 +384,6 @@ func (db *DB) IPOf(r topo.Rank) (topo.IP, bool) {
 		return s.ip, true
 	}
 	return "", false
-}
-
-// RanksAt returns the ranks reporting from an IP (the paper keys triggers by
-// IP; one host carries several ranks, and its ranks spread across shards).
-func (db *DB) RanksAt(ip topo.IP) []topo.Rank {
-	var out []topo.Rank
-	for _, sh := range db.shards {
-		out = append(out, sh.ipRanks[ip]...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // RanksOfComm returns the member ranks observed for a communicator.

@@ -98,8 +98,8 @@ func TestIPIndex(t *testing.T) {
 	if ip, ok := db.IPOf(0); !ok || ip != "10.0.0.1" {
 		t.Fatalf("IPOf(0) = %v %v", ip, ok)
 	}
-	if got := db.RanksAt("10.0.0.2"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("RanksAt = %v", got)
+	if ip, ok := db.IPOf(1); !ok || ip != "10.0.0.2" {
+		t.Fatalf("IPOf(1) = %v %v", ip, ok)
 	}
 	if _, ok := db.IPOf(9); ok {
 		t.Fatal("IPOf unknown rank reported ok")

@@ -343,8 +343,9 @@ func (b *Backend) Fusion() *Fusion { return b.fusion }
 // through the standard report path: fusion, the report ledger, metrics, the
 // publish span, and the EventReport emit — so subscribers, remediation and
 // the cluster replicator cannot tell it from a tracepoint verdict. The
-// report's first Evidence entry names the producing channel. Returns the
-// fused report as published.
+// report's first Evidence entry names the producing channel. The backend's
+// own verdicts take the same tail (deliver). Returns the fused report as
+// published.
 func (b *Backend) DeliverExternal(rep Report, own Evidence) Report {
 	b.fuse(&rep, own)
 	b.reports = append(b.reports, rep)
@@ -374,23 +375,17 @@ func (b *Backend) fuse(rep *Report, own Evidence) {
 	b.fusion.Finalize(rep, own, rep.AnalyzedAt)
 }
 
+// deliver closes the rca span fire opened and hands one of the backend's own
+// tracepoint verdicts to the tail every channel's verdict takes.
 func (b *Backend) deliver(rep Report) {
-	b.fuse(&rep, Evidence{
-		Channel: ModalityTracepoint, Rank: rep.Suspect, Category: rep.Category,
-		At: rep.AnalyzedAt, Detail: string(rep.Via),
-	})
-	b.reports = append(b.reports, rep)
-	if m := b.metrics; m != nil {
-		m.Reports.Inc()
-		m.ChainDepth.Observe(float64(len(rep.Chain)))
-	}
 	if t := b.spans; t != nil {
 		if id := t.Recorder().LastOpen(otrace.StageRCA); id != 0 {
 			t.Annotate(id, "", fmt.Sprintf("suspect rank %d (%s): chain=%d victims=%d", rep.Suspect, rep.Category, len(rep.Chain), len(rep.Victims)))
 			t.EndAt(id, rep.AnalyzedAt)
 		}
-		pub := t.StageAt(otrace.StagePublish, rep.AnalyzedAt)
-		defer t.EndAt(pub, rep.AnalyzedAt)
 	}
-	b.emit(Event{Kind: EventReport, At: rep.AnalyzedAt, Report: &rep})
+	b.DeliverExternal(rep, Evidence{
+		Channel: ModalityTracepoint, Rank: rep.Suspect, Category: rep.Category,
+		At: rep.AnalyzedAt, Detail: string(rep.Via),
+	})
 }

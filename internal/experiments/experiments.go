@@ -1,9 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7) on the simulated substrate. Each experiment returns a
-// structured result with a Table() renderer; cmd/mycroft-bench prints them
-// and bench_test.go wraps them in testing.B benchmarks (one E-benchmark per
-// reproduced table/figure — run `go test -bench . -benchtime 1x -v` for the
-// paper-vs-measured record).
+// structured result with a Table() renderer; cmd/mycroft-eval prints them
+// (`-only e2,abl` selects) and this package's tests assert every table's
+// shape against the paper's.
 package experiments
 
 import (

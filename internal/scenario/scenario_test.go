@@ -128,6 +128,23 @@ func TestBuiltinsCoverAllKinds(t *testing.T) {
 	}
 }
 
+// TestExampleSpecValidates: scenarios/example.json is the file-format
+// documentation README points at, and no builtin is loaded from a file — so
+// this is the only place the shipped example is held to Parse and Validate.
+func TestExampleSpecValidates(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "example.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := Parse(data)
+	if err != nil {
+		t.Fatalf("scenarios/example.json: %v", err)
+	}
+	if spec.Name != "example" || len(spec.Events) == 0 || len(spec.Assertions) == 0 {
+		t.Errorf("example parsed to name %q, %d events, %d assertions", spec.Name, len(spec.Events), len(spec.Assertions))
+	}
+}
+
 // TestRunDeterministic: same spec and seed render byte-identical reports —
 // the property every stress campaign leans on.
 func TestRunDeterministic(t *testing.T) {

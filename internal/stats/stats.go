@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness and the Mycroft backend: streaming summaries, quantiles,
-// empirical CDFs and rolling rate estimators over virtual time.
+// experiment harness and the Mycroft backend: quantiles, empirical CDFs and
+// rolling rate estimators over virtual time.
 package stats
 
 import (
@@ -8,59 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary accumulates count/mean/variance/min/max using Welford's algorithm.
-// The zero value is ready to use.
-type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds a sample into the summary.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of samples.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance.
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (s *Summary) Max() float64 { return s.max }
-
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g", s.n, s.Mean(), s.Std(), s.min, s.max)
-}
 
 // Sample is an exact quantile estimator: it retains all values. Suitable for
 // the experiment scales in this repository (≤ millions of points).
@@ -191,53 +138,3 @@ func (r *RollingRate) Value() (v float64, ok bool) { return r.value, r.primed }
 
 // Samples returns how many observations have been folded in.
 func (r *RollingRate) Samples() int { return r.samples }
-
-// Histogram is a fixed-bucket histogram over [lo, hi) with uniform buckets
-// plus underflow/overflow counters.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int64
-	under   int64
-	over    int64
-	n       int64
-}
-
-// NewHistogram creates a histogram with nb uniform buckets over [lo, hi).
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if hi <= lo || nb <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, nb)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if i == len(h.buckets) { // guard FP edge
-			i--
-		}
-		h.buckets[i]++
-	}
-}
-
-// N returns the total count.
-func (h *Histogram) N() int64 { return h.n }
-
-// Bucket returns the count of bucket i and its [lo, hi) bounds.
-func (h *Histogram) Bucket(i int) (count int64, lo, hi float64) {
-	w := (h.hi - h.lo) / float64(len(h.buckets))
-	return h.buckets[i], h.lo + float64(i)*w, h.lo + float64(i+1)*w
-}
-
-// NumBuckets returns the number of uniform buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }

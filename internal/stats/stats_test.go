@@ -6,66 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d, want 8", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Fatalf("Mean = %v, want 5", s.Mean())
-	}
-	// population variance is 4; unbiased sample variance is 32/7
-	if math.Abs(s.Var()-32.0/7.0) > 1e-12 {
-		t.Fatalf("Var = %v, want %v", s.Var(), 32.0/7.0)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryEmptyAndSingle(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.Std() != 0 {
-		t.Fatal("empty summary should be all zeros")
-	}
-	s.Add(3)
-	if s.Var() != 0 {
-		t.Fatalf("single-sample Var = %v, want 0", s.Var())
-	}
-	if s.Min() != 3 || s.Max() != 3 {
-		t.Fatal("single-sample min/max wrong")
-	}
-}
-
-// Property: Welford mean matches naive mean for random inputs.
-func TestSummaryMatchesNaive(t *testing.T) {
-	f := func(xs []float64) bool {
-		var s Summary
-		var sum float64
-		ok := true
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-				return true // skip pathological inputs
-			}
-		}
-		for _, x := range xs {
-			s.Add(x)
-			sum += x
-		}
-		if len(xs) > 0 {
-			naive := sum / float64(len(xs))
-			ok = math.Abs(s.Mean()-naive) <= 1e-6*(1+math.Abs(naive))
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSampleQuantiles(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {
@@ -188,40 +128,4 @@ func TestRollingRateBadAlpha(t *testing.T) {
 			NewRollingRate(alpha)
 		}()
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.N() != 8 {
-		t.Fatalf("N = %d, want 8", h.N())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Fatalf("outliers = %d/%d, want 1/2", under, over)
-	}
-	count, lo, hi := h.Bucket(0)
-	if count != 2 || lo != 0 || hi != 2 {
-		t.Fatalf("bucket 0 = (%d, %v, %v), want (2, 0, 2)", count, lo, hi)
-	}
-	if c, _, _ := h.Bucket(1); c != 1 { // value 2 lands in [2,4)
-		t.Fatalf("bucket 1 = %d, want 1", c)
-	}
-	if c, _, _ := h.Bucket(4); c != 1 { // 9.99
-		t.Fatalf("bucket 4 = %d, want 1", c)
-	}
-	if h.NumBuckets() != 5 {
-		t.Fatalf("NumBuckets = %d, want 5", h.NumBuckets())
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram bounds did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
 }

@@ -96,7 +96,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mycroft_rca_chain_depth_count{job="trace"}`,
 		`mycroft_remedy_attempts_total{job="trace",action="recover-fault",outcome=`,
 		`mycroft_remedy_verify_seconds_count{job="trace"}`,
-		`mycroft_job_health{job="trace"}`,
+		`mycroft_job_health{job="trace"} 1`,
+		`mycroft_channel_ingest_total{job="trace",channel="log"}`,
+		`mycroft_channel_ingest_total{job="trace",channel="perf"}`,
+		`mycroft_channel_anomalies_total{job="trace",channel="log"}`,
+		`mycroft_channel_reports_total{job="trace",channel="perf"}`,
+		`mycroft_fusion_total{job="trace",outcome="single"}`,
 		`mycroft_store_records{job="trace"}`,
 		`mycroft_store_shard_records{job="trace",shard="0"}`,
 		`mycroft_http_requests_total{endpoint="/v1/ping"}`,
@@ -112,6 +117,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, family := range []string{
 		"mycroft_ingest_records_total", "mycroft_query_latency_seconds",
 		"mycroft_subscriptions_active", "mycroft_remedy_attempts_total",
+		"mycroft_channel_ingest_total",
 	} {
 		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
 			t.Errorf("family %s has %d TYPE headers, want exactly 1", family, n)

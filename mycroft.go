@@ -35,7 +35,7 @@
 //
 // See README.md for the build, the CLI tools (including the declarative
 // scenario runner, cmd/mycroft-scenario) and the scenario file format;
-// bench_test.go regenerates every reproduced table and figure.
+// cmd/mycroft-eval prints every reproduced table and figure.
 package mycroft
 
 import (

@@ -1,8 +1,11 @@
 package mycroft
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
@@ -12,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"mycroft/internal/api"
 	"mycroft/internal/cluster"
 )
 
@@ -96,6 +100,84 @@ func TestRemoteSubscribeEquivalence(t *testing.T) {
 	}
 	if err := stRemote.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSSECarriesEvents holds the one wire surface no client in this repo
+// consumes: GET /v1/subscriptions/{id}/sse. A subscription taken out before
+// a self-healing run must stream, as `data:` frames that decode through
+// api.Event, at least one trigger, one report and one remediation action,
+// then the terminal `event: closed` frame.
+func TestSSECarriesEvents(t *testing.T) {
+	svc := faultedService(t)
+	if err := svc.AttachPolicy("trace", SelfHealPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(svc)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+api.Prefix+"/subscribe", "application/json",
+		strings.NewReader(`{"filter":{"kinds":["trigger","report","action"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub api.SubscribeResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || sub.ID == "" {
+		t.Fatalf("subscribe: id %q err %v", sub.ID, err)
+	}
+	for driven := time.Duration(0); driven < 70*time.Second; driven += time.Second {
+		srv.Advance(time.Second)
+	}
+	// A closed subscription still drains what it buffered and then ends the
+	// stream with its terminal frame, so the read below stops at EOF.
+	srv.CloseSubscriptions()
+
+	stream, err := http.Get(ts.URL + api.Prefix + "/subscriptions/" + sub.ID + "/sse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if ct := stream.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Errorf("content type %q, want text/event-stream", ct)
+	}
+	kinds, closed := map[string]int{}, false
+	named := "" // the current frame's `event:` name; plain data frames have none
+	sc := bufio.NewScanner(stream.Body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			named = ""
+		case strings.HasPrefix(line, "event: "):
+			named = strings.TrimPrefix(line, "event: ")
+			closed = closed || named == "closed"
+		case strings.HasPrefix(line, "data: ") && named == "":
+			var e api.Event
+			dec := json.NewDecoder(strings.NewReader(strings.TrimPrefix(line, "data: ")))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&e); err != nil {
+				t.Fatalf("frame %q: %v", line, err)
+			}
+			if e.Job != "trace" || (e.Trigger == nil && e.Report == nil && e.Action == nil) {
+				t.Errorf("frame %q carries no payload for job trace", line)
+			}
+			kinds[e.Kind]++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"trigger", "report", "action"} {
+		if kinds[kind] == 0 {
+			t.Errorf("SSE stream carried no %q event (got %v)", kind, kinds)
+		}
+	}
+	if !closed {
+		t.Error("SSE stream ended without its `event: closed` frame")
 	}
 }
 

@@ -173,9 +173,8 @@ func (s *Service) AddJob(id JobID, opts JobOptions) (*JobHandle, error) {
 	// including the backend's own tracepoint verdicts — reports through.
 	fusion := core.NewFusion(core.FusionConfig{})
 	bk.SetFusion(fusion)
-	h.channels = newJobChannels(job.Cluster.WorldSize(), fusion)
+	h.channels = s.newJobChannels(id, job.Cluster.WorldSize(), fusion)
 	s.registerJobMetrics(h)
-	s.registerChannelMetrics(h)
 	// The heartbeat watermark: any batch reaching the store proves the job's
 	// agents are alive right now (virtual time).
 	job.DB.AddIngestObserver(func([]trace.Record) { h.lastIngest = s.Now() })
