@@ -80,6 +80,10 @@ type op[Q, R, WQ, WR any] struct {
 type tableOp interface {
 	clientMethod() string
 	mount(*Server, *api.Mux)
+	// recode decodes a request exactly as the mounted route does and encodes
+	// it again as remoteCall does, serving nothing. FuzzOpDecode drives every
+	// decode path of the table through it.
+	recode(*http.Request) (path string, body any, err error)
 }
 
 // Argument bundles for the Client methods that take more than one value, and
@@ -385,6 +389,37 @@ func (o *op[Q, R, WQ, WR]) decode(w http.ResponseWriter, r *http.Request) (q Q, 
 	return q, err
 }
 
+func (o *op[Q, R, WQ, WR]) recode(r *http.Request) (string, any, error) {
+	q, err := o.decode(nil, r)
+	if err != nil {
+		return "", nil, err
+	}
+	path, body := o.encode(q)
+	return path, body, nil
+}
+
+// encode is decode's inverse, the request as a client sends it: the route
+// with the job and query string in place, and the JSON body (nil when the
+// route takes none).
+func (o *op[Q, R, WQ, WR]) encode(q Q) (path string, body any) {
+	path = api.Prefix + o.path
+	if o.jobInPath() {
+		path = jobPath(o.path, *o.job(&q))
+	}
+	if o.reqToWire != nil {
+		wq := o.reqToWire(q)
+		switch {
+		case o.toQuery != nil:
+			if enc := o.toQuery(wq).Encode(); enc != "" {
+				path += "?" + enc
+			}
+		case o.method == http.MethodPost:
+			body = wq
+		}
+	}
+	return path, body
+}
+
 // serve answers one decoded request in wire form. A replica answer needs no
 // engine and takes no lock beyond the replica store's own; the live call and
 // the conversion of its result (which may alias engine-owned memory) run
@@ -418,26 +453,13 @@ func (o *op[Q, R, WQ, WR]) serve(sv *Server, q Q) (resp WR, err error) {
 // On a route that carries the job in its path an empty job resolves against
 // the daemon's job list, mirroring the in-process "sole hosted job" rule.
 func remoteCall[Q, R, WQ, WR any](c *RemoteClient, o *op[Q, R, WQ, WR], q Q) (res R, err error) {
-	path := api.Prefix + o.path
 	if o.jobInPath() {
-		job, err := c.resolveRemoteJob(*o.job(&q))
-		if err != nil {
+		at := o.job(&q)
+		if *at, err = c.resolveRemoteJob(*at); err != nil {
 			return res, err
 		}
-		path = jobPath(o.path, job)
 	}
-	var body any
-	if o.reqToWire != nil {
-		wq := o.reqToWire(q)
-		switch {
-		case o.toQuery != nil:
-			if enc := o.toQuery(wq).Encode(); enc != "" {
-				path += "?" + enc
-			}
-		case o.method == http.MethodPost:
-			body = wq
-		}
-	}
+	path, body := o.encode(q)
 	var wr WR
 	if err := c.do(o.method, path, body, &wr); err != nil {
 		return res, err

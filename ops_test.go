@@ -1,6 +1,11 @@
 package mycroft
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/url"
 	"reflect"
 	"slices"
 	"testing"
@@ -154,4 +159,101 @@ func TestPagedQueriesShareFilters(t *testing.T) {
 	if got := (TriggerQuery{}).over(hosted); all.Total == 0 || !reflect.DeepEqual(got, all) {
 		t.Fatalf("hosted job: over = %+v, QueryTriggers = %+v", got, all)
 	}
+}
+
+// opRequest is one request as a table route receives it: the job its path
+// carries (when it carries one), its query string and its JSON body.
+func opRequest(job, query string, body []byte) *http.Request {
+	r := &http.Request{
+		Method: http.MethodPost, URL: &url.URL{RawQuery: query},
+		Body: io.NopCloser(bytes.NewReader(body)),
+	}
+	r.SetPathValue("id", job)
+	return r
+}
+
+// FuzzOpDecode feeds arbitrary bodies and query strings to every decode path
+// of the operation table. A route may refuse its input, but it may not panic,
+// and what it accepts must survive the trip a client gives it: encoded the
+// way remoteCall encodes and decoded again, it encodes to the same bytes.
+// The seeds are the request halves of TestRemoteQueriesMatchInProcess's
+// queries plus, for every enum a request carries, one name outside it —
+// which must be refused here, at decode, before any Service call.
+func FuzzOpDecode(f *testing.F) {
+	index := func(name string) uint8 {
+		at := slices.IndexFunc(opTable, func(o tableOp) bool { return o.clientMethod() == name })
+		if at < 0 {
+			f.Fatalf("no table entry %q", name)
+		}
+		return uint8(at)
+	}
+	seeds := []struct {
+		op, job, query, body string
+		refused              bool
+	}{
+		{op: "QueryTriggers", body: `{"jobs":["trace"]}`},
+		{op: "QueryTriggers", body: `{"jobs":["trace"],"ranks":[5]}`},
+		{op: "QueryTriggers", body: `{"jobs":["trace"],"offset":1,"limit":1}`},
+		{op: "QueryTriggers", body: `{"kinds":["failure","straggler"],"from_ns":1,"to_ns":2}`},
+		{op: "QueryTriggers"},
+		{op: "QueryReports", body: `{"jobs":["trace"]}`},
+		{op: "QueryReports", body: `{"jobs":["trace"],"suspects":[5],"categories":["gpu-hang"],"comm":7}`},
+		{op: "QueryReports", body: `{"jobs":["trace"],"to_ns":15000000000}`},
+		{op: "QueryRemediations", body: `{"jobs":["trace"]}`},
+		{op: "QueryRemediations", body: `{"jobs":["trace"],"actions":["isolate-rank"],"outcomes":["succeeded"]}`},
+		{op: "ChannelStats", job: "trace"},
+		{op: "QueryTrace", body: `{"job":"trace","ranks":[5],"limit":10}`},
+		{op: "QueryTrace", body: `{"job":"trace","kinds":["completion","state"],"cursor":{"rank":5,"time_ns":9,"emitted":3}}`},
+		{op: "QueryDependencies", body: `{"job":"trace","render_dot":true}`},
+		{op: "BlastRadius", body: `{"job":"trace","suspect":5}`},
+		{op: "BlastRadius", body: `{"suspect":5}`},
+		{op: "Triage", body: `{"job":"trace"}`},
+		{op: "QuerySpans", job: "trace", query: "incident=trigger-1"},
+		{op: "QuerySpans", job: "a/b c", query: "stage=rca&after_id=7&min_wall_ns=1000&limit=3"},
+		{op: "ListJobs"},
+		{op: "Health"},
+		{op: "IngestLogs", job: "trace", body: `{"lines":[{"rank":5,"at_ns":1,"level":"error","text":"NET/IB timeout"}]}`},
+		{op: "IngestTimings", job: "trace", body: `{"samples":[{"rank":5,"iter":3,"at_ns":1}]}`},
+
+		{op: "QueryTrace", body: `{"kinds":["summary"]}`, refused: true},
+		{op: "QueryTriggers", body: `{"kinds":["hiccup"]}`, refused: true},
+		{op: "QueryRemediations", body: `{"actions":["reboot-universe"]}`, refused: true},
+		{op: "QueryRemediations", body: `{"outcomes":["shrug"]}`, refused: true},
+		{op: "QuerySpans", job: "trace", query: "limit=many", refused: true},
+		{op: "QueryTrace", body: `{"ranks":"all"}`, refused: true},
+	}
+	for _, s := range seeds {
+		if _, _, err := opTable[index(s.op)].recode(opRequest(s.job, s.query, []byte(s.body))); (err != nil) != s.refused {
+			f.Fatalf("%s %q %q: refused = %v (%v), want %v", s.op, s.query, s.body, err != nil, err, s.refused)
+		}
+		f.Add(index(s.op), s.job, s.query, []byte(s.body))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, job, query string, body []byte) {
+		o := opTable[int(which)%len(opTable)]
+		path, sent, err := o.recode(opRequest(job, query, body))
+		if err != nil {
+			return
+		}
+		encode := func(path string, sent any) (*url.URL, []byte) {
+			u, err := url.Parse(path)
+			if err != nil {
+				t.Fatalf("%s encoded an unusable path %q: %v", o.clientMethod(), path, err)
+			}
+			var data []byte
+			if sent != nil {
+				if data, err = json.Marshal(sent); err != nil {
+					t.Fatalf("%s accepted a request it cannot encode: %v", o.clientMethod(), err)
+				}
+			}
+			return u, data
+		}
+		u, data := encode(path, sent)
+		path2, sent2, err := o.recode(opRequest(job, u.RawQuery, data))
+		if err != nil {
+			t.Fatalf("%s refused its own encoding %s %s: %v", o.clientMethod(), path, data, err)
+		}
+		if _, data2 := encode(path2, sent2); path2 != path || !bytes.Equal(data2, data) {
+			t.Fatalf("%s encoding is not stable:\n first  %s %s\n second %s %s", o.clientMethod(), path, data, path2, data2)
+		}
+	})
 }
