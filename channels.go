@@ -3,8 +3,10 @@ package mycroft
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
+	"mycroft/internal/api"
 	"mycroft/internal/core"
 	"mycroft/internal/logdiag"
 	"mycroft/internal/obs"
@@ -55,62 +57,38 @@ type ChannelAnomaly = core.LogAnomaly
 // LogLine is one structured training-log line on the ingest path. At is
 // virtual time; zero means "now".
 type LogLine struct {
-	Rank  Rank
-	At    time.Duration
-	Level string // "info", "warn" or "error" (anything else reads as info)
-	Text  string
+	Rank  Rank          `json:"rank"`
+	At    time.Duration `json:"at_ns,omitempty"`
+	Level string        `json:"level,omitempty"` // "info", "warn" or "error" (anything else reads as info)
+	Text  string        `json:"text"`
 }
 
 // IterationSample is one per-rank iteration-completion timestamp — the only
 // signal the black-box perf channel needs.
 type IterationSample struct {
-	Rank Rank
-	Iter int
-	At   time.Duration
+	Rank Rank          `json:"rank"`
+	Iter int           `json:"iter"`
+	At   time.Duration `json:"at_ns,omitempty"`
 }
 
 // IngestResult reports one channel ingest batch: how many items were folded
 // in and how many anomalies the triggered analysis pass currently sees.
 type IngestResult struct {
-	Job       JobID
-	Accepted  int
-	Anomalies int
+	Job       JobID `json:"job"`
+	Accepted  int   `json:"accepted"`
+	Anomalies int   `json:"anomalies"`
 }
 
-// ChannelInfo is one diagnosis channel's counters inside a
-// ChannelStatsResult.
-type ChannelInfo struct {
-	Channel Modality
-	// Ingested counts the channel's native unit: trace records, log lines or
-	// timing samples.
-	Ingested uint64
-	// Anomalies counts channel findings (triggers for the tracepoint channel,
-	// published anomalies for log/perf).
-	Anomalies uint64
-	// Reports counts verdicts this channel delivered (by Via).
-	Reports uint64
-	// Templates is the live log-template cluster count (log channel only).
-	Templates int
-}
-
-// FusionInfo summarizes evidence fusion for one job.
-type FusionInfo struct {
-	Window time.Duration
-	// Outcomes counts delivered reports by fusion outcome
-	// (single/corroborated/conflicted).
-	Outcomes map[string]uint64
-	// LastOutcome and LastConfidence describe the most recent report.
-	LastOutcome    string
-	LastConfidence float64
-}
-
-// ChannelStatsResult is the Client.ChannelStats answer: per-channel counters
-// in canonical order plus the job's fusion summary.
-type ChannelStatsResult struct {
-	Job      JobID
-	Channels []ChannelInfo
-	Fusion   FusionInfo
-}
+// Channel statistics, as Client.ChannelStats answers them.
+type (
+	// ChannelInfo is one diagnosis channel's counters.
+	ChannelInfo = api.ChannelInfo
+	// FusionInfo summarizes evidence fusion for one job.
+	FusionInfo = api.FusionInfo
+	// ChannelStatsResult is per-channel counters in canonical order plus the
+	// job's fusion summary.
+	ChannelStatsResult = api.ChannelStatsResult
+)
 
 // channelEventInterval rate-limits repeated EventLogAnomaly publication for
 // the same finding; channelReportMute rate-limits report escalation per
@@ -151,12 +129,11 @@ type jobChannels struct {
 // set, labeled {job, channel}.
 func (s *Service) newJobChannels(id JobID, world int, fusion *core.Fusion) *jobChannels {
 	ch := &jobChannels{
-		logs:           logdiag.New(world, logdiag.Config{}),
-		perf:           perfdiag.New(world, perfdiag.Config{}),
-		fusion:         fusion,
-		lastEvent:      make(map[string]time.Duration),
-		by:             make(map[Modality]*channelState),
-		fusionOutcomes: make(map[string]uint64),
+		logs:      logdiag.New(world, logdiag.Config{}),
+		perf:      perfdiag.New(world, perfdiag.Config{}),
+		fusion:    fusion,
+		lastEvent: make(map[string]time.Duration),
+		by:        make(map[Modality]*channelState),
 	}
 	jl := obs.L("job", string(id))
 	for _, m := range []Modality{ModalityLog, ModalityPerf} {
@@ -375,6 +352,9 @@ func victimsBeside(ranks []Rank, suspect Rank) []Rank {
 func (h *JobHandle) observeFusion(rep Report) {
 	ch := h.channels
 	out := rep.FusionOutcome()
+	if ch.fusionOutcomes == nil { // nil until the first report, as ChannelStats answers it
+		ch.fusionOutcomes = make(map[string]uint64)
+	}
 	ch.fusionOutcomes[out]++
 	ch.lastOutcome = out
 	ch.lastConfidence = rep.Confidence
@@ -415,13 +395,10 @@ func (s *Service) ChannelStats(job JobID) (ChannelStatsResult, error) {
 		},
 		Fusion: FusionInfo{
 			Window:         ch.fusion.Config().Window,
-			Outcomes:       make(map[string]uint64, len(ch.fusionOutcomes)),
+			Outcomes:       maps.Clone(ch.fusionOutcomes), // the caller's own: it is encoded outside Server.mu
 			LastOutcome:    ch.lastOutcome,
 			LastConfidence: ch.lastConfidence,
 		},
-	}
-	for k, v := range ch.fusionOutcomes {
-		res.Fusion.Outcomes[k] = v
 	}
 	return res, nil
 }

@@ -3,7 +3,7 @@ package mycroft
 import (
 	"time"
 
-	"mycroft/internal/clouddb"
+	"mycroft/internal/api"
 )
 
 // Client is the transport-agnostic face of a Mycroft deployment: the one
@@ -61,32 +61,20 @@ var (
 
 // JobInfo describes one hosted job: identity, size, progress, store
 // occupancy and remediation state.
-type JobInfo struct {
-	ID         JobID
-	WorldSize  int
-	Iterations int
-	// Records is how many trace records reached the job's store.
-	Records uint64
-	// Store is the sharded trace-store occupancy (see JobHandle.StoreStats).
-	Store clouddb.Stats
-	// Isolated lists ranks the remediation loop has cordoned.
-	Isolated []Rank
-	// Policy names the attached remediation policy ("" when none).
-	Policy string
-	// Source marks a row not hosted by the answering daemon: "replica" when
-	// it came from a cluster peer's replicated snapshot ("" = live local).
-	Source string
-}
+type JobInfo = api.JobInfo
 
 // JobsResult is the job listing plus the service's current virtual time.
 type JobsResult struct {
-	Now  time.Duration
-	Jobs []JobInfo
+	Now  time.Duration `json:"now_ns"`
+	Jobs []JobInfo     `json:"jobs"`
 }
 
 // ListJobs describes every hosted job in arrival order.
 func (s *Service) ListJobs() (JobsResult, error) {
-	res := JobsResult{Now: s.Now(), Jobs: make([]JobInfo, 0, len(s.order))}
+	res := JobsResult{Now: s.Now()}
+	if len(s.order) > 0 { // an empty listing stays nil: null on the wire, not []
+		res.Jobs = make([]JobInfo, 0, len(s.order))
+	}
 	for _, id := range s.order {
 		h := s.jobs[id]
 		info := JobInfo{
@@ -104,11 +92,11 @@ func (s *Service) ListJobs() (JobsResult, error) {
 // TriageResult is the combined py-spy / Flight Recorder / Mycroft verdict
 // for a job's latest report. OK is false when the job has no reports yet.
 type TriageResult struct {
-	Job     JobID
-	Source  string
-	Rank    Rank
-	Summary string
-	OK      bool
+	Job     JobID  `json:"job"`
+	Source  string `json:"source"`
+	Rank    Rank   `json:"rank"`
+	Summary string `json:"summary"`
+	OK      bool   `json:"ok"`
 }
 
 // Triage runs the Fig. 6 integration pipeline over one hosted job. An empty

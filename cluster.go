@@ -163,7 +163,7 @@ func (cl *serverCluster) drainTap() {
 			return
 		}
 		if log := cl.logs[e.Job]; log != nil {
-			log.Append(eventToWire(e))
+			log.Append(e)
 		}
 	}
 }
@@ -282,29 +282,20 @@ func (sv *Server) snapshotLocked(job JobID) *api.ClusterSnapshot {
 	if err != nil {
 		return nil
 	}
-	w := jobsResultToWire(jobs)
-	snap := api.ClusterSnapshot{NowNs: w.NowNs}
-	found := false
-	for _, j := range w.Jobs {
-		if j.ID == string(job) {
-			snap.Job = j
-			found = true
-		}
-	}
-	if !found {
+	at := slices.IndexFunc(jobs.Jobs, func(j JobInfo) bool { return j.ID == job })
+	if at < 0 {
 		return nil
 	}
+	snap := api.ClusterSnapshot{NowNs: int64(jobs.Now), Job: jobs.Jobs[at]}
 	if health, err := sv.svc.Health(); err == nil {
-		hw := healthResultToWire(health)
-		for _, jh := range hw.Jobs {
-			if jh.Job == string(job) {
+		for _, jh := range health.Jobs {
+			if jh.Job == job {
 				snap.Health = jh
 			}
 		}
 	}
 	if stats, err := sv.svc.ChannelStats(job); err == nil {
-		cw := channelStatsToWire(stats)
-		snap.Channels = &cw
+		snap.Channels = &stats
 	}
 	return &snap
 }
@@ -314,19 +305,16 @@ func (sv *Server) snapshotLocked(job JobID) *api.ClusterSnapshot {
 // afterNs when nothing matched). Callers hold sv.mu. Records sharing the
 // boundary timestamp with the watermark can be skipped on the next window —
 // the mirror is documented best-effort; the event log is the exact record.
-func (sv *Server) traceSinceLocked(job JobID, afterNs int64, limit int) ([]api.TraceRecord, int64) {
+func (sv *Server) traceSinceLocked(job JobID, afterNs int64, limit int) ([]TraceRecord, int64) {
 	res, err := sv.svc.QueryTrace(TraceQuery{Job: job, From: time.Duration(afterNs + 1), Limit: limit})
 	if err != nil {
 		return nil, afterNs
 	}
-	w := traceResultToWire(res)
 	wm := afterNs
-	for _, r := range w.Records {
-		if r.TimeNs > wm {
-			wm = r.TimeNs
-		}
+	for _, r := range res.Records {
+		wm = max(wm, int64(r.Time))
 	}
-	return w.Records, wm
+	return res.Records, wm
 }
 
 // JoinPeers announces this peer to every other member once, merging the
@@ -513,7 +501,7 @@ func (sv *Server) clusterReplicate(req api.ReplicateRequest) (api.ReplicateRespo
 		return api.ReplicateResponse{}, err
 	}
 	cl.node.Heard(req.From)
-	return cl.store.Apply(req)
+	return cl.store.Apply(req), nil
 }
 
 // clusterTail serves the seq-resumable event tail. On the job's primary it
@@ -568,8 +556,8 @@ func (sv *Server) clusterHandoff(req api.HandoffRequest) (api.HandoffResponse, e
 // A peer asked about jobs it does not host answers from its replica store
 // when every requested job is followed here; otherwise the live path (and
 // its "unknown job" error) stands. These are the operation table's replica
-// hooks: they read the store's decoded domain values and answer in domain
-// results, through the same query functions a Service uses.
+// hooks: they read the store and answer through the same query functions a
+// Service uses.
 
 // follows returns the replica state of a job this peer follows but does not
 // host, nil for any other job.
@@ -654,14 +642,14 @@ func (cl *serverCluster) replicaChannels(job JobID) (ChannelStatsResult, bool, e
 	if snap == nil || snap.Channels == nil {
 		return ChannelStatsResult{}, false, nil
 	}
-	res, err := channelStatsFromWire(*snap.Channels)
-	return res, true, err
+	return *snap.Channels, true, nil
 }
 
 // replicaTriage answers from the followed job's latest replicated verdict:
 // the py-spy and Flight Recorder stages need the live job, so a replica can
 // only repeat what Mycroft itself concluded.
-func (cl *serverCluster) replicaTriage(job JobID) (TriageResult, bool, error) {
+func (cl *serverCluster) replicaTriage(a triageArgs) (TriageResult, bool, error) {
+	job := a.Job
 	rj := cl.follows(job)
 	if rj == nil {
 		return TriageResult{}, false, nil

@@ -344,13 +344,8 @@ func (cc *ClusterClient) tailLoop(job string, st *Stream) {
 				// (replication gap after failover).
 				st.addDropped(se.Seq - last - 1)
 				last = se.Seq
-				e, err := eventFromWire(se.Event)
-				if err != nil {
-					st.fail(err)
-					return
-				}
-				if st.filter.matches(e) {
-					st.deliver(e)
+				if st.filter.matches(se.Event) {
+					st.deliver(se.Event)
 				}
 			}
 			progressed = true

@@ -1,11 +1,11 @@
 package mycroft
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"time"
 
+	"mycroft/internal/api"
 	"mycroft/internal/core"
 )
 
@@ -46,76 +46,49 @@ const (
 )
 
 // Event is one observation delivered to a subscription: which hosted job it
-// came from, when (virtual time), and exactly one of Trigger, Report or
-// Phase matching Kind.
-type Event struct {
-	Job  JobID
-	Kind EventKind
-	At   time.Duration
-
-	Trigger    *Trigger        // EventTrigger
-	Report     *Report         // EventReport
-	Phase      string          // EventLifecycle
-	Action     *RemedyAttempt  // EventAction
-	Health     *HealthChange   // EventHealth
-	LogAnomaly *ChannelAnomaly // EventLogAnomaly
-}
-
-func (e Event) String() string {
-	switch e.Kind {
-	case EventTrigger:
-		return fmt.Sprintf("job %s: %v", e.Job, *e.Trigger)
-	case EventReport:
-		return fmt.Sprintf("job %s: %v", e.Job, *e.Report)
-	case EventLifecycle:
-		return fmt.Sprintf("job %s: [%v] %s", e.Job, e.At, e.Phase)
-	case EventAction:
-		return fmt.Sprintf("job %s: %v", e.Job, *e.Action)
-	case EventHealth:
-		return fmt.Sprintf("job %s: [%v] health %v", e.Job, e.At, *e.Health)
-	case EventLogAnomaly:
-		return fmt.Sprintf("job %s: %v", e.Job, *e.LogAnomaly)
-	default:
-		return fmt.Sprintf("job %s: %v", e.Job, e.Kind)
-	}
-}
+// came from, when (virtual time), and exactly one of Trigger, Report, Phase,
+// Action, Health or LogAnomaly matching Kind.
+type Event = api.Event
 
 // EventFilter selects which events a subscription receives. Zero-value
 // fields match everything; set fields are ANDed together.
 type EventFilter struct {
 	// Jobs restricts to these hosted jobs.
-	Jobs []JobID
+	Jobs []JobID `json:"jobs,omitempty"`
 	// Kinds restricts event kinds.
-	Kinds []EventKind
+	Kinds []EventKind `json:"kinds,omitempty"`
 	// Ranks restricts to events about these ranks: a trigger's sampled rank
 	// or a report's suspect. Lifecycle events carry no rank and are
 	// filtered out when Ranks is set.
-	Ranks []Rank
+	Ranks []Rank `json:"ranks,omitempty"`
 	// Categories restricts to reports with one of these verdicts; setting
 	// it implies reports-only.
-	Categories []Category
+	Categories []Category `json:"categories,omitempty"`
 	// Victims restricts to reports whose blast radius — the suspect plus
 	// Report.Victims — includes one of these ranks; setting it implies
 	// reports-only. Use it to watch "anything that takes rank N down with
 	// it", which Ranks (suspect-only) cannot express.
-	Victims []Rank
+	Victims []Rank `json:"victims,omitempty"`
 	// MinChain restricts to reports whose causal chain has at least this
 	// many hops; setting it > 0 implies reports-only. MinChain 2 selects
 	// exactly the cross-communicator cascades.
-	MinChain int
+	MinChain int `json:"min_chain,omitempty"`
 	// Outcomes restricts to remediation events whose attempt carries one of
 	// these outcomes; setting it implies actions-only. Watch
 	// {RemedyEscalated} to page exactly when the loop gives up.
-	Outcomes []RemedyOutcome
+	Outcomes []RemedyOutcome `json:"outcomes,omitempty"`
 	// From and To bound the event's virtual time, inclusive. To 0 means
 	// unbounded.
-	From, To time.Duration
+	From time.Duration `json:"from_ns,omitempty"`
+	To   time.Duration `json:"to_ns,omitempty"`
 	// Buffer caps how many undelivered events the stream may hold in poll
 	// mode (0 = unbounded). When full, the oldest buffered event is dropped
 	// to admit the new one and Stream.Dropped counts it — a slow subscriber
 	// degrades to "most recent Buffer events" instead of growing memory
-	// without bound.
-	Buffer int
+	// without bound. Over the wire 0 does not mean unbounded: the server
+	// caps it (defaultWireBuffer) so an abandoned subscription cannot grow
+	// the daemon.
+	Buffer int `json:"buffer,omitempty"`
 }
 
 func (f EventFilter) matches(e Event) bool {

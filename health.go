@@ -1,32 +1,29 @@
 package mycroft
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
+	"mycroft/internal/api"
 	"mycroft/internal/sim"
 )
 
 // HealthState is a hosted job's heartbeat verdict. States form a ladder —
-// stopped, healthy, degraded, stale — driven by the job's ingest watermark:
-// a job whose store last saw records less than half the staleness threshold
-// ago is healthy, past half it is degraded, past the full threshold it is
-// stale. Transitions are published as EventHealth events.
-type HealthState string
+// stopped, healthy, degraded, stale — driven by the job's ingest watermark
+// and published as EventHealth events when they change.
+type HealthState = api.HealthState
 
+// The health ladder.
 const (
-	// HealthStopped: the job is not started (no heartbeat expected).
-	HealthStopped HealthState = "stopped"
-	// HealthHealthy: ingest is current.
-	HealthHealthy HealthState = "healthy"
-	// HealthDegraded: no ingest for at least half the staleness threshold.
-	HealthDegraded HealthState = "degraded"
-	// HealthStale: no ingest for the full staleness threshold.
-	HealthStale HealthState = "stale"
+	HealthStopped  = api.HealthStopped
+	HealthHealthy  = api.HealthHealthy
+	HealthDegraded = api.HealthDegraded
+	HealthStale    = api.HealthStale
 )
 
-// score maps a state onto the mycroft_job_health gauge scale.
-func (hs HealthState) score() int64 {
+// healthScore maps a state onto the mycroft_job_health gauge scale.
+func healthScore(hs HealthState) int64 {
 	switch hs {
 	case HealthHealthy:
 		return 1
@@ -46,37 +43,16 @@ const DefaultStaleAfter = 10 * time.Second
 
 // HealthChange is the payload of an EventHealth event: one job health
 // transition.
-type HealthChange struct {
-	From, To HealthState
-	// LastIngest is the job's ingest watermark (virtual time) at the
-	// transition.
-	LastIngest time.Duration
-	// Reason says what moved the state, deterministically derived from
-	// virtual time.
-	Reason string
-}
-
-func (c HealthChange) String() string {
-	return fmt.Sprintf("%s -> %s (%s)", c.From, c.To, c.Reason)
-}
+type HealthChange = api.HealthChange
 
 // JobHealth is one job's heartbeat view inside a HealthResult.
-type JobHealth struct {
-	Job   JobID
-	State HealthState
-	// Since is the virtual time of the last health transition.
-	Since time.Duration
-	// LastIngest is the virtual time records last reached the job's store.
-	LastIngest time.Duration
-	// Reason explains a non-healthy state ("" when healthy or stopped).
-	Reason string
-}
+type JobHealth = api.JobHealth
 
 // SubStats summarizes the service's subscription fan-out.
 type SubStats struct {
-	Active    int    // live streams
-	Delivered uint64 // events delivered to streams, lifetime
-	Dropped   uint64 // events aged out of full stream buffers, lifetime
+	Active    int    `json:"active"`    // live streams
+	Delivered uint64 `json:"delivered"` // events delivered to streams, lifetime
+	Dropped   uint64 `json:"dropped"`   // events aged out of full stream buffers, lifetime
 }
 
 // HealthResult is the Client.Health answer: the service clock, identity and
@@ -89,6 +65,31 @@ type HealthResult struct {
 	Server string
 	Subs   SubStats
 	Jobs   []JobHealth
+}
+
+// healthWire is HealthResult as /v1/health carries it, the one answer whose
+// wire form is not its own fields: uptime travels in milliseconds and the
+// protocol version rides beside the identity.
+type healthWire struct {
+	Now      time.Duration `json:"now_ns"`
+	UptimeMs int64         `json:"uptime_ms"`
+	Server   string        `json:"server,omitempty"`
+	Version  int           `json:"version"`
+	Subs     SubStats      `json:"subscriptions"`
+	Jobs     []JobHealth   `json:"jobs"`
+}
+
+func (r HealthResult) MarshalJSON() ([]byte, error) {
+	return json.Marshal(healthWire{r.Now, r.Uptime.Milliseconds(), r.Server, api.Version, r.Subs, r.Jobs})
+}
+
+func (r *HealthResult) UnmarshalJSON(data []byte) error {
+	var w healthWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*r = HealthResult{w.Now, time.Duration(w.UptimeMs) * time.Millisecond, w.Server, w.Subs, w.Jobs}
+	return nil
 }
 
 // Health reports per-job heartbeat state and subscription fan-out. It is

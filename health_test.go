@@ -1,7 +1,10 @@
 package mycroft
 
 import (
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -182,6 +185,30 @@ func TestHealthOverWire(t *testing.T) {
 	}
 	if res.Now != wantRes.Now || len(res.Jobs) != 1 || res.Jobs[0] != wantRes.Jobs[0] {
 		t.Errorf("daemon job health differs:\n remote: %+v\n local:  %+v", res, wantRes)
+	}
+}
+
+// TestRemoteTreatsEveryNon200Alike: the server picks a status per failure
+// (400 refused, 413 oversize, 500 recovered panic), but a RemoteClient needs
+// no table of them — any non-200 surfaces as an error carrying the daemon's
+// message, and one without an ErrorResponse body still names the status.
+func TestRemoteTreatsEveryNon200Alike(t *testing.T) {
+	status, body := 0, ""
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(status)
+		fmt.Fprint(w, body)
+	}))
+	defer ts.Close()
+	rc := &RemoteClient{base: ts.URL, hc: ts.Client()}
+	for _, code := range []int{http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusInternalServerError} {
+		status, body = code, `{"error":"the daemon's own words"}`
+		if _, err := rc.Health(); err == nil || err.Error() != "the daemon's own words" {
+			t.Errorf("HTTP %d with an error body: %v", code, err)
+		}
+		status, body = code, "<html>a proxy's error page</html>"
+		if _, err := rc.Health(); err == nil || !strings.Contains(err.Error(), fmt.Sprint("HTTP ", code)) {
+			t.Errorf("HTTP %d without one: %v", code, err)
+		}
 	}
 }
 

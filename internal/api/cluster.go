@@ -1,6 +1,8 @@
 package api
 
-// Cluster-mode wire types: the /v1/cluster/* endpoint set that turns N
+import "mycroft/internal/trace"
+
+// Cluster-mode messages: the /v1/cluster/* endpoint set that turns N
 // mycroft-serve daemons into one diagnosis plane. Peers replicate each
 // job's event stream (plus periodic snapshots and a best-effort trace
 // mirror) from its primary to R followers, exchange health views by
@@ -126,13 +128,13 @@ type SeqEvent struct {
 // ClusterSnapshot is the periodically replicated coarse job state: enough
 // for a replica to answer ListJobs/Health/status for the job.
 type ClusterSnapshot struct {
-	NowNs  int64         `json:"now_ns"`
-	Job    JobInfo       `json:"job"`
-	Health JobHealthInfo `json:"health"`
+	NowNs  int64     `json:"now_ns"`
+	Job    JobInfo   `json:"job"`
+	Health JobHealth `json:"health"`
 	// Channels mirrors the job's per-channel diagnosis counters and fusion
 	// state so a replica can answer GET /jobs/{id}/channels after failover
 	// (omitted by pre-fusion primaries).
-	Channels *ChannelsResponse `json:"channels,omitempty"`
+	Channels *ChannelStatsResult `json:"channels,omitempty"`
 }
 
 // ReplicateRequest is one asynchronous replication batch from a job's
@@ -149,7 +151,7 @@ type ReplicateRequest struct {
 	// acked trace watermark, capped per batch. The mirror is best-effort
 	// (exactness lives in the event log); equal-timestamp boundary records
 	// can be skipped and the window is capped by the primary's retention.
-	Trace []TraceRecord `json:"trace,omitempty"`
+	Trace []trace.Record `json:"trace,omitempty"`
 	// TraceWatermarkNs is the max record Time in Trace (0 = none shipped).
 	TraceWatermarkNs int64            `json:"trace_watermark_ns,omitempty"`
 	Snapshot         *ClusterSnapshot `json:"snapshot,omitempty"`

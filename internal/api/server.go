@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,7 +19,9 @@ import (
 // record download, /v1/cluster/*) mounted as plain handlers.
 //
 // Requests are JSON bodies (or a query string on GET routes); errors come
-// back as ErrorResponse with a 400.
+// back as ErrorResponse with the status Fail picks. A handler that panics is
+// recovered here: the client gets a 500, the endpoint's panic counter moves,
+// and the connection and the daemon stay up.
 type Mux struct {
 	mux    *http.ServeMux
 	reg    *obs.Registry
@@ -40,20 +43,35 @@ func (m *Mux) Handle(method, path string, fn http.HandlerFunc) {
 	pattern := Prefix + path
 	el := obs.L("endpoint", pattern)
 	requests := m.reg.Counter("mycroft_http_requests_total", "HTTP requests served, by endpoint.", el)
-	errors := m.reg.Counter("mycroft_http_errors_total", "HTTP requests answered 4xx/5xx, by endpoint.", el)
+	failed := m.reg.Counter("mycroft_http_errors_total", "HTTP requests answered 4xx/5xx, by endpoint.", el)
+	panics := m.reg.Counter("mycroft_http_panics_total", "HTTP handlers that panicked and were answered 500, by endpoint.", el)
 	latency := m.reg.Histogram("mycroft_http_request_seconds", "Wall-clock HTTP request latency in seconds.", obs.LatencyBuckets, el)
 	m.routes = append(m.routes, method+" "+pattern)
 	m.mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
+		defer func() {
+			if p := recover(); p != nil {
+				if p == http.ErrAbortHandler {
+					panic(p)
+				}
+				panics.Inc()
+				Fail(sw, recovered{p})
+			}
+			latency.Observe(time.Since(start).Seconds())
+			if sw.status >= 400 {
+				failed.Inc()
+			}
+		}()
 		fn(sw, r)
-		latency.Observe(time.Since(start).Seconds())
-		if sw.status >= 400 {
-			errors.Inc()
-		}
 	})
 }
+
+// recovered is a handler's panic as the error Fail answers 500 for.
+type recovered struct{ value any }
+
+func (p recovered) Error() string { return fmt.Sprintf("api: internal error: %v", p.value) }
 
 // Get mounts one call→encode endpoint that takes no request.
 func Get[Resp any](m *Mux, path string, fn func() (Resp, error)) {
@@ -119,15 +137,25 @@ func Answer(w http.ResponseWriter, resp any, err error) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// Fail is the one place an error becomes an HTTP answer.
+// Fail is the one place an error becomes an HTTP answer. The error picks the
+// status: 500 for a recovered panic, 413 for a body over ReadJSON's cap, 400
+// for everything else. Clients treat every non-200 alike and read the message.
 func Fail(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, new(recovered)):
+		status = http.StatusInternalServerError
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
+	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
 // ServeSSE streams a subscription as server-sent events: each matched event
-// is one `data:` frame of wire-form Event JSON; buffer overflow shows up as
+// is one `data:` frame of Event JSON; buffer overflow shows up as
 // a `: dropped=N` comment and the terminal frame is `event: closed`. The
 // loop long-polls in short slices so a client disconnect is noticed within
 // half a second.

@@ -1,32 +1,31 @@
-// Package api defines Mycroft's versioned wire protocol: the
-// JSON-serializable request/response types every transport-facing consumer
-// speaks, and the HTTP server that mounts them under /v1/.
+// Package api is Mycroft's versioned wire protocol: the /v1 route set, the
+// message envelopes that exist only on the wire, and the handful of domain
+// types the root package shares with internal/cluster and internal/replay.
 //
-// The wire format is the compatibility contract between a mycroft-serve
-// daemon and its remote clients, so it is deliberately decoupled from the
-// in-memory domain types: every enum crosses the wire as a stable string
-// (EventKind "trigger", not a Go iota that renumbers under refactors), every
-// timestamp as int64 virtual nanoseconds, and every paginated response
-// carries Total and NextOffset so a caller can always tell a short page from
-// the last page. Golden-file tests pin the encoding; renaming a field is a
-// wire break and fails CI.
+// There is one type per message. A Report, a trace Record, a span, an Event
+// is declared once, where it belongs (internal/core, internal/trace, ..., or
+// here), and that declaration is what crosses HTTP, what a replica stores and
+// what a .mycrec artifact holds. The JSON tags on those types, and the
+// MarshalText / UnmarshalText methods beside their enums, are the protocol:
+// every numeric enum crosses as its stable String name (EventKind "trigger",
+// not a Go iota that renumbers under refactors), every closed string set is
+// checked on decode, every timestamp is int64 virtual nanoseconds, and every
+// paginated response carries Total and NextOffset so a caller can always tell
+// a short page from the last page. Golden files (testdata here, and
+// testdata/wire_bodies.golden at the root) pin the bytes and are never
+// regenerated to make a change pass: renaming a tagged field or an enum name
+// is a wire break and fails CI.
 package api
 
 import (
 	"fmt"
+	"time"
 
 	"mycroft/internal/clouddb"
 	"mycroft/internal/core"
-	"mycroft/internal/depgraph"
-	"mycroft/internal/otrace"
 	"mycroft/internal/remedy"
-	"mycroft/internal/sim"
 	"mycroft/internal/topo"
-	"mycroft/internal/trace"
 )
-
-// simTime converts wire nanoseconds back to virtual time.
-func simTime(ns int64) sim.Time { return sim.Time(ns) }
 
 // Version is the wire-protocol generation. It is served at /v1/ping and
 // checked by Dial; all endpoints mount under "/v1/".
@@ -36,606 +35,161 @@ const Version = 1
 const Prefix = "/v1"
 
 // ---------------------------------------------------------------------------
-// Stable enum names.
-//
-// Numeric Go enums (EventKind, TriggerKind, record Kind, OpKind) cross the
-// wire as canonical strings so a renumbering refactor cannot silently change
-// the protocol. String-typed domain enums (Category, Via, EdgeKind,
-// ActionKind, Outcome) pass through as-is; the closed sets among them are
-// validated on parse.
+// Domain types the root package, internal/cluster and internal/replay all
+// name. The root re-exports each under the same name.
 
-// EventKindName renders a core.EventKind as its wire name.
-func EventKindName(k core.EventKind) string { return k.String() }
+// JobID addresses one hosted training job inside a Service.
+type JobID string
 
-// ParseEventKind maps a wire name back to the core kind.
-func ParseEventKind(s string) (core.EventKind, error) {
-	switch s {
-	case "trigger":
-		return core.EventTrigger, nil
-	case "report":
-		return core.EventReport, nil
-	case "lifecycle":
-		return core.EventLifecycle, nil
-	case "action":
-		return core.EventAction, nil
-	case "health":
-		return core.EventHealth, nil
-	case "log-anomaly":
-		return core.EventLogAnomaly, nil
-	}
-	return 0, fmt.Errorf("api: unknown event kind %q", s)
-}
-
-// ParseModality validates a diagnosis-channel name from the wire. The
-// channel set is part of the protocol: "tracepoint", "log", "perf".
-func ParseModality(s string) (core.Modality, error) {
-	for _, m := range core.Modalities() {
-		if string(m) == s {
-			return m, nil
-		}
-	}
-	return "", fmt.Errorf("api: unknown channel %q (valid: %v)", s, core.Modalities())
-}
-
-// ParseHealthState validates a job health state from the wire. The state
-// set is part of the protocol: "stopped", "healthy", "degraded", "stale".
-func ParseHealthState(s string) (string, error) {
-	switch s {
-	case "stopped", "healthy", "degraded", "stale":
-		return s, nil
-	}
-	return "", fmt.Errorf("api: unknown health state %q", s)
-}
-
-// TriggerKindName renders a core.TriggerKind as its wire name.
-func TriggerKindName(k core.TriggerKind) string { return k.String() }
-
-// ParseTriggerKind maps a wire name back to the core kind.
-func ParseTriggerKind(s string) (core.TriggerKind, error) {
-	switch s {
-	case "failure":
-		return core.TriggerFailure, nil
-	case "straggler":
-		return core.TriggerStraggler, nil
-	}
-	return 0, fmt.Errorf("api: unknown trigger kind %q", s)
-}
-
-// RecordKindName renders a trace.Kind as its wire name.
-func RecordKindName(k trace.Kind) string { return k.String() }
-
-// ParseRecordKind maps a wire name back to the trace kind.
-func ParseRecordKind(s string) (trace.Kind, error) {
-	switch s {
-	case "completion":
-		return trace.KindCompletion, nil
-	case "state":
-		return trace.KindState, nil
-	}
-	return 0, fmt.Errorf("api: unknown record kind %q", s)
-}
-
-// OpName renders a trace.OpKind as its wire name ("AllReduce", ...).
-func OpName(o trace.OpKind) string { return o.String() }
-
-// ParseOp maps a wire name back to the collective op kind.
-func ParseOp(s string) (trace.OpKind, error) {
-	for o := trace.OpNone; o <= trace.OpBarrier; o++ {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("api: unknown op %q", s)
-}
-
-// ParseEdgeKind validates a dependency-edge kind from the wire.
-func ParseEdgeKind(s string) (depgraph.EdgeKind, error) {
-	switch k := depgraph.EdgeKind(s); k {
-	case depgraph.EdgeBarrier, depgraph.EdgePipeline, depgraph.EdgeNested, "":
-		return k, nil
-	}
-	return "", fmt.Errorf("api: unknown edge kind %q", s)
-}
-
-// ParseActionKind validates a remediation action kind from the wire.
-func ParseActionKind(s string) (remedy.ActionKind, error) {
-	if k := remedy.ActionKind(s); remedy.KnownAction(k) {
-		return k, nil
-	}
-	return "", fmt.Errorf("api: unknown action kind %q", s)
-}
-
-// ParseOutcome validates a remediation outcome from the wire.
-func ParseOutcome(s string) (remedy.Outcome, error) {
-	if o := remedy.Outcome(s); remedy.KnownOutcome(o) {
-		return o, nil
-	}
-	return "", fmt.Errorf("api: unknown outcome %q", s)
-}
-
-// ---------------------------------------------------------------------------
-// Domain payloads on the wire.
-
-// Trigger is the wire form of an Algorithm 1 firing.
-type Trigger struct {
-	Kind   string `json:"kind"`
-	Rank   int    `json:"rank"`
-	IP     string `json:"ip"`
-	AtNs   int64  `json:"at_ns"`
-	CommID uint64 `json:"comm_id"`
-	Reason string `json:"reason"`
-}
-
-// FromTrigger converts a domain trigger to its wire form.
-func FromTrigger(t core.Trigger) Trigger {
-	return Trigger{
-		Kind: TriggerKindName(t.Kind), Rank: int(t.Rank), IP: string(t.IP),
-		AtNs: int64(t.At), CommID: t.CommID, Reason: t.Reason,
-	}
-}
-
-// Trigger converts back to the domain type.
-func (t Trigger) Trigger() (core.Trigger, error) {
-	k, err := ParseTriggerKind(t.Kind)
-	if err != nil {
-		return core.Trigger{}, err
-	}
-	return core.Trigger{
-		Kind: k, Rank: topo.Rank(t.Rank), IP: topo.IP(t.IP),
-		At: simTime(t.AtNs), CommID: t.CommID, Reason: t.Reason,
-	}, nil
-}
-
-// Hop is one wire step of a report's cross-communicator causal chain.
-type Hop struct {
-	Comm    uint64 `json:"comm"`
-	Suspect int    `json:"suspect"`
-	Via     string `json:"via"`
-	Edge    string `json:"edge,omitempty"`
-}
-
-// Evidence is the wire form of one channel's contribution to a fused
-// verdict.
-type Evidence struct {
-	Channel  string  `json:"channel"`
-	Rank     int     `json:"rank"`
-	Category string  `json:"category"`
-	Weight   float64 `json:"weight"`
-	Score    float64 `json:"score,omitempty"`
-	AtNs     int64   `json:"at_ns"`
-	Detail   string  `json:"detail,omitempty"`
-	Conflict bool    `json:"conflict,omitempty"`
-}
-
-// FromEvidence converts domain evidence to its wire form.
-func FromEvidence(e core.Evidence) Evidence {
-	return Evidence{
-		Channel: string(e.Channel), Rank: int(e.Rank), Category: string(e.Category),
-		Weight: e.Weight, Score: e.Score, AtNs: int64(e.At), Detail: e.Detail, Conflict: e.Conflict,
-	}
-}
-
-// Evidence converts back to the domain type.
-func (e Evidence) Evidence() (core.Evidence, error) {
-	m, err := ParseModality(e.Channel)
-	if err != nil {
-		return core.Evidence{}, err
-	}
-	return core.Evidence{
-		Channel: m, Rank: topo.Rank(e.Rank), Category: core.Category(e.Category),
-		Weight: e.Weight, Score: e.Score, At: simTime(e.AtNs), Detail: e.Detail, Conflict: e.Conflict,
-	}, nil
-}
-
-// Report is the wire form of an Algorithm 2 root-cause verdict. Evidence and
-// Confidence carry the fused per-channel attribution (append-only additions;
-// absent on pre-fusion servers).
-type Report struct {
-	Trigger      Trigger    `json:"trigger"`
-	Suspect      int        `json:"suspect"`
-	SuspectIP    string     `json:"suspect_ip"`
-	CommID       uint64     `json:"comm_id"`
-	Category     string     `json:"category"`
-	Via          string     `json:"via"`
-	AnalyzedAtNs int64      `json:"analyzed_at_ns"`
-	Details      string     `json:"details"`
-	Chain        []Hop      `json:"chain,omitempty"`
-	Victims      []int      `json:"victims,omitempty"`
-	Evidence     []Evidence `json:"evidence,omitempty"`
-	Confidence   float64    `json:"confidence,omitempty"`
-}
-
-// FromReport converts a domain report to its wire form.
-func FromReport(r core.Report) Report {
-	w := Report{
-		Trigger: FromTrigger(r.Trigger), Suspect: int(r.Suspect), SuspectIP: string(r.SuspectIP),
-		CommID: r.CommID, Category: string(r.Category), Via: string(r.Via),
-		AnalyzedAtNs: int64(r.AnalyzedAt), Details: r.Details, Confidence: r.Confidence,
-	}
-	for _, h := range r.Chain {
-		w.Chain = append(w.Chain, Hop{Comm: h.Comm, Suspect: int(h.Suspect), Via: string(h.Via), Edge: string(h.Edge)})
-	}
-	for _, v := range r.Victims {
-		w.Victims = append(w.Victims, int(v))
-	}
-	for _, e := range r.Evidence {
-		w.Evidence = append(w.Evidence, FromEvidence(e))
-	}
-	return w
-}
-
-// Report converts back to the domain type.
-func (r Report) Report() (core.Report, error) {
-	tr, err := r.Trigger.Trigger()
-	if err != nil {
-		return core.Report{}, err
-	}
-	out := core.Report{
-		Trigger: tr, Suspect: topo.Rank(r.Suspect), SuspectIP: topo.IP(r.SuspectIP),
-		CommID: r.CommID, Category: core.Category(r.Category), Via: core.Via(r.Via),
-		AnalyzedAt: simTime(r.AnalyzedAtNs), Details: r.Details,
-	}
-	for _, h := range r.Chain {
-		edge, err := ParseEdgeKind(h.Edge)
-		if err != nil {
-			return core.Report{}, err
-		}
-		out.Chain = append(out.Chain, core.Hop{Comm: h.Comm, Suspect: topo.Rank(h.Suspect), Via: core.Via(h.Via), Edge: edge})
-	}
-	for _, v := range r.Victims {
-		out.Victims = append(out.Victims, topo.Rank(v))
-	}
-	for _, e := range r.Evidence {
-		ev, err := e.Evidence()
-		if err != nil {
-			return core.Report{}, err
-		}
-		out.Evidence = append(out.Evidence, ev)
-	}
-	out.Confidence = r.Confidence
-	return out, nil
-}
-
-// TraceRecord is the wire form of one Coll-level trace log line (Table 2).
-type TraceRecord struct {
-	Kind   string `json:"kind"`
-	TimeNs int64  `json:"time_ns"`
-
-	IP      string `json:"ip"`
-	CommID  uint64 `json:"comm_id"`
-	Rank    int    `json:"rank"`
-	GPUID   int32  `json:"gpu_id"`
-	Channel int32  `json:"channel"`
-	QPID    int32  `json:"qp_id"`
-
-	Op      string `json:"op"`
-	OpSeq   uint64 `json:"op_seq"`
-	MsgSize int64  `json:"msg_size"`
-	StartNs int64  `json:"start_ns"`
-	EndNs   int64  `json:"end_ns"`
-
-	TotalChunks     uint32 `json:"total_chunks"`
-	GPUReady        uint32 `json:"gpu_ready"`
-	RDMATransmitted uint32 `json:"rdma_transmitted"`
-	RDMADone        uint32 `json:"rdma_done"`
-	StuckNs         int64  `json:"stuck_ns"`
-}
-
-// FromRecord converts a domain trace record to its wire form.
-func FromRecord(r trace.Record) TraceRecord {
-	return TraceRecord{
-		Kind: RecordKindName(r.Kind), TimeNs: int64(r.Time),
-		IP: string(r.IP), CommID: r.CommID, Rank: int(r.Rank),
-		GPUID: r.GPUID, Channel: r.Channel, QPID: r.QPID,
-		Op: OpName(r.Op), OpSeq: r.OpSeq, MsgSize: r.MsgSize,
-		StartNs: int64(r.Start), EndNs: int64(r.End),
-		TotalChunks: r.TotalChunks, GPUReady: r.GPUReady,
-		RDMATransmitted: r.RDMATransmitted, RDMADone: r.RDMADone, StuckNs: r.StuckNs,
-	}
-}
-
-// Record converts back to the domain type.
-func (r TraceRecord) Record() (trace.Record, error) {
-	k, err := ParseRecordKind(r.Kind)
-	if err != nil {
-		return trace.Record{}, err
-	}
-	op, err := ParseOp(r.Op)
-	if err != nil {
-		return trace.Record{}, err
-	}
-	return trace.Record{
-		Kind: k, Time: simTime(r.TimeNs),
-		IP: topo.IP(r.IP), CommID: r.CommID, Rank: topo.Rank(r.Rank),
-		GPUID: r.GPUID, Channel: r.Channel, QPID: r.QPID,
-		Op: op, OpSeq: r.OpSeq, MsgSize: r.MsgSize,
-		Start: simTime(r.StartNs), End: simTime(r.EndNs),
-		TotalChunks: r.TotalChunks, GPUReady: r.GPUReady,
-		RDMATransmitted: r.RDMATransmitted, RDMADone: r.RDMADone, StuckNs: r.StuckNs,
-	}, nil
-}
-
-// Action is the wire form of one ordered mitigation.
-type Action struct {
-	Kind     string `json:"kind"`
-	Rank     int    `json:"rank"`
-	Comm     uint64 `json:"comm"`
-	Category string `json:"category"`
-}
-
-// Attempt is the wire form of one remediation audit-log entry.
-type Attempt struct {
-	ID           int    `json:"id"`
-	Policy       string `json:"policy"`
-	Rule         string `json:"rule"`
-	Action       Action `json:"action"`
-	Try          int    `json:"try"`
-	ReportedAtNs int64  `json:"reported_at_ns"`
-	AppliedAtNs  int64  `json:"applied_at_ns"`
-	ResolvedAtNs int64  `json:"resolved_at_ns"`
-	Outcome      string `json:"outcome"`
-	Detail       string `json:"detail,omitempty"`
-}
-
-// FromAttempt converts a domain audit-log entry to its wire form.
-func FromAttempt(a remedy.Attempt) Attempt {
-	return Attempt{
-		ID: a.ID, Policy: a.Policy, Rule: a.Rule,
-		Action:       Action{Kind: string(a.Action.Kind), Rank: int(a.Action.Rank), Comm: a.Action.Comm, Category: string(a.Action.Category)},
-		Try:          a.Try,
-		ReportedAtNs: int64(a.ReportedAt), AppliedAtNs: int64(a.AppliedAt), ResolvedAtNs: int64(a.ResolvedAt),
-		Outcome: string(a.Outcome), Detail: a.Detail,
-	}
-}
-
-// Attempt converts back to the domain type.
-func (a Attempt) Attempt() (remedy.Attempt, error) {
-	kind, err := ParseActionKind(a.Action.Kind)
-	if err != nil {
-		return remedy.Attempt{}, err
-	}
-	outcome, err := ParseOutcome(a.Outcome)
-	if err != nil {
-		return remedy.Attempt{}, err
-	}
-	return remedy.Attempt{
-		ID: a.ID, Policy: a.Policy, Rule: a.Rule,
-		Action:     remedy.Action{Kind: kind, Rank: topo.Rank(a.Action.Rank), Comm: a.Action.Comm, Category: core.Category(a.Action.Category)},
-		Try:        a.Try,
-		ReportedAt: simTime(a.ReportedAtNs), AppliedAt: simTime(a.AppliedAtNs), ResolvedAt: simTime(a.ResolvedAtNs),
-		Outcome: outcome, Detail: a.Detail,
-	}, nil
-}
-
-// Span is the wire form of one pipeline span: one stage of an incident's
-// causal tree, with virtual (deterministic) and wall-clock (profiling)
-// timestamps. A span with wall_end_ns 0 is still open.
-type Span struct {
-	ID     uint64 `json:"id"`
-	Parent uint64 `json:"parent,omitempty"`
-	Job    string `json:"job"`
-	Stage  string `json:"stage"`
-	Cause  string `json:"cause,omitempty"`
-	Peer   string `json:"peer,omitempty"`
-	Detail string `json:"detail,omitempty"`
-	// StartNs and EndNs are virtual nanoseconds; WallStartNs and WallEndNs
-	// are wall-clock unix nanoseconds (nondeterministic — deterministic
-	// consumers render only the virtual fields).
-	StartNs     int64 `json:"start_ns"`
-	EndNs       int64 `json:"end_ns"`
-	WallStartNs int64 `json:"wall_start_ns,omitempty"`
-	WallEndNs   int64 `json:"wall_end_ns,omitempty"`
-}
-
-// FromSpan converts a domain span to its wire form.
-func FromSpan(s otrace.Span) Span {
-	return Span{
-		ID: uint64(s.ID), Parent: uint64(s.Parent), Job: s.Job, Stage: s.Stage,
-		Cause: s.Cause, Peer: s.Peer, Detail: s.Detail,
-		StartNs: int64(s.Start), EndNs: int64(s.End),
-		WallStartNs: s.WallStart, WallEndNs: s.WallEnd,
-	}
-}
-
-// Span converts back to the domain type.
-func (s Span) Span() otrace.Span {
-	return otrace.Span{
-		ID: otrace.SpanID(s.ID), Parent: otrace.SpanID(s.Parent), Job: s.Job, Stage: s.Stage,
-		Cause: s.Cause, Peer: s.Peer, Detail: s.Detail,
-		Start: simTime(s.StartNs), End: simTime(s.EndNs),
-		WallStart: s.WallStartNs, WallEnd: s.WallEndNs,
-	}
-}
-
-// SpansRequest asks GET /v1/jobs/{id}/spans for pipeline spans. Over HTTP
-// the filters ride the query string (incident, stage, after_id, min_wall_ns,
-// limit); the JSON form exists for symmetry and tests.
-type SpansRequest struct {
-	Job       string `json:"job,omitempty"`
-	Incident  string `json:"incident,omitempty"`
-	Stage     string `json:"stage,omitempty"`
-	AfterID   uint64 `json:"after_id,omitempty"`
-	MinWallNs int64  `json:"min_wall_ns,omitempty"`
-	Limit     int    `json:"limit,omitempty"`
-}
-
-// SpansResponse is one span query's answer: matches ascending by ID, the
-// total matched before Limit, and the ring's lifetime overwrite count.
-type SpansResponse struct {
-	Job     string `json:"job"`
-	Spans   []Span `json:"spans"`
-	Total   int    `json:"total"`
-	Dropped uint64 `json:"dropped,omitempty"`
-}
-
-// Node is the wire form of one dependency-graph node.
-type Node struct {
-	Rank int    `json:"rank"`
-	Comm uint64 `json:"comm"`
-	Seq  uint64 `json:"seq"`
-}
-
-// Edge is the wire form of one dependency-graph wait edge.
-type Edge struct {
-	From Node   `json:"from"`
-	To   Node   `json:"to"`
-	Kind string `json:"kind"`
-}
-
-// FromEdge converts a domain dependency edge to its wire form.
-func FromEdge(e depgraph.Edge) Edge {
-	return Edge{
-		From: Node{Rank: int(e.From.Rank), Comm: e.From.Comm, Seq: e.From.Seq},
-		To:   Node{Rank: int(e.To.Rank), Comm: e.To.Comm, Seq: e.To.Seq},
-		Kind: string(e.Kind),
-	}
-}
-
-// Edge converts back to the domain type.
-func (e Edge) Edge() (depgraph.Edge, error) {
-	k, err := ParseEdgeKind(e.Kind)
-	if err != nil {
-		return depgraph.Edge{}, err
-	}
-	return depgraph.Edge{
-		From: depgraph.Node{Rank: topo.Rank(e.From.Rank), Comm: e.From.Comm, Seq: e.From.Seq},
-		To:   depgraph.Node{Rank: topo.Rank(e.To.Rank), Comm: e.To.Comm, Seq: e.To.Seq},
-		Kind: k,
-	}, nil
-}
-
-// HealthChange is the wire form of one job health transition.
-type HealthChange struct {
-	From         string `json:"from"`
-	To           string `json:"to"`
-	LastIngestNs int64  `json:"last_ingest_ns"`
-	Reason       string `json:"reason,omitempty"`
-}
-
-// LogAnomaly is the wire form of one non-tracepoint channel finding: a
-// log-template divergence or a timing-envelope breach. Template doubles as
-// the finding kind for perf findings.
-type LogAnomaly struct {
-	Channel  string  `json:"channel"`
-	Rank     int     `json:"rank"`
-	Ranks    []int   `json:"ranks,omitempty"`
-	Template string  `json:"template"`
-	Level    string  `json:"level,omitempty"`
-	Count    int     `json:"count,omitempty"`
-	Fleet    int     `json:"fleet,omitempty"`
-	Score    float64 `json:"score"`
-	Category string  `json:"category"`
-	AtNs     int64   `json:"at_ns"`
-}
-
-// FromLogAnomaly converts a domain channel finding to its wire form.
-func FromLogAnomaly(a core.LogAnomaly) LogAnomaly {
-	w := LogAnomaly{
-		Channel: string(a.Channel), Rank: int(a.Rank), Template: a.Template,
-		Level: a.Level, Count: a.Count, Fleet: a.Fleet, Score: a.Score,
-		Category: string(a.Category), AtNs: int64(a.At),
-	}
-	for _, r := range a.Ranks {
-		w.Ranks = append(w.Ranks, int(r))
-	}
-	return w
-}
-
-// LogAnomaly converts back to the domain type.
-func (a LogAnomaly) LogAnomaly() (core.LogAnomaly, error) {
-	m, err := ParseModality(a.Channel)
-	if err != nil {
-		return core.LogAnomaly{}, err
-	}
-	out := core.LogAnomaly{
-		Channel: m, Rank: topo.Rank(a.Rank), Template: a.Template,
-		Level: a.Level, Count: a.Count, Fleet: a.Fleet, Score: a.Score,
-		Category: core.Category(a.Category), At: simTime(a.AtNs),
-	}
-	for _, r := range a.Ranks {
-		out.Ranks = append(out.Ranks, topo.Rank(r))
-	}
-	return out, nil
-}
-
-// Event is the wire form of one subscription event. Exactly one of Trigger,
-// Report, Phase, Action, Health or LogAnomaly is set, matching Kind.
+// Event is one observation delivered to a subscription: which hosted job it
+// came from, when (virtual time), and exactly one of Trigger, Report, Phase,
+// Action, Health or LogAnomaly matching Kind.
 type Event struct {
-	Job        string        `json:"job"`
-	Kind       string        `json:"kind"`
-	AtNs       int64         `json:"at_ns"`
-	Trigger    *Trigger      `json:"trigger,omitempty"`
-	Report     *Report       `json:"report,omitempty"`
-	Phase      string        `json:"phase,omitempty"`
-	Action     *Attempt      `json:"action,omitempty"`
-	Health     *HealthChange `json:"health,omitempty"`
-	LogAnomaly *LogAnomaly   `json:"log_anomaly,omitempty"`
+	Job  JobID          `json:"job"`
+	Kind core.EventKind `json:"kind"`
+	At   time.Duration  `json:"at_ns"`
+
+	Trigger    *core.Trigger    `json:"trigger,omitempty"`     // EventTrigger
+	Report     *core.Report     `json:"report,omitempty"`      // EventReport
+	Phase      string           `json:"phase,omitempty"`       // EventLifecycle
+	Action     *remedy.Attempt  `json:"action,omitempty"`      // EventAction
+	Health     *HealthChange    `json:"health,omitempty"`      // EventHealth
+	LogAnomaly *core.LogAnomaly `json:"log_anomaly,omitempty"` // EventLogAnomaly
 }
 
-// EventFilter is the wire form of a subscription filter. Buffer 0 does not
-// mean unbounded over the wire: the server caps unbounded requests at its
-// default so an abandoned subscription cannot grow the daemon without
-// bound (overflow is reported via PollResponse.Dropped).
-type EventFilter struct {
-	Jobs       []string `json:"jobs,omitempty"`
-	Kinds      []string `json:"kinds,omitempty"`
-	Ranks      []int    `json:"ranks,omitempty"`
-	Categories []string `json:"categories,omitempty"`
-	Victims    []int    `json:"victims,omitempty"`
-	MinChain   int      `json:"min_chain,omitempty"`
-	Outcomes   []string `json:"outcomes,omitempty"`
-	FromNs     int64    `json:"from_ns,omitempty"`
-	ToNs       int64    `json:"to_ns,omitempty"`
-	Buffer     int      `json:"buffer,omitempty"`
+func (e Event) String() string {
+	switch e.Kind {
+	case core.EventTrigger:
+		return fmt.Sprintf("job %s: %v", e.Job, *e.Trigger)
+	case core.EventReport:
+		return fmt.Sprintf("job %s: %v", e.Job, *e.Report)
+	case core.EventLifecycle:
+		return fmt.Sprintf("job %s: [%v] %s", e.Job, e.At, e.Phase)
+	case core.EventAction:
+		return fmt.Sprintf("job %s: %v", e.Job, *e.Action)
+	case core.EventHealth:
+		return fmt.Sprintf("job %s: [%v] health %v", e.Job, e.At, *e.Health)
+	case core.EventLogAnomaly:
+		return fmt.Sprintf("job %s: %v", e.Job, *e.LogAnomaly)
+	default:
+		return fmt.Sprintf("job %s: %v", e.Job, e.Kind)
+	}
 }
 
-// ---------------------------------------------------------------------------
-// Store statistics on the wire.
+// HealthState is a hosted job's heartbeat verdict. States form a ladder —
+// stopped, healthy, degraded, stale — driven by the job's ingest watermark:
+// a job whose store last saw records less than half the staleness threshold
+// ago is healthy, past half it is degraded, past the full threshold it is
+// stale. Transitions are published as EventHealth events.
+type HealthState string
 
-// ShardStats is the wire form of one shard's counters.
-type ShardStats struct {
-	Ranks    int    `json:"ranks"`
-	Records  int    `json:"records"`
+const (
+	// HealthStopped: the job is not started (no heartbeat expected).
+	HealthStopped HealthState = "stopped"
+	// HealthHealthy: ingest is current.
+	HealthHealthy HealthState = "healthy"
+	// HealthDegraded: no ingest for at least half the staleness threshold.
+	HealthDegraded HealthState = "degraded"
+	// HealthStale: no ingest for the full staleness threshold.
+	HealthStale HealthState = "stale"
+)
+
+// UnmarshalText refuses a state outside the ladder.
+func (hs *HealthState) UnmarshalText(text []byte) error {
+	for _, known := range [...]HealthState{HealthStopped, HealthHealthy, HealthDegraded, HealthStale} {
+		if string(known) == string(text) {
+			*hs = known
+			return nil
+		}
+	}
+	return fmt.Errorf("api: unknown health state %q", text)
+}
+
+// HealthChange is the payload of an EventHealth event: one job health
+// transition.
+type HealthChange struct {
+	From HealthState `json:"from"`
+	To   HealthState `json:"to"`
+	// LastIngest is the job's ingest watermark (virtual time) at the
+	// transition.
+	LastIngest time.Duration `json:"last_ingest_ns"`
+	// Reason says what moved the state, deterministically derived from
+	// virtual time.
+	Reason string `json:"reason,omitempty"`
+}
+
+func (c HealthChange) String() string {
+	return fmt.Sprintf("%s -> %s (%s)", c.From, c.To, c.Reason)
+}
+
+// JobHealth is one job's heartbeat view inside a HealthResult.
+type JobHealth struct {
+	Job   JobID       `json:"job"`
+	State HealthState `json:"state"`
+	// Since is the virtual time of the last health transition.
+	Since time.Duration `json:"since_ns"`
+	// LastIngest is the virtual time records last reached the job's store.
+	LastIngest time.Duration `json:"last_ingest_ns"`
+	// Reason explains a non-healthy state ("" when healthy or stopped).
+	Reason string `json:"reason,omitempty"`
+}
+
+// JobInfo describes one hosted job: identity, size, progress, store
+// occupancy and remediation state.
+type JobInfo struct {
+	ID         JobID `json:"id"`
+	WorldSize  int   `json:"world_size"`
+	Iterations int   `json:"iterations"`
+	// Records is how many trace records reached the job's store.
+	Records uint64 `json:"records"`
+	// Store is the sharded trace-store occupancy (see JobHandle.StoreStats).
+	Store clouddb.Stats `json:"store"`
+	// Isolated lists ranks the remediation loop has cordoned.
+	Isolated []topo.Rank `json:"isolated,omitempty"`
+	// Policy names the attached remediation policy ("" when none).
+	Policy string `json:"policy,omitempty"`
+	// Source marks a row not hosted by the answering daemon: "replica" when
+	// it came from a cluster peer's replicated snapshot ("" = live local).
+	Source string `json:"source,omitempty"`
+}
+
+// ChannelInfo is one diagnosis channel's counters inside a
+// ChannelStatsResult.
+type ChannelInfo struct {
+	Channel core.Modality `json:"channel"`
+	// Ingested counts the channel's native unit: trace records, log lines or
+	// timing samples.
 	Ingested uint64 `json:"ingested"`
-	Pruned   uint64 `json:"pruned"`
+	// Anomalies counts channel findings (triggers for the tracepoint channel,
+	// published anomalies for log/perf).
+	Anomalies uint64 `json:"anomalies"`
+	// Reports counts verdicts this channel delivered (by Via).
+	Reports uint64 `json:"reports"`
+	// Templates is the live log-template cluster count (log channel only).
+	Templates int `json:"templates,omitempty"`
 }
 
-// StoreStats is the wire form of a job's trace-store counters.
-type StoreStats struct {
-	Ranks         int          `json:"ranks"`
-	Records       int          `json:"records"`
-	Ingested      uint64       `json:"ingested"`
-	BytesIngested uint64       `json:"bytes_ingested"`
-	Pruned        uint64       `json:"pruned"`
-	Shards        []ShardStats `json:"shards"`
+// FusionInfo summarizes evidence fusion for one job.
+type FusionInfo struct {
+	Window time.Duration `json:"window_ns"`
+	// Outcomes counts delivered reports by fusion outcome
+	// (single/corroborated/conflicted); nil until the first report.
+	Outcomes map[string]uint64 `json:"outcomes,omitempty"`
+	// LastOutcome and LastConfidence describe the most recent report.
+	LastOutcome    string  `json:"last_outcome,omitempty"`
+	LastConfidence float64 `json:"last_confidence,omitempty"`
 }
 
-// FromStats converts domain store stats to the wire form.
-func FromStats(st clouddb.Stats) StoreStats {
-	w := StoreStats{
-		Ranks: st.Ranks, Records: st.Records,
-		Ingested: st.Ingested, BytesIngested: st.BytesIngested, Pruned: st.Pruned,
-	}
-	for _, ss := range st.Shards {
-		w.Shards = append(w.Shards, ShardStats{Ranks: ss.Ranks, Records: ss.Records, Ingested: ss.Ingested, Pruned: ss.Pruned})
-	}
-	return w
-}
-
-// Stats converts back to the domain type.
-func (s StoreStats) Stats() clouddb.Stats {
-	st := clouddb.Stats{
-		Ranks: s.Ranks, Records: s.Records,
-		Ingested: s.Ingested, BytesIngested: s.BytesIngested, Pruned: s.Pruned,
-	}
-	for _, ss := range s.Shards {
-		st.Shards = append(st.Shards, clouddb.ShardStats{Ranks: ss.Ranks, Records: ss.Records, Ingested: ss.Ingested, Pruned: ss.Pruned})
-	}
-	return st
+// ChannelStatsResult is the Client.ChannelStats answer: per-channel counters
+// in canonical order plus the job's fusion summary.
+type ChannelStatsResult struct {
+	Job      JobID         `json:"job"`
+	Channels []ChannelInfo `json:"channels"`
+	Fusion   FusionInfo    `json:"fusion"`
 }
 
 // ---------------------------------------------------------------------------
-// Requests and responses.
+// Envelopes that exist only on the wire.
 
 // PingResponse answers GET /v1/ping: protocol version and the daemon's
 // current virtual time, so clients (and CI) can watch the drive loop advance.
@@ -650,208 +204,12 @@ type PingResponse struct {
 	StartedUnixNs int64 `json:"started_unix_ns,omitempty"`
 }
 
-// JobHealthInfo is one job's heartbeat verdict inside a HealthResponse.
-type JobHealthInfo struct {
-	Job          string `json:"job"`
-	State        string `json:"state"`
-	SinceNs      int64  `json:"since_ns"`
-	LastIngestNs int64  `json:"last_ingest_ns"`
-	Reason       string `json:"reason,omitempty"`
-}
-
-// SubscriptionStats summarizes the daemon's subscription fan-out.
-type SubscriptionStats struct {
-	Active    int    `json:"active"`
-	Delivered uint64 `json:"delivered"`
-	Dropped   uint64 `json:"dropped"`
-}
-
-// HealthResponse answers GET /v1/health: per-job heartbeat state plus the
-// serving process's uptime and identity.
-type HealthResponse struct {
-	NowNs         int64             `json:"now_ns"`
-	UptimeMs      int64             `json:"uptime_ms"`
-	Server        string            `json:"server,omitempty"`
-	Version       int               `json:"version"`
-	Subscriptions SubscriptionStats `json:"subscriptions"`
-	Jobs          []JobHealthInfo   `json:"jobs"`
-}
-
-// JobInfo describes one hosted job.
-type JobInfo struct {
-	ID         string     `json:"id"`
-	WorldSize  int        `json:"world_size"`
-	Iterations int        `json:"iterations"`
-	Records    uint64     `json:"records"`
-	Store      StoreStats `json:"store"`
-	Isolated   []int      `json:"isolated,omitempty"`
-	Policy     string     `json:"policy,omitempty"`
-	// Source marks a row not hosted by the answering daemon: "replica" when
-	// it comes from a cluster peer's replicated snapshot ("" = live local).
-	Source string `json:"source,omitempty"`
-}
-
-// JobsResponse answers GET /v1/jobs.
-type JobsResponse struct {
-	NowNs int64     `json:"now_ns"`
-	Jobs  []JobInfo `json:"jobs"`
-}
-
-// TraceCursor is the wire form of a trace pagination cursor.
-type TraceCursor struct {
-	Rank    int   `json:"rank"`
-	TimeNs  int64 `json:"time_ns"`
-	Emitted int   `json:"emitted"`
-}
-
-// TraceRequest asks POST /v1/trace/query for raw records.
-type TraceRequest struct {
-	Job    string       `json:"job,omitempty"`
-	Ranks  []int        `json:"ranks,omitempty"`
-	Comm   uint64       `json:"comm,omitempty"`
-	Kinds  []string     `json:"kinds,omitempty"`
-	FromNs int64        `json:"from_ns,omitempty"`
-	ToNs   int64        `json:"to_ns,omitempty"`
-	Limit  int          `json:"limit,omitempty"`
-	Cursor *TraceCursor `json:"cursor,omitempty"`
-}
-
-// TraceResponse is one page of records. Total counts every match of the
-// query on a walk's first page (-1 on a cursor-resumed full page — track
-// progress from page one); Next resumes the page when non-nil.
-type TraceResponse struct {
-	Job     string        `json:"job"`
-	Records []TraceRecord `json:"records"`
-	Total   int           `json:"total"`
-	Next    *TraceCursor  `json:"next,omitempty"`
-}
-
-// TriggersRequest asks POST /v1/triggers/query for Algorithm 1 firings.
-type TriggersRequest struct {
-	Jobs   []string `json:"jobs,omitempty"`
-	Ranks  []int    `json:"ranks,omitempty"`
-	Kinds  []string `json:"kinds,omitempty"`
-	FromNs int64    `json:"from_ns,omitempty"`
-	ToNs   int64    `json:"to_ns,omitempty"`
-	Offset int      `json:"offset,omitempty"`
-	Limit  int      `json:"limit,omitempty"`
-}
-
-// JobTrigger is a trigger tagged with its job.
-type JobTrigger struct {
-	Job     string  `json:"job"`
-	Trigger Trigger `json:"trigger"`
-}
-
-// TriggersResponse is one page of matches. NextOffset is the offset of the
-// first unreturned match, -1 when this page exhausted them.
-type TriggersResponse struct {
-	Triggers   []JobTrigger `json:"triggers"`
-	Total      int          `json:"total"`
-	NextOffset int          `json:"next_offset"`
-}
-
-// ReportsRequest asks POST /v1/reports/query for Algorithm 2 verdicts.
-type ReportsRequest struct {
-	Jobs       []string `json:"jobs,omitempty"`
-	Suspects   []int    `json:"suspects,omitempty"`
-	Categories []string `json:"categories,omitempty"`
-	Comm       uint64   `json:"comm,omitempty"`
-	FromNs     int64    `json:"from_ns,omitempty"`
-	ToNs       int64    `json:"to_ns,omitempty"`
-	Offset     int      `json:"offset,omitempty"`
-	Limit      int      `json:"limit,omitempty"`
-}
-
-// JobReport is a verdict tagged with its job.
-type JobReport struct {
-	Job    string `json:"job"`
-	Report Report `json:"report"`
-}
-
-// ReportsResponse is one page of matches (NextOffset as in TriggersResponse).
-type ReportsResponse struct {
-	Reports    []JobReport `json:"reports"`
-	Total      int         `json:"total"`
-	NextOffset int         `json:"next_offset"`
-}
-
-// DependenciesRequest asks POST /v1/dependencies/query for live wait edges.
-type DependenciesRequest struct {
-	Job   string `json:"job,omitempty"`
-	Comm  uint64 `json:"comm,omitempty"`
-	Ranks []int  `json:"ranks,omitempty"`
-	// RenderDOT asks the server to render the whole graph as Graphviz dot.
-	RenderDOT bool `json:"render_dot,omitempty"`
-}
-
-// DependenciesResponse is the matched edge set.
-type DependenciesResponse struct {
-	Job   string `json:"job"`
-	Edges []Edge `json:"edges"`
-	DOT   string `json:"dot,omitempty"`
-}
-
-// BlastRadiusRequest asks POST /v1/blast-radius for a suspect's victims.
-type BlastRadiusRequest struct {
-	Job     string `json:"job,omitempty"`
-	Suspect int    `json:"suspect"`
-}
-
-// BlastRadiusResponse lists the ranks transitively blocked by the suspect.
-type BlastRadiusResponse struct {
-	Job     string `json:"job"`
-	Suspect int    `json:"suspect"`
-	Victims []int  `json:"victims"`
-}
-
-// RemediationsRequest asks POST /v1/remediations/query for audit-log entries.
-type RemediationsRequest struct {
-	Jobs     []string `json:"jobs,omitempty"`
-	Ranks    []int    `json:"ranks,omitempty"`
-	Actions  []string `json:"actions,omitempty"`
-	Outcomes []string `json:"outcomes,omitempty"`
-	FromNs   int64    `json:"from_ns,omitempty"`
-	ToNs     int64    `json:"to_ns,omitempty"`
-	Offset   int      `json:"offset,omitempty"`
-	Limit    int      `json:"limit,omitempty"`
-}
-
-// JobAttempt is an audit-log entry tagged with its job.
-type JobAttempt struct {
-	Job     string  `json:"job"`
-	Attempt Attempt `json:"attempt"`
-}
-
-// RemediationsResponse is one page of matches (NextOffset as above).
-type RemediationsResponse struct {
-	Attempts   []JobAttempt `json:"attempts"`
-	Total      int          `json:"total"`
-	NextOffset int          `json:"next_offset"`
-}
-
-// TriageRequest asks POST /v1/triage for the Fig. 6 combined verdict.
-type TriageRequest struct {
-	Job string `json:"job,omitempty"`
-}
-
-// TriageResponse is the combined py-spy / Flight Recorder / Mycroft verdict.
-type TriageResponse struct {
-	Job     string `json:"job"`
-	Source  string `json:"source"`
-	Rank    int    `json:"rank"`
-	Summary string `json:"summary"`
-	OK      bool   `json:"ok"`
-}
-
-// SubscribeRequest asks POST /v1/subscribe for a streaming cursor.
-type SubscribeRequest struct {
-	Filter EventFilter `json:"filter"`
-}
-
-// SubscribeResponse names the created subscription; poll it with
-// POST /v1/poll or stream it from GET /v1/subscriptions/{id}/sse, and close
-// it with DELETE /v1/subscriptions/{id}.
+// SubscribeResponse names the subscription POST /v1/subscribe created (its
+// request is {"filter": EventFilter}); poll it with POST /v1/poll or stream it
+// from GET /v1/subscriptions/{id}/sse, and close it with
+// DELETE /v1/subscriptions/{id}. Buffer 0 in the filter does not mean
+// unbounded over the wire: the server caps it so an abandoned subscription
+// cannot grow the daemon without bound (overflow shows in PollResponse.Dropped).
 type SubscribeResponse struct {
 	ID string `json:"id"`
 }
@@ -876,67 +234,6 @@ type PollResponse struct {
 	// Closed whose buffered events were still drainable. Clients surface it
 	// as ErrSubscriptionLost.
 	Lost bool `json:"lost,omitempty"`
-}
-
-// LogLine is one structured training-log line on the wire. at_ns 0 means
-// "the server's current virtual time".
-type LogLine struct {
-	Rank  int    `json:"rank"`
-	AtNs  int64  `json:"at_ns,omitempty"`
-	Level string `json:"level,omitempty"`
-	Text  string `json:"text"`
-}
-
-// LogsRequest asks POST /v1/jobs/{id}/logs to fold log lines into the job's
-// log-diagnosis channel (the tracepoint-free ingest path).
-type LogsRequest struct {
-	Lines []LogLine `json:"lines"`
-}
-
-// TimingSample is one per-rank iteration-completion timestamp on the wire.
-type TimingSample struct {
-	Rank int   `json:"rank"`
-	Iter int   `json:"iter"`
-	AtNs int64 `json:"at_ns,omitempty"`
-}
-
-// TimingsRequest asks POST /v1/jobs/{id}/timings to feed the black-box perf
-// channel.
-type TimingsRequest struct {
-	Samples []TimingSample `json:"samples"`
-}
-
-// IngestChannelResponse answers a channel ingest: how many items were folded
-// in and how many anomalies the triggered analysis pass currently sees.
-type IngestChannelResponse struct {
-	Job       string `json:"job"`
-	Accepted  int    `json:"accepted"`
-	Anomalies int    `json:"anomalies"`
-}
-
-// ChannelInfo is one diagnosis channel's counters on the wire.
-type ChannelInfo struct {
-	Channel   string `json:"channel"`
-	Ingested  uint64 `json:"ingested"`
-	Anomalies uint64 `json:"anomalies"`
-	Reports   uint64 `json:"reports"`
-	Templates int    `json:"templates,omitempty"`
-}
-
-// FusionInfo summarizes evidence fusion for one job on the wire.
-type FusionInfo struct {
-	WindowNs       int64             `json:"window_ns"`
-	Outcomes       map[string]uint64 `json:"outcomes,omitempty"`
-	LastOutcome    string            `json:"last_outcome,omitempty"`
-	LastConfidence float64           `json:"last_confidence,omitempty"`
-}
-
-// ChannelsResponse answers GET /v1/jobs/{id}/channels: per-channel counters
-// in canonical order plus the job's fusion summary.
-type ChannelsResponse struct {
-	Job      string        `json:"job"`
-	Channels []ChannelInfo `json:"channels"`
-	Fusion   FusionInfo    `json:"fusion"`
 }
 
 // ErrorResponse is the body of every non-200 endpoint answer.

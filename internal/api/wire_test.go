@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"mycroft/internal/core"
 	"mycroft/internal/depgraph"
@@ -61,16 +64,16 @@ func fixtureLogAnomaly() core.LogAnomaly {
 	}
 }
 
-func fixtureChannelsResponse() ChannelsResponse {
-	return ChannelsResponse{
+func fixtureChannelStats() ChannelStatsResult {
+	return ChannelStatsResult{
 		Job: "llm-70b",
 		Channels: []ChannelInfo{
-			{Channel: "tracepoint", Ingested: 7516, Anomalies: 2, Reports: 1},
-			{Channel: "log", Ingested: 70, Anomalies: 4, Reports: 1, Templates: 2},
-			{Channel: "perf", Ingested: 38},
+			{Channel: core.ModalityTracepoint, Ingested: 7516, Anomalies: 2, Reports: 1},
+			{Channel: core.ModalityLog, Ingested: 70, Anomalies: 4, Reports: 1, Templates: 2},
+			{Channel: core.ModalityPerf, Ingested: 38},
 		},
 		Fusion: FusionInfo{
-			WindowNs:       60_000_000_000,
+			Window:         60 * time.Second,
 			Outcomes:       map[string]uint64{"corroborated": 1, "single": 1},
 			LastOutcome:    "corroborated",
 			LastConfidence: 0.9,
@@ -136,148 +139,132 @@ func golden(t *testing.T, name string, v any) {
 }
 
 // TestGoldenWireFormat pins the JSON encoding of every payload the /v1
-// protocol carries. A failing diff here means the wire format changed:
-// either bump api.Version or revert the rename.
+// protocol carries, marshalling the domain value itself: there is no other
+// form. A failing diff here means the wire format changed: either bump
+// api.Version or revert the rename. The two goldens whose types live in the
+// root package (health, spans_response) are held by its TestGoldenWireFormat.
 func TestGoldenWireFormat(t *testing.T) {
-	rep := fixtureReport()
-	golden(t, "trigger", FromTrigger(fixtureTrigger()))
-	golden(t, "report", FromReport(rep))
-	golden(t, "record", FromRecord(fixtureRecord()))
-	golden(t, "attempt", FromAttempt(fixtureAttempt()))
-	golden(t, "event_trigger", Event{Job: "llm-70b", Kind: "trigger", AtNs: 17_500_000_000, Trigger: ptr(FromTrigger(fixtureTrigger()))})
-	golden(t, "event_report", Event{Job: "llm-70b", Kind: "report", AtNs: 19_000_000_000, Report: ptr(FromReport(rep))})
-	golden(t, "event_lifecycle", Event{Job: "llm-70b", Kind: "lifecycle", AtNs: 0, Phase: "job-started"})
-	golden(t, "event_action", Event{Job: "llm-70b", Kind: "action", AtNs: 19_000_000_000, Action: ptr(FromAttempt(fixtureAttempt()))})
-	golden(t, "event_health", Event{Job: "llm-70b", Kind: "health", AtNs: 42_000_000_000, Health: ptr(fixtureHealthChange())})
-	golden(t, "log_anomaly", FromLogAnomaly(fixtureLogAnomaly()))
-	golden(t, "event_log_anomaly", Event{Job: "llm-70b", Kind: "log-anomaly", AtNs: 18_000_000_000, LogAnomaly: ptr(FromLogAnomaly(fixtureLogAnomaly()))})
-	golden(t, "channels_response", fixtureChannelsResponse())
-	golden(t, "health", fixtureHealthResponse())
-	golden(t, "span", FromSpan(fixtureSpan()))
-	golden(t, "spans_response", SpansResponse{
-		Job:   "llm-70b",
-		Spans: []Span{FromSpan(fixtureSpan())},
-		Total: 3068, Dropped: 12,
-	})
-}
-
-func fixtureHealthChange() HealthChange {
-	return HealthChange{
-		From: "healthy", To: "stale", LastIngestNs: 30_000_000_000,
-		Reason: "no ingest for 12s (threshold 10s)",
+	trigger, report, attempt, anomaly := fixtureTrigger(), fixtureReport(), fixtureAttempt(), fixtureLogAnomaly()
+	golden(t, "trigger", trigger)
+	golden(t, "report", report)
+	golden(t, "record", fixtureRecord())
+	golden(t, "attempt", attempt)
+	golden(t, "log_anomaly", anomaly)
+	golden(t, "channels_response", fixtureChannelStats())
+	golden(t, "span", fixtureSpan())
+	for name, e := range fixtureEvents() {
+		golden(t, "event_"+name, e)
 	}
 }
 
-func fixtureHealthResponse() HealthResponse {
-	return HealthResponse{
-		NowNs: 42_000_000_000, UptimeMs: 1234, Server: "mycroft-serve/1", Version: 1,
-		Subscriptions: SubscriptionStats{Active: 2, Delivered: 917, Dropped: 3},
-		Jobs: []JobHealthInfo{
-			{Job: "llm-70b", State: "stale", SinceNs: 41_500_000_000, LastIngestNs: 30_000_000_000, Reason: "no ingest for 12s (threshold 10s)"},
-			{Job: "moe-8x22", State: "healthy", SinceNs: 0, LastIngestNs: 41_900_000_000},
-		},
+// fixtureEvents is one event of each kind, keyed by its golden's name.
+func fixtureEvents() map[string]Event {
+	trigger, report, attempt, anomaly := fixtureTrigger(), fixtureReport(), fixtureAttempt(), fixtureLogAnomaly()
+	return map[string]Event{
+		"trigger":     {Job: "llm-70b", Kind: core.EventTrigger, At: 17_500_000_000, Trigger: &trigger},
+		"report":      {Job: "llm-70b", Kind: core.EventReport, At: 19_000_000_000, Report: &report},
+		"lifecycle":   {Job: "llm-70b", Kind: core.EventLifecycle, At: 0, Phase: "job-started"},
+		"action":      {Job: "llm-70b", Kind: core.EventAction, At: 19_000_000_000, Action: &attempt},
+		"health":      {Job: "llm-70b", Kind: core.EventHealth, At: 42_000_000_000, Health: &HealthChange{From: HealthHealthy, To: HealthStale, LastIngest: 30 * time.Second, Reason: "no ingest for 12s (threshold 10s)"}},
+		"log_anomaly": {Job: "llm-70b", Kind: core.EventLogAnomaly, At: 18_000_000_000, LogAnomaly: &anomaly},
 	}
 }
 
-func ptr[T any](v T) *T { return &v }
-
-// TestWireRoundTrip proves the wire form is lossless: domain → wire → JSON
-// → wire → domain reproduces the original value exactly.
+// TestWireRoundTrip proves the encoding is lossless: value → JSON → value
+// reproduces the original exactly.
 func TestWireRoundTrip(t *testing.T) {
-	t.Run("trigger", func(t *testing.T) {
-		roundTrip(t, fixtureTrigger(), FromTrigger, Trigger.Trigger)
-	})
-	t.Run("report", func(t *testing.T) {
-		roundTrip(t, fixtureReport(), FromReport, Report.Report)
-	})
-	t.Run("record", func(t *testing.T) {
-		roundTrip(t, fixtureRecord(), FromRecord, TraceRecord.Record)
-	})
-	t.Run("attempt", func(t *testing.T) {
-		roundTrip(t, fixtureAttempt(), FromAttempt, Attempt.Attempt)
-	})
-	t.Run("log_anomaly", func(t *testing.T) {
-		roundTrip(t, fixtureLogAnomaly(), FromLogAnomaly, LogAnomaly.LogAnomaly)
-	})
-	t.Run("evidence", func(t *testing.T) {
-		roundTrip(t, fixtureReport().Evidence[2], FromEvidence, Evidence.Evidence)
-	})
-	t.Run("span", func(t *testing.T) {
-		roundTrip(t, fixtureSpan(), FromSpan, func(w Span) (otrace.Span, error) { return w.Span(), nil })
-	})
+	t.Run("trigger", func(t *testing.T) { roundTrip(t, fixtureTrigger()) })
+	t.Run("report", func(t *testing.T) { roundTrip(t, fixtureReport()) })
+	t.Run("record", func(t *testing.T) { roundTrip(t, fixtureRecord()) })
+	t.Run("attempt", func(t *testing.T) { roundTrip(t, fixtureAttempt()) })
+	t.Run("log_anomaly", func(t *testing.T) { roundTrip(t, fixtureLogAnomaly()) })
+	t.Run("evidence", func(t *testing.T) { roundTrip(t, fixtureReport().Evidence[2]) })
+	t.Run("span", func(t *testing.T) { roundTrip(t, fixtureSpan()) })
 	t.Run("edge", func(t *testing.T) {
 		roundTrip(t, depgraph.Edge{
 			From: depgraph.Node{Rank: 2, Comm: 3, Seq: 41},
 			To:   depgraph.Node{Rank: 5, Comm: 7, Seq: 40},
 			Kind: depgraph.EdgePipeline,
-		}, FromEdge, Edge.Edge)
+		})
 	})
+	t.Run("channels", func(t *testing.T) { roundTrip(t, fixtureChannelStats()) })
+	for name, e := range fixtureEvents() {
+		t.Run("event_"+name, func(t *testing.T) { roundTrip(t, e) })
+	}
 }
 
-func roundTrip[D any, W any](t *testing.T, domain D, to func(D) W, back func(W) (D, error)) {
+func roundTrip[T any](t *testing.T, want T) {
 	t.Helper()
-	wire := to(domain)
-	data, err := json.Marshal(wire)
+	data, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded W
-	if err := json.Unmarshal(data, &decoded); err != nil {
+	var got T
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	got, err := back(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, domain) {
-		t.Errorf("round trip lost data:\n got %+v\nwant %+v", got, domain)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip lost data:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestParseRejectsUnknownEnums keeps the strict parse surfaces strict: a
-// daemon speaking a future enum value must fail loudly, not alias to zero.
+// TestParseRejectsUnknownEnums keeps the strict decode surfaces strict: a
+// daemon speaking a future enum value must fail loudly, not alias to zero —
+// as a bare value, and wherever a message carries one.
 func TestParseRejectsUnknownEnums(t *testing.T) {
-	if _, err := ParseEventKind("telemetry"); err == nil {
-		t.Error("ParseEventKind accepted unknown kind")
-	}
-	if k, err := ParseEventKind("health"); err != nil || k != core.EventHealth {
-		t.Errorf("ParseEventKind(health) = %v, %v; want EventHealth", k, err)
-	}
-	if _, err := ParseHealthState("zombie"); err == nil {
-		t.Error("ParseHealthState accepted unknown state")
-	}
-	for _, s := range []string{"stopped", "healthy", "degraded", "stale"} {
-		if got, err := ParseHealthState(s); err != nil || got != s {
-			t.Errorf("ParseHealthState(%q) = %q, %v", s, got, err)
+	decodes := func(into any, doc string) error { return json.Unmarshal([]byte(doc), into) }
+	for _, c := range []struct {
+		enum         string
+		into         func() any
+		known        []string
+		unknown, doc string // doc holds the unknown name inside a message
+		message      func() any
+	}{
+		{"event kind", func() any { return new(core.EventKind) },
+			[]string{"trigger", "report", "lifecycle", "action", "health", "log-anomaly"}, "telemetry",
+			`{"job":"j","kind":"telemetry","at_ns":1}`, func() any { return new(Event) }},
+		{"health state", func() any { return new(HealthState) },
+			[]string{"stopped", "healthy", "degraded", "stale"}, "zombie",
+			`{"kind":"health","health":{"from":"healthy","to":"zombie"}}`, func() any { return new(Event) }},
+		{"trigger kind", func() any { return new(core.TriggerKind) },
+			[]string{"failure", "straggler"}, "hiccup",
+			`{"trigger":{"kind":"hiccup"},"suspect":5}`, func() any { return new(core.Report) }},
+		{"record kind", func() any { return new(trace.Kind) },
+			[]string{"completion", "state"}, "summary",
+			`{"kind":"summary","op":"AllReduce"}`, func() any { return new(trace.Record) }},
+		{"op", func() any { return new(trace.OpKind) },
+			[]string{"none", "AllReduce", "AllGather", "ReduceScatter", "Broadcast", "SendRecv", "AllToAll", "Barrier"}, "AllDance",
+			`{"kind":"state","op":"AllDance"}`, func() any { return new(trace.Record) }},
+		{"edge kind", func() any { return new(depgraph.EdgeKind) },
+			[]string{"barrier-wait", "pipeline-order", "nested-comm", ""}, "wormhole",
+			`{"trigger":{"kind":"failure"},"chain":[{"comm":1,"suspect":2,"via":"min-op","edge":"wormhole"}]}`, func() any { return new(core.Report) }},
+		{"action kind", func() any { return new(remedy.ActionKind) },
+			[]string{"recover-fault", "isolate-rank", "rebuild-communicator", "restart-job", "escalate"}, "reboot-universe",
+			`{"action":{"kind":"reboot-universe"},"outcome":"pending"}`, func() any { return new(remedy.Attempt) }},
+		{"outcome", func() any { return new(remedy.Outcome) },
+			[]string{"pending", "succeeded", "failed", "escalated"}, "shrug",
+			`{"action":{"kind":"escalate"},"outcome":"shrug"}`, func() any { return new(remedy.Attempt) }},
+		{"channel", func() any { return new(core.Modality) },
+			[]string{"tracepoint", "log", "perf"}, "telepathy",
+			`{"job":"j","channels":[{"channel":"telepathy"}]}`, func() any { return new(ChannelStatsResult) }},
+	} {
+		for _, name := range c.known {
+			v := c.into()
+			if err := decodes(v, strconv.Quote(name)); err != nil {
+				t.Errorf("%s %q refused: %v", c.enum, name, err)
+			} else if back, err := json.Marshal(v); err != nil || string(back) != strconv.Quote(name) {
+				t.Errorf("%s %q re-encodes as %s (%v)", c.enum, name, back, err)
+			}
+		}
+		if err := decodes(c.into(), strconv.Quote(c.unknown)); err == nil || !strings.Contains(err.Error(), c.unknown) {
+			t.Errorf("%s %q accepted (%v)", c.enum, c.unknown, err)
+		}
+		if err := decodes(c.message(), c.doc); err == nil || !strings.Contains(err.Error(), c.unknown) {
+			t.Errorf("%s %q accepted inside %s (%v)", c.enum, c.unknown, c.doc, err)
 		}
 	}
-	if _, err := ParseTriggerKind("hiccup"); err == nil {
-		t.Error("ParseTriggerKind accepted unknown kind")
-	}
-	if _, err := ParseRecordKind("summary"); err == nil {
-		t.Error("ParseRecordKind accepted unknown kind")
-	}
-	if _, err := ParseOp("AllDance"); err == nil {
-		t.Error("ParseOp accepted unknown op")
-	}
-	if _, err := ParseEdgeKind("wormhole"); err == nil {
-		t.Error("ParseEdgeKind accepted unknown edge")
-	}
-	if _, err := ParseActionKind("reboot-universe"); err == nil {
-		t.Error("ParseActionKind accepted unknown action")
-	}
-	if _, err := ParseOutcome("shrug"); err == nil {
-		t.Error("ParseOutcome accepted unknown outcome")
-	}
-	if k, err := ParseEventKind("log-anomaly"); err != nil || k != core.EventLogAnomaly {
-		t.Errorf("ParseEventKind(log-anomaly) = %v, %v; want EventLogAnomaly", k, err)
-	}
-	if _, err := ParseModality("telepathy"); err == nil {
-		t.Error("ParseModality accepted unknown channel")
-	}
-	for _, m := range core.Modalities() {
-		if got, err := ParseModality(string(m)); err != nil || got != m {
-			t.Errorf("ParseModality(%q) = %q, %v", m, got, err)
-		}
+	// Kind names are the String names, whatever the constants are numbered.
+	if got, _ := json.Marshal([]core.EventKind{core.EventHealth, core.EventLogAnomaly}); string(got) != `["health","log-anomaly"]` {
+		t.Errorf("event kinds encode as %s", got)
 	}
 }

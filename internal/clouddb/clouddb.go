@@ -333,20 +333,20 @@ func (db *DB) Shards() int { return len(db.shards) }
 
 // ShardStats describes one shard's live state.
 type ShardStats struct {
-	Ranks    int    // ranks with a series in this shard
-	Records  int    // live (unpruned) records
-	Ingested uint64 // lifetime records ingested
-	Pruned   uint64 // lifetime records dropped by retention
+	Ranks    int    `json:"ranks"`    // ranks with a series in this shard
+	Records  int    `json:"records"`  // live (unpruned) records
+	Ingested uint64 `json:"ingested"` // lifetime records ingested
+	Pruned   uint64 `json:"pruned"`   // lifetime records dropped by retention
 }
 
 // Stats aggregates the store's live state.
 type Stats struct {
-	Ranks         int
-	Records       int // live records across all shards
-	Ingested      uint64
-	BytesIngested uint64
-	Pruned        uint64
-	Shards        []ShardStats
+	Ranks         int          `json:"ranks"`
+	Records       int          `json:"records"` // live records across all shards
+	Ingested      uint64       `json:"ingested"`
+	BytesIngested uint64       `json:"bytes_ingested"`
+	Pruned        uint64       `json:"pruned"`
+	Shards        []ShardStats `json:"shards"`
 }
 
 // Stats reports per-shard and aggregate counters. The query layer and the

@@ -35,9 +35,9 @@ type Query struct {
 // Cursor marks the position after the last returned record of a page.
 // Emitted disambiguates several matching records at the same (rank, time).
 type Cursor struct {
-	Rank    topo.Rank
-	Time    sim.Time
-	Emitted int
+	Rank    topo.Rank `json:"rank"`
+	Time    sim.Time  `json:"time_ns"`
+	Emitted int       `json:"emitted"`
 }
 
 // Result is one page of query matches.

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,7 +78,7 @@ func TestRingPinnedPlacement(t *testing.T) {
 func TestEventLogAppendAndTail(t *testing.T) {
 	l := NewEventLog(0)
 	for i := 0; i < 10; i++ {
-		seq := l.Append(api.Event{Job: "j", Kind: "trigger", AtNs: int64(i)})
+		seq := l.Append(api.Event{Job: "j", Kind: core.EventTrigger, At: time.Duration(i)})
 		if seq != uint64(i+1) {
 			t.Fatalf("seq %d != %d", seq, i+1)
 		}
@@ -93,7 +96,7 @@ func TestEventLogAppendAndTail(t *testing.T) {
 func TestEventLogTrimSurfacesAsSeqJump(t *testing.T) {
 	l := NewEventLog(4)
 	for i := 0; i < 10; i++ {
-		l.Append(api.Event{Job: "j", AtNs: int64(i)})
+		l.Append(api.Event{Job: "j", At: time.Duration(i)})
 	}
 	if l.Len() != 4 || l.Trimmed() != 6 {
 		t.Fatalf("len=%d trimmed=%d", l.Len(), l.Trimmed())
@@ -134,7 +137,7 @@ func TestEventLogTailWait(t *testing.T) {
 		done <- out
 	}()
 	time.Sleep(20 * time.Millisecond)
-	l.Append(api.Event{Job: "j", Kind: "trigger"})
+	l.Append(api.Event{Job: "j", Kind: core.EventTrigger})
 	select {
 	case out := <-done:
 		if len(out) != 1 || out[0].Seq != 1 {
@@ -151,33 +154,33 @@ func TestEventLogTailWait(t *testing.T) {
 }
 
 // TestReplicaStoreApplyAndQueries: a batch is acked, its verdicts and trace
-// records are decoded once into the domain values the root package's shared
-// query functions read (their filter and page rules are pinned there, in
-// TestPagedQueriesShareFilters), redeliveries add nothing, an attempt's later
-// transition overwrites its row, and a batch that does not decode is refused
-// untouched.
+// records are what the root package's shared query functions read (their
+// filter and page rules are pinned there, in TestPagedQueriesShareFilters),
+// redeliveries add nothing, an attempt's later transition overwrites its row,
+// and a batch naming an enum value this peer does not know never decodes into
+// a request at all.
 func TestReplicaStoreApplyAndQueries(t *testing.T) {
-	attempt := func(outcome string) *api.Attempt {
-		return &api.Attempt{ID: 1, Action: api.Action{Kind: "isolate-rank", Rank: 5}, Outcome: outcome, ReportedAtNs: 300}
+	attempt := func(outcome remedy.Outcome) *remedy.Attempt {
+		return &remedy.Attempt{ID: 1, Action: remedy.Action{Kind: remedy.ActIsolateRank, Rank: 5}, Outcome: outcome, ReportedAt: 300}
 	}
 	rs := NewReplicaStore(0, 0)
 	req := api.ReplicateRequest{
 		From: "p1", Job: "job-0",
 		Entries: []api.SeqEvent{
-			{Seq: 1, Event: api.Event{Job: "job-0", Kind: "trigger", AtNs: 100, Trigger: &api.Trigger{Kind: "failure", Rank: 5, AtNs: 100}}},
-			{Seq: 2, Event: api.Event{Job: "job-0", Kind: "report", AtNs: 200, Report: &api.Report{Trigger: api.Trigger{Kind: "failure"}, Suspect: 5, Category: "nic", AnalyzedAtNs: 200}}},
-			{Seq: 3, Event: api.Event{Job: "job-0", Kind: "action", AtNs: 300, Action: attempt("pending")}},
-			{Seq: 4, Event: api.Event{Job: "job-0", Kind: "health", AtNs: 350}},
+			{Seq: 1, Event: api.Event{Job: "job-0", Kind: core.EventTrigger, At: 100, Trigger: &core.Trigger{Kind: core.TriggerFailure, Rank: 5, At: 100}}},
+			{Seq: 2, Event: api.Event{Job: "job-0", Kind: core.EventReport, At: 200, Report: &core.Report{Trigger: core.Trigger{Kind: core.TriggerFailure}, Suspect: 5, Category: "nic", AnalyzedAt: 200}}},
+			{Seq: 3, Event: api.Event{Job: "job-0", Kind: core.EventAction, At: 300, Action: attempt(remedy.OutcomePending)}},
+			{Seq: 4, Event: api.Event{Job: "job-0", Kind: core.EventHealth, At: 350}},
 		},
-		Trace:            []api.TraceRecord{{Kind: "completion", Op: "AllReduce", TimeNs: 50, Rank: 1}, {Kind: "completion", Op: "AllReduce", TimeNs: 150, Rank: 5}},
+		Trace: []trace.Record{
+			{Kind: trace.KindCompletion, Op: trace.OpAllReduce, Time: 50, Rank: 1},
+			{Kind: trace.KindCompletion, Op: trace.OpAllReduce, Time: 150, Rank: 5},
+		},
 		TraceWatermarkNs: 150,
 		Snapshot:         &api.ClusterSnapshot{NowNs: 400, Job: api.JobInfo{ID: "job-0", WorldSize: 8}},
 		Watermark:        4,
 	}
-	resp, err := rs.Apply(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := rs.Apply(req)
 	if resp.AckSeq != 4 || resp.Gap != 0 || resp.TraceAckNs != 150 {
 		t.Fatalf("ack: %+v", resp)
 	}
@@ -215,33 +218,34 @@ func TestReplicaStoreApplyAndQueries(t *testing.T) {
 	// A redelivered batch (its ack was lost) changes nothing; the attempt's
 	// next transition replaces its row instead of adding one.
 	req.Trace, req.Snapshot = nil, nil
-	req.Entries = append(req.Entries, api.SeqEvent{Seq: 5, Event: api.Event{Job: "job-0", Kind: "action", AtNs: 400, Action: attempt("succeeded")}})
-	if resp, err := rs.Apply(req); err != nil || resp.AckSeq != 5 || resp.Gap != 0 {
-		t.Fatalf("redelivery: %+v %v", resp, err)
+	req.Entries = append(req.Entries, api.SeqEvent{Seq: 5, Event: api.Event{Job: "job-0", Kind: core.EventAction, At: 400, Action: attempt(remedy.OutcomeSucceeded)}})
+	if resp := rs.Apply(req); resp.AckSeq != 5 || resp.Gap != 0 {
+		t.Fatalf("redelivery: %+v", resp)
 	}
 	if rm := rj.RemediationLog(); len(rm) != 1 || rm[0].Outcome != remedy.OutcomeSucceeded {
 		t.Fatalf("attempt transition: %+v", rm)
 	}
 
-	// An entry this peer cannot decode refuses the whole batch.
-	bad := api.ReplicateRequest{From: "p1", Job: "job-0", Entries: []api.SeqEvent{
-		{Seq: 6, Event: api.Event{Job: "job-0", Kind: "trigger", Trigger: &api.Trigger{Kind: "failure", Rank: 6}}},
-		{Seq: 7, Event: api.Event{Job: "job-0", Kind: "trigger", Trigger: &api.Trigger{Kind: "from-the-future"}}},
-	}}
-	if _, err := rs.Apply(bad); err == nil {
-		t.Fatal("undecodable batch accepted")
+	// An entry this peer cannot decode refuses the whole batch: the request
+	// fails its JSON decode, so the handler never reaches Apply.
+	good, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wm := rj.Log.Watermark(); wm != 5 {
-		t.Fatalf("refused batch moved the log to %d", wm)
+	var decoded api.ReplicateRequest
+	if err := json.Unmarshal(good, &decoded); err != nil || !reflect.DeepEqual(decoded, req) {
+		t.Fatalf("batch does not survive its own encoding: %v\n got  %+v\n want %+v", err, decoded, req)
+	}
+	bad := bytes.Replace(good, []byte(`"kind":"failure"`), []byte(`"kind":"from-the-future"`), 1)
+	if err := json.Unmarshal(bad, &decoded); err == nil || !strings.Contains(err.Error(), "from-the-future") {
+		t.Fatalf("batch with an unknown trigger kind decoded: %v", err)
 	}
 	check("after redelivery and refusal", 5)
 }
 
 func TestReplicaStorePromote(t *testing.T) {
 	rs := NewReplicaStore(0, 0)
-	if _, err := rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{{Seq: 1}, {Seq: 2}}, Watermark: 2}); err != nil {
-		t.Fatal(err)
-	}
+	rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{{Seq: 1}, {Seq: 2}}, Watermark: 2})
 	lag, err := rs.Promote("j", "p1", 5)
 	if err != nil || lag != 3 {
 		t.Fatalf("lag=%d err=%v", lag, err)

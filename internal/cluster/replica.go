@@ -17,9 +17,9 @@ import (
 const DefaultTraceMirror = 65536
 
 // ReplicaJob is everything a peer holds for one job it follows: the
-// replicated event log (verbatim wire entries, for tail and re-replication),
-// the verdicts those entries carried decoded to domain values, the latest
-// coarse snapshot, the trace mirror and the handoff/promotion state.
+// replicated event log (for tail and re-replication), the verdicts its
+// entries carried, the latest coarse snapshot, the trace mirror and the
+// handoff/promotion state.
 type ReplicaJob struct {
 	Job     string
 	Primary string
@@ -148,54 +148,13 @@ func (rs *ReplicaStore) obtain(job, primary string) *ReplicaJob {
 	return rj
 }
 
-// verdict is what one replicated event decodes to (all nil for the kinds a
-// replica only relays: health, lifecycle, log anomalies).
-type verdict struct {
-	trigger *core.Trigger
-	report  *core.Report
-	attempt *remedy.Attempt
-}
-
-func decodeVerdict(e api.Event) (v verdict, err error) {
-	switch {
-	case e.Trigger != nil:
-		var t core.Trigger
-		t, err = e.Trigger.Trigger()
-		v.trigger = &t
-	case e.Report != nil:
-		var r core.Report
-		r, err = e.Report.Report()
-		v.report = &r
-	case e.Action != nil:
-		var a remedy.Attempt
-		a, err = e.Action.Attempt()
-		v.attempt = &a
-	}
-	return v, err
-}
-
 // Apply ingests one replication batch and returns the ack the sender uses
-// as its next cursor. The whole batch is decoded to domain values before
-// anything is stored, so one this peer cannot decode is refused untouched.
-func (rs *ReplicaStore) Apply(req api.ReplicateRequest) (api.ReplicateResponse, error) {
+// as its next cursor. The batch arrives already decoded and validated (an
+// unknown enum name fails the request's JSON decode), so nothing here can
+// refuse it halfway.
+func (rs *ReplicaStore) Apply(req api.ReplicateRequest) api.ReplicateResponse {
 	if req.Job == "" {
-		return api.ReplicateResponse{}, nil
-	}
-	verdicts := make([]verdict, len(req.Entries))
-	for i, se := range req.Entries {
-		v, err := decodeVerdict(se.Event)
-		if err != nil {
-			return api.ReplicateResponse{}, err
-		}
-		verdicts[i] = v
-	}
-	recs := make([]trace.Record, len(req.Trace))
-	for i, w := range req.Trace {
-		r, err := w.Record()
-		if err != nil {
-			return api.ReplicateResponse{}, err
-		}
-		recs[i] = r
+		return api.ReplicateResponse{}
 	}
 	rj := rs.obtain(req.Job, req.From)
 
@@ -204,21 +163,21 @@ func (rs *ReplicaStore) Apply(req api.ReplicateRequest) (api.ReplicateResponse, 
 	// The log's own duplicate rule: an entry at or below the running head is
 	// a redelivery and carries nothing new.
 	head := rj.Log.Watermark()
-	for i, se := range req.Entries {
+	for _, se := range req.Entries {
 		if se.Seq <= head {
 			continue
 		}
 		head = se.Seq
-		switch v := verdicts[i]; {
-		case v.trigger != nil:
-			rj.triggers = appendBounded(rj.triggers, rs.logCap, *v.trigger)
-		case v.report != nil:
-			rj.reports = appendBounded(rj.reports, rs.logCap, *v.report)
-		case v.attempt != nil:
-			if at := slices.IndexFunc(rj.attempts, func(a remedy.Attempt) bool { return a.ID == v.attempt.ID }); at >= 0 {
-				rj.attempts[at] = *v.attempt
+		switch e := se.Event; {
+		case e.Trigger != nil:
+			rj.triggers = appendBounded(rj.triggers, rs.logCap, *e.Trigger)
+		case e.Report != nil:
+			rj.reports = appendBounded(rj.reports, rs.logCap, *e.Report)
+		case e.Action != nil:
+			if at := slices.IndexFunc(rj.attempts, func(a remedy.Attempt) bool { return a.ID == e.Action.ID }); at >= 0 {
+				rj.attempts[at] = *e.Action
 			} else {
-				rj.attempts = appendBounded(rj.attempts, rs.logCap, *v.attempt)
+				rj.attempts = appendBounded(rj.attempts, rs.logCap, *e.Action)
 			}
 		}
 	}
@@ -227,16 +186,16 @@ func (rs *ReplicaStore) Apply(req api.ReplicateRequest) (api.ReplicateResponse, 
 		snap := *req.Snapshot
 		rj.snapshot = &snap
 	}
-	for _, r := range recs {
+	for _, r := range req.Trace {
 		if ns := int64(r.Time); ns > rj.traceWM {
 			rj.traceWM = ns
 		}
 	}
-	rj.trace = appendBounded(rj.trace, rs.traceCap, recs...)
+	rj.trace = appendBounded(rj.trace, rs.traceCap, req.Trace...)
 	if req.TraceWatermarkNs > rj.traceWM {
 		rj.traceWM = req.TraceWatermarkNs
 	}
-	return api.ReplicateResponse{AckSeq: rj.Log.Watermark(), TraceAckNs: rj.traceWM, Gap: gap}, nil
+	return api.ReplicateResponse{AckSeq: rj.Log.Watermark(), TraceAckNs: rj.traceWM, Gap: gap}
 }
 
 // appendBounded appends more to held and ages the oldest entries out past

@@ -67,16 +67,53 @@ func (k TriggerKind) String() string {
 	}
 }
 
+// triggerKindText holds each kind's String name as the bytes MarshalText
+// hands out: shared, so encoding a kind allocates nothing.
+var triggerKindText = func() (t [TriggerStraggler + 1][]byte) {
+	for k := TriggerFailure; k <= TriggerStraggler; k++ {
+		t[k] = []byte(k.String())
+	}
+	return t
+}()
+
+// MarshalText and UnmarshalText carry the kind across JSON as its String
+// name, so renumbering the constants cannot change the wire; a name outside
+// the set is refused.
+func (k TriggerKind) MarshalText() ([]byte, error) {
+	if int(k) < len(triggerKindText) && triggerKindText[k] != nil {
+		return triggerKindText[k], nil
+	}
+	return []byte(k.String()), nil
+}
+
+func (k *TriggerKind) UnmarshalText(text []byte) error {
+	for i, name := range triggerKindText {
+		if name != nil && string(name) == string(text) {
+			*k = TriggerKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown trigger kind %q", text)
+}
+
 // Trigger is an active-trigger firing: a suspicious time point and the
 // sampled rank that exposed it (not yet a localization).
+//
+// The JSON tags on this and every other type a /v1 message carries are the
+// wire protocol (see internal/api): renaming one is a wire break.
 type Trigger struct {
-	Kind   TriggerKind
-	Rank   topo.Rank
-	IP     topo.IP
-	At     sim.Time
-	CommID uint64 // communicator implicated by the rank's freshest logs
-	Reason string
+	Kind   TriggerKind `json:"kind"`
+	Rank   topo.Rank   `json:"rank"`
+	IP     topo.IP     `json:"ip"`
+	At     sim.Time    `json:"at_ns"`
+	CommID uint64      `json:"comm_id"` // communicator implicated by the rank's freshest logs
+	Reason string      `json:"reason"`
 }
+
+// Trigger returns tr itself. It exists only for bench/replay.go, which was
+// written against a separate wire type with a conversion method and cannot be
+// edited outside a benchmark PR; nothing else may call it.
+func (tr Trigger) Trigger() (Trigger, error) { return tr, nil }
 
 func (tr Trigger) String() string {
 	return fmt.Sprintf("[%v] %s trigger at rank %d (%s), comm %d: %s", tr.At, tr.Kind, tr.Rank, tr.IP, tr.CommID, tr.Reason)
@@ -99,10 +136,10 @@ const (
 // dependency-graph edge kind that led to the next hop ("" marks the
 // terminal hop — the root cause, or where the trail went cold).
 type Hop struct {
-	Comm    uint64
-	Suspect topo.Rank
-	Via     Via
-	Edge    depgraph.EdgeKind
+	Comm    uint64            `json:"comm"`
+	Suspect topo.Rank         `json:"suspect"`
+	Via     Via               `json:"via"`
+	Edge    depgraph.EdgeKind `json:"edge,omitempty"`
 }
 
 func (h Hop) String() string {
@@ -115,28 +152,32 @@ func (h Hop) String() string {
 
 // Report is the outcome of root cause analysis.
 type Report struct {
-	Trigger    Trigger
-	Suspect    topo.Rank
-	SuspectIP  topo.IP
-	CommID     uint64 // communicator the verdict was reached on
-	Category   Category
-	Via        Via
-	AnalyzedAt sim.Time
-	Details    string
+	Trigger    Trigger   `json:"trigger"`
+	Suspect    topo.Rank `json:"suspect"`
+	SuspectIP  topo.IP   `json:"suspect_ip"`
+	CommID     uint64    `json:"comm_id"` // communicator the verdict was reached on
+	Category   Category  `json:"category"`
+	Via        Via       `json:"via"`
+	AnalyzedAt sim.Time  `json:"analyzed_at_ns"`
+	Details    string    `json:"details"`
 	// Chain is the causal path the analysis walked, trigger communicator
 	// first, root-cause communicator last. A single-hop chain means the
 	// verdict was reached on the trigger's own communicator.
-	Chain []Hop
+	Chain []Hop `json:"chain,omitempty"`
 	// Victims is the blast radius: every rank the dependency graph shows
 	// transitively blocked by the suspect (suspect excluded, sorted).
-	Victims []topo.Rank
+	Victims []topo.Rank `json:"victims,omitempty"`
 	// Evidence is the per-channel attribution behind this verdict (empty on
 	// backends without fusion attached). Confidence is the fused belief in
 	// (0,1]: it rises above any single channel's prior when independent
 	// channels corroborate, and takes a penalty when they conflict.
-	Evidence   []Evidence
-	Confidence float64
+	Evidence   []Evidence `json:"evidence,omitempty"`
+	Confidence float64    `json:"confidence,omitempty"`
 }
+
+// Report returns r itself: the second and last shim for bench/replay.go (see
+// Trigger.Trigger).
+func (r Report) Report() (Report, error) { return r, nil }
 
 func (r Report) String() string {
 	s := fmt.Sprintf("[%v] root cause: rank %d (%s) %s via %s on comm %d — %s",

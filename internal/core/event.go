@@ -52,6 +52,34 @@ func (k EventKind) String() string {
 	}
 }
 
+// eventKindText holds each kind's String name as the bytes MarshalText hands
+// out: shared, so encoding a kind allocates nothing.
+var eventKindText = func() (t [EventLogAnomaly + 1][]byte) {
+	for k := EventTrigger; k <= EventLogAnomaly; k++ {
+		t[k] = []byte(k.String())
+	}
+	return t
+}()
+
+// MarshalText and UnmarshalText carry the kind across JSON as its String
+// name; a name outside the set is refused.
+func (k EventKind) MarshalText() ([]byte, error) {
+	if int(k) < len(eventKindText) && eventKindText[k] != nil {
+		return eventKindText[k], nil
+	}
+	return []byte(k.String()), nil
+}
+
+func (k *EventKind) UnmarshalText(text []byte) error {
+	for i, name := range eventKindText {
+		if name != nil && string(name) == string(text) {
+			*k = EventKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown event kind %q", text)
+}
+
 // Lifecycle phases.
 const (
 	PhaseBackendStarted = "backend-started"

@@ -27,6 +27,18 @@ func Modalities() []Modality {
 	return []Modality{ModalityTracepoint, ModalityLog, ModalityPerf}
 }
 
+// UnmarshalText refuses a channel name outside the set: "tracepoint", "log"
+// and "perf" are part of the wire protocol.
+func (m *Modality) UnmarshalText(text []byte) error {
+	for _, known := range Modalities() {
+		if string(known) == string(text) {
+			*m = known
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown channel %q (valid: %v)", text, Modalities())
+}
+
 // Vias for channel-sourced verdicts.
 const (
 	ViaLogTemplate  Via = "log-template"
@@ -35,19 +47,19 @@ const (
 
 // Evidence is one channel's contribution to a fused verdict.
 type Evidence struct {
-	Channel  Modality
-	Rank     topo.Rank
-	Category Category
+	Channel  Modality  `json:"channel"`
+	Rank     topo.Rank `json:"rank"`
+	Category Category  `json:"category"`
 	// Weight is the channel's prior reliability in (0,1): how much one
 	// uncorroborated finding from it is worth.
-	Weight float64
+	Weight float64 `json:"weight"`
 	// Score is the channel-native anomaly strength (divergence score,
 	// envelope ratio, ...), informational.
-	Score  float64
-	At     sim.Time
-	Detail string
+	Score  float64  `json:"score,omitempty"`
+	At     sim.Time `json:"at_ns"`
+	Detail string   `json:"detail,omitempty"`
 	// Conflict marks evidence that points away from the fused suspect.
-	Conflict bool
+	Conflict bool `json:"conflict,omitempty"`
 }
 
 func (e Evidence) String() string {
@@ -248,16 +260,16 @@ func (r Report) HasEvidence(m Modality) bool {
 // distinguishes them, and Template doubles as the finding text for perf
 // findings.
 type LogAnomaly struct {
-	Channel  Modality
-	Rank     topo.Rank
-	Ranks    []topo.Rank
-	Template string
-	Level    string
-	Count    int
-	Fleet    int
-	Score    float64
-	Category Category
-	At       sim.Time
+	Channel  Modality    `json:"channel"`
+	Rank     topo.Rank   `json:"rank"`
+	Ranks    []topo.Rank `json:"ranks,omitempty"`
+	Template string      `json:"template"`
+	Level    string      `json:"level,omitempty"`
+	Count    int         `json:"count,omitempty"`
+	Fleet    int         `json:"fleet,omitempty"`
+	Score    float64     `json:"score"`
+	Category Category    `json:"category"`
+	At       sim.Time    `json:"at_ns"`
 }
 
 func (a LogAnomaly) String() string {

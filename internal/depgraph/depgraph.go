@@ -19,6 +19,7 @@
 package depgraph
 
 import (
+	"fmt"
 	"sort"
 
 	"mycroft/internal/sim"
@@ -29,9 +30,9 @@ import (
 // Node identifies one op-level state: rank r participating (or due to
 // participate) in op Seq of communicator Comm.
 type Node struct {
-	Rank topo.Rank
-	Comm uint64
-	Seq  uint64
+	Rank topo.Rank `json:"rank"`
+	Comm uint64    `json:"comm"`
+	Seq  uint64    `json:"seq"`
 }
 
 // EdgeKind classifies a dependency edge.
@@ -49,10 +50,23 @@ const (
 	EdgeNested EdgeKind = "nested-comm"
 )
 
+// UnmarshalText refuses an edge kind outside the set. "" is in it: a report's
+// terminal hop carries no edge.
+func (k *EdgeKind) UnmarshalText(text []byte) error {
+	for _, known := range [...]EdgeKind{EdgeBarrier, EdgePipeline, EdgeNested, ""} {
+		if string(known) == string(text) {
+			*k = known // the constant, not a copy of the input: decoding an edge allocates nothing
+			return nil
+		}
+	}
+	return fmt.Errorf("depgraph: unknown edge kind %q", text)
+}
+
 // Edge is one dependency: From is blocked by (waits on) To.
 type Edge struct {
-	From, To Node
-	Kind     EdgeKind
+	From Node     `json:"from"`
+	To   Node     `json:"to"`
+	Kind EdgeKind `json:"kind"`
 }
 
 // opSpan records the observed state-log extent of one op on one

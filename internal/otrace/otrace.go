@@ -61,22 +61,24 @@ const (
 // WallStart/WallEnd are wall-clock unix nanoseconds. A span with WallEnd 0
 // is still open (wall clock is never 0, unlike virtual time).
 type Span struct {
-	ID     SpanID
-	Parent SpanID // 0 = root (no parent)
-	Job    string
-	Stage  string
+	ID     SpanID `json:"id"`
+	Parent SpanID `json:"parent,omitempty"` // 0 = root (no parent)
+	Job    string `json:"job"`
+	Stage  string `json:"stage"`
 	// Cause correlates a span to its incident: the trigger id label
 	// ("trigger-N") stamped on every span of one incident's tree.
-	Cause string
+	Cause string `json:"cause,omitempty"`
 	// Peer labels cross-peer spans (replication target); "" = local.
-	Peer string
+	Peer string `json:"peer,omitempty"`
 	// Detail is a human-readable annotation ("chain=3 victims=15").
-	Detail string
-	Start  sim.Time
-	End    sim.Time
-	// WallStart and WallEnd are wall-clock unix nanoseconds.
-	WallStart int64
-	WallEnd   int64
+	Detail string   `json:"detail,omitempty"`
+	Start  sim.Time `json:"start_ns"`
+	End    sim.Time `json:"end_ns"`
+	// WallStart and WallEnd are wall-clock unix nanoseconds (nondeterministic:
+	// deterministic consumers render only the virtual fields). A span with
+	// WallEnd 0 is still open.
+	WallStart int64 `json:"wall_start_ns,omitempty"`
+	WallEnd   int64 `json:"wall_end_ns,omitempty"`
 }
 
 // Open reports whether the span has not ended yet.

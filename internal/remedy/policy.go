@@ -50,13 +50,22 @@ func KnownAction(k ActionKind) bool {
 	return false
 }
 
+// UnmarshalText refuses an action kind outside the catalog.
+func (k *ActionKind) UnmarshalText(text []byte) error {
+	if got := ActionKind(text); KnownAction(got) {
+		*k = got
+		return nil
+	}
+	return fmt.Errorf("remedy: unknown action kind %q", text)
+}
+
 // Action is one concrete mitigation order handed to the executor: what to
 // do, to whom, and the verdict context it was derived from.
 type Action struct {
-	Kind     ActionKind
-	Rank     topo.Rank
-	Comm     uint64
-	Category core.Category
+	Kind     ActionKind    `json:"kind"`
+	Rank     topo.Rank     `json:"rank"`
+	Comm     uint64        `json:"comm"`
+	Category core.Category `json:"category"`
 }
 
 func (a Action) String() string {
@@ -210,29 +219,38 @@ func KnownOutcome(o Outcome) bool {
 	return false
 }
 
+// UnmarshalText refuses an outcome outside the set.
+func (o *Outcome) UnmarshalText(text []byte) error {
+	if got := Outcome(text); KnownOutcome(got) {
+		*o = got
+		return nil
+	}
+	return fmt.Errorf("remedy: unknown outcome %q", text)
+}
+
 // Attempt is one audit-log entry: a single detect→act→verify cycle.
 type Attempt struct {
 	// ID numbers attempts per engine, in creation order.
-	ID int
+	ID int `json:"id"`
 	// Policy and Rule name what matched.
-	Policy string
-	Rule   string
+	Policy string `json:"policy"`
+	Rule   string `json:"rule"`
 	// Action is the mitigation that was ordered.
-	Action Action
+	Action Action `json:"action"`
 	// Try is the 1-based attempt number for this rank under this rule.
-	Try int
+	Try int `json:"try"`
 	// ReportedAt is when the verdict that provoked the attempt was analyzed.
-	ReportedAt sim.Time
+	ReportedAt sim.Time `json:"reported_at_ns"`
 	// AppliedAt is when the executor ran the action (>= ReportedAt under
 	// backoff). Escalations stamp it too: the page itself is the action.
-	AppliedAt sim.Time
+	AppliedAt sim.Time `json:"applied_at_ns"`
 	// ResolvedAt is when the outcome left pending: the quiet window elapsed,
 	// the suspect was re-detected, or the escalation was recorded.
-	ResolvedAt sim.Time
+	ResolvedAt sim.Time `json:"resolved_at_ns"`
 	// Outcome is the attempt's current fate.
-	Outcome Outcome
+	Outcome Outcome `json:"outcome"`
 	// Detail is a human-readable note (re-detection reason, executor error).
-	Detail string
+	Detail string `json:"detail,omitempty"`
 }
 
 func (a Attempt) String() string {

@@ -23,7 +23,7 @@
 //
 //	'B' batch  i64 time ns, u32 count, count × trace.WireSize record bytes
 //	'V' eval   i64 time ns (one Algorithm 1 pass at that instant)
-//	'E' event  i64 time ns, u32 length, wire-form api.Event JSON
+//	'E' event  i64 time ns, u32 length, api.Event JSON
 //	'Z' footer i64 end ns, u64 records, u64 evals, u64 events
 //
 // Entry times are non-decreasing across the whole stream, and record times
@@ -203,7 +203,7 @@ const (
 	EntryBatch EntryKind = 'B'
 	// EntryEval marks one Algorithm 1 evaluation pass.
 	EntryEval EntryKind = 'V'
-	// EntryEvent carries one published service event in /v1 wire form.
+	// EntryEvent carries one published service event, as /v1 encodes it.
 	EntryEvent EntryKind = 'E'
 
 	entryFooter EntryKind = 'Z'
@@ -218,7 +218,7 @@ type Entry struct {
 	At int64
 	// Batch holds the records of an EntryBatch.
 	Batch []trace.Record
-	// Event holds the decoded wire event of an EntryEvent.
+	// Event holds the event of an EntryEvent.
 	Event api.Event
 }
 
@@ -332,7 +332,7 @@ func (e *Encoder) WriteEval(atNs int64) error {
 	return e.maybeFlush()
 }
 
-// WriteEvent appends one published service event in wire form.
+// WriteEvent appends one published service event.
 func (e *Encoder) WriteEvent(atNs int64, ev api.Event) error {
 	if err := e.checkAt(atNs); err != nil {
 		return err

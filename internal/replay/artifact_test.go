@@ -12,8 +12,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"mycroft/internal/api"
+	"mycroft/internal/core"
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
 	"mycroft/internal/trace"
@@ -54,7 +56,7 @@ func fixtureRecord(rank int, atNs int64) trace.Record {
 }
 
 func fixtureEvent(atNs int64) api.Event {
-	return api.Event{Job: "job-0", Kind: "lifecycle", AtNs: atNs, Phase: "start"}
+	return api.Event{Job: "job-0", Kind: core.EventLifecycle, At: time.Duration(atNs), Phase: "start"}
 }
 
 // buildFixture encodes the small golden incident: two batches, two evals,

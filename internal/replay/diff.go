@@ -8,7 +8,7 @@ import (
 )
 
 // Drift is one positional mismatch between two outcome streams. The String
-// renderings are the comparison key: the wire forms are proven lossless, so
+// renderings are the comparison key: the JSON encoding is proven lossless, so
 // string equality is value equality, and the rendering is what an operator
 // reads anyway.
 type Drift struct {

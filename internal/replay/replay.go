@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"mycroft/internal/api"
 	"mycroft/internal/clouddb"
 	"mycroft/internal/core"
 	"mycroft/internal/remedy"
@@ -230,8 +229,13 @@ func Replay(r io.Reader, opts Options) (*Result, error) {
 			bk.Evaluate(sim.Time(entry.At))
 			res.Evals++
 		case EntryEvent:
-			if err := collectRecorded(&res.Recorded, entry.Event); err != nil {
-				return nil, err
+			// Lifecycle, action and health events are part of the artifact's
+			// audit trail but not of the RCA outcome being compared.
+			switch ev := entry.Event; {
+			case ev.Trigger != nil:
+				res.Recorded.Triggers = append(res.Recorded.Triggers, *ev.Trigger)
+			case ev.Report != nil:
+				res.Recorded.Reports = append(res.Recorded.Reports, *ev.Report)
 			}
 		}
 	}
@@ -265,25 +269,4 @@ func Replay(r io.Reader, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// collectRecorded extracts the original trigger/report stream from a
-// recorded wire event. Lifecycle, action and health events are part of the
-// artifact's audit trail but not of the RCA outcome being compared.
-func collectRecorded(out *Outcome, ev api.Event) error {
-	switch {
-	case ev.Trigger != nil:
-		tr, err := ev.Trigger.Trigger()
-		if err != nil {
-			return fmt.Errorf("%w: recorded trigger: %v", ErrCorrupt, err)
-		}
-		out.Triggers = append(out.Triggers, tr)
-	case ev.Report != nil:
-		rep, err := ev.Report.Report()
-		if err != nil {
-			return fmt.Errorf("%w: recorded report: %v", ErrCorrupt, err)
-		}
-		out.Reports = append(out.Reports, rep)
-	}
-	return nil
 }

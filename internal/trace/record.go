@@ -42,6 +42,39 @@ func (k Kind) String() string {
 	}
 }
 
+// kindText and opText hold each Kind's and OpKind's String name as the bytes
+// MarshalText hands out: shared, so a page of records encodes its kinds
+// without allocating.
+var (
+	kindText = [...][]byte{KindCompletion: []byte("completion"), KindState: []byte("state")}
+	opText   = func() (t [len(opNames)][]byte) {
+		for o, name := range opNames {
+			t[o] = []byte(name)
+		}
+		return t
+	}()
+)
+
+// MarshalText and UnmarshalText carry the kind across JSON as its String
+// name, so renumbering the constants cannot change the wire; a name outside
+// the set is refused.
+func (k Kind) MarshalText() ([]byte, error) {
+	if int(k) < len(kindText) && kindText[k] != nil {
+		return kindText[k], nil
+	}
+	return []byte(k.String()), nil
+}
+
+func (k *Kind) UnmarshalText(text []byte) error {
+	for i, name := range kindText {
+		if name != nil && string(name) == string(text) {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown record kind %q", text)
+}
+
 // OpKind names a collective operation.
 type OpKind uint8
 
@@ -65,34 +98,53 @@ func (o OpKind) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// MarshalText and UnmarshalText carry the op across JSON as its String name
+// ("AllReduce", ...); a name outside the set is refused.
+func (o OpKind) MarshalText() ([]byte, error) {
+	if int(o) < len(opText) {
+		return opText[o], nil
+	}
+	return []byte(o.String()), nil
+}
+
+func (o *OpKind) UnmarshalText(text []byte) error {
+	for i, name := range opText {
+		if string(name) == string(text) {
+			*o = OpKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown op %q", text)
+}
+
 // Record is one trace log line. All Table 2 fields are present; state logs
 // leave End zero, completion logs leave the chunk counters at their final
 // values.
 type Record struct {
-	Kind Kind
-	Time sim.Time // emission time
+	Kind Kind     `json:"kind"`
+	Time sim.Time `json:"time_ns"` // emission time
 
 	// Metadata (Table 2 row 1).
-	IP      topo.IP
-	CommID  uint64
-	Rank    topo.Rank // Gid: global rank id
-	GPUID   int32
-	Channel int32
-	QPID    int32
+	IP      topo.IP   `json:"ip"`
+	CommID  uint64    `json:"comm_id"`
+	Rank    topo.Rank `json:"rank"` // Gid: global rank id
+	GPUID   int32     `json:"gpu_id"`
+	Channel int32     `json:"channel"`
+	QPID    int32     `json:"qp_id"`
 
 	// Operation (Table 2 row 2).
-	Op      OpKind
-	OpSeq   uint64
-	MsgSize int64
-	Start   sim.Time
-	End     sim.Time
+	Op      OpKind   `json:"op"`
+	OpSeq   uint64   `json:"op_seq"`
+	MsgSize int64    `json:"msg_size"`
+	Start   sim.Time `json:"start_ns"`
+	End     sim.Time `json:"end_ns"`
 
 	// Chunk (Table 2 row 3).
-	TotalChunks     uint32
-	GPUReady        uint32
-	RDMATransmitted uint32
-	RDMADone        uint32
-	StuckNs         int64 // time since this channel last made progress
+	TotalChunks     uint32 `json:"total_chunks"`
+	GPUReady        uint32 `json:"gpu_ready"`
+	RDMATransmitted uint32 `json:"rdma_transmitted"`
+	RDMADone        uint32 `json:"rdma_done"`
+	StuckNs         int64  `json:"stuck_ns"` // time since this channel last made progress
 }
 
 // WireSize is the fixed encoded size of a Record in bytes. The production

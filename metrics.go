@@ -62,7 +62,7 @@ func (s *Service) registerJobMetrics(h *JobHandle) {
 			func() float64 { return float64(db.ShardRecords(shard)) }, jl, obs.L("shard", strconv.Itoa(shard)))
 	}
 	s.reg.GaugeFunc("mycroft_job_health", "Job health (0 stopped, 1 healthy, 2 degraded, 3 stale).",
-		func() float64 { return float64(h.health.score()) }, jl)
+		func() float64 { return float64(healthScore(h.health)) }, jl)
 	s.reg.GaugeFunc("mycroft_job_last_ingest_age_seconds", "Virtual seconds since records last reached the store.",
 		func() float64 { return (s.Now() - h.lastIngest).Seconds() }, jl)
 }

@@ -13,10 +13,11 @@ import (
 )
 
 // The operation table. Every request/response method of Client is declared
-// exactly once below, as an op value: its route, its wire forms, the Client
-// method behind it, how a cluster places it, and whether a replica may answer
-// it. Everything the transports do with an operation is derived from that
-// value:
+// exactly once below, as an op value: its route, the Client method behind it,
+// how a cluster places it, and whether a replica may answer it. The method's
+// own request and result types are what crosses the wire — their JSON tags are
+// the protocol — so an entry names no conversion. Everything the transports do
+// with an operation is derived from that value:
 //
 //   - Server.Handler mounts op.mount — decode, then op.serve;
 //   - every *RemoteClient method is remoteCall(c, op, q);
@@ -40,23 +41,19 @@ const (
 	everyPeer
 )
 
-// op describes one Client operation. Q and R are the method's domain request
-// and result, WQ and WR their wire forms. Methods taking no request use
-// struct{} for Q and WQ and leave the request conversions nil.
-type op[Q, R, WQ, WR any] struct {
+// op describes one Client operation. Q and R are the method's request and
+// result, encoded as they are: a POST route carries Q as its JSON body, and R
+// is the answer's. Methods taking no request use struct{} for Q.
+type op[Q, R any] struct {
 	name   string // the Client method
 	method string // HTTP method
 	path   string // route under api.Prefix; "{id}" is the job
 	call   func(Client, Q) (R, error)
 
-	reqToWire   func(Q) WQ
-	reqFromWire func(WQ) (Q, error)
-	resToWire   func(R) WR
-	resFromWire func(WR) (R, error)
 	// toQuery and fromQuery are set on a GET route whose request rides the
 	// query string rather than a JSON body.
-	toQuery   func(WQ) url.Values
-	fromQuery func(url.Values) (WQ, error)
+	toQuery   func(Q) url.Values
+	fromQuery func(url.Values) (Q, error)
 
 	route routing
 	// job points at the job id inside a request (byJob, and every "{id}" path).
@@ -72,7 +69,7 @@ type op[Q, R, WQ, WR any] struct {
 	replica func(*serverCluster, Q) (R, bool, error)
 	// stamp adds what only the serving process knows to a live answer (its
 	// identity, the jobs it follows). It runs under Server.mu.
-	stamp func(*Server, *WR)
+	stamp func(*Server, *R)
 }
 
 // tableOp is what the table's entries have in common once their type
@@ -86,48 +83,49 @@ type tableOp interface {
 	recode(*http.Request) (path string, body any, err error)
 }
 
-// Argument bundles for the Client methods that take more than one value, and
-// the blast-radius result as the wire carries it (the request echoed back).
+// Request bundles for the Client methods that take more than one value (or a
+// bare job id a JSON body must name), and the blast-radius answer as the wire
+// carries it: the request echoed back beside the victims. A job that rides the
+// route's path is not in the body.
 type (
 	blastArgs struct {
-		Job     JobID
-		Suspect Rank
+		Job     JobID `json:"job,omitempty"`
+		Suspect Rank  `json:"suspect"`
 	}
 	blastResult struct {
-		blastArgs
-		Victims []Rank
+		Job     JobID  `json:"job"`
+		Suspect Rank   `json:"suspect"`
+		Victims []Rank `json:"victims"`
+	}
+	triageArgs struct {
+		Job JobID `json:"job,omitempty"`
 	}
 	logsArgs struct {
-		Job   JobID
-		Lines []LogLine
+		Job   JobID     `json:"-"`
+		Lines []LogLine `json:"lines"`
 	}
 	timingsArgs struct {
-		Job     JobID
-		Samples []IterationSample
+		Job     JobID             `json:"-"`
+		Samples []IterationSample `json:"samples"`
 	}
 )
 
 var (
-	opListJobs = &op[struct{}, JobsResult, struct{}, api.JobsResponse]{
+	opListJobs = &op[struct{}, JobsResult]{
 		name: "ListJobs", method: "GET", path: "/jobs",
-		call:      func(c Client, _ struct{}) (JobsResult, error) { return c.ListJobs() },
-		resToWire: jobsResultToWire, resFromWire: jobsResultFromWire,
+		call:  func(c Client, _ struct{}) (JobsResult, error) { return c.ListJobs() },
 		route: everyPeer, merge: mergeJobs,
 		stamp: (*Server).stampJobs,
 	}
-	opQueryTrace = &op[TraceQuery, TraceResult, api.TraceRequest, api.TraceResponse]{
+	opQueryTrace = &op[TraceQuery, TraceResult]{
 		name: "QueryTrace", method: "POST", path: "/trace/query",
-		call:      Client.QueryTrace,
-		reqToWire: traceQueryToWire, reqFromWire: traceQueryFromWire,
-		resToWire: traceResultToWire, resFromWire: traceResultFromWire,
+		call:  Client.QueryTrace,
 		route: byJob, job: func(q *TraceQuery) *JobID { return &q.Job },
 		replica: (*serverCluster).replicaTrace,
 	}
-	opQueryTriggers = &op[TriggerQuery, TriggerResult, api.TriggersRequest, api.TriggersResponse]{
+	opQueryTriggers = &op[TriggerQuery, TriggerResult]{
 		name: "QueryTriggers", method: "POST", path: "/triggers/query",
-		call:      Client.QueryTriggers,
-		reqToWire: triggerQueryToWire, reqFromWire: triggerQueryFromWire,
-		resToWire: triggerResultToWire, resFromWire: triggerResultFromWire,
+		call:   Client.QueryTriggers,
 		route:  fanOut,
 		paging: func(q *TriggerQuery) (*[]JobID, *int, *int) { return &q.Jobs, &q.Offset, &q.Limit },
 		merge: func(q TriggerQuery, parts []TriggerResult) TriggerResult {
@@ -142,11 +140,9 @@ var (
 			return q.over(jobs), jobs != nil, nil
 		},
 	}
-	opQueryReports = &op[ReportQuery, ReportResult, api.ReportsRequest, api.ReportsResponse]{
+	opQueryReports = &op[ReportQuery, ReportResult]{
 		name: "QueryReports", method: "POST", path: "/reports/query",
-		call:      Client.QueryReports,
-		reqToWire: reportQueryToWire, reqFromWire: reportQueryFromWire,
-		resToWire: reportResultToWire, resFromWire: reportResultFromWire,
+		call:   Client.QueryReports,
 		route:  fanOut,
 		paging: func(q *ReportQuery) (*[]JobID, *int, *int) { return &q.Jobs, &q.Offset, &q.Limit },
 		merge: func(q ReportQuery, parts []ReportResult) ReportResult {
@@ -161,34 +157,28 @@ var (
 			return q.over(jobs), jobs != nil, nil
 		},
 	}
-	opQueryDependencies = &op[DependencyQuery, DependencyResult, api.DependenciesRequest, api.DependenciesResponse]{
+	opQueryDependencies = &op[DependencyQuery, DependencyResult]{
 		name: "QueryDependencies", method: "POST", path: "/dependencies/query",
-		call:      Client.QueryDependencies,
-		reqToWire: dependencyQueryToWire, reqFromWire: dependencyQueryFromWire,
-		resToWire: dependencyResultToWire, resFromWire: dependencyResultFromWire,
+		call:  Client.QueryDependencies,
 		route: byJob, job: func(q *DependencyQuery) *JobID { return &q.Job },
 		replica: func(cl *serverCluster, q DependencyQuery) (DependencyResult, bool, error) {
 			return DependencyResult{}, false, cl.refuseGraph(q.Job)
 		},
 	}
-	opBlastRadius = &op[blastArgs, blastResult, api.BlastRadiusRequest, api.BlastRadiusResponse]{
+	opBlastRadius = &op[blastArgs, blastResult]{
 		name: "BlastRadius", method: "POST", path: "/blast-radius",
 		call: func(c Client, a blastArgs) (blastResult, error) {
 			victims, err := c.BlastRadius(a.Job, a.Suspect)
-			return blastResult{a, victims}, err
+			return blastResult{a.Job, a.Suspect, victims}, err
 		},
-		reqToWire: blastArgsToWire, reqFromWire: blastArgsFromWire,
-		resToWire: blastResultToWire, resFromWire: blastResultFromWire,
 		route: byJob, job: func(a *blastArgs) *JobID { return &a.Job },
 		replica: func(cl *serverCluster, a blastArgs) (blastResult, bool, error) {
 			return blastResult{}, false, cl.refuseGraph(a.Job)
 		},
 	}
-	opQueryRemediations = &op[RemediationQuery, RemediationResult, api.RemediationsRequest, api.RemediationsResponse]{
+	opQueryRemediations = &op[RemediationQuery, RemediationResult]{
 		name: "QueryRemediations", method: "POST", path: "/remediations/query",
-		call:      Client.QueryRemediations,
-		reqToWire: remediationQueryToWire, reqFromWire: remediationQueryFromWire,
-		resToWire: remediationResultToWire, resFromWire: remediationResultFromWire,
+		call:   Client.QueryRemediations,
 		route:  fanOut,
 		paging: func(q *RemediationQuery) (*[]JobID, *int, *int) { return &q.Jobs, &q.Offset, &q.Limit },
 		merge: func(q RemediationQuery, parts []RemediationResult) RemediationResult {
@@ -203,48 +193,38 @@ var (
 			return q.over(jobs), jobs != nil, nil
 		},
 	}
-	opQuerySpans = &op[SpanQuery, SpanResult, api.SpansRequest, api.SpansResponse]{
+	opQuerySpans = &op[SpanQuery, SpanResult]{
 		name: "QuerySpans", method: "GET", path: "/jobs/{id}/spans",
-		call:      Client.QuerySpans,
-		reqToWire: spanQueryToWire, reqFromWire: spanQueryFromWire,
-		resToWire: spanResultToWire, resFromWire: spanResultFromWire,
-		toQuery: spansRequestToValues, fromQuery: spansRequestFromValues,
+		call:    Client.QuerySpans,
+		toQuery: spanQueryToValues, fromQuery: spanQueryFromValues,
 		route: byJob, job: func(q *SpanQuery) *JobID { return &q.Job },
 		replica: (*serverCluster).replicaSpans,
 	}
-	opTriage = &op[JobID, TriageResult, api.TriageRequest, api.TriageResponse]{
+	opTriage = &op[triageArgs, TriageResult]{
 		name: "Triage", method: "POST", path: "/triage",
-		call:      Client.Triage,
-		reqToWire: triageJobToWire, reqFromWire: triageJobFromWire,
-		resToWire: triageResultToWire, resFromWire: triageResultFromWire,
-		route: byJob, job: func(job *JobID) *JobID { return job },
+		call:  func(c Client, a triageArgs) (TriageResult, error) { return c.Triage(a.Job) },
+		route: byJob, job: func(a *triageArgs) *JobID { return &a.Job },
 		replica: (*serverCluster).replicaTriage,
 	}
-	opHealth = &op[struct{}, HealthResult, struct{}, api.HealthResponse]{
+	opHealth = &op[struct{}, HealthResult]{
 		name: "Health", method: "GET", path: "/health",
-		call:      func(c Client, _ struct{}) (HealthResult, error) { return c.Health() },
-		resToWire: healthResultToWire, resFromWire: healthResultFromWire,
+		call:  func(c Client, _ struct{}) (HealthResult, error) { return c.Health() },
 		route: everyPeer, merge: mergeHealth,
 		stamp: (*Server).stampHealth,
 	}
-	opIngestLogs = &op[logsArgs, IngestResult, api.LogsRequest, api.IngestChannelResponse]{
+	opIngestLogs = &op[logsArgs, IngestResult]{
 		name: "IngestLogs", method: "POST", path: "/jobs/{id}/logs",
-		call:      func(c Client, a logsArgs) (IngestResult, error) { return c.IngestLogs(a.Job, a.Lines) },
-		reqToWire: logsArgsToWire, reqFromWire: logsArgsFromWire,
-		resToWire: ingestResultToWire, resFromWire: ingestResultFromWire,
+		call:  func(c Client, a logsArgs) (IngestResult, error) { return c.IngestLogs(a.Job, a.Lines) },
 		route: byJob, job: func(a *logsArgs) *JobID { return &a.Job },
 	}
-	opIngestTimings = &op[timingsArgs, IngestResult, api.TimingsRequest, api.IngestChannelResponse]{
+	opIngestTimings = &op[timingsArgs, IngestResult]{
 		name: "IngestTimings", method: "POST", path: "/jobs/{id}/timings",
-		call:      func(c Client, a timingsArgs) (IngestResult, error) { return c.IngestTimings(a.Job, a.Samples) },
-		reqToWire: timingsArgsToWire, reqFromWire: timingsArgsFromWire,
-		resToWire: ingestResultToWire, resFromWire: ingestResultFromWire,
+		call:  func(c Client, a timingsArgs) (IngestResult, error) { return c.IngestTimings(a.Job, a.Samples) },
 		route: byJob, job: func(a *timingsArgs) *JobID { return &a.Job },
 	}
-	opChannelStats = &op[JobID, ChannelStatsResult, struct{}, api.ChannelsResponse]{
+	opChannelStats = &op[JobID, ChannelStatsResult]{
 		name: "ChannelStats", method: "GET", path: "/jobs/{id}/channels",
-		call:      Client.ChannelStats,
-		resToWire: channelStatsToWire, resFromWire: channelStatsFromWire,
+		call:  Client.ChannelStats,
 		route: byJob, job: func(job *JobID) *JobID { return job },
 		replica: (*serverCluster).replicaChannels,
 	}
@@ -285,7 +265,7 @@ func (c *RemoteClient) QuerySpans(q SpanQuery) (SpanResult, error) {
 	return remoteCall(c, opQuerySpans, q)
 }
 func (c *RemoteClient) Triage(job JobID) (TriageResult, error) {
-	return remoteCall(c, opTriage, job)
+	return remoteCall(c, opTriage, triageArgs{job})
 }
 func (c *RemoteClient) Health() (HealthResult, error) {
 	return remoteCall(c, opHealth, struct{}{})
@@ -329,7 +309,7 @@ func (cc *ClusterClient) QuerySpans(q SpanQuery) (SpanResult, error) {
 	return clusterCall(cc, opQuerySpans, q)
 }
 func (cc *ClusterClient) Triage(job JobID) (TriageResult, error) {
-	return clusterCall(cc, opTriage, job)
+	return clusterCall(cc, opTriage, triageArgs{job})
 }
 func (cc *ClusterClient) Health() (HealthResult, error) {
 	return clusterCall(cc, opHealth, struct{}{})
@@ -344,10 +324,10 @@ func (cc *ClusterClient) ChannelStats(job JobID) (ChannelStatsResult, error) {
 	return clusterCall(cc, opChannelStats, job)
 }
 
-func (o *op[Q, R, WQ, WR]) clientMethod() string { return o.name }
+func (o *op[Q, R]) clientMethod() string { return o.name }
 
 // jobInPath reports whether the route carries the job id as a path segment.
-func (o *op[Q, R, WQ, WR]) jobInPath() bool { return strings.Contains(o.path, "{id}") }
+func (o *op[Q, R]) jobInPath() bool { return strings.Contains(o.path, "{id}") }
 
 // jobPath fills a by-job route pattern ("/jobs/{id}/...") with an escaped
 // job id: the one place such a URL is built.
@@ -357,7 +337,7 @@ func jobPath(pattern string, job JobID) string {
 
 // mount derives the operation's server route: decode the request, serve it,
 // encode the answer.
-func (o *op[Q, R, WQ, WR]) mount(sv *Server, mux *api.Mux) {
+func (o *op[Q, R]) mount(sv *Server, mux *api.Mux) {
 	mux.Handle(o.method, o.path, func(w http.ResponseWriter, r *http.Request) {
 		q, err := o.decode(w, r)
 		if err != nil {
@@ -369,19 +349,15 @@ func (o *op[Q, R, WQ, WR]) mount(sv *Server, mux *api.Mux) {
 	})
 }
 
-// decode reads the wire request — query string, JSON body or nothing — and
-// converts it to the domain request, taking the job from the path when the
-// route carries it there.
-func (o *op[Q, R, WQ, WR]) decode(w http.ResponseWriter, r *http.Request) (q Q, err error) {
-	var wq WQ
+// decode reads the request — query string, JSON body or nothing — taking the
+// job from the path when the route carries it there. An enum name outside its
+// set fails here, in the field's UnmarshalText, before any Service call.
+func (o *op[Q, R]) decode(w http.ResponseWriter, r *http.Request) (q Q, err error) {
 	switch {
 	case o.fromQuery != nil:
-		wq, err = o.fromQuery(r.URL.Query())
+		q, err = o.fromQuery(r.URL.Query())
 	case o.method == http.MethodPost:
-		err = api.ReadJSON(w, r, &wq)
-	}
-	if err == nil && o.reqFromWire != nil {
-		q, err = o.reqFromWire(wq)
+		err = api.ReadJSON(w, r, &q)
 	}
 	if err == nil && o.jobInPath() {
 		*o.job(&q) = JobID(r.PathValue("id"))
@@ -389,7 +365,7 @@ func (o *op[Q, R, WQ, WR]) decode(w http.ResponseWriter, r *http.Request) (q Q, 
 	return q, err
 }
 
-func (o *op[Q, R, WQ, WR]) recode(r *http.Request) (string, any, error) {
+func (o *op[Q, R]) recode(r *http.Request) (string, any, error) {
 	q, err := o.decode(nil, r)
 	if err != nil {
 		return "", nil, err
@@ -401,58 +377,59 @@ func (o *op[Q, R, WQ, WR]) recode(r *http.Request) (string, any, error) {
 // encode is decode's inverse, the request as a client sends it: the route
 // with the job and query string in place, and the JSON body (nil when the
 // route takes none).
-func (o *op[Q, R, WQ, WR]) encode(q Q) (path string, body any) {
+func (o *op[Q, R]) encode(q Q) (path string, body any) {
 	path = api.Prefix + o.path
 	if o.jobInPath() {
 		path = jobPath(o.path, *o.job(&q))
 	}
-	if o.reqToWire != nil {
-		wq := o.reqToWire(q)
-		switch {
-		case o.toQuery != nil:
-			if enc := o.toQuery(wq).Encode(); enc != "" {
-				path += "?" + enc
-			}
-		case o.method == http.MethodPost:
-			body = wq
+	switch {
+	case o.toQuery != nil:
+		if enc := o.toQuery(q).Encode(); enc != "" {
+			path += "?" + enc
 		}
+	case o.method == http.MethodPost:
+		body = q
 	}
 	return path, body
 }
 
-// serve answers one decoded request in wire form. A replica answer needs no
-// engine and takes no lock beyond the replica store's own; the live call and
-// the conversion of its result (which may alias engine-owned memory) run
-// under Server.mu, serialized with Advance. Encoding happens in the caller,
-// outside the lock.
-func (o *op[Q, R, WQ, WR]) serve(sv *Server, q Q) (resp WR, err error) {
+// serve answers one decoded request. A replica answer needs no engine and
+// takes no lock beyond the replica store's own; the live call and its stamp
+// run under Server.mu, serialized with Advance.
+//
+// The result is encoded by the caller after serve returns, so a slow client
+// never holds the engine: the result value is the one thing read outside
+// Server.mu. That is safe because every result owns its memory or shares only
+// memory nothing writes again. The pages — triggers, reports, attempts, spans,
+// records, edges, victims — are slices built for the call (Backend.Triggers
+// and Reports, RemediationLog, Recorder.Spans, DB.Query, Graph.Edges and
+// Victims all copy out); a report's Chain, Victims and Evidence are shared
+// with the backend's ledger, which never touches a report once
+// DeliverExternal has appended it; ChannelStats clones its outcome map;
+// a JobInfo carries copies (StoreStats, Isolated); a replica's snapshot is
+// replaced whole, never edited. Nothing reachable only through the Service —
+// the store, the graph, the span rings — is read outside the lock.
+// TestTableOpsRaceAdvance holds all of this under the race detector: an
+// answer that starts sharing mutable state fails there.
+func (o *op[Q, R]) serve(sv *Server, q Q) (res R, err error) {
 	if o.replica != nil {
-		res, ok, err := o.replica(sv.loadCluster(), q)
-		if err != nil {
-			return resp, err
-		}
-		if ok {
-			return o.resToWire(res), nil
+		if res, ok, err := o.replica(sv.loadCluster(), q); ok || err != nil {
+			return res, err
 		}
 	}
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	res, err := o.call(sv.svc, q)
-	if err != nil {
-		return resp, err
+	if res, err = o.call(sv.svc, q); err == nil && o.stamp != nil {
+		o.stamp(sv, &res)
 	}
-	resp = o.resToWire(res)
-	if o.stamp != nil {
-		o.stamp(sv, &resp)
-	}
-	return resp, nil
+	return res, err
 }
 
-// remoteCall is every RemoteClient operation: convert the request to its
-// wire form, cross HTTP on the operation's route, convert the answer back.
-// On a route that carries the job in its path an empty job resolves against
-// the daemon's job list, mirroring the in-process "sole hosted job" rule.
-func remoteCall[Q, R, WQ, WR any](c *RemoteClient, o *op[Q, R, WQ, WR], q Q) (res R, err error) {
+// remoteCall is every RemoteClient operation: encode the request, cross HTTP
+// on the operation's route, decode the answer. On a route that carries the job
+// in its path an empty job resolves against the daemon's job list, mirroring
+// the in-process "sole hosted job" rule.
+func remoteCall[Q, R any](c *RemoteClient, o *op[Q, R], q Q) (res R, err error) {
 	if o.jobInPath() {
 		at := o.job(&q)
 		if *at, err = c.resolveRemoteJob(*at); err != nil {
@@ -460,16 +437,13 @@ func remoteCall[Q, R, WQ, WR any](c *RemoteClient, o *op[Q, R, WQ, WR], q Q) (re
 		}
 	}
 	path, body := o.encode(q)
-	var wr WR
-	if err := c.do(o.method, path, body, &wr); err != nil {
-		return res, err
-	}
-	return o.resFromWire(wr)
+	err = c.do(o.method, path, body, &res)
+	return res, err
 }
 
 // clusterCall is every ClusterClient operation: place the call on the fleet
 // by the operation's routing class, each leg a remoteCall to one peer.
-func clusterCall[Q, R, WQ, WR any](cc *ClusterClient, o *op[Q, R, WQ, WR], q Q) (res R, err error) {
+func clusterCall[Q, R any](cc *ClusterClient, o *op[Q, R], q Q) (res R, err error) {
 	leg := func(q Q) func(*RemoteClient) (R, error) {
 		return func(rc *RemoteClient) (R, error) { return remoteCall(rc, o, q) }
 	}
@@ -559,22 +533,22 @@ func mergeHealth(_ struct{}, parts []HealthResult) HealthResult {
 // stampJobs appends the jobs this daemon follows to its live listing, from
 // their latest replicated snapshot, marked so clients can tell live from
 // mirrored rows.
-func (sv *Server) stampJobs(w *api.JobsResponse) {
+func (sv *Server) stampJobs(res *JobsResult) {
 	for _, snap := range sv.cluster.snapshots() {
 		ji := snap.Job
 		ji.Source = "replica"
-		w.Jobs = append(w.Jobs, ji)
+		res.Jobs = append(res.Jobs, ji)
 	}
 }
 
 // stampHealth fills what the serving process, not the Service, owns — uptime
 // and identity — and appends the followed jobs' replicated health rows.
-func (sv *Server) stampHealth(w *api.HealthResponse) {
-	w.UptimeMs = time.Since(sv.started).Milliseconds()
-	w.Server = sv.identity
+func (sv *Server) stampHealth(res *HealthResult) {
+	res.Uptime = time.Since(sv.started)
+	res.Server = sv.identity
 	for _, snap := range sv.cluster.snapshots() {
 		if snap.Health.Job != "" {
-			w.Jobs = append(w.Jobs, snap.Health)
+			res.Jobs = append(res.Jobs, snap.Health)
 		}
 	}
 }

@@ -2,17 +2,24 @@ package mycroft
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"os"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mycroft/internal/api"
 	"mycroft/internal/cluster"
+	"mycroft/internal/remedy"
+	"mycroft/internal/sim"
 )
 
 // TestOpTableCoversClient: the operation table is the single source of the
@@ -93,21 +100,18 @@ func replicaOf(t *testing.T, rs *cluster.ReplicaStore, job JobID) []jobLog {
 // replica's decoded history: rank filter, empty match, time window, and
 // Limit 1 → NextOffset walking to -1.
 func TestPagedQueriesShareFilters(t *testing.T) {
-	trigger := func(seq uint64, rank int, at int64) api.SeqEvent {
-		return api.SeqEvent{Seq: seq, Event: api.Event{Job: "j", Kind: "trigger", AtNs: at,
-			Trigger: &api.Trigger{Kind: "failure", Rank: rank, AtNs: at}}}
+	trigger := func(seq uint64, rank Rank, at time.Duration) api.SeqEvent {
+		return api.SeqEvent{Seq: seq, Event: Event{Job: "j", Kind: EventTrigger, At: at,
+			Trigger: &Trigger{Kind: TriggerFailure, Rank: rank, At: sim.Time(at)}}}
 	}
 	rs := cluster.NewReplicaStore(0, 0)
-	_, err := rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{
+	rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{
 		trigger(1, 5, 100), trigger(2, 6, 200), trigger(3, 5, 300),
-		{Seq: 4, Event: api.Event{Job: "j", Kind: "report", AtNs: 400,
-			Report: &api.Report{Trigger: api.Trigger{Kind: "failure"}, Suspect: 5, Category: "network-send-path", AnalyzedAtNs: 400}}},
-		{Seq: 5, Event: api.Event{Job: "j", Kind: "action", AtNs: 500,
-			Action: &api.Attempt{ID: 1, Action: api.Action{Kind: "isolate-rank", Rank: 5}, Outcome: "succeeded", ReportedAtNs: 400}}},
+		{Seq: 4, Event: Event{Job: "j", Kind: EventReport, At: 400,
+			Report: &Report{Trigger: Trigger{Kind: TriggerFailure}, Suspect: 5, Category: CatNetworkSendPath, AnalyzedAt: 400}}},
+		{Seq: 5, Event: Event{Job: "j", Kind: EventAction, At: 500,
+			Action: &RemedyAttempt{ID: 1, Action: remedy.Action{Kind: RemedyIsolateRank, Rank: 5}, Outcome: RemedySucceeded, ReportedAt: 400}}},
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	jobs := replicaOf(t, rs, "j")
 
 	if res := (TriggerQuery{Ranks: []Rank{5}}).over(jobs); res.Total != 2 || res.Triggers[0].At != 100 || res.Triggers[1].At != 300 || res.Triggers[0].Job != "j" {
@@ -158,6 +162,244 @@ func TestPagedQueriesShareFilters(t *testing.T) {
 	all, _ := svc.QueryTriggers(TriggerQuery{})
 	if got := (TriggerQuery{}).over(hosted); all.Total == 0 || !reflect.DeepEqual(got, all) {
 		t.Fatalf("hosted job: over = %+v, QueryTriggers = %+v", got, all)
+	}
+}
+
+// TestGoldenWireFormat holds the two goldens of internal/api/testdata whose
+// types live in this package — the rest are held by that package's test of
+// the same name — to the same unregenerated bytes. HealthResult is the one
+// answer with MarshalJSON of its own, so it also has to survive the trip back.
+func TestGoldenWireFormat(t *testing.T) {
+	health := HealthResult{
+		Now: 42 * time.Second, Uptime: 1234 * time.Millisecond, Server: "mycroft-serve/1",
+		Subs: SubStats{Active: 2, Delivered: 917, Dropped: 3},
+		Jobs: []JobHealth{
+			{Job: "llm-70b", State: HealthStale, Since: 41_500 * time.Millisecond, LastIngest: 30 * time.Second, Reason: "no ingest for 12s (threshold 10s)"},
+			{Job: "moe-8x22", State: HealthHealthy, LastIngest: 41_900 * time.Millisecond},
+		},
+	}
+	spans := SpanResult{
+		Job: "llm-70b", Total: 3068, Dropped: 12,
+		Spans: []Span{{
+			ID: 893, Parent: 891, Job: "llm-70b", Stage: StageRCA,
+			Cause: "trigger-1", Peer: "p2", Detail: "suspect rank 5 (gpu-hang): chain=3 victims=7",
+			Start: 21_000_000_000, End: 27_000_000_000,
+			WallStart: 1_700_000_000_123_456_789, WallEnd: 1_700_000_000_123_500_000,
+		}},
+	}
+	for name, v := range map[string]any{"health": health, "spans_response": spans} {
+		got, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("internal/api/testdata/" + name + ".golden.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got)+"\n" != string(want) {
+			t.Errorf("%s drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
+		}
+	}
+	var back HealthResult
+	if data, _ := json.Marshal(health); json.Unmarshal(data, &back) != nil || !reflect.DeepEqual(back, health) {
+		t.Errorf("health round trip:\n got  %+v\n want %+v", back, health)
+	}
+}
+
+// TestJobWrappersEncodeAsThemselves: JobTrigger, JobReport and JobRemediation
+// embed their payload, so a MarshalJSON or MarshalText on the payload would be
+// promoted and the wrapper would encode as the bare payload, silently losing
+// its job. No payload may grow one.
+func TestJobWrappersEncodeAsThemselves(t *testing.T) {
+	for _, v := range []any{JobTrigger{}, JobReport{}, JobRemediation{}, blastResult{}} {
+		typ := reflect.TypeOf(v)
+		for _, iface := range []reflect.Type{
+			reflect.TypeOf((*json.Marshaler)(nil)).Elem(), reflect.TypeOf((*json.Unmarshaler)(nil)).Elem(),
+			reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem(), reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem(),
+		} {
+			if typ.Implements(iface) || reflect.PointerTo(typ).Implements(iface) {
+				t.Errorf("%v inherits %v from an embedded field", typ, iface)
+			}
+		}
+	}
+	got, err := json.Marshal(JobTrigger{Job: "j", Trigger: Trigger{Kind: TriggerFailure, Rank: 5}})
+	if want := `{"job":"j","trigger":{"kind":"failure","rank":5,"ip":"","at_ns":0,"comm_id":0,"reason":""}}`; err != nil || string(got) != want {
+		t.Errorf("JobTrigger encodes as %s (%v), want %s", got, err, want)
+	}
+}
+
+// TestOpPanicIsA500: a bug inside a mounted operation is a 500 and a counter,
+// not a dropped connection or a wedged daemon — Server.mu, held across the
+// call, is released on the way out, so the next request is served.
+func TestOpPanicIsA500(t *testing.T) {
+	svc := faultedService(t)
+	sv := NewServer(svc)
+	mux := api.NewMux(svc.Metrics())
+	boom := &op[struct{}, struct{}]{
+		name: "Boom", method: "GET", path: "/boom",
+		call: func(Client, struct{}) (struct{}, error) { panic("boom") },
+	}
+	boom.mount(sv, mux)
+	opListJobs.mount(sv, mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + api.Prefix + "/boom")
+	if err != nil {
+		t.Fatalf("panicking op dropped the connection: %v", err)
+	}
+	var failed api.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&failed)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(failed.Error, "boom") {
+		t.Fatalf("panicking op answered %d %+v (%v), want 500 naming the panic", resp.StatusCode, failed, err)
+	}
+	rc := &RemoteClient{base: ts.URL, hc: http.DefaultClient}
+	if jobs, err := rc.ListJobs(); err != nil || len(jobs.Jobs) != 1 {
+		t.Fatalf("request after the panic: %+v, %v", jobs, err)
+	}
+	var prom strings.Builder
+	svc.Metrics().WritePrometheus(&prom)
+	for _, series := range []string{
+		`mycroft_http_panics_total{endpoint="/v1/boom"} 1`,
+		`mycroft_http_errors_total{endpoint="/v1/boom"} 1`,
+		`mycroft_http_panics_total{endpoint="/v1/jobs"} 0`,
+	} {
+		if !strings.Contains(prom.String(), series) {
+			t.Errorf("metrics lack %s", series)
+		}
+	}
+}
+
+// TestFailPicksStatus: the one error→HTTP mapping answers 413 for a body over
+// the size cap and 400 for a request it cannot decode, each before any state
+// changes, and a RemoteClient surfaces the message of any non-200 alike.
+func TestFailPicksStatus(t *testing.T) {
+	ts := httptest.NewServer(NewServer(faultedService(t)).Handler())
+	defer ts.Close()
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(ts.URL+api.Prefix+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var failed api.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&failed)
+		return resp.StatusCode, failed.Error
+	}
+	for _, c := range []struct {
+		path, body string
+		status     int
+		names      string
+	}{
+		{"/trace/query", `{"job":"` + strings.Repeat("x", 4<<20) + `"}`, http.StatusRequestEntityTooLarge, "too large"},
+		{"/triggers/query", `{"kinds":["hiccup"]}`, http.StatusBadRequest, "hiccup"},
+		{"/remediations/query", `{"outcomes":["shrug"]}`, http.StatusBadRequest, "shrug"},
+		{"/subscribe", `{"filter":{"kinds":["telemetry"]}}`, http.StatusBadRequest, "telemetry"},
+		{"/cluster/replicate", `{"job":"trace","entries":[{"seq":1,"event":{"kind":"trigger","trigger":{"kind":"from-the-future"}}}]}`, http.StatusBadRequest, "from-the-future"},
+		{"/triage", `{"job":"nope"}`, http.StatusBadRequest, "nope"},
+	} {
+		if status, msg := post(c.path, c.body); status != c.status || !strings.Contains(msg, c.names) {
+			t.Errorf("POST %s: %d %q, want %d naming %q", c.path, status, msg, c.status, c.names)
+		}
+	}
+}
+
+// TestTableOpsRaceAdvance settles what an operation's answer may share with
+// the engine. op.serve returns the Service's result and the handler encodes it
+// after Server.mu is released, so every byte the encoder reads must be the
+// answer's own or immutable. Clients hammer every table operation — on the
+// job's primary and on the peer that only follows it — while the fleet is
+// driven through a fault, its diagnosis and its remediation, replicating as
+// it goes; the race detector (CI's race job) is the judge.
+func TestTableOpsRaceAdvance(t *testing.T) {
+	const job = JobID("trace")
+	peers := startCluster(t, []string{"a", "b"}, []JobID{job}, 1)
+	for _, p := range peers {
+		if h := p.handles[job]; h != nil {
+			if err := p.svc.AttachPolicy(job, SelfHealPolicy()); err != nil {
+				t.Fatal(err)
+			}
+			h.Inject(Fault{Kind: NICDown, Rank: 5, At: 15 * time.Second})
+		}
+	}
+	asks := map[string]func(Client) error{
+		"ListJobs": func(c Client) error { _, err := c.ListJobs(); return err },
+		"QueryTrace": func(c Client) error {
+			_, err := c.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 64})
+			return err
+		},
+		"QueryTriggers": func(c Client) error { _, err := c.QueryTriggers(TriggerQuery{Jobs: []JobID{job}}); return err },
+		"QueryReports":  func(c Client) error { _, err := c.QueryReports(ReportQuery{Jobs: []JobID{job}}); return err },
+		"QueryDependencies": func(c Client) error {
+			_, err := c.QueryDependencies(DependencyQuery{Job: job, RenderDOT: true})
+			return err
+		},
+		"BlastRadius":       func(c Client) error { _, err := c.BlastRadius(job, 5); return err },
+		"QueryRemediations": func(c Client) error { _, err := c.QueryRemediations(RemediationQuery{Jobs: []JobID{job}}); return err },
+		"QuerySpans":        func(c Client) error { _, err := c.QuerySpans(SpanQuery{Job: job, Limit: 64}); return err },
+		"Triage":            func(c Client) error { _, err := c.Triage(job); return err },
+		"Health":            func(c Client) error { _, err := c.Health(); return err },
+		"IngestLogs": func(c Client) error {
+			_, err := c.IngestLogs(job, []LogLine{{Rank: 5, Level: "error", Text: "NET/IB rdma qp 17 timeout on port 1"}})
+			return err
+		},
+		"IngestTimings": func(c Client) error {
+			_, err := c.IngestTimings(job, []IterationSample{{Rank: 5, Iter: 1}})
+			return err
+		},
+		"ChannelStats": func(c Client) error { _, err := c.ChannelStats(job); return err },
+	}
+	for _, o := range opTable {
+		if asks[o.clientMethod()] == nil {
+			t.Fatalf("no concurrent caller for table operation %s", o.clientMethod())
+		}
+	}
+
+	driven := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, p := range peers {
+		for worker := 0; worker < 2; worker++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rc := &RemoteClient{base: "http://" + p.addr, hc: http.DefaultClient}
+				hosts := p.handles[job] != nil
+				for {
+					for name, ask := range asks {
+						select {
+						case <-driven:
+							return
+						default:
+						}
+						// A follower refuses what replication does not carry
+						// (graphs, channel ingest); everything else must answer.
+						if err := ask(rc); err != nil && hosts {
+							t.Errorf("%s on %s: %v", name, p.name, err)
+							return
+						}
+					}
+				}
+			}()
+		}
+	}
+	for i := 0; i < 60; i++ {
+		for _, p := range peers {
+			p.srv.Advance(time.Second)
+			if errs := p.srv.ReplicateNow(); len(errs) > 0 {
+				t.Errorf("replication: %v", errs[0])
+			}
+		}
+	}
+	close(driven)
+	wg.Wait()
+	for _, p := range peers {
+		if p.handles[job] == nil {
+			continue
+		}
+		if rem, _ := p.svc.QueryRemediations(RemediationQuery{}); rem.Total == 0 {
+			t.Error("the run the clients raced never reached a remediation")
+		}
 	}
 }
 

@@ -12,24 +12,28 @@ import (
 
 // TraceQuery asks one hosted job's sharded trace store for raw Coll-level
 // records. Zero-value predicates match everything.
+//
+// The JSON tags on the query and result types are the /v1 wire protocol (see
+// internal/api): the struct a caller fills in is the request body.
 type TraceQuery struct {
 	// Job selects the hosted job. Empty is allowed only when the service
 	// hosts exactly one.
-	Job JobID
+	Job JobID `json:"job,omitempty"`
 	// Ranks restricts to these ranks (nil = all; with Comm set, the
 	// communicator's members).
-	Ranks []Rank
+	Ranks []Rank `json:"ranks,omitempty"`
 	// Comm restricts to one communicator (0 = any).
-	Comm uint64
+	Comm uint64 `json:"comm,omitempty"`
 	// Kinds restricts record kinds (nil = any).
-	Kinds []RecordKind
+	Kinds []RecordKind `json:"kinds,omitempty"`
 	// From and To bound emission time as (From, To] in virtual time.
 	// To 0 means "now".
-	From, To time.Duration
+	From time.Duration `json:"from_ns,omitempty"`
+	To   time.Duration `json:"to_ns,omitempty"`
 	// Limit caps the page size (0 = everything). Resume with Cursor.
-	Limit int
+	Limit int `json:"limit,omitempty"`
 	// Cursor continues a paginated query; pass TraceResult.Next verbatim.
-	Cursor *TraceCursor
+	Cursor *TraceCursor `json:"cursor,omitempty"`
 }
 
 // TraceCursor marks where a paginated TraceQuery resumes.
@@ -37,14 +41,14 @@ type TraceCursor = clouddb.Cursor
 
 // TraceResult is one page of matching records, ordered by (rank, time).
 type TraceResult struct {
-	Job     JobID
-	Records []TraceRecord
+	Job     JobID         `json:"job"`
+	Records []TraceRecord `json:"records"`
 	// Total counts every match of the query, computed on the walk's first
 	// page; a cursor-resumed page that fills to Limit reports -1 instead of
 	// re-scanning the remainder (track progress from the first page).
-	Total int
+	Total int `json:"total"`
 	// Next is non-nil when Limit cut the page short.
-	Next *TraceCursor
+	Next *TraceCursor `json:"next,omitempty"`
 }
 
 // QueryTrace answers a TraceQuery against the job's sharded store.
@@ -68,21 +72,24 @@ func (s *Service) QueryTrace(q TraceQuery) (TraceResult, error) {
 // TriggerQuery asks for Algorithm 1 firings across hosted jobs.
 type TriggerQuery struct {
 	// Jobs restricts to these hosted jobs (nil = all).
-	Jobs []JobID
+	Jobs []JobID `json:"jobs,omitempty"`
 	// Ranks restricts to triggers fired by these sampled ranks.
-	Ranks []Rank
+	Ranks []Rank `json:"ranks,omitempty"`
 	// Kinds restricts to failure and/or straggler triggers.
-	Kinds []TriggerKind
+	Kinds []TriggerKind `json:"kinds,omitempty"`
 	// From and To bound the firing time, inclusive. To 0 means unbounded.
-	From, To time.Duration
+	From time.Duration `json:"from_ns,omitempty"`
+	To   time.Duration `json:"to_ns,omitempty"`
 	// Offset and Limit paginate the matched set (Limit 0 = everything).
-	Offset, Limit int
+	Offset int `json:"offset,omitempty"`
+	Limit  int `json:"limit,omitempty"`
 }
 
-// JobTrigger is a trigger tagged with the job it fired on.
+// JobTrigger is a trigger tagged with the job it fired on. The tag makes the
+// embedded trigger a named member on the wire, not a flattened one.
 type JobTrigger struct {
-	Job JobID
-	Trigger
+	Job     JobID `json:"job"`
+	Trigger `json:"trigger"`
 }
 
 // TriggerResult is one page of matches, ordered by firing time (job arrival
@@ -90,9 +97,9 @@ type JobTrigger struct {
 // NextOffset is the offset of the first unreturned match, -1 when this page
 // exhausted them.
 type TriggerResult struct {
-	Triggers   []JobTrigger
-	Total      int
-	NextOffset int
+	Triggers   []JobTrigger `json:"triggers"`
+	Total      int          `json:"total"`
+	NextOffset int          `json:"next_offset"`
 }
 
 // QueryTriggers answers a TriggerQuery across the selected jobs.
@@ -133,32 +140,34 @@ func (q TriggerQuery) page(all []JobTrigger) TriggerResult {
 // ReportQuery asks for Algorithm 2 verdicts across hosted jobs.
 type ReportQuery struct {
 	// Jobs restricts to these hosted jobs (nil = all).
-	Jobs []JobID
+	Jobs []JobID `json:"jobs,omitempty"`
 	// Suspects restricts to verdicts naming these ranks.
-	Suspects []Rank
+	Suspects []Rank `json:"suspects,omitempty"`
 	// Categories restricts to these RC-table categories.
-	Categories []Category
+	Categories []Category `json:"categories,omitempty"`
 	// Comm restricts to verdicts reached on one communicator (0 = any).
-	Comm uint64
+	Comm uint64 `json:"comm,omitempty"`
 	// From and To bound the analysis time, inclusive. To 0 means unbounded.
-	From, To time.Duration
+	From time.Duration `json:"from_ns,omitempty"`
+	To   time.Duration `json:"to_ns,omitempty"`
 	// Offset and Limit paginate the matched set (Limit 0 = everything).
-	Offset, Limit int
+	Offset int `json:"offset,omitempty"`
+	Limit  int `json:"limit,omitempty"`
 }
 
 // JobReport is a verdict tagged with the job it was produced for.
 type JobReport struct {
-	Job JobID
-	Report
+	Job    JobID `json:"job"`
+	Report `json:"report"`
 }
 
 // ReportResult is one page of matches, ordered by analysis time (job
 // arrival order breaks ties). Total counts all matches before pagination;
 // NextOffset is -1 when this page exhausted them.
 type ReportResult struct {
-	Reports    []JobReport
-	Total      int
-	NextOffset int
+	Reports    []JobReport `json:"reports"`
+	Total      int         `json:"total"`
+	NextOffset int         `json:"next_offset"`
 }
 
 // QueryReports answers a ReportQuery across the selected jobs.
@@ -223,26 +232,26 @@ const (
 type DependencyQuery struct {
 	// Job selects the hosted job. Empty is allowed only when the service
 	// hosts exactly one.
-	Job JobID
+	Job JobID `json:"job,omitempty"`
 	// Comm restricts to edges touching one communicator, including nested
 	// hops out of it (0 = all).
-	Comm uint64
+	Comm uint64 `json:"comm,omitempty"`
 	// Ranks restricts to edges whose endpoints involve one of these ranks
 	// (nil = all).
-	Ranks []Rank
+	Ranks []Rank `json:"ranks,omitempty"`
 	// RenderDOT additionally renders the whole (unfiltered) graph as
 	// Graphviz dot into DependencyResult.DOT, so a remote caller gets the
 	// deterministic export without a second round trip.
-	RenderDOT bool
+	RenderDOT bool `json:"render_dot,omitempty"`
 }
 
 // DependencyResult is the matched edge set, grouped per communicator in
 // ascending id order (wait edges first, then nested hops; deterministic).
 type DependencyResult struct {
-	Job   JobID
-	Edges []DependencyEdge
+	Job   JobID            `json:"job"`
+	Edges []DependencyEdge `json:"edges"`
 	// DOT is the Graphviz export of the job's full graph (RenderDOT only).
-	DOT string
+	DOT string `json:"dot,omitempty"`
 }
 
 // QueryDependencies answers a DependencyQuery from the job's live graph.

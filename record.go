@@ -113,7 +113,7 @@ func (s *Service) Record(id JobID, w io.Writer) (*Recorder, error) {
 	// land in the artifact in exact engine order relative to the ingest and
 	// eval entries around them.
 	rec.stream = s.Subscribe(EventFilter{Jobs: []JobID{id}}).Each(func(e Event) {
-		enc.WriteEvent(int64(e.At), eventToWire(e))
+		enc.WriteEvent(int64(e.At), e)
 	})
 	h.recorder = rec
 	return rec, nil

@@ -206,33 +206,35 @@ func recoverKindFor(c Category) (faults.Kind, bool) {
 // RemediationQuery asks for audit-log attempts across hosted jobs.
 type RemediationQuery struct {
 	// Jobs restricts to these hosted jobs (nil = all).
-	Jobs []JobID
+	Jobs []JobID `json:"jobs,omitempty"`
 	// Ranks restricts to attempts acting on these ranks.
-	Ranks []Rank
+	Ranks []Rank `json:"ranks,omitempty"`
 	// Actions restricts to these mitigation kinds.
-	Actions []RemedyActionKind
+	Actions []RemedyActionKind `json:"actions,omitempty"`
 	// Outcomes restricts to these audited fates.
-	Outcomes []RemedyOutcome
+	Outcomes []RemedyOutcome `json:"outcomes,omitempty"`
 	// From and To bound the attempt's report time, inclusive. To 0 means
 	// unbounded.
-	From, To time.Duration
+	From time.Duration `json:"from_ns,omitempty"`
+	To   time.Duration `json:"to_ns,omitempty"`
 	// Offset and Limit paginate the matched set (Limit 0 = everything).
-	Offset, Limit int
+	Offset int `json:"offset,omitempty"`
+	Limit  int `json:"limit,omitempty"`
 }
 
 // JobRemediation is an audit-log attempt tagged with its job.
 type JobRemediation struct {
-	Job JobID
-	RemedyAttempt
+	Job           JobID `json:"job"`
+	RemedyAttempt `json:"attempt"`
 }
 
 // RemediationResult is one page of matches, ordered by report time (job
 // arrival order breaks ties). Total counts all matches before pagination;
 // NextOffset is -1 when this page exhausted them.
 type RemediationResult struct {
-	Attempts   []JobRemediation
-	Total      int
-	NextOffset int
+	Attempts   []JobRemediation `json:"attempts"`
+	Total      int              `json:"total"`
+	NextOffset int              `json:"next_offset"`
 }
 
 // QueryRemediations answers a RemediationQuery across the selected jobs.

@@ -28,10 +28,10 @@ var ErrUnreachable = errors.New("daemon unreachable")
 var ErrSubscriptionLost = errors.New("subscription lost")
 
 // RemoteClient is the Client implementation that speaks the /v1 wire
-// protocol to a mycroft-serve daemon. Every operation converts to the
-// versioned wire form, crosses HTTP, and converts back (remoteCall in ops.go,
-// driven by the operation table), so code written against Client runs
-// unchanged in-process or remote. Subscriptions are fed by a
+// protocol to a mycroft-serve daemon. Every operation encodes its request,
+// crosses HTTP and decodes the answer into the method's own result type
+// (remoteCall in ops.go, driven by the operation table), so code written
+// against Client runs unchanged in-process or remote. Subscriptions are fed by a
 // background long-poller into the same *Stream type the in-process Service
 // hands out; transport failures close the stream and surface via
 // Stream.Err.
@@ -203,7 +203,7 @@ func (c *RemoteClient) FetchRecord(job JobID, w io.Writer) error {
 func (c *RemoteClient) Subscribe(f EventFilter) *Stream {
 	st := newStream(nil, f)
 	var resp api.SubscribeResponse
-	if err := c.do(http.MethodPost, api.Prefix+"/subscribe", api.SubscribeRequest{Filter: eventFilterToWire(f)}, &resp); err != nil {
+	if err := c.do(http.MethodPost, api.Prefix+"/subscribe", subscribeRequest{Filter: f}, &resp); err != nil {
 		st.fail(err)
 		return st
 	}
@@ -224,12 +224,7 @@ func (c *RemoteClient) pollLoop(id string, st *Stream) {
 			st.fail(err)
 			return
 		}
-		for _, we := range resp.Events {
-			e, err := eventFromWire(we)
-			if err != nil {
-				st.fail(err)
-				return
-			}
+		for _, e := range resp.Events {
 			st.deliver(e)
 		}
 		st.setRemoteDropped(resp.Dropped)

@@ -272,11 +272,13 @@ func (sv *Server) ping() (api.PingResponse, error) {
 // to the client as PollResponse.Dropped.
 const defaultWireBuffer = 4096
 
-func (sv *Server) subscribe(req api.SubscribeRequest) (api.SubscribeResponse, error) {
-	f, err := eventFilterFromWire(req.Filter)
-	if err != nil {
-		return api.SubscribeResponse{}, err
-	}
+// subscribeRequest is the body of POST /v1/subscribe.
+type subscribeRequest struct {
+	Filter EventFilter `json:"filter"`
+}
+
+func (sv *Server) subscribe(req subscribeRequest) (api.SubscribeResponse, error) {
+	f := req.Filter
 	if f.Buffer <= 0 {
 		f.Buffer = defaultWireBuffer
 	}
@@ -321,10 +323,10 @@ func (sv *Server) poll(req api.PollRequest) (api.PollResponse, error) {
 	if timeout > 30*time.Second {
 		timeout = 30 * time.Second
 	}
-	var events []api.Event
+	var events []Event
 	if timeout > 0 {
 		if e, ok := st.NextWait(timeout); ok {
-			events = append(events, eventToWire(e))
+			events = append(events, e)
 		}
 	}
 	for len(events) < max {
@@ -332,7 +334,7 @@ func (sv *Server) poll(req api.PollRequest) (api.PollResponse, error) {
 		if !ok {
 			break
 		}
-		events = append(events, eventToWire(e))
+		events = append(events, e)
 	}
 	return api.PollResponse{Events: events, Dropped: st.Dropped(), Closed: st.isClosed() && len(events) == 0}, nil
 }

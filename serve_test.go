@@ -143,7 +143,7 @@ func TestSSECarriesEvents(t *testing.T) {
 	if ct := stream.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Errorf("content type %q, want text/event-stream", ct)
 	}
-	kinds, closed := map[string]int{}, false
+	kinds, closed := map[EventKind]int{}, false
 	named := "" // the current frame's `event:` name; plain data frames have none
 	sc := bufio.NewScanner(stream.Body)
 	sc.Buffer(nil, 1<<20)
@@ -171,9 +171,9 @@ func TestSSECarriesEvents(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"trigger", "report", "action"} {
+	for _, kind := range []EventKind{EventTrigger, EventReport, EventAction} {
 		if kinds[kind] == 0 {
-			t.Errorf("SSE stream carried no %q event (got %v)", kind, kinds)
+			t.Errorf("SSE stream carried no %v event (got %v)", kind, kinds)
 		}
 	}
 	if !closed {

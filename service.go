@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"mycroft/internal/api"
 	"mycroft/internal/clouddb"
 	"mycroft/internal/core"
 	"mycroft/internal/experiments"
@@ -19,7 +20,7 @@ import (
 )
 
 // JobID addresses one hosted training job inside a Service.
-type JobID string
+type JobID = api.JobID
 
 // ServiceOptions configures a Service.
 type ServiceOptions struct {

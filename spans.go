@@ -1,6 +1,9 @@
 package mycroft
 
 import (
+	"fmt"
+	"net/url"
+	"strconv"
 	"time"
 
 	"mycroft/internal/otrace"
@@ -48,14 +51,62 @@ type SpanQuery struct {
 	Limit int
 }
 
+// spanQueryToValues renders a span query's filters as the query string
+// GET /v1/jobs/{id}/spans takes (the job rides the path).
+func spanQueryToValues(q SpanQuery) url.Values {
+	v := url.Values{}
+	if q.Incident != "" {
+		v.Set("incident", q.Incident)
+	}
+	if q.Stage != "" {
+		v.Set("stage", q.Stage)
+	}
+	if q.AfterID != 0 {
+		v.Set("after_id", strconv.FormatUint(uint64(q.AfterID), 10))
+	}
+	if q.MinWall > 0 {
+		v.Set("min_wall_ns", strconv.FormatInt(int64(q.MinWall), 10))
+	}
+	if q.Limit > 0 {
+		v.Set("limit", strconv.Itoa(q.Limit))
+	}
+	return v
+}
+
+// spanQueryFromValues is its inverse, refusing a number that does not parse.
+func spanQueryFromValues(v url.Values) (SpanQuery, error) {
+	q := SpanQuery{Incident: v.Get("incident"), Stage: v.Get("stage")}
+	if s := v.Get("after_id"); s != "" {
+		id, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			return q, fmt.Errorf("api: bad after_id %q", s)
+		}
+		q.AfterID = SpanID(id)
+	}
+	if s := v.Get("min_wall_ns"); s != "" {
+		ns, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return q, fmt.Errorf("api: bad min_wall_ns %q", s)
+		}
+		q.MinWall = time.Duration(ns)
+	}
+	if s := v.Get("limit"); s != "" {
+		var err error
+		if q.Limit, err = strconv.Atoi(s); err != nil {
+			return q, fmt.Errorf("api: bad limit %q", s)
+		}
+	}
+	return q, nil
+}
+
 // SpanResult is one query's answer: matching spans ascending by ID (record
 // order), the total matched before Limit, and how many spans the ring has
 // overwritten over the recorder's lifetime.
 type SpanResult struct {
-	Job     JobID
-	Spans   []Span
-	Total   int
-	Dropped uint64
+	Job     JobID  `json:"job"`
+	Spans   []Span `json:"spans"`
+	Total   int    `json:"total"`
+	Dropped uint64 `json:"dropped,omitempty"`
 }
 
 // QuerySpans answers a SpanQuery against the job's span recorder.
