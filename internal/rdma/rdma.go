@@ -202,10 +202,9 @@ type wr struct {
 // QP is a queue pair: a unidirectional flow from a source NIC to a
 // destination NIC (NCCL opens one or more QPs per channel per peer).
 type QP struct {
-	id   int
-	src  *NIC
-	dst  *NIC
-	name string
+	id  int
+	src *NIC
+	dst *NIC
 
 	posted    uint64
 	completed uint64
@@ -215,7 +214,7 @@ type QP struct {
 // NewQP connects src to dst. The id is carried into trace metadata (QP_id in
 // Table 2).
 func NewQP(id int, src, dst *NIC) *QP {
-	return &QP{id: id, src: src, dst: dst, name: fmt.Sprintf("qp%d(%s->%s)", id, src.name, dst.name)}
+	return &QP{id: id, src: src, dst: dst}
 }
 
 // ID returns the QP id.
@@ -236,7 +235,7 @@ func (q *QP) Completed() uint64 { return q.completed }
 // BytesSent returns the bytes for which transmission finished.
 func (q *QP) BytesSent() uint64 { return q.bytesSent }
 
-func (q *QP) String() string { return q.name }
+func (q *QP) String() string { return fmt.Sprintf("qp%d(%s->%s)", q.id, q.src.name, q.dst.name) }
 
 // Post posts an RDMA write of n bytes; done observes its transmit, delivery
 // and completion with arg.

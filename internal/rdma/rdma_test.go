@@ -200,6 +200,9 @@ func TestQPAsLink(t *testing.T) {
 	if id != 0 || kind != "rdma" {
 		t.Fatalf("Describe = (%d, %s)", id, kind)
 	}
+	if got := qp.String(); got != "qp0(nic-a->nic-b)" {
+		t.Fatalf("String = %q", got)
+	}
 	var stages []string
 	l.Send(100, &funcs{
 		transmit: func() { stages = append(stages, "tx") },
