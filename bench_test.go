@@ -8,6 +8,7 @@
 package mycroft_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,4 +79,37 @@ func BenchmarkScenarioRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(records), "records/run")
+}
+
+// TestFullSizeAllocBudget holds the substrate's steady-state malloc count at
+// the size the benchmark runs (bench/ sim-512's 512-rank job) until CI gates
+// on bench/ itself. The second ten of twenty virtual seconds are counted: by
+// then every communicator has planned each shape its script submits and the
+// free lists are full, so what is left is per op, mostly the rank scripts'
+// continuation closures. The count is a property of the program, not of the
+// machine; before collectives were planned once it read 1.21.
+func TestFullSizeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 512-rank job for 20 virtual seconds")
+	}
+	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: 1})
+	job := svc.MustAddJob("sim", mycroft.JobOptions{
+		Topo: mycroft.TopoConfig{Nodes: 64, GPUsPerNode: 8, TP: 8, PP: 4, DP: 16},
+	})
+	svc.Start()
+	svc.Run(10 * time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	warm := job.RecordsIngested()
+	svc.Run(10 * time.Second)
+	runtime.ReadMemStats(&after)
+	mallocs, records := after.Mallocs-before.Mallocs, job.RecordsIngested()-warm
+	if records < 50_000 {
+		t.Fatalf("only %d records ingested in 10 virtual seconds", records)
+	}
+	perRecord := float64(mallocs) / float64(records)
+	t.Logf("%d mallocs over %d records: %.4f per record", mallocs, records, perRecord)
+	if perRecord > 0.45 {
+		t.Errorf("%.4f mallocs per ingested record, want at most 0.45", perRecord)
+	}
 }

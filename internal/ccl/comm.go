@@ -19,6 +19,23 @@
 // ranks progress independently: a healthy rank finishes op k and moves to
 // op k+1 while a faulty rank is still stuck on k — which is exactly what
 // makes the minimum-op_seq analysis of Algorithm 2 work.
+//
+// Planning. A training iteration submits the same collectives with the same
+// shapes as the one before it, so what an op moves is worked out once per
+// shape — (Kind, Bytes, Root, Src, Dst) on one communicator — on the first
+// Submit of that shape, and kept: one chunk-size list shared by every sender,
+// and per (rank, channel) its link, the rank its sends land at, its ring
+// dependency offset and how many chunks it must receive. A plan is read-only
+// and a communicator holds as many as it has been asked for distinct shapes;
+// derivePlan is the only code that makes one. What is per op is its frame: an
+// opRun, one slab of rank shares and one slab of channel pipelines whose
+// counters start at zero, each pipeline a copy of its plan entry plus a
+// pointer to the peer's pipeline in the same frame (nil when OpSpec.Skip
+// leaves that peer out — who skips belongs to the op, not to the shape).
+// Frames are never reused, so the *Op Submit returns may be kept for as long
+// as the caller likes: Done, DoneTime, RankStart, RankDone and Snapshot keep
+// answering for that op after the communicator has moved on, and the frame is
+// garbage once the last holder lets go.
 package ccl
 
 import (
@@ -168,6 +185,7 @@ type Communicator struct {
 	qpid     [][]int       // [ch][rankIdx] -> qp id of successor link
 
 	direct map[directKey]rdma.Link // lazy point-to-point links for SendRecv
+	plans  map[shape][]chanPlan    // lazy, see plan
 
 	// ops is the window of ops some rank has yet to pass: op number n lives
 	// at ops[n-opsBase]. An op leaves the front once every rank's cursor has
@@ -410,11 +428,12 @@ func (rc *rankCtx) emitStateLogs(now sim.Time) {
 	if op == nil {
 		return // idle
 	}
-	rr := op.rankRuns[rc.idx]
-	if rr == nil || !rr.started || rr.done {
+	rr := &op.rankRuns[rc.idx]
+	if rr.skip || !rr.started || rr.done {
 		return
 	}
-	for _, cr := range rr.chans {
+	for i := range rr.chans {
+		cr := &rr.chans[i]
 		rec := trace.Record{
 			Kind: trace.KindState, Time: now,
 			IP: rc.info.IP, CommID: rc.comm.id, Rank: rc.info.Rank,

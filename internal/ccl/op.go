@@ -43,23 +43,30 @@ func (o *Op) StartTime() sim.Time { return o.run.startTime }
 // DoneTime returns the global completion time (zero until Done).
 func (o *Op) DoneTime() sim.Time { return o.run.doneTime }
 
+// share returns rank r's share of the op, or nil if r is not participating.
+func (o *Op) share(r topo.Rank) *rankRun {
+	rc, ok := o.run.comm.byRank[r]
+	if !ok || o.run.rankRuns[rc.idx].skip {
+		return nil
+	}
+	return &o.run.rankRuns[rc.idx]
+}
+
 // RankStart returns when rank r started its part, and whether it has.
 func (o *Op) RankStart(r topo.Rank) (sim.Time, bool) {
-	rc, ok := o.run.comm.byRank[r]
-	if !ok || o.run.rankRuns[rc.idx] == nil {
+	rr := o.share(r)
+	if rr == nil {
 		return 0, false
 	}
-	rr := o.run.rankRuns[rc.idx]
 	return rr.start, rr.started
 }
 
 // RankDone returns when rank r finished its part, and whether it has.
 func (o *Op) RankDone(r topo.Rank) (sim.Time, bool) {
-	rc, ok := o.run.comm.byRank[r]
-	if !ok || o.run.rankRuns[rc.idx] == nil {
+	rr := o.share(r)
+	if rr == nil {
 		return 0, false
 	}
-	rr := o.run.rankRuns[rc.idx]
 	return rr.end, rr.done
 }
 
@@ -80,13 +87,13 @@ type ChanSnapshot struct {
 // Snapshot returns the current per-channel pipeline state of rank r, or nil
 // if the rank is not participating.
 func (o *Op) Snapshot(r topo.Rank) []ChanSnapshot {
-	rc, ok := o.run.comm.byRank[r]
-	if !ok || o.run.rankRuns[rc.idx] == nil {
+	rr := o.share(r)
+	if rr == nil {
 		return nil
 	}
-	rr := o.run.rankRuns[rc.idx]
 	out := make([]ChanSnapshot, 0, len(rr.chans))
-	for _, cr := range rr.chans {
+	for i := range rr.chans {
+		cr := &rr.chans[i]
 		out = append(out, ChanSnapshot{
 			Channel: cr.ch, Total: len(cr.sends),
 			Staged: cr.staged, Posted: cr.posted, Acked: cr.acked,
@@ -100,13 +107,38 @@ func (o *Op) Snapshot(r topo.Rank) []ChanSnapshot {
 // depNone marks sends with no remote dependency.
 const depNone = 1 << 30
 
-// opRun is the engine-side state of one op.
+// shape is what a plan is a function of: every OpSpec field planning reads.
+type shape struct {
+	kind           trace.OpKind
+	bytes          int64
+	root, src, dst int
+}
+
+// chanPlan is the read-only half of one (rank, channel) pipeline: what it
+// sends, over which link, to whom, and what it waits for. Every op of a
+// shape copies it into its chanRun.
+type chanPlan struct {
+	ch   int
+	qpid int
+
+	link rdma.Link // outbound link (nil when this role sends nothing)
+	peer int       // group index of the rank our sends land at (-1: nobody)
+
+	sends      []int64 // chunk sizes, in send order; shared by every sender of the shape
+	depOffset  int     // send i needs delivered ≥ i-depOffset (depNone: none)
+	expectRecv int
+}
+
+// opRun is the engine-side state of one op: one frame of two slabs, filled
+// from the shape's plan.
 type opRun struct {
+	handle     Op
 	comm       *Communicator
 	meta       OpMeta
 	spec       OpSpec
-	idx        int // op number on the communicator (see Communicator.ops)
-	rankRuns   []*rankRun
+	idx        int       // op number on the communicator (see Communicator.ops)
+	rankRuns   []rankRun // by group index
+	chans      []chanRun // rank i's channels are chans[i*Channels:(i+1)*Channels]
 	remaining  int
 	passed     int // ranks whose cursor has moved beyond this op
 	started    bool
@@ -120,8 +152,9 @@ type opRun struct {
 type rankRun struct {
 	op      *opRun
 	rc      *rankCtx
-	chans   []*chanRun
+	chans   []chanRun
 	openCh  int
+	skip    bool // the rank never launches the op (OpSpec.Skip)
 	started bool
 	done    bool
 	start   sim.Time
@@ -131,24 +164,16 @@ type rankRun struct {
 // chanRun is the per-(rank, channel) chunk pipeline — the unit Mycroft's
 // flow-level tracing observes.
 type chanRun struct {
+	chanPlan
 	rr   *rankRun
-	ch   int
-	qpid int
+	recv *chanRun // the peer's pipeline on this channel (nil: no peer, or it skips the op)
 
-	link rdma.Link // outbound link (nil when this role sends nothing)
-	peer *chanRun  // receiver of our sends (set after all chanRuns exist)
-
-	sends      []int64 // chunk sizes, in send order
-	depOffset  int     // send i needs delivered ≥ i-depOffset (depNone: none)
-	expectRecv int
-
-	stageReq    int // staging copies requested
-	staged      int // GPU_ready: chunks the GPU copied into the proxy buffer
-	nextSend    int
-	posted      int // RDMA_transmitted: WRs the proxy handed to the NIC
-	transmitted int // wire-level transmit completions (internal diagnostics)
-	acked       int // RDMA_done: CQEs polled
-	delivered   int // chunks received from our ring predecessor / peer
+	stageReq  int // staging copies requested
+	staged    int // GPU_ready: chunks the GPU copied into the proxy buffer
+	nextSend  int
+	posted    int // RDMA_transmitted: WRs the proxy handed to the NIC
+	acked     int // RDMA_done: CQEs polled
+	delivered int // chunks received from our ring predecessor / peer
 
 	lastProgress sim.Time
 	done         bool
@@ -164,36 +189,30 @@ func (c *Communicator) Submit(spec OpSpec, onAllDone func(sim.Time)) *Op {
 	if spec.Bytes <= 0 {
 		panic(fmt.Sprintf("ccl: non-positive op bytes %d", spec.Bytes))
 	}
-	meta := OpMeta{CommID: c.id, Seq: c.nextSeq, Kind: spec.Kind, Bytes: spec.Bytes}
-	c.nextSeq++
-	op := &opRun{comm: c, meta: meta, spec: spec, idx: c.opsBase + len(c.ops), onAllDone: onAllDone}
-	op.rankRuns = make([]*rankRun, len(c.ranks))
-	for i, rc := range c.ranks {
-		if spec.Skip[rc.info.Rank] {
-			continue
-		}
-		rr := &rankRun{op: op, rc: rc}
-		for ch := 0; ch < c.cfg.Channels; ch++ {
-			cr := c.planChannel(op, rc, ch)
-			rr.chans = append(rr.chans, cr)
-			cr.rr = rr
-		}
-		rr.openCh = len(rr.chans)
-		op.rankRuns[i] = rr
-		op.remaining++
+	plan := c.plan(spec)
+	R, C := len(c.ranks), c.cfg.Channels
+	op := &opRun{
+		comm: c, spec: spec, idx: c.opsBase + len(c.ops), onAllDone: onAllDone,
+		meta:     OpMeta{CommID: c.id, Seq: c.nextSeq, Kind: spec.Kind, Bytes: spec.Bytes},
+		rankRuns: make([]rankRun, R), chans: make([]chanRun, R*C),
 	}
-	// Wire send targets now that every chanRun exists.
-	for i, rr := range op.rankRuns {
-		if rr == nil {
+	op.handle.run = op
+	c.nextSeq++
+	skips := func(i int) bool { return spec.Skip[c.ranks[i].info.Rank] }
+	now := c.eng.Now()
+	for i, rc := range c.ranks {
+		rr := &op.rankRuns[i]
+		if skips(i) {
+			rr.skip = true
 			continue
 		}
-		for chI, cr := range rr.chans {
-			if cr.link == nil {
-				continue
-			}
-			tgt := op.recvTarget(i, chI)
-			if tgt >= 0 && op.rankRuns[tgt] != nil {
-				cr.peer = op.rankRuns[tgt].chans[chI]
+		*rr = rankRun{op: op, rc: rc, chans: op.chans[i*C : (i+1)*C], openCh: C}
+		op.remaining++
+		for ch := range rr.chans {
+			cr := &rr.chans[ch]
+			cr.chanPlan, cr.rr, cr.lastProgress = plan[i*C+ch], rr, now
+			if cr.peer >= 0 && !skips(cr.peer) {
+				cr.recv = &op.chans[cr.peer*C+ch]
 			}
 		}
 	}
@@ -204,103 +223,102 @@ func (c *Communicator) Submit(spec OpSpec, onAllDone func(sim.Time)) *Op {
 			rc.pump()
 		}
 	}
-	return &Op{run: op}
+	return &op.handle
 }
 
-// recvTarget returns the group index that receives rank i's channel-ch sends.
-func (op *opRun) recvTarget(i, ch int) int {
-	c := op.comm
-	switch op.meta.Kind {
-	case trace.OpSendRecv:
-		if i == op.spec.Src {
-			return op.spec.Dst
-		}
-		return -1
-	default:
-		if len(c.ranks) == 1 {
-			return -1
-		}
-		return c.nextIdx[ch][i]
+// plan returns the plan of spec's shape, [rank index × Channels + channel],
+// deriving it on the shape's first Submit. The cache holds one entry per
+// distinct shape the communicator is ever asked for (a training script: one
+// per schedule position) and nothing before the first Submit.
+func (c *Communicator) plan(spec OpSpec) []chanPlan {
+	key := shape{spec.Kind, spec.Bytes, spec.Root, spec.Src, spec.Dst}
+	if p, ok := c.plans[key]; ok {
+		return p
 	}
+	p := c.derivePlan(spec)
+	if c.plans == nil {
+		c.plans = make(map[shape][]chanPlan)
+	}
+	c.plans[key] = p
+	return p
 }
 
-// planChannel computes rank rc's send/receive obligations on channel ch.
-func (c *Communicator) planChannel(op *opRun, rc *rankCtx, ch int) *chanRun {
-	R := len(c.ranks)
-	cr := &chanRun{ch: ch, lastProgress: c.eng.Now()}
+// derivePlan works out what the shape moves — per channel, the chunk sizes of
+// one ring step tiled across the steps — and then each (rank, channel)'s role
+// in moving it.
+func (c *Communicator) derivePlan(spec OpSpec) []chanPlan {
+	R, C := len(c.ranks), c.cfg.Channels
+	plan := make([]chanPlan, R*C)
+	var sends []int64
+	var perStep int
 	if R > 1 {
-		cr.qpid = c.qpid[ch][rc.idx]
-	}
-	perChan := ceilDiv(op.spec.Bytes, int64(c.cfg.Channels))
-	chunk := c.cfg.ChunkBytes
-
-	if R == 1 {
-		return cr // trivially complete
-	}
-
-	switch op.meta.Kind {
-	case trace.OpAllReduce, trace.OpBarrier:
-		seg := maxI64(ceilDiv(perChan, int64(R)), 1)
-		per := chunkList(seg, chunk)
-		steps := 2 * (R - 1)
-		cr.sends = repeatChunks(per, steps)
-		cr.depOffset = len(per) - 1
-		cr.expectRecv = len(cr.sends)
-		cr.link = c.sendLink[ch][rc.idx]
-	case trace.OpReduceScatter, trace.OpAllToAll:
-		seg := maxI64(ceilDiv(perChan, int64(R)), 1)
-		per := chunkList(seg, chunk)
-		steps := R - 1
-		cr.sends = repeatChunks(per, steps)
-		cr.depOffset = len(per) - 1
-		cr.expectRecv = len(cr.sends)
-		cr.link = c.sendLink[ch][rc.idx]
-	case trace.OpAllGather:
-		per := chunkList(maxI64(perChan, 1), chunk)
-		steps := R - 1
-		cr.sends = repeatChunks(per, steps)
-		cr.depOffset = len(per) - 1
-		cr.expectRecv = len(cr.sends)
-		cr.link = c.sendLink[ch][rc.idx]
-	case trace.OpBroadcast:
-		if op.spec.Root < 0 || op.spec.Root >= R {
-			panic(fmt.Sprintf("ccl: broadcast root %d out of range", op.spec.Root))
+		perChan := ceilDiv(spec.Bytes, int64(C))
+		seg, steps := max(perChan, 1), 1 // Broadcast, SendRecv: the payload, once
+		switch spec.Kind {
+		case trace.OpAllReduce, trace.OpBarrier:
+			seg, steps = max(ceilDiv(perChan, int64(R)), 1), 2*(R-1)
+		case trace.OpReduceScatter, trace.OpAllToAll:
+			seg, steps = max(ceilDiv(perChan, int64(R)), 1), R-1
+		case trace.OpAllGather:
+			steps = R - 1
+		case trace.OpBroadcast:
+			if spec.Root < 0 || spec.Root >= R {
+				panic(fmt.Sprintf("ccl: broadcast root %d out of range", spec.Root))
+			}
+		case trace.OpSendRecv:
+			if spec.Src == spec.Dst || spec.Src < 0 || spec.Dst < 0 || spec.Src >= R || spec.Dst >= R {
+				panic(fmt.Sprintf("ccl: bad sendrecv pair (%d, %d)", spec.Src, spec.Dst))
+			}
+		default:
+			panic(fmt.Sprintf("ccl: unsupported op kind %v", spec.Kind))
 		}
-		all := chunkList(maxI64(perChan, 1), chunk)
-		rootPos := c.ringPos[ch][op.spec.Root]
-		pos := (c.ringPos[ch][rc.idx] - rootPos + R) % R
+		per := chunkList(seg, c.cfg.ChunkBytes)
+		sends, perStep = repeatChunks(per, steps), len(per)
+	}
+	for i := 0; i < R; i++ {
+		for ch := 0; ch < C; ch++ {
+			plan[i*C+ch] = c.planChannel(spec, sends, perStep, i, ch)
+		}
+	}
+	return plan
+}
+
+// planChannel computes rank index i's send/receive obligations on channel ch
+// for an op that moves sends, perStep chunks a ring step.
+func (c *Communicator) planChannel(spec OpSpec, sends []int64, perStep, i, ch int) chanPlan {
+	R := len(c.ranks)
+	p := chanPlan{ch: ch, peer: -1}
+	if R == 1 {
+		return p // trivially complete
+	}
+	p.qpid = c.qpid[ch][i]
+	switch spec.Kind {
+	case trace.OpBroadcast:
+		pos := (c.ringPos[ch][i] - c.ringPos[ch][spec.Root] + R) % R
 		if pos < R-1 {
-			cr.sends = all
-			cr.link = c.sendLink[ch][rc.idx]
+			p.sends, p.link, p.peer = sends, c.sendLink[ch][i], c.nextIdx[ch][i]
 		}
 		if pos > 0 {
-			cr.expectRecv = len(all)
+			p.expectRecv = len(sends)
 		}
 		if pos == 0 {
-			cr.depOffset = depNone
+			p.depOffset = depNone
 		} else {
-			cr.depOffset = -1 // forward chunk i only after receiving it
+			p.depOffset = -1 // forward chunk i only after receiving it
 		}
 	case trace.OpSendRecv:
-		if op.spec.Src == op.spec.Dst || op.spec.Src < 0 || op.spec.Dst < 0 || op.spec.Src >= R || op.spec.Dst >= R {
-			panic(fmt.Sprintf("ccl: bad sendrecv pair (%d, %d)", op.spec.Src, op.spec.Dst))
+		p.depOffset = depNone
+		switch i {
+		case spec.Src:
+			p.sends, p.link, p.peer = sends, c.directLink(ch, spec.Src, spec.Dst), spec.Dst
+		case spec.Dst:
+			p.expectRecv = len(sends)
 		}
-		all := chunkList(maxI64(perChan, 1), chunk)
-		switch rc.idx {
-		case op.spec.Src:
-			cr.sends = all
-			cr.depOffset = depNone
-			cr.link = c.directLink(ch, op.spec.Src, op.spec.Dst)
-		case op.spec.Dst:
-			cr.expectRecv = len(all)
-			cr.depOffset = depNone
-		default:
-			cr.depOffset = depNone
-		}
-	default:
-		panic(fmt.Sprintf("ccl: unsupported op kind %v", op.meta.Kind))
+	default: // the ring collectives: every rank sends every step to its successor
+		p.sends, p.link, p.peer = sends, c.sendLink[ch][i], c.nextIdx[ch][i]
+		p.depOffset, p.expectRecv = perStep-1, len(sends)
 	}
-	return cr
+	return p
 }
 
 // pump starts the rank's next pending op, skipping ops it was told to skip
@@ -315,8 +333,8 @@ func (rc *rankCtx) pump() {
 	defer func() { rc.pumping = false }()
 	c := rc.comm
 	for op := c.opAt(rc.cursor); op != nil; op = c.opAt(rc.cursor) {
-		// A skipped rank (nil share) pretends it never saw the op.
-		if rr := op.rankRuns[rc.idx]; rr != nil {
+		// A skipped rank pretends it never saw the op.
+		if rr := &op.rankRuns[rc.idx]; !rr.skip {
 			if !rr.started {
 				if rc.held {
 					return // busy outside the CCL; Release will pump again
@@ -353,7 +371,8 @@ func (rr *rankRun) begin() {
 	if h := rr.rc.comm.cfg.OnLaunch; h != nil {
 		h(rr.rc.info.Rank, op.meta)
 	}
-	for _, cr := range rr.chans {
+	for i := range rr.chans {
+		cr := &rr.chans[i]
 		cr.lastProgress = now
 		cr.fillStaging()
 		cr.trySend()
@@ -448,19 +467,15 @@ func (cr *chanRun) Fire(i int32) {
 	cr.link.Send(cr.sends[i], cr, i)
 }
 
-// OnTransmit implements rdma.Completion.
-func (cr *chanRun) OnTransmit(int32) {
-	if cr.rr.rc.crashed {
-		return
-	}
-	cr.transmitted++
-}
+// OnTransmit implements rdma.Completion. The proxy counts a chunk as
+// transmitted when it posts the WR, so the wire-level stage moves nothing.
+func (cr *chanRun) OnTransmit(int32) {}
 
 // OnDeliver implements rdma.Completion: the chunk landed at our ring
 // successor (or the SendRecv destination).
 func (cr *chanRun) OnDeliver(int32) {
-	if cr.peer != nil {
-		cr.peer.onDelivered()
+	if cr.recv != nil {
+		cr.recv.onDelivered()
 	}
 }
 
@@ -525,7 +540,8 @@ func (rr *rankRun) checkDone() {
 	rc := rr.rc
 
 	var total, staged, tx, done uint32
-	for _, cr := range rr.chans {
+	for i := range rr.chans {
+		cr := &rr.chans[i]
 		total += uint32(len(cr.sends))
 		staged += uint32(cr.staged)
 		tx += uint32(cr.posted)
@@ -593,13 +609,6 @@ func (c *Communicator) Barrier(done func(sim.Time)) *Op {
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // chunkList splits n bytes into chunk-size pieces (the last possibly short).
 func chunkList(n, chunk int64) []int64 {

@@ -143,9 +143,10 @@ type Job struct {
 	// else, which is exactly what the perf diagnosis channel consumes.
 	OnRankIteration func(rank topo.Rank, iter int, at sim.Time)
 
-	// Per-op metrics for bandwidth accounting.
-	dpOpDur  []time.Duration
-	dpOpSize []int64
+	// Bandwidth accounting: gradient all-reduces completed and the sum of
+	// their bus bandwidths.
+	dpOps    int
+	dpBusSum float64
 
 	stopped bool
 }
@@ -160,40 +161,91 @@ type commState struct {
 	// a long-running job holds its in-flight ops, not its history.
 	pending  []*pendingOp
 	base     int
+	free     []*pendingOp // entries nothing refers to any more, for entry to reuse
 	onOpDone func(*ccl.Op, sim.Time)
 }
 
-// pendingOp is the await protocol's state for one submitted op.
+// pendingOp is the await protocol's state for one submitted op. Entries
+// belong to their commState, which reuses them: the slice and the two
+// callbacks the CCL is handed are made once per entry, not once per op.
 type pendingOp struct {
+	op      *ccl.Op
 	skip    map[topo.Rank]bool // ranks that silently skip the op
-	waiters map[topo.Rank]func()
-	arrived int // ranks whose script has reached the op
+	waiters []func()           // continuations by group index
+	waiting int                // how many of them are set
+	arrived int                // ranks whose script has reached the op
+	// refs is 2 at submit: the window's, dropped by release, and the CCL's,
+	// dropped when the op completes (if it deadlocks the entry is garbage).
+	refs       int
+	onRankDone func(topo.Rank, sim.Time)
+	onAllDone  func(sim.Time)
+}
+
+// entry returns a blank pendingOp, a used one when there is one.
+func (cs *commState) entry() *pendingOp {
+	if n := len(cs.free); n > 0 {
+		p := cs.free[n-1]
+		cs.free = cs.free[:n-1]
+		return p
+	}
+	p := &pendingOp{waiters: make([]func(), cs.comm.Size())}
+	p.onRankDone = func(r topo.Rank, _ sim.Time) {
+		cs.comm.Hold(r)
+		i := cs.comm.IndexOf(r)
+		if f := p.waiters[i]; f != nil {
+			p.waiters[i] = nil
+			p.waiting--
+			cs.release()
+			f()
+		}
+	}
+	p.onAllDone = func(t sim.Time) {
+		if cs.onOpDone != nil && p.op != nil {
+			cs.onOpDone(p.op, t)
+		}
+		cs.unref(p)
+	}
+	return p
+}
+
+func (cs *commState) unref(p *pendingOp) {
+	if p.refs--; p.refs == 0 {
+		p.op, p.skip, p.arrived = nil, nil, 0
+		cs.free = append(cs.free, p)
+	}
 }
 
 // release drops fully-served ops from the front of the window.
 func (cs *commState) release() {
 	for len(cs.pending) > 0 {
 		p := cs.pending[0]
-		if p.arrived < cs.comm.Size() || len(p.waiters) > 0 {
+		if p.arrived < cs.comm.Size() || p.waiting > 0 {
 			return
 		}
 		last := copy(cs.pending, cs.pending[1:]) // the window is a handful of ops
 		cs.pending[last] = nil
 		cs.pending = cs.pending[:last]
 		cs.base++
+		cs.unref(p)
 	}
+}
+
+// commSeat is one rank's place on one of its communicators.
+type commSeat struct {
+	*commState
+	group   int // the rank's group index
+	awaited int // ops of this communicator the rank's script has reached
 }
 
 // rankDriver runs one rank's iteration script.
 type rankDriver struct {
-	job      *Job
-	rank     topo.Rank
-	coord    topo.Coord
-	tp       *commState
-	pp       *commState
-	dp       *commState
-	iter     int
-	awaitIdx map[*commState]int
+	job   *Job
+	rank  topo.Rank
+	coord topo.Coord
+	tp    commSeat
+	pp    commSeat
+	dp    commSeat
+	iter  int
 
 	computeStalled bool
 	dataStalled    bool
@@ -285,16 +337,19 @@ func New(eng *sim.Engine, cfg Config) (*Job, error) {
 	tpStates := commStates(j.TPComms)
 	ppStates := commStates(j.PPComms)
 	dpStates := commStates(j.DPComms)
+	R := float64(cl.DP)
 	for _, cs := range dpStates {
 		cs.onOpDone = func(op *ccl.Op, _ sim.Time) {
-			j.dpOpDur = append(j.dpOpDur, op.DoneTime().Sub(op.StartTime()))
-			j.dpOpSize = append(j.dpOpSize, op.Meta().Bytes)
+			j.dpOps++
+			if d := op.DoneTime().Sub(op.StartTime()); d > 0 {
+				j.dpBusSum += 2 * (R - 1) / R * float64(op.Meta().Bytes) / d.Seconds()
+			}
 		}
 	}
 	for _, rd := range j.ranks {
-		rd.tp = tpStates[tpIndex(cl, rd.coord)]
-		rd.pp = ppStates[ppIndex(cl, rd.coord)]
-		rd.dp = dpStates[dpIndex(cl, rd.coord)]
+		rd.tp = commSeat{commState: tpStates[tpIndex(cl, rd.coord)], group: rd.coord.TP}
+		rd.pp = commSeat{commState: ppStates[ppIndex(cl, rd.coord)], group: rd.coord.PP}
+		rd.dp = commSeat{commState: dpStates[dpIndex(cl, rd.coord)], group: rd.coord.DP}
 	}
 	// Every rank starts held on all its comms; the script releases.
 	for _, rd := range j.ranks {
@@ -386,21 +441,10 @@ func (j *Job) MeanIterationTime(n int) (time.Duration, bool) {
 // DPBusBandwidth returns the mean achieved bus bandwidth of the gradient
 // all-reduces (the nccl-tests metric: 2(R−1)/R × bytes / time), in bytes/s.
 func (j *Job) DPBusBandwidth() (float64, bool) {
-	if len(j.dpOpDur) == 0 {
+	if j.dpOps == 0 || j.Cluster.DP < 2 {
 		return 0, false
 	}
-	R := float64(j.Cluster.DP)
-	if R < 2 {
-		return 0, false
-	}
-	var sum float64
-	for i, d := range j.dpOpDur {
-		if d <= 0 {
-			continue
-		}
-		sum += 2 * (R - 1) / R * float64(j.dpOpSize[i]) / d.Seconds()
-	}
-	return sum / float64(len(j.dpOpDur)), true
+	return j.dpBusSum / float64(j.dpOps), true
 }
 
 // --- fault hooks (used by the faults package and experiments) ---

@@ -5,7 +5,6 @@ import (
 
 	"mycroft/internal/ccl"
 	"mycroft/internal/pystack"
-	"mycroft/internal/sim"
 	"mycroft/internal/topo"
 	"mycroft/internal/trace"
 )
@@ -17,35 +16,21 @@ import (
 // part. On rank-local completion the hold is re-acquired and the script
 // continues — exactly the "each rank calls the collective when its own work
 // is ready" semantics of a real framework.
-func (rd *rankDriver) await(cs *commState, mkSpec func() ccl.OpSpec, cont func()) {
+func (rd *rankDriver) await(seat *commSeat, mkSpec func() ccl.OpSpec, cont func()) {
 	if rd.job.stopped {
 		return
 	}
-	if rd.awaitIdx == nil {
-		rd.awaitIdx = make(map[*commState]int)
-	}
-	idx := rd.awaitIdx[cs]
-	rd.awaitIdx[cs] = idx + 1
+	cs := seat.commState
+	idx := seat.awaited
+	seat.awaited++
 
 	if cs.submitted == idx {
 		spec := mkSpec()
-		p := &pendingOp{skip: spec.Skip, waiters: make(map[topo.Rank]func())}
+		p := cs.entry()
+		p.skip, p.refs = spec.Skip, 2
 		cs.pending = append(cs.pending, p)
-		spec.OnRankDone = func(r topo.Rank, _ sim.Time) {
-			cs.comm.Hold(r)
-			if f := p.waiters[r]; f != nil {
-				delete(p.waiters, r)
-				cs.release()
-				f()
-			}
-		}
-		type opHolder struct{ op *ccl.Op }
-		holder := &opHolder{}
-		holder.op = cs.comm.Submit(spec, func(t sim.Time) {
-			if cs.onOpDone != nil && holder.op != nil {
-				cs.onOpDone(holder.op, t)
-			}
-		})
+		spec.OnRankDone = p.onRankDone
+		p.op = cs.comm.Submit(spec, p.onAllDone)
 		cs.submitted++
 	} else if cs.submitted < idx {
 		panic("train: await ordering violated")
@@ -62,7 +47,8 @@ func (rd *rankDriver) await(cs *commState, mkSpec func() ccl.OpSpec, cont func()
 		rd.job.Eng.At(rd.job.Eng.Now(), cont)
 		return
 	}
-	p.waiters[rd.rank] = cont
+	p.waiters[seat.group] = cont
+	p.waiting++
 	rd.job.PyStack.Set(rd.rank, pystack.FrameCollWait)
 	cs.comm.Release(rd.rank)
 }
@@ -154,7 +140,7 @@ func (rd *rankDriver) forwardChain(k int, cont func()) {
 	step := func() {
 		if k < S-1 {
 			src, dst := k, k+1
-			rd.await(rd.pp, func() ccl.OpSpec {
+			rd.await(&rd.pp, func() ccl.OpSpec {
 				return ccl.OpSpec{Kind: trace.OpSendRecv, Bytes: j.Cfg.PPBytes, Src: src, Dst: dst}
 			}, func() { rd.forwardChain(k+1, cont) })
 		} else {
@@ -174,7 +160,7 @@ func (rd *rankDriver) backwardChain(k int, cont func()) {
 	step := func() {
 		if k > 0 {
 			src, dst := k, k-1
-			rd.await(rd.pp, func() ccl.OpSpec {
+			rd.await(&rd.pp, func() ccl.OpSpec {
 				return ccl.OpSpec{Kind: trace.OpSendRecv, Bytes: j.Cfg.PPBytes, Src: src, Dst: dst}
 			}, func() { rd.backwardChain(k-1, cont) })
 		} else {
@@ -202,7 +188,7 @@ func (rd *rankDriver) layerLoop(l int, perLayer time.Duration, cont func()) {
 	j.PyStack.Set(rd.rank, pystack.FrameForward)
 	rd.compute(d, func() {
 		if j.Cluster.TP > 1 {
-			rd.await(rd.tp, func() ccl.OpSpec {
+			rd.await(&rd.tp, func() ccl.OpSpec {
 				return ccl.OpSpec{Kind: trace.OpAllReduce, Bytes: j.Cfg.TPBytesPerLayer}
 			}, func() { rd.layerLoop(l+1, perLayer, cont) })
 		} else {
@@ -218,9 +204,9 @@ func (rd *rankDriver) gradientSync(cont func()) {
 		cont()
 		return
 	}
-	rd.await(rd.dp, func() ccl.OpSpec {
+	rd.await(&rd.dp, func() ccl.OpSpec {
 		spec := ccl.OpSpec{Kind: trace.OpAllReduce, Bytes: j.Cfg.DPBytes}
-		if skips := j.takePendingDPSkips(rd.dp); len(skips) > 0 {
+		if skips := j.takePendingDPSkips(rd.dp.commState); len(skips) > 0 {
 			spec.Skip = skips
 		}
 		return spec
@@ -231,7 +217,7 @@ func (rd *rankDriver) gradientSync(cont func()) {
 func (j *Job) takePendingDPSkips(cs *commState) map[topo.Rank]bool {
 	var out map[topo.Rank]bool
 	for _, rd := range j.ranks {
-		if rd.skipNextDP && rd.dp == cs {
+		if rd.skipNextDP && rd.dp.commState == cs {
 			if out == nil {
 				out = make(map[topo.Rank]bool)
 			}

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -286,7 +287,7 @@ func TestCompletedOpsReleased(t *testing.T) {
 	j.Start()
 	states := map[*commState]bool{}
 	for _, rd := range j.ranks {
-		states[rd.tp], states[rd.pp], states[rd.dp] = true, true, true
+		states[rd.tp.commState], states[rd.pp.commState], states[rd.dp.commState] = true, true, true
 	}
 	// retained is the most ops, await entries and continuations any one
 	// communicator held at a step boundary so far.
@@ -295,7 +296,7 @@ func TestCompletedOpsReleased(t *testing.T) {
 		for cs := range states {
 			waiters := 0
 			for _, p := range cs.pending {
-				waiters += len(p.waiters)
+				waiters += p.waiting
 			}
 			retained = max(retained, cs.comm.Pending(), len(cs.pending), waiters)
 		}
@@ -324,6 +325,40 @@ func TestCompletedOpsReleased(t *testing.T) {
 	if n, recs := j.IterationsDone(), j.DB.Ingested(); n != 40 || bw != 8.727818525652646e+10 || recs != 8280 || eng.Dispatched() != 105738 {
 		t.Errorf("iterations=%d bus bandwidth=%v records=%d events=%d, want 40, 8.727818525652646e+10, 8280, 105738",
 			n, bw, recs, eng.Dispatched())
+	}
+}
+
+// TestIterationAllocsFlat: an iteration submits the same ops with the same
+// shapes as the one before, so once the first few have planned them and
+// filled the free lists every iteration costs the same mallocs — what the op
+// frames and the rank scripts' continuations take, and nothing that grows.
+// Tracing is off so the count is the substrate's alone (the store allocates
+// a segment every 93 records, which is not per iteration).
+func TestIterationAllocsFlat(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := smallCfg()
+	cfg.Topo = topo.Config{Nodes: 2, GPUsPerNode: 8, TP: 2, PP: 2, DP: 4}
+	cfg.DisableTracing = true
+	j := MustNew(eng, cfg)
+	mallocsAt := map[int]uint64{} // at the end of iteration i
+	j.OnIteration = func(i int, _, _ sim.Time) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mallocsAt[i] = ms.Mallocs
+	}
+	j.Start()
+	for j.IterationsDone() < 41 {
+		eng.RunFor(100 * time.Millisecond)
+	}
+	at10, at40 := mallocsAt[10]-mallocsAt[9], mallocsAt[40]-mallocsAt[39]
+	if at10 != at40 {
+		t.Errorf("iteration 10 cost %d mallocs, iteration 40 %d", at10, at40)
+	}
+	// 52 collectives an iteration at 3 mallocs an op frame, and 24
+	// continuation closures for each of the 16 rank scripts: 540. Before
+	// plans and await entries were reused the same iteration cost 1,796.
+	if at40 > 600 {
+		t.Errorf("iteration 40 cost %d mallocs, want at most 600", at40)
 	}
 }
 
