@@ -208,6 +208,7 @@ func (cs *commState) entry() *pendingOp {
 	return p
 }
 
+// unref drops one of p's two references; the second one frees it for reuse.
 func (cs *commState) unref(p *pendingOp) {
 	if p.refs--; p.refs == 0 {
 		p.op, p.skip, p.arrived = nil, nil, 0
