@@ -85,9 +85,10 @@ func BenchmarkScenarioRun(b *testing.B) {
 // the size the benchmark runs (bench/ sim-512's 512-rank job) until CI gates
 // on bench/ itself. The second ten of twenty virtual seconds are counted: by
 // then every communicator has planned each shape its script submits and the
-// free lists are full, so what is left is per op, mostly the rank scripts'
-// continuation closures. The count is a property of the program, not of the
-// machine; before collectives were planned once it read 1.21.
+// free lists are full, so what is left is per op, mostly op frames. The count
+// is a property of the program, not of the machine: 0.0876 here; it read 0.35
+// while the rank scripts built a continuation closure per wait, and 1.21
+// before collectives were planned once.
 func TestFullSizeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 512-rank job for 20 virtual seconds")
@@ -109,7 +110,7 @@ func TestFullSizeAllocBudget(t *testing.T) {
 	}
 	perRecord := float64(mallocs) / float64(records)
 	t.Logf("%d mallocs over %d records: %.4f per record", mallocs, records, perRecord)
-	if perRecord > 0.45 {
-		t.Errorf("%.4f mallocs per ingested record, want at most 0.45", perRecord)
+	if perRecord > 0.15 {
+		t.Errorf("%.4f mallocs per ingested record, want at most 0.15", perRecord)
 	}
 }

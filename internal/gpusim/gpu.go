@@ -174,11 +174,11 @@ func (r *copyReq) Fire(int32) {
 }
 
 // Compute models a compute phase of nominal duration d, stretched by the
-// straggler factor, then calls done. A hung GPU still computes (the hang
-// fault targets the copy engine / CUDA stream feeding communication).
-func (g *GPU) Compute(d time.Duration, done func()) {
+// straggler factor, then fires done with arg. A hung GPU still computes (the
+// hang fault targets the copy engine / CUDA stream feeding communication).
+func (g *GPU) Compute(d time.Duration, done sim.Handler, arg int32) {
 	if d < 0 {
 		panic(fmt.Sprintf("gpusim: negative compute duration %v", d))
 	}
-	g.eng.After(time.Duration(float64(d)*g.slow), done)
+	g.eng.ScheduleAfter(time.Duration(float64(d)*g.slow), done, arg)
 }

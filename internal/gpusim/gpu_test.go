@@ -107,7 +107,7 @@ func TestSlowFactorStretchesCompute(t *testing.T) {
 		t.Fatal("slow factor not recorded")
 	}
 	var done sim.Time
-	g.Compute(100*time.Millisecond, func() { done = eng.Now() })
+	g.Compute(100*time.Millisecond, sim.Func(func() { done = eng.Now() }), 0)
 	eng.Run()
 	if done != sim.Time(300*time.Millisecond) {
 		t.Fatalf("compute done at %v, want 300ms", done)
@@ -140,7 +140,7 @@ func TestCopyBandwidthScale(t *testing.T) {
 func TestComputeZeroDelay(t *testing.T) {
 	eng, g := newGPU(t)
 	fired := false
-	g.Compute(0, func() { fired = true })
+	g.Compute(0, sim.Func(func() { fired = true }), 0)
 	eng.Run()
 	if !fired {
 		t.Fatal("zero-duration compute never completed")
@@ -154,7 +154,7 @@ func TestValidation(t *testing.T) {
 		"neg copy":       func() { g.Copy(-1, nil, 0) },
 		"zero slow":      func() { g.SetSlowFactor(0) },
 		"zero copyScale": func() { g.SetCopyBandwidthScale(0) },
-		"neg compute":    func() { g.Compute(-time.Second, nil) },
+		"neg compute":    func() { g.Compute(-time.Second, nil, 0) },
 		"bad config":     func() { New(eng, 1, Config{CopyBandwidth: 0}) },
 	}
 	for name, fn := range cases {

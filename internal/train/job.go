@@ -1,8 +1,15 @@
 // Package train simulates a Megatron-style LLM training job on the
 // substrates: it builds the cluster (nodes, GPUs, NICs), the per-host trace
 // rings and collector agents, the TP/PP/DP communicators, and drives a
-// per-rank iteration script — dataloader, per-layer compute with TP
-// all-reduce, pipeline send/recv, and the data-parallel gradient all-reduce.
+// per-rank iteration script: the dataloader fetch; the forward pass over
+// pipeline positions 0..PP-1 (at the rank's own stage, per-layer compute,
+// each layer followed by its TP all-reduce; a pipeline send/recv between
+// positions); the backward pass back down at twice the compute; the
+// data-parallel gradient all-reduce; and a checkpoint write every
+// CheckpointEvery iterations. The script is a resumable state machine
+// (script.go): a rank parks on a collective, on GPU compute or on a sleep,
+// and the communicator, the GPU or the engine resumes it where it stopped;
+// a compute stall is tested again on resume, so it freezes a rank mid-layer.
 //
 // Each rank launches a collective only when its own script reaches it
 // (Hold/Release on the communicator), which is what produces the late-start
@@ -157,12 +164,15 @@ type commState struct {
 	submitted int
 	// pending is the window of submitted ops some rank has yet to finish
 	// with: op number n lives at pending[n-base]. An op leaves the front
-	// once every rank has arrived at it and every continuation has run, so
+	// once every rank has arrived at it and every waiter has resumed, so
 	// a long-running job holds its in-flight ops, not its history.
 	pending  []*pendingOp
 	base     int
 	free     []*pendingOp // entries nothing refers to any more, for entry to reuse
 	onOpDone func(*ccl.Op, sim.Time)
+	// skipNext holds the ranks SkipNextDPLaunch asked to skip the next op
+	// submitted here; that submit consumes it.
+	skipNext map[topo.Rank]bool
 }
 
 // pendingOp is the await protocol's state for one submitted op. Entries
@@ -171,7 +181,7 @@ type commState struct {
 type pendingOp struct {
 	op      *ccl.Op
 	skip    map[topo.Rank]bool // ranks that silently skip the op
-	waiters []func()           // continuations by group index
+	waiters []*rankDriver      // ranks parked on the op, by group index
 	waiting int                // how many of them are set
 	arrived int                // ranks whose script has reached the op
 	// refs is 2 at submit: the window's, dropped by release, and the CCL's,
@@ -188,15 +198,15 @@ func (cs *commState) entry() *pendingOp {
 		cs.free = cs.free[:n-1]
 		return p
 	}
-	p := &pendingOp{waiters: make([]func(), cs.comm.Size())}
+	p := &pendingOp{waiters: make([]*rankDriver, cs.comm.Size())}
 	p.onRankDone = func(r topo.Rank, _ sim.Time) {
 		cs.comm.Hold(r)
 		i := cs.comm.IndexOf(r)
-		if f := p.waiters[i]; f != nil {
+		if w := p.waiters[i]; w != nil {
 			p.waiters[i] = nil
 			p.waiting--
 			cs.release()
-			f()
+			w.run()
 		}
 	}
 	p.onAllDone = func(t sim.Time) {
@@ -238,7 +248,7 @@ type commSeat struct {
 	awaited int // ops of this communicator the rank's script has reached
 }
 
-// rankDriver runs one rank's iteration script.
+// rankDriver runs one rank's iteration script (script.go).
 type rankDriver struct {
 	job   *Job
 	rank  topo.Rank
@@ -248,12 +258,15 @@ type rankDriver struct {
 	dp    commSeat
 	iter  int
 
+	// Where the script resumes: the step, the pipeline position, the layer
+	// at that position, and which pass it is in.
+	step     step
+	k, l     int
+	backward bool
+
 	computeStalled bool
 	dataStalled    bool
 	ckptStalled    bool
-	// skipNextDP makes the rank skip its next DP all-reduce launch (the
-	// synchronization-mismatch fault).
-	skipNextDP bool
 }
 
 // New builds the job. Call Start to begin iterating.
@@ -386,8 +399,7 @@ func dpIndex(cl *topo.Cluster, c topo.Coord) int { return c.PP*cl.TP + c.TP }
 // Start launches every rank's script.
 func (j *Job) Start() {
 	for _, rd := range j.ranks {
-		rd := rd
-		j.Eng.At(j.Eng.Now(), func() { rd.runIteration() })
+		j.Eng.Schedule(j.Eng.Now(), rd, 0)
 	}
 }
 
@@ -496,7 +508,13 @@ func (j *Job) StartBackgroundTraffic(r topo.Rank, share float64) (stop func()) {
 
 // SkipNextDPLaunch makes rank r silently skip its next DP all-reduce — the
 // synchronization mismatch only the Flight Recorder can explain.
-func (j *Job) SkipNextDPLaunch(r topo.Rank) { j.ranks[r].skipNextDP = true }
+func (j *Job) SkipNextDPLaunch(r topo.Rank) {
+	cs := j.ranks[r].dp.commState
+	if cs.skipNext == nil {
+		cs.skipNext = make(map[topo.Rank]bool)
+	}
+	cs.skipNext[r] = true
+}
 
 // CrashProxy crashes rank r's proxies on all its communicators.
 func (j *Job) CrashProxy(r topo.Rank) {
