@@ -173,7 +173,7 @@ func main() {
 		outer.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		outer.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	hs := &http.Server{Handler: outer}
+	hs := newHTTPServer(outer)
 	fmt.Fprintf(os.Stderr, "mycroft-serve: listening on http://%s (%s, horizon %v, seed %d)\n",
 		ln.Addr(), jobDesc, runFor, *seed)
 
@@ -235,6 +235,22 @@ func main() {
 	if err := hs.Shutdown(shutdownCtx); err != nil {
 		hs.Close()
 	}
+}
+
+// Bounds on a slow or idle client: how long it may take to send a request's
+// headers, and how long a keep-alive connection may sit between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler with the slow-client bounds.
+// ReadTimeout and WriteTimeout stay unset: /v1/subscribe's SSE streams are
+// meant to stay open for the daemon's lifetime, and in net/http an expired
+// ReadTimeout cancels a running handler's context, so either would cut every
+// live stream.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // slowOpScanner returns a closure that logs pipeline spans whose wall-clock
