@@ -2,9 +2,56 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+var updateTables = flag.Bool("update-tables", false, "rewrite testdata/tables.golden")
+
+// wallTime matches the one line per table that is not a function of the seed.
+var wallTime = regexp.MustCompile(`(?m)^\(\w+ wall time: .*\)\n`)
+
+// TestTablesGolden pins every reproduced table at the default flags, byte
+// for byte. The file was recorded before the experiments moved onto
+// mycroft.Service and onto faults.Judge, and is never regenerated to make a
+// refactor pass: a diff here is a changed result.
+func TestTablesGolden(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run(nil, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb.String())
+	}
+	got := wallTime.ReplaceAll(out.Bytes(), nil)
+	const path = "testdata/tables.golden"
+	if *updateTables {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		g, w := "(end of output)", "(end of file)"
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("tables drifted from %s at line %d:\n got  %s\n want %s", path, i+1, g, w)
+		}
+	}
+}
 
 // Every documented id must be selectable, and a typo must be refused before
 // the first table is rendered — not after the tables named before it have

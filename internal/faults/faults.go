@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mycroft/internal/core"
+	"mycroft/internal/sim"
 	"mycroft/internal/topo"
 	"mycroft/internal/train"
 )
@@ -150,6 +151,90 @@ func Expect(k Kind) Expectation {
 	default:
 		return Expectation{}
 	}
+}
+
+// Grade rates a verdict's suspect against the injected rank.
+type Grade string
+
+const (
+	SuspectExact    Grade = "exact"     // the injected rank
+	SuspectSameHost Grade = "same-host" // another rank on the injected rank's host
+	SuspectWrong    Grade = "wrong"     // anything else, including no suspect
+)
+
+// Verdict is Judge's reading of one injection. Trigger and report pointers
+// alias the slices Judge was given; nil means none qualified.
+type Verdict struct {
+	// Trigger and Report are the first firing and the first root-cause
+	// verdict at or after the injection; TriggerAfter and ReportAfter are how
+	// long after it they came.
+	Trigger      *core.Trigger
+	Report       *core.Report
+	TriggerAfter time.Duration
+	ReportAfter  time.Duration
+	// Detected is the first of those triggers whose kind the expectation
+	// accepts. Diagnosed is the first of those reports it accepts as correct:
+	// an accepted category, naming the injected rank when the kind localizes.
+	Detected  *core.Trigger
+	Diagnosed *core.Report
+	// Suspect grades Report's suspect ("" without a Report), and
+	// RightCategory says whether the expectation accepts Report's category.
+	Suspect       Grade
+	RightCategory bool
+	// Spurious are the reports, before or after the injection, whose suspect
+	// is not the injected rank.
+	Spurious []core.Report
+}
+
+// Judge scores what the backend said about one injection against Expect.
+// It is the only code that applies an expectation: every harness that
+// injects a fault and asks whether Mycroft got it right reads a Verdict.
+// cl is the job's cluster, which places ranks on hosts.
+func Judge(s Spec, cl *topo.Cluster, triggers []core.Trigger, reports []core.Report) Verdict {
+	exp := Expect(s.Kind)
+	at := sim.Time(s.At)
+	var v Verdict
+	for i := range triggers {
+		tr := &triggers[i]
+		if tr.At < at {
+			continue
+		}
+		if v.Trigger == nil {
+			v.Trigger, v.TriggerAfter = tr, tr.At.Sub(at)
+		}
+		if exp.TriggerOK(tr.Kind) {
+			v.Detected = tr
+			break
+		}
+	}
+	for i := range reports {
+		rep := &reports[i]
+		if rep.Suspect != s.Rank {
+			v.Spurious = append(v.Spurious, *rep)
+		}
+		if rep.AnalyzedAt < at {
+			continue
+		}
+		if v.Report == nil {
+			v.Report, v.ReportAfter = rep, rep.AnalyzedAt.Sub(at)
+			v.Suspect = grade(cl, s.Rank, rep.Suspect)
+			v.RightCategory = exp.CategoryOK(rep.Category)
+		}
+		if v.Diagnosed == nil && exp.CategoryOK(rep.Category) && (!exp.LocalizeRank || rep.Suspect == s.Rank) {
+			v.Diagnosed = rep
+		}
+	}
+	return v
+}
+
+func grade(cl *topo.Cluster, want, got topo.Rank) Grade {
+	switch {
+	case got == want:
+		return SuspectExact
+	case got >= 0 && int(got) < cl.WorldSize() && cl.SameNode(got, want):
+		return SuspectSameHost
+	}
+	return SuspectWrong
 }
 
 // Inject schedules the fault on the job's engine.

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,7 +30,10 @@ import (
 // (c) is recorded, and each job's artifact digest, record count and engine
 // event count must equal testdata/artifact_digests.golden.json: the artifact
 // has no wall-clock field, so it is a pure function of the seed and pins
-// every batch boundary, evaluation instant and event of the substrate.
+// every batch boundary, evaluation instant and event of the substrate. (d)
+// Each rendered Result must equal its section of testdata/results.golden,
+// which pins the detect, rca and accuracy lines the scoring code computes;
+// it was recorded before that code moved onto faults.Judge.
 func TestBuiltinsPass(t *testing.T) {
 	builtins := Builtins()
 	if len(builtins) < 12 {
@@ -38,6 +43,8 @@ func TestBuiltinsPass(t *testing.T) {
 	if len(golden) != len(builtins) {
 		t.Errorf("golden pins %d builtins, library has %d", len(golden), len(builtins))
 	}
+	results := readResults(t)
+	var rendered strings.Builder
 	for _, spec := range builtins {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -51,6 +58,11 @@ func TestBuiltinsPass(t *testing.T) {
 			}
 			if got, want := artifactDigests(t, dir, res), golden[spec.Name]; !reflect.DeepEqual(got, want) {
 				t.Errorf("artifact digests differ from the golden:\n got %+v\nwant %+v", got, want)
+			}
+			got := res.Render()
+			fmt.Fprintf(&rendered, "### %s\n%s", spec.Name, got)
+			if !*updateResults && got != results[spec.Name] {
+				t.Errorf("rendered result differs from %s:\n got\n%s\nwant\n%s", resultsGolden, got, results[spec.Name])
 			}
 			for _, j := range res.Jobs {
 				for _, inj := range j.injected {
@@ -73,6 +85,33 @@ func TestBuiltinsPass(t *testing.T) {
 			}
 		})
 	}
+	if *updateResults {
+		if err := os.WriteFile(resultsGolden, []byte(rendered.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+var updateResults = flag.Bool("update-results", false, "rewrite testdata/results.golden")
+
+const resultsGolden = "testdata/results.golden"
+
+// readResults loads builtin → rendered Result from the "### name" sections.
+func readResults(t *testing.T) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	if *updateResults {
+		return out
+	}
+	raw, err := os.ReadFile(resultsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range strings.Split(string(raw), "### ")[1:] {
+		name, body, _ := strings.Cut(section, "\n")
+		out[name] = body
+	}
+	return out
 }
 
 // artifactDigest pins one recorded job.
