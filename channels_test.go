@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"mycroft/internal/experiments"
+	"mycroft/internal/train"
 )
 
 // tracelessService builds the tracepoint-free acceptance run: a job whose
@@ -18,7 +18,7 @@ import (
 func tracelessService(t *testing.T) (*Service, *JobHandle) {
 	t.Helper()
 	svc := NewService(ServiceOptions{Seed: 1})
-	tc := experiments.JobConfig(TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}, experiments.ComputeHeavy)
+	tc := train.JobConfig(TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}, train.ComputeHeavy)
 	tc.DisableTracing = true
 	h, err := svc.AddJob("llm", JobOptions{Train: &tc})
 	if err != nil {
@@ -244,7 +244,7 @@ func TestCorroboratedFusionConfidence(t *testing.T) {
 // stale despite a permanently empty trace store.
 func TestLogIngestKeepsTracelessJobAlive(t *testing.T) {
 	svc := NewService(ServiceOptions{Seed: 1})
-	tc := experiments.JobConfig(TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}, experiments.ComputeHeavy)
+	tc := train.JobConfig(TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}, train.ComputeHeavy)
 	tc.DisableTracing = true
 	h, err := svc.AddJob("llm", JobOptions{Train: &tc})
 	if err != nil {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"mycroft"
 	"mycroft/internal/ccl"
-	"mycroft/internal/core"
 	"mycroft/internal/faults"
 	"mycroft/internal/gpusim"
 	"mycroft/internal/rdma"
@@ -39,25 +39,18 @@ func RunAblationUploadLatency(seed int64) AblationResult {
 		Head:  []string{"upload-latency", "detection", "rca"},
 	}
 	for _, lat := range []time.Duration{100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second, 3 * time.Second} {
-		eng := sim.NewEngine(seed)
-		cfg := JobConfig(SmallTestbed(), ComputeHeavy)
+		cfg := train.JobConfig(SmallTestbed(), train.ComputeHeavy)
 		cfg.Collector.UploadLatency = lat
-		job := train.MustNew(eng, cfg)
-		bk := core.NewBackend(eng, job.DB, core.SampleRanks(job.Cluster.DPGroups(), 10), core.Config{})
-		job.Start()
-		bk.Start()
 		warm := 15 * time.Second
-		faults.Inject(job, faults.Spec{Kind: faults.NICDown, Rank: 5, At: warm})
-		eng.RunFor(warm + 40*time.Second)
+		_, v := host(seed, mycroft.JobOptions{Train: &cfg}, faults.Spec{Kind: faults.NICDown, Rank: 5, At: warm}, warm+40*time.Second)
 		detect, rca := "-", "-"
-		if trs := bk.Triggers(); len(trs) > 0 {
-			detect = trs[0].At.Sub(sim.Time(warm)).Round(100 * time.Millisecond).String()
+		if v.Trigger != nil {
+			detect = v.TriggerAfter.Round(100 * time.Millisecond).String()
 		}
-		if reps := bk.Reports(); len(reps) > 0 {
-			rca = reps[0].AnalyzedAt.Sub(sim.Time(warm)).Round(100 * time.Millisecond).String()
+		if v.Report != nil {
+			rca = v.ReportAfter.Round(100 * time.Millisecond).String()
 		}
 		res.Rows = append(res.Rows, []string{lat.String(), detect, rca})
-		job.Stop()
 	}
 	return res
 }
@@ -72,7 +65,7 @@ func RunAblationStatePeriod(seed int64) AblationResult {
 	}
 	for _, period := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 500 * time.Millisecond, time.Second} {
 		eng := sim.NewEngine(seed)
-		cfg := JobConfig(SmallTestbed(), CommHeavy)
+		cfg := train.JobConfig(SmallTestbed(), train.CommHeavy)
 		cfg.CCL.StateLogPeriod = period
 		job := train.MustNew(eng, cfg)
 		job.Start()

@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
+	"mycroft"
 	"mycroft/internal/baseline"
-	"mycroft/internal/core"
 	"mycroft/internal/faults"
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
@@ -63,47 +63,38 @@ func RunE1(seed int64) E1Result {
 // design's own data for a verdict.
 func runCapabilityCase(seed int64, design baseline.Kind, fk faults.Kind, rank int) CapabilityCase {
 	out := CapabilityCase{Design: design, Fault: fk}
-	eng := sim.NewEngine(seed)
-	cfg := JobConfig(SmallTestbed(), ComputeHeavy)
-	var tracer *baseline.Tracer
-	var bk *core.Backend
-
-	if design != baseline.Coll {
-		cfg.DisableTracing = true
-		tracer = baseline.New(design, eng.Now)
-		tracer.Wire(&cfg.CCL)
-	}
-	job := train.MustNew(eng, cfg)
-	if design == baseline.Coll {
-		bk = core.NewBackend(eng, job.DB, core.SampleRanks(job.Cluster.DPGroups(), 10), core.Config{})
-		bk.Start()
-	}
-	job.Start()
 	warmup := 15 * time.Second
-	faults.Inject(job, faults.Spec{Kind: fk, Rank: topo.Rank(rank), At: warmup})
+	spec := faults.Spec{Kind: fk, Rank: topo.Rank(rank), At: warmup}
+	if design == baseline.Coll {
+		_, v := host(seed, mycroft.JobOptions{Topo: SmallTestbed()}, spec, warmup+30*time.Second)
+		out.Detected = v.Trigger != nil
+		out.Localized = v.Suspect == faults.SuspectExact
+		return out
+	}
+
+	eng := sim.NewEngine(seed)
+	cfg := train.JobConfig(SmallTestbed(), train.ComputeHeavy)
+	cfg.DisableTracing = true
+	tracer := baseline.New(design, eng.Now)
+	tracer.Wire(&cfg.CCL)
+	job := train.MustNew(eng, cfg)
+	job.Start()
+	faults.Inject(job, spec)
 	eng.RunFor(warmup + 30*time.Second)
 	now := eng.Now()
 
 	timeout := 5 * time.Second
+	out.Detected = tracer.Detected(now, timeout)
 	switch design {
-	case baseline.Coll:
-		if trs := bk.Triggers(); len(trs) > 0 {
-			out.Detected = true
-		}
-		if reps := bk.Reports(); len(reps) > 0 && reps[0].Suspect == topo.Rank(rank) {
-			out.Localized = true
-		}
 	case baseline.OpLevel:
 		// Op-level data: completions only. The stall shows up as global
 		// silence; there is no per-flow state to attribute it with, so
 		// localization means "the rank whose ops ceased first" — but every
 		// rank's completions cease within one iteration of each other, so
 		// the earliest-silent rank is arbitrary.
-		out.Detected = tracer.Detected(now, timeout)
 		stalled := tracer.StalledRanks(now, timeout)
 		out.Localized = len(stalled) > 0 && stalled[0] == topo.Rank(rank)
 	case baseline.KernelLevel, baseline.RDMALevel:
-		out.Detected = tracer.Detected(now, timeout)
 		suspects := tracer.Suspects(now, timeout)
 		out.Localized = len(suspects) > 0 && suspects[0] == topo.Rank(rank)
 	}

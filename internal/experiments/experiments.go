@@ -1,8 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7) on the simulated substrate. Each experiment returns a
 // structured result with a Table() renderer; cmd/mycroft-eval prints them
-// (`-only e2,abl` selects) and this package's tests assert every table's
-// shape against the paper's.
+// (`-only e2,abl` selects, and its testdata/tables.golden pins them all) and
+// this package's tests assert every table's shape against the paper's.
+//
+// A case that runs the Mycroft backend hosts its job on a mycroft.Service,
+// exactly as a deployment would, and reads the outcome from faults.Judge —
+// the same judge the scenario runner scores with. The one exception is E7,
+// which hand-wires its backend because the sampled-rank set is what it
+// varies. testdata/verdict_matrix.golden pins Judge's verdict for every
+// fault kind at twelve positions of a 64-rank job.
 package experiments
 
 import (
@@ -10,10 +17,8 @@ import (
 	"strings"
 	"time"
 
-	"mycroft/internal/collector"
-	"mycroft/internal/core"
+	"mycroft"
 	"mycroft/internal/faults"
-	"mycroft/internal/sim"
 	"mycroft/internal/topo"
 	"mycroft/internal/train"
 )
@@ -29,114 +34,51 @@ func SmallTestbed() topo.Config {
 	return topo.Config{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}
 }
 
-// JobProfile selects the workload mix.
-type JobProfile int
-
-const (
-	// ComputeHeavy: iteration dominated by compute (failure-class faults).
-	ComputeHeavy JobProfile = iota
-	// CommHeavy: iteration dominated by collective time (degradation-class
-	// faults, bandwidth experiments).
-	CommHeavy
-)
-
-// JobConfig builds a train.Config for a topology and profile.
-func JobConfig(tc topo.Config, profile JobProfile) train.Config {
-	cfg := train.Config{
-		Topo:            tc,
-		LayersPerStage:  2,
-		TPBytesPerLayer: 32 << 20,
-		PPBytes:         16 << 20,
-		Collector:       collector.Config{DrainPeriod: 50 * time.Millisecond, UploadLatency: 500 * time.Millisecond},
-	}
-	switch profile {
-	case CommHeavy:
-		cfg.ComputePerLayer = 100 * time.Millisecond
-		cfg.DPBytes = 1 << 30
-	default:
-		cfg.ComputePerLayer = 300 * time.Millisecond
-		cfg.DPBytes = 256 << 20
-	}
-	return cfg
+// JobConfig forwards to train.JobConfig for bench/live.go, its one caller
+// left; it goes when bench's scoring folds into faults.Judge.
+func JobConfig(tc topo.Config, profile train.JobProfile) train.Config {
+	return train.JobConfig(tc, profile)
 }
 
-// ProfileFor picks the workload mix a fault class needs to be measurable.
-// The scenario engine shares this tuning so declarative runs match the
-// campaigns.
-func ProfileFor(k faults.Kind) JobProfile {
-	switch k {
-	case faults.NICDegrade, faults.PCIeDegrade:
-		return CommHeavy
-	default:
-		return ComputeHeavy
+// ComputeHeavy forwards train.ComputeHeavy alongside JobConfig.
+const ComputeHeavy = train.ComputeHeavy
+
+// host runs one job on a fresh mycroft.Service for horizon of virtual time,
+// with spec injected unless its Kind is empty, and judges the injection.
+// Every experiment that runs the Mycroft backend goes through it except E7,
+// which chooses the sampled ranks itself.
+func host(seed int64, opts mycroft.JobOptions, spec faults.Spec, horizon time.Duration) (*mycroft.JobHandle, faults.Verdict) {
+	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: seed})
+	h := svc.MustAddJob("", opts)
+	svc.Start()
+	if spec.Kind != "" {
+		h.Inject(spec)
 	}
+	svc.Run(horizon)
+	return h, faults.Judge(spec, h.Job.Cluster, h.Triggers(), h.Reports())
 }
 
-// SeverityFor returns the per-kind default severity used by the campaigns
-// (tuned so every class is detectable on the small testbed). Zero means
-// "use the faults package default".
-func SeverityFor(k faults.Kind) float64 {
-	switch k {
-	case faults.NICDegrade:
-		return 0.01
-	case faults.PCIeDegrade:
-		return 0.001
-	case faults.GPUSlow:
-		return 6
-	default:
-		return 0
-	}
-}
-
-// CaseResult is the outcome of one fault-injection run.
+// CaseResult is the outcome of one fault-injection run: the spec as
+// injected (severity and time filled in) and faults.Judge's verdict on it.
 type CaseResult struct {
-	Spec          faults.Spec
-	Detected      bool
-	DetectLatency time.Duration
-	RCADone       bool
-	RCALatency    time.Duration
-	Trigger       core.Trigger
-	Report        core.Report
-	SuspectOK     bool
-	CategoryOK    bool
+	Spec faults.Spec
+	faults.Verdict
 }
 
-// RunCase executes one fault-injection scenario on a fresh job and backend.
-// warmup is the healthy period before injection; deadline bounds how long
-// after injection we wait for a verdict. The canonical NIC-down case is
-// also available declaratively as the "nic-down" builtin of
-// internal/scenario, which shares this harness's ProfileFor/SeverityFor
-// tuning.
+// RunCase executes one fault-injection scenario on a fresh Service, on the
+// workload mix and at the severity faults.ProfileFor and faults.SeverityFor
+// pick for the kind. warmup is the healthy period before injection;
+// deadline bounds how long after injection we wait for a verdict. The
+// canonical NIC-down case is also the "nic-down" builtin of
+// internal/scenario, which shares this tuning and this judge.
 func RunCase(seed int64, tc topo.Config, spec faults.Spec, warmup, deadline time.Duration) CaseResult {
-	eng := sim.NewEngine(seed)
-	job := train.MustNew(eng, JobConfig(tc, ProfileFor(spec.Kind)))
-	bk := core.NewBackend(eng, job.DB, core.SampleRanks(job.Cluster.DPGroups(), 10), core.Config{})
-	job.Start()
-	bk.Start()
 	if spec.Severity == 0 {
-		spec.Severity = SeverityFor(spec.Kind)
+		spec.Severity = faults.SeverityFor(spec.Kind)
 	}
 	spec.At = warmup
-	faults.Inject(job, spec)
-	faultAt := sim.Time(warmup)
-	eng.RunFor(warmup + deadline)
-
-	res := CaseResult{Spec: spec}
-	if trs := bk.Triggers(); len(trs) > 0 {
-		res.Detected = true
-		res.Trigger = trs[0]
-		res.DetectLatency = trs[0].At.Sub(faultAt)
-	}
-	if reps := bk.Reports(); len(reps) > 0 {
-		res.RCADone = true
-		res.Report = reps[0]
-		res.RCALatency = reps[0].AnalyzedAt.Sub(faultAt)
-		exp := faults.Expect(spec.Kind)
-		res.SuspectOK = !exp.LocalizeRank || reps[0].Suspect == spec.Rank
-		res.CategoryOK = exp.CategoryOK(reps[0].Category)
-	}
-	job.Stop()
-	return res
+	opts := mycroft.JobOptions{Topo: tc, CommHeavy: faults.ProfileFor(spec.Kind) == train.CommHeavy}
+	_, v := host(seed, opts, spec, warmup+deadline)
+	return CaseResult{Spec: spec, Verdict: v}
 }
 
 // Table renders rows with aligned columns.

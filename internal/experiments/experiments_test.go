@@ -7,6 +7,7 @@ import (
 
 	"mycroft/internal/baseline"
 	"mycroft/internal/faults"
+	"mycroft/internal/sim"
 )
 
 func TestTableFormatting(t *testing.T) {
@@ -34,17 +35,34 @@ func TestHelpers(t *testing.T) {
 
 func TestRunCaseNICDown(t *testing.T) {
 	c := RunCase(1, SmallTestbed(), faults.Spec{Kind: faults.NICDown, Rank: 5}, 15*time.Second, 40*time.Second)
-	if !c.Detected || !c.RCADone {
+	if c.Trigger == nil || c.Report == nil {
 		t.Fatalf("case = %+v", c)
 	}
-	if !c.SuspectOK || !c.CategoryOK {
+	if c.Suspect != faults.SuspectExact || !c.RightCategory || c.Diagnosed != c.Report {
 		t.Fatalf("verdict wrong: %+v report=%v", c, c.Report)
 	}
-	if c.DetectLatency <= 0 || c.DetectLatency > 15*time.Second {
-		t.Fatalf("detect latency = %v", c.DetectLatency)
+	if c.TriggerAfter <= 0 || c.TriggerAfter > 15*time.Second {
+		t.Fatalf("detect latency = %v", c.TriggerAfter)
 	}
-	if c.RCALatency < c.DetectLatency {
-		t.Fatalf("RCA before detection: %v < %v", c.RCALatency, c.DetectLatency)
+	if c.ReportAfter < c.TriggerAfter {
+		t.Fatalf("RCA before detection: %v < %v", c.ReportAfter, c.TriggerAfter)
+	}
+}
+
+// TestRunCaseIgnoresPreFaultVerdicts: at 64 ranks the backend fires and
+// blames a rank during warm-up, before any fault exists. That verdict is
+// spurious, not the case's detection — RunCase must score the first firing
+// and report at or after the injection.
+func TestRunCaseIgnoresPreFaultVerdicts(t *testing.T) {
+	c := RunCase(1, matrixTopo, faults.Spec{Kind: faults.NICDown, Rank: 0}, 15*time.Second, 30*time.Second)
+	if c.Trigger == nil || c.Report == nil {
+		t.Fatalf("nothing fired after the fault: %+v", c)
+	}
+	if at := sim.Time(c.Spec.At); c.Trigger.At < at || c.Report.AnalyzedAt < at {
+		t.Fatalf("scored a verdict from before the fault at %v: trigger %v, report %v", at, c.Trigger, c.Report)
+	}
+	if c.Report.Suspect != 0 || len(c.Spurious) == 0 {
+		t.Fatalf("first post-fault report %v, spurious %v; want rank 0 and the warm-up verdict counted spurious", c.Report, c.Spurious)
 	}
 }
 

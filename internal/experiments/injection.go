@@ -28,16 +28,16 @@ func RunE2(trials int) E2Result {
 			rank := topo.Rank((3 + 2*tr) % world)
 			c := RunCase(int64(100+tr), SmallTestbed(), faults.Spec{Kind: kind, Rank: rank}, 15*time.Second, 60*time.Second)
 			res.Cases = append(res.Cases, c)
-			if c.Detected {
+			if c.Trigger != nil {
 				detected++
-				dLat.Add(c.DetectLatency.Seconds())
+				dLat.Add(c.TriggerAfter.Seconds())
 			}
-			if c.RCADone {
-				rLat.Add(c.RCALatency.Seconds())
-				if c.SuspectOK {
+			if c.Report != nil {
+				rLat.Add(c.ReportAfter.Seconds())
+				if c.Suspect == faults.SuspectExact {
 					suspectOK++
 				}
-				if c.CategoryOK {
+				if c.RightCategory {
 					categoryOK++
 				}
 			}
@@ -81,13 +81,13 @@ func RunE3(runs int) E3Result {
 		rank := topo.Rank((1 + 3*i) % world)
 		c := RunCase(int64(1000+i), SmallTestbed(), faults.Spec{Kind: kind, Rank: rank}, 15*time.Second, 90*time.Second)
 		res.Runs++
-		if !c.Detected {
+		if c.Trigger == nil {
 			res.Misses++
 			continue
 		}
-		res.Detect.Add(c.DetectLatency.Seconds())
-		if c.RCADone {
-			res.RCA.Add(c.RCALatency.Seconds())
+		res.Detect.Add(c.TriggerAfter.Seconds())
+		if c.Report != nil {
+			res.RCA.Add(c.ReportAfter.Seconds())
 		}
 	}
 	return res

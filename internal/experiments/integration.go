@@ -4,65 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"mycroft/internal/core"
+	"mycroft"
 	"mycroft/internal/faults"
-	"mycroft/internal/pystack"
-	"mycroft/internal/sim"
 	"mycroft/internal/topo"
-	"mycroft/internal/train"
 )
-
-// Verdict is the outcome of the Fig. 6 triage pipeline: which reliability
-// system named the root cause, and what it said.
-type Verdict struct {
-	Source  string // "py-spy" | "flight-recorder" | "mycroft"
-	Rank    topo.Rank
-	Summary string
-}
-
-// Triage reproduces the §6.2 integration: on a trigger, dump py-spy stacks
-// first (dataloader/checkpoint stalls), then the Flight Recorder rings
-// (synchronization bugs), and only then let the Coll-level verdict stand —
-// bounding the problematic layer before blaming the CCL.
-func Triage(job *train.Job, rep core.Report, now sim.Time) Verdict {
-	analysis := pystack.Analyze(job.PyStack.Dump())
-	if stuck := analysis.StuckInDataPath(); len(stuck) > 0 {
-		return Verdict{
-			Source: "py-spy", Rank: stuck[0].Rank,
-			Summary: fmt.Sprintf("rank %d stuck in %s since %v", stuck[0].Rank, stuck[0].Frame, stuck[0].Since),
-		}
-	}
-	for _, f := range job.FlightRec.Analyze(now, 5*time.Second) {
-		if f.Kind == "skipped-launch" && len(f.Ranks) > 0 {
-			return Verdict{
-				Source: "flight-recorder", Rank: f.Ranks[0],
-				Summary: fmt.Sprintf("rank %d skipped a collective on comm %d: %s", f.Ranks[0], f.CommID, f.Details),
-			}
-		}
-	}
-	// Cross-check: Mycroft concluded "rank never launched the op", but if
-	// the Flight Recorder shows the rank DID launch it, the layer between
-	// the framework and the wire — the proxy — is dead.
-	if rep.Category == core.CatNotLaunched && rep.Suspect >= 0 {
-		last := job.FlightRec.LastOpPerRank(rep.CommID)
-		var peerMax uint64
-		for r, s := range last {
-			if r != rep.Suspect && s > peerMax {
-				peerMax = s
-			}
-		}
-		if s, ok := last[rep.Suspect]; ok && s >= peerMax && peerMax > 0 {
-			return Verdict{
-				Source: "mycroft", Rank: rep.Suspect,
-				Summary: fmt.Sprintf("rank %d launched op seq %d but its proxy produced no trace — proxy crash", rep.Suspect, s),
-			}
-		}
-	}
-	return Verdict{
-		Source: "mycroft", Rank: rep.Suspect,
-		Summary: rep.String(),
-	}
-}
 
 // E9Result reproduces the integration scenarios: which subsystem resolves
 // each failure mode.
@@ -84,25 +29,17 @@ func RunE9(seed int64) E9Result {
 		{"NIC failure (CCL-internal)", faults.NICDown, 5, "mycroft"},
 	}
 	for i, cs := range cases {
-		eng := sim.NewEngine(seed + int64(i))
-		job := train.MustNew(eng, JobConfig(SmallTestbed(), ComputeHeavy))
-		bk := core.NewBackend(eng, job.DB, core.SampleRanks(job.Cluster.DPGroups(), 10), core.Config{})
-		job.Start()
-		bk.Start()
 		warm := 15 * time.Second
-		faults.Inject(job, faults.Spec{Kind: cs.kind, Rank: cs.rank, At: warm})
-		eng.RunFor(warm + 40*time.Second)
-
-		source, rank := "-", topo.Rank(-1)
-		if reps := bk.Reports(); len(reps) > 0 {
-			v := Triage(job, reps[0], eng.Now())
-			source, rank = v.Source, v.Rank
+		h, _ := host(seed+int64(i), mycroft.JobOptions{Topo: SmallTestbed()},
+			faults.Spec{Kind: cs.kind, Rank: cs.rank, At: warm}, warm+40*time.Second)
+		source, rank, _, ok := h.Triage()
+		if !ok {
+			source = "-"
 		}
 		res.Rows = append(res.Rows, []string{
 			cs.name, source, fmt.Sprintf("%d", rank),
 			yn(source == cs.wantSource && rank == cs.rank),
 		})
-		job.Stop()
 	}
 	return res
 }

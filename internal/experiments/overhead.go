@@ -52,7 +52,7 @@ func RunE4(seed int64) E4Result {
 
 func runOverheadJob(seed int64, d baseline.Kind, dur time.Duration) (busBW float64, iter time.Duration, traceBytes uint64) {
 	eng := sim.NewEngine(seed)
-	cfg := JobConfig(Testbed(), CommHeavy)
+	cfg := train.JobConfig(Testbed(), train.CommHeavy)
 	var tracer *baseline.Tracer
 	switch d {
 	case baseline.Coll:
@@ -103,7 +103,7 @@ func RunE6(seed int64) E6Result {
 	horizon := 60 * time.Second
 
 	eng := sim.NewEngine(seed)
-	cfg := JobConfig(Testbed(), CommHeavy)
+	cfg := train.JobConfig(Testbed(), train.CommHeavy)
 	job := train.MustNew(eng, cfg)
 	job.Start()
 	eng.RunFor(horizon)
@@ -112,7 +112,7 @@ func RunE6(seed int64) E6Result {
 	job.Stop()
 
 	eng2 := sim.NewEngine(seed)
-	cfg2 := JobConfig(Testbed(), CommHeavy)
+	cfg2 := train.JobConfig(Testbed(), train.CommHeavy)
 	cfg2.DisableTracing = true
 	kt := baseline.New(baseline.KernelLevel, eng2.Now)
 	kt.SetOverhead(0) // measure volume at equal speed, cost shown in E4

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mycroft"
 	"mycroft/internal/core"
 	"mycroft/internal/faults"
 	"mycroft/internal/sim"
@@ -37,7 +38,7 @@ func RunE7(seed int64) E7Result {
 	}
 	for _, p := range policies {
 		eng := sim.NewEngine(seed)
-		job := train.MustNew(eng, JobConfig(Testbed(), ComputeHeavy))
+		job := train.MustNew(eng, train.JobConfig(Testbed(), train.ComputeHeavy))
 		sampled := p.sample(job)
 		// The 32-rank testbed's iteration is ~8 s, so the trigger window
 		// must exceed it to avoid counting normal gaps as stalls.
@@ -90,52 +91,28 @@ func RunE8(seed int64) E8Result {
 // e8FalsePositives runs a healthy master-heavy job and counts triggers that
 // produce a (spurious) straggler verdict.
 func e8FalsePositives(seed int64, late time.Duration) int {
-	eng := sim.NewEngine(seed)
-	cfg := JobConfig(SmallTestbed(), ComputeHeavy)
+	cfg := train.JobConfig(SmallTestbed(), train.ComputeHeavy)
 	cfg.MasterExtra = 600 * time.Millisecond
-	job := train.MustNew(eng, cfg)
-	bk := core.NewBackend(eng, job.DB, core.SampleRanks(job.Cluster.DPGroups(), 10), core.Config{
+	h, _ := host(seed, mycroft.JobOptions{Train: &cfg, Backend: core.Config{
 		StragglerLate: late,
 		// Aggressive detection settings so threshold effects show.
 		ThroughputDrop: 0.85, IntervalGrow: 1.2, BadWindows: 2, RearmDelay: 10 * time.Second,
-	})
-	job.Start()
-	bk.Start()
-	eng.RunFor(90 * time.Second)
+	}}, faults.Spec{}, 90*time.Second)
 	fp := 0
-	for _, rep := range bk.Reports() {
+	for _, rep := range h.Reports() {
 		if rep.Suspect >= 0 && rep.Category == core.CatComputeStraggler {
 			fp++
 		}
 	}
-	job.Stop()
 	return fp
 }
 
 // e8TrueStraggler injects a genuine GPU straggler and checks the verdict.
 func e8TrueStraggler(seed int64, late time.Duration) (detected, correct bool) {
-	c := func() CaseResult {
-		eng := sim.NewEngine(seed + 7)
-		job := train.MustNew(eng, JobConfig(SmallTestbed(), ComputeHeavy))
-		bk := core.NewBackend(eng, job.DB, core.SampleRanks(job.Cluster.DPGroups(), 10), core.Config{StragglerLate: late})
-		job.Start()
-		bk.Start()
-		warm := 15 * time.Second
-		faults.Inject(job, faults.Spec{Kind: faults.GPUSlow, Rank: 1, Severity: 6, At: warm})
-		eng.RunFor(warm + 60*time.Second)
-		var out CaseResult
-		if trs := bk.Triggers(); len(trs) > 0 {
-			out.Detected = true
-		}
-		if reps := bk.Reports(); len(reps) > 0 {
-			out.Report = reps[0]
-			out.SuspectOK = reps[0].Suspect == 1
-			out.CategoryOK = reps[0].Category == core.CatComputeStraggler
-		}
-		job.Stop()
-		return out
-	}()
-	return c.Detected, c.SuspectOK && c.CategoryOK
+	warm := 15 * time.Second
+	_, v := host(seed+7, mycroft.JobOptions{Topo: SmallTestbed(), Backend: core.Config{StragglerLate: late}},
+		faults.Spec{Kind: faults.GPUSlow, Rank: 1, Severity: 6, At: warm}, warm+60*time.Second)
+	return v.Trigger != nil, v.Suspect == faults.SuspectExact && v.RightCategory
 }
 
 // Table renders the threshold sweep.

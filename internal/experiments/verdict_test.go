@@ -11,11 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"mycroft/internal/core"
 	"mycroft/internal/faults"
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
-	"mycroft/internal/train"
 )
 
 var updateVerdicts = flag.Bool("update-verdicts", false, "rewrite testdata/verdict_matrix.golden")
@@ -36,21 +34,6 @@ func matrixPositions(tc topo.Config) []topo.Coord {
 		}
 	}
 	return out
-}
-
-// matrixCell runs one injection on the harness RunCase uses — seed 1, the
-// fault at 15 s, the run to 45 s — and judges it.
-func matrixCell(spec faults.Spec) faults.Verdict {
-	eng := sim.NewEngine(1)
-	job := train.MustNew(eng, JobConfig(matrixTopo, ProfileFor(spec.Kind)))
-	bk := core.NewBackend(eng, job.DB, core.SampleRanks(job.Cluster.DPGroups(), 10), core.Config{})
-	job.Start()
-	bk.Start()
-	spec.Severity = SeverityFor(spec.Kind)
-	spec.At = 15 * time.Second
-	faults.Inject(job, spec)
-	eng.RunFor(45 * time.Second)
-	return faults.Judge(spec, job.Cluster, bk.Triggers(), bk.Reports())
 }
 
 // TestVerdictMatrixGolden pins Judge's verdict for every fault kind at each
@@ -78,7 +61,8 @@ func TestVerdictMatrixGolden(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				verdicts[i] = matrixCell(faults.Spec{Kind: cells[i].kind, Rank: cells[i].rank})
+				spec := faults.Spec{Kind: cells[i].kind, Rank: cells[i].rank}
+				verdicts[i] = RunCase(1, matrixTopo, spec, 15*time.Second, 30*time.Second).Verdict
 			}
 		}()
 	}

@@ -153,6 +153,33 @@ func Expect(k Kind) Expectation {
 	}
 }
 
+// ProfileFor picks the workload mix a fault class needs to be measurable;
+// the experiments and the scenarios both run each kind on it.
+func ProfileFor(k Kind) train.JobProfile {
+	switch k {
+	case NICDegrade, PCIeDegrade:
+		return train.CommHeavy
+	default:
+		return train.ComputeHeavy
+	}
+}
+
+// SeverityFor returns the per-kind severity the experiments and scenarios
+// inject when a spec leaves it unset, tuned so every class is detectable on
+// the small testbed. Zero means Inject's own default.
+func SeverityFor(k Kind) float64 {
+	switch k {
+	case NICDegrade:
+		return 0.01
+	case PCIeDegrade:
+		return 0.001
+	case GPUSlow:
+		return 6
+	default:
+		return 0
+	}
+}
+
 // Grade rates a verdict's suspect against the injected rank.
 type Grade string
 

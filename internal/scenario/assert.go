@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"mycroft/internal/core"
-	"mycroft/internal/faults"
 	"mycroft/internal/remedy"
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
@@ -33,56 +32,36 @@ func evaluate(spec Spec, res *Result) (checked int, failures []string) {
 func checkJob(a Assertion, j *JobResult) string {
 	switch a.Kind {
 	case AssertDetected:
-		inj, ok := j.injectionAt(a.Event)
+		inj, v, ok := j.injectionAt(a.Event)
 		if !ok {
 			return fmt.Sprintf("no injection %d (job saw %d)", a.Event, len(j.injected))
 		}
 		// Only triggers of a kind the fault's expectation accepts count:
 		// a residual firing of the wrong kind from an earlier fault must
 		// not pass as detection of this one.
-		exp := faults.Expect(inj.Kind)
-		at := sim.Time(inj.At)
-		for _, tr := range j.triggers {
-			if tr.At < at || !exp.TriggerOK(tr.Kind) {
-				continue
-			}
-			if a.Within > 0 && tr.At.Sub(at) > a.Within.D() {
-				return fmt.Sprintf("first acceptable trigger after %s came %v late (bound %v)", inj, tr.At.Sub(at), a.Within)
-			}
-			return ""
+		if v.Detected == nil {
+			return fmt.Sprintf("no acceptable trigger after %s", inj)
 		}
-		return fmt.Sprintf("no acceptable trigger after %s", inj)
+		if late := v.Detected.At.Sub(sim.Time(inj.At)); a.Within > 0 && late > a.Within.D() {
+			return fmt.Sprintf("first acceptable trigger after %s came %v late (bound %v)", inj, late, a.Within)
+		}
+		return ""
 
 	case AssertDiagnosed:
-		inj, ok := j.injectionAt(a.Event)
+		inj, v, ok := j.injectionAt(a.Event)
 		if !ok {
 			return fmt.Sprintf("no injection %d (job saw %d)", a.Event, len(j.injected))
 		}
-		exp := faults.Expect(inj.Kind)
-		at := sim.Time(inj.At)
-		var last string
-		for _, rep := range j.reports {
-			if rep.AnalyzedAt < at {
-				continue
-			}
-			if a.Within > 0 && rep.AnalyzedAt.Sub(at) > a.Within.D() {
-				last = fmt.Sprintf("report came %v after injection (bound %v)", rep.AnalyzedAt.Sub(at), a.Within)
-				continue
-			}
-			if !exp.CategoryOK(rep.Category) {
-				last = fmt.Sprintf("category %s not in %v", rep.Category, exp.Categories)
-				continue
-			}
-			if exp.LocalizeRank && rep.Suspect != inj.Rank {
-				last = fmt.Sprintf("suspect %d, want %d", rep.Suspect, inj.Rank)
-				continue
-			}
-			return ""
+		switch {
+		case v.Diagnosed == nil && v.Report == nil:
+			return fmt.Sprintf("%s not diagnosed: no report", inj)
+		case v.Diagnosed == nil:
+			return fmt.Sprintf("%s not diagnosed: first report names rank %d (%s) with category %s", inj, v.Report.Suspect, v.Suspect, v.Report.Category)
 		}
-		if last == "" {
-			last = "no report"
+		if late := v.Diagnosed.AnalyzedAt.Sub(sim.Time(inj.At)); a.Within > 0 && late > a.Within.D() {
+			return fmt.Sprintf("%s not diagnosed: report came %v after injection (bound %v)", inj, late, a.Within)
 		}
-		return fmt.Sprintf("%s not diagnosed: %s", inj, last)
+		return ""
 
 	case AssertCategory:
 		for _, rep := range j.reports {

@@ -18,7 +18,7 @@ import (
 func Builtins() []Spec {
 	out := []Spec{
 		healthyScenario(),
-		singleFault("nic-down", "RNIC stops completing WRs; the port of the quickstart example and experiments.RunCase's E2 NIC-down row.", faults.NICDown, 5, false),
+		singleFault("nic-down", "RNIC stops completing WRs; the quickstart example's fault, scored by the same faults.Judge as E2's nic-down row.", faults.NICDown, 5, false),
 		singleFault("link-loss", "Bytes leave the NIC but never arrive (link black-hole).", faults.LinkLoss, 6, false),
 		singleFault("gpu-hang", "Copy engine stuck: the GPU stops feeding the proxy.", faults.GPUHang, 2, false),
 		singleFault("proxy-crash", "The NCCL proxy thread exits mid-run.", faults.ProxyCrash, 3, false),

@@ -10,10 +10,9 @@ import (
 
 	"mycroft"
 	"mycroft/internal/core"
-	"mycroft/internal/experiments"
 	"mycroft/internal/faults"
 	"mycroft/internal/remedy"
-	"mycroft/internal/sim"
+	"mycroft/internal/train"
 )
 
 // JobResult is the per-fleet-member outcome: what ran, what was injected,
@@ -37,8 +36,8 @@ type JobResult struct {
 	DetectLatency Dur `json:"detect_latency,omitempty"`
 	// RCALatency is first-verdict time minus first-injection time.
 	RCALatency Dur `json:"rca_latency,omitempty"`
-	// Accuracy is the fraction of injections whose expectation
-	// (faults.Expect) is satisfied by some later verdict.
+	// Accuracy is the fraction of injections faults.Judge finds diagnosed
+	// by some later verdict.
 	Accuracy float64 `json:"accuracy"`
 	// Remediations is the job's audit log: every detect→act→verify attempt
 	// the attached policy made (empty without a remediate stanza).
@@ -47,7 +46,9 @@ type JobResult struct {
 	// delivered verdicts (quiet channels are omitted).
 	Channels []string `json:"channels,omitempty"`
 
-	injected     faults.Plan
+	injected faults.Plan
+	// verdicts holds faults.Judge's reading of each injection, in plan order.
+	verdicts     []faults.Verdict
 	triggers     []core.Trigger
 	reports      []core.Report
 	remediations []remedy.Attempt
@@ -329,10 +330,10 @@ func MustRun(spec Spec, seed int64) *Result {
 }
 
 // fillSeverity applies the campaign-tuned per-kind severity when the spec
-// left it unset, mirroring experiments.RunCase.
+// left it unset, as the evaluation's fault-injection cases do.
 func fillSeverity(s faults.Spec) faults.Spec {
 	if s.Severity == 0 {
-		s.Severity = experiments.SeverityFor(s.Kind)
+		s.Severity = faults.SeverityFor(s.Kind)
 	}
 	return s
 }
@@ -363,11 +364,11 @@ func jobOptions(js jobSpec) mycroft.JobOptions {
 		opts.Backend.RearmDelay = js.Rearm.D()
 	}
 	if js.CheckpointEvery > 0 || js.UploadLatency > 0 || js.NoTracing {
-		profile := experiments.ComputeHeavy
+		profile := train.ComputeHeavy
 		if js.CommHeavy {
-			profile = experiments.CommHeavy
+			profile = train.CommHeavy
 		}
-		tc := experiments.JobConfig(js.Topo.Config(), profile)
+		tc := train.JobConfig(js.Topo.Config(), profile)
 		tc.CheckpointEvery = js.CheckpointEvery
 		if js.UploadLatency > 0 {
 			tc.Collector.UploadLatency = js.UploadLatency.D()
@@ -529,21 +530,20 @@ func collect(js jobSpec, idx int, svc *mycroft.Service, h *mycroft.JobHandle, pl
 	for _, rep := range jr.reports {
 		jr.Reports = append(jr.Reports, rep.String())
 	}
-	if first, ok := plan.First(); ok {
-		faultAt := sim.Time(first)
-		for _, tr := range jr.triggers {
-			if tr.At >= faultAt {
-				jr.DetectLatency = Dur(tr.At.Sub(faultAt))
-				break
-			}
+	// The plan is time-ordered, so the first verdict's latencies are
+	// measured from the earliest injection.
+	diagnosed := 0
+	for _, s := range plan {
+		v := faults.Judge(s, h.Job.Cluster, jr.triggers, jr.reports)
+		jr.verdicts = append(jr.verdicts, v)
+		if v.Diagnosed != nil {
+			diagnosed++
 		}
-		for _, rep := range jr.reports {
-			if rep.AnalyzedAt >= faultAt {
-				jr.RCALatency = Dur(rep.AnalyzedAt.Sub(faultAt))
-				break
-			}
-		}
-		jr.Accuracy = accuracy(plan, jr.reports)
+	}
+	if len(plan) > 0 {
+		jr.DetectLatency = Dur(jr.verdicts[0].TriggerAfter)
+		jr.RCALatency = Dur(jr.verdicts[0].ReportAfter)
+		jr.Accuracy = float64(diagnosed) / float64(len(plan))
 	}
 	return jr
 }
@@ -573,33 +573,10 @@ func runJob(spec Spec, js jobSpec, idx int, seed int64, opts RunOptions) (JobRes
 	return collect(js, idx, svc, h, plan), nil
 }
 
-// accuracy scores the run: the fraction of injections for which some verdict
-// analyzed after the injection satisfies faults.Expect (category, and the
-// suspect rank when the fault localizes).
-func accuracy(plan faults.Plan, reports []core.Report) float64 {
-	if len(plan) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, s := range plan {
-		exp := faults.Expect(s.Kind)
-		for _, rep := range reports {
-			if rep.AnalyzedAt < sim.Time(s.At) {
-				continue
-			}
-			if exp.CategoryOK(rep.Category) && (!exp.LocalizeRank || rep.Suspect == s.Rank) {
-				hit++
-				break
-			}
-		}
-	}
-	return float64(hit) / float64(len(plan))
-}
-
-// injectionAt returns the job's i-th time-ordered injection.
-func (j JobResult) injectionAt(i int) (faults.Spec, bool) {
+// injectionAt returns the job's i-th time-ordered injection and its verdict.
+func (j JobResult) injectionAt(i int) (faults.Spec, faults.Verdict, bool) {
 	if i < 0 || i >= len(j.injected) {
-		return faults.Spec{}, false
+		return faults.Spec{}, faults.Verdict{}, false
 	}
-	return j.injected[i], true
+	return j.injected[i], j.verdicts[i], true
 }

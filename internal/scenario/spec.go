@@ -274,11 +274,13 @@ func (r Remediate) policy() remedy.Policy {
 type AssertKind string
 
 const (
-	// AssertDetected: a trigger fires at/after injection [Event] (within the
-	// optional bound).
+	// AssertDetected: faults.Judge finds injection [Event] detected — a
+	// trigger of an accepted kind fires at/after it (within the optional
+	// bound).
 	AssertDetected AssertKind = "detected"
-	// AssertDiagnosed: a report matches faults.Expect for injection [Event]:
-	// acceptable category, and the suspect rank when the fault localizes.
+	// AssertDiagnosed: faults.Judge finds injection [Event] diagnosed — a
+	// report with an accepted category, naming the suspect rank when the
+	// fault localizes (within the optional bound).
 	AssertDiagnosed AssertKind = "diagnosed"
 	// AssertCategory: some report's category is in Categories.
 	AssertCategory AssertKind = "category"

@@ -75,6 +75,38 @@ type Config struct {
 	FlightRecorderSize int
 }
 
+// JobProfile selects the workload mix of JobConfig.
+type JobProfile int
+
+const (
+	// ComputeHeavy: iteration dominated by compute (failure-class faults).
+	ComputeHeavy JobProfile = iota
+	// CommHeavy: iteration dominated by collective time (degradation-class
+	// faults, bandwidth experiments).
+	CommHeavy
+)
+
+// JobConfig is the evaluation's job for a topology and profile: the default
+// workload of a mycroft.JobOptions, the experiments and the scenarios.
+func JobConfig(tc topo.Config, profile JobProfile) Config {
+	cfg := Config{
+		Topo:            tc,
+		LayersPerStage:  2,
+		TPBytesPerLayer: 32 << 20,
+		PPBytes:         16 << 20,
+		Collector:       collector.Config{DrainPeriod: 50 * time.Millisecond, UploadLatency: 500 * time.Millisecond},
+	}
+	switch profile {
+	case CommHeavy:
+		cfg.ComputePerLayer = 100 * time.Millisecond
+		cfg.DPBytes = 1 << 30
+	default:
+		cfg.ComputePerLayer = 300 * time.Millisecond
+		cfg.DPBytes = 256 << 20
+	}
+	return cfg
+}
+
 func (c Config) withDefaults() Config {
 	if c.LayersPerStage <= 0 {
 		c.LayersPerStage = 2

@@ -9,10 +9,10 @@ import (
 	"mycroft/internal/api"
 	"mycroft/internal/clouddb"
 	"mycroft/internal/core"
-	"mycroft/internal/experiments"
 	"mycroft/internal/faults"
 	"mycroft/internal/obs"
 	"mycroft/internal/otrace"
+	"mycroft/internal/pystack"
 	"mycroft/internal/remedy"
 	"mycroft/internal/sim"
 	"mycroft/internal/trace"
@@ -101,11 +101,11 @@ func (o JobOptions) resolve() (train.Config, error) {
 		if !topoSet {
 			o.Topo = TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}
 		}
-		profile := experiments.ComputeHeavy
+		profile := train.ComputeHeavy
 		if o.CommHeavy {
-			profile = experiments.CommHeavy
+			profile = train.CommHeavy
 		}
-		return experiments.JobConfig(o.Topo, profile), nil
+		return train.JobConfig(o.Topo, profile), nil
 	}
 	tc := *o.Train
 	trainTopoSet := tc.Topo != (TopoConfig{})
@@ -387,14 +387,41 @@ func (h *JobHandle) Triggers() []Trigger { return h.Backend.Triggers() }
 // Reports returns every Algorithm 2 verdict so far.
 func (h *JobHandle) Reports() []Report { return h.Backend.Reports() }
 
-// Triage runs the Fig. 6 integration pipeline (py-spy → Flight Recorder →
-// Mycroft) over the latest report and returns the combined verdict source,
-// suspect rank and summary.
+// Triage runs the Fig. 6 integration pipeline over the latest report and
+// returns which reliability system named the root cause ("py-spy",
+// "flight-recorder" or "mycroft"), the rank it named and what it said.
+// py-spy stacks go first (dataloader/checkpoint stalls), then the Flight
+// Recorder rings (synchronization bugs), and only then does the Coll-level
+// verdict stand — bounding the problematic layer before blaming the CCL
+// (§6.2).
 func (h *JobHandle) Triage() (source string, rank Rank, summary string, ok bool) {
 	reps := h.Backend.Reports()
 	if len(reps) == 0 {
 		return "", -1, "", false
 	}
-	v := experiments.Triage(h.Job, reps[len(reps)-1], h.svc.Eng.Now())
-	return v.Source, v.Rank, v.Summary, true
+	rep := reps[len(reps)-1]
+	if stuck := pystack.Analyze(h.Job.PyStack.Dump()).StuckInDataPath(); len(stuck) > 0 {
+		return "py-spy", stuck[0].Rank, fmt.Sprintf("rank %d stuck in %s since %v", stuck[0].Rank, stuck[0].Frame, stuck[0].Since), true
+	}
+	for _, f := range h.Job.FlightRec.Analyze(h.svc.Eng.Now(), 5*time.Second) {
+		if f.Kind == "skipped-launch" && len(f.Ranks) > 0 {
+			return "flight-recorder", f.Ranks[0], fmt.Sprintf("rank %d skipped a collective on comm %d: %s", f.Ranks[0], f.CommID, f.Details), true
+		}
+	}
+	// Cross-check: Mycroft concluded "rank never launched the op", but if
+	// the Flight Recorder shows the rank DID launch it, the layer between
+	// the framework and the wire — the proxy — is dead.
+	if rep.Category == core.CatNotLaunched && rep.Suspect >= 0 {
+		last := h.Job.FlightRec.LastOpPerRank(rep.CommID)
+		var peerMax uint64
+		for r, s := range last {
+			if r != rep.Suspect && s > peerMax {
+				peerMax = s
+			}
+		}
+		if s, ok := last[rep.Suspect]; ok && s >= peerMax && peerMax > 0 {
+			return "mycroft", rep.Suspect, fmt.Sprintf("rank %d launched op seq %d but its proxy produced no trace — proxy crash", rep.Suspect, s), true
+		}
+	}
+	return "mycroft", rep.Suspect, rep.String(), true
 }
