@@ -60,7 +60,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7466", "HTTP listen address")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		jobID     = flag.String("job", "trace", "job id for single-job mode")
-		faultName = flag.String("fault", "nic-down", "fault kind to inject (see mycroft-sim) or none")
+		faultName = flag.String("fault", "nic-down", "fault kind to inject: "+seedjob.FaultKinds())
 		rank      = flag.Int("rank", 5, "rank to inject at")
 		at        = flag.Duration("at", 15*time.Second, "injection time")
 		horizon   = flag.Duration("for", 40*time.Second, "virtual time to drive before idling")
@@ -138,7 +138,9 @@ func main() {
 		var err error
 		svc, start, err = seedjob.Assemble(mycroft.JobID(*jobID), *seed, *faultName, *rank, *at, *remedy)
 		if err != nil {
-			die(err)
+			// Only the -fault and -rank flags can be wrong here: a usage error.
+			fmt.Fprintln(os.Stderr, "mycroft-serve:", err)
+			os.Exit(2)
 		}
 		jobDesc = fmt.Sprintf("job %q", *jobID)
 	}

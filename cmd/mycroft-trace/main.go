@@ -84,7 +84,7 @@ import (
 
 func main() {
 	var (
-		faultName = flag.String("fault", "nic-down", "fault kind (see mycroft-sim) or none")
+		faultName = flag.String("fault", "nic-down", "fault kind: "+seedjob.FaultKinds())
 		rank      = flag.Int("rank", 5, "rank to inject at")
 		at        = flag.Duration("at", 15*time.Second, "injection time")
 		horizon   = flag.Duration("for", 40*time.Second, "virtual run time")
@@ -140,7 +140,9 @@ func main() {
 	} else {
 		svc, err := buildService(*seed, *faultName, *rank, *at, remedyMode || ((statusMode || spansMode || channelsMode) && *withRem))
 		if err != nil {
-			die(err)
+			// Only the -fault and -rank flags can be wrong here: a usage error.
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(2)
 		}
 		svc.Run(*horizon)
 		c = svc
