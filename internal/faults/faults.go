@@ -1,9 +1,17 @@
 // Package faults defines the fault-injection catalog used by the evaluation
 // (§7.1): seven fault classes covering common hardware and software issues,
-// plus the two integration faults of §6.2 (dataloader stall and
-// synchronization mismatch). Each spec knows how to apply itself to a
-// running train.Job and what verdict a correct diagnosis produces, so the
-// experiment harness can score detection and localization.
+// plus the integration faults of §6.2 (dataloader stall, synchronization
+// mismatch and the like). Each spec knows how to apply itself to a running
+// train.Job (Inject, Recover), which workload and severity make its kind
+// measurable (ProfileFor, SeverityFor), and what a correct diagnosis looks
+// like (Expect).
+//
+// Judge is the one place an expectation is applied. Given an injection and
+// what the backend fired and concluded, it returns a Verdict: the first
+// trigger and report at or after the injection, the first the expectation
+// accepts, how close the suspect came (exact, same host, wrong) and the
+// spurious reports. The experiments and the scenario runner both score with
+// it.
 package faults
 
 import (
@@ -153,8 +161,8 @@ func Expect(k Kind) Expectation {
 	}
 }
 
-// ProfileFor picks the workload mix a fault class needs to be measurable;
-// the experiments and the scenarios both run each kind on it.
+// ProfileFor picks the workload mix a fault class needs to be measurable:
+// the bandwidth degradations only show on a communication-heavy job.
 func ProfileFor(k Kind) train.JobProfile {
 	switch k {
 	case NICDegrade, PCIeDegrade:
