@@ -459,17 +459,13 @@ func (cr *chanRun) post(i int) {
 }
 
 // Fire implements sim.Handler: chunk i goes onto the link, with the chanRun
-// itself observing the transfer's three stages (rdma.Completion).
+// itself observing the transfer's delivery and completion (rdma.Completion).
 func (cr *chanRun) Fire(i int32) {
 	if cr.rr.rc.crashed {
 		return
 	}
 	cr.link.Send(cr.sends[i], cr, i)
 }
-
-// OnTransmit implements rdma.Completion. The proxy counts a chunk as
-// transmitted when it posts the WR, so the wire-level stage moves nothing.
-func (cr *chanRun) OnTransmit(int32) {}
 
 // OnDeliver implements rdma.Completion: the chunk landed at our ring
 // successor (or the SendRecv destination).

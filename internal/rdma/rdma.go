@@ -13,6 +13,12 @@
 //   - packet loss: goodput inflates by the retransmission factor.
 //   - link flap: a timed down/up cycle.
 //
+// A transfer has two observation points, delivery and completion (CQE), and
+// each is one engine event. Transmission progress is counted, not scheduled:
+// a NIC serializes its transmissions, so it knows when each will finish the
+// moment it is posted, and BytesSent counts what has finished by Now()
+// whenever it is read. A black-holed transfer schedules nothing at all.
+//
 // All state lives on a sim.Engine; the package is deterministic.
 package rdma
 
@@ -54,12 +60,28 @@ type NIC struct {
 	loss     float64 // packet loss probability in [0, 1)
 	wireLoss bool    // bytes leave the NIC but never arrive nor ack
 
-	nextFree sim.Time // transmit serialization pointer
-	pending  []*wr    // WRs accepted while down
+	nextFree sim.Time       // transmit serialization pointer
+	pending  []*wr          // WRs accepted while down
+	sending  []transmission // transmitted bytes BytesSent has yet to count
 	free     sim.FreeList[wr]
 
 	counters Counters
 }
+
+// transmission is one WR's bytes on the wire, which BytesSent counts from
+// finish on. A NIC serializes its transmissions, so finish never decreases
+// along NIC.sending and credit takes them off the front.
+type transmission struct {
+	finish sim.Time
+	bytes  int64
+	qp     *QP
+}
+
+// sendingCap is how many uncounted transmissions a NIC has room for before
+// NIC.sending grows: twice the most a self-healing 512-rank job has been seen
+// to hold on one NIC (8, when a recovered NIC replays its parked WRs), so the
+// queue is sized once, when the NIC is built.
+const sendingCap = 16
 
 // NICConfig sets a NIC's nominal characteristics.
 type NICConfig struct {
@@ -83,6 +105,7 @@ func NewNIC(eng *sim.Engine, id NICID, name string, cfg NICConfig) *NIC {
 		eng: eng, id: id, name: name,
 		bw: cfg.Bandwidth, propLat: cfg.PropLat, wrSetup: cfg.WRSetup,
 		bwScale: 1,
+		sending: make([]transmission, 0, sendingCap),
 	}
 }
 
@@ -92,8 +115,26 @@ func (n *NIC) ID() NICID { return n.id }
 // Name returns the NIC's human-readable name.
 func (n *NIC) Name() string { return n.name }
 
-// Counters returns a snapshot of the NIC's counters.
-func (n *NIC) Counters() Counters { return n.counters }
+// Counters returns a snapshot of the NIC's counters. BytesSent covers every
+// transmission that finished by Now().
+func (n *NIC) Counters() Counters {
+	n.credit()
+	return n.counters
+}
+
+// credit counts the bytes of every transmission that finished by Now().
+func (n *NIC) credit() {
+	now := n.eng.Now()
+	i := 0
+	for ; i < len(n.sending) && n.sending[i].finish <= now; i++ {
+		s := &n.sending[i]
+		n.counters.BytesSent += uint64(s.bytes)
+		s.qp.bytesSent += uint64(s.bytes)
+	}
+	if i > 0 {
+		n.sending = n.sending[:copy(n.sending, n.sending[i:])]
+	}
+}
 
 // Down reports whether the NIC is currently down.
 func (n *NIC) Down() bool { return n.down }
@@ -153,15 +194,13 @@ func (n *NIC) SetWireLoss(on bool) { n.wireLoss = on }
 // WireLoss reports whether the black-hole fault is active.
 func (n *NIC) WireLoss() bool { return n.wireLoss }
 
-// Completion receives the three observation points of one transfer, in
+// Completion receives the two observation points of one transfer, in
 // temporal order. arg is whatever the sender passed with the transfer (the
 // CCL passes the chunk index), so one long-lived receiver observes every
 // transfer of a flow without a closure per chunk. A nil Completion observes
-// nothing.
+// nothing. The end of transmission is not an observation point: it schedules
+// no event, and NIC.Counters and QP.BytesSent count it.
 type Completion interface {
-	// OnTransmit fires when the sender NIC finished pushing the bytes onto
-	// the wire (this is what the proxy's RDMA_transmitted counter observes).
-	OnTransmit(arg int32)
 	// OnDeliver fires when the data lands at the receiver.
 	OnDeliver(arg int32)
 	// OnCQE fires when the sender polls the completion-queue entry.
@@ -169,12 +208,11 @@ type Completion interface {
 }
 
 // funcs adapts plain funcs to Completion for callers off the per-chunk path
-// (PostWrite, tests). Any may be nil.
-type funcs struct{ transmit, deliver, cqe func() }
+// (PostWrite, tests). Either may be nil.
+type funcs struct{ deliver, cqe func() }
 
-func (f *funcs) OnTransmit(int32) { call(f.transmit) }
-func (f *funcs) OnDeliver(int32)  { call(f.deliver) }
-func (f *funcs) OnCQE(int32)      { call(f.cqe) }
+func (f *funcs) OnDeliver(int32) { call(f.deliver) }
+func (f *funcs) OnCQE(int32)     { call(f.cqe) }
 
 func call(fn func()) {
 	if fn != nil {
@@ -184,19 +222,18 @@ func call(fn func()) {
 
 // The stages of a transfer, as the engine-event argument.
 const (
-	stageTransmit int32 = iota
-	stageDeliver
+	stageDeliver int32 = iota
 	stageCQE
 )
 
-// wr is an in-flight work request and the receiver of its own three engine
-// events. It returns to its NIC's free list when the last of them has fired.
+// wr is an in-flight work request and the receiver of its own two engine
+// events. It returns to its NIC's free list when the last of them has fired,
+// or at once if it is black-holed and schedules none.
 type wr struct {
-	qp        *QP
-	bytes     int64
-	done      Completion
-	arg       int32
-	blackHole bool // transmit is the last event: nothing delivers or completes
+	qp    *QP
+	bytes int64
+	done  Completion
+	arg   int32
 }
 
 // QP is a queue pair: a unidirectional flow from a source NIC to a
@@ -232,13 +269,16 @@ func (q *QP) Posted() uint64 { return q.posted }
 // Completed returns the number of CQEs delivered for this QP.
 func (q *QP) Completed() uint64 { return q.completed }
 
-// BytesSent returns the bytes for which transmission finished.
-func (q *QP) BytesSent() uint64 { return q.bytesSent }
+// BytesSent returns the bytes for which transmission finished by Now().
+func (q *QP) BytesSent() uint64 {
+	q.src.credit()
+	return q.bytesSent
+}
 
 func (q *QP) String() string { return fmt.Sprintf("qp%d(%s->%s)", q.id, q.src.name, q.dst.name) }
 
-// Post posts an RDMA write of n bytes; done observes its transmit, delivery
-// and completion with arg.
+// Post posts an RDMA write of n bytes; done observes its delivery and
+// completion with arg.
 //
 // If the source NIC is down the WR is queued and will transmit after
 // recovery — exactly the silent-stall gray failure of §2.1: the post
@@ -260,13 +300,15 @@ func (q *QP) Post(n int64, done Completion, arg int32) {
 }
 
 // PostWrite is a convenience wrapper over Post for callers that want plain
-// funcs and do not need the transmit stage.
+// funcs.
 func (q *QP) PostWrite(n int64, onDelivered, onCQE func()) {
 	q.Post(n, &funcs{deliver: onDelivered, cqe: onCQE}, 0)
 }
 
-// transmit serializes w on the NIC and schedules transmit/delivery/CQE.
+// transmit serializes w on the NIC, queues its bytes for BytesSent at the
+// instant transmission finishes, and schedules delivery and CQE.
 func (n *NIC) transmit(w *wr) {
+	n.credit()
 	start := n.nextFree
 	if now := n.eng.Now(); start < now {
 		start = now
@@ -276,11 +318,11 @@ func (n *NIC) transmit(w *wr) {
 	dur := time.Duration(float64(w.bytes) / goodput * float64(time.Second))
 	finish := start.Add(dur)
 	n.nextFree = finish
-	w.blackHole = n.wireLoss
+	n.sending = append(n.sending, transmission{finish: finish, bytes: w.bytes, qp: w.qp})
 
-	n.eng.Schedule(finish, w, stageTransmit)
-	if w.blackHole {
-		return // data vanishes on the wire: no delivery, no CQE
+	if n.wireLoss {
+		n.free.Put(w) // data vanishes on the wire: no delivery, no CQE
+		return
 	}
 	n.eng.Schedule(finish.Add(n.propLat), w, stageDeliver)
 	n.eng.Schedule(finish.Add(2*n.propLat), w, stageCQE)
@@ -290,37 +332,27 @@ func (n *NIC) transmit(w *wr) {
 func (w *wr) Fire(stage int32) {
 	q, done, arg := w.qp, w.done, w.arg
 	n := q.src
-	switch stage {
-	case stageTransmit:
-		// Transmission finished at the sender; bytes leave the wire propLat later.
-		n.counters.BytesSent += uint64(w.bytes)
-		q.bytesSent += uint64(w.bytes)
-		if w.blackHole {
-			n.free.Put(w)
-		}
-		if done != nil {
-			done.OnTransmit(arg)
-		}
-	case stageDeliver:
+	if stage == stageDeliver {
+		n.credit()
 		if done != nil {
 			done.OnDeliver(arg)
 		}
-	case stageCQE:
-		n.counters.WRsCompleted++
-		n.counters.BytesAcked += uint64(w.bytes)
-		q.completed++
-		n.free.Put(w)
-		if done != nil {
-			done.OnCQE(arg)
-		}
+		return
+	}
+	n.counters.WRsCompleted++
+	n.counters.BytesAcked += uint64(w.bytes)
+	q.completed++
+	n.free.Put(w)
+	if done != nil {
+		done.OnCQE(arg)
 	}
 }
 
 // Link is an abstract point-to-point transport. RDMA QPs and intra-node
 // NVLink paths both satisfy it, so the CCL can pipeline over either.
 type Link interface {
-	// Send moves n bytes, reporting the transmit/deliver/CQE stages to done
-	// with arg.
+	// Send moves n bytes, reporting the deliver and CQE stages to done with
+	// arg.
 	Send(n int64, done Completion, arg int32)
 	// Describe returns trace metadata for this flow.
 	Describe() (qpID int, kind string)
@@ -348,7 +380,7 @@ type NVLink struct {
 	free     sim.FreeList[nvSend]
 }
 
-// nvSend is one NVLink transfer and the receiver of its two engine events.
+// nvSend is one NVLink transfer and the receiver of its one engine event.
 type nvSend struct {
 	l    *NVLink
 	done Completion
@@ -372,8 +404,8 @@ func (l *NVLink) SetBandwidthScale(s float64) {
 	l.scale = s
 }
 
-// Send implements Link. NVLink transfers report all three stages at the
-// completion instant (there is no separate ACK path on the fabric).
+// Send implements Link. NVLink transfers report both stages at the delivery
+// instant (there is no separate ACK path on the fabric).
 func (l *NVLink) Send(n int64, done Completion, arg int32) {
 	start := l.nextFree
 	if now := l.eng.Now(); start < now {
@@ -384,20 +416,12 @@ func (l *NVLink) Send(n int64, done Completion, arg int32) {
 	l.nextFree = finish
 	s := l.free.Get()
 	*s = nvSend{l: l, done: done, arg: arg}
-	l.eng.Schedule(finish, s, stageTransmit)
 	l.eng.Schedule(finish.Add(l.lat), s, stageDeliver)
 }
 
-// Fire implements sim.Handler: transmit, then delivery and completion
-// together.
-func (s *nvSend) Fire(stage int32) {
+// Fire implements sim.Handler: delivery and completion together.
+func (s *nvSend) Fire(int32) {
 	done, arg := s.done, s.arg
-	if stage == stageTransmit {
-		if done != nil {
-			done.OnTransmit(arg)
-		}
-		return
-	}
 	s.l.free.Put(s)
 	if done != nil {
 		done.OnDeliver(arg)

@@ -205,14 +205,15 @@ func TestQPAsLink(t *testing.T) {
 	}
 	var stages []string
 	l.Send(100, &funcs{
-		transmit: func() { stages = append(stages, "tx") },
-		deliver:  func() { stages = append(stages, "deliver") },
-		cqe:      func() { stages = append(stages, "cqe") },
+		deliver: func() { stages = append(stages, "deliver") },
+		cqe:     func() { stages = append(stages, "cqe") },
 	}, 0)
 	eng.Run()
-	want := []string{"tx", "deliver", "cqe"}
-	if len(stages) != 3 || stages[0] != want[0] || stages[1] != want[1] || stages[2] != want[2] {
-		t.Fatalf("stages = %v, want %v", stages, want)
+	if len(stages) != 2 || stages[0] != "deliver" || stages[1] != "cqe" {
+		t.Fatalf("stages = %v, want [deliver cqe]", stages)
+	}
+	if eng.Dispatched() != 2 {
+		t.Fatalf("a WR dispatched %d events, want 2 (delivery, CQE)", eng.Dispatched())
 	}
 }
 
@@ -222,23 +223,25 @@ func TestWireLossTransmitsButNeverCompletes(t *testing.T) {
 	if !a.WireLoss() {
 		t.Fatal("WireLoss() = false")
 	}
-	var tx, deliver, cqe bool
+	var deliver, cqe bool
 	qp.Post(1000, &funcs{
-		transmit: func() { tx = true },
-		deliver:  func() { deliver = true },
-		cqe:      func() { cqe = true },
+		deliver: func() { deliver = true },
+		cqe:     func() { cqe = true },
 	}, 0)
-	eng.RunFor(10 * time.Second)
-	if !tx {
-		t.Fatal("transmit stage did not fire under wire loss")
+	if eng.Pending() != 0 {
+		t.Fatalf("a black-holed WR scheduled %d events, want none", eng.Pending())
 	}
+	if c := a.Counters(); c.BytesSent != 0 {
+		t.Fatalf("BytesSent = %d before the transmission finished", c.BytesSent)
+	}
+	eng.RunFor(10 * time.Second)
 	if deliver || cqe {
 		t.Fatal("delivery or CQE fired despite wire loss")
 	}
 	// The signature: BytesSent advances, BytesAcked does not.
 	c := a.Counters()
-	if c.BytesSent != 1000 || c.BytesAcked != 0 {
-		t.Fatalf("counters = %+v, want sent=1000 acked=0", c)
+	if c.BytesSent != 1000 || c.BytesAcked != 0 || qp.BytesSent() != 1000 {
+		t.Fatalf("counters = %+v, qp sent %d, want sent=1000 acked=0", c, qp.BytesSent())
 	}
 }
 
@@ -316,8 +319,7 @@ type stageLog struct {
 	onCQE func(arg int32)
 }
 
-func (l *stageLog) OnTransmit(arg int32) { l.seen[arg] += "t" }
-func (l *stageLog) OnDeliver(arg int32)  { l.seen[arg] += "d" }
+func (l *stageLog) OnDeliver(arg int32) { l.seen[arg] += "d" }
 func (l *stageLog) OnCQE(arg int32) {
 	l.seen[arg] += "c"
 	if l.onCQE != nil {
@@ -340,7 +342,7 @@ func TestWRRecyclingKeepsIdentity(t *testing.T) {
 		qp.Post(1000, log, i)
 	}
 	a.SetWireLoss(true)
-	qp.Post(1000, log, 100) // transmits, then vanishes
+	qp.Post(1000, log, 100) // transmits, then vanishes: no stage fires
 	a.SetWireLoss(false)
 	qp.Post(1000, log, 101)
 	eng.Run()
@@ -355,17 +357,17 @@ func TestWRRecyclingKeepsIdentity(t *testing.T) {
 	eng.Run()
 
 	for arg := int32(0); arg < 20; arg++ {
-		if log.seen[arg] != "tdc" {
-			t.Errorf("transfer %d saw stages %q, want tdc", arg, log.seen[arg])
+		if log.seen[arg] != "dc" {
+			t.Errorf("transfer %d saw stages %q, want dc", arg, log.seen[arg])
 		}
 	}
-	for arg, want := range map[int32]string{100: "t", 101: "tdc", 102: "tdc", 103: "tdc"} {
+	for arg, want := range map[int32]string{100: "", 101: "dc", 102: "dc", 103: "dc"} {
 		if log.seen[arg] != want {
 			t.Errorf("transfer %d saw stages %q, want %q", arg, log.seen[arg], want)
 		}
 	}
-	if c := a.Counters(); c.WRsPosted != 24 || c.WRsCompleted != 23 {
-		t.Errorf("counters = %+v, want 24 posted, 23 completed", c)
+	if c := a.Counters(); c.WRsPosted != 24 || c.WRsCompleted != 23 || c.BytesSent != 24*1000 {
+		t.Errorf("counters = %+v, want 24 posted, 23 completed, 24000 bytes sent", c)
 	}
 	if len(a.free) > 12 {
 		t.Errorf("free list holds %d WRs for at most 12 in flight", len(a.free))
