@@ -345,10 +345,14 @@ func TestAnomalyPropagatesToAllRanks(t *testing.T) {
 	}
 }
 
+// TestProxyCrashStopsStateLogs: the communicator's one state-log ticker skips
+// a crashed proxy, keeps logging every other rank once a period, and stops
+// for all of them at Close.
 func TestProxyCrashStopsStateLogs(t *testing.T) {
-	e := newEnv(2, 1)
-	e.nics[0].SetBandwidthScale(0.001) // make the op crawl
-	e.nics[1].SetBandwidthScale(0.001)
+	e := newEnv(3, 1)
+	for _, n := range e.nics {
+		n.SetBandwidthScale(0.001) // make the op crawl
+	}
 	c := e.comm(Config{Channels: 1, StateLogPeriod: 100 * time.Millisecond})
 	c.AllReduce(256<<20, nil)
 	e.eng.RunFor(500 * time.Millisecond)
@@ -356,14 +360,32 @@ func TestProxyCrashStopsStateLogs(t *testing.T) {
 	if !c.ProxyCrashed(0) {
 		t.Fatal("ProxyCrashed = false")
 	}
-	before := len(*e.recs[0])
+	logged := func(r topo.Rank) int { return len(*e.recs[r]) }
+	before := []int{logged(0), logged(1), logged(2)}
 	e.eng.RunFor(time.Second)
-	if after := len(*e.recs[0]); after != before {
-		t.Fatalf("crashed proxy emitted %d more logs", after-before)
+	if after := logged(0); after != before[0] {
+		t.Fatalf("crashed proxy emitted %d more logs", after-before[0])
 	}
-	// The healthy peer keeps logging (and keeps being stuck).
-	if len(*e.recs[1]) <= before {
-		t.Fatal("healthy rank stopped logging")
+	// The healthy ranks keep logging (and keep being stuck): one state log
+	// at each of the ten ticks 600 ms, 700 ms, …, 1.5 s.
+	for r := topo.Rank(1); r < 3; r++ {
+		recs := (*e.recs[r])[before[r]:]
+		if len(recs) != 10 {
+			t.Fatalf("rank %d wrote %d logs in ten periods, want 10", r, len(recs))
+		}
+		for i, rec := range recs {
+			if want := sim.Time(600*time.Millisecond + time.Duration(i)*100*time.Millisecond); rec.Kind != trace.KindState || rec.Time != want {
+				t.Fatalf("rank %d log %d: %v at %v, want a state log at %v", r, i, rec.Kind, rec.Time, want)
+			}
+		}
+	}
+	c.Close()
+	before = []int{logged(0), logged(1), logged(2)}
+	e.eng.RunFor(time.Second)
+	for r, n := range before {
+		if after := logged(topo.Rank(r)); after != n {
+			t.Fatalf("rank %d wrote %d logs after Close", r, after-n)
+		}
 	}
 }
 

@@ -20,6 +20,14 @@
 // op k+1 while a faulty rank is still stuck on k — which is exactly what
 // makes the minimum-op_seq analysis of Algorithm 2 work.
 //
+// State logs. One ticker per communicator writes the state logs of every
+// member rank whose proxy is alive, in group order, each period. The records
+// and their order are what one ticker per rank would give: those tickers
+// would be armed one after another in NewCommunicator, writing a log
+// schedules nothing, and each would re-arm straight after its callback, so a
+// communicator's rank ticks would always fall back to back at the same
+// instant with nothing between them. One event a period does their work.
+//
 // Planning. A training iteration submits the same collectives with the same
 // shapes as the one before it, so what an op moves is worked out once per
 // shape — (Kind, Bytes, Root, Src, Dst) on one communicator — on the first
@@ -65,7 +73,8 @@ type ChunkStage uint8
 const (
 	// StageGPUReady: the GPU staged a chunk into the proxy buffer.
 	StageGPUReady ChunkStage = iota + 1
-	// StageTransmit: the NIC finished pushing a chunk onto the wire.
+	// StageTransmit: the proxy handed a chunk's WR to the NIC
+	// (RDMA_transmitted).
 	StageTransmit
 	// StageDone: the proxy polled the chunk's CQE.
 	StageDone
@@ -162,7 +171,6 @@ type rankCtx struct {
 	held    bool // rank busy outside the CCL (compute, dataloader…)
 	cursor  int  // number of the next op this rank will work on (see Communicator.ops)
 	pumping bool // re-entrancy guard for pump
-	ticker  *sim.Ticker
 
 	overheadBusy sim.Time // serialization point for synchronous tracer cost
 }
@@ -195,6 +203,7 @@ type Communicator struct {
 	opsBase int
 	nextSeq uint64
 	nextQP  int
+	ticker  *sim.Ticker // state logs, see the package comment
 	closed  bool
 }
 
@@ -225,10 +234,7 @@ func NewCommunicator(eng *sim.Engine, id uint64, ranks []RankInfo, cfg Config) *
 		c.byRank[ri.Rank] = rc
 	}
 	c.buildRings()
-	for _, rc := range c.ranks {
-		rc := rc
-		rc.ticker = eng.NewTicker(cfg.StateLogPeriod, func(now sim.Time) { rc.emitStateLogs(now) })
-	}
+	c.ticker = eng.NewTicker(cfg.StateLogPeriod, c.emitStateLogs)
 	return c
 }
 
@@ -406,22 +412,23 @@ func (c *Communicator) Release(r topo.Rank) {
 	rc.pump()
 }
 
-// Close stops the per-rank state-log tickers. The communicator must not be
-// used afterwards.
+// Close stops the state logs. The communicator must not be used afterwards.
 func (c *Communicator) Close() {
-	if c.closed {
-		return
-	}
 	c.closed = true
+	c.ticker.Stop()
+}
+
+// emitStateLogs is the state-log tick: every rank's logs, in group order.
+func (c *Communicator) emitStateLogs(now sim.Time) {
 	for _, rc := range c.ranks {
-		rc.ticker.Stop()
+		rc.emitStateLogs(now)
 	}
 }
 
 // emitStateLogs writes one real-time state log per active channel for the
 // rank's in-flight op, if any.
 func (rc *rankCtx) emitStateLogs(now sim.Time) {
-	if rc.crashed || rc.comm.closed {
+	if rc.crashed {
 		return
 	}
 	op := rc.comm.opAt(rc.cursor)
