@@ -81,14 +81,17 @@ func BenchmarkScenarioRun(b *testing.B) {
 	b.ReportMetric(float64(records), "records/run")
 }
 
-// TestFullSizeAllocBudget holds the substrate's steady-state malloc count at
-// the size the benchmark runs (bench/ sim-512's 512-rank job) until CI gates
-// on bench/ itself. The second ten of twenty virtual seconds are counted: by
-// then every communicator has planned each shape its script submits and the
-// free lists are full, so what is left is per op, mostly op frames. The count
-// is a property of the program, not of the machine: 0.0876 here; it read 0.35
-// while the rank scripts built a continuation closure per wait, and 1.21
-// before collectives were planned once.
+// TestFullSizeAllocBudget holds the substrate's steady-state malloc and
+// engine-event counts at the size the benchmark runs (bench/ sim-512's
+// 512-rank job) until CI gates on bench/ itself. The second ten of twenty
+// virtual seconds are counted: by then every communicator has planned each
+// shape its script submits and the free lists are full, so what is left is
+// per op, mostly op frames. Both counts are properties of the program, not of
+// the machine. Mallocs read 0.0876 per record; they read 0.35 while the rank
+// scripts built a continuation closure per wait, and 1.21 before collectives
+// were planned once. Events read 5.7199 per record; they read 9.2978 while
+// every (rank, communicator) pair had its own state-log ticker and every
+// transmission scheduled an event of its own.
 func TestFullSizeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 512-rank job for 20 virtual seconds")
@@ -101,10 +104,11 @@ func TestFullSizeAllocBudget(t *testing.T) {
 	svc.Run(10 * time.Second)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	warm := job.RecordsIngested()
+	warm, dispatched := job.RecordsIngested(), svc.Eng.Dispatched()
 	svc.Run(10 * time.Second)
 	runtime.ReadMemStats(&after)
 	mallocs, records := after.Mallocs-before.Mallocs, job.RecordsIngested()-warm
+	events := svc.Eng.Dispatched() - dispatched
 	if records < 50_000 {
 		t.Fatalf("only %d records ingested in 10 virtual seconds", records)
 	}
@@ -112,5 +116,10 @@ func TestFullSizeAllocBudget(t *testing.T) {
 	t.Logf("%d mallocs over %d records: %.4f per record", mallocs, records, perRecord)
 	if perRecord > 0.15 {
 		t.Errorf("%.4f mallocs per ingested record, want at most 0.15", perRecord)
+	}
+	eventsPerRecord := float64(events) / float64(records)
+	t.Logf("%d engine events over %d records: %.4f per record", events, records, eventsPerRecord)
+	if eventsPerRecord > 6.0 {
+		t.Errorf("%.4f engine events per ingested record, want at most 6.0", eventsPerRecord)
 	}
 }

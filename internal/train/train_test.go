@@ -279,8 +279,8 @@ func TestDeterministicRuns(t *testing.T) {
 // in flight, not every op the job ever ran — and releasing them changes
 // nothing the job computes. The iterations, bus bandwidth and records are
 // what the job read while it kept every op, for the same seed and config. The
-// event count is 71,998 since state logs tick once per communicator and a
-// transmission schedules no event of its own; it was 105,738 before.
+// event count is what it reads with one state-log ticker per communicator and
+// no event of its own for a transmission.
 func TestCompletedOpsReleased(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := smallCfg()
