@@ -23,7 +23,7 @@ var updateBodies = flag.Bool("update-bodies", false, "rewrite testdata/wire_bodi
 
 // wallClock matches the response fields that carry wall-clock readings, the
 // only bytes of a /v1 body a seeded run does not fix.
-var wallClock = regexp.MustCompile(`"(uptime_ms|wall_start_ns|wall_end_ns)":\d+`)
+var wallClock = regexp.MustCompile(`"(uptime_ms|wall_start_ns|wall_end_ns|started_unix_ns)":\d+`)
 
 // bodyLog collects raw /v1 bodies, one titled entry each, in the order asked.
 type bodyLog struct {
@@ -62,10 +62,12 @@ func (l *bodyLog) ask(state, base, method, path, body string) {
 // TestWireBodiesGolden pins what reflect.DeepEqual round trips cannot see —
 // field order, null against [] against an omitted field — by recording,
 // through a real Server.Handler, the raw answer of every table operation on a
-// populated and on an empty daemon, one /v1/poll page holding each of the six
+// populated and on an empty daemon, one /v1/tail page holding each of the six
 // event kinds, and the /v1/cluster/replicate requests a primary ships. The
-// file was recorded before the wire mirror structs were deleted and has not
-// been regenerated since: a diff here is a wire break.
+// file was recorded before the wire mirror structs were deleted; since then
+// only the event page has changed, from the retired /v1/poll envelope to the
+// /v1/tail one around the same six event objects: a diff here is a wire
+// break.
 func TestWireBodiesGolden(t *testing.T) {
 	l := &bodyLog{t: t}
 
@@ -134,7 +136,8 @@ func TestWireBodiesGolden(t *testing.T) {
 	l.ask("bare", bs.URL, "GET", "/jobs", "")
 	l.ask("bare", bs.URL, "GET", "/health", "")
 
-	// One poll page carrying every event kind, each payload fully populated.
+	// One tail page carrying every event kind, each payload fully populated,
+	// read off the log of a job that has not run.
 	trigger := Trigger{Kind: TriggerFailure, Rank: 5, IP: "10.0.0.1", At: 17_500_000_000, CommID: 3, Reason: "stalled mid-op"}
 	report := Report{
 		Trigger: trigger, Suspect: 5, SuspectIP: "10.0.0.1", CommID: 7,
@@ -152,7 +155,12 @@ func TestWireBodiesGolden(t *testing.T) {
 		Try:    1, ReportedAt: 19_000_000_000, AppliedAt: 19_000_000_000, ResolvedAt: 34_000_000_000,
 		Outcome: RemedySucceeded, Detail: "quiet for 15s after action",
 	}
-	l.ask("bare", bs.URL, "POST", "/subscribe", `{"filter":{"jobs":["llm-70b"],"buffer":16}}`)
+	events := NewService(ServiceOptions{})
+	if _, err := events.AddJob("llm-70b", JobOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	es := httptest.NewServer(NewServer(events).Handler())
+	defer es.Close()
 	for _, e := range []Event{
 		{Kind: EventLifecycle, Phase: PhaseJobStarted},
 		{Kind: EventTrigger, At: 17_500_000_000, Trigger: &trigger},
@@ -165,11 +173,9 @@ func TestWireBodiesGolden(t *testing.T) {
 			Level: "error", Count: 6, Fleet: 8, Score: 0.88, Category: CatNetworkSendPath, At: 18_000_000_000}},
 	} {
 		e.Job = "llm-70b"
-		bare.dispatch(e)
+		events.dispatch(e)
 	}
-	l.ask("six kinds", bs.URL, "POST", "/poll", `{"id":"sub-1"}`)
-	l.ask("drained", bs.URL, "POST", "/poll", `{"id":"sub-1"}`)
-	l.ask("lost", bs.URL, "POST", "/poll", `{"id":"sub-9"}`)
+	l.ask("six kinds", es.URL, "POST", "/tail", `{"job":"llm-70b"}`)
 
 	// The replication requests a primary ships to its follower over the first
 	// 30 s of the same faulted run: entries of every kind the run produced,

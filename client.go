@@ -15,8 +15,8 @@ import (
 //
 // Queries return explicit pagination (Total plus a cursor or NextOffset),
 // and Subscribe hands back a *Stream: the streaming cursor. On a remote
-// client the stream is fed by the daemon's long-poll endpoint; transport
-// failures close it and surface through Stream.Err.
+// client the stream is fed by long-polls of each job's event log
+// (POST /v1/tail); failures close it and surface through Stream.Err.
 type Client interface {
 	// ListJobs describes every hosted job and the service's virtual clock.
 	ListJobs() (JobsResult, error)

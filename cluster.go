@@ -16,13 +16,14 @@ import (
 
 // Cluster mode: N mycroft-serve daemons form one diagnosis plane. A
 // consistent-hash ring (internal/cluster) places every job on a primary
-// peer; the primary appends each job event to a seq-numbered log and
-// asynchronously replicates the log, periodic snapshots and a best-effort
-// trace mirror to the job's R ring successors over /v1/cluster/*. Replicas
-// answer queries for followed jobs from the replicated state, and serve the
-// same seq-resumable event tail the primary does — which is what lets a
-// DialCluster client fail a live subscription over to a replica with exact
-// drop accounting (drops are the seq gaps, nothing else).
+// peer; the primary asynchronously replicates the job's seq-numbered event
+// log (the one every daemon keeps, see Server), periodic snapshots and a
+// best-effort trace mirror to the job's R ring successors over
+// /v1/cluster/*. Replicas answer queries for followed jobs from the
+// replicated state, and serve the replicated log on the same /v1/tail the
+// primary does — which is what lets a DialCluster client fail a live
+// subscription over to a replica with exact drop accounting (drops are the
+// seq gaps, nothing else).
 
 // ClusterConfig enables cluster mode on a Server.
 type ClusterConfig struct {
@@ -38,10 +39,6 @@ type ClusterConfig struct {
 	Replicas int
 	// VNodes tunes ring smoothness (0 = cluster.DefaultVNodes).
 	VNodes int
-	// LogCap bounds each per-job event log (0 = cluster.DefaultLogCap). The
-	// log is the failover window: a resuming subscriber can only replay what
-	// is still held, and anything older surfaces as counted drops.
-	LogCap int
 	// TraceMirror bounds the per-job trace mirror on replicas
 	// (0 = cluster.DefaultTraceMirror).
 	TraceMirror int
@@ -49,15 +46,13 @@ type ClusterConfig struct {
 	Batch int
 }
 
-// serverCluster is the per-Server cluster state: ring membership, the local
-// jobs' event logs, the replica store for followed jobs, and replication
-// cursors per (peer, job).
+// serverCluster is the per-Server cluster state: ring membership, the
+// replica store for followed jobs, and replication cursors per (peer, job).
+// The hosted jobs' event logs are the Server's own.
 type serverCluster struct {
 	cfg   ClusterConfig
 	node  *cluster.Node
 	store *cluster.ReplicaStore
-	tap   *Stream                     // unbounded feed of local job events
-	logs  map[JobID]*cluster.EventLog // one per hosted job; immutable map
 	hc    *http.Client
 
 	ackMu sync.Mutex
@@ -76,9 +71,8 @@ type peerAck struct {
 	traceNs int64
 }
 
-// EnableCluster turns this server into a cluster peer. Call after every job
-// is added (the per-job logs are fixed here) and before the drive loop
-// starts.
+// EnableCluster turns this server into a cluster peer. Call before the
+// drive loop starts.
 func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 	peers := make(map[string]string, len(cfg.Peers))
 	for name, addr := range cfg.Peers {
@@ -94,19 +88,10 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 	}
 	cl := &serverCluster{
 		cfg: cfg, node: node,
-		store: cluster.NewReplicaStore(cfg.LogCap, cfg.TraceMirror),
-		logs:  make(map[JobID]*cluster.EventLog),
+		store: cluster.NewReplicaStore(0, cfg.TraceMirror),
 		hc:    &http.Client{Timeout: 10 * time.Second},
 		acks:  make(map[string]*peerAck),
 	}
-	res, err := sv.svc.ListJobs()
-	if err != nil {
-		return err
-	}
-	for _, j := range res.Jobs {
-		cl.logs[j.ID] = cluster.NewEventLog(cfg.LogCap)
-	}
-	cl.tap = sv.svc.Subscribe(EventFilter{}) // Buffer 0: in-process, unbounded
 
 	reg := sv.svc.Metrics()
 	cl.reg = reg
@@ -134,38 +119,10 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 			}, obs.L("state", st))
 	}
 
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	if sv.cluster != nil {
-		cl.tap.Close()
+	if !sv.cluster.CompareAndSwap(nil, cl) {
 		return fmt.Errorf("mycroft: cluster mode already enabled")
 	}
-	sv.cluster = cl
 	return nil
-}
-
-// loadCluster reads the cluster state without assuming the caller holds
-// sv.mu (it takes it briefly).
-func (sv *Server) loadCluster() *serverCluster {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.cluster
-}
-
-// drainTap moves every event the engine has dispatched since the last drain
-// into the per-job logs, in dispatch order. It runs after each Advance and
-// before each replication round, so the logs are exactly as fresh as the
-// engine the moment either completes.
-func (cl *serverCluster) drainTap() {
-	for {
-		e, ok := cl.tap.Next()
-		if !ok {
-			return
-		}
-		if log := cl.logs[e.Job]; log != nil {
-			log.Append(e)
-		}
-	}
 }
 
 func (cl *serverCluster) ack(peer string, job JobID) *peerAck {
@@ -180,21 +137,20 @@ func (cl *serverCluster) ack(peer string, job JobID) *peerAck {
 	return a
 }
 
-// ReplicateNow runs one synchronous replication round: drain the tap, then
-// for every hosted job ship the log suffix past each follower's ack, the
-// trace window past its trace watermark, and a fresh snapshot. It returns
-// the first error per unreachable follower; reaching every follower returns
-// nil. The daemon calls this on a timer (StartCluster); tests call it
-// directly for deterministic replication.
+// ReplicateNow runs one synchronous replication round: for every hosted job
+// ship the log suffix past each follower's ack, the trace window past its
+// trace watermark, and a fresh snapshot. It returns the first error per
+// unreachable follower; reaching every follower returns nil. The daemon
+// calls this on a timer (StartCluster); tests call it directly for
+// deterministic replication.
 func (sv *Server) ReplicateNow() []error {
-	cl := sv.loadCluster()
+	cl := sv.cluster.Load()
 	if cl == nil {
 		return nil
 	}
-	cl.drainTap()
 	var errs []error
-	for _, job := range sortedJobs(cl.logs) {
-		log := cl.logs[job]
+	for _, job := range sortedJobs(sv.logs) {
+		log := sv.logs[job]
 		_, replicas := cl.node.Placement(string(job))
 		for _, peer := range replicas {
 			if err := sv.replicateTo(cl, peer, job, log); err != nil {
@@ -321,7 +277,7 @@ func (sv *Server) traceSinceLocked(job JobID, afterNs int64, limit int) ([]Trace
 // views that come back. Unreachable peers are marked and retried by the
 // gossip loop; join is best-effort because membership is static anyway.
 func (sv *Server) JoinPeers() {
-	if cl := sv.loadCluster(); cl != nil {
+	if cl := sv.cluster.Load(); cl != nil {
 		join := api.JoinRequest{ClusterID: cl.cfg.ID, Name: cl.cfg.Self, Addr: cl.cfg.SelfAddr}
 		exchangeViews(cl, "/cluster/join", join, func(r api.JoinResponse) []api.ClusterPeer { return r.Peers })
 	}
@@ -330,7 +286,7 @@ func (sv *Server) JoinPeers() {
 // GossipOnce exchanges health views with every other peer and merges the
 // responses by freshest LastSeen.
 func (sv *Server) GossipOnce() {
-	if cl := sv.loadCluster(); cl != nil {
+	if cl := sv.cluster.Load(); cl != nil {
 		gossip := api.GossipRequest{ClusterID: cl.cfg.ID, From: cl.cfg.Self, Peers: cl.node.View()}
 		exchangeViews(cl, "/cluster/gossip", gossip, func(r api.GossipResponse) []api.ClusterPeer { return r.Peers })
 	}
@@ -385,14 +341,14 @@ func (sv *Server) StartCluster(replicateEvery, gossipEvery time.Duration) (stop 
 // then tell the first reachable follower of every hosted job that it now
 // answers authoritatively. It returns how many jobs were handed off.
 func (sv *Server) HandoffAll() int {
-	cl := sv.loadCluster()
+	cl := sv.cluster.Load()
 	if cl == nil {
 		return 0
 	}
 	sv.ReplicateNow()
 	n := 0
-	for _, job := range sortedJobs(cl.logs) {
-		log := cl.logs[job]
+	for _, job := range sortedJobs(sv.logs) {
+		log := sv.logs[job]
 		_, replicas := cl.node.Placement(string(job))
 		for _, peer := range replicas {
 			if !cl.node.Alive(peer) {
@@ -426,7 +382,7 @@ func clusterPost(hc *http.Client, base, path string, in, out any) error {
 var errClusterDisabled = fmt.Errorf("mycroft: cluster mode disabled on this daemon")
 
 func (sv *Server) clusterInfo() (api.ClusterInfoResponse, error) {
-	cl := sv.loadCluster()
+	cl := sv.cluster.Load()
 	if cl == nil {
 		return api.ClusterInfoResponse{}, errClusterDisabled
 	}
@@ -444,11 +400,11 @@ func (sv *Server) clusterInfo() (api.ClusterInfoResponse, error) {
 			TailPromoted:        cl.mTail["promoted"].Value(),
 		},
 	}
-	for _, job := range sortedJobs(cl.logs) {
+	for _, job := range sortedJobs(sv.logs) {
 		p, reps := cl.node.Placement(string(job))
 		resp.Jobs = append(resp.Jobs, api.ClusterJob{
 			ID: string(job), Primary: p, Replicas: reps,
-			Local: true, Watermark: cl.logs[job].Watermark(),
+			Local: true, Watermark: sv.logs[job].Watermark(),
 		})
 	}
 	for _, id := range cl.store.Jobs() {
@@ -468,7 +424,7 @@ func (cl *serverCluster) checkID(id string) error {
 }
 
 func (sv *Server) clusterJoin(req api.JoinRequest) (api.JoinResponse, error) {
-	cl := sv.loadCluster()
+	cl := sv.cluster.Load()
 	if cl == nil {
 		return api.JoinResponse{}, errClusterDisabled
 	}
@@ -480,7 +436,7 @@ func (sv *Server) clusterJoin(req api.JoinRequest) (api.JoinResponse, error) {
 }
 
 func (sv *Server) clusterGossip(req api.GossipRequest) (api.GossipResponse, error) {
-	cl := sv.loadCluster()
+	cl := sv.cluster.Load()
 	if cl == nil {
 		return api.GossipResponse{}, errClusterDisabled
 	}
@@ -493,7 +449,7 @@ func (sv *Server) clusterGossip(req api.GossipRequest) (api.GossipResponse, erro
 }
 
 func (sv *Server) clusterReplicate(req api.ReplicateRequest) (api.ReplicateResponse, error) {
-	cl := sv.loadCluster()
+	cl := sv.cluster.Load()
 	if cl == nil {
 		return api.ReplicateResponse{}, errClusterDisabled
 	}
@@ -504,39 +460,8 @@ func (sv *Server) clusterReplicate(req api.ReplicateRequest) (api.ReplicateRespo
 	return cl.store.Apply(req), nil
 }
 
-// clusterTail serves the seq-resumable event tail. On the job's primary it
-// reads the live log; on a follower, the replicated one — same request,
-// same semantics, which is exactly what lets a subscription move between
-// peers. The long-poll parks outside the server mutex.
-func (sv *Server) clusterTail(req api.TailRequest) (api.TailResponse, error) {
-	cl := sv.loadCluster()
-	if cl == nil {
-		return api.TailResponse{}, errClusterDisabled
-	}
-	timeout := time.Duration(req.TimeoutMs) * time.Millisecond
-	if timeout > 30*time.Second {
-		timeout = 30 * time.Second
-	}
-	if log := cl.logs[JobID(req.Job)]; log != nil {
-		entries, wm := log.TailWait(req.AfterSeq, req.Max, timeout)
-		cl.mTail["primary"].Inc()
-		return api.TailResponse{Job: req.Job, Entries: entries, Watermark: wm, Source: "primary"}, nil
-	}
-	rj := cl.store.Job(req.Job)
-	if rj == nil {
-		return api.TailResponse{}, fmt.Errorf("mycroft: peer %s neither hosts nor follows job %q", cl.cfg.Self, req.Job)
-	}
-	entries, wm := rj.Log.TailWait(req.AfterSeq, req.Max, timeout)
-	source := "replica"
-	if rj.Promoted() {
-		source = "promoted"
-	}
-	cl.mTail[source].Inc()
-	return api.TailResponse{Job: req.Job, Entries: entries, Watermark: wm, Source: source}, nil
-}
-
 func (sv *Server) clusterHandoff(req api.HandoffRequest) (api.HandoffResponse, error) {
-	cl := sv.loadCluster()
+	cl := sv.cluster.Load()
 	if cl == nil {
 		return api.HandoffResponse{}, errClusterDisabled
 	}
@@ -561,11 +486,9 @@ func (sv *Server) clusterHandoff(req api.HandoffRequest) (api.HandoffResponse, e
 
 // follows returns the replica state of a job this peer follows but does not
 // host, nil for any other job.
-func (cl *serverCluster) follows(job JobID) *cluster.ReplicaJob {
-	if cl == nil {
-		return nil
-	}
-	if _, local := cl.logs[job]; local {
+func (sv *Server) follows(job JobID) *cluster.ReplicaJob {
+	cl := sv.cluster.Load()
+	if cl == nil || sv.logs[job] != nil {
 		return nil
 	}
 	return cl.store.Job(string(job))
@@ -573,10 +496,10 @@ func (cl *serverCluster) follows(job JobID) *cluster.ReplicaJob {
 
 // followed resolves a job list to the verdict histories replicated here. It
 // returns nil unless every listed job is followed.
-func (cl *serverCluster) followed(jobs ...JobID) []jobLog {
+func (sv *Server) followed(jobs ...JobID) []jobLog {
 	var out []jobLog
 	for _, j := range jobs {
-		rj := cl.follows(j)
+		rj := sv.follows(j)
 		if rj == nil {
 			return nil
 		}
@@ -587,7 +510,8 @@ func (cl *serverCluster) followed(jobs ...JobID) []jobLog {
 
 // snapshots returns the latest replicated coarse state of every followed
 // job, in job order (nil on a standalone daemon).
-func (cl *serverCluster) snapshots() []*api.ClusterSnapshot {
+func (sv *Server) snapshots() []*api.ClusterSnapshot {
+	cl := sv.cluster.Load()
 	if cl == nil {
 		return nil
 	}
@@ -603,8 +527,8 @@ func (cl *serverCluster) snapshots() []*api.ClusterSnapshot {
 // replicaTrace answers from the trace mirror, which has no index to push the
 // query's predicates into and no cursor: pages are Limit-bounded prefixes in
 // arrival order and Next is always nil, which Total makes visible.
-func (cl *serverCluster) replicaTrace(q TraceQuery) (TraceResult, bool, error) {
-	rj := cl.follows(q.Job)
+func (sv *Server) replicaTrace(q TraceQuery) (TraceResult, bool, error) {
+	rj := sv.follows(q.Job)
 	if rj == nil {
 		return TraceResult{}, false, nil
 	}
@@ -627,14 +551,14 @@ func (cl *serverCluster) replicaTrace(q TraceQuery) (TraceResult, bool, error) {
 // replicaSpans answers a span query for a followed job. Span rings live only
 // in the primary's engine — a replica answers with an empty page rather than
 // an error so a CLI riding a failover degrades gracefully.
-func (cl *serverCluster) replicaSpans(q SpanQuery) (SpanResult, bool, error) {
-	return SpanResult{Job: q.Job}, cl.follows(q.Job) != nil, nil
+func (sv *Server) replicaSpans(q SpanQuery) (SpanResult, bool, error) {
+	return SpanResult{Job: q.Job}, sv.follows(q.Job) != nil, nil
 }
 
 // replicaChannels answers from the channel mirror in the job's latest
 // replicated snapshot, once one carrying it has arrived.
-func (cl *serverCluster) replicaChannels(job JobID) (ChannelStatsResult, bool, error) {
-	rj := cl.follows(job)
+func (sv *Server) replicaChannels(job JobID) (ChannelStatsResult, bool, error) {
+	rj := sv.follows(job)
 	if rj == nil {
 		return ChannelStatsResult{}, false, nil
 	}
@@ -648,9 +572,9 @@ func (cl *serverCluster) replicaChannels(job JobID) (ChannelStatsResult, bool, e
 // replicaTriage answers from the followed job's latest replicated verdict:
 // the py-spy and Flight Recorder stages need the live job, so a replica can
 // only repeat what Mycroft itself concluded.
-func (cl *serverCluster) replicaTriage(a triageArgs) (TriageResult, bool, error) {
+func (sv *Server) replicaTriage(a triageArgs) (TriageResult, bool, error) {
 	job := a.Job
-	rj := cl.follows(job)
+	rj := sv.follows(job)
 	if rj == nil {
 		return TriageResult{}, false, nil
 	}
@@ -667,10 +591,11 @@ func (cl *serverCluster) replicaTriage(a triageArgs) (TriageResult, bool, error)
 
 // refuseGraph answers the operations a replica cannot serve: dependency
 // graphs live only in the primary's engine.
-func (cl *serverCluster) refuseGraph(job JobID) error {
-	if cl.follows(job) == nil {
+func (sv *Server) refuseGraph(job JobID) error {
+	if sv.follows(job) == nil {
 		return nil
 	}
+	cl := sv.cluster.Load()
 	primary, _ := cl.node.Placement(string(job))
 	return fmt.Errorf("mycroft: job %q is served from a replica here; dependency graphs are not replicated — ask its primary %s at %s",
 		job, primary, cl.node.Addr(primary))

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,7 +86,8 @@ func TestDialNonTransportErrorFailsFast(t *testing.T) {
 
 // TestShutdownAnnouncesBeforeClose: a daemon going down must tell its live
 // subscribers so — the last event on every stream is the server-shutdown
-// lifecycle marker, and the stream then ends cleanly rather than erroring.
+// lifecycle marker, whatever the stream's filter, and the stream then ends
+// cleanly rather than erroring.
 func TestShutdownAnnouncesBeforeClose(t *testing.T) {
 	svc := faultedService(t)
 	srv := NewServer(svc)
@@ -96,67 +98,162 @@ func TestShutdownAnnouncesBeforeClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := rc.Subscribe(EventFilter{})
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
+	streams := map[string]*Stream{
+		"everything":    rc.Subscribe(EventFilter{}),
+		"triggers only": rc.Subscribe(EventFilter{Kinds: []EventKind{EventTrigger}}),
+	}
+	for name, st := range streams {
+		if err := st.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 	srv.Advance(20 * time.Second) // some real traffic first
 
 	if n := srv.AnnounceShutdown(); n != 1 {
-		t.Fatalf("AnnounceShutdown reached %d subscription(s), want 1", n)
+		t.Fatalf("AnnounceShutdown reached %d job log(s), want 1", n)
 	}
 	srv.CloseSubscriptions()
 
-	var last Event
-	got := 0
-	for {
-		e, ok := st.NextWait(5 * time.Second)
-		if !ok {
-			break
+	for name, st := range streams {
+		var last Event
+		got := 0
+		for {
+			e, ok := st.NextWait(5 * time.Second)
+			if !ok {
+				break
+			}
+			last, got = e, got+1
 		}
-		last, got = e, got+1
-	}
-	if got == 0 {
-		t.Fatal("stream delivered nothing")
-	}
-	if last.Kind != EventLifecycle || last.Phase != PhaseServerShutdown {
-		t.Fatalf("final event is %v, want lifecycle %q", last, PhaseServerShutdown)
-	}
-	if err := st.Err(); err != nil {
-		t.Fatalf("announced shutdown still errored the stream: %v", err)
+		if !st.isClosed() {
+			t.Fatalf("%s: stream still open after the daemon closed its tails", name)
+		}
+		if got == 0 {
+			t.Fatalf("%s: stream delivered nothing", name)
+		}
+		if last.Kind != EventLifecycle || last.Phase != PhaseServerShutdown || last.Job != "trace" {
+			t.Fatalf("%s: final event is %v, want job trace's lifecycle %q", name, last, PhaseServerShutdown)
+		}
+		if err := st.Err(); err != nil {
+			t.Fatalf("%s: announced shutdown still errored the stream: %v", name, err)
+		}
 	}
 }
 
-// TestLostSubscriptionTyped: when a long-poll client's subscription id
-// vanishes (daemon restarted), the stream must fail with the typed
-// ErrSubscriptionLost — not a bare 404 the caller has to string-match.
-func TestLostSubscriptionTyped(t *testing.T) {
-	srvA := NewServer(faultedService(t))
-	var handler atomic.Value
-	handler.Store(srvA.Handler())
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	rc, err := Dial(ts.URL)
-	if err != nil {
-		t.Fatal(err)
+// TestRemoteStreamSeveralJobs: one remote stream over a daemon hosting two
+// jobs reads each job's log on its own tail, yet an Each handler never runs
+// twice at once, and the stream ends only once both jobs' tails are closed,
+// with each job's server-shutdown marker delivered.
+func TestRemoteStreamSeveralJobs(t *testing.T) {
+	svc := NewService(ServiceOptions{Seed: 1})
+	for i, job := range []JobID{"a", "b"} {
+		h, err := svc.AddJob(job, JobOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Inject(Fault{Kind: NICDown, Rank: Rank(2 + i), At: 15 * time.Second})
 	}
-	st := rc.Subscribe(EventFilter{})
+	svc.Start()
+	srv := NewServer(svc)
+	st := serveDaemon(t, srv, false).Subscribe(EventFilter{})
+	var got []Event
+	var running atomic.Int32
+	var overlapped atomic.Bool
+	st.Each(func(e Event) {
+		if running.Add(1) > 1 {
+			overlapped.Store(true)
+		}
+		time.Sleep(200 * time.Microsecond) // a handler that takes a while
+		got = append(got, e)
+		running.Add(-1)
+	})
+	for i := 0; i < 30; i++ {
+		srv.Advance(time.Second)
+	}
+	srv.AnnounceShutdown()
+	srv.CloseSubscriptions()
+	for deadline := time.Now().Add(10 * time.Second); !st.isClosed(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("stream still open after the daemon closed its tails")
+		}
+	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
 	}
-
-	// "Restart": same address, fresh server, no subscriptions.
-	handler.Store(NewServer(faultedService(t)).Handler())
-
-	deadline := time.Now().Add(10 * time.Second)
-	for st.Err() == nil && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
+	if overlapped.Load() {
+		t.Error("the Each handler ran on two tails at once")
 	}
-	if err := st.Err(); !errors.Is(err, ErrSubscriptionLost) {
-		t.Fatalf("stream error after restart: %v, want ErrSubscriptionLost", err)
+	reports, shutdowns := map[JobID]int{}, map[JobID]int{}
+	for _, e := range got {
+		switch {
+		case e.Kind == EventReport:
+			reports[e.Job]++
+		case e.Phase == PhaseServerShutdown:
+			shutdowns[e.Job]++
+		}
+	}
+	for _, job := range []JobID{"a", "b"} {
+		if reports[job] == 0 || shutdowns[job] != 1 {
+			t.Errorf("job %s: %d report(s), %d shutdown marker(s) in %d events", job, reports[job], shutdowns[job], len(got))
+		}
+	}
+}
+
+// TestLostSubscriptionTyped: when the daemon behind a live stream restarts
+// at the same address, its event log starts over and the stream's cursor
+// means nothing there. The stream must fail with the typed
+// ErrSubscriptionLost — not go silently empty — through either client.
+func TestLostSubscriptionTyped(t *testing.T) {
+	for _, via := range remoteClients {
+		t.Run(via.name, func(t *testing.T) {
+			var handler atomic.Value
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				handler.Load().(http.Handler).ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			boot := func() *Server {
+				srv := NewServer(faultedService(t))
+				if via.clustered {
+					enableSolo(t, srv, ts.URL)
+				}
+				handler.Store(srv.Handler())
+				return srv
+			}
+			boot().Advance(20 * time.Second)
+
+			st := dialVia(t, ts.URL, via.clustered).Subscribe(EventFilter{})
+			if err := st.Err(); err != nil {
+				t.Fatal(err)
+			}
+
+			// "Restart": same address, a fresh server whose run starts over,
+			// dispatching seqs the old cursor is already past.
+			boot().Advance(20 * time.Second)
+
+			deadline := time.Now().Add(10 * time.Second)
+			for st.Err() == nil && time.Now().Before(deadline) {
+				time.Sleep(20 * time.Millisecond)
+			}
+			if err := st.Err(); !errors.Is(err, ErrSubscriptionLost) {
+				t.Fatalf("stream error after restart: %v (dropped %d), want ErrSubscriptionLost", err, st.Dropped())
+			}
+		})
+	}
+}
+
+// TestSubscribeUnknownJobFails: a subscription naming a job no daemon hosts
+// or follows can never deliver, so it fails at once with the daemon's
+// refusal instead of staying silently empty, through either client.
+func TestSubscribeUnknownJobFails(t *testing.T) {
+	for _, via := range remoteClients {
+		t.Run(via.name, func(t *testing.T) {
+			st := serveDaemon(t, NewServer(faultedService(t)), via.clustered).Subscribe(EventFilter{Jobs: []JobID{"ghost"}})
+			if err := st.Err(); err == nil || !strings.Contains(err.Error(), "neither hosts nor follows") {
+				t.Fatalf("subscription to an unknown job: err %v, want the daemon's refusal", err)
+			}
+			if _, ok := st.NextWait(time.Second); ok {
+				t.Fatal("failed stream delivered an event")
+			}
+		})
 	}
 }
 
@@ -246,7 +343,6 @@ func TestClusterFailover(t *testing.T) {
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond) // let the tail prime at "now"
 
 	// Drive every engine 40 virtual seconds, replicating after each step so
 	// the followers stay caught up — the daemon's replication loop, made
@@ -261,9 +357,11 @@ func TestClusterFailover(t *testing.T) {
 	}
 
 	// Mid-subscription: at least one live event has arrived from the
-	// primary before it dies.
-	if _, ok := st.NextWait(5 * time.Second); !ok {
-		t.Fatal("no events before failover")
+	// primary before it dies. It stays buffered for the checks below.
+	for deadline := time.Now().Add(5 * time.Second); st.Len() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no events before failover")
+		}
 	}
 
 	// kill -9 the primary: listener and every open connection die at once.
@@ -319,7 +417,7 @@ func TestClusterFailover(t *testing.T) {
 	// The replica answers the raw tail endpoint for the dead primary's job
 	// from seq 1 — this is the primitive the resumed subscription rides on.
 	var tail api.TailResponse
-	postJSON(t, "http://"+peers["p1"].addr+api.Prefix+"/cluster/tail",
+	postJSON(t, "http://"+peers["p1"].addr+api.Prefix+"/tail",
 		api.TailRequest{Job: "job-0", AfterSeq: 0, Max: 10}, &tail)
 	if len(tail.Entries) == 0 {
 		t.Fatal("replica tail returned no entries")
@@ -367,7 +465,7 @@ func TestClusterHandoffPromotesReplica(t *testing.T) {
 	peers["p2"].hs.Close()
 
 	var tail api.TailResponse
-	postJSON(t, "http://"+peers["p1"].addr+api.Prefix+"/cluster/tail",
+	postJSON(t, "http://"+peers["p1"].addr+api.Prefix+"/tail",
 		api.TailRequest{Job: "job-0", AfterSeq: 0, Max: 10}, &tail)
 	if tail.Source != "promoted" {
 		t.Fatalf("post-handoff tail source %q, want promoted", tail.Source)
@@ -471,9 +569,8 @@ func postJSON(t *testing.T, url string, in, out any) {
 }
 
 // BenchmarkReplicationLag measures one full replication round over loopback
-// HTTP: drain the primary's tap after one virtual second of fleet activity
-// and ship the event-log suffix, trace window, and snapshot to the
-// follower. The reported events/op is how much log each round moved.
+// HTTP: after one virtual second of fleet activity, ship the event-log
+// suffix, trace window, and snapshot to the follower. The reported events/op is how much log each round moved.
 func BenchmarkReplicationLag(b *testing.B) {
 	names := []string{"a", "b"}
 	ring := cluster.NewRing(names, 0)
@@ -523,7 +620,7 @@ func BenchmarkReplicationLag(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if cl := primary.loadCluster(); cl != nil {
+	if cl := primary.cluster.Load(); cl != nil {
 		b.ReportMetric(float64(cl.mReplEvents.Value())/float64(b.N), "events/op")
 	}
 }

@@ -2,7 +2,6 @@ package mycroft
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -265,96 +264,18 @@ func (cc *ClusterClient) ClusterInfo() (api.ClusterInfoResponse, error) {
 	return resp, nil
 }
 
-// Subscribe returns a live stream fed by one seq-cursored tail per job.
-// Each tail starts at its primary's current watermark ("now") and survives
-// the primary dying: it re-issues the same cursor against the job's
-// replicas, and any entries the replica never received show up as an exact,
-// bounded count on Stream.Dropped — computed from the sequence gaps, never
-// guessed. Filter matching happens client-side, so the filter semantics are
-// identical to a single-daemon subscription.
-func (cc *ClusterClient) Subscribe(f EventFilter) *Stream {
-	st := newStream(nil, f)
-	jobs := f.Jobs
-	if len(jobs) == 0 {
-		res, err := cc.ListJobs()
-		if err != nil {
-			st.fail(err)
-			return st
-		}
-		for _, j := range res.Jobs {
-			if j.Source == "" {
-				jobs = append(jobs, j.ID)
-			}
-		}
-	}
-	if len(jobs) == 0 {
-		st.fail(fmt.Errorf("mycroft: cluster hosts no jobs to subscribe to"))
-		return st
-	}
-	for _, job := range jobs {
-		go cc.tailLoop(string(job), st)
-	}
-	return st
-}
+// Subscribe returns a live stream fed by one seq-cursored tail per job, the
+// loop a RemoteClient's Subscribe runs too. Each tail starts at its job's
+// current watermark and survives the primary dying: it re-issues the same
+// cursor against the job's replicas, and any entries the replica never
+// received show up as an exact, bounded count on Stream.Dropped — computed
+// from the sequence gaps, never guessed. Filter matching happens
+// client-side, so the filter semantics are identical to a single-daemon
+// subscription.
+func (cc *ClusterClient) Subscribe(f EventFilter) *Stream { return subscribe(cc, f) }
 
-// tailLoop follows one job's event log across whatever peer currently
-// serves it.
-func (cc *ClusterClient) tailLoop(job string, st *Stream) {
-	var last uint64
-	primed := false
-	for !st.isClosed() {
-		progressed := false
-		for _, p := range cc.candidates(job) {
-			if st.isClosed() {
-				return
-			}
-			rc := cc.client(p)
-			req := api.TailRequest{Job: job, AfterSeq: last, TimeoutMs: 1000, Max: 256}
-			if !primed {
-				// Priming probe: learn the current watermark without
-				// replaying history — a live subscription starts "now".
-				req.AfterSeq = math.MaxUint64
-				req.TimeoutMs = 0
-			}
-			var resp api.TailResponse
-			err := rc.do(http.MethodPost, api.Prefix+"/cluster/tail", req, &resp)
-			if err != nil {
-				if isTransportErr(err) {
-					cc.markDown(p)
-					cc.failovers.Add(1)
-				}
-				// Application errors (peer neither hosts nor follows) also
-				// fall through to the next candidate: after a handoff the
-				// authoritative peer may not be the ring primary.
-				continue
-			}
-			cc.markUp(p)
-			if !primed {
-				last = resp.Watermark
-				primed = true
-				progressed = true
-				break
-			}
-			for _, se := range resp.Entries {
-				if se.Seq <= last {
-					continue
-				}
-				// A jump in the sequence is the drop accounting: entries the
-				// serving peer no longer has (trimmed log) or never got
-				// (replication gap after failover).
-				st.addDropped(se.Seq - last - 1)
-				last = se.Seq
-				if st.filter.matches(se.Event) {
-					st.deliver(se.Event)
-				}
-			}
-			progressed = true
-			break
-		}
-		if !progressed {
-			// Every candidate refused; back off briefly and retry — the
-			// fleet may be mid-failover.
-			time.Sleep(250 * time.Millisecond)
-		}
-	}
+// failover records a tail that found a peer unreachable and moved on.
+func (cc *ClusterClient) failover(peer string) {
+	cc.markDown(peer)
+	cc.failovers.Add(1)
 }

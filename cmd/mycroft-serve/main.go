@@ -14,10 +14,10 @@
 // engine. Either way the daemon starts serving immediately and advances
 // virtual time in the background — -step virtual time per -tick of wall
 // time — until the horizon, then keeps serving the final state. Attach
-// early to watch the run unfold:
+// early to watch the run unfold (add -H 'Last-Event-ID: 0' to replay the
+// job's event log from its first held entry):
 //
-//	curl -s -X POST localhost:7466/v1/subscribe -d '{"filter":{}}'
-//	curl -N localhost:7466/v1/subscriptions/sub-1/sse
+//	curl -N localhost:7466/v1/jobs/trace/events
 //
 // SIGINT/SIGTERM shut the daemon down cleanly: live subscribers receive a
 // terminal server-shutdown lifecycle event, in-flight requests finish, and
@@ -224,14 +224,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mycroft-serve: handed off %d job(s)\n", n)
 		}
 	}
-	// Subscribers get a terminal server-shutdown event before their streams
+	// Subscribers get a terminal server-shutdown event before their tails
 	// close — a watcher sees the daemon leave, not a silent hangup.
 	srv.AnnounceShutdown()
 	closed := srv.CloseSubscriptions()
 	if err := srv.CloseRecorders(); err != nil {
 		fmt.Fprintln(os.Stderr, "mycroft-serve: finalizing recordings:", err)
 	}
-	fmt.Fprintf(os.Stderr, "mycroft-serve: shutting down (%d subscription(s) force-closed)\n", closed)
+	fmt.Fprintf(os.Stderr, "mycroft-serve: shutting down (%d job event log(s) closed)\n", closed)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutdownCtx); err != nil {
@@ -247,10 +247,10 @@ const (
 )
 
 // newHTTPServer wraps the daemon's handler with the slow-client bounds.
-// ReadTimeout and WriteTimeout stay unset: /v1/subscribe's SSE streams are
-// meant to stay open for the daemon's lifetime, and in net/http an expired
-// ReadTimeout cancels a running handler's context, so either would cut every
-// live stream.
+// ReadTimeout and WriteTimeout stay unset: the SSE streams of
+// GET /v1/jobs/{id}/events are meant to stay open for the daemon's lifetime,
+// and in net/http an expired ReadTimeout cancels a running handler's
+// context, so either would cut every live stream.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

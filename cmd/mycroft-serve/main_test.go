@@ -8,7 +8,7 @@ import (
 
 // TestHTTPServerBoundsSlowClients pins the daemon's server timeouts: headers
 // and idle keep-alives are bounded, while reads and writes are not, so the
-// long-lived SSE streams of /v1/subscribe survive.
+// long-lived SSE streams of GET /v1/jobs/{id}/events survive.
 func TestHTTPServerBoundsSlowClients(t *testing.T) {
 	hs := newHTTPServer(http.NewServeMux())
 	got := [4]time.Duration{hs.ReadHeaderTimeout, hs.IdleTimeout, hs.ReadTimeout, hs.WriteTimeout}

@@ -40,8 +40,9 @@ const (
 	PhaseBackendStarted = core.PhaseBackendStarted
 	PhaseBackendStopped = core.PhaseBackendStopped
 	// PhaseServerShutdown is the terminal lifecycle event a draining daemon
-	// delivers to every live subscription (Server.AnnounceShutdown), so
-	// clients can tell a clean shutdown from a crash.
+	// appends to every hosted job's event log (Server.AnnounceShutdown), so
+	// remote subscribers, whatever their filter, can tell a clean shutdown
+	// from a crash.
 	PhaseServerShutdown = "server-shutdown"
 )
 
@@ -85,9 +86,11 @@ type EventFilter struct {
 	// mode (0 = unbounded). When full, the oldest buffered event is dropped
 	// to admit the new one and Stream.Dropped counts it — a slow subscriber
 	// degrades to "most recent Buffer events" instead of growing memory
-	// without bound. Over the wire 0 does not mean unbounded: the server
-	// caps it (defaultWireBuffer) so an abandoned subscription cannot grow
-	// the daemon.
+	// without bound. It bounds the subscriber's own memory, in-process or
+	// remote. A daemon holds nothing per remote subscriber: what bounds a
+	// remote stream that falls behind is the job's event log, whose newest
+	// cluster.DefaultLogCap (4096) entries are all a tail can still read;
+	// older ones count into Dropped as a seq gap.
 	Buffer int `json:"buffer,omitempty"`
 }
 
@@ -159,23 +162,22 @@ func (f EventFilter) matches(e Event) bool {
 //
 // For an in-process Service the engine is single-threaded, so delivery is
 // synchronous and deterministic. A Stream is nonetheless safe to consume
-// from another goroutine: a daemon's long-poll handlers block in NextWait
-// while the drive loop delivers, and a RemoteClient's transport feeds the
-// stream from its poller goroutine.
+// from another goroutine: a consumer may block in NextWait while a daemon's
+// drive loop delivers, and a remote client's stream is fed by its tail
+// loops, one goroutine per job, each reading that job's event log past its
+// own cursor.
 type Stream struct {
 	svc    *Service
 	filter EventFilter
 
-	mu            sync.Mutex
-	fn            func(Event)
-	buf           []Event
-	dropped       uint64 // locally aged out of a full buffer
-	remoteDropped uint64 // reported dropped by a remote server
-	closed        bool
-	err           error
-	waiters       int           // NextWait calls currently parked
-	wake          chan struct{} // closed to broadcast a delivery or Close
-	onClose       func()        // transport hook (remote unsubscribe)
+	mu      sync.Mutex
+	fn      func(Event)
+	buf     []Event
+	dropped uint64 // aged out of a full buffer, or a remote log's seq gaps
+	closed  bool
+	err     error
+	waiters int           // NextWait calls currently parked
+	wake    chan struct{} // closed to broadcast a delivery or Close
 }
 
 func newStream(svc *Service, f EventFilter) *Stream {
@@ -200,7 +202,7 @@ func (st *Stream) deliver(e Event) {
 	}
 	// st.svc is stable while the stream is open and st.mu is held (Close
 	// flips closed under this mutex before detaching); remote streams have
-	// no service and count drops via the server's report instead.
+	// no service, so no service-wide counter moves for them.
 	svc := st.svc
 	if fn := st.fn; fn != nil {
 		if svc != nil {
@@ -241,10 +243,10 @@ func (st *Stream) broadcastLocked() {
 
 // Each installs a push handler: already-buffered events are flushed through
 // it immediately, then every future match is delivered as it happens. It
-// returns the stream for chaining. On a remote stream the handler runs on
-// the transport's poller goroutine. Events delivered while the backlog
-// flushes keep their order: they land in the buffer and flush behind it,
-// and the handler is only installed once the buffer is empty.
+// returns the stream for chaining. On a remote stream the handler runs on a
+// tail loop's goroutine. Events delivered while the backlog flushes keep
+// their order: they land in the buffer and flush behind it, and the handler
+// is only installed once the buffer is empty.
 func (st *Stream) Each(fn func(Event)) *Stream {
 	for {
 		st.mu.Lock()
@@ -284,7 +286,7 @@ func (st *Stream) pop() (Event, bool) {
 // wait expires or the stream is closed with nothing buffered — the
 // bounded-wait primitive a long-poll handler parks on instead of busy-
 // spinning Next. Waiting only helps when another goroutine is driving the
-// service (a daemon's drive loop, a remote poller); in single-threaded use
+// service (a daemon's drive loop, a remote tail loop); in single-threaded use
 // an empty stream stays empty for the full wait.
 func (st *Stream) NextWait(d time.Duration) (Event, bool) {
 	deadline := time.Now().Add(d)
@@ -334,24 +336,20 @@ func (st *Stream) Len() int {
 	return len(st.buf)
 }
 
-// Dropped reports how many matched events were lost to a full buffer: aged
-// out locally (EventFilter.Buffer) plus, on a remote stream, drops the
-// server reported for the subscription.
+// Dropped reports how many events were lost: aged out of a full buffer
+// (EventFilter.Buffer) plus, on a remote stream, every seq the job's event
+// log skipped past the stream's cursor — entries trimmed before they were
+// read, or never replicated to the peer a tail failed over to. Log entries
+// are counted before the filter, so a gap counts events the filter might
+// have dropped anyway.
 func (st *Stream) Dropped() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.dropped + st.remoteDropped
+	return st.dropped
 }
 
-// setRemoteDropped records the server-side cumulative drop count.
-func (st *Stream) setRemoteDropped(n uint64) {
-	st.mu.Lock()
-	st.remoteDropped = n
-	st.mu.Unlock()
-}
-
-// addDropped counts events known lost before delivery — the cluster client
-// calls it with the exact seq gaps its tails observe across a failover.
+// addDropped counts events known lost before delivery — a remote tail calls
+// it with the exact seq gaps it observes.
 func (st *Stream) addDropped(n uint64) {
 	if n == 0 {
 		return
@@ -362,8 +360,9 @@ func (st *Stream) addDropped(n uint64) {
 }
 
 // Err reports why the stream stopped, when it stopped abnormally: a remote
-// transport failure, or a wire payload that would not parse. A cleanly
-// closed or still-live stream returns nil.
+// transport failure, a daemon that refused or restarted under the
+// subscription (ErrSubscriptionLost), or a wire payload that would not
+// parse. A cleanly closed or still-live stream returns nil.
 func (st *Stream) Err() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -396,8 +395,6 @@ func (st *Stream) Close() error {
 		return nil
 	}
 	st.closed = true
-	onClose := st.onClose
-	st.onClose = nil
 	st.broadcastLocked()
 	st.mu.Unlock()
 	if st.svc != nil {
@@ -405,9 +402,6 @@ func (st *Stream) Close() error {
 		st.svc.streams = slices.DeleteFunc(st.svc.streams, func(x *Stream) bool { return x == st })
 		st.svc.streamsMu.Unlock()
 		st.svc = nil
-	}
-	if onClose != nil {
-		onClose()
 	}
 	return nil
 }

@@ -48,7 +48,9 @@ type HealthChange = api.HealthChange
 // JobHealth is one job's heartbeat view inside a HealthResult.
 type JobHealth = api.JobHealth
 
-// SubStats summarizes the service's subscription fan-out.
+// SubStats summarizes the service's subscription fan-out. It counts
+// in-process streams only: a remote subscriber reads a job's event log and
+// holds nothing on the daemon.
 type SubStats struct {
 	Active    int    `json:"active"`    // live streams
 	Delivered uint64 `json:"delivered"` // events delivered to streams, lifetime

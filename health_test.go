@@ -106,11 +106,12 @@ func TestHealthMonitorDisabled(t *testing.T) {
 }
 
 // TestHealthOverWire is the wire half: the same stalled run must deliver
-// identical EventHealth events through a daemon subscription, and the
-// daemon's /v1/health answer must agree on the job verdict while adding the
-// process identity the in-process call leaves blank.
+// identical EventHealth events through a daemon subscription — over Dial and
+// over DialCluster to a one-peer cluster — and the daemon's /v1/health
+// answer must agree on the job verdict while adding the process identity the
+// in-process call leaves blank.
 func TestHealthOverWire(t *testing.T) {
-	run := func(svc *Service, h *JobHandle, advance func(time.Duration)) {
+	run := func(h *JobHandle, advance func(time.Duration)) {
 		advance(5 * time.Second)
 		stallIngest(h)
 		advance(25 * time.Second)
@@ -125,66 +126,65 @@ func TestHealthOverWire(t *testing.T) {
 	}
 	local.Start()
 	stLocal := local.Subscribe(filter)
-	run(local, lh, func(d time.Duration) { local.Run(d) })
+	run(lh, func(d time.Duration) { local.Run(d) })
 	want := stLocal.Drain()
 	if len(want) == 0 {
 		t.Fatal("reference run emitted no health events")
-	}
-
-	// Identical run behind a daemon.
-	remote := NewService(ServiceOptions{Seed: 1})
-	rh, err := remote.AddJob("trace", JobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote.Start()
-	srv := NewServer(remote)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	rc, err := Dial(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stRemote := rc.Subscribe(filter)
-	if err := stRemote.Err(); err != nil {
-		t.Fatal(err)
-	}
-	run(remote, rh, func(d time.Duration) {
-		for driven := time.Duration(0); driven < d; driven += time.Second {
-			srv.Advance(time.Second)
-		}
-	})
-
-	var got []Event
-	for len(got) < len(want) {
-		e, ok := stRemote.NextWait(5 * time.Second)
-		if !ok {
-			break
-		}
-		got = append(got, e)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("remote delivered %d health events, in-process %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].String() != want[i].String() || *got[i].Health != *want[i].Health {
-			t.Errorf("health event %d differs:\n remote: %v\n local:  %v", i, got[i], want[i])
-		}
-	}
-
-	res, err := rc.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Server == "" {
-		t.Error("daemon Health carries no server identity")
 	}
 	wantRes, err := local.Health()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Now != wantRes.Now || len(res.Jobs) != 1 || res.Jobs[0] != wantRes.Jobs[0] {
-		t.Errorf("daemon job health differs:\n remote: %+v\n local:  %+v", res, wantRes)
+
+	for _, via := range remoteClients {
+		t.Run(via.name, func(t *testing.T) {
+			// Identical run behind a daemon.
+			remote := NewService(ServiceOptions{Seed: 1})
+			rh, err := remote.AddJob("trace", JobOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote.Start()
+			srv := NewServer(remote)
+			c := serveDaemon(t, srv, via.clustered)
+			stRemote := c.Subscribe(filter)
+			if err := stRemote.Err(); err != nil {
+				t.Fatal(err)
+			}
+			run(rh, func(d time.Duration) {
+				for driven := time.Duration(0); driven < d; driven += time.Second {
+					srv.Advance(time.Second)
+				}
+			})
+
+			var got []Event
+			for len(got) < len(want) {
+				e, ok := stRemote.NextWait(5 * time.Second)
+				if !ok {
+					break
+				}
+				got = append(got, e)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("remote delivered %d health events, in-process %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].String() != want[i].String() || *got[i].Health != *want[i].Health {
+					t.Errorf("health event %d differs:\n remote: %v\n local:  %v", i, got[i], want[i])
+				}
+			}
+
+			res, err := c.Health()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Server == "" {
+				t.Error("daemon Health carries no server identity")
+			}
+			if res.Now != wantRes.Now || len(res.Jobs) != 1 || res.Jobs[0] != wantRes.Jobs[0] {
+				t.Errorf("daemon job health differs:\n remote: %+v\n local:  %+v", res, wantRes)
+			}
+		})
 	}
 }
 

@@ -4,11 +4,11 @@ import "mycroft/internal/trace"
 
 // Cluster-mode messages: the /v1/cluster/* endpoint set that turns N
 // mycroft-serve daemons into one diagnosis plane. Peers replicate each
-// job's event stream (plus periodic snapshots and a best-effort trace
-// mirror) from its primary to R followers, exchange health views by
-// gossip, and serve a seq-resumable event tail that a cluster-aware client
-// uses to fail a live subscription over from a dead primary to a replica
-// with exact drop accounting.
+// job's event log (plus periodic snapshots and a best-effort trace mirror)
+// from its primary to R followers and exchange health views by gossip; a
+// follower serves the replicated log on the same /v1/tail every daemon
+// answers, which is what lets a subscription fail over from a dead primary
+// to a replica with exact drop accounting.
 
 // Peer health states on the wire. The ladder is alive → suspect (one missed
 // contact) → dead (MissesBeforeDead consecutive misses).
@@ -117,14 +117,6 @@ type GossipResponse struct {
 	Peers []ClusterPeer `json:"peers"`
 }
 
-// SeqEvent is one event-log entry: the primary-assigned, per-job,
-// gap-free-ascending sequence number plus the event itself. Sequence
-// numbers are what make tails resumable across peers and drops countable.
-type SeqEvent struct {
-	Seq   uint64 `json:"seq"`
-	Event Event  `json:"event"`
-}
-
 // ClusterSnapshot is the periodically replicated coarse job state: enough
 // for a replica to answer ListJobs/Health/status for the job.
 type ClusterSnapshot struct {
@@ -166,31 +158,6 @@ type ReplicateResponse struct {
 	// Gap counts event sequence numbers the follower detected as missing
 	// when applying this batch (should stay 0: batches are sent in order).
 	Gap uint64 `json:"gap,omitempty"`
-}
-
-// TailRequest reads a job's event log past a sequence number
-// (POST /v1/cluster/tail). It long-polls like /v1/poll: waits up to
-// TimeoutMs for the log to grow past AfterSeq, then returns up to Max
-// entries. It works identically on the job's primary (live log) and on a
-// replica (replicated log), which is exactly what lets a subscription
-// resume on another peer: the client re-issues the same request with the
-// last seq it saw.
-type TailRequest struct {
-	Job       string `json:"job"`
-	AfterSeq  uint64 `json:"after_seq"`
-	TimeoutMs int    `json:"timeout_ms,omitempty"`
-	Max       int    `json:"max,omitempty"`
-}
-
-// TailResponse is one tail page. Source reports which role answered
-// ("primary", "replica" or "promoted"); a client counts drops from the seq
-// gaps between consecutive entries (a trimmed or lagging log shows up as a
-// jump), so there is no separate dropped field to trust.
-type TailResponse struct {
-	Job       string     `json:"job"`
-	Entries   []SeqEvent `json:"entries,omitempty"`
-	Watermark uint64     `json:"watermark"`
-	Source    string     `json:"source"`
 }
 
 // HandoffRequest is the clean-shutdown transfer (POST /v1/cluster/handoff):

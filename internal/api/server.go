@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"mycroft/internal/obs"
@@ -13,10 +15,10 @@ import (
 
 // Mux is the /v1 route set. Every route is mounted under Prefix and carries
 // a request counter, an error counter and a latency histogram labeled by its
-// pattern (not the raw URL, so job and subscription ids never explode the
-// label space). The root package's Server fills it: one route per entry of
-// its Client operation table, plus the stateful endpoints (subscriptions,
-// record download, /v1/cluster/*) mounted as plain handlers.
+// pattern (not the raw URL, so job ids never explode the label space). The
+// root package's Server fills it: one route per entry of its Client
+// operation table, plus the endpoints that are not a request and a response
+// (event tails, record download, /v1/cluster/*) mounted as plain handlers.
 //
 // Requests are JSON bodies (or a query string on GET routes); errors come
 // back as ErrorResponse with the status Fail picks. A handler that panics is
@@ -154,12 +156,30 @@ func Fail(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-// ServeSSE streams a subscription as server-sent events: each matched event
-// is one `data:` frame of Event JSON; buffer overflow shows up as
-// a `: dropped=N` comment and the terminal frame is `event: closed`. The
-// loop long-polls in short slices so a client disconnect is noticed within
-// half a second.
-func ServeSSE(poll func(PollRequest) (PollResponse, error), w http.ResponseWriter, r *http.Request) {
+// ServeSSE streams one job's event log as server-sent events, reading it
+// through tail — the same page a POST /v1/tail answers. Each entry is one
+// frame whose `id:` is its seq and whose `data:` is its Event, so a client
+// that reconnects with the last id it read as Last-Event-ID resumes right
+// after it; without the header the stream starts at the log's watermark.
+// Entries the log no longer held (a seq gap) show up as a `: dropped=N`
+// comment counting every frame lost so far, and a daemon closing its tails
+// ends the stream with `event: closed`. A job the daemon neither hosts nor
+// follows is refused before the stream starts. The loop long-polls in short
+// slices so a client disconnect is noticed within half a second.
+func ServeSSE(tail func(TailRequest) (TailResponse, error), w http.ResponseWriter, r *http.Request) {
+	job := r.PathValue("id")
+	head, err := tail(TailRequest{Job: job, AfterSeq: math.MaxUint64})
+	if err != nil {
+		Fail(w, err)
+		return
+	}
+	cursor := head.Watermark
+	if id := r.Header.Get("Last-Event-ID"); id != "" {
+		if cursor, err = strconv.ParseUint(id, 10, 64); err != nil {
+			Fail(w, fmt.Errorf("api: Last-Event-ID %q is not an event seq", id))
+			return
+		}
+	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -170,33 +190,33 @@ func ServeSSE(poll func(PollRequest) (PollResponse, error), w http.ResponseWrite
 	w.Header().Set("Connection", "keep-alive")
 	fl.Flush()
 
-	id := r.PathValue("id")
-	var reported uint64
+	var dropped uint64
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		default:
 		}
-		resp, err := poll(PollRequest{ID: id, TimeoutMs: 500, Max: 64})
+		page, err := tail(TailRequest{Job: job, AfterSeq: cursor, TimeoutMs: 500, Max: 64})
 		if err != nil {
 			fmt.Fprintf(w, "event: error\ndata: %s\n\n", jsonLine(ErrorResponse{Error: err.Error()}))
 			fl.Flush()
 			return
 		}
-		for _, e := range resp.Events {
-			fmt.Fprintf(w, "data: %s\n\n", jsonLine(e))
+		for _, se := range page.Entries {
+			if gap := se.Seq - cursor - 1; gap > 0 {
+				dropped += gap
+				fmt.Fprintf(w, ": dropped=%d\n\n", dropped)
+			}
+			cursor = se.Seq
+			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", se.Seq, jsonLine(se.Event))
 		}
-		if resp.Dropped != reported {
-			reported = resp.Dropped
-			fmt.Fprintf(w, ": dropped=%d\n\n", reported)
-		}
-		if resp.Closed {
+		if page.Closed {
 			fmt.Fprint(w, "event: closed\ndata: {}\n\n")
 			fl.Flush()
 			return
 		}
-		if len(resp.Events) == 0 {
+		if len(page.Entries) == 0 {
 			// Heartbeat comment: keeps intermediaries from timing the stream
 			// out and surfaces a broken pipe on the next write.
 			fmt.Fprint(w, ": keep-alive\n\n")

@@ -204,36 +204,44 @@ type PingResponse struct {
 	StartedUnixNs int64 `json:"started_unix_ns,omitempty"`
 }
 
-// SubscribeResponse names the subscription POST /v1/subscribe created (its
-// request is {"filter": EventFilter}); poll it with POST /v1/poll or stream it
-// from GET /v1/subscriptions/{id}/sse, and close it with
-// DELETE /v1/subscriptions/{id}. Buffer 0 in the filter does not mean
-// unbounded over the wire: the server caps it so an abandoned subscription
-// cannot grow the daemon without bound (overflow shows in PollResponse.Dropped).
-type SubscribeResponse struct {
-	ID string `json:"id"`
+// SeqEvent is one event-log entry: the per-job, gap-free-ascending sequence
+// number the hosting daemon assigned plus the event itself. Sequence numbers
+// are what make tails resumable across peers and drops countable.
+type SeqEvent struct {
+	Seq   uint64 `json:"seq"`
+	Event Event  `json:"event"`
 }
 
-// PollRequest long-polls a subscription: it waits up to TimeoutMs for the
-// first event, then drains up to Max buffered events.
-type PollRequest struct {
-	ID        string `json:"id"`
+// TailRequest reads a job's event log past a sequence number (POST /v1/tail),
+// the one read every remote subscription makes. It long-polls: it waits up to
+// TimeoutMs for the log to grow past AfterSeq, then returns up to Max entries.
+// Any daemon answers it for a job it hosts (the live log) and, in a cluster,
+// for a job it follows (the replicated log, same seqs), which is what lets a
+// subscription resume on another peer: the client re-issues the same request
+// with the last seq it saw. AfterSeq math.MaxUint64 with no wait reads only
+// the watermark, where a new subscription starts.
+type TailRequest struct {
+	Job       string `json:"job"`
+	AfterSeq  uint64 `json:"after_seq"`
 	TimeoutMs int    `json:"timeout_ms,omitempty"`
 	Max       int    `json:"max,omitempty"`
 }
 
-// PollResponse is one long-poll result. Dropped is the subscription's
-// cumulative buffer-overflow count; Closed reports that the subscription is
-// gone and polling should stop.
-type PollResponse struct {
-	Events  []Event `json:"events"`
-	Dropped uint64  `json:"dropped"`
-	Closed  bool    `json:"closed"`
-	// Lost marks an ID the server does not know — the subscription is gone
-	// for good (typically a daemon restart wiped it), as opposed to a clean
-	// Closed whose buffered events were still drainable. Clients surface it
-	// as ErrSubscriptionLost.
-	Lost bool `json:"lost,omitempty"`
+// TailResponse is one tail page. Source reports which role answered
+// ("primary" on the daemon hosting the job, "replica" or "promoted" on a
+// follower); a client counts drops from the seq gaps between consecutive
+// entries (a trimmed or lagging log shows up as a jump), so there is no
+// separate dropped field to trust. Closed reports that the daemon is shutting
+// down and holds nothing past the cursor. StartedUnixNs is the answering
+// daemon's start instant, as /v1/ping reports it: a peer that answers with
+// another one has restarted, and its log's seqs with it.
+type TailResponse struct {
+	Job           string     `json:"job"`
+	Entries       []SeqEvent `json:"entries,omitempty"`
+	Watermark     uint64     `json:"watermark"`
+	Source        string     `json:"source"`
+	Closed        bool       `json:"closed,omitempty"`
+	StartedUnixNs int64      `json:"started_unix_ns,omitempty"`
 }
 
 // ErrorResponse is the body of every non-200 endpoint answer.

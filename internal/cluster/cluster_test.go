@@ -133,7 +133,7 @@ func TestEventLogTailWait(t *testing.T) {
 	l := NewEventLog(0)
 	done := make(chan []api.SeqEvent, 1)
 	go func() {
-		out, _ := l.TailWait(0, 10, 2*time.Second)
+		out, _ := l.TailWait(0, 10, 2*time.Second, nil)
 		done <- out
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -147,9 +147,16 @@ func TestEventLogTailWait(t *testing.T) {
 		t.Fatal("TailWait never woke")
 	}
 	// Expired wait returns empty, not an error.
-	out, wm := l.TailWait(5, 10, 10*time.Millisecond)
+	out, wm := l.TailWait(5, 10, 10*time.Millisecond, nil)
 	if len(out) != 0 || wm != 1 {
 		t.Fatalf("expired wait: %v wm=%d", out, wm)
+	}
+	// A closed stop releases a parked reader long before its timeout.
+	stop := make(chan struct{})
+	close(stop)
+	start := time.Now()
+	if out, _ := l.TailWait(5, 10, time.Minute, stop); len(out) != 0 || time.Since(start) > time.Second {
+		t.Fatalf("stopped wait: %v after %v", out, time.Since(start))
 	}
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -109,44 +111,48 @@ func (l *EventLog) Trimmed() uint64 {
 // sequence jump between its cursor and the first returned entry — the log
 // never hides a discontinuity.
 func (l *EventLog) TailAfter(after uint64, max int) (out []api.SeqEvent, watermark uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tailLocked(after, max), l.lastSeq
+}
+
+// tailLocked copies out up to max entries past after (<=0 = 256). Entries
+// ascend by seq, so the first one past the cursor is found by binary search.
+// Callers hold l.mu.
+func (l *EventLog) tailLocked(after uint64, max int) []api.SeqEvent {
 	if max <= 0 {
 		max = 256
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, se := range l.entries {
-		if se.Seq <= after {
-			continue
-		}
-		out = append(out, se)
-		if len(out) >= max {
-			break
-		}
+	from := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Seq > after })
+	if from == len(l.entries) {
+		return nil
 	}
-	return out, l.lastSeq
+	return slices.Clone(l.entries[from:min(len(l.entries), from+max)])
 }
 
 // TailWait is TailAfter with a bounded wait: when nothing is past the
-// cursor it parks until the log grows or the timeout lapses, so a tail
-// long-poll does not busy-spin. The wait is wall-clock.
-func (l *EventLog) TailWait(after uint64, max int, timeout time.Duration) ([]api.SeqEvent, uint64) {
+// cursor it parks until the log grows, the timeout lapses or stop is closed,
+// so a tail long-poll does not busy-spin and a daemon shutting down releases
+// every parked reader at once. The wait is wall-clock.
+func (l *EventLog) TailWait(after uint64, max int, timeout time.Duration, stop <-chan struct{}) ([]api.SeqEvent, uint64) {
 	deadline := time.Now().Add(timeout)
 	for {
-		out, wm := l.TailAfter(after, max)
-		if len(out) > 0 || timeout <= 0 {
-			return out, wm
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return out, wm
-		}
+		// The read and the wake channel are taken together, so an append
+		// between them cannot slip past the wait.
 		l.mu.Lock()
-		wake := l.wake
+		out, wm, wake := l.tailLocked(after, max), l.lastSeq, l.wake
 		l.mu.Unlock()
+		remain := time.Until(deadline)
+		if len(out) > 0 || remain <= 0 {
+			return out, wm
+		}
 		timer := time.NewTimer(remain)
 		select {
 		case <-wake:
 		case <-timer.C:
+		case <-stop:
+			timer.Stop()
+			return out, wm
 		}
 		timer.Stop()
 	}

@@ -31,7 +31,7 @@ func metricsService(t *testing.T) *Service {
 
 // sampleLine matches one Prometheus text-format sample:
 // name{labels} value — no timestamps, no exotic suffixes. Label values may
-// themselves contain braces (route patterns like "/v1/subscriptions/{id}").
+// themselves contain braces (route patterns like "/v1/jobs/{id}/events").
 var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [^ ]+$`)
 
 // TestMetricsEndpoint scrapes GET /metrics off a driven daemon and checks

@@ -23,8 +23,9 @@ import (
 //   - every *RemoteClient method is remoteCall(c, op, q);
 //   - every *ClusterClient method is clusterCall(cc, op, q).
 //
-// Subscribe is the one Client method not here: a subscription is a stateful
-// conversation (subscribe, poll, unsubscribe), not a request and a response.
+// Subscribe is the one Client method not here: a subscription is a
+// conversation (a long-poll per job's event log, resumed from a cursor), not
+// a request and a response.
 
 // routing says how a cluster client places an operation on the fleet.
 type routing int
@@ -66,7 +67,7 @@ type op[Q, R any] struct {
 	// replica, when set, is how a cluster peer answers for jobs it follows but
 	// does not host — from replicated state, without the engine and so outside
 	// Server.mu. It reports false to let the live path answer.
-	replica func(*serverCluster, Q) (R, bool, error)
+	replica func(*Server, Q) (R, bool, error)
 	// stamp adds what only the serving process knows to a live answer (its
 	// identity, the jobs it follows). It runs under Server.mu.
 	stamp func(*Server, *R)
@@ -121,7 +122,7 @@ var (
 		name: "QueryTrace", method: "POST", path: "/trace/query",
 		call:  Client.QueryTrace,
 		route: byJob, job: func(q *TraceQuery) *JobID { return &q.Job },
-		replica: (*serverCluster).replicaTrace,
+		replica: (*Server).replicaTrace,
 	}
 	opQueryTriggers = &op[TriggerQuery, TriggerResult]{
 		name: "QueryTriggers", method: "POST", path: "/triggers/query",
@@ -135,8 +136,8 @@ var (
 			}
 			return q.page(all)
 		},
-		replica: func(cl *serverCluster, q TriggerQuery) (TriggerResult, bool, error) {
-			jobs := cl.followed(q.Jobs...)
+		replica: func(sv *Server, q TriggerQuery) (TriggerResult, bool, error) {
+			jobs := sv.followed(q.Jobs...)
 			return q.over(jobs), jobs != nil, nil
 		},
 	}
@@ -152,8 +153,8 @@ var (
 			}
 			return q.page(all)
 		},
-		replica: func(cl *serverCluster, q ReportQuery) (ReportResult, bool, error) {
-			jobs := cl.followed(q.Jobs...)
+		replica: func(sv *Server, q ReportQuery) (ReportResult, bool, error) {
+			jobs := sv.followed(q.Jobs...)
 			return q.over(jobs), jobs != nil, nil
 		},
 	}
@@ -161,8 +162,8 @@ var (
 		name: "QueryDependencies", method: "POST", path: "/dependencies/query",
 		call:  Client.QueryDependencies,
 		route: byJob, job: func(q *DependencyQuery) *JobID { return &q.Job },
-		replica: func(cl *serverCluster, q DependencyQuery) (DependencyResult, bool, error) {
-			return DependencyResult{}, false, cl.refuseGraph(q.Job)
+		replica: func(sv *Server, q DependencyQuery) (DependencyResult, bool, error) {
+			return DependencyResult{}, false, sv.refuseGraph(q.Job)
 		},
 	}
 	opBlastRadius = &op[blastArgs, blastResult]{
@@ -172,8 +173,8 @@ var (
 			return blastResult{a.Job, a.Suspect, victims}, err
 		},
 		route: byJob, job: func(a *blastArgs) *JobID { return &a.Job },
-		replica: func(cl *serverCluster, a blastArgs) (blastResult, bool, error) {
-			return blastResult{}, false, cl.refuseGraph(a.Job)
+		replica: func(sv *Server, a blastArgs) (blastResult, bool, error) {
+			return blastResult{}, false, sv.refuseGraph(a.Job)
 		},
 	}
 	opQueryRemediations = &op[RemediationQuery, RemediationResult]{
@@ -188,8 +189,8 @@ var (
 			}
 			return q.page(all)
 		},
-		replica: func(cl *serverCluster, q RemediationQuery) (RemediationResult, bool, error) {
-			jobs := cl.followed(q.Jobs...)
+		replica: func(sv *Server, q RemediationQuery) (RemediationResult, bool, error) {
+			jobs := sv.followed(q.Jobs...)
 			return q.over(jobs), jobs != nil, nil
 		},
 	}
@@ -198,13 +199,13 @@ var (
 		call:    Client.QuerySpans,
 		toQuery: spanQueryToValues, fromQuery: spanQueryFromValues,
 		route: byJob, job: func(q *SpanQuery) *JobID { return &q.Job },
-		replica: (*serverCluster).replicaSpans,
+		replica: (*Server).replicaSpans,
 	}
 	opTriage = &op[triageArgs, TriageResult]{
 		name: "Triage", method: "POST", path: "/triage",
 		call:  func(c Client, a triageArgs) (TriageResult, error) { return c.Triage(a.Job) },
 		route: byJob, job: func(a *triageArgs) *JobID { return &a.Job },
-		replica: (*serverCluster).replicaTriage,
+		replica: (*Server).replicaTriage,
 	}
 	opHealth = &op[struct{}, HealthResult]{
 		name: "Health", method: "GET", path: "/health",
@@ -226,7 +227,7 @@ var (
 		name: "ChannelStats", method: "GET", path: "/jobs/{id}/channels",
 		call:  Client.ChannelStats,
 		route: byJob, job: func(job *JobID) *JobID { return job },
-		replica: (*serverCluster).replicaChannels,
+		replica: (*Server).replicaChannels,
 	}
 
 	opTable = []tableOp{
@@ -413,7 +414,7 @@ func (o *op[Q, R]) encode(q Q) (path string, body any) {
 // answer that starts sharing mutable state fails there.
 func (o *op[Q, R]) serve(sv *Server, q Q) (res R, err error) {
 	if o.replica != nil {
-		if res, ok, err := o.replica(sv.loadCluster(), q); ok || err != nil {
+		if res, ok, err := o.replica(sv, q); ok || err != nil {
 			return res, err
 		}
 	}
@@ -534,7 +535,7 @@ func mergeHealth(_ struct{}, parts []HealthResult) HealthResult {
 // their latest replicated snapshot, marked so clients can tell live from
 // mirrored rows.
 func (sv *Server) stampJobs(res *JobsResult) {
-	for _, snap := range sv.cluster.snapshots() {
+	for _, snap := range sv.snapshots() {
 		ji := snap.Job
 		ji.Source = "replica"
 		res.Jobs = append(res.Jobs, ji)
@@ -546,7 +547,7 @@ func (sv *Server) stampJobs(res *JobsResult) {
 func (sv *Server) stampHealth(res *HealthResult) {
 	res.Uptime = time.Since(sv.started)
 	res.Server = sv.identity
-	for _, snap := range sv.cluster.snapshots() {
+	for _, snap := range sv.snapshots() {
 		if snap.Health.Job != "" {
 			res.Jobs = append(res.Jobs, snap.Health)
 		}

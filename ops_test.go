@@ -52,28 +52,25 @@ func TestOpTableCoversClient(t *testing.T) {
 // plain handlers — so a URL cannot drift silently.
 func TestServerRoutes(t *testing.T) {
 	want := []string{
-		"DELETE /v1/subscriptions/{id}",
 		"GET /v1/cluster/info",
 		"GET /v1/health",
 		"GET /v1/jobs",
 		"GET /v1/jobs/{id}/channels",
+		"GET /v1/jobs/{id}/events",
 		"GET /v1/jobs/{id}/record",
 		"GET /v1/jobs/{id}/spans",
 		"GET /v1/ping",
-		"GET /v1/subscriptions/{id}/sse",
 		"POST /v1/blast-radius",
 		"POST /v1/cluster/gossip",
 		"POST /v1/cluster/handoff",
 		"POST /v1/cluster/join",
 		"POST /v1/cluster/replicate",
-		"POST /v1/cluster/tail",
 		"POST /v1/dependencies/query",
 		"POST /v1/jobs/{id}/logs",
 		"POST /v1/jobs/{id}/timings",
-		"POST /v1/poll",
 		"POST /v1/remediations/query",
 		"POST /v1/reports/query",
-		"POST /v1/subscribe",
+		"POST /v1/tail",
 		"POST /v1/trace/query",
 		"POST /v1/triage",
 		"POST /v1/triggers/query",
@@ -295,7 +292,7 @@ func TestFailPicksStatus(t *testing.T) {
 		{"/trace/query", `{"job":"` + strings.Repeat("x", 4<<20) + `"}`, http.StatusRequestEntityTooLarge, "too large"},
 		{"/triggers/query", `{"kinds":["hiccup"]}`, http.StatusBadRequest, "hiccup"},
 		{"/remediations/query", `{"outcomes":["shrug"]}`, http.StatusBadRequest, "shrug"},
-		{"/subscribe", `{"filter":{"kinds":["telemetry"]}}`, http.StatusBadRequest, "telemetry"},
+		{"/tail", `{"job":"ghost"}`, http.StatusBadRequest, "ghost"},
 		{"/cluster/replicate", `{"job":"trace","entries":[{"seq":1,"event":{"kind":"trigger","trigger":{"kind":"from-the-future"}}}]}`, http.StatusBadRequest, "from-the-future"},
 		{"/triage", `{"job":"nope"}`, http.StatusBadRequest, "nope"},
 	} {

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -21,19 +24,18 @@ import (
 // transport layer. Test with errors.Is.
 var ErrUnreachable = errors.New("daemon unreachable")
 
-// ErrSubscriptionLost marks a subscription whose server-side half is gone
-// for good — typically the daemon restarted and wiped its subscription
-// table. The stream closes with this as its Err; resubscribe to continue.
-// Test with errors.Is.
+// ErrSubscriptionLost marks a subscription whose cursor is meaningless now:
+// a daemon serving it restarted, and its event log with it. The stream
+// closes with this as its Err; resubscribe to continue. Test with errors.Is.
 var ErrSubscriptionLost = errors.New("subscription lost")
 
 // RemoteClient is the Client implementation that speaks the /v1 wire
 // protocol to a mycroft-serve daemon. Every operation encodes its request,
 // crosses HTTP and decodes the answer into the method's own result type
 // (remoteCall in ops.go, driven by the operation table), so code written
-// against Client runs unchanged in-process or remote. Subscriptions are fed by a
-// background long-poller into the same *Stream type the in-process Service
-// hands out; transport failures close the stream and surface via
+// against Client runs unchanged in-process or remote. Subscriptions are fed by
+// background long-polls of each job's event log into the same *Stream type
+// the in-process Service hands out; failures close the stream and surface via
 // Stream.Err.
 type RemoteClient struct {
 	base string
@@ -196,61 +198,181 @@ func (c *RemoteClient) FetchRecord(job JobID, w io.Writer) error {
 	return err
 }
 
-// Subscribe creates a server-side subscription and returns a Stream fed by
-// a background long-poller. Creation failures come back as an
-// already-closed stream whose Err explains why — so the streaming-cursor
-// call shape stays identical to the in-process Service.
-func (c *RemoteClient) Subscribe(f EventFilter) *Stream {
+// Subscribe follows the event log of every job the filter names (every
+// job the daemon hosts when it names none), through the tail loop a
+// ClusterClient runs too. Creation failures come back as an already-closed
+// stream whose Err explains why — so the streaming-cursor call shape stays
+// identical to the in-process Service.
+func (c *RemoteClient) Subscribe(f EventFilter) *Stream { return subscribe(c, f) }
+
+// To a subscription a RemoteClient is a fleet of one peer with no health to
+// keep.
+func (c *RemoteClient) candidates(string) []string  { return []string{c.base} }
+func (c *RemoteClient) client(string) *RemoteClient { return c }
+func (c *RemoteClient) markUp(string)               {}
+func (c *RemoteClient) failover(string)             {}
+
+// tailFleet is where a remote subscription reads a job's event log: the
+// peers that may serve it, in the order to ask them, and a transport to each.
+type tailFleet interface {
+	ListJobs() (JobsResult, error)
+	candidates(job string) []string
+	client(peer string) *RemoteClient
+	markUp(peer string)
+	failover(peer string)
+}
+
+// errTailsClosed reports that every peer able to serve a job answered its
+// tail closed: a clean shutdown, so the stream ends without an error.
+var errTailsClosed = errors.New("mycroft: every peer closed the tail")
+
+// subscribe is the one remote Subscribe. It sets a cursor at each job's log
+// watermark before returning, so the stream carries exactly what is
+// dispatched from then on, and then follows each job's log on a goroutine of
+// its own. The stream closes cleanly once every job's tails are closed.
+func subscribe(fl tailFleet, f EventFilter) *Stream {
 	st := newStream(nil, f)
-	var resp api.SubscribeResponse
-	if err := c.do(http.MethodPost, api.Prefix+"/subscribe", subscribeRequest{Filter: f}, &resp); err != nil {
-		st.fail(err)
-		return st
+	jobs := f.Jobs
+	if len(jobs) == 0 {
+		res, err := fl.ListJobs()
+		if err != nil {
+			st.fail(err)
+			return st
+		}
+		for _, j := range res.Jobs {
+			if j.Source == "" {
+				jobs = append(jobs, j.ID)
+			}
+		}
+		if len(jobs) == 0 {
+			st.fail(fmt.Errorf("mycroft: no hosted jobs to subscribe to"))
+			return st
+		}
 	}
-	st.onClose = func() { c.unsubscribe(resp.ID) }
-	go c.pollLoop(resp.ID, st)
+	tails := make([]*jobTail, len(jobs))
+	var delivering sync.Mutex
+	for i, job := range jobs {
+		t := &jobTail{fl: fl, st: st, delivering: &delivering, job: string(job), started: map[string]int64{}, closed: map[string]bool{}}
+		head, err := t.ask(math.MaxUint64, 0)
+		switch {
+		case err == errTailsClosed:
+			st.Close()
+			return st
+		case err != nil:
+			st.fail(err)
+			return st
+		}
+		t.cursor = head.Watermark
+		tails[i] = t
+	}
+	var wg sync.WaitGroup
+	for _, t := range tails {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.follow()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		st.Close()
+	}()
 	return st
 }
 
-// pollLoop drains the server-side subscription into the local stream until
-// either side closes.
-func (c *RemoteClient) pollLoop(id string, st *Stream) {
-	for {
-		if st.isClosed() {
+// jobTail is one job's cursor in a subscription.
+type jobTail struct {
+	fl tailFleet
+	st *Stream
+	// delivering is shared by the subscription's tails, so an Each handler
+	// never runs on two of them at once.
+	delivering *sync.Mutex
+	job        string
+	cursor     uint64
+	// started is the start instant each peer first answered with; closed
+	// marks the peers that answered closed, which are not asked again.
+	started map[string]int64
+	closed  map[string]bool
+}
+
+// follow reads the job's log past the cursor until the stream closes. A seq
+// jump counts into Stream.Dropped: entries the answering log no longer held
+// (trimmed) or never got (replication lag after a failover). Peers serve the
+// log unfiltered, so the filter applies here; the server-shutdown marker
+// passes any filter.
+func (t *jobTail) follow() {
+	for !t.st.isClosed() {
+		page, err := t.ask(t.cursor, 1000)
+		switch {
+		case err == errTailsClosed:
 			return
-		}
-		var resp api.PollResponse
-		if err := c.do(http.MethodPost, api.Prefix+"/poll", api.PollRequest{ID: id, TimeoutMs: 1000, Max: 256}, &resp); err != nil {
-			st.fail(err)
+		case errors.Is(err, ErrSubscriptionLost), errors.Is(err, ErrUnreachable):
+			t.st.fail(err)
 			return
+		case err != nil:
+			// Every candidate refused: the fleet may be mid-failover, with a
+			// follower that has not heard of the job yet. Ask again shortly.
+			time.Sleep(250 * time.Millisecond)
+			continue
 		}
-		for _, e := range resp.Events {
-			st.deliver(e)
+		t.delivering.Lock()
+		for _, se := range page.Entries {
+			if se.Seq <= t.cursor {
+				continue
+			}
+			t.st.addDropped(se.Seq - t.cursor - 1)
+			t.cursor = se.Seq
+			if e := se.Event; t.st.filter.matches(e) || e.Phase == PhaseServerShutdown {
+				t.st.deliver(e)
+			}
 		}
-		st.setRemoteDropped(resp.Dropped)
-		if resp.Lost {
-			// The server does not know this ID at all — a restart wiped it.
-			// Unlike a clean Closed there is nothing left to drain; surface
-			// the typed error so callers know to resubscribe.
-			st.fail(fmt.Errorf("mycroft: subscription %s: %w", id, ErrSubscriptionLost))
-			return
-		}
-		if resp.Closed {
-			st.Close()
-			return
-		}
+		t.delivering.Unlock()
 	}
 }
 
-func (c *RemoteClient) unsubscribe(id string) {
-	req, err := http.NewRequest(http.MethodDelete, c.base+api.Prefix+"/subscriptions/"+id, nil)
-	if err != nil {
-		return
+// ask sends one tail request to the job's candidates in order and returns
+// the first page a peer serves. A peer that fails at the transport layer or
+// refuses (after a handoff the authoritative peer may not be the ring
+// primary) passes the request on. It returns errTailsClosed once every
+// candidate has answered closed, ErrUnreachable when every one it asked
+// failed at the transport layer, and ErrSubscriptionLost when a peer answers
+// with a start instant other than its first: that daemon restarted, its
+// log's seqs with it.
+func (t *jobTail) ask(after uint64, timeoutMs int) (api.TailResponse, error) {
+	req := api.TailRequest{Job: t.job, AfterSeq: after, TimeoutMs: timeoutMs, Max: 256}
+	peers := t.fl.candidates(t.job)
+	var err error
+	unreachable := true
+	for _, p := range peers {
+		if t.closed[p] {
+			continue
+		}
+		var page api.TailResponse
+		if e := t.fl.client(p).do(http.MethodPost, api.Prefix+"/tail", req, &page); e != nil {
+			if err = e; isTransportErr(e) {
+				t.fl.failover(p)
+			} else {
+				unreachable = false
+			}
+			continue
+		}
+		t.fl.markUp(p)
+		if first, seen := t.started[p]; seen && first != page.StartedUnixNs {
+			return page, fmt.Errorf("mycroft: job %s: daemon restarted under the cursor: %w", t.job, ErrSubscriptionLost)
+		}
+		t.started[p] = page.StartedUnixNs
+		if !page.Closed {
+			return page, nil
+		}
+		t.closed[p], unreachable = true, false
 	}
-	if resp, err := c.hc.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	switch {
+	case !slices.ContainsFunc(peers, func(p string) bool { return !t.closed[p] }):
+		return api.TailResponse{}, errTailsClosed
+	case unreachable:
+		return api.TailResponse{}, fmt.Errorf("mycroft: job %s: every candidate peer failed: %w: %v", t.job, ErrUnreachable, err)
 	}
+	return api.TailResponse{}, err
 }
 
 // Close releases idle transport connections. Live subscriptions close

@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mycroft/internal/api"
+	"mycroft/internal/cluster"
 	"mycroft/internal/obs"
 )
 
@@ -22,28 +24,37 @@ import (
 //
 // All wire requests are serialized through one mutex, because the
 // deterministic engine underneath is single-threaded; the only blocking
-// call, a subscription long-poll, waits outside that mutex so it can never
-// starve queries or the drive loop. Advance lets a daemon goroutine step
-// virtual time under the same serialization.
+// call, an event-log tail's long-poll, waits outside that mutex so it can
+// never starve queries or the drive loop. Advance lets a daemon goroutine
+// step virtual time under the same serialization.
+//
+// Remote subscribers hold no state here. Every hosted job has one
+// seq-numbered event log, fed in dispatch order, and a subscriber reads it
+// past its own cursor (POST /v1/tail, or GET /v1/jobs/{id}/events as
+// server-sent events), filtering on its own side.
 type Server struct {
 	mu  sync.Mutex
 	svc *Service
 
-	subs   map[string]*wireSub
-	subSeq int
+	// logs holds the event log of every job hosted when the server was
+	// built. The map is never written again, so reading it takes no lock.
+	logs map[JobID]*cluster.EventLog
+	// shutdown is closed by CloseSubscriptions: parked tails return at once,
+	// and a tail holding nothing past its cursor answers closed.
+	shutdown chan struct{}
 
 	// records maps hosted jobs to their incident recorders when RecordTo is
 	// active; GET /v1/jobs/{id}/record serves snapshots from here.
 	records map[JobID]*servedRecord
 
-	// identity and started feed /v1/ping and /v1/health so clients can log
-	// what they connected to.
+	// identity and started feed /v1/ping, /v1/health and every tail page so
+	// clients can log what they connected to and notice a restart.
 	identity string
 	started  time.Time
 
-	// cluster is non-nil once EnableCluster ran: this daemon is one peer of
-	// a sharded/replicated fleet (see cluster.go).
-	cluster *serverCluster
+	// cluster is set once EnableCluster ran: this daemon is one peer of a
+	// sharded/replicated fleet (see cluster.go).
+	cluster atomic.Pointer[serverCluster]
 }
 
 // servedRecord is one job's live incident capture: the recorder plus the
@@ -54,30 +65,28 @@ type servedRecord struct {
 	f    *os.File
 }
 
-// wireSub is one served subscription plus the wall-clock bookkeeping that
-// lets the server reap it when its client disappears.
-type wireSub struct {
-	st       *Stream
-	lastSeen time.Time
-}
-
-// subIdleTTL is how long a wire subscription may go unpolled before the
-// server closes it. An SSE client polls every 500ms and a RemoteClient
-// every second, so only a client that crashed (or forgot to DELETE) ever
-// ages out; without the TTL every abandoned subscription would buffer and
-// match events until daemon restart.
-const subIdleTTL = 10 * time.Minute
-
-// NewServer wraps a Service for HTTP exposure.
+// NewServer wraps a Service for HTTP exposure and starts one event log per
+// hosted job, so add every job first: a job added later has no log, and a
+// remote subscription to it is refused.
 func NewServer(svc *Service) *Server {
 	sv := &Server{
-		svc: svc, subs: make(map[string]*wireSub),
+		svc: svc, logs: make(map[JobID]*cluster.EventLog), shutdown: make(chan struct{}),
 		records:  make(map[JobID]*servedRecord),
 		identity: fmt.Sprintf("mycroft-serve/%d", api.Version), started: time.Now(),
 	}
+	for _, id := range svc.Jobs() {
+		sv.logs[id] = cluster.NewEventLog(0)
+	}
+	svc.streamsMu.Lock()
+	svc.logEvent = func(e Event) {
+		if log := sv.logs[e.Job]; log != nil {
+			log.Append(e)
+		}
+	}
+	svc.streamsMu.Unlock()
 	// The serving process stamps its identity and uptime on the service
 	// registry (idempotent: re-wrapping the same Service replaces the
-	// callbacks, so the newest server wins).
+	// callbacks and the log hook, so the newest server wins).
 	reg := svc.Metrics()
 	reg.GaugeFunc("mycroft_build_info", "Serving process identity; value is always 1.",
 		func() float64 { return 1 },
@@ -150,43 +159,26 @@ func (sv *Server) CloseRecorders() error {
 	return first
 }
 
-// reapIdleLocked closes subscriptions no one has polled within the TTL.
-// Callers hold sv.mu; it runs on the subscription-management paths
-// (Subscribe, Poll), so a daemon with no subscription traffic does no work.
-func (sv *Server) reapIdleLocked(now time.Time) {
-	for id, ws := range sv.subs {
-		if now.Sub(ws.lastSeen) > subIdleTTL {
-			ws.st.Close()
-			delete(sv.subs, id)
-		}
-	}
-}
-
 // v1 mounts the /v1 route set: one route per entry of the Client operation
-// table (ops.go), then the endpoints that are conversations or byte streams
-// rather than a request and a response — ping, subscriptions, record download
-// and the peer-to-peer /v1/cluster/* set — as plain handlers.
+// table (ops.go), then the endpoints that are long-polls or byte streams
+// rather than a request and a response — ping, the event-log tail and its
+// SSE form, record download and the peer-to-peer /v1/cluster/* set — as
+// plain handlers.
 func (sv *Server) v1() *api.Mux {
 	mux := api.NewMux(sv.svc.Metrics())
 	for _, o := range opTable {
 		o.mount(sv, mux)
 	}
 	api.Get(mux, "/ping", sv.ping)
-	api.Post(mux, "/subscribe", sv.subscribe)
-	api.Post(mux, "/poll", sv.poll)
-	mux.Handle("DELETE", "/subscriptions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		sv.unsubscribe(r.PathValue("id"))
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.Handle("GET", "/subscriptions/{id}/sse", func(w http.ResponseWriter, r *http.Request) {
-		api.ServeSSE(sv.poll, w, r)
+	api.Post(mux, "/tail", sv.tail)
+	mux.Handle("GET", "/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		api.ServeSSE(sv.tail, w, r)
 	})
 	mux.Handle("GET", "/jobs/{id}/record", sv.serveRecord)
 	api.Get(mux, "/cluster/info", sv.clusterInfo)
 	api.Post(mux, "/cluster/join", sv.clusterJoin)
 	api.Post(mux, "/cluster/gossip", sv.clusterGossip)
 	api.Post(mux, "/cluster/replicate", sv.clusterReplicate)
-	api.Post(mux, "/cluster/tail", sv.clusterTail)
 	api.Post(mux, "/cluster/handoff", sv.clusterHandoff)
 	return mux
 }
@@ -215,45 +207,71 @@ func (sv *Server) Advance(d time.Duration) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	sv.svc.Run(d)
-	if sv.cluster != nil {
-		// Move everything this step dispatched into the per-job event logs
-		// while still serialized, so tails and replication see a log exactly
-		// as fresh as the engine.
-		sv.cluster.drainTap()
-	}
 }
 
-// AnnounceShutdown delivers a terminal lifecycle event (Phase
-// PhaseServerShutdown) to every live wire subscription, so clients can
-// distinguish a clean daemon shutdown from a crash. Call it before
-// CloseSubscriptions — a closed stream no longer accepts deliveries. It
-// returns how many subscriptions were notified.
+// AnnounceShutdown appends a terminal lifecycle event (Phase
+// PhaseServerShutdown) to every hosted job's event log, so remote
+// subscribers can tell a clean daemon shutdown from a crash; their tail
+// loops deliver it whatever their filter. In-process streams do not see it.
+// Call it before CloseSubscriptions. It returns how many job logs it reached.
 func (sv *Server) AnnounceShutdown() int {
 	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	e := Event{Kind: EventLifecycle, Phase: PhaseServerShutdown, At: sv.svc.Now()}
-	for _, ws := range sv.subs {
-		ws.st.deliver(e)
+	now := sv.svc.Now()
+	sv.mu.Unlock()
+	for job, log := range sv.logs {
+		log.Append(Event{Job: job, Kind: EventLifecycle, Phase: PhaseServerShutdown, At: now})
 	}
-	return len(sv.subs)
+	return len(sv.logs)
 }
 
-// CloseSubscriptions closes every live wire subscription (daemon shutdown)
-// and reports how many were force-closed. The map entries stay: a final
-// poll still drains buffered events (including AnnounceShutdown's terminal
-// one) and then sees a clean Closed — only an ID the server has never
-// issued (a restart wiped the map) reports Lost.
+// CloseSubscriptions closes every event log to its readers (daemon
+// shutdown): parked tails return at once, and every tail, now or later,
+// hands over what the log holds past its cursor — AnnounceShutdown's entry
+// included — and then answers closed, which ends a subscriber's stream
+// cleanly. It returns how many job logs it closed: 0 once they already are.
 func (sv *Server) CloseSubscriptions() int {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	n := 0
-	for _, ws := range sv.subs {
-		if !ws.st.isClosed() {
-			n++
-		}
-		ws.st.Close()
+	select {
+	case <-sv.shutdown:
+		return 0
+	default:
+		close(sv.shutdown)
+		return len(sv.logs)
 	}
-	return n
+}
+
+// tail serves one page of a job's event log past a cursor: the live log on
+// the daemon hosting the job, the replicated one on a cluster peer that
+// follows it — same request, same seqs, which is what lets a subscription
+// move between peers. The long-poll parks outside the server mutex.
+func (sv *Server) tail(req api.TailRequest) (api.TailResponse, error) {
+	log, source := sv.logs[JobID(req.Job)], "primary"
+	if log == nil {
+		rj := sv.follows(JobID(req.Job))
+		if rj == nil {
+			return api.TailResponse{}, fmt.Errorf("mycroft: daemon neither hosts nor follows job %q", req.Job)
+		}
+		log, source = rj.Log, "replica"
+		if rj.Promoted() {
+			source = "promoted"
+		}
+	}
+	timeout := min(time.Duration(req.TimeoutMs)*time.Millisecond, 30*time.Second)
+	entries, wm := log.TailWait(req.AfterSeq, req.Max, timeout, sv.shutdown)
+	if cl := sv.cluster.Load(); cl != nil {
+		cl.mTail[source].Inc()
+	}
+	resp := api.TailResponse{
+		Job: req.Job, Entries: entries, Watermark: wm, Source: source,
+		StartedUnixNs: sv.started.UnixNano(),
+	}
+	select {
+	case <-sv.shutdown:
+		resp.Closed = len(entries) == 0
+	default:
+	}
+	return resp, nil
 }
 
 func (sv *Server) ping() (api.PingResponse, error) {
@@ -263,89 +281,6 @@ func (sv *Server) ping() (api.PingResponse, error) {
 		Version: api.Version, NowNs: int64(sv.svc.Now()),
 		Server: sv.identity, StartedUnixNs: sv.started.UnixNano(),
 	}, nil
-}
-
-// defaultWireBuffer caps a wire subscription whose filter asks for an
-// unbounded buffer. An in-process subscriber with Buffer 0 owns its own
-// memory, but a remote one that stops polling (crashed client, abandoned
-// SSE) would otherwise grow the daemon without bound; overflow is visible
-// to the client as PollResponse.Dropped.
-const defaultWireBuffer = 4096
-
-// subscribeRequest is the body of POST /v1/subscribe.
-type subscribeRequest struct {
-	Filter EventFilter `json:"filter"`
-}
-
-func (sv *Server) subscribe(req subscribeRequest) (api.SubscribeResponse, error) {
-	f := req.Filter
-	if f.Buffer <= 0 {
-		f.Buffer = defaultWireBuffer
-	}
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	sv.reapIdleLocked(time.Now())
-	st := sv.svc.Subscribe(f)
-	if err := st.Err(); err != nil {
-		return api.SubscribeResponse{}, err
-	}
-	sv.subSeq++
-	id := fmt.Sprintf("sub-%d", sv.subSeq)
-	sv.subs[id] = &wireSub{st: st, lastSeen: time.Now()}
-	return api.SubscribeResponse{ID: id}, nil
-}
-
-// poll long-polls one subscription. Only the stream lookup holds the server
-// mutex; the bounded wait parks on the stream itself so the drive loop (and
-// every other request) keeps running while this handler blocks.
-func (sv *Server) poll(req api.PollRequest) (api.PollResponse, error) {
-	sv.mu.Lock()
-	sv.reapIdleLocked(time.Now())
-	ws := sv.subs[req.ID]
-	var st *Stream
-	if ws != nil {
-		ws.lastSeen = time.Now()
-		st = ws.st
-	}
-	sv.mu.Unlock()
-	if st == nil {
-		// An ID this server never issued (or already reaped): the
-		// subscription is gone for good — most often a daemon restart wiped
-		// it. Lost tells the client to surface ErrSubscriptionLost instead
-		// of treating this like a clean close.
-		return api.PollResponse{Closed: true, Lost: true}, nil
-	}
-	max := req.Max
-	if max <= 0 {
-		max = 256
-	}
-	timeout := time.Duration(req.TimeoutMs) * time.Millisecond
-	if timeout > 30*time.Second {
-		timeout = 30 * time.Second
-	}
-	var events []Event
-	if timeout > 0 {
-		if e, ok := st.NextWait(timeout); ok {
-			events = append(events, e)
-		}
-	}
-	for len(events) < max {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
-		events = append(events, e)
-	}
-	return api.PollResponse{Events: events, Dropped: st.Dropped(), Closed: st.isClosed() && len(events) == 0}, nil
-}
-
-func (sv *Server) unsubscribe(id string) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	if ws := sv.subs[id]; ws != nil {
-		ws.st.Close()
-		delete(sv.subs, id)
-	}
 }
 
 // serveRecord streams the job's current artifact snapshot. The artifact is

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -33,10 +35,65 @@ func faultedService(t *testing.T) *Service {
 	return svc
 }
 
+// remoteClients are the two clients a remote subscription rides: Dial
+// straight to a daemon, and DialCluster to it as the one peer of a cluster.
+// Both run the same tail loop, so each wire test of a stream runs over both.
+var remoteClients = []struct {
+	name      string
+	clustered bool
+}{{"Dial", false}, {"DialCluster", true}}
+
+// enableSolo makes srv, served at addr, the one peer of cluster "solo".
+func enableSolo(t *testing.T, srv *Server, addr string) {
+	t.Helper()
+	err := srv.EnableCluster(ClusterConfig{ID: "solo", Self: "p1", SelfAddr: addr, Peers: map[string]string{"p1": addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dialVia connects to the daemon at addr with Dial, or with DialCluster
+// when clustered.
+func dialVia(t *testing.T, addr string, clustered bool) Client {
+	t.Helper()
+	if clustered {
+		cc, err := DialCluster([]string{addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cc.Close() })
+		return cc
+	}
+	rc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rc.Close() })
+	return rc
+}
+
+// serveDaemon serves srv on a loopback port (as a one-peer cluster when
+// clustered) and dials it the same way.
+func serveDaemon(t *testing.T, srv *Server, clustered bool) Client {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	if clustered {
+		enableSolo(t, srv, addr)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	return dialVia(t, addr, clustered)
+}
+
 // TestRemoteSubscribeEquivalence is the wire half of the acceptance
-// criterion: a Subscribe stream over HTTP must deliver the same events as
-// an in-process subscription on an identically seeded run, with zero drops
-// when no buffer cap is set.
+// criterion: a Subscribe stream over HTTP — through Dial, and through
+// DialCluster to a one-peer cluster — must deliver the same events as an
+// in-process subscription on an identically seeded run, with zero drops.
 func TestRemoteSubscribeEquivalence(t *testing.T) {
 	filter := EventFilter{Kinds: []EventKind{EventTrigger, EventReport}}
 	const horizon = 40 * time.Second
@@ -50,64 +107,110 @@ func TestRemoteSubscribeEquivalence(t *testing.T) {
 		t.Fatal("reference run produced no events")
 	}
 
-	// Identical run served over HTTP; the remote subscription attaches
-	// before any virtual time passes, then the daemon drives.
-	remote := faultedService(t)
-	srv := NewServer(remote)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	rc, err := Dial(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stRemote := rc.Subscribe(filter)
-	if err := stRemote.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for driven := time.Duration(0); driven < horizon; driven += time.Second {
-		srv.Advance(time.Second)
-	}
+	for _, via := range remoteClients {
+		t.Run(via.name, func(t *testing.T) {
+			// Identical run served over HTTP; the remote subscription attaches
+			// before any virtual time passes, then the daemon drives.
+			srv := NewServer(faultedService(t))
+			stRemote := serveDaemon(t, srv, via.clustered).Subscribe(filter)
+			if err := stRemote.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for driven := time.Duration(0); driven < horizon; driven += time.Second {
+				srv.Advance(time.Second)
+			}
 
-	var got []Event
-	for len(got) < len(want) {
-		e, ok := stRemote.NextWait(5 * time.Second)
-		if !ok {
-			break
-		}
-		got = append(got, e)
-	}
-	if err := stRemote.Err(); err != nil {
-		t.Fatalf("remote stream failed: %v", err)
-	}
-	if stRemote.Dropped() != 0 {
-		t.Fatalf("uncapped remote stream dropped %d events", stRemote.Dropped())
-	}
-	if len(got) != len(want) {
-		t.Fatalf("remote delivered %d events, in-process %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].String() != want[i].String() || got[i].Kind != want[i].Kind || got[i].At != want[i].At || got[i].Job != want[i].Job {
-			t.Errorf("event %d differs:\n remote: %v\n local:  %v", i, got[i], want[i])
-		}
-	}
+			var got []Event
+			for len(got) < len(want) {
+				e, ok := stRemote.NextWait(5 * time.Second)
+				if !ok {
+					break
+				}
+				got = append(got, e)
+			}
+			if err := stRemote.Err(); err != nil {
+				t.Fatalf("remote stream failed: %v", err)
+			}
+			if stRemote.Dropped() != 0 {
+				t.Fatalf("remote stream dropped %d events", stRemote.Dropped())
+			}
+			if len(got) != len(want) {
+				t.Fatalf("remote delivered %d events, in-process %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].String() != want[i].String() || got[i].Kind != want[i].Kind || got[i].At != want[i].At || got[i].Job != want[i].Job {
+					t.Errorf("event %d differs:\n remote: %v\n local:  %v", i, got[i], want[i])
+				}
+			}
 
-	// No stragglers: the remote stream is dry once counts match.
-	if e, ok := stRemote.NextWait(200 * time.Millisecond); ok {
-		t.Errorf("remote stream delivered an extra event: %v", e)
-	}
-	if err := stRemote.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := stRemote.Close(); err != nil {
-		t.Fatal(err)
+			// No stragglers: the remote stream is dry once counts match.
+			if e, ok := stRemote.NextWait(200 * time.Millisecond); ok {
+				t.Errorf("remote stream delivered an extra event: %v", e)
+			}
+			if err := stRemote.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := stRemote.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
+// sseFrame is one server-sent event as GET /v1/jobs/{id}/events frames it.
+type sseFrame struct {
+	id    uint64 // the entry's seq; 0 on a frame without one
+	event string // the `event:` name; "" on a data frame
+	data  string
+}
+
+// readSSE reads frames off an SSE body until EOF or until stop accepts one,
+// failing on comments other than the keep-alive.
+func readSSE(t *testing.T, body io.Reader, stop func(sseFrame) bool) []sseFrame {
+	t.Helper()
+	var out []sseFrame
+	var cur sseFrame
+	sc := bufio.NewScanner(body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			if cur != (sseFrame{}) {
+				out = append(out, cur)
+				if stop(cur) {
+					return out
+				}
+			}
+			cur = sseFrame{}
+		case strings.HasPrefix(line, "id: "):
+			id, err := strconv.ParseUint(strings.TrimPrefix(line, "id: "), 10, 64)
+			if err != nil {
+				t.Fatalf("frame id %q: %v", line, err)
+			}
+			cur.id = id
+		case strings.HasPrefix(line, "event: "):
+			cur.event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			cur.data = strings.TrimPrefix(line, "data: ")
+		case line != ": keep-alive":
+			t.Fatalf("unexpected SSE line %q", line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestSSECarriesEvents holds the one wire surface no client in this repo
-// consumes: GET /v1/subscriptions/{id}/sse. A subscription taken out before
-// a self-healing run must stream, as `data:` frames that decode through
-// api.Event, at least one trigger, one report and one remediation action,
-// then the terminal `event: closed` frame.
+// consumes: GET /v1/jobs/{id}/events. A self-healing run's event log must
+// stream, as `id:` + `data:` frames that decode through api.Event, at least
+// one trigger, one report and one remediation action. A client that drops
+// the connection and reconnects with the last id it read as Last-Event-ID
+// gets the rest — every seq exactly once — and then the terminal
+// `event: closed` frame. Without the header a stream starts at the log's
+// watermark.
 func TestSSECarriesEvents(t *testing.T) {
 	svc := faultedService(t)
 	if err := svc.AttachPolicy("trace", SelfHealPolicy()); err != nil {
@@ -116,68 +219,81 @@ func TestSSECarriesEvents(t *testing.T) {
 	srv := NewServer(svc)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	resp, err := http.Post(ts.URL+api.Prefix+"/subscribe", "application/json",
-		strings.NewReader(`{"filter":{"kinds":["trigger","report","action"]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub api.SubscribeResponse
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil || sub.ID == "" {
-		t.Fatalf("subscribe: id %q err %v", sub.ID, err)
-	}
 	for driven := time.Duration(0); driven < 70*time.Second; driven += time.Second {
 		srv.Advance(time.Second)
 	}
-	// A closed subscription still drains what it buffered and then ends the
-	// stream with its terminal frame, so the read below stops at EOF.
+	// Closed tails still hand over what the log holds past their cursor, so
+	// the second read below stops at EOF after its terminal frame.
 	srv.CloseSubscriptions()
+	watermark := srv.logs["trace"].Watermark()
 
-	stream, err := http.Get(ts.URL + api.Prefix + "/subscriptions/" + sub.ID + "/sse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	if ct := stream.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("content type %q, want text/event-stream", ct)
-	}
-	kinds, closed := map[EventKind]int{}, false
-	named := "" // the current frame's `event:` name; plain data frames have none
-	sc := bufio.NewScanner(stream.Body)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			named = ""
-		case strings.HasPrefix(line, "event: "):
-			named = strings.TrimPrefix(line, "event: ")
-			closed = closed || named == "closed"
-		case strings.HasPrefix(line, "data: ") && named == "":
-			var e api.Event
-			dec := json.NewDecoder(strings.NewReader(strings.TrimPrefix(line, "data: ")))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&e); err != nil {
-				t.Fatalf("frame %q: %v", line, err)
-			}
-			if e.Job != "trace" || (e.Trigger == nil && e.Report == nil && e.Action == nil) {
-				t.Errorf("frame %q carries no payload for job trace", line)
-			}
-			kinds[e.Kind]++
+	connect := func(lastID string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+api.Prefix+"/jobs/trace/events", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+			t.Fatalf("content type %q, want text/event-stream", ct)
+		}
+		return resp
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+
+	// First session: from the log's first entry up to the first report, then
+	// the connection drops.
+	first := connect("0")
+	frames := readSSE(t, first.Body, func(f sseFrame) bool { return strings.Contains(f.data, `"kind":"report"`) })
+	first.Body.Close()
+	if len(frames) == 0 || uint64(len(frames)) >= watermark {
+		t.Fatalf("first session read %d of %d entries; the test needs a split", len(frames), watermark)
+	}
+	// Second session resumes after the last id read.
+	second := connect(strconv.FormatUint(frames[len(frames)-1].id, 10))
+	frames = append(frames, readSSE(t, second.Body, func(sseFrame) bool { return false })...)
+	second.Body.Close()
+
+	last := frames[len(frames)-1]
+	if last.event != "closed" {
+		t.Fatalf("stream ended on %+v, not its `event: closed` frame", last)
+	}
+	kinds := map[EventKind]int{}
+	for i, f := range frames[:len(frames)-1] {
+		if f.event != "" || f.id != uint64(i+1) {
+			t.Fatalf("frame %d is %+v, want the data frame of seq %d: a duplicate or a gap", i, f, i+1)
+		}
+		var e api.Event
+		dec := json.NewDecoder(strings.NewReader(f.data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("frame %q: %v", f.data, err)
+		}
+		if e.Job != "trace" {
+			t.Errorf("frame %q is not job trace's", f.data)
+		}
+		kinds[e.Kind]++
+	}
+	if got := uint64(len(frames) - 1); got != watermark {
+		t.Errorf("two sessions carried %d entries, the log holds %d", got, watermark)
 	}
 	for _, kind := range []EventKind{EventTrigger, EventReport, EventAction} {
 		if kinds[kind] == 0 {
 			t.Errorf("SSE stream carried no %v event (got %v)", kind, kinds)
 		}
 	}
-	if !closed {
-		t.Error("SSE stream ended without its `event: closed` frame")
+
+	// Without Last-Event-ID the stream starts at the watermark: nothing is
+	// past it on a closed log, so the terminal frame comes first.
+	fresh := connect("")
+	defer fresh.Body.Close()
+	if got := readSSE(t, fresh.Body, func(sseFrame) bool { return false }); len(got) != 1 || got[0].event != "closed" {
+		t.Fatalf("stream without Last-Event-ID read %+v, want only the closed frame", got)
 	}
 }
 

@@ -46,12 +46,16 @@ type Service struct {
 	started bool
 	seed    int64
 
-	// streamsMu guards the subscription list alone: a consumer goroutine may
-	// Subscribe or Close a Stream while the engine dispatches (the daemon
-	// shape). Everything else on the Service keeps the engine's
-	// single-threaded contract.
+	// streamsMu guards the subscription list and the event-log hook alone: a
+	// consumer goroutine may Subscribe or Close a Stream while the engine
+	// dispatches (the daemon shape). Everything else on the Service keeps the
+	// engine's single-threaded contract.
 	streamsMu sync.Mutex
 	streams   []*Stream
+	// logEvent, when set, receives every dispatched event beside the streams:
+	// it is how a Server feeds the per-job event logs remote subscribers
+	// tail. It is not a Stream, so it counts in no subscription statistic.
+	logEvent func(Event)
 
 	// Observability plane: the instrument registry, the subscription
 	// counters Stream.deliver bumps, and the heartbeat monitor.
@@ -240,14 +244,18 @@ func (s *Service) Run(d time.Duration) { s.Eng.RunFor(d) }
 // Now returns the current virtual time from the start of the run.
 func (s *Service) Now() time.Duration { return time.Duration(s.Eng.Now()) }
 
-// dispatch fans one event out to every live subscription, in subscribe
-// order, then to the owning job's remediation loop — after the streams, so
-// a subscriber always sees the provoking trigger/report before any
-// EventAction it causes (the loop's reaction recursively dispatches).
+// dispatch fans one event out to the event-log hook and every live
+// subscription, in subscribe order, then to the owning job's remediation
+// loop — after the streams, so a subscriber always sees the provoking
+// trigger/report before any EventAction it causes (the loop's reaction
+// recursively dispatches).
 func (s *Service) dispatch(e Event) {
 	s.streamsMu.Lock()
-	streams := slices.Clone(s.streams)
+	streams, logEvent := slices.Clone(s.streams), s.logEvent
 	s.streamsMu.Unlock()
+	if logEvent != nil {
+		logEvent(e)
+	}
 	matched := 0
 	for _, st := range streams {
 		if st.filter.matches(e) {
