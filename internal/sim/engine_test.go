@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -201,7 +203,8 @@ func (r *recorder) Fire(arg int32) { r.fired = append(r.fired, arg) }
 
 // Property: the queue dispatches exactly what a stable sort by time of the
 // scheduling order would — 10⁵ events over 10³ instants, so ties are the
-// common case — and stays exact when pops and pushes interleave.
+// common case — and stays exact, dispatch by dispatch, when handlers schedule
+// into the instant that is draining or ahead of every pending one.
 func TestEventOrderProperty(t *testing.T) {
 	const n = 100_000
 	e := NewEngine(7)
@@ -226,67 +229,129 @@ func TestEventOrderProperty(t *testing.T) {
 		}
 	}
 
-	// Interleaved: every event schedules a successor while the queue drains.
-	// The reference keeps the pending set in a slice and scans for the
-	// minimum (time, scheduling order).
-	type pending struct {
-		at  Time
-		seq int
-	}
-	const m = 3000
-	delays := make([]Duration, m)
-	for i := range delays {
-		delays[i] = Duration(rng.Intn(20))
-	}
-	var ref []pending
-	var wantSeq []int
-	next := 0
-	push := func(now Time) {
-		if next < m {
-			ref = append(ref, pending{now.Add(delays[next]), next})
-			next++
+	// Interleaved: events schedule children while the queue drains, checked
+	// at every dispatch against a linear reference. One drive steps; the
+	// other advances by RunUntil with many ties exactly at each bound.
+	exercised := func(m *orderModel) {
+		t.Helper()
+		t.Logf("%d dispatches: %d children at Now(), %d at a new instant before every other, %d of them the earliest of all",
+			m.fired, m.nowTies, m.earliest, m.top)
+		if m.nowTies < 1000 || m.earliest < 1000 || m.top < 100 {
+			t.Fatal("the drive did not exercise every case")
 		}
 	}
-	for i := 0; i < 50; i++ {
-		push(0)
+	m := newOrderModel(t)
+	for i := 0; i < 200; i++ {
+		m.schedule(Time(m.rng.Intn(1000)))
 	}
-	for len(ref) > 0 {
-		best := 0
-		for i, p := range ref {
-			if p.at < ref[best].at || (p.at == ref[best].at && p.seq < ref[best].seq) {
-				best = i
+	for m.e.Step() {
+		if got := m.e.Pending(); got != len(m.ref) {
+			t.Fatalf("after dispatch %d: Pending() = %d, reference %d", m.fired, got, len(m.ref))
+		}
+	}
+	exercised(m)
+
+	m = newOrderModel(t)
+	for bound := Time(0); bound < 2000 || m.e.Pending() > 0; bound += 50 {
+		for i := 0; bound < 2000 && i < 100; i++ {
+			m.schedule(bound)
+			m.schedule(bound + 1 + Time(m.rng.Intn(100)))
+		}
+		m.e.RunUntil(bound)
+		if m.e.Now() != bound {
+			t.Fatalf("RunUntil(%v) left Now() = %v", bound, m.e.Now())
+		}
+		for _, r := range m.ref {
+			if r.at <= bound {
+				t.Fatalf("RunUntil(%v) left event %d at %v pending", bound, r.id, r.at)
 			}
 		}
-		p := ref[best]
-		ref = append(ref[:best], ref[best+1:]...)
-		wantSeq = append(wantSeq, p.seq)
-		push(p.at)
-	}
-
-	e = NewEngine(7)
-	var gotSeq []int
-	next = 0
-	var spawn func()
-	spawn = func() {
-		if next < m {
-			id := next
-			next++
-			e.After(delays[id], func() {
-				gotSeq = append(gotSeq, id)
-				spawn()
-			})
+		if got := m.e.Pending(); got != len(m.ref) {
+			t.Fatalf("after RunUntil(%v): Pending() = %d, reference %d", bound, got, len(m.ref))
 		}
 	}
-	for i := 0; i < 50; i++ {
-		spawn()
+	exercised(m)
+}
+
+// orderModel schedules each event on an Engine and on a linear reference.
+// When an event fires it checks that it is the reference's earliest, first
+// scheduled, event and that Pending() agrees, then schedules children the
+// way the simulated job does: at Now() while its own instant drains, at
+// instants other events share, and at a new instant earlier than every other
+// pending one.
+type orderModel struct {
+	t        *testing.T
+	e        *Engine
+	rng      *rand.Rand
+	ref      []refEvent // pending, in scheduling order
+	next     int32      // id of the next event scheduled
+	budget   int        // children left to schedule
+	fired    int
+	nowTies  int // children scheduled at Now()
+	earliest int // children at a new instant before every other pending one
+	top      int // of those, children scheduled once Now()'s instant had drained
+}
+
+type refEvent struct {
+	at Time
+	id int32
+}
+
+func newOrderModel(t *testing.T) *orderModel {
+	return &orderModel{t: t, e: NewEngine(1), rng: rand.New(rand.NewSource(11)), budget: 30_000}
+}
+
+func (m *orderModel) schedule(at Time) {
+	m.ref = append(m.ref, refEvent{at, m.next})
+	m.e.Schedule(at, m, m.next)
+	m.next++
+}
+
+func (m *orderModel) Fire(id int32) {
+	best := 0
+	for i, r := range m.ref {
+		if r.at < m.ref[best].at {
+			best = i
+		}
 	}
-	e.Run()
-	if len(gotSeq) != len(wantSeq) {
-		t.Fatalf("interleaved run fired %d events, reference %d", len(gotSeq), len(wantSeq))
+	if want := m.ref[best]; id != want.id || m.e.Now() != want.at {
+		m.t.Fatalf("dispatch %d was event %d at %v, reference says %d at %v",
+			m.fired, id, m.e.Now(), want.id, want.at)
 	}
-	for i := range wantSeq {
-		if gotSeq[i] != wantSeq[i] {
-			t.Fatalf("interleaved dispatch %d was event %d, reference says %d", i, gotSeq[i], wantSeq[i])
+	m.ref = append(m.ref[:best], m.ref[best+1:]...)
+	m.fired++
+	if got := m.e.Pending(); got != len(m.ref) {
+		m.t.Fatalf("dispatch %d: Pending() = %d, reference %d", m.fired, got, len(m.ref))
+	}
+	children := m.rng.Intn(2) // the population hovers near 100 pending
+	if len(m.ref) < 100 {
+		children++
+	}
+	for ; children > 0 && m.budget > 0; children-- {
+		m.budget--
+		now := m.e.Now()
+		first, draining := now+1000, false
+		for _, r := range m.ref {
+			if r.at == now {
+				draining = true
+			} else if r.at < first {
+				first = r.at
+			}
+		}
+		switch k := m.rng.Intn(4); {
+		case k == 0 && first-now >= 2:
+			m.earliest++
+			if !draining {
+				m.top++
+			}
+			m.schedule(now + 1 + Time(m.rng.Int63n(int64(first-now-1))))
+		case k == 1:
+			m.schedule((now/64 + 1 + Time(m.rng.Intn(4))) * 64)
+		case k == 2:
+			m.schedule(now + 1 + Time(m.rng.Intn(1000)))
+		default:
+			m.nowTies++
+			m.schedule(now)
 		}
 	}
 }
@@ -316,7 +381,9 @@ func TestTickerSeqAfterCallback(t *testing.T) {
 }
 
 // TestSteadyStateAllocatesNothing is the substrate's allocation gate: a
-// ticker tick and a closure-free schedule+dispatch cost no mallocs.
+// ticker tick and a closure-free schedule+dispatch cost no mallocs, and
+// neither does a dispatch once the queue has warmed up, whether its events
+// crowd onto a few instants or never share one.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	e := NewEngine(1)
 	ticks := 0
@@ -338,6 +405,73 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		e.Step()
 	}); got != 0 {
 		t.Errorf("closure-free schedule+dispatch: %v allocs, want 0", got)
+	}
+
+	// Tie-heavy: 512 ranks re-arming onto 4 shared instants.
+	e = NewEngine(1)
+	symmetricRanks(e, 512, 4)
+	for i := 0; i < 4096; i++ {
+		e.Step()
+	}
+	if got := testing.AllocsPerRun(1000, func() { e.Step() }); got != 0 {
+		t.Errorf("tie-heavy dispatch: %v allocs, want 0", got)
+	}
+
+	// All-distinct: 1,000 events, each re-arming 1,000 ns on, so no two
+	// pending events ever share an instant.
+	e = NewEngine(1)
+	distinct := &rearm{eng: e, period: 1000}
+	for i := 0; i < 1000; i++ {
+		e.Schedule(Time(i), distinct, 0)
+	}
+	for i := 0; i < 4096; i++ {
+		e.Step()
+	}
+	if got := testing.AllocsPerRun(1000, func() { e.Step() }); got != 0 {
+		t.Errorf("all-distinct dispatch: %v allocs, want 0", got)
+	}
+}
+
+// TestQueueFootprint: the queue's storage follows the peak number of pending
+// events, not the number of instants a run passes through. Fifty bursts of
+// 2,048 events, each over 64 fresh instants with half the burst on a
+// different one each time, leave the queue exactly as large as the first
+// burst did, and no larger than 40 B per peak-pending event.
+func TestQueueFootprint(t *testing.T) {
+	const n, instants, bursts = 2048, 64, 50
+	e := NewEngine(1)
+	nop := Func(func() {})
+	footprint := func() int {
+		return cap(e.nodes)*int(unsafe.Sizeof(node{})) +
+			cap(e.slots)*int(unsafe.Sizeof(slot{})) +
+			cap(e.times)*int(unsafe.Sizeof(Time(0)))
+	}
+	first := 0
+	for b := 0; b < bursts; b++ {
+		base := e.Now() + 1
+		for i := 0; i < n; i++ {
+			k := i % instants
+			if i < n/2 {
+				k = b % instants
+			}
+			e.Schedule(base+Time(k), nop, 0)
+		}
+		if e.Pending() != n {
+			t.Fatalf("burst %d: Pending() = %d, want %d", b, e.Pending(), n)
+		}
+		e.Run()
+		if b == 0 {
+			first = footprint()
+		}
+	}
+	if got := footprint(); got != first {
+		t.Errorf("queue grew from %d B after one burst to %d B after %d over %d instants",
+			first, got, bursts, bursts*instants)
+	}
+	per := float64(first) / n
+	t.Logf("%d B for %d peak-pending events: %.1f B each", first, n, per)
+	if per > 40 {
+		t.Errorf("queue holds %.1f B per peak-pending event, want ≤ 40", per)
 	}
 }
 
@@ -369,6 +503,41 @@ func BenchmarkEngineTickers(b *testing.B) {
 	}
 	if ticks != b.N {
 		b.Fatalf("%d ticks in %d steps", ticks, b.N)
+	}
+}
+
+// rearm re-schedules itself period after each firing.
+type rearm struct {
+	eng    *Engine
+	period Duration
+}
+
+func (r *rearm) Fire(arg int32) { r.eng.ScheduleAfter(r.period, r, arg) }
+
+// symmetricRanks schedules one re-arming receiver per rank, the ranks spread
+// over stages instants 1 ns apart: each stage's ranks fire together and
+// re-arm onto the same instant, as symmetric ranks of a job do.
+func symmetricRanks(e *Engine, ranks, stages int) {
+	rs := make([]rearm, ranks)
+	for i := range rs {
+		rs[i] = rearm{eng: e, period: Duration(stages)}
+		e.Schedule(Time(i%stages), &rs[i], int32(i))
+	}
+}
+
+// BenchmarkEngineTies: 512 symmetric ranks in 4 stages — ~5 instants pending
+// with ~128 events each, the tie-heavy shape of a 512-rank job — one op per
+// pop+push.
+func BenchmarkEngineTies(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	symmetricRanks(e, 512, 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	if e.Dispatched() != uint64(b.N) {
+		b.Fatalf("%d events in %d steps", e.Dispatched(), b.N)
 	}
 }
 
