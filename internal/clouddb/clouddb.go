@@ -1,8 +1,8 @@
 // Package clouddb is the in-memory stand-in for Mycroft's cloud trace
-// database (§6.1): the caching layer the always-on backend queries. Records
-// are sharded by rank-hash into independently pruned shards, each with its
-// own per-rank series and communicator index, so fleet-scale ingest and the
-// Algorithms 1/2 window queries never walk one global map.
+// database (§6.1): the caching layer the always-on backend queries. Each rank
+// has one series, found by indexing a table with the rank; the series are
+// partitioned by rank modulo shard count into independently pruned shards,
+// each with its own communicator index.
 // The store supports the time-window lookups the backend issues, a unified
 // predicate/pagination query layer (see query.go), a retention horizon (the
 // production system keeps one day), and volume accounting so the data-volume
@@ -22,11 +22,18 @@
 // live record. Readers binary-search and walk the slots in place, test their
 // time, communicator and kind predicates there, and rebuild a trace.Record
 // only for what they return.
+//
+// Ingest probes no map per record. Ranks are dense in [0, world size), so the
+// series table is a slice indexed by rank. A series remembers the
+// communicator of its newest record, so a run of one communicator's records
+// (a rank emits its state logs channel after channel) finds it indexed at
+// once; the rest of a rank's communicators, ~3 at any size, are a short
+// slice it scans.
 package clouddb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mycroft/internal/otrace"
@@ -45,7 +52,7 @@ const DefaultShards = 8
 const maxShards = 64
 
 // rankSeries holds one rank's records in emission order plus the per-rank
-// facts Ingest would otherwise re-derive per record (the set of communicators
+// facts Ingest would otherwise re-derive per record (the communicators
 // already indexed) and the two record fields that are the same on every
 // record of a rank, which the stored slots therefore leave out: the rank and
 // the IP it reports from. ip is the first-seen IP — what IPOf answers with; a
@@ -54,15 +61,23 @@ const maxShards = 64
 // returns exactly the record that was ingested.
 type rankSeries struct {
 	rank  topo.Rank
+	shard int // index of the shard that holds the series
 	ip    topo.IP
 	ips   []topo.IP // IPs other than ip this rank has reported from, in order seen
 	log   recLog
-	comms map[uint64]bool
+	// comms lists the communicators the rank is indexed under, in order
+	// seen; lastComm indexes the newest record's.
+	comms    []uint64
+	lastComm int
 }
+
+// commsPerRank sizes a series' communicator list up front: a rank sits in a
+// TP, a DP and one or two pipeline communicators.
+const commsPerRank = 4
 
 // shard is one independently pruned partition of the store.
 type shard struct {
-	byRank    map[topo.Rank]*rankSeries
+	series    []*rankSeries // this shard's, in order created
 	commRanks map[uint64]map[topo.Rank]bool
 
 	ingested uint64
@@ -71,10 +86,7 @@ type shard struct {
 }
 
 func newShard() *shard {
-	return &shard{
-		byRank:    make(map[topo.Rank]*rankSeries),
-		commRanks: make(map[uint64]map[topo.Rank]bool),
-	}
+	return &shard{commRanks: make(map[uint64]map[topo.Rank]bool)}
 }
 
 // DB stores trace records ordered by emission time per rank.
@@ -82,6 +94,7 @@ type DB struct {
 	eng       *sim.Engine
 	retention time.Duration
 	shards    []*shard
+	byRank    []*rankSeries // indexed by rank; nil for a rank with no record yet
 
 	ingested      uint64 // records
 	bytesIngested uint64
@@ -119,31 +132,47 @@ func NewSharded(eng *sim.Engine, retention time.Duration, shards int) *DB {
 	return db
 }
 
-// shardIdx maps a rank to its shard.
-func (db *DB) shardIdx(r topo.Rank) int {
+// newSeries creates rank r's series in shard r modulo the shard count,
+// growing the table to hold it.
+func (db *DB) newSeries(r topo.Rank, ip topo.IP) *rankSeries {
 	if r < 0 {
-		r = -r
+		panic(fmt.Sprintf("clouddb: negative rank %d", r))
 	}
-	return int(r) % len(db.shards)
+	if int(r) >= len(db.byRank) {
+		db.byRank = append(db.byRank, make([]*rankSeries, int(r)+1-len(db.byRank))...)
+	}
+	s := &rankSeries{rank: r, shard: int(r) % len(db.shards), ip: ip, comms: make([]uint64, 0, commsPerRank)}
+	db.byRank[r] = s
+	sh := db.shards[s.shard]
+	sh.series = append(sh.series, s)
+	return s
 }
 
-// seriesFor returns (creating on first sight) the series for a rank.
-func (db *DB) seriesFor(r topo.Rank, ip topo.IP) (int, *shard, *rankSeries) {
-	idx := db.shardIdx(r)
-	sh := db.shards[idx]
-	s := sh.byRank[r]
-	if s == nil {
-		s = &rankSeries{rank: r, ip: ip, comms: make(map[uint64]bool)}
-		sh.byRank[r] = s
+// noteComm makes comm the series' current communicator, indexing the rank
+// under it on first sight.
+func (s *rankSeries) noteComm(sh *shard, comm uint64) {
+	for i, c := range s.comms {
+		if c == comm {
+			s.lastComm = i
+			return
+		}
 	}
-	return idx, sh, s
+	s.lastComm = len(s.comms)
+	s.comms = append(s.comms, comm)
+	cr := sh.commRanks[comm]
+	if cr == nil {
+		cr = make(map[topo.Rank]bool)
+		sh.commRanks[comm] = cr
+	}
+	cr[s.rank] = true
 }
 
 // Ingest appends a batch. Records for one rank must arrive in emission
-// order, which the per-host agent guarantees (it drains an ordered ring).
-// Only the shards the batch touches are pruned; untouched shards keep their
-// over-horizon records until their next ingest (retention is a horizon, not
-// an instant).
+// order, which the per-host agent guarantees (it drains an ordered ring), and
+// ranks must be non-negative: the series table is as long as the highest
+// rank ingested. Only the shards the batch touches are pruned; untouched
+// shards keep their over-horizon records until their next ingest (retention
+// is a horizon, not an instant).
 func (db *DB) Ingest(batch []trace.Record) {
 	if len(batch) == 0 {
 		return
@@ -152,29 +181,23 @@ func (db *DB) Ingest(batch []trace.Record) {
 	var (
 		series  *rankSeries
 		sh      *shard
-		last    topo.Rank
 		touched uint64
 	)
 	for i := range batch {
 		r := &batch[i]
-		if series == nil || r.Rank != last {
-			var idx int
-			idx, sh, series = db.seriesFor(r.Rank, r.IP)
-			last = r.Rank
-			touched |= 1 << uint(idx)
-		}
-		if newest := series.log.newest; newest != nil && newest.time > r.Time {
-			panic(fmt.Sprintf("clouddb: out-of-order ingest for rank %d: %v after %v", r.Rank, r.Time, newest.time))
-		}
-		series.store(series.log.push(), r)
-		if !series.comms[r.CommID] {
-			series.comms[r.CommID] = true
-			cr := sh.commRanks[r.CommID]
-			if cr == nil {
-				cr = make(map[topo.Rank]bool)
-				sh.commRanks[r.CommID] = cr
+		if series == nil || r.Rank != series.rank {
+			if series = db.series(r.Rank); series == nil {
+				series = db.newSeries(r.Rank, r.IP)
 			}
-			cr[r.Rank] = true
+			sh = db.shards[series.shard]
+			touched |= 1 << uint(series.shard)
+		}
+		if l := &series.log; l.n > 0 && l.newest > r.Time {
+			panic(fmt.Sprintf("clouddb: out-of-order ingest for rank %d: %v after %v", r.Rank, r.Time, l.newest))
+		}
+		series.store(series.log.push(r.Time), r)
+		if c := series.comms; len(c) == 0 || c[series.lastComm] != r.CommID {
+			series.noteComm(sh, r.CommID)
 		}
 		if r.Time > sh.maxTime {
 			sh.maxTime = r.Time
@@ -295,7 +318,7 @@ func (db *DB) prune(touched uint64) {
 		if touched&(1<<uint(idx)) == 0 {
 			continue
 		}
-		for _, s := range sh.byRank {
+		for _, s := range sh.series {
 			if i := s.log.firstFrom(cut); i > 0 {
 				sh.pruned += uint64(i)
 				dropped += uint64(i)
@@ -310,7 +333,10 @@ func (db *DB) prune(touched uint64) {
 
 // series returns the series for a rank, or nil.
 func (db *DB) series(r topo.Rank) *rankSeries {
-	return db.shards[db.shardIdx(r)].byRank[r]
+	if r < 0 || int(r) >= len(db.byRank) {
+		return nil
+	}
+	return db.byRank[r]
 }
 
 // Ingested returns how many records have been stored.
@@ -354,8 +380,8 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	st := Stats{Ingested: db.ingested, BytesIngested: db.bytesIngested, Shards: make([]ShardStats, len(db.shards))}
 	for i, sh := range db.shards {
-		ss := ShardStats{Ranks: len(sh.byRank), Ingested: sh.ingested, Pruned: sh.pruned}
-		for _, s := range sh.byRank {
+		ss := ShardStats{Ranks: len(sh.series), Ingested: sh.ingested, Pruned: sh.pruned}
+		for _, s := range sh.series {
 			ss.Records += s.log.n
 		}
 		st.Shards[i] = ss
@@ -366,15 +392,14 @@ func (db *DB) Stats() Stats {
 	return st
 }
 
-// Ranks returns every rank that has ever produced a record.
+// Ranks returns every rank that has ever produced a record, ascending.
 func (db *DB) Ranks() []topo.Rank {
 	var out []topo.Rank
-	for _, sh := range db.shards {
-		for r := range sh.byRank {
-			out = append(out, r)
+	for r, s := range db.byRank {
+		if s != nil {
+			out = append(out, topo.Rank(r))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -394,7 +419,7 @@ func (db *DB) RanksOfComm(commID uint64) []topo.Rank {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -404,11 +429,8 @@ func (db *DB) CommsOfRank(r topo.Rank) []uint64 {
 	if s == nil {
 		return nil
 	}
-	out := make([]uint64, 0, len(s.comms))
-	for comm := range s.comms {
-		out = append(out, comm)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(s.comms)
+	slices.Sort(out)
 	return out
 }
 

@@ -54,8 +54,9 @@ func TestIngestFootprint(t *testing.T) {
 	if perRecord := (float64(heap1) - float64(heap0)) / records; perRecord > 112 {
 		t.Errorf("%.1f heap bytes per stored record, want ≤ 112", perRecord)
 	}
-	// One malloc per segment; per rank, the series, its maps, and the
-	// doublings of a segment-pointer slice that ends a few dozen long.
+	// One malloc per segment; per rank, the series, its communicator list,
+	// its communicator-index entry, and the doublings of a segment-pointer
+	// slice that ends a few dozen long.
 	if got, max := mallocs1-mallocs0, uint64(ranks*perRank/segLen+32*ranks); got > max {
 		t.Errorf("%d mallocs ingesting %d records over %d ranks, want ≤ %d", got, ranks*perRank, ranks, max)
 	}

@@ -26,7 +26,7 @@ func (db *DB) SetMetrics(m *Metrics) { db.metrics = m }
 // caller wants a single shard.
 func (db *DB) ShardRecords(i int) int {
 	n := 0
-	for _, s := range db.shards[i].byRank {
+	for _, s := range db.shards[i].series {
 		n += s.log.n
 	}
 	return n

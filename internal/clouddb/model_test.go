@@ -430,6 +430,17 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 				ranks: []topo.Rank{0, 1, 2, 3, 8, 9, 64, 65, 129, 511},
 				clock: make(map[topo.Rank]sim.Time),
 			}
+			// The store first sees ranks in descending, sparse order: its
+			// rank table grows to 512 on its first record and is filled in
+			// from the top, and rank 0 arrives last, further below.
+			var down []trace.Record
+			for i := len(p.ranks) - 1; i > 0; i-- {
+				down = append(down, p.record(p.ranks[i], eng.Now()))
+			}
+			p.db.Ingest(slices.Clone(down))
+			p.model.ingest(eng.Now(), down)
+			p.check()
+
 			// A cut that lands exactly on a segment boundary: one rank holds
 			// one whole segment at a single instant and two records a second
 			// later; the next prune falls between them.
@@ -443,10 +454,11 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 			p.check()
 			eng.RunFor(modelRetention + time.Millisecond)
 			second := []trace.Record{p.record(0, eng.Now()), p.record(0, eng.Now())}
+			pruned := p.db.Pruned()
 			p.db.Ingest(slices.Clone(second))
 			p.model.ingest(eng.Now(), second)
 			p.clock[0] = eng.Now()
-			if got := p.db.Pruned(); got != segLen {
+			if got := p.db.Pruned() - pruned; got != segLen {
 				t.Fatalf("boundary cut pruned %d records, want %d", got, segLen)
 			}
 			p.check()

@@ -105,13 +105,9 @@ func (db *DB) Query(q Query) Result {
 			}
 			resuming = r == q.Cursor.Rank
 		}
-		sh := db.shards[db.shardIdx(r)]
-		if sh.maxTime <= q.From {
-			continue // the whole shard predates the window
-		}
-		s := sh.byRank[r]
-		if s == nil {
-			continue
+		s := db.series(r)
+		if s == nil || db.shards[s.shard].maxTime <= q.From {
+			continue // no such rank, or its whole shard predates the window
 		}
 		lo, hi := s.log.window(q.From, to)
 		if resuming {

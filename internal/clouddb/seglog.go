@@ -45,10 +45,10 @@ type segment [segLen]slot
 // head and hands whole segments back to the collector.
 type recLog struct {
 	segs   []*segment
-	head   int    // slots of segs[0] that retention has dropped
-	n      int    // live slots
-	free   []slot // the unwritten rest of the last segment
-	newest *slot  // nil when n is 0
+	head   int      // slots of segs[0] that retention has dropped
+	n      int      // live slots
+	free   []slot   // the unwritten rest of the last segment
+	newest sim.Time // time of the newest live slot, when n > 0
 }
 
 // at returns live slot i, 0 ≤ i < n, oldest first.
@@ -57,16 +57,19 @@ func (l *recLog) at(i int) *slot {
 	return &l.segs[p/segLen][p%segLen]
 }
 
-// push appends one slot and returns it for the caller to fill.
-func (l *recLog) push() *slot {
+// push appends one slot for a record at time t and returns it for the caller
+// to fill. The log keeps t beside its bookkeeping, so the order check on the
+// next push reads no slot.
+func (l *recLog) push(t sim.Time) *slot {
 	if len(l.free) == 0 {
 		seg := new(segment)
 		l.segs = append(l.segs, seg)
 		l.free = seg[:]
 	}
-	l.newest, l.free = &l.free[0], l.free[1:]
+	sl := &l.free[0]
+	l.free, l.newest = l.free[1:], t
 	l.n++
-	return l.newest
+	return sl
 }
 
 // firstAfter returns the index of the first live slot with time > t (n when

@@ -11,15 +11,20 @@
 //     because it is visibly stuck inside comm B — nested parallelism
 //     groups).
 //
-// The graph is updated incrementally as records ingest into the cloud store
-// (O(1) map work per record), so root cause analysis walks an
-// already-materialized frontier instead of re-scanning the trace database on
-// every trigger. All queries iterate in sorted order and every tie-break is
-// explicit, so walks reproduce bit-for-bit from a seed.
+// The graph is updated incrementally as records ingest into the cloud store,
+// so root cause analysis walks an already-materialized frontier instead of
+// re-scanning the trace database on every trigger. A record costs no map
+// probe and, in the steady state, no allocation: ranks index a table, a
+// rank's few communicators (~3) are a short slice, and a run of records on
+// one (rank, communicator) resolves it once. All queries iterate in sorted
+// order and every tie-break is explicit, so walks reproduce bit-for-bit from
+// a seed.
 package depgraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mycroft/internal/sim"
@@ -97,8 +102,20 @@ type rankComm struct {
 	stateOrd  uint64   // per-rank ordinal of that state log
 	stuckNs   int64    // that state log's stuck time
 
-	spans []opSpan // bounded per-op state-log spans, oldest first
+	// spans is a ring of the newest per-op state-log spans: span k of
+	// nspans (counting from 0, oldest first) is spans[k%spanHistory], and
+	// the last spanHistory of them are held.
+	spans  [spanHistory]opSpan
+	nspans uint64
 }
+
+// heldSpans returns the range of span numbers the ring still holds.
+func (rc *rankComm) heldSpans() (lo, hi uint64) {
+	return rc.nspans - min(rc.nspans, spanHistory), rc.nspans
+}
+
+// span returns span number k.
+func (rc *rankComm) span(k uint64) *opSpan { return &rc.spans[k%spanHistory] }
 
 // inFlight reports whether the frontier shows an op still executing: the
 // newest record is a state log, not a completion.
@@ -107,20 +124,24 @@ func (rc *rankComm) inFlight() bool { return rc.kind == trace.KindState }
 // commView indexes one communicator's member frontiers.
 type commView struct {
 	id      uint64
-	members map[topo.Rank]*rankComm
+	members []*rankComm // sorted by rank
 	maxSeq  uint64
 }
 
+// commsPerRank sizes a rank's communicator list up front: a rank sits in a
+// TP, a DP and one or two pipeline communicators.
+const commsPerRank = 4
+
 // rankView indexes one rank's per-communicator frontiers.
 type rankView struct {
-	ord   uint64 // records observed for this rank, in emission order
-	comms map[uint64]*rankComm
+	ord   uint64      // records observed for this rank, in emission order
+	comms []*rankComm // in order first seen
 }
 
 // Graph is the incrementally maintained dependency graph of one job.
 type Graph struct {
 	comms   map[uint64]*commView
-	ranks   map[topo.Rank]*rankView
+	ranks   []*rankView // indexed by rank; nil for a rank not observed
 	records uint64
 	// prev is the frontier the previous record landed on: a rank emits its
 	// state logs channel after channel on one communicator, so a run of
@@ -130,31 +151,56 @@ type Graph struct {
 
 // New returns an empty graph; feed it with Observe / ObserveBatch.
 func New() *Graph {
-	return &Graph{comms: make(map[uint64]*commView), ranks: make(map[topo.Rank]*rankView)}
+	return &Graph{comms: make(map[uint64]*commView)}
 }
 
 // Observe folds one trace record into the graph. Records for one rank must
 // arrive in emission order (the cloud store enforces the same invariant);
-// interleaving across ranks is arbitrary.
+// interleaving across ranks is arbitrary. Ranks must be non-negative: the
+// rank table is as long as the highest rank observed.
 func (g *Graph) Observe(rec trace.Record) { g.observe(&rec) }
+
+// rank returns rank r's view, or nil.
+func (g *Graph) rank(r topo.Rank) *rankView {
+	if r < 0 || int(r) >= len(g.ranks) {
+		return nil
+	}
+	return g.ranks[r]
+}
+
+// find returns the frontier of (rank, comm), or nil.
+func (rv *rankView) find(comm uint64) *rankComm {
+	if rv != nil {
+		for _, rc := range rv.comms {
+			if rc.comm == comm {
+				return rc
+			}
+		}
+	}
+	return nil
+}
 
 // frontier returns (creating on first sight) the frontier of (rank, comm).
 func (g *Graph) frontier(rank topo.Rank, comm uint64) *rankComm {
+	if int(rank) >= len(g.ranks) {
+		g.ranks = append(g.ranks, make([]*rankView, int(rank)+1-len(g.ranks))...)
+	}
 	rv := g.ranks[rank]
 	if rv == nil {
-		rv = &rankView{comms: make(map[uint64]*rankComm)}
+		rv = &rankView{comms: make([]*rankComm, 0, commsPerRank)}
 		g.ranks[rank] = rv
 	}
-	rc := rv.comms[comm]
+	rc := rv.find(comm)
 	if rc == nil {
 		cv := g.comms[comm]
 		if cv == nil {
-			cv = &commView{id: comm, members: make(map[topo.Rank]*rankComm)}
+			cv = &commView{id: comm}
 			g.comms[comm] = cv
 		}
 		rc = &rankComm{rank: rank, comm: comm, rv: rv, cv: cv}
-		rv.comms[comm] = rc
-		cv.members[rank] = rc
+		rv.comms = append(rv.comms, rc)
+		at, _ := slices.BinarySearchFunc(cv.members, rank, func(m *rankComm, r topo.Rank) int { return cmp.Compare(m.rank, r) })
+		cv.members = slices.Insert(cv.members, at, rc)
 	}
 	return rc
 }
@@ -190,13 +236,11 @@ func (g *Graph) observe(rec *trace.Record) {
 		rc.lastState = rec.Time
 		rc.stateOrd = rv.ord
 		rc.stuckNs = rec.StuckNs
-		if n := len(rc.spans); n > 0 && rc.spans[n-1].seq == rec.OpSeq {
-			rc.spans[n-1].last = rec.Time
+		if n := rc.nspans; n > 0 && rc.span(n-1).seq == rec.OpSeq {
+			rc.span(n - 1).last = rec.Time
 		} else {
-			rc.spans = append(rc.spans, opSpan{seq: rec.OpSeq, first: rec.Time, last: rec.Time})
-			if len(rc.spans) > spanHistory {
-				rc.spans = rc.spans[len(rc.spans)-spanHistory:]
-			}
+			*rc.span(n) = opSpan{seq: rec.OpSeq, first: rec.Time, last: rec.Time}
+			rc.nspans++
 		}
 	}
 }
@@ -228,15 +272,10 @@ func (g *Graph) Members(comm uint64) []topo.Rank {
 	if cv == nil {
 		return nil
 	}
-	return sortedMembers(cv)
-}
-
-func sortedMembers(cv *commView) []topo.Rank {
-	out := make([]topo.Rank, 0, len(cv.members))
-	for r := range cv.members {
-		out = append(out, r)
+	out := make([]topo.Rank, len(cv.members))
+	for i, rc := range cv.members {
+		out[i] = rc.rank
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -245,7 +284,7 @@ func sortedMembers(cv *commView) []topo.Rank {
 // the op it is visibly stuck inside. Recency is the rank's own emission
 // order, exactly matching a backward scan of its trace series.
 func (g *Graph) StuckComm(r topo.Rank, exclude uint64, from, to sim.Time) (uint64, bool) {
-	rv := g.ranks[r]
+	rv := g.rank(r)
 	if rv == nil {
 		return 0, false
 	}
@@ -278,7 +317,7 @@ func (g *Graph) StuckComm(r topo.Rank, exclude uint64, from, to sim.Time) (uint6
 // per (rank, comm) — both deliberate trades for O(1) maintenance, sized so
 // the straggler chase's one-window look-back is unaffected.
 func (g *Graph) StuckCommDuring(r topo.Rank, from, to sim.Time, exclude uint64) (uint64, bool) {
-	rv := g.ranks[r]
+	rv := g.rank(r)
 	if rv == nil {
 		return 0, false
 	}
@@ -288,7 +327,8 @@ func (g *Graph) StuckCommDuring(r topo.Rank, from, to sim.Time, exclude uint64) 
 		if rc.comm == exclude {
 			continue
 		}
-		for _, sp := range rc.spans {
+		for k, hi := rc.heldSpans(); k < hi; k++ {
+			sp := rc.span(k)
 			if sp.last <= from || sp.first > to {
 				continue
 			}
@@ -308,10 +348,8 @@ func (g *Graph) StuckCommDuring(r topo.Rank, from, to sim.Time, exclude uint64) 
 // FrontierOp returns the op kind of rank r's newest record on a
 // communicator (OpNone when unobserved).
 func (g *Graph) FrontierOp(r topo.Rank, comm uint64) trace.OpKind {
-	if rv := g.ranks[r]; rv != nil {
-		if rc := rv.comms[comm]; rc != nil {
-			return rc.op
-		}
+	if rc := g.rank(r).find(comm); rc != nil {
+		return rc.op
 	}
 	return trace.OpNone
 }
@@ -344,26 +382,20 @@ func (g *Graph) HopKind(r topo.Rank, comm uint64) EdgeKind {
 //     on the member whose flows stalled longest (the ring coupling the
 //     CheckMinData analysis exploits).
 func commEdges(cv *commView) []Edge {
-	members := sortedMembers(cv)
+	members := cv.members
 	if len(members) < 2 {
 		return nil
 	}
-	minSeq := cv.members[members[0]].seq
-	for _, r := range members[1:] {
-		if s := cv.members[r].seq; s < minSeq {
-			minSeq = s
-		}
-	}
+	minSeq := cv.minSeq()
 	var laggards []*rankComm
-	for _, r := range members {
-		if rc := cv.members[r]; rc.seq == minSeq {
+	for _, rc := range members {
+		if rc.seq == minSeq {
 			laggards = append(laggards, rc)
 		}
 	}
 	var edges []Edge
 	if len(laggards) < len(members) {
-		for _, r := range members {
-			rc := cv.members[r]
+		for _, rc := range members {
 			if rc.seq == minSeq || !rc.inFlight() {
 				continue
 			}
@@ -379,8 +411,7 @@ func commEdges(cv *commView) []Edge {
 	}
 	// Everyone is on the same op: the stalled-first member holds the ring.
 	var hub *rankComm
-	for _, r := range members {
-		rc := cv.members[r]
+	for _, rc := range members {
 		if !rc.inFlight() {
 			continue
 		}
@@ -391,8 +422,7 @@ func commEdges(cv *commView) []Edge {
 	if hub == nil {
 		return nil
 	}
-	for _, r := range members {
-		rc := cv.members[r]
+	for _, rc := range members {
 		if rc == hub || !rc.inFlight() || rc.stuckNs <= 0 {
 			continue
 		}
@@ -410,14 +440,12 @@ func commEdges(cv *commView) []Edge {
 // while visibly in flight on comm B.
 func (g *Graph) nestedEdges(cv *commView) []Edge {
 	var edges []Edge
-	for _, r := range sortedMembers(cv) {
-		rc := cv.members[r]
+	for _, rc := range cv.members {
 		if rc.inFlight() || rc.seq >= cv.maxSeq {
 			continue
 		}
-		rv := g.ranks[r]
 		var busy *rankComm
-		for _, other := range rv.comms {
+		for _, other := range rc.rv.comms {
 			if other.comm == cv.id || !other.inFlight() {
 				continue
 			}
@@ -429,8 +457,8 @@ func (g *Graph) nestedEdges(cv *commView) []Edge {
 			continue
 		}
 		edges = append(edges, Edge{
-			From: Node{Rank: r, Comm: cv.id, Seq: rc.seq + 1},
-			To:   Node{Rank: r, Comm: busy.comm, Seq: busy.seq},
+			From: Node{Rank: rc.rank, Comm: cv.id, Seq: rc.seq + 1},
+			To:   Node{Rank: rc.rank, Comm: busy.comm, Seq: busy.seq},
 			Kind: EdgeNested,
 		})
 	}
@@ -462,56 +490,60 @@ func (g *Graph) Edges(comm uint64) []Edge {
 // communicators through shared ranks. The suspect itself is excluded; the
 // result is sorted.
 func (g *Graph) Victims(suspect topo.Rank) []topo.Rank {
-	blocked := map[topo.Rank]bool{suspect: true}
+	out := []topo.Rank{}
+	if g.rank(suspect) == nil {
+		return out // a rank the graph never saw holds nothing back
+	}
+	blocked := make([]bool, len(g.ranks))
+	blocked[suspect] = true
 	comms := g.Comms()
 	for changed := true; changed; {
 		changed = false
 		for _, id := range comms {
 			cv := g.comms[id]
-			members := sortedMembers(cv)
-			if len(members) < 2 {
+			if len(cv.members) < 2 {
 				continue
 			}
-			minSeq := cv.members[members[0]].seq
-			for _, r := range members[1:] {
-				if s := cv.members[r].seq; s < minSeq {
-					minSeq = s
-				}
-			}
+			minSeq := cv.minSeq()
 			// Is any blocked rank holding this comm back?
 			holding := false
 			allSame := true
-			for _, r := range members {
-				rc := cv.members[r]
+			for _, rc := range cv.members {
 				if rc.seq != minSeq {
 					allSame = false
-				} else if blocked[r] {
+				} else if blocked[rc.rank] {
 					holding = true
 				}
 			}
 			if !holding {
 				continue
 			}
-			for _, r := range members {
-				rc := cv.members[r]
-				if blocked[r] || !rc.inFlight() {
+			for _, rc := range cv.members {
+				if blocked[rc.rank] || !rc.inFlight() {
 					continue
 				}
 				// Ahead of the laggard: held at the barrier. Same op as
 				// everyone: held by the ring only if visibly stuck.
 				if rc.seq > minSeq || (allSame && rc.stuckNs > 0) {
-					blocked[r] = true
+					blocked[rc.rank] = true
 					changed = true
 				}
 			}
 		}
 	}
-	out := make([]topo.Rank, 0, len(blocked)-1)
-	for r := range blocked {
-		if r != suspect {
-			out = append(out, r)
+	for r, b := range blocked {
+		if b && topo.Rank(r) != suspect {
+			out = append(out, topo.Rank(r))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// minSeq returns the lowest op seq among the members' frontiers.
+func (cv *commView) minSeq() uint64 {
+	m := cv.members[0].seq
+	for _, rc := range cv.members[1:] {
+		m = min(m, rc.seq)
+	}
+	return m
 }

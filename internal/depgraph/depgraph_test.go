@@ -1,6 +1,8 @@
 package depgraph
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +43,7 @@ func TestFrontierTracksNewestRecord(t *testing.T) {
 	if got := g.FrontierOp(1, 7); got != trace.OpAllReduce {
 		t.Fatalf("frontier op = %v", got)
 	}
-	rc := g.ranks[1].comms[7]
+	rc := g.rank(1).find(7)
 	if rc.seq != 4 || !rc.inFlight() || rc.stuckNs != int64(time.Second) {
 		t.Fatalf("frontier = %+v", rc)
 	}
@@ -109,8 +111,15 @@ func TestSpanHistoryBounded(t *testing.T) {
 		g.Observe(state(1, 7, seq, sec(float64(seq)), 0))
 		g.Observe(completion(1, 7, seq, sec(float64(seq)+0.5)))
 	}
-	if n := len(g.ranks[1].comms[7].spans); n != spanHistory {
+	rc := g.rank(1).find(7)
+	lo, hi := rc.heldSpans()
+	if n := hi - lo; n != spanHistory {
 		t.Fatalf("span history = %d, want %d", n, spanHistory)
+	}
+	for k := lo; k < hi; k++ { // the newest ops, oldest first
+		if sp := rc.span(k); sp.seq != 20-spanHistory+k-lo || sp.first != sec(float64(sp.seq)) {
+			t.Fatalf("span %d of the ring = %+v", k-lo, *sp)
+		}
 	}
 }
 
@@ -288,5 +297,137 @@ func TestObserveBatchAndAccessors(t *testing.T) {
 	}
 	if g.Members(99) != nil {
 		t.Fatal("unknown comm has members")
+	}
+}
+
+// interleavingProgram draws each rank's record sequence for a 16-rank job:
+// four TP communicators of four ranks, four DP communicators across them
+// and two pipeline (send/recv) communicators. Every rank walks its own
+// communicators in random order, runs ops there as state logs with random
+// stall times, completes most of them, and sometimes skips an op, so the
+// groups end at different seqs and every edge kind shows up.
+func interleavingProgram(rng *rand.Rand) [][]trace.Record {
+	const world = 16
+	perRank := make([][]trace.Record, world)
+	for r := range perRank {
+		comms := []uint64{100 + uint64(r/4), 200 + uint64(r%4), 300 + uint64(r%2)}
+		seq := map[uint64]uint64{}
+		at := sim.Time(0)
+		for op := rng.Intn(30); op < 40; op++ {
+			comm := comms[rng.Intn(len(comms))]
+			seq[comm] += 1 + uint64(rng.Intn(4)/3)
+			for n := rng.Intn(4); n >= 0; n-- {
+				at = at.Add(time.Duration(rng.Intn(3)) * time.Millisecond)
+				rec := state(topo.Rank(r), comm, seq[comm], at, time.Duration(rng.Intn(4))*time.Second)
+				if comm >= 300 {
+					rec = sendrecv(rec)
+				}
+				perRank[r] = append(perRank[r], rec)
+			}
+			if rng.Intn(10) < 7 {
+				at = at.Add(time.Millisecond)
+				rec := completion(topo.Rank(r), comm, seq[comm], at)
+				if comm >= 300 {
+					rec = sendrecv(rec)
+				}
+				perRank[r] = append(perRank[r], rec)
+			}
+		}
+	}
+	return perRank
+}
+
+// interleave merges the ranks' sequences in a random cross-rank order that
+// keeps each rank's own.
+func interleave(rng *rand.Rand, perRank [][]trace.Record) []trace.Record {
+	next := make([]int, len(perRank))
+	var out []trace.Record
+	for {
+		var live []int
+		for r, recs := range perRank {
+			if next[r] < len(recs) {
+				live = append(live, r)
+			}
+		}
+		if len(live) == 0 {
+			return out
+		}
+		r := live[rng.Intn(len(live))]
+		for n := 1 + rng.Intn(6); n > 0 && next[r] < len(perRank[r]); n-- {
+			out = append(out, perRank[r][next[r]])
+			next[r]++
+		}
+	}
+}
+
+// transcript answers every query the graph offers, one line each.
+func transcript(g *Graph, end sim.Time) []string {
+	var out []string
+	add := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+	comms := g.Comms()
+	add("Comms %v", comms)
+	windows := [][2]sim.Time{{0, end}, {end / 2, end}, {end - sim.Time(5*time.Millisecond), end}, {end / 4, end / 2}}
+	for r := topo.Rank(-1); r <= 17; r++ {
+		for _, ex := range append([]uint64{0}, comms...) {
+			for _, w := range windows {
+				c, ok := g.StuckComm(r, ex, w[0], w[1])
+				add("StuckComm(%d, %d, %v) = %d %v", r, ex, w, c, ok)
+				c, ok = g.StuckCommDuring(r, w[0], w[1], ex)
+				add("StuckCommDuring(%d, %v, %d) = %d %v", r, w, ex, c, ok)
+			}
+		}
+		for _, c := range comms {
+			add("FrontierOp(%d, %d) = %v; HopKind %v", r, c, g.FrontierOp(r, c), g.HopKind(r, c))
+		}
+		add("Victims(%d) = %v", r, g.Victims(r))
+	}
+	for _, c := range append([]uint64{0}, comms...) {
+		add("Members(%d) = %v", c, g.Members(c))
+		add("Edges(%d) = %+v", c, g.Edges(c))
+	}
+	add("DOT %s", g.DOT())
+	return out
+}
+
+// TestInterleavingInvariance: the graph is a function of each rank's record
+// sequence alone. The same records, fed in two cross-rank interleavings that
+// each keep every rank's order (one batch at a time, one record at a time),
+// give identical StuckComm, StuckCommDuring, FrontierOp, Edges, Victims,
+// Members and DOT answers.
+func TestInterleavingInvariance(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		perRank := interleavingProgram(rng)
+		var end sim.Time
+		for _, recs := range perRank {
+			if n := len(recs); n > 0 {
+				end = max(end, recs[n-1].Time)
+			}
+		}
+
+		a, b := New(), New()
+		for recs := interleave(rng, perRank); len(recs) > 0; {
+			n := min(len(recs), 1+rng.Intn(24))
+			a.ObserveBatch(recs[:n])
+			recs = recs[n:]
+		}
+		for _, rec := range interleave(rng, perRank) {
+			b.Observe(rec)
+		}
+		if a.Records() != b.Records() {
+			t.Fatalf("seed %d: %d records against %d", seed, a.Records(), b.Records())
+		}
+		ta, tb := transcript(a, end), transcript(b, end)
+		if len(ta) != len(tb) {
+			t.Fatalf("seed %d: %d answers against %d", seed, len(ta), len(tb))
+		}
+		for i := range ta {
+			if ta[i] != tb[i] {
+				t.Fatalf("seed %d: the interleavings disagree:\n%s\n%s", seed, ta[i], tb[i])
+			}
+		}
+		if edges := a.Edges(0); len(edges) == 0 {
+			t.Fatalf("seed %d: the program left no edge to compare", seed)
+		}
 	}
 }

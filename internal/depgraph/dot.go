@@ -27,10 +27,8 @@ func (g *Graph) DOT() string {
 	edges := g.Edges(0)
 	extra := map[uint64]map[Node]bool{}
 	note := func(n Node) {
-		if cv := g.comms[n.Comm]; cv != nil {
-			if rc := cv.members[n.Rank]; rc != nil && rc.seq == n.Seq {
-				return // rendered from the frontier below
-			}
+		if rc := g.rank(n.Rank).find(n.Comm); rc != nil && rc.seq == n.Seq {
+			return // rendered from the frontier below
 		}
 		m := extra[n.Comm]
 		if m == nil {
@@ -47,8 +45,8 @@ func (g *Graph) DOT() string {
 	for _, id := range g.Comms() {
 		cv := g.comms[id]
 		fmt.Fprintf(&b, "  subgraph cluster_comm%d {\n    label=\"comm %d\";\n", id, id)
-		for _, r := range sortedMembers(cv) {
-			rc := cv.members[r]
+		for _, rc := range cv.members {
+			r := rc.rank
 			status := "done"
 			if rc.inFlight() {
 				status = "in-flight"

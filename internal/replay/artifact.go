@@ -71,6 +71,11 @@ const maxChunk = 64 << 20
 // maxHeader bounds the decoded header JSON.
 const maxHeader = 1 << 20
 
+// maxWorld bounds the header's world size. Encoder and decoder keep a table
+// indexed by rank, sized by it, so a hostile header cannot ask for an
+// unbounded one. 2^20 ranks is ~85× MegaScale's 12,288 GPUs.
+const maxWorld = 1 << 20
+
 // Typed decode errors. Every malformed input maps onto exactly one of these
 // (wrapped with position detail); the decoder never panics.
 var (
@@ -81,7 +86,8 @@ var (
 	// ErrTruncated: the input ends mid-header or mid-chunk.
 	ErrTruncated = errors.New("replay: truncated artifact")
 	// ErrCorrupt: a CRC mismatch, an unknown entry tag, an entry overrunning
-	// its chunk, or undecodable header/event JSON.
+	// its chunk, undecodable header/event JSON, a world size outside
+	// [1, 2^20], or a record whose rank is outside [0, world size).
 	ErrCorrupt = errors.New("replay: corrupt artifact")
 	// ErrOutOfOrder: entry times decrease, or a rank's record times decrease.
 	ErrOutOfOrder = errors.New("replay: out-of-order artifact")
@@ -216,7 +222,9 @@ type Entry struct {
 	// instant (records inside carry their own emission times, which may be
 	// earlier — the collector uploads with latency).
 	At int64
-	// Batch holds the records of an EntryBatch.
+	// Batch holds the records of an EntryBatch. It is the decoder's own
+	// buffer, valid until the next call to Next, which overwrites it: a
+	// caller that keeps records past that copies them.
 	Batch []trace.Record
 	// Event holds the event of an EntryEvent.
 	Event api.Event
@@ -232,7 +240,7 @@ type Encoder struct {
 	scratch [21]byte
 
 	lastAt   int64
-	rankLast map[topo.Rank]int64
+	rankLast []int64 // newest record time per rank, math.MinInt64 before its first
 	footer   Footer
 	closed   bool
 	err      error
@@ -241,6 +249,9 @@ type Encoder struct {
 // NewEncoder writes the artifact prefix and header and returns an encoder
 // positioned at the first entry.
 func NewEncoder(w io.Writer, h Header) (*Encoder, error) {
+	if err := checkWorld(h.WorldSize); err != nil {
+		return nil, err
+	}
 	h.FormatVersion = FormatVersion
 	hdr, err := json.Marshal(h)
 	if err != nil {
@@ -258,7 +269,19 @@ func NewEncoder(w io.Writer, h Header) (*Encoder, error) {
 	if _, err := w.Write(pre.Bytes()); err != nil {
 		return nil, err
 	}
-	return &Encoder{w: w, lastAt: h.StartNs, rankLast: make(map[topo.Rank]int64)}, nil
+	rankLast := make([]int64, h.WorldSize)
+	for i := range rankLast {
+		rankLast[i] = math.MinInt64
+	}
+	return &Encoder{w: w, lastAt: h.StartNs, rankLast: rankLast}, nil
+}
+
+// checkWorld refuses a header world size the rank tables cannot be sized by.
+func checkWorld(n int) error {
+	if n < 1 || n > maxWorld {
+		return fmt.Errorf("%w: world_size %d outside [1, %d]", ErrCorrupt, n, maxWorld)
+	}
+	return nil
 }
 
 // fail latches the first error; once failed every write is a no-op returning
@@ -289,7 +312,8 @@ func (e *Encoder) checkAt(atNs int64) error {
 	return nil
 }
 
-// WriteBatch appends one ingested batch at virtual time atNs.
+// WriteBatch appends one ingested batch at virtual time atNs. It refuses a
+// record whose rank is outside the header's world, as the decoder does.
 func (e *Encoder) WriteBatch(atNs int64, recs []trace.Record) error {
 	if len(recs) == 0 {
 		return e.err
@@ -299,7 +323,10 @@ func (e *Encoder) WriteBatch(atNs int64, recs []trace.Record) error {
 	}
 	for i := range recs {
 		r := &recs[i]
-		if last, ok := e.rankLast[r.Rank]; ok && int64(r.Time) < last {
+		if r.Rank < 0 || int(r.Rank) >= len(e.rankLast) {
+			return e.fail(fmt.Errorf("replay: record rank %d outside the %d-rank world: %w", r.Rank, len(e.rankLast), ErrCorrupt))
+		}
+		if last := e.rankLast[r.Rank]; int64(r.Time) < last {
 			return e.fail(fmt.Errorf("replay: rank %d record at %dns after %dns: %w", r.Rank, int64(r.Time), last, ErrOutOfOrder))
 		}
 		e.rankLast[r.Rank] = int64(r.Time)
@@ -435,15 +462,24 @@ func (e *Encoder) Close(endNs int64) error {
 // Decoder streams an artifact: NewDecoder reads the prefix and header, Next
 // yields entries until io.EOF (after the footer, or at a clean incomplete
 // end) or a typed error.
+//
+// A decoder allocates nothing per entry in the steady state. It reads every
+// chunk into one payload buffer and decodes every batch into one record
+// buffer, both grown to the largest seen and reused, so an Entry's Batch is
+// valid only until the next call to Next. Per rank it keeps, in a table
+// indexed by rank and sized by the header's world size, the newest record
+// time (for the order check) and the IP the rank last reported from: each
+// record is decoded over that IP, so a string is allocated only when a rank
+// moves host.
 type Decoder struct {
 	r      *bufio.Reader
 	header Header
 
-	chunk    []byte // current chunk payload
-	off      int    // read offset into chunk
-	lastAt   int64
-	rankLast map[topo.Rank]int64
-	lastIP   topo.IP // the IP of the last record decoded; batches are per host
+	chunk  []byte // current chunk payload; its backing array is reused
+	off    int    // read offset into chunk
+	batch  []trace.Record
+	lastAt int64
+	ranks  []rankCursor // indexed by rank
 
 	footer   *Footer
 	seen     Footer // running counts, cross-checked against the footer
@@ -451,10 +487,16 @@ type Decoder struct {
 	firstErr error
 }
 
+// rankCursor is what a decoder remembers of one rank between its records.
+type rankCursor struct {
+	last int64   // newest record time, math.MinInt64 before the first
+	ip   topo.IP // the IP of that record
+}
+
 // NewDecoder reads the magic, version and header. The reader is consumed
 // incrementally; large artifacts are never buffered whole.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{r: bufio.NewReader(r), rankLast: make(map[topo.Rank]int64)}
+	d := &Decoder{r: bufio.NewReader(r)}
 	var prefix [8]byte
 	if _, err := io.ReadFull(d.r, prefix[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading prefix: %v", eofKind(err, ErrBadMagic), err)
@@ -482,6 +524,13 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	}
 	if d.header.FormatVersion != FormatVersion {
 		return nil, fmt.Errorf("%w: header declares version %d", ErrUnsupportedVersion, d.header.FormatVersion)
+	}
+	if err := checkWorld(d.header.WorldSize); err != nil {
+		return nil, err
+	}
+	d.ranks = make([]rankCursor, d.header.WorldSize)
+	for i := range d.ranks {
+		d.ranks[i].last = math.MinInt64
 	}
 	d.lastAt = d.header.StartNs
 	return d, nil
@@ -538,7 +587,10 @@ func (d *Decoder) nextChunk() error {
 	if n == 0 || n > maxChunk {
 		return d.fail(fmt.Errorf("%w: chunk length %d", ErrCorrupt, n))
 	}
-	payload := make([]byte, n)
+	if cap(d.chunk) < int(n) {
+		d.chunk = make([]byte, n)
+	}
+	payload := d.chunk[:n]
 	if _, err := io.ReadFull(d.r, payload); err != nil {
 		return d.fail(fmt.Errorf("%w: chunk body (%d bytes expected)", ErrTruncated, n))
 	}
@@ -561,7 +613,8 @@ func (d *Decoder) take(n int) ([]byte, error) {
 
 // Next returns the next entry. It returns io.EOF at the end of the stream
 // (complete or not) and a typed error for malformed input; after an error or
-// EOF every further call returns the same result.
+// EOF every further call returns the same result. A batch entry's records
+// live in the decoder's buffer and are overwritten by the next call.
 func (d *Decoder) Next() (Entry, error) {
 	if d.done {
 		if d.firstErr != nil {
@@ -604,42 +657,28 @@ func (d *Decoder) Next() (Entry, error) {
 		if int(n)*trace.WireSize > len(d.chunk)-d.off {
 			return Entry{}, d.fail(fmt.Errorf("%w: batch of %d records overruns chunk", ErrCorrupt, n))
 		}
-		recs := make([]trace.Record, n)
-		// rankLast is read when a run of one rank's records begins and written
-		// back when it ends; last is its value in between, and MinInt64 for a
-		// rank not seen before (no record is earlier than that).
-		var (
-			run  topo.Rank
-			last int64
-		)
+		if cap(d.batch) < int(n) {
+			d.batch = make([]trace.Record, n)
+		}
+		recs := d.batch[:n]
 		for i := range recs {
 			b, err := d.take(trace.WireSize)
 			if err != nil {
 				return Entry{}, err
 			}
-			r := &recs[i]
-			r.IP = d.lastIP // UnmarshalBinary keeps it when the bytes agree
+			rank := trace.WireRank(b)
+			if rank < 0 || int(rank) >= len(d.ranks) {
+				return Entry{}, d.fail(fmt.Errorf("%w: record %d: rank %d outside the %d-rank world", ErrCorrupt, i, rank, len(d.ranks)))
+			}
+			rc, r := &d.ranks[rank], &recs[i]
+			r.IP = rc.ip // UnmarshalBinary keeps it when the bytes agree
 			if err := r.UnmarshalBinary(b); err != nil {
 				return Entry{}, d.fail(fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err))
 			}
-			d.lastIP = r.IP
-			if i == 0 || r.Rank != run {
-				if i > 0 {
-					d.rankLast[run] = last
-				}
-				run = r.Rank
-				var seen bool
-				if last, seen = d.rankLast[run]; !seen {
-					last = math.MinInt64
-				}
+			if int64(r.Time) < rc.last {
+				return Entry{}, d.fail(fmt.Errorf("%w: rank %d record at %dns after %dns", ErrOutOfOrder, r.Rank, int64(r.Time), rc.last))
 			}
-			if int64(r.Time) < last {
-				return Entry{}, d.fail(fmt.Errorf("%w: rank %d record at %dns after %dns", ErrOutOfOrder, r.Rank, int64(r.Time), last))
-			}
-			last = int64(r.Time)
-		}
-		if n > 0 {
-			d.rankLast[run] = last
+			rc.last, rc.ip = int64(r.Time), r.IP
 		}
 		d.seen.Records += uint64(n)
 		return Entry{Kind: EntryBatch, At: at, Batch: recs}, nil

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -229,6 +230,48 @@ func prefixOnly(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// prefixWith returns an artifact prefix+header carrying h as given, which
+// NewEncoder would refuse to write for a header out of bounds.
+func prefixWith(h Header) []byte {
+	h.FormatVersion = FormatVersion
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		panic(err)
+	}
+	out := append(bytes.Clone(magic[:]), FormatVersion, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(out[8:], uint32(len(hdr)))
+	return append(out, hdr...)
+}
+
+// worldPrefix is prefixWith the fixture header resized to world ranks.
+func worldPrefix(world int) []byte {
+	h := fixtureHeader()
+	h.WorldSize = world
+	return prefixWith(h)
+}
+
+// batchEntry renders one 'B' entry, whatever its records' ranks.
+func batchEntry(atNs int64, recs ...trace.Record) []byte {
+	out := make([]byte, 13, 13+len(recs)*trace.WireSize)
+	out[0] = byte(EntryBatch)
+	binary.LittleEndian.PutUint64(out[1:], uint64(atNs))
+	binary.LittleEndian.PutUint32(out[9:], uint32(len(recs)))
+	for i := range recs {
+		b := make([]byte, trace.WireSize)
+		if err := recs[i].MarshalBinaryTo(b); err != nil {
+			panic(err)
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
+// outOfWorld returns the fixture (16 ranks) with one more batch holding a
+// record of the given rank.
+func outOfWorld(t testing.TB, rank int) []byte {
+	return append(prefixOnly(t), frame(batchEntry(100, fixtureRecord(0, 80), fixtureRecord(rank, 90)))...)
+}
+
 // evalEntry renders one 'V' entry.
 func evalEntry(atNs int64) []byte {
 	out := make([]byte, 9)
@@ -277,6 +320,11 @@ func TestCorruptInputs(t *testing.T) {
 		{"unknown entry tag", unknownTag, ErrCorrupt},
 		{"out-of-order entries", outOfOrder, ErrOutOfOrder},
 		{"footer count mismatch", badFooter, ErrCorrupt},
+		{"negative rank", outOfWorld(t, -1), ErrCorrupt},
+		{"rank equal to the world size", outOfWorld(t, 16), ErrCorrupt},
+		{"world size 0", worldPrefix(0), ErrCorrupt},
+		{"world size 2^31", worldPrefix(1 << 31), ErrCorrupt},
+		{"world size above the bound", worldPrefix(maxWorld + 1), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -333,6 +381,37 @@ func TestEncoderRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestEncoderRejectsOutOfWorld: the encoder refuses a header world size and a
+// record rank the decoder would refuse, so nothing it writes fails to decode.
+func TestEncoderRejectsOutOfWorld(t *testing.T) {
+	for _, world := range []int{0, -1, maxWorld + 1} {
+		h := fixtureHeader()
+		h.WorldSize = world
+		if _, err := NewEncoder(io.Discard, h); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("world size %d: got %v, want ErrCorrupt", world, err)
+		}
+	}
+	if _, err := NewEncoder(io.Discard, func() Header { h := fixtureHeader(); h.WorldSize = maxWorld; return h }()); err != nil {
+		t.Errorf("world size %d refused: %v", maxWorld, err)
+	}
+	for _, rank := range []int{-1, 16, 1 << 20} {
+		var buf bytes.Buffer
+		enc, err := NewEncoder(&buf, fixtureHeader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.WriteBatch(100, []trace.Record{fixtureRecord(0, 80), fixtureRecord(rank, 90)}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("rank %d of 16: got %v, want ErrCorrupt", rank, err)
+		}
+		if err := enc.Close(200); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("rank %d of 16: Close after the refusal: got %v", rank, err)
+		}
+		if err := drain(buf.Bytes()); err != nil {
+			t.Errorf("rank %d of 16: what was written does not decode: %v", rank, err)
+		}
+	}
+}
+
 // FuzzDecodeArtifact: arbitrary bytes must produce a typed error or a clean
 // decode — never a panic, never an unbounded allocation.
 func FuzzDecodeArtifact(f *testing.F) {
@@ -346,6 +425,10 @@ func FuzzDecodeArtifact(f *testing.F) {
 		}
 	}
 	f.Add(append(bytes.Clone(good), good...))
+	f.Add(outOfWorld(f, -1))
+	f.Add(outOfWorld(f, 16))
+	f.Add(worldPrefix(0))
+	f.Add(worldPrefix(1 << 31))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		err := drain(data)
 		if err != nil &&
@@ -357,10 +440,69 @@ func FuzzDecodeArtifact(f *testing.F) {
 	})
 }
 
-// TestDecodeInternsIP: batches are per host, so the decoder allocates an IP
-// string when the host changes, not once per record; what it yields is still
-// exactly what was encoded, and a rank's order is still checked across the
-// batches of an interleaved second host.
+// TestDecodeBatchReused: a batch lives in the decoder's buffer until the next
+// Next, which overwrites it in place; compared before that call, every batch
+// is exactly what was encoded, through a shrink and a regrow of the buffer.
+func TestDecodeBatchReused(t *testing.T) {
+	sizes := []int{48, 16, 16, 96, 8}
+	var want [][]trace.Record
+	var buf bytes.Buffer
+	enc, err := NewEncoder(&buf, fixtureHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := int64(0)
+	for b, n := range sizes {
+		batch := make([]trace.Record, n)
+		for i := range batch {
+			at++
+			batch[i] = fixtureRecord((b+i)%16, at)
+			batch[i].OpSeq = uint64(at)
+		}
+		if err := enc.WriteBatch(at, batch); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, batch)
+	}
+	if err := enc.Close(at); err != nil {
+		t.Fatal(err)
+	}
+
+	dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retained []trace.Record
+	for b := range sizes {
+		e, err := dec.Next()
+		if err != nil || e.Kind != EntryBatch {
+			t.Fatalf("batch %d: kind %q, err %v", b, e.Kind, err)
+		}
+		if !reflect.DeepEqual(e.Batch, want[b]) {
+			t.Fatalf("batch %d decoded to\n%+v\nwant\n%+v", b, e.Batch, want[b])
+		}
+		if b == 1 {
+			// Batch 0 was held across this call: batch 1 now sits in its
+			// first 16 records.
+			if &retained[0] != &e.Batch[0] {
+				t.Fatal("a smaller batch did not reuse the buffer")
+			}
+			if !reflect.DeepEqual(retained[:len(e.Batch)], want[1]) || reflect.DeepEqual(retained, want[0]) {
+				t.Fatal("the retained batch was not overwritten by the next one")
+			}
+		}
+		retained = e.Batch
+	}
+	if _, err := dec.Next(); err != io.EOF || !dec.Complete() {
+		t.Fatalf("after the last batch: err %v, complete %v", err, dec.Complete())
+	}
+}
+
+// TestDecodeInternsIP: a record is decoded over the IP its rank last reported
+// from, so with ranks on two hosts whose batches alternate the steady-state
+// decode allocates nothing: no record slice, no chunk payload and no IP
+// string. What it yields is still exactly what was encoded, and a rank's
+// order is still checked across the batches of an interleaved second host.
 func TestDecodeInternsIP(t *testing.T) {
 	const batches, perBatch = 64, 128 // 8 ranks per host, 16 records each, per batch
 	hosts := []topo.IP{"10.0.0.1", "10.0.0.2"}
@@ -396,18 +538,15 @@ func TestDecodeInternsIP(t *testing.T) {
 		if err != nil || e.Kind != EntryBatch {
 			t.Fatalf("batch %d: kind %q, err %v", next, e.Kind, err)
 		}
-		if !reflect.DeepEqual(e.Batch, want[next]) {
+		if !slices.Equal(e.Batch, want[next]) {
 			t.Fatalf("batch %d decoded to\n%+v\nwant\n%+v", next, e.Batch, want[next])
 		}
 		next++
 	}
-	one() // both hosts seen once: steady state from here
+	one() // both hosts and the first chunk seen: steady state from here
 	one()
-	// Per batch: the record slice, a chunk payload every few batches, and one
-	// IP string because the host alternates.
-	perRecord := testing.AllocsPerRun(batches-3, one) / perBatch
-	if perRecord >= 0.05 {
-		t.Errorf("%.3f allocations per decoded record, want < 0.05", perRecord)
+	if perBatch := testing.AllocsPerRun(batches-3, one); perBatch != 0 {
+		t.Errorf("%.3f allocations per decoded batch, want 0", perBatch)
 	}
 	if _, err := dec.Next(); err != io.EOF || !dec.Complete() {
 		t.Fatalf("after the last batch: err %v, complete %v", err, dec.Complete())

@@ -196,10 +196,17 @@ func (r *Record) MarshalBinaryTo(b []byte) error {
 	return nil
 }
 
+// WireRank returns the rank of the record encoded in the first WireSize bytes
+// of b without decoding the rest, so a bulk decoder can check the rank and
+// pick the IP to seed UnmarshalBinary with first.
+func WireRank(b []byte) topo.Rank {
+	return topo.Rank(int32(binary.LittleEndian.Uint32(b[34:])))
+}
+
 // UnmarshalBinary decodes a fixed WireSize buffer. The IP is the one field
 // that needs heap memory; when r already holds the encoded IP its string is
-// kept, so a decoder that seeds r.IP with the previous record's pays for one
-// string per run of records from the same host instead of one per record.
+// kept, so a decoder that seeds r.IP with the IP the record's rank last
+// reported from pays for one string per host, not one per record.
 func (r *Record) UnmarshalBinary(b []byte) error {
 	if len(b) < WireSize {
 		return fmt.Errorf("trace: short buffer %d < %d", len(b), WireSize)

@@ -49,7 +49,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 			StuckNs: stuck,
 		}
 		b, err := r.MarshalBinary()
-		if err != nil {
+		if err != nil || WireRank(b) != r.Rank {
 			return false
 		}
 		var got Record

@@ -3,6 +3,7 @@ package mycroft
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -52,6 +53,73 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 	if d := DiffOutcomes(res.Recorded, res.Replayed); !d.Zero() {
 		t.Fatalf("replay drifted:\n%s", d.Render())
+	}
+}
+
+// TestReplayAllocBudget holds a replay's allocations per replayed record: a
+// 64-rank self-healing job (TP8 PP4 DP2, a nic-down healed by the policy,
+// 120 virtual seconds) is recorded to memory and replayed. The decoder reuses
+// its buffers, and the store and the dependency graph index ranks with
+// tables, so what is left is mostly the backend's window reads and the
+// store's segments. It reads 0.060 per record; it read 0.212 while the
+// decoder allocated every batch and chunk and the store and the graph kept
+// their ranks in maps.
+func TestReplayAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a malloc count; -short is how the race job runs")
+	}
+	svc := NewService(ServiceOptions{Seed: 1})
+	h, err := svc.AddJob("heal", JobOptions{
+		Topo:    TopoConfig{Nodes: 8, GPUsPerNode: 8, TP: 8, PP: 4, DP: 2},
+		Backend: BackendConfig{RearmDelay: 10 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AttachPolicy("heal", SelfHealPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec, err := svc.Record("heal", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	h.Inject(Fault{Kind: faults.NICDown, Rank: 21, At: 15 * time.Second})
+	svc.Run(120 * time.Second)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc.Stop()
+	if log := h.RemediationLog(); len(log) == 0 || log[len(log)-1].Outcome != RemedySucceeded {
+		t.Fatalf("the job did not heal: %+v", log)
+	}
+	data := buf.Bytes()
+
+	if _, err := Replay(bytes.NewReader(data), ReplayOptions{}); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Replay(bytes.NewReader(data), ReplayOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RecordsIngested != h.RecordsIngested() {
+		t.Fatalf("replayed %d records, the job ingested %d", res.RecordsIngested, h.RecordsIngested())
+	}
+	if len(res.Replayed.Reports) == 0 {
+		t.Fatal("the replay concluded nothing: the budget would price an idle job")
+	}
+	if d := DiffOutcomes(res.Recorded, res.Replayed); !d.Zero() {
+		t.Fatalf("replay drifted:\n%s", d.Render())
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	perRecord := float64(mallocs) / float64(res.RecordsIngested)
+	t.Logf("%d mallocs over %d replayed records: %.4f per record", mallocs, res.RecordsIngested, perRecord)
+	if perRecord >= 0.08 {
+		t.Errorf("%.4f mallocs per replayed record, want < 0.08", perRecord)
 	}
 }
 
