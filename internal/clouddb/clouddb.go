@@ -1,8 +1,7 @@
 // Package clouddb is the in-memory stand-in for Mycroft's cloud trace
 // database (§6.1): the caching layer the always-on backend queries. Each rank
 // has one series, found by indexing a table with the rank; the series are
-// partitioned by rank modulo shard count into independently pruned shards,
-// each with its own communicator index.
+// partitioned by rank modulo shard count into independently pruned shards.
 // The store supports the time-window lookups the backend issues, a unified
 // predicate/pagination query layer (see query.go), a retention horizon (the
 // production system keeps one day), and volume accounting so the data-volume
@@ -11,24 +10,27 @@
 // # Layout
 //
 // At fleet size the store, not the simulator, is what fills the heap, so a
-// rank's records are not kept as trace.Records. Each rank has a log of
-// fixed-length segments of 88-byte slots (seglog.go): a slot is a record
-// without its Rank and IP — the same on every record of a rank, and IP the
-// record's only pointer — so a segment is pointer-free memory the collector
-// never scans, sized to fill one of the allocator's size classes. Ingest
-// writes one slot and allocates only when a rank's last segment is full;
-// nothing stored is ever copied, cleared or regrown. Retention releases whole
-// segments as the horizon passes them, and all of a rank's once it has no
-// live record. Readers binary-search and walk the slots in place, test their
-// time, communicator and kind predicates there, and rebuild a trace.Record
-// only for what they return.
+// rank's records are not kept as trace.Records. A rank's state logs repeat
+// their metadata and operation rows every tick; only the timestamps, the
+// chunk counters and the stuck time change. So each series keeps a flow
+// table — one entry per distinct (IP, communicator, GPU, channel, QP, op,
+// message size, total chunks, kind) tuple — and a log of fixed-length
+// segments of 56-byte slots (seglog.go) that hold the changing fields and a
+// flow index. A segment is pointer-free memory the collector never scans,
+// sized to fill one of the allocator's size classes. Ingest writes one slot
+// and allocates only when a rank's last segment is full or its record starts
+// a flow; nothing stored is ever copied, cleared or regrown. Retention
+// releases whole segments as the horizon passes them, and all of a rank's,
+// flow table included, once it has no live record: the table holds one flow
+// per distinct tuple since the log was last empty. Readers binary-search and
+// walk the slots in place, test their time, communicator, kind and channel
+// predicates on the slot's flow, and rebuild a trace.Record only for what
+// they return.
 //
 // Ingest probes no map per record. Ranks are dense in [0, world size), so the
-// series table is a slice indexed by rank. A series remembers the
-// communicator of its newest record, so a run of one communicator's records
-// (a rank emits its state logs channel after channel) finds it indexed at
-// once; the rest of a rank's communicators, ~3 at any size, are a short
-// slice it scans.
+// series table is a slice indexed by rank. A record is matched against the
+// two flows its rank used last, then the rest of the table newest first; a
+// communicator is indexed only when a flow is added.
 package clouddb
 
 import (
@@ -51,24 +53,22 @@ const DefaultShards = 8
 // word (Ingest tracks which shards to prune with a bitmask).
 const maxShards = 64
 
-// rankSeries holds one rank's records in emission order plus the per-rank
-// facts Ingest would otherwise re-derive per record (the communicators
-// already indexed) and the two record fields that are the same on every
-// record of a rank, which the stored slots therefore leave out: the rank and
-// the IP it reports from. ip is the first-seen IP — what IPOf answers with; a
+// rankSeries holds one rank's records in emission order: its log of slots
+// and the flow table they index, which together rebuild exactly the record
+// that was ingested. ip is the first-seen IP — what IPOf answers with; a
 // record that arrives with a different one (a rank re-homed to another host
-// mid-run) gets an entry in ips and its slot an index into it, so every read
-// returns exactly the record that was ingested.
+// mid-run) starts a flow of its own.
 type rankSeries struct {
 	rank  topo.Rank
 	shard int // index of the shard that holds the series
 	ip    topo.IP
-	ips   []topo.IP // IPs other than ip this rank has reported from, in order seen
 	log   recLog
-	// comms lists the communicators the rank is indexed under, in order
-	// seen; lastComm indexes the newest record's.
-	comms    []uint64
-	lastComm int
+	// flows holds one entry per distinct tuple since the log was last empty,
+	// in order seen; recent indexes the two used last, newest first.
+	flows  []flow
+	recent [2]uint32
+	// comms lists the communicators the rank is indexed under, in order seen.
+	comms []uint64
 }
 
 // commsPerRank sizes a series' communicator list up front: a rank sits in a
@@ -77,16 +77,11 @@ const commsPerRank = 4
 
 // shard is one independently pruned partition of the store.
 type shard struct {
-	series    []*rankSeries // this shard's, in order created
-	commRanks map[uint64]map[topo.Rank]bool
+	series []*rankSeries // this shard's, in order created
 
 	ingested uint64
 	pruned   uint64
 	maxTime  sim.Time
-}
-
-func newShard() *shard {
-	return &shard{commRanks: make(map[uint64]map[topo.Rank]bool)}
 }
 
 // DB stores trace records ordered by emission time per rank.
@@ -94,7 +89,8 @@ type DB struct {
 	eng       *sim.Engine
 	retention time.Duration
 	shards    []*shard
-	byRank    []*rankSeries // indexed by rank; nil for a rank with no record yet
+	byRank    []*rankSeries          // indexed by rank; nil for a rank with no record yet
+	commRanks map[uint64][]topo.Rank // every communicator's member ranks, ascending
 
 	ingested      uint64 // records
 	bytesIngested uint64
@@ -125,9 +121,9 @@ func NewSharded(eng *sim.Engine, retention time.Duration, shards int) *DB {
 	if shards < 1 || shards > maxShards {
 		panic(fmt.Sprintf("clouddb: shard count %d outside [1, %d]", shards, maxShards))
 	}
-	db := &DB{eng: eng, retention: retention, shards: make([]*shard, shards)}
+	db := &DB{eng: eng, retention: retention, shards: make([]*shard, shards), commRanks: make(map[uint64][]topo.Rank)}
 	for i := range db.shards {
-		db.shards[i] = newShard()
+		db.shards[i] = new(shard)
 	}
 	return db
 }
@@ -148,23 +144,16 @@ func (db *DB) newSeries(r topo.Rank, ip topo.IP) *rankSeries {
 	return s
 }
 
-// noteComm makes comm the series' current communicator, indexing the rank
-// under it on first sight.
-func (s *rankSeries) noteComm(sh *shard, comm uint64) {
-	for i, c := range s.comms {
-		if c == comm {
-			s.lastComm = i
-			return
-		}
+// noteComm indexes the rank under comm on first sight, keeping the
+// communicator's member list sorted.
+func (s *rankSeries) noteComm(db *DB, comm uint64) {
+	if slices.Contains(s.comms, comm) {
+		return
 	}
-	s.lastComm = len(s.comms)
 	s.comms = append(s.comms, comm)
-	cr := sh.commRanks[comm]
-	if cr == nil {
-		cr = make(map[topo.Rank]bool)
-		sh.commRanks[comm] = cr
-	}
-	cr[s.rank] = true
+	members := db.commRanks[comm]
+	at, _ := slices.BinarySearch(members, s.rank)
+	db.commRanks[comm] = slices.Insert(members, at, s.rank)
 }
 
 // Ingest appends a batch. Records for one rank must arrive in emission
@@ -195,10 +184,7 @@ func (db *DB) Ingest(batch []trace.Record) {
 		if l := &series.log; l.n > 0 && l.newest > r.Time {
 			panic(fmt.Sprintf("clouddb: out-of-order ingest for rank %d: %v after %v", r.Rank, r.Time, l.newest))
 		}
-		series.store(series.log.push(r.Time), r)
-		if c := series.comms; len(c) == 0 || c[series.lastComm] != r.CommID {
-			series.noteComm(sh, r.CommID)
-		}
+		series.log.push(r.Time).store(r, series.flowOf(db, r))
 		if r.Time > sh.maxTime {
 			sh.maxTime = r.Time
 		}
@@ -304,7 +290,7 @@ func (db *DB) Export(from, to sim.Time, fn func(trace.Record) bool) uint64 {
 
 // prune drops records older than the retention horizon from the touched
 // shards. A series gives back every segment the cut has passed, and all of
-// them once it has no live record left.
+// them and its flow table once it has no live record left.
 func (db *DB) prune(touched uint64) {
 	if db.retention == 0 {
 		return
@@ -322,7 +308,9 @@ func (db *DB) prune(touched uint64) {
 			if i := s.log.firstFrom(cut); i > 0 {
 				sh.pruned += uint64(i)
 				dropped += uint64(i)
-				s.log.dropFront(i)
+				if s.log.dropFront(i); s.log.n == 0 {
+					s.flows, s.recent = nil, [2]uint32{}
+				}
 			}
 		}
 	}
@@ -411,16 +399,9 @@ func (db *DB) IPOf(r topo.Rank) (topo.IP, bool) {
 	return "", false
 }
 
-// RanksOfComm returns the member ranks observed for a communicator.
+// RanksOfComm returns the member ranks observed for a communicator, ascending.
 func (db *DB) RanksOfComm(commID uint64) []topo.Rank {
-	var out []topo.Rank
-	for _, sh := range db.shards {
-		for r := range sh.commRanks[commID] {
-			out = append(out, r)
-		}
-	}
-	slices.Sort(out)
-	return out
+	return slices.Clone(db.commRanks[commID])
 }
 
 // CommsOfRank returns the communicators rank r has produced records for.
@@ -452,7 +433,7 @@ func (db *DB) QueryGroup(commID uint64, from, to sim.Time) map[topo.Rank][]trace
 		var members []trace.Record // stays nil for a member silent in the window
 		lo, hi := s.log.window(from, to)
 		for i := lo; i < hi; i++ {
-			if sl := s.log.at(i); sl.commID == commID {
+			if sl := s.log.at(i); s.flows[sl.flow].commID == commID {
 				members = s.appendTo(members, sl)
 			}
 		}
@@ -469,7 +450,7 @@ func (db *DB) LastRecord(r topo.Rank, commID uint64, t sim.Time) (trace.Record, 
 		return trace.Record{}, false
 	}
 	for i := s.log.firstAfter(t) - 1; i >= 0; i-- {
-		if sl := s.log.at(i); commID == 0 || sl.commID == commID {
+		if sl := s.log.at(i); commID == 0 || s.flows[sl.flow].commID == commID {
 			return s.record(sl), true
 		}
 	}
@@ -484,7 +465,7 @@ func (db *DB) LastCompletion(r topo.Rank, t sim.Time) (trace.Record, bool) {
 		return trace.Record{}, false
 	}
 	for i := s.log.firstAfter(t) - 1; i >= 0; i-- {
-		if sl := s.log.at(i); sl.kind == trace.KindCompletion {
+		if sl := s.log.at(i); s.flows[sl.flow].kind == trace.KindCompletion {
 			return s.record(sl), true
 		}
 	}
@@ -502,11 +483,12 @@ func (db *DB) LastStatePerChannel(r topo.Rank, commID uint64, t sim.Time, window
 	lo, hi := s.log.window(t.Add(-window), t)
 	for i := hi - 1; i >= lo; i-- { // newest first: a channel's first hit is its last state
 		sl := s.log.at(i)
-		if sl.kind != trace.KindState || sl.commID != commID {
+		f := &s.flows[sl.flow]
+		if f.kind != trace.KindState || f.commID != commID {
 			continue
 		}
-		if _, seen := out[sl.channel]; !seen {
-			out[sl.channel] = s.record(sl)
+		if _, seen := out[f.channel]; !seen {
+			out[f.channel] = s.record(sl)
 		}
 	}
 	return out

@@ -2,8 +2,10 @@ package clouddb
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
@@ -34,9 +36,10 @@ func perRankBatches(ranks, n int, start sim.Time, step time.Duration) [][]trace.
 }
 
 // TestIngestFootprint pins what the segmented layout is for: a stored record
-// costs its 88-byte slot plus a few bytes of segment tail and index, not the
-// 128-byte record plus append's doubling slack (159 B at the flat layout),
-// and ingest allocates once per segment, not once per regrow of every rank.
+// costs its 56-byte slot plus a few bytes of segment tail and index, not the
+// 128-byte record plus append's doubling slack (159 B at the flat layout) or
+// an 88-byte slot that repeats its flow's fields (~89 B), and ingest
+// allocates once per segment, not once per regrow of every rank.
 func TestIngestFootprint(t *testing.T) {
 	const ranks, perRank = 64, 3125 // 200 k records
 	batches := perRankBatches(ranks, perRank, 1, time.Millisecond)
@@ -51,12 +54,12 @@ func TestIngestFootprint(t *testing.T) {
 		t.Fatalf("stored %d records, want %d", got, ranks*perRank)
 	}
 	records := float64(ranks * perRank)
-	if perRecord := (float64(heap1) - float64(heap0)) / records; perRecord > 112 {
-		t.Errorf("%.1f heap bytes per stored record, want ≤ 112", perRecord)
+	if perRecord := (float64(heap1) - float64(heap0)) / records; perRecord > 64 {
+		t.Errorf("%.1f heap bytes per stored record, want ≤ 64", perRecord)
 	}
-	// One malloc per segment; per rank, the series, its communicator list,
-	// its communicator-index entry, and the doublings of a segment-pointer
-	// slice that ends a few dozen long.
+	// One malloc per segment; per rank, the series, its flow table, its
+	// communicator list, its communicator's member list, and the doublings
+	// of a segment-pointer slice that ends a few dozen long.
 	if got, max := mallocs1-mallocs0, uint64(ranks*perRank/segLen+32*ranks); got > max {
 		t.Errorf("%d mallocs ingesting %d records over %d ranks, want ≤ %d", got, ranks*perRank, ranks, max)
 	}
@@ -113,8 +116,51 @@ func TestPruneReleasesMemory(t *testing.T) {
 	if got := len(db.QueryRank(ranks, 0, sim.Infinity)); got != 0 {
 		t.Fatalf("silent rank still has %d live records", got)
 	}
-	if freed, want := before-held(), 0.9*burst*88; freed < want {
+	if freed, want := before-held(), 0.9*burst*float64(unsafe.Sizeof(slot{})); freed < want {
 		t.Errorf("pruning a silent rank's %d records freed %.0f B, want ≥ %.0f", burst, freed, want)
 	}
 	runtime.KeepAlive(db)
+}
+
+// TestFlowTableResetsWhenEmpty: a series' flow table holds one flow per
+// distinct tuple since its log was last empty. A rank pruned empty forgets
+// its flows, and refilled with new ones keeps only those; its communicator
+// index, like the flat store's, forgets nothing.
+func TestFlowTableResetsWhenEmpty(t *testing.T) {
+	eng := sim.NewEngine(1)
+	db := New(eng, time.Second)
+	states := func(r topo.Rank, channels ...int32) []trace.Record {
+		var b []trace.Record
+		for _, ch := range channels {
+			rc := rec(r, uint64(ch/2+1), eng.Now(), trace.KindState)
+			rc.Channel = ch
+			b = append(b, rc)
+		}
+		return b
+	}
+	db.Ingest(states(0, 0, 1, 2, 3, 0, 1, 2, 3))
+	if got := len(db.series(0).flows); got != 4 {
+		t.Fatalf("%d flows after 4 channels, want 4", got)
+	}
+	// Rank 8 shares shard 0 with rank 0: its ingest, past the horizon,
+	// prunes rank 0 empty.
+	eng.RunFor(2 * time.Second)
+	db.Ingest(states(8, 0))
+	if s := db.series(0); s.log.n != 0 || s.flows != nil {
+		t.Fatalf("rank 0 pruned empty holds %d records and %d flows", s.log.n, len(s.flows))
+	}
+	db.Ingest(states(0, 4, 5, 4))
+	if got := len(db.series(0).flows); got != 2 {
+		t.Fatalf("%d flows after refilling with 2 new ones, want 2", got)
+	}
+	var channels []int32
+	for _, r := range db.QueryRank(0, 0, sim.Infinity) {
+		channels = append(channels, r.Channel)
+	}
+	if want := []int32{4, 5, 4}; !slices.Equal(channels, want) {
+		t.Fatalf("refilled rank reads channels %v, want %v", channels, want)
+	}
+	if got, want := db.CommsOfRank(0), []uint64{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("CommsOfRank(0) = %v, want %v", got, want)
+	}
 }

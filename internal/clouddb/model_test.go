@@ -17,9 +17,18 @@ import (
 // flatSeries is one rank of the reference model: the layout the store had
 // before segments — whole records in one slice, every read a linear scan.
 type flatSeries struct {
-	ip   topo.IP
-	recs []trace.Record
-	seen map[uint64]bool // every communicator the rank ever used; pruning forgets none
+	ip    topo.IP
+	recs  []trace.Record
+	seen  map[uint64]bool       // every communicator the rank ever used; pruning forgets none
+	flows map[trace.Record]bool // flowKey of every record since recs was last empty
+}
+
+// flowKey is r with every field that changes from record to record zeroed:
+// two records share a flow when their keys are equal.
+func flowKey(r trace.Record) trace.Record {
+	r.Time, r.Start, r.End, r.OpSeq, r.StuckNs = 0, 0, 0, 0, 0
+	r.GPUReady, r.RDMATransmitted, r.RDMADone = 0, 0, 0
+	return r
 }
 
 // flatStore is the reference model TestStoreMatchesFlatModel holds the DB to.
@@ -51,11 +60,12 @@ func (m *flatStore) ingest(now sim.Time, batch []trace.Record) {
 	for _, r := range batch {
 		s := m.series[r.Rank]
 		if s == nil {
-			s = &flatSeries{ip: r.IP, seen: make(map[uint64]bool)}
+			s = &flatSeries{ip: r.IP, seen: make(map[uint64]bool), flows: make(map[trace.Record]bool)}
 			m.series[r.Rank] = s
 		}
 		s.recs = append(s.recs, r)
 		s.seen[r.CommID] = true
+		s.flows[flowKey(r)] = true
 		m.ingested[m.shardOf(r.Rank)]++
 		touched[m.shardOf(r.Rank)] = true
 	}
@@ -75,6 +85,9 @@ func (m *flatStore) ingest(now sim.Time, batch []trace.Record) {
 		}
 		m.pruned[m.shardOf(r)] += uint64(len(s.recs) - len(keep))
 		s.recs = keep
+		if len(keep) == 0 {
+			clear(s.flows)
+		}
 	}
 }
 
@@ -226,30 +239,94 @@ type storeProgram struct {
 	ranks []topo.Rank
 	clock map[topo.Rank]sim.Time // newest record time per rank
 	moved bool                   // rank ranks[3] reports from its second host
+	pools map[topo.Rank][]trace.Record
+	cycle int // position of rank ranks[2] in its round of flows
 }
 
 const (
 	modelRetention = time.Second
 	modelComms     = 3
+	// modelFlows is the size of each rank's pool of flows: one drawn whole
+	// and one per flow field, which it alone changes from an earlier flow.
+	modelFlows = 10
 )
 
-// record draws one record for rank r at time at; every stored field varies so
-// a slot that drops or swaps one cannot round-trip.
-func (p *storeProgram) record(r topo.Rank, at sim.Time) trace.Record {
+// randomFlow draws every flow field of a record of rank r.
+func (p *storeProgram) randomFlow(r topo.Rank) trace.Record {
 	rng := p.rng
-	ip := topo.IP(fmt.Sprintf("10.0.%d.1", int(r)%7))
-	if r == p.ranks[3] && p.moved {
-		ip = "10.9.9.9"
-	}
 	return trace.Record{
-		Kind: trace.Kind(1 + rng.Intn(2)), Time: at, IP: ip,
+		Kind: trace.Kind(1 + rng.Intn(2)), IP: topo.IP(fmt.Sprintf("10.0.%d.%d", int(r)%7, rng.Intn(3))),
 		CommID: uint64(1 + rng.Intn(modelComms)), Rank: r,
 		GPUID: rng.Int31(), Channel: int32(rng.Intn(4)), QPID: -rng.Int31(),
-		Op: trace.OpKind(rng.Intn(8)), OpSeq: rng.Uint64(), MsgSize: rng.Int63(),
-		Start: sim.Time(rng.Int63()), End: sim.Time(-rng.Int63()),
-		TotalChunks: rng.Uint32(), GPUReady: rng.Uint32(),
-		RDMATransmitted: rng.Uint32(), RDMADone: rng.Uint32(), StuckNs: -rng.Int63(),
+		Op: trace.OpKind(rng.Intn(8)), MsgSize: rng.Int63(), TotalChunks: rng.Uint32(),
 	}
+}
+
+// pool returns rank r's flows, drawing them on first use. Flow k > 0 copies
+// an earlier one and changes field k-1 alone, so a flow lookup that skips any
+// field merges two flows.
+func (p *storeProgram) pool(r topo.Rank) []trace.Record {
+	if fl, ok := p.pools[r]; ok {
+		return fl
+	}
+	rng := p.rng
+	fl := []trace.Record{p.randomFlow(r)}
+	for k := 1; k < modelFlows; k++ {
+		f := fl[rng.Intn(k)]
+		switch k - 1 {
+		case 0:
+			f.Channel = (f.Channel + 1 + int32(rng.Intn(3))) % 4
+		case 1:
+			f.CommID = f.CommID%modelComms + 1
+		case 2:
+			f.QPID--
+		case 3:
+			f.GPUID++
+		case 4:
+			f.MsgSize++
+		case 5:
+			f.TotalChunks++
+		case 6:
+			f.Kind = 3 - f.Kind // state ↔ completion
+		case 7:
+			f.Op = (f.Op + 1) % 8
+		case 8:
+			f.IP = topo.IP(fmt.Sprintf("10.1.%d.%d", int(r)%7, k))
+		}
+		fl = append(fl, f)
+	}
+	p.pools[r] = fl
+	return fl
+}
+
+// record draws one record for rank r at time at; every stored field varies so
+// a slot that drops or swaps one cannot round-trip. Its flow is mostly one of
+// the rank's first two (the two a rank alternates between), else any of its
+// pool, else one never seen; rank ranks[2] instead cycles through three, so
+// neither of the two flows it used last is ever its next.
+func (p *storeProgram) record(r topo.Rank, at sim.Time) trace.Record {
+	rng := p.rng
+	pool := p.pool(r)
+	var rc trace.Record
+	switch k := rng.Intn(16); {
+	case r == p.ranks[2]:
+		p.cycle = (p.cycle + 1) % 3
+		rc = pool[p.cycle]
+	case k < 8:
+		rc = pool[rng.Intn(2)]
+	case k < 15:
+		rc = pool[rng.Intn(len(pool))]
+	default:
+		rc = p.randomFlow(r)
+	}
+	if r == p.ranks[3] && p.moved {
+		rc.IP = "10.9.9.9"
+	}
+	rc.Time, rc.OpSeq = at, rng.Uint64()
+	rc.Start, rc.End = sim.Time(rng.Int63()), sim.Time(-rng.Int63())
+	rc.GPUReady, rc.RDMATransmitted, rc.RDMADone = rng.Uint32(), rng.Uint32(), rng.Uint32()
+	rc.StuckNs = -rng.Int63()
+	return rc
 }
 
 // ingest sends one batch holding a run of n[i] records for each of a few
@@ -347,6 +424,9 @@ func (p *storeProgram) check() {
 		ip, ok := db.IPOf(r)
 		if s := m.series[r]; s != nil {
 			p.equal("IPOf", []any{ip, ok}, []any{s.ip, true})
+			// The flow table holds each distinct flow once, and nothing from
+			// before the log was last empty.
+			p.equal("flows", len(db.series(r).flows), len(s.flows), r)
 		} else {
 			p.equal("IPOf", []any{ip, ok}, []any{topo.IP(""), false})
 		}
@@ -428,7 +508,7 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 				t: t, rng: rand.New(rand.NewSource(int64(shards))), eng: eng,
 				db: NewSharded(eng, modelRetention, shards), model: newFlatStore(modelRetention, shards),
 				ranks: []topo.Rank{0, 1, 2, 3, 8, 9, 64, 65, 129, 511},
-				clock: make(map[topo.Rank]sim.Time),
+				clock: make(map[topo.Rank]sim.Time), pools: make(map[topo.Rank][]trace.Record),
 			}
 			// The store first sees ranks in descending, sparse order: its
 			// rank table grows to 512 on its first record and is filled in

@@ -57,13 +57,13 @@ type Result struct {
 	Next *Cursor
 }
 
-// matches applies the non-window predicates to a stored slot, so a record
-// the query does not return is never rebuilt.
-func (q *Query) matches(sl *slot) bool {
-	if q.Comm != 0 && sl.commID != q.Comm {
+// matches applies the non-window predicates to a stored slot's flow, so a
+// record the query does not return is never rebuilt.
+func (q *Query) matches(f *flow) bool {
+	if q.Comm != 0 && f.commID != q.Comm {
 		return false
 	}
-	return len(q.Kinds) == 0 || slices.Contains(q.Kinds, sl.kind)
+	return len(q.Kinds) == 0 || slices.Contains(q.Kinds, f.kind)
 }
 
 // queryRanks resolves the rank list a query walks, ascending.
@@ -118,7 +118,7 @@ func (db *DB) Query(q Query) Result {
 		skip := 0
 		for i := lo; i < hi; i++ {
 			sl := s.log.at(i)
-			if !q.matches(sl) {
+			if !q.matches(&s.flows[sl.flow]) {
 				continue
 			}
 			if resuming && sl.time == q.Cursor.Time && skip < q.Cursor.Emitted {

@@ -1,8 +1,6 @@
 package clouddb
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
 	"mycroft/internal/sim"
@@ -10,31 +8,49 @@ import (
 	"mycroft/internal/trace"
 )
 
-// slot is one stored record: a trace.Record minus the two fields its series
-// holds once — Rank, and IP, which is the one pointer in a trace.Record. A
-// slot is 88 bytes against the record's 128 and holds no pointer, so the
-// collector allocates segments from no-scan spans and never looks inside one.
+// slot is one stored record: the trace.Record fields that change from one
+// record of a flow to the next, and the index of its flow in the series' flow
+// table, which holds the rest. A slot is 56 bytes against the record's 128
+// and holds no pointer, so the collector allocates segments from no-scan
+// spans and never looks inside one.
 type slot struct {
 	time, start, end sim.Time
-	commID, opSeq    uint64
-	msgSize, stuckNs int64
+	opSeq            uint64
+	stuckNs          int64
 
-	gpuID, channel, qpID                             int32
-	totalChunks, gpuReady, rdmaTransmitted, rdmaDone uint32
-
-	kind trace.Kind
-	op   trace.OpKind
-	// ip selects the reporting IP: 0 is the series' first-seen IP (every
-	// record of nearly every rank), k > 0 is rankSeries.ips[k-1].
-	ip uint16
+	gpuReady, rdmaTransmitted, rdmaDone uint32
+	flow                                uint32 // index into rankSeries.flows
 }
 
-// segLen is the fixed number of slots in a segment. 93 × 88 B = 8,184 B fills
-// Go's 8,192-byte size class to within 8 bytes; 128 slots (11,264 B) would
-// round up to the 12,288-byte class and 256 slots (22,528 B) to the
-// 24,576-byte one, 8 wasted bytes per stored record either way. A shorter
-// segment also leaves less unused tail per rank (half a segment on average).
-const segLen = 93
+// flow is what every record of one (rank, channel) stream repeats: the
+// metadata and operation rows of Table 2 and the record kind. A rank's state
+// logs for one channel of one op shape share a flow, so a series holds a
+// handful — at most 8 per rank in a 512-rank job — however many records
+// point at them.
+type flow struct {
+	ip                   topo.IP
+	commID               uint64
+	msgSize              int64
+	gpuID, channel, qpID int32
+	totalChunks          uint32
+	kind                 trace.Kind
+	op                   trace.OpKind
+}
+
+// is reports whether r belongs to f, testing the channel first: it is the
+// field that tells apart the flows a rank alternates between.
+func (f *flow) is(r *trace.Record) bool {
+	return f.channel == r.Channel && f.commID == r.CommID && f.qpID == r.QPID &&
+		f.gpuID == r.GPUID && f.msgSize == r.MsgSize && f.totalChunks == r.TotalChunks &&
+		f.kind == r.Kind && f.op == r.Op && f.ip == r.IP
+}
+
+// segLen is the fixed number of slots in a segment. 146 × 56 B = 8,176 B fills
+// Go's 8,192-byte size class to within 16 bytes; 256 slots (14,336 B) would
+// round up to the 16,384-byte class, 8 wasted bytes per stored record. A
+// shorter segment also leaves less unused tail per rank (half a segment on
+// average).
+const segLen = 146
 
 // segment is the unit of allocation and of release.
 type segment [segLen]slot
@@ -106,53 +122,57 @@ func (l *recLog) dropFront(k int) {
 	}
 }
 
-// ipSlots bounds the IPs one rank may report from: slot.ip is 16 bits.
-const ipSlots = math.MaxUint16
-
-// ipIndex returns the slot.ip value for a record of this series reporting
-// from ip, extending the series' IP table on an address not seen before.
-func (s *rankSeries) ipIndex(ip topo.IP) uint16 {
-	if ip == s.ip {
-		return 0
-	}
-	for i, known := range s.ips {
-		if known == ip {
-			return uint16(i + 1)
+// flowOf returns the index of r's flow in the series' flow table, adding the
+// flow — and indexing its communicator — if the table lacks it, and makes it
+// the most recently used. A rank's records alternate between two channels, so
+// nearly every record matches one of the two flows last used; the rest scan
+// the table newest first.
+func (s *rankSeries) flowOf(db *DB, r *trace.Record) uint32 {
+	if len(s.flows) > 0 {
+		if s.flows[s.recent[0]].is(r) {
+			return s.recent[0]
+		}
+		if s.flows[s.recent[1]].is(r) {
+			s.recent = [2]uint32{s.recent[1], s.recent[0]}
+			return s.recent[0]
 		}
 	}
-	if len(s.ips) == ipSlots {
-		panic(fmt.Sprintf("clouddb: rank %d reports from more than %d IPs", s.rank, ipSlots+1))
+	i := len(s.flows) - 1
+	for i >= 0 && !s.flows[i].is(r) {
+		i--
 	}
-	s.ips = append(s.ips, ip)
-	return uint16(len(s.ips))
+	if i < 0 {
+		i = len(s.flows)
+		s.flows = append(s.flows, flow{
+			ip: r.IP, commID: r.CommID, msgSize: r.MsgSize,
+			gpuID: r.GPUID, channel: r.Channel, qpID: r.QPID,
+			totalChunks: r.TotalChunks, kind: r.Kind, op: r.Op,
+		})
+		s.noteComm(db, r.CommID)
+	}
+	s.recent = [2]uint32{uint32(i), s.recent[0]}
+	return s.recent[0]
 }
 
-// store writes r into sl. Field by field, as load: a composite literal is
-// built on the stack and copied over.
-func (s *rankSeries) store(sl *slot, r *trace.Record) {
+// store writes r, whose flow has index flow, into sl. Field by field, as
+// load: a composite literal is built on the stack and copied over.
+func (sl *slot) store(r *trace.Record, flow uint32) {
 	sl.time, sl.start, sl.end = r.Time, r.Start, r.End
-	sl.commID, sl.opSeq = r.CommID, r.OpSeq
-	sl.msgSize, sl.stuckNs = r.MsgSize, r.StuckNs
-	sl.gpuID, sl.channel, sl.qpID = r.GPUID, r.Channel, r.QPID
-	sl.totalChunks, sl.gpuReady = r.TotalChunks, r.GPUReady
-	sl.rdmaTransmitted, sl.rdmaDone = r.RDMATransmitted, r.RDMADone
-	sl.kind, sl.op, sl.ip = r.Kind, r.Op, s.ipIndex(r.IP)
+	sl.opSeq, sl.stuckNs = r.OpSeq, r.StuckNs
+	sl.gpuReady, sl.rdmaTransmitted, sl.rdmaDone = r.GPUReady, r.RDMATransmitted, r.RDMADone
+	sl.flow = flow
 }
 
 // load rebuilds in dst the record store was given for sl, every field.
 func (s *rankSeries) load(dst *trace.Record, sl *slot) {
-	dst.IP = s.ip
-	if sl.ip != 0 {
-		dst.IP = s.ips[sl.ip-1]
-	}
-	dst.Rank = s.rank
-	dst.Time, dst.Start, dst.End = sl.time, sl.start, sl.end
-	dst.CommID, dst.OpSeq = sl.commID, sl.opSeq
-	dst.MsgSize, dst.StuckNs = sl.msgSize, sl.stuckNs
-	dst.GPUID, dst.Channel, dst.QPID = sl.gpuID, sl.channel, sl.qpID
-	dst.TotalChunks, dst.GPUReady = sl.totalChunks, sl.gpuReady
-	dst.RDMATransmitted, dst.RDMADone = sl.rdmaTransmitted, sl.rdmaDone
-	dst.Kind, dst.Op = sl.kind, sl.op
+	f := &s.flows[sl.flow]
+	dst.Kind, dst.Time = f.kind, sl.time
+	dst.IP, dst.CommID, dst.Rank = f.ip, f.commID, s.rank
+	dst.GPUID, dst.Channel, dst.QPID = f.gpuID, f.channel, f.qpID
+	dst.Op, dst.OpSeq, dst.MsgSize = f.op, sl.opSeq, f.msgSize
+	dst.Start, dst.End = sl.start, sl.end
+	dst.TotalChunks, dst.GPUReady = f.totalChunks, sl.gpuReady
+	dst.RDMATransmitted, dst.RDMADone, dst.StuckNs = sl.rdmaTransmitted, sl.rdmaDone, sl.stuckNs
 }
 
 // record is load by value, for the single-record reads.

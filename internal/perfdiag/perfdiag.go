@@ -108,7 +108,6 @@ type Detector struct {
 	cfg      Config
 	ranks    []*rankEnvelope
 	ingested uint64
-	lastAt   sim.Time
 }
 
 // New builds a detector for a world-size-rank job.
@@ -132,9 +131,6 @@ func (d *Detector) Ingest(s Sample) {
 		return
 	}
 	d.ingested++
-	if s.At > d.lastAt {
-		d.lastAt = s.At
-	}
 	env := d.ranks[s.Rank]
 	if env.hasLast && s.At > env.lastAt {
 		env.window.Add(s.At.Sub(env.lastAt).Seconds())

@@ -334,7 +334,7 @@ func TestCompletedOpsReleased(t *testing.T) {
 // shapes as the one before, so once the first few have planned them and
 // filled the free lists every iteration costs the same mallocs — what the op
 // frames take, and nothing that grows. Tracing is off so the count is the
-// substrate's alone (the store allocates a segment every 93 records, which is
+// substrate's alone (the store allocates a segment every 146 records, which is
 // not per iteration).
 func TestIterationAllocsFlat(t *testing.T) {
 	eng := sim.NewEngine(1)
