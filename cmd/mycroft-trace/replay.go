@@ -31,9 +31,11 @@ func runReplay(args []string) {
 		fmt.Fprint(os.Stderr, `usage: mycroft-trace replay <artifact.mycrec> [flags]
        mycroft-trace replay -addr host:port [-job id] [flags]
 
-  -whatif FILE  re-judge under overrides: JSON with threshold fields
-                (window_ns, throughput_drop, straggler_late_ns, chase_depth,
-                ...) and/or a "policy" to shadow-match against the verdicts
+  -whatif FILE  re-judge under overrides: JSON with the analysis config's
+                fields (window_ns, throughput_drop, straggler_late_ns,
+                chase_depth, ...; not the recorded interval_ns or
+                max_sampled) and/or a "policy" to shadow-match against the
+                verdicts; a field the file leaves out keeps its recorded value
   -diff         print the recorded-vs-replayed diff; without -whatif, exit 1
                 when a faithful replay drifts
   -addr ADDR    download the artifact from a live mycroft-serve daemon
@@ -64,7 +66,7 @@ func runReplay(args []string) {
 		os.Exit(2)
 	}
 
-	var src io.Reader
+	var src io.ReadSeeker
 	if *addr != "" {
 		rc, err := mycroft.Dial(*addr)
 		if err != nil {
@@ -81,7 +83,7 @@ func runReplay(args []string) {
 			}
 			fmt.Fprintf(os.Stderr, "mycroft-trace: saved artifact to %s\n", *outPath)
 		}
-		src = &buf
+		src = bytes.NewReader(buf.Bytes())
 	} else {
 		f, err := os.Open(target)
 		if err != nil {
@@ -91,7 +93,7 @@ func runReplay(args []string) {
 		src = f
 	}
 
-	opts, whatif, err := replayOptions(*whatifPath)
+	opts, whatif, err := replayOptions(src, *whatifPath)
 	if err != nil {
 		die(err)
 	}
@@ -112,8 +114,10 @@ func runReplay(args []string) {
 }
 
 // replayOptions loads the -whatif file (when given) into replay options and
-// reports whether any what-if adjustment is active.
-func replayOptions(path string) (mycroft.ReplayOptions, bool, error) {
+// reports whether any what-if adjustment is active. The file decodes onto a
+// copy of the artifact header's configuration, so a key it leaves out keeps
+// its recorded value; src is read for that header and rewound.
+func replayOptions(src io.ReadSeeker, path string) (mycroft.ReplayOptions, bool, error) {
 	var opts mycroft.ReplayOptions
 	if path == "" {
 		return opts, false, nil
@@ -122,27 +126,43 @@ func replayOptions(path string) (mycroft.ReplayOptions, bool, error) {
 	if err != nil {
 		return opts, false, err
 	}
-	var w replay.WhatIf
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
+	dec, err := replay.NewDecoder(src)
+	if err != nil {
+		return opts, false, err
+	}
+	if _, err := src.Seek(0, io.SeekStart); err != nil {
+		return opts, false, err
+	}
+	w := struct {
+		mycroft.BackendConfig
+		Policy *mycroft.RemedyPolicy `json:"policy"`
+	}{BackendConfig: dec.Header().Backend}
+	jd := json.NewDecoder(bytes.NewReader(data))
+	jd.DisallowUnknownFields()
+	if err := jd.Decode(&w); err != nil {
 		return opts, false, fmt.Errorf("mycroft-trace: parsing %s: %w", path, err)
 	}
-	whatif := false
-	if !w.Overrides.Zero() {
-		o := w.Overrides
-		opts.Overrides = &o
-		whatif = true
+	// A key the file names overrides, even with the recorded value; the
+	// evaluation interval and the sample cap are recorded facts, so naming
+	// either is refused whatever its value. Keys match as the decoder's do,
+	// ignoring case, and a null sets nothing.
+	var keys map[string]json.RawMessage
+	_ = json.NewDecoder(bytes.NewReader(data)).Decode(&keys)
+	for k, v := range keys {
+		switch {
+		case strings.EqualFold(k, "interval_ns"), strings.EqualFold(k, "max_sampled"):
+			return opts, false, fmt.Errorf("mycroft-trace: %s: %s is recorded in the artifact and cannot be overridden", path, k)
+		case !strings.EqualFold(k, "policy") && string(v) != "null":
+			opts.Backend = &w.BackendConfig
+		}
 	}
 	if w.Policy != nil {
-		p, err := w.Policy.Policy()
-		if err != nil {
+		if err := w.Policy.Validate(); err != nil {
 			return opts, false, err
 		}
-		opts.Policy = &p
-		whatif = true
+		opts.Policy = w.Policy
 	}
-	if !whatif {
+	if opts.Backend == nil && opts.Policy == nil {
 		return opts, false, fmt.Errorf("mycroft-trace: %s sets no overrides and no policy", path)
 	}
 	return opts, true, nil

@@ -196,55 +196,63 @@ func (r Report) String() string {
 }
 
 // Config tunes the backend. Zero values take the paper's defaults.
+//
+// An incident artifact's header records the effective Config under these JSON
+// tags, and a what-if replay file overrides it by the same names, durations in
+// nanoseconds: renaming a tag changes the artifact format.
 type Config struct {
 	// Interval is the trigger evaluation period. Default 1 s.
-	Interval time.Duration
+	Interval time.Duration `json:"interval_ns"`
 	// Window is Δ of Algorithm 1: the look-back for trigger evaluation.
 	// Default 5 s.
-	Window time.Duration
+	Window time.Duration `json:"window_ns"`
 	// ThroughputDrop fires the straggler trigger when windowed throughput
 	// falls below this fraction of the baseline. Default 0.5 (§9).
-	ThroughputDrop float64
+	ThroughputDrop float64 `json:"throughput_drop"`
 	// IntervalGrow fires the straggler trigger when the mean op interval
 	// exceeds this multiple of the baseline. Default 2.0 (§9).
-	IntervalGrow float64
+	IntervalGrow float64 `json:"interval_grow"`
 	// StragglerLate is the per-iteration lateness that marks a straggler.
 	// Default 1 s (§9).
-	StragglerLate time.Duration
+	StragglerLate time.Duration `json:"straggler_late_ns"`
 	// LateCount is how many consecutive late ops confirm a straggler.
 	// Default 3.
-	LateCount int
+	LateCount int `json:"late_count"`
 	// MaxSampled caps the sampled ranks. Default 10 (§4.3).
-	MaxSampled int
+	MaxSampled int `json:"max_sampled"`
 	// StateFresh is how stale a rank's state logs may be before the rank
 	// counts as silent (proxy crash candidate). Default 1 s.
-	StateFresh time.Duration
+	StateFresh time.Duration `json:"state_fresh_ns"`
 	// StragglerWindow is the look-back for straggler RCA. Short enough that
 	// post-onset behaviour dominates the analysis. Default 15 s.
-	StragglerWindow time.Duration
+	StragglerWindow time.Duration `json:"straggler_window_ns"`
 	// StragglerSettle delays straggler RCA after the trigger so the
 	// post-onset evidence (late launches, pressured flows) accumulates in
 	// the trace store. Default 6 s.
-	StragglerSettle time.Duration
+	StragglerSettle time.Duration `json:"straggler_settle_ns"`
 	// RearmDelay mutes the trigger after it fires, while analysis and
 	// remediation proceed. Default 30 s.
-	RearmDelay time.Duration
+	RearmDelay time.Duration `json:"rearm_ns"`
 	// MinBaselineSamples before throughput/interval triggers arm. Default 5.
-	MinBaselineSamples int
+	MinBaselineSamples int `json:"min_baseline_samples"`
 	// BadWindows is how many of the last BadWindowSpan windows must violate
 	// a straggler rule before it fires — debouncing both the alignment
 	// noise of nested op cadences and the aliasing of iteration boundaries
 	// against the window. Default 3.
-	BadWindows int
+	BadWindows int `json:"bad_windows"`
 	// BadWindowSpan is the sliding span the BadWindows quorum is counted
 	// over. Default BadWindows+2.
-	BadWindowSpan int
+	BadWindowSpan int `json:"bad_window_span"`
 	// FlowPressureFrac: fraction of snapshots with outstanding WRs that
 	// convicts a rank's NIC in straggler flow analysis. Default 0.6.
-	FlowPressureFrac float64
+	FlowPressureFrac float64 `json:"flow_pressure_frac"`
 	// ChaseDepth bounds the cross-communicator dependency chase. Default 4.
-	ChaseDepth int
+	ChaseDepth int `json:"chase_depth"`
 }
+
+// Config returns c itself: the third shim for bench/replay.go (see
+// Trigger.Trigger), which converts an artifact header's configuration with it.
+func (c Config) Config() Config { return c }
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {

@@ -39,7 +39,7 @@ func RunAblationUploadLatency(seed int64) AblationResult {
 		Head:  []string{"upload-latency", "detection", "rca"},
 	}
 	for _, lat := range []time.Duration{100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second, 3 * time.Second} {
-		cfg := train.JobConfig(SmallTestbed(), train.ComputeHeavy)
+		cfg := train.JobConfig(topo.Small(), train.ComputeHeavy)
 		cfg.Collector.UploadLatency = lat
 		warm := 15 * time.Second
 		_, v := host(seed, mycroft.JobOptions{Train: &cfg}, faults.Spec{Kind: faults.NICDown, Rank: 5, At: warm}, warm+40*time.Second)
@@ -65,7 +65,7 @@ func RunAblationStatePeriod(seed int64) AblationResult {
 	}
 	for _, period := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 500 * time.Millisecond, time.Second} {
 		eng := sim.NewEngine(seed)
-		cfg := train.JobConfig(SmallTestbed(), train.CommHeavy)
+		cfg := train.JobConfig(topo.Small(), train.CommHeavy)
 		cfg.CCL.StateLogPeriod = period
 		job := train.MustNew(eng, cfg)
 		job.Start()

@@ -66,14 +66,14 @@ func runCapabilityCase(seed int64, design baseline.Kind, fk faults.Kind, rank in
 	warmup := 15 * time.Second
 	spec := faults.Spec{Kind: fk, Rank: topo.Rank(rank), At: warmup}
 	if design == baseline.Coll {
-		_, v := host(seed, mycroft.JobOptions{Topo: SmallTestbed()}, spec, warmup+30*time.Second)
+		_, v := host(seed, mycroft.JobOptions{Topo: topo.Small()}, spec, warmup+30*time.Second)
 		out.Detected = v.Trigger != nil
 		out.Localized = v.Suspect == faults.SuspectExact
 		return out
 	}
 
 	eng := sim.NewEngine(seed)
-	cfg := train.JobConfig(SmallTestbed(), train.ComputeHeavy)
+	cfg := train.JobConfig(topo.Small(), train.ComputeHeavy)
 	cfg.DisableTracing = true
 	tracer := baseline.New(design, eng.Now)
 	tracer.Wire(&cfg.CCL)

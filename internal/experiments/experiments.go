@@ -29,11 +29,6 @@ func Testbed() topo.Config {
 	return topo.Config{Nodes: 4, GPUsPerNode: 8, TP: 2, PP: 4, DP: 4}
 }
 
-// SmallTestbed is the 8-GPU shape used where many runs are needed.
-func SmallTestbed() topo.Config {
-	return topo.Config{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}
-}
-
 // JobConfig forwards to train.JobConfig for bench/live.go, its one caller
 // left; it goes when bench's scoring folds into faults.Judge.
 func JobConfig(tc topo.Config, profile train.JobProfile) train.Config {

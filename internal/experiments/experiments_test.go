@@ -8,6 +8,7 @@ import (
 	"mycroft/internal/baseline"
 	"mycroft/internal/faults"
 	"mycroft/internal/sim"
+	"mycroft/internal/topo"
 )
 
 func TestTableFormatting(t *testing.T) {
@@ -34,7 +35,7 @@ func TestHelpers(t *testing.T) {
 }
 
 func TestRunCaseNICDown(t *testing.T) {
-	c := RunCase(1, SmallTestbed(), faults.Spec{Kind: faults.NICDown, Rank: 5}, 15*time.Second, 40*time.Second)
+	c := RunCase(1, topo.Small(), faults.Spec{Kind: faults.NICDown, Rank: 5}, 15*time.Second, 40*time.Second)
 	if c.Trigger == nil || c.Report == nil {
 		t.Fatalf("case = %+v", c)
 	}

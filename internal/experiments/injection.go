@@ -20,13 +20,13 @@ type E2Result struct {
 // scores Mycroft's verdicts.
 func RunE2(trials int) E2Result {
 	var res E2Result
-	world := SmallTestbed().Nodes * SmallTestbed().GPUsPerNode
+	world := topo.Small().Nodes * topo.Small().GPUsPerNode
 	for _, kind := range faults.CoreSeven() {
 		var detected, suspectOK, categoryOK int
 		var dLat, rLat stats.Sample
 		for tr := 0; tr < trials; tr++ {
 			rank := topo.Rank((3 + 2*tr) % world)
-			c := RunCase(int64(100+tr), SmallTestbed(), faults.Spec{Kind: kind, Rank: rank}, 15*time.Second, 60*time.Second)
+			c := RunCase(int64(100+tr), topo.Small(), faults.Spec{Kind: kind, Rank: rank}, 15*time.Second, 60*time.Second)
 			res.Cases = append(res.Cases, c)
 			if c.Trigger != nil {
 				detected++
@@ -75,11 +75,11 @@ type E3Result struct {
 func RunE3(runs int) E3Result {
 	var res E3Result
 	kinds := faults.CoreSeven()
-	world := SmallTestbed().Nodes * SmallTestbed().GPUsPerNode
+	world := topo.Small().Nodes * topo.Small().GPUsPerNode
 	for i := 0; i < runs; i++ {
 		kind := kinds[i%len(kinds)]
 		rank := topo.Rank((1 + 3*i) % world)
-		c := RunCase(int64(1000+i), SmallTestbed(), faults.Spec{Kind: kind, Rank: rank}, 15*time.Second, 90*time.Second)
+		c := RunCase(int64(1000+i), topo.Small(), faults.Spec{Kind: kind, Rank: rank}, 15*time.Second, 90*time.Second)
 		res.Runs++
 		if c.Trigger == nil {
 			res.Misses++

@@ -30,7 +30,7 @@ func RunE9(seed int64) E9Result {
 	}
 	for i, cs := range cases {
 		warm := 15 * time.Second
-		h, _ := host(seed+int64(i), mycroft.JobOptions{Topo: SmallTestbed()},
+		h, _ := host(seed+int64(i), mycroft.JobOptions{Topo: topo.Small()},
 			faults.Spec{Kind: cs.kind, Rank: cs.rank, At: warm}, warm+40*time.Second)
 		source, rank, _, ok := h.Triage()
 		if !ok {

@@ -91,7 +91,7 @@ func RunE8(seed int64) E8Result {
 // e8FalsePositives runs a healthy master-heavy job and counts triggers that
 // produce a (spurious) straggler verdict.
 func e8FalsePositives(seed int64, late time.Duration) int {
-	cfg := train.JobConfig(SmallTestbed(), train.ComputeHeavy)
+	cfg := train.JobConfig(topo.Small(), train.ComputeHeavy)
 	cfg.MasterExtra = 600 * time.Millisecond
 	h, _ := host(seed, mycroft.JobOptions{Train: &cfg, Backend: core.Config{
 		StragglerLate: late,
@@ -110,7 +110,7 @@ func e8FalsePositives(seed int64, late time.Duration) int {
 // e8TrueStraggler injects a genuine GPU straggler and checks the verdict.
 func e8TrueStraggler(seed int64, late time.Duration) (detected, correct bool) {
 	warm := 15 * time.Second
-	_, v := host(seed+7, mycroft.JobOptions{Topo: SmallTestbed(), Backend: core.Config{StragglerLate: late}},
+	_, v := host(seed+7, mycroft.JobOptions{Topo: topo.Small(), Backend: core.Config{StragglerLate: late}},
 		faults.Spec{Kind: faults.GPUSlow, Rank: 1, Severity: 6, At: warm}, warm+60*time.Second)
 	return v.Trigger != nil, v.Suspect == faults.SuspectExact && v.RightCategory
 }

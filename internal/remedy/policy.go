@@ -74,32 +74,33 @@ func (a Action) String() string {
 
 // Rule is one policy entry: match conditions over a Report, the action to
 // take, and the retry/verification budget. Zero-valued conditions match
-// everything; set conditions are ANDed.
+// everything; set conditions are ANDed. The JSON form is a what-if replay
+// file's policy rule, which names no budget: a replay executes nothing.
 type Rule struct {
 	// Name labels the rule in the audit log. Defaults to the action kind.
-	Name string
+	Name string `json:"name,omitempty"`
 	// Categories restricts to verdicts with one of these categories.
-	Categories []core.Category
+	Categories []core.Category `json:"categories,omitempty"`
 	// Vias restricts to verdicts reached by one of these analysis paths.
-	Vias []core.Via
+	Vias []core.Via `json:"vias,omitempty"`
 	// MinChain restricts to verdicts whose causal chain has at least this
 	// many hops (cross-communicator cascades).
-	MinChain int
+	MinChain int `json:"min_chain,omitempty"`
 	// Action is the mitigation to order.
-	Action ActionKind
+	Action ActionKind `json:"action"`
 	// MaxAttempts is this rule's failed-attempt budget per rank before it
 	// escalates instead (flap damping); a verified heal restores it. Each
 	// rule's budget is its own — another rule's failures do not consume it.
 	// Default 2.
-	MaxAttempts int
+	MaxAttempts int `json:"-"`
 	// Backoff is the minimum gap between attempts on the same rank.
 	// Default 10 s.
-	Backoff time.Duration
+	Backoff time.Duration `json:"-"`
 	// VerifyWindow is how long after the action the suspect must stay quiet
 	// (no re-detection) before the attempt counts as succeeded. It must
 	// outlast the backend's re-arm delay or a persisting fault cannot be
 	// observed re-triggering. Default 35 s.
-	VerifyWindow time.Duration
+	VerifyWindow time.Duration `json:"-"`
 }
 
 func (r Rule) withDefaults() Rule {
@@ -150,8 +151,8 @@ func (r Rule) matches(rep core.Report) bool {
 // Policy is an ordered rule list; the first matching rule wins.
 type Policy struct {
 	// Name labels the policy in the audit log. Default "default".
-	Name  string
-	Rules []Rule
+	Name  string `json:"name,omitempty"`
+	Rules []Rule `json:"rules"`
 }
 
 // Validate rejects structurally broken policies before they are attached.

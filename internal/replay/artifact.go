@@ -46,7 +46,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"time"
 
 	"mycroft/internal/api"
 	"mycroft/internal/core"
@@ -93,77 +92,6 @@ var (
 	ErrOutOfOrder = errors.New("replay: out-of-order artifact")
 )
 
-// TopoInfo is the header's topology summary (topo.Config has no JSON tags of
-// its own; the artifact pins explicit names).
-type TopoInfo struct {
-	Nodes       int `json:"nodes"`
-	GPUsPerNode int `json:"gpus_per_node"`
-	TP          int `json:"tp"`
-	PP          int `json:"pp"`
-	DP          int `json:"dp"`
-}
-
-// FromTopo converts a cluster topology to its header form.
-func FromTopo(c topo.Config) TopoInfo {
-	return TopoInfo{Nodes: c.Nodes, GPUsPerNode: c.GPUsPerNode, TP: c.TP, PP: c.PP, DP: c.DP}
-}
-
-// Config returns the domain topology.
-func (t TopoInfo) Config() topo.Config {
-	return topo.Config{Nodes: t.Nodes, GPUsPerNode: t.GPUsPerNode, TP: t.TP, PP: t.PP, DP: t.DP}
-}
-
-// BackendConfig is the header's wire form of the *effective* analysis
-// configuration (core.Config after defaults) — every §9 threshold the replay
-// needs to reproduce, or override, the original verdicts. Durations are
-// nanoseconds, matching the /v1 convention.
-type BackendConfig struct {
-	IntervalNs         int64   `json:"interval_ns"`
-	WindowNs           int64   `json:"window_ns"`
-	ThroughputDrop     float64 `json:"throughput_drop"`
-	IntervalGrow       float64 `json:"interval_grow"`
-	StragglerLateNs    int64   `json:"straggler_late_ns"`
-	LateCount          int     `json:"late_count"`
-	MaxSampled         int     `json:"max_sampled"`
-	StateFreshNs       int64   `json:"state_fresh_ns"`
-	StragglerWindowNs  int64   `json:"straggler_window_ns"`
-	StragglerSettleNs  int64   `json:"straggler_settle_ns"`
-	RearmNs            int64   `json:"rearm_ns"`
-	MinBaselineSamples int     `json:"min_baseline_samples"`
-	BadWindows         int     `json:"bad_windows"`
-	BadWindowSpan      int     `json:"bad_window_span"`
-	FlowPressureFrac   float64 `json:"flow_pressure_frac"`
-	ChaseDepth         int     `json:"chase_depth"`
-}
-
-// FromBackendConfig converts an effective core.Config to its header form.
-func FromBackendConfig(c core.Config) BackendConfig {
-	return BackendConfig{
-		IntervalNs: int64(c.Interval), WindowNs: int64(c.Window),
-		ThroughputDrop: c.ThroughputDrop, IntervalGrow: c.IntervalGrow,
-		StragglerLateNs: int64(c.StragglerLate), LateCount: c.LateCount,
-		MaxSampled: c.MaxSampled, StateFreshNs: int64(c.StateFresh),
-		StragglerWindowNs: int64(c.StragglerWindow), StragglerSettleNs: int64(c.StragglerSettle),
-		RearmNs: int64(c.RearmDelay), MinBaselineSamples: c.MinBaselineSamples,
-		BadWindows: c.BadWindows, BadWindowSpan: c.BadWindowSpan,
-		FlowPressureFrac: c.FlowPressureFrac, ChaseDepth: c.ChaseDepth,
-	}
-}
-
-// Config returns the domain analysis configuration.
-func (b BackendConfig) Config() core.Config {
-	return core.Config{
-		Interval: time.Duration(b.IntervalNs), Window: time.Duration(b.WindowNs),
-		ThroughputDrop: b.ThroughputDrop, IntervalGrow: b.IntervalGrow,
-		StragglerLate: time.Duration(b.StragglerLateNs), LateCount: b.LateCount,
-		MaxSampled: b.MaxSampled, StateFresh: time.Duration(b.StateFreshNs),
-		StragglerWindow: time.Duration(b.StragglerWindowNs), StragglerSettle: time.Duration(b.StragglerSettleNs),
-		RearmDelay: time.Duration(b.RearmNs), MinBaselineSamples: b.MinBaselineSamples,
-		BadWindows: b.BadWindows, BadWindowSpan: b.BadWindowSpan,
-		FlowPressureFrac: b.FlowPressureFrac, ChaseDepth: b.ChaseDepth,
-	}
-}
-
 // Header is the artifact's self-description: everything a replayer needs to
 // rebuild an equivalent analysis stack before the first entry.
 type Header struct {
@@ -180,11 +108,13 @@ type Header struct {
 	// WorldSize is the job's rank count.
 	WorldSize int `json:"world_size"`
 	// Topo sizes the original cluster.
-	Topo TopoInfo `json:"topo"`
+	Topo topo.Config `json:"topo"`
 	// SampledRanks are the ranks Algorithm 1 monitored.
 	SampledRanks []int `json:"sampled_ranks"`
-	// Backend is the effective analysis configuration (defaults applied).
-	Backend BackendConfig `json:"backend"`
+	// Backend is the effective analysis configuration (defaults applied):
+	// every §9 threshold the replay needs to reproduce, or override, the
+	// original verdicts.
+	Backend core.Config `json:"backend"`
 	// StartNs is the virtual time recording began. A recorder attached at
 	// job start captures the whole run; one attached mid-run carries the
 	// store's prior contents as a preamble batch stamped StartNs.

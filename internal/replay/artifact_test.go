@@ -31,17 +31,17 @@ var update = flag.Bool("update", false, "rewrite golden artifact files")
 func fixtureHeader() Header {
 	return Header{
 		Job: "job-0", CreatedBy: "replay-test", Seed: 42, WorldSize: 16,
-		Topo:         TopoInfo{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 4, DP: 2},
+		Topo:         topo.Config{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 4, DP: 2},
 		SampledRanks: []int{0, 2, 4, 6, 8, 10, 12, 14},
-		Backend: FromBackendConfig(BackendConfig{
-			IntervalNs: 1_000_000_000, WindowNs: 5_000_000_000,
+		Backend: core.Config{
+			Interval: time.Second, Window: 5 * time.Second,
 			ThroughputDrop: 0.3, IntervalGrow: 2.0,
-			StragglerLateNs: 300_000_000, LateCount: 3, MaxSampled: 8,
-			StateFreshNs: 10_000_000_000, StragglerWindowNs: 5_000_000_000,
-			StragglerSettleNs: 6_000_000_000, RearmNs: 30_000_000_000,
+			StragglerLate: 300 * time.Millisecond, LateCount: 3, MaxSampled: 8,
+			StateFresh: 10 * time.Second, StragglerWindow: 5 * time.Second,
+			StragglerSettle: 6 * time.Second, RearmDelay: 30 * time.Second,
 			MinBaselineSamples: 4, BadWindows: 3, BadWindowSpan: 5,
 			FlowPressureFrac: 0.5, ChaseDepth: 4,
-		}.Config()),
+		},
 		StartNs: 0,
 	}
 }

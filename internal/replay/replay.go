@@ -3,7 +3,6 @@ package replay
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"mycroft/internal/clouddb"
 	"mycroft/internal/core"
@@ -12,117 +11,14 @@ import (
 	"mycroft/internal/topo"
 )
 
-// Overrides is the what-if knob set: every field nil-or-set so JSON absence
-// keeps the recorded value. Only thresholds that do not change *when*
-// Algorithm 1 ran are overridable — evaluation instants are recorded facts
-// (the Interval is therefore not here), while everything about what a pass
-// concludes at those instants is fair game.
-type Overrides struct {
-	WindowNs           *int64   `json:"window_ns,omitempty"`
-	ThroughputDrop     *float64 `json:"throughput_drop,omitempty"`
-	IntervalGrow       *float64 `json:"interval_grow,omitempty"`
-	StragglerLateNs    *int64   `json:"straggler_late_ns,omitempty"`
-	LateCount          *int     `json:"late_count,omitempty"`
-	StateFreshNs       *int64   `json:"state_fresh_ns,omitempty"`
-	StragglerWindowNs  *int64   `json:"straggler_window_ns,omitempty"`
-	StragglerSettleNs  *int64   `json:"straggler_settle_ns,omitempty"`
-	RearmNs            *int64   `json:"rearm_ns,omitempty"`
-	MinBaselineSamples *int     `json:"min_baseline_samples,omitempty"`
-	BadWindows         *int     `json:"bad_windows,omitempty"`
-	BadWindowSpan      *int     `json:"bad_window_span,omitempty"`
-	FlowPressureFrac   *float64 `json:"flow_pressure_frac,omitempty"`
-	ChaseDepth         *int     `json:"chase_depth,omitempty"`
-}
-
-// Zero reports whether no override is set.
-func (o *Overrides) Zero() bool { return o == nil || *o == (Overrides{}) }
-
-// apply layers the set fields over cfg.
-func (o *Overrides) apply(cfg core.Config) core.Config {
-	if o == nil {
-		return cfg
-	}
-	setD := func(dst *time.Duration, src *int64) {
-		if src != nil {
-			*dst = time.Duration(*src)
-		}
-	}
-	setF := func(dst *float64, src *float64) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setI := func(dst *int, src *int) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setD(&cfg.Window, o.WindowNs)
-	setF(&cfg.ThroughputDrop, o.ThroughputDrop)
-	setF(&cfg.IntervalGrow, o.IntervalGrow)
-	setD(&cfg.StragglerLate, o.StragglerLateNs)
-	setI(&cfg.LateCount, o.LateCount)
-	setD(&cfg.StateFresh, o.StateFreshNs)
-	setD(&cfg.StragglerWindow, o.StragglerWindowNs)
-	setD(&cfg.StragglerSettle, o.StragglerSettleNs)
-	setD(&cfg.RearmDelay, o.RearmNs)
-	setI(&cfg.MinBaselineSamples, o.MinBaselineSamples)
-	setI(&cfg.BadWindows, o.BadWindows)
-	setI(&cfg.BadWindowSpan, o.BadWindowSpan)
-	setF(&cfg.FlowPressureFrac, o.FlowPressureFrac)
-	setI(&cfg.ChaseDepth, o.ChaseDepth)
-	return cfg
-}
-
-// PolicySpec is the JSON form of a what-if remediation policy, mirroring the
-// scenario file's remediate stanza.
-type PolicySpec struct {
-	Name  string     `json:"name,omitempty"`
-	Rules []RuleSpec `json:"rules"`
-}
-
-// RuleSpec is one what-if policy rule.
-type RuleSpec struct {
-	Name       string   `json:"name,omitempty"`
-	Categories []string `json:"categories,omitempty"`
-	Vias       []string `json:"vias,omitempty"`
-	MinChain   int      `json:"min_chain,omitempty"`
-	Action     string   `json:"action"`
-}
-
-// Policy converts the spec to a domain policy, validating action names.
-func (s PolicySpec) Policy() (remedy.Policy, error) {
-	p := remedy.Policy{Name: s.Name}
-	for i, r := range s.Rules {
-		if !remedy.KnownAction(remedy.ActionKind(r.Action)) {
-			return remedy.Policy{}, fmt.Errorf("replay: policy rule %d: unknown action %q", i, r.Action)
-		}
-		rule := remedy.Rule{Name: r.Name, MinChain: r.MinChain, Action: remedy.ActionKind(r.Action)}
-		for _, c := range r.Categories {
-			rule.Categories = append(rule.Categories, core.Category(c))
-		}
-		for _, v := range r.Vias {
-			rule.Vias = append(rule.Vias, core.Via(v))
-		}
-		p.Rules = append(p.Rules, rule)
-	}
-	if err := p.Validate(); err != nil {
-		return remedy.Policy{}, err
-	}
-	return p, nil
-}
-
-// WhatIf is the -whatif file format: threshold overrides and/or an
-// alternative policy to shadow-match against the replayed verdicts.
-type WhatIf struct {
-	Overrides
-	Policy *PolicySpec `json:"policy,omitempty"`
-}
-
 // Options tunes one replay.
 type Options struct {
-	// Overrides replaces detection/analysis thresholds (nil = faithful).
-	Overrides *Overrides
+	// Backend, when set, replaces the header's analysis configuration (nil =
+	// faithful). Only thresholds that do not change *when* Algorithm 1 ran
+	// may differ from the recorded ones: the evaluation instants are recorded
+	// facts, so Interval must match the header, and so must MaxSampled, which
+	// sized the recorded sample.
+	Backend *core.Config
 	// Policy, when set, is dry-run matched against every replayed report;
 	// the hypothetical actions land in Result.Shadow. Nothing is executed —
 	// the incident already happened.
@@ -187,7 +83,14 @@ func Replay(r io.Reader, opts Options) (*Result, error) {
 	h := dec.Header()
 	res := &Result{Header: h}
 
-	cfg := opts.Overrides.apply(h.Backend.Config())
+	cfg := h.Backend
+	if b := opts.Backend; b != nil {
+		if b.Interval != cfg.Interval || b.MaxSampled != cfg.MaxSampled {
+			return nil, fmt.Errorf("replay: the evaluation interval (%v) and the sample cap (%d) are recorded and cannot be overridden",
+				cfg.Interval, cfg.MaxSampled)
+		}
+		cfg = *b
+	}
 	sampled := make([]topo.Rank, len(h.SampledRanks))
 	for i, r := range h.SampledRanks {
 		sampled[i] = topo.Rank(r)

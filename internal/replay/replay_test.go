@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mycroft"
 	"mycroft/internal/replay"
@@ -95,14 +96,10 @@ func TestWhatIfOverridesChangeVerdict(t *testing.T) {
 	}
 
 	// Loosen every straggler knob far past the recorded signal.
-	grow, drop := 100.0, 0.001
-	lateNs, lateCount := int64(3_600_000_000_000), 1_000_000
-	loose, err := mycroft.Replay(bytes.NewReader(data), mycroft.ReplayOptions{
-		Overrides: &mycroft.ReplayOverrides{
-			IntervalGrow: &grow, ThroughputDrop: &drop,
-			StragglerLateNs: &lateNs, LateCount: &lateCount,
-		},
-	})
+	cfg := faithful.Header.Backend
+	cfg.IntervalGrow, cfg.ThroughputDrop = 100, 0.001
+	cfg.StragglerLate, cfg.LateCount = time.Hour, 1_000_000
+	loose, err := mycroft.Replay(bytes.NewReader(data), mycroft.ReplayOptions{Backend: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +112,18 @@ func TestWhatIfOverridesChangeVerdict(t *testing.T) {
 	}
 	if len(d.TriggerDrift) == 0 {
 		t.Fatalf("expected trigger drift, got:\n%s", d.Render())
+	}
+
+	// The evaluation interval and the sample cap are recorded facts.
+	for _, change := range []func(*mycroft.BackendConfig){
+		func(c *mycroft.BackendConfig) { c.Interval /= 2 },
+		func(c *mycroft.BackendConfig) { c.MaxSampled++ },
+	} {
+		cfg := faithful.Header.Backend
+		change(&cfg)
+		if _, err := mycroft.Replay(bytes.NewReader(data), mycroft.ReplayOptions{Backend: &cfg}); err == nil {
+			t.Fatalf("replay accepted a changed recorded fact: %+v", cfg)
+		}
 	}
 }
 
@@ -133,13 +142,9 @@ func hasStragglerTrigger(o replay.Outcome) bool {
 func TestWhatIfShadowPolicy(t *testing.T) {
 	data := recordScenario(t, "pp-cascade", 7)
 
-	spec := replay.PolicySpec{
+	p := mycroft.RemedyPolicy{
 		Name:  "aggressive",
-		Rules: []replay.RuleSpec{{Name: "cordon-everything", Action: "isolate-rank"}},
-	}
-	p, err := spec.Policy()
-	if err != nil {
-		t.Fatal(err)
+		Rules: []mycroft.RemedyRule{{Name: "cordon-everything", Action: "isolate-rank"}},
 	}
 	res, err := mycroft.Replay(bytes.NewReader(data), mycroft.ReplayOptions{Policy: &p})
 	if err != nil {
@@ -158,12 +163,6 @@ func TestWhatIfShadowPolicy(t *testing.T) {
 		rep := res.Replayed.Reports[sh.ReportIndex]
 		if sh.Rank != rep.Suspect {
 			t.Fatalf("shadow action targets rank %d, report suspects %d", sh.Rank, rep.Suspect)
-		}
-	}
-
-	if spec := (replay.PolicySpec{Rules: []replay.RuleSpec{{Action: "defenestrate"}}}); true {
-		if _, err := spec.Policy(); err == nil {
-			t.Fatal("unknown action validated")
 		}
 	}
 }

@@ -2,13 +2,15 @@ package scenario
 
 import (
 	"math/rand"
+
+	"mycroft/internal/topo"
 )
 
 // jobSpec is one resolved fleet member: the shape the runner builds a
 // mycroft.Service job from.
 type jobSpec struct {
 	Template        string
-	Topo            Topo
+	Topo            topo.Config
 	CommHeavy       bool
 	CheckpointEvery int
 	UploadLatency   Dur
@@ -24,8 +26,8 @@ type jobSpec struct {
 func resolveFleet(f Fleet, seed int64) []jobSpec {
 	if f.Gen == nil {
 		t := f.Topo
-		if t.IsZero() {
-			t = DefaultTopo
+		if t == (topo.Config{}) {
+			t = topo.Small()
 		}
 		return []jobSpec{{
 			Template: "default", Topo: t, CommHeavy: f.CommHeavy,

@@ -8,6 +8,7 @@ import (
 	"mycroft/internal/core"
 	"mycroft/internal/faults"
 	"mycroft/internal/remedy"
+	"mycroft/internal/topo"
 )
 
 // Builtins returns the built-in scenario library, sorted by name: one
@@ -196,7 +197,7 @@ func large64Scenario() Spec {
 		// Iterations at this scale run ~7 s, so the trigger look-back must
 		// widen past the 5 s default or warm-up cadence reads as failure
 		// (the E7 sweep makes the same adjustment).
-		Fleet: Fleet{Topo: Topo{Nodes: 8, GPUsPerNode: 8, TP: 2, PP: 4, DP: 8}, Window: Dur(15 * time.Second)},
+		Fleet: Fleet{Topo: topo.Config{Nodes: 8, GPUsPerNode: 8, TP: 2, PP: 4, DP: 8}, Window: Dur(15 * time.Second)},
 		Events: []Event{
 			injectAt(warmup, faults.NICDown, 17, 0, 0),
 			recoverAt(40*time.Second, faults.NICDown, 17),
@@ -220,8 +221,8 @@ func fleetChaosScenario() Spec {
 		Fleet: Fleet{Gen: &FleetGen{
 			Jobs: 3,
 			Templates: []Template{
-				{Name: "small-compute", Weight: 3, Topo: Topo{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}},
-				{Name: "medium-compute", Weight: 2, Topo: Topo{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 2, DP: 4}},
+				{Name: "small-compute", Weight: 3, Topo: topo.Small()},
+				{Name: "medium-compute", Weight: 2, Topo: topo.Config{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 2, DP: 4}},
 			},
 		}},
 		Chaos: &Chaos{
@@ -254,7 +255,7 @@ func multiJobSharedScenario() Spec {
 			Gen: &FleetGen{
 				Jobs: 3,
 				Templates: []Template{
-					{Name: "small-compute", Weight: 1, Topo: DefaultTopo},
+					{Name: "small-compute", Weight: 1, Topo: topo.Small()},
 				},
 			},
 		},
@@ -282,7 +283,7 @@ func ppCascadeScenario() Spec {
 		RunFor:      Dur(60 * time.Second),
 		// Same window widening as large-64: PP=4 iterations are long enough
 		// that the 5 s default reads warm-up cadence as failure.
-		Fleet:  Fleet{Topo: Topo{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 4, DP: 2}, Window: Dur(15 * time.Second)},
+		Fleet:  Fleet{Topo: topo.Config{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 4, DP: 2}, Window: Dur(15 * time.Second)},
 		Events: []Event{injectAt(warmup, faults.GPUHang, 9, 0, 0)},
 		Assertions: []Assertion{
 			{Kind: AssertNoFalseTrigger},
@@ -304,7 +305,7 @@ func ppNICCascadeScenario() Spec {
 		Name:        "pp-nic-cascade",
 		Description: "4-stage pipeline: a NIC dies on rank 10; the chase follows the pipeline send/recv order into the victim stage and the blast radius stays partial.",
 		RunFor:      Dur(60 * time.Second),
-		Fleet:       Fleet{Topo: Topo{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 4, DP: 2}, Window: Dur(15 * time.Second)},
+		Fleet:       Fleet{Topo: topo.Config{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 4, DP: 2}, Window: Dur(15 * time.Second)},
 		Events:      []Event{injectAt(warmup, faults.NICDown, 10, 0, 0)},
 		Assertions: []Assertion{
 			{Kind: AssertNoFalseTrigger},
@@ -438,7 +439,7 @@ func multiJobPolicyScenario() Spec {
 			Rearm:        Dur(10 * time.Second),
 			Gen: &FleetGen{
 				Jobs:      2,
-				Templates: []Template{{Name: "small-compute", Weight: 1, Topo: DefaultTopo}},
+				Templates: []Template{{Name: "small-compute", Weight: 1, Topo: topo.Small()}},
 			},
 		},
 		Events: []Event{
@@ -539,7 +540,7 @@ func cascadeScenario() Spec {
 		Name:        "cascade",
 		Description: "Correlated failure: a NIC dies and, moments later, a neighbour follows (cascade probability 1).",
 		RunFor:      Dur(80 * time.Second),
-		Fleet:       Fleet{Topo: Topo{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 2, DP: 4}},
+		Fleet:       Fleet{Topo: topo.Config{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 2, DP: 4}},
 		Chaos: &Chaos{
 			Faults: 1,
 			Kinds:  []WeightedKind{{Kind: faults.NICDown, Weight: 1}},

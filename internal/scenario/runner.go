@@ -12,6 +12,7 @@ import (
 	"mycroft/internal/core"
 	"mycroft/internal/faults"
 	"mycroft/internal/remedy"
+	"mycroft/internal/topo"
 	"mycroft/internal/train"
 )
 
@@ -20,12 +21,12 @@ import (
 type JobResult struct {
 	Index int `json:"index"`
 	// JobID is the job's service address ("job-N").
-	JobID      string `json:"job_id"`
-	Template   string `json:"template"`
-	Topo       Topo   `json:"topo"`
-	CommHeavy  bool   `json:"comm_heavy,omitempty"`
-	WorldSize  int    `json:"world_size"`
-	Iterations int    `json:"iterations"`
+	JobID      string      `json:"job_id"`
+	Template   string      `json:"template"`
+	Topo       topo.Config `json:"topo"`
+	CommHeavy  bool        `json:"comm_heavy,omitempty"`
+	WorldSize  int         `json:"world_size"`
+	Iterations int         `json:"iterations"`
 	// Records is how many trace records reached the cloud DB.
 	Records  uint64   `json:"records"`
 	Injected []string `json:"injected,omitempty"`
@@ -353,7 +354,7 @@ func attachPolicies(spec Spec, idx int, svc *mycroft.Service, h *mycroft.JobHand
 
 // jobOptions maps one resolved fleet member to the service job options.
 func jobOptions(js jobSpec) mycroft.JobOptions {
-	opts := mycroft.JobOptions{Topo: js.Topo.Config(), CommHeavy: js.CommHeavy}
+	opts := mycroft.JobOptions{Topo: js.Topo, CommHeavy: js.CommHeavy}
 	if js.Window > 0 {
 		opts.Backend.Window = js.Window.D()
 	}
@@ -368,7 +369,7 @@ func jobOptions(js jobSpec) mycroft.JobOptions {
 		if js.CommHeavy {
 			profile = train.CommHeavy
 		}
-		tc := train.JobConfig(js.Topo.Config(), profile)
+		tc := train.JobConfig(js.Topo, profile)
 		tc.CheckpointEvery = js.CheckpointEvery
 		if js.UploadLatency > 0 {
 			tc.Collector.UploadLatency = js.UploadLatency.D()

@@ -237,8 +237,8 @@ func TestFleetGenWeightedSampling(t *testing.T) {
 	f := Fleet{Gen: &FleetGen{
 		Jobs: 40,
 		Templates: []Template{
-			{Name: "a", Weight: 3, Topo: DefaultTopo},
-			{Name: "b", Weight: 1, Topo: Topo{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 2, DP: 4}},
+			{Name: "a", Weight: 3, Topo: topo.Small()},
+			{Name: "b", Weight: 1, Topo: topo.Config{Nodes: 4, GPUsPerNode: 4, TP: 2, PP: 2, DP: 4}},
 		},
 	}}
 	jobs := resolveFleet(f, 11)
@@ -307,7 +307,7 @@ func TestValidateRejects(t *testing.T) {
 		want string
 	}{
 		{"missing name", Spec{}, "missing name"},
-		{"bad topo", Spec{Name: "x", Fleet: Fleet{Topo: Topo{Nodes: 2, GPUsPerNode: 4, TP: 3, PP: 2, DP: 2}}}, "does not cover"},
+		{"bad topo", Spec{Name: "x", Fleet: Fleet{Topo: topo.Config{Nodes: 2, GPUsPerNode: 4, TP: 3, PP: 2, DP: 2}}}, "does not cover"},
 		{"unknown kind", Spec{Name: "x", Events: inject("warp-core-breach", 0)}, "unknown fault kind"},
 		{"rank out of range", Spec{Name: "x", Events: inject(faults.NICDown, 99)}, "out of range"},
 		{"unknown action", Spec{Name: "x", Events: []Event{{Action: "explode"}}}, "unknown action"},
@@ -318,7 +318,7 @@ func TestValidateRejects(t *testing.T) {
 		{"assertion event range", Spec{Name: "x", Events: inject(faults.NICDown, 0), Assertions: []Assertion{{Kind: AssertDetected, Event: 5}}}, "out of range"},
 		{"min without value", Spec{Name: "x", Assertions: []Assertion{{Kind: AssertMinReports}}}, "min > 0"},
 		{"gen without templates", Spec{Name: "x", Fleet: Fleet{Gen: &FleetGen{Jobs: 2}}}, "needs templates"},
-		{"gen bad weight", Spec{Name: "x", Fleet: Fleet{Gen: &FleetGen{Jobs: 2, Templates: []Template{{Name: "t", Topo: DefaultTopo}}}}}, "weight"},
+		{"gen bad weight", Spec{Name: "x", Fleet: Fleet{Gen: &FleetGen{Jobs: 2, Templates: []Template{{Name: "t", Topo: topo.Small()}}}}}, "weight"},
 		{"chaos bad kind", Spec{Name: "x", Chaos: &Chaos{Kinds: []WeightedKind{{Kind: "nope", Weight: 1}}}}, "unknown"},
 		{"chaos bad cascade", Spec{Name: "x", Chaos: &Chaos{Cascade: 2}}, "cascade"},
 		{"negative severity", Spec{Name: "x", Events: []Event{{Action: ActInject, Fault: &Fault{Kind: faults.NICDegrade, Rank: 0, Severity: -0.5}}}}, "negative severity"},
@@ -367,7 +367,7 @@ func TestValidateRejects(t *testing.T) {
 		{"remediation rank out of range", Spec{Name: "x", Assertions: []Assertion{{Kind: AssertRemediation, Rank: 99}}}, "out of range"},
 		{"assertion event unreachable for its job", Spec{
 			Name:  "x",
-			Fleet: Fleet{Gen: &FleetGen{Jobs: 2, Templates: []Template{{Name: "t", Weight: 1, Topo: DefaultTopo}}}},
+			Fleet: Fleet{Gen: &FleetGen{Jobs: 2, Templates: []Template{{Name: "t", Weight: 1, Topo: topo.Small()}}}},
 			Events: []Event{
 				{At: Dur(time.Second), Action: ActInject, Job: 0, Fault: &Fault{Kind: faults.NICDown, Rank: 0}},
 				{At: Dur(2 * time.Second), Action: ActInject, Job: 1, Fault: &Fault{Kind: faults.NICDown, Rank: 0}},

@@ -60,38 +60,12 @@ func (d *Dur) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Topo sizes one simulated cluster in the scenario file format.
-type Topo struct {
-	Nodes       int `json:"nodes"`
-	GPUsPerNode int `json:"gpus_per_node"`
-	TP          int `json:"tp"`
-	PP          int `json:"pp"`
-	DP          int `json:"dp"`
-}
-
-// Config converts to the topo package's config.
-func (t Topo) Config() topo.Config {
-	return topo.Config{Nodes: t.Nodes, GPUsPerNode: t.GPUsPerNode, TP: t.TP, PP: t.PP, DP: t.DP}
-}
-
-// IsZero reports whether the shape is unset (the runner substitutes the
-// default 2×4 testbed).
-func (t Topo) IsZero() bool { return t == Topo{} }
-
-func (t Topo) String() string {
-	return fmt.Sprintf("%d×%d tp=%d pp=%d dp=%d", t.Nodes, t.GPUsPerNode, t.TP, t.PP, t.DP)
-}
-
-// DefaultTopo is the 8-GPU testbed shape used when a spec leaves the
-// topology unset.
-var DefaultTopo = Topo{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}
-
 // Fleet declares the job(s) a scenario runs: either one explicit cluster or
 // a generated fleet of weighted templates.
 type Fleet struct {
 	// Topo shapes the single job (ignored when Gen is set). Zero takes
-	// DefaultTopo.
-	Topo Topo `json:"topo,omitempty"`
+	// topo.Small.
+	Topo topo.Config `json:"topo,omitempty"`
 	// CommHeavy weights iterations toward communication (degradation-class
 	// faults need it to be measurable).
 	CommHeavy bool `json:"comm_heavy,omitempty"`
@@ -132,10 +106,10 @@ type FleetGen struct {
 
 // Template is one weighted cluster shape in a generated fleet.
 type Template struct {
-	Name      string `json:"name"`
-	Weight    int    `json:"weight"`
-	Topo      Topo   `json:"topo"`
-	CommHeavy bool   `json:"comm_heavy,omitempty"`
+	Name      string      `json:"name"`
+	Weight    int         `json:"weight"`
+	Topo      topo.Config `json:"topo"`
+	CommHeavy bool        `json:"comm_heavy,omitempty"`
 }
 
 // Action is what a timed event does.
@@ -477,8 +451,8 @@ func knownKind(k faults.Kind) bool {
 func (s Spec) minWorld() int {
 	if s.Fleet.Gen == nil {
 		t := s.Fleet.Topo
-		if t.IsZero() {
-			t = DefaultTopo
+		if t == (topo.Config{}) {
+			t = topo.Small()
 		}
 		return t.Nodes * t.GPUsPerNode
 	}
@@ -515,15 +489,15 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("scenario %s: template %d (%s) needs weight > 0", s.Name, i, tpl.Name)
 			}
 			total += tpl.Weight
-			if err := tpl.Topo.Config().Validate(); err != nil {
+			if err := tpl.Topo.Validate(); err != nil {
 				return fmt.Errorf("scenario %s: template %d (%s): %w", s.Name, i, tpl.Name, err)
 			}
 		}
 		if total <= 0 {
 			return fmt.Errorf("scenario %s: zero total template weight", s.Name)
 		}
-	} else if !s.Fleet.Topo.IsZero() {
-		if err := s.Fleet.Topo.Config().Validate(); err != nil {
+	} else if s.Fleet.Topo != (topo.Config{}) {
+		if err := s.Fleet.Topo.Validate(); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}

@@ -44,11 +44,23 @@ type Cluster struct {
 }
 
 // Config sizes a cluster. WorldSize = Nodes × GPUsPerNode must equal
-// TP × PP × DP.
+// TP × PP × DP. The JSON tags are the scenario file's and the incident
+// artifact header's names for it.
 type Config struct {
-	Nodes       int
-	GPUsPerNode int
-	TP, PP, DP  int
+	Nodes       int `json:"nodes"`
+	GPUsPerNode int `json:"gpus_per_node"`
+	TP          int `json:"tp"`
+	PP          int `json:"pp"`
+	DP          int `json:"dp"`
+}
+
+// Small is the 8-GPU testbed, 2 nodes × 4 GPUs at TP=2 PP=2 DP=2: the shape a
+// job or a scenario takes when it leaves the topology unset, and the one
+// experiments use where many runs are needed.
+func Small() Config { return Config{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2} }
+
+func (c Config) String() string {
+	return fmt.Sprintf("%d×%d tp=%d pp=%d dp=%d", c.Nodes, c.GPUsPerNode, c.TP, c.PP, c.DP)
 }
 
 // Validate checks internal consistency.

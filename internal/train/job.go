@@ -57,7 +57,6 @@ type Config struct {
 	CheckpointDelay time.Duration // default 200 ms when CheckpointEvery > 0
 
 	// Substrate.
-	NIC ccl.Config // unused fields ignored; kept for doc symmetry
 	CCL ccl.Config
 
 	NICConfig rdma.NICConfig

@@ -13,11 +13,9 @@ import (
 // Re-exported replay types, so operators drive post-mortem analysis from the
 // root API without importing internal packages.
 type (
-	// ReplayOptions tunes a Replay: threshold overrides and/or a what-if
-	// policy to shadow-match (see internal/replay.Options).
+	// ReplayOptions tunes a Replay: a what-if analysis configuration and/or
+	// a what-if policy to shadow-match (see internal/replay.Options).
 	ReplayOptions = replay.Options
-	// ReplayOverrides is the what-if threshold set.
-	ReplayOverrides = replay.Overrides
 	// ReplayResult is a replay's full outcome: header, recorded vs replayed
 	// trigger/report streams, shadow actions.
 	ReplayResult = replay.Result
@@ -33,7 +31,7 @@ type (
 // Replay re-drives a recorded incident artifact through a fresh analysis
 // stack and returns the recorded and replayed outcomes side by side. With
 // zero options the replay is faithful and reproduces the original triggers
-// and reports byte-for-byte; with overrides or a what-if policy it answers
+// and reports byte-for-byte; with a what-if configuration or policy it answers
 // "what would Mycroft have concluded if …" against the same evidence.
 func Replay(r io.Reader, opts ReplayOptions) (*ReplayResult, error) {
 	return replay.Replay(r, opts)
@@ -73,15 +71,14 @@ func (s *Service) Record(id JobID, w io.Writer) (*Recorder, error) {
 	if h.recorder != nil {
 		return nil, fmt.Errorf("mycroft: job %q is already being recorded", id)
 	}
-	cfg := h.Backend.Config()
 	sampled := h.Backend.Sampled()
 	hdr := replay.Header{
 		Job:       string(id),
 		CreatedBy: fmt.Sprintf("mycroft/%d", api.Version),
 		Seed:      s.seed,
 		WorldSize: h.WorldSize(),
-		Topo:      replay.FromTopo(h.Job.Cfg.Topo),
-		Backend:   replay.FromBackendConfig(cfg),
+		Topo:      h.Job.Cfg.Topo,
+		Backend:   h.Backend.Config(),
 		StartNs:   int64(s.Now()),
 	}
 	for _, r := range sampled {

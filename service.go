@@ -15,6 +15,7 @@ import (
 	"mycroft/internal/pystack"
 	"mycroft/internal/remedy"
 	"mycroft/internal/sim"
+	"mycroft/internal/topo"
 	"mycroft/internal/trace"
 	"mycroft/internal/train"
 )
@@ -85,7 +86,8 @@ func NewService(opts ServiceOptions) *Service {
 
 // JobOptions sizes one hosted job. The zero value is a runnable 8-GPU job.
 type JobOptions struct {
-	// Topo sizes the cluster. Default: 2 nodes × 4 GPUs, TP=2 PP=2 DP=2.
+	// Topo sizes the cluster. Default topo.Small: 2 nodes × 4 GPUs, TP=2
+	// PP=2 DP=2.
 	Topo TopoConfig
 	// Train overrides the workload; leave zero to derive from Topo with
 	// defaults. If both Train.Topo and Topo are set they must agree.
@@ -103,7 +105,7 @@ func (o JobOptions) resolve() (train.Config, error) {
 	topoSet := o.Topo != (TopoConfig{})
 	if o.Train == nil {
 		if !topoSet {
-			o.Topo = TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}
+			o.Topo = topo.Small()
 		}
 		profile := train.ComputeHeavy
 		if o.CommHeavy {
@@ -120,7 +122,7 @@ func (o JobOptions) resolve() (train.Config, error) {
 		// The workload's own topology wins when Topo is unset.
 	default:
 		if !topoSet {
-			o.Topo = TopoConfig{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2}
+			o.Topo = topo.Small()
 		}
 		tc.Topo = o.Topo
 	}
