@@ -175,7 +175,7 @@ type Report struct {
 	Confidence float64    `json:"confidence,omitempty"`
 }
 
-// Report returns r itself: the second and last shim for bench/replay.go (see
+// Report returns r itself: the second shim for bench/replay.go (see
 // Trigger.Trigger).
 func (r Report) Report() (Report, error) { return r, nil }
 
