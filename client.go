@@ -20,7 +20,7 @@ import (
 type Client interface {
 	// ListJobs describes every hosted job and the service's virtual clock.
 	ListJobs() (JobsResult, error)
-	// QueryTrace pages raw Coll-level records out of a job's sharded store.
+	// QueryTrace pages raw Coll-level records out of a job's trace store.
 	QueryTrace(TraceQuery) (TraceResult, error)
 	// QueryTriggers pages Algorithm 1 firings across hosted jobs.
 	QueryTriggers(TriggerQuery) (TriggerResult, error)

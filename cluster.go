@@ -39,9 +39,6 @@ type ClusterConfig struct {
 	Replicas int
 	// VNodes tunes ring smoothness (0 = cluster.DefaultVNodes).
 	VNodes int
-	// TraceMirror bounds the per-job trace mirror on replicas
-	// (0 = cluster.DefaultTraceMirror).
-	TraceMirror int
 	// Batch caps entries and trace records per replication batch (0 = 512).
 	Batch int
 }
@@ -88,7 +85,7 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 	}
 	cl := &serverCluster{
 		cfg: cfg, node: node,
-		store: cluster.NewReplicaStore(0, cfg.TraceMirror),
+		store: cluster.NewReplicaStore(),
 		hc:    &http.Client{Timeout: 10 * time.Second},
 		acks:  make(map[string]*peerAck),
 	}

@@ -1,8 +1,8 @@
 // mycroft-trace exercises the cloud database's "observability tool" mode
-// (§6.1): interrogate a run's sharded trace store through the unified query
-// layer — per-rank record counts, the distributed state machine at the end
-// of the run, shard occupancy, and optionally the full record stream of one
-// rank (fetched in pages, the way an operator console would).
+// (§6.1): interrogate a run's trace store through the unified query layer —
+// store occupancy, per-rank record counts, the distributed state machine at
+// the end of the run, and optionally the full record stream of one rank
+// (fetched in pages, the way an operator console would).
 //
 // Every subcommand runs against the transport-agnostic Client interface, so
 // the same code path serves two modes:
@@ -231,13 +231,8 @@ func dumpStore(c mycroft.Client, job mycroft.JobID, w io.Writer, dumpRank, dumpN
 	}
 	now := jobs.Now
 	st := info.Store
-	fmt.Fprintf(w, "trace store after %v: %d records live, %.1f MB ingested, %d pruned, %d shards\n",
-		now, st.Records, float64(st.BytesIngested)/1e6, st.Pruned, len(st.Shards))
-	fmt.Fprint(w, "shard occupancy:")
-	for i, ss := range st.Shards {
-		fmt.Fprintf(w, " s%d=%d", i, ss.Records)
-	}
-	fmt.Fprint(w, "\n\n")
+	fmt.Fprintf(w, "trace store after %v: %d records live, %.1f MB ingested, %d pruned\n\n",
+		now, st.Records, float64(st.BytesIngested)/1e6, st.Pruned)
 
 	// One full fetch per rank feeds both the summary table and the state
 	// machine below; ranks with no records are skipped. Bounding every
@@ -576,11 +571,6 @@ func dumpStatus(c mycroft.Client, job mycroft.JobID, w io.Writer) error {
 		}
 		if len(ji.Isolated) > 0 {
 			fmt.Fprintf(w, ", isolated %v", ji.Isolated)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprint(w, "  shards:")
-		for i, ss := range ji.Store.Shards {
-			fmt.Fprintf(w, " s%d=%d", i, ss.Records)
 		}
 		fmt.Fprintln(w)
 		if n := attempts[jh.Job]; n > 0 {

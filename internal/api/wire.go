@@ -142,7 +142,7 @@ type JobInfo struct {
 	Iterations int   `json:"iterations"`
 	// Records is how many trace records reached the job's store.
 	Records uint64 `json:"records"`
-	// Store is the sharded trace-store occupancy (see JobHandle.StoreStats).
+	// Store is the trace-store occupancy (see JobHandle.StoreStats).
 	Store clouddb.Stats `json:"store"`
 	// Isolated lists ranks the remediation loop has cordoned.
 	Isolated []topo.Rank `json:"isolated,omitempty"`

@@ -1,8 +1,7 @@
 // Package clouddb is the in-memory stand-in for Mycroft's cloud trace
 // database (§6.1): the caching layer the always-on backend queries. Each rank
-// has one series, found by indexing a table with the rank; the series are
-// partitioned by rank modulo shard count into independently pruned shards.
-// The store supports the time-window lookups the backend issues, a unified
+// has one series, found by indexing a table with the rank, and every ingest
+// sweeps all of them against the retention horizon. The store supports the time-window lookups the backend issues, a unified
 // predicate/pagination query layer (see query.go), a retention horizon (the
 // production system keeps one day), and volume accounting so the data-volume
 // experiment (E6) can extrapolate to cluster scale.
@@ -44,25 +43,15 @@ import (
 	"mycroft/internal/trace"
 )
 
-// DefaultShards is the shard count New uses. Sharding is by rank modulo
-// shard count: one host's ranks are consecutive, so a host's traffic spreads
-// across shards instead of hammering one.
-const DefaultShards = 8
-
-// maxShards bounds the shard count so a batch's touched-shard set fits in a
-// word (Ingest tracks which shards to prune with a bitmask).
-const maxShards = 64
-
 // rankSeries holds one rank's records in emission order: its log of slots
 // and the flow table they index, which together rebuild exactly the record
 // that was ingested. ip is the first-seen IP — what IPOf answers with; a
 // record that arrives with a different one (a rank re-homed to another host
 // mid-run) starts a flow of its own.
 type rankSeries struct {
-	rank  topo.Rank
-	shard int // index of the shard that holds the series
-	ip    topo.IP
-	log   recLog
+	rank topo.Rank
+	ip   topo.IP
+	log  recLog
 	// flows holds one entry per distinct tuple since the log was last empty,
 	// in order seen; recent indexes the two used last, newest first.
 	flows  []flow
@@ -75,25 +64,16 @@ type rankSeries struct {
 // TP, a DP and one or two pipeline communicators.
 const commsPerRank = 4
 
-// shard is one independently pruned partition of the store.
-type shard struct {
-	series []*rankSeries // this shard's, in order created
-
-	ingested uint64
-	pruned   uint64
-	maxTime  sim.Time
-}
-
 // DB stores trace records ordered by emission time per rank.
 type DB struct {
 	eng       *sim.Engine
 	retention time.Duration
-	shards    []*shard
 	byRank    []*rankSeries          // indexed by rank; nil for a rank with no record yet
 	commRanks map[uint64][]topo.Rank // every communicator's member ranks, ascending
 
 	ingested      uint64 // records
 	bytesIngested uint64
+	pruned        uint64 // records dropped by retention
 
 	observers []func([]trace.Record)
 	metrics   *Metrics
@@ -107,29 +87,15 @@ type DB struct {
 // one pointer check when no tracer is attached.
 func (db *DB) SetTracer(t *otrace.Tracer) { db.spans = t }
 
-// New creates a DB with the given retention horizon (0 = keep forever) and
-// the default shard count.
+// New creates a DB with the given retention horizon (0 = keep forever).
 func New(eng *sim.Engine, retention time.Duration) *DB {
-	return NewSharded(eng, retention, DefaultShards)
-}
-
-// NewSharded is New with an explicit shard count in [1, 64].
-func NewSharded(eng *sim.Engine, retention time.Duration, shards int) *DB {
 	if retention < 0 {
 		panic(fmt.Sprintf("clouddb: negative retention %v", retention))
 	}
-	if shards < 1 || shards > maxShards {
-		panic(fmt.Sprintf("clouddb: shard count %d outside [1, %d]", shards, maxShards))
-	}
-	db := &DB{eng: eng, retention: retention, shards: make([]*shard, shards), commRanks: make(map[uint64][]topo.Rank)}
-	for i := range db.shards {
-		db.shards[i] = new(shard)
-	}
-	return db
+	return &DB{eng: eng, retention: retention, commRanks: make(map[uint64][]topo.Rank)}
 }
 
-// newSeries creates rank r's series in shard r modulo the shard count,
-// growing the table to hold it.
+// newSeries creates rank r's series, growing the table to hold it.
 func (db *DB) newSeries(r topo.Rank, ip topo.IP) *rankSeries {
 	if r < 0 {
 		panic(fmt.Sprintf("clouddb: negative rank %d", r))
@@ -137,10 +103,8 @@ func (db *DB) newSeries(r topo.Rank, ip topo.IP) *rankSeries {
 	if int(r) >= len(db.byRank) {
 		db.byRank = append(db.byRank, make([]*rankSeries, int(r)+1-len(db.byRank))...)
 	}
-	s := &rankSeries{rank: r, shard: int(r) % len(db.shards), ip: ip, comms: make([]uint64, 0, commsPerRank)}
+	s := &rankSeries{rank: r, ip: ip, comms: make([]uint64, 0, commsPerRank)}
 	db.byRank[r] = s
-	sh := db.shards[s.shard]
-	sh.series = append(sh.series, s)
 	return s
 }
 
@@ -159,36 +123,26 @@ func (s *rankSeries) noteComm(db *DB, comm uint64) {
 // Ingest appends a batch. Records for one rank must arrive in emission
 // order, which the per-host agent guarantees (it drains an ordered ring), and
 // ranks must be non-negative: the series table is as long as the highest
-// rank ingested. Only the shards the batch touches are pruned; untouched
-// shards keep their over-horizon records until their next ingest (retention
-// is a horizon, not an instant).
+// rank ingested. Every ingest prunes the whole store, so a silent rank keeps
+// its over-horizon records only until the next batch from any rank
+// (retention is a horizon, not an instant).
 func (db *DB) Ingest(batch []trace.Record) {
 	if len(batch) == 0 {
 		return
 	}
 	span := db.spans.Batch(otrace.StageIngest)
-	var (
-		series  *rankSeries
-		sh      *shard
-		touched uint64
-	)
+	var series *rankSeries
 	for i := range batch {
 		r := &batch[i]
 		if series == nil || r.Rank != series.rank {
 			if series = db.series(r.Rank); series == nil {
 				series = db.newSeries(r.Rank, r.IP)
 			}
-			sh = db.shards[series.shard]
-			touched |= 1 << uint(series.shard)
 		}
 		if l := &series.log; l.n > 0 && l.newest > r.Time {
 			panic(fmt.Sprintf("clouddb: out-of-order ingest for rank %d: %v after %v", r.Rank, r.Time, l.newest))
 		}
 		series.log.push(r.Time).store(r, series.flowOf(db, r))
-		if r.Time > sh.maxTime {
-			sh.maxTime = r.Time
-		}
-		sh.ingested++
 	}
 	db.ingested += uint64(len(batch))
 	db.bytesIngested += uint64(len(batch)) * trace.WireSize
@@ -197,7 +151,7 @@ func (db *DB) Ingest(batch []trace.Record) {
 		m.Bytes.Add(uint64(len(batch)) * trace.WireSize)
 		m.Batches.Inc()
 	}
-	db.prune(touched)
+	db.prune()
 	for _, fn := range db.observers {
 		fn(batch)
 	}
@@ -288,10 +242,10 @@ func (db *DB) Export(from, to sim.Time, fn func(trace.Record) bool) uint64 {
 	}
 }
 
-// prune drops records older than the retention horizon from the touched
-// shards. A series gives back every segment the cut has passed, and all of
-// them and its flow table once it has no live record left.
-func (db *DB) prune(touched uint64) {
+// prune drops records older than the retention horizon from every series. A
+// series gives back every segment the cut has passed, and all of them and its
+// flow table once it has no live record left.
+func (db *DB) prune() {
 	if db.retention == 0 {
 		return
 	}
@@ -300,20 +254,18 @@ func (db *DB) prune(touched uint64) {
 		return
 	}
 	var dropped uint64
-	for idx, sh := range db.shards {
-		if touched&(1<<uint(idx)) == 0 {
+	for _, s := range db.byRank {
+		if s == nil {
 			continue
 		}
-		for _, s := range sh.series {
-			if i := s.log.firstFrom(cut); i > 0 {
-				sh.pruned += uint64(i)
-				dropped += uint64(i)
-				if s.log.dropFront(i); s.log.n == 0 {
-					s.flows, s.recent = nil, [2]uint32{}
-				}
+		if i := s.log.firstFrom(cut); i > 0 {
+			dropped += uint64(i)
+			if s.log.dropFront(i); s.log.n == 0 {
+				s.flows, s.recent = nil, [2]uint32{}
 			}
 		}
 	}
+	db.pruned += dropped
 	if m := db.metrics; m != nil && dropped > 0 {
 		m.Pruned.Add(dropped)
 	}
@@ -333,49 +285,27 @@ func (db *DB) Ingested() uint64 { return db.ingested }
 // BytesIngested returns the stored volume in encoded bytes.
 func (db *DB) BytesIngested() uint64 { return db.bytesIngested }
 
-// Pruned returns how many records retention dropped, across all shards.
-func (db *DB) Pruned() uint64 {
-	var n uint64
-	for _, sh := range db.shards {
-		n += sh.pruned
-	}
-	return n
-}
-
-// Shards returns the shard count.
-func (db *DB) Shards() int { return len(db.shards) }
-
-// ShardStats describes one shard's live state.
-type ShardStats struct {
-	Ranks    int    `json:"ranks"`    // ranks with a series in this shard
-	Records  int    `json:"records"`  // live (unpruned) records
-	Ingested uint64 `json:"ingested"` // lifetime records ingested
-	Pruned   uint64 `json:"pruned"`   // lifetime records dropped by retention
-}
+// Pruned returns how many records retention dropped.
+func (db *DB) Pruned() uint64 { return db.pruned }
 
 // Stats aggregates the store's live state.
 type Stats struct {
-	Ranks         int          `json:"ranks"`
-	Records       int          `json:"records"` // live records across all shards
-	Ingested      uint64       `json:"ingested"`
-	BytesIngested uint64       `json:"bytes_ingested"`
-	Pruned        uint64       `json:"pruned"`
-	Shards        []ShardStats `json:"shards"`
+	Ranks         int    `json:"ranks"`
+	Records       int    `json:"records"` // live (unpruned) records
+	Ingested      uint64 `json:"ingested"`
+	BytesIngested uint64 `json:"bytes_ingested"`
+	Pruned        uint64 `json:"pruned"`
 }
 
-// Stats reports per-shard and aggregate counters. The query layer and the
-// CLIs use it; it never walks record payloads, only per-shard metadata.
+// Stats reports the store's counters. The query layer and the CLIs use it;
+// it never walks record payloads, only per-series metadata.
 func (db *DB) Stats() Stats {
-	st := Stats{Ingested: db.ingested, BytesIngested: db.bytesIngested, Shards: make([]ShardStats, len(db.shards))}
-	for i, sh := range db.shards {
-		ss := ShardStats{Ranks: len(sh.series), Ingested: sh.ingested, Pruned: sh.pruned}
-		for _, s := range sh.series {
-			ss.Records += s.log.n
+	st := Stats{Ingested: db.ingested, BytesIngested: db.bytesIngested, Pruned: db.pruned}
+	for _, s := range db.byRank {
+		if s != nil {
+			st.Ranks++
+			st.Records += s.log.n
 		}
-		st.Shards[i] = ss
-		st.Ranks += ss.Ranks
-		st.Records += ss.Records
-		st.Pruned += ss.Pruned
 	}
 	return st
 }

@@ -170,68 +170,25 @@ func TestNegativeRetentionPanics(t *testing.T) {
 	New(sim.NewEngine(1), -time.Second)
 }
 
-func TestBadShardCountPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero shard count did not panic")
-		}
-	}()
-	NewSharded(sim.NewEngine(1), 0, 0)
-}
-
-// TestRetentionAcrossShards: retention is enforced per shard, and only the
-// shards an ingest touches are swept — an idle shard keeps its over-horizon
-// records until its own next ingest, and the Pruned accounting sums over
-// shards.
-func TestRetentionAcrossShards(t *testing.T) {
+// TestRetentionSweepsWholeStore: an ingest from any rank prunes every rank's
+// expired records, not only its own.
+func TestRetentionSweepsWholeStore(t *testing.T) {
 	eng := sim.NewEngine(1)
-	db := NewSharded(eng, time.Second, 4)
-	// Ranks 0 and 1 land in different shards (rank % 4).
+	db := New(eng, time.Second)
 	db.Ingest([]trace.Record{rec(0, 1, 1, trace.KindState)})
 	db.Ingest([]trace.Record{rec(1, 1, 1, trace.KindState)})
 	eng.RunFor(5 * time.Second)
 
-	// Touch only rank 0's shard: its expired record goes, rank 1's stays.
+	// Only rank 0 ingests again; rank 1's expired record goes too.
 	db.Ingest([]trace.Record{rec(0, 1, sim.Time(5*time.Second), trace.KindState)})
-	if db.Pruned() != 1 {
-		t.Fatalf("Pruned = %d, want 1 (only the touched shard swept)", db.Pruned())
+	if got := db.QueryRank(1, 0, sim.Time(10*time.Second)); got != nil {
+		t.Fatalf("silent rank 1 kept %d expired records", len(got))
 	}
-	if got := db.QueryRank(1, 0, sim.Time(10*time.Second)); len(got) != 1 {
-		t.Fatalf("idle shard lost %d records early", 1-len(got))
-	}
-
-	// Touching rank 1's shard sweeps it too.
-	db.Ingest([]trace.Record{rec(1, 1, sim.Time(5*time.Second), trace.KindState)})
 	if db.Pruned() != 2 {
-		t.Fatalf("Pruned = %d, want 2 after both shards swept", db.Pruned())
+		t.Fatalf("Pruned = %d, want 2", db.Pruned())
 	}
-	st := db.Stats()
-	if st.Pruned != 2 || st.Records != 2 || st.Ingested != 4 {
-		t.Fatalf("Stats = %+v", st)
-	}
-	var perShard uint64
-	for _, ss := range st.Shards {
-		perShard += ss.Pruned
-	}
-	if perShard != st.Pruned {
-		t.Fatalf("per-shard pruned sums to %d, aggregate says %d", perShard, st.Pruned)
-	}
-}
-
-// TestRetentionPrunesAllRanksInShard: ranks that hash to the same shard are
-// swept together when any of them ingests.
-func TestRetentionPrunesAllRanksInShard(t *testing.T) {
-	eng := sim.NewEngine(1)
-	db := NewSharded(eng, time.Second, 4)
-	db.Ingest([]trace.Record{rec(2, 1, 1, trace.KindState)})
-	db.Ingest([]trace.Record{rec(6, 1, 1, trace.KindState)}) // 6 % 4 == 2 % 4
-	eng.RunFor(5 * time.Second)
-	db.Ingest([]trace.Record{rec(2, 1, sim.Time(5*time.Second), trace.KindState)})
-	if db.Pruned() != 2 {
-		t.Fatalf("Pruned = %d, want 2 (whole shard swept)", db.Pruned())
-	}
-	if got := db.QueryRank(6, 0, sim.Time(10*time.Second)); got != nil {
-		t.Fatalf("rank 6 kept %d expired records", len(got))
+	if st := db.Stats(); st.Ranks != 2 || st.Records != 1 || st.Ingested != 3 || st.Pruned != 2 {
+		t.Fatalf("Stats = %+v, want 2 ranks, 1 live, 3 ingested, 2 pruned", st)
 	}
 }
 
@@ -254,15 +211,6 @@ func TestOutOfOrderIngestPanicMessage(t *testing.T) {
 		}
 	}()
 	db.Ingest([]trace.Record{rec(1, 1, 50, trace.KindState)})
-}
-
-func TestShardsAccessor(t *testing.T) {
-	if got := New(sim.NewEngine(1), 0).Shards(); got != DefaultShards {
-		t.Fatalf("Shards = %d, want %d", got, DefaultShards)
-	}
-	if got := NewSharded(sim.NewEngine(1), 0, 3).Shards(); got != 3 {
-		t.Fatalf("Shards = %d, want 3", got)
-	}
 }
 
 // TestIngestObserverAndReplay covers the dependency-graph hook points:

@@ -68,7 +68,7 @@ func TestIngestFootprint(t *testing.T) {
 
 // TestPruneReleasesMemory: under a retention horizon the store's heap is the
 // horizon's worth of records however long it has run, and a rank that stops
-// reporting keeps nothing past the next prune of its shard.
+// reporting keeps nothing past the next prune.
 func TestPruneReleasesMemory(t *testing.T) {
 	const (
 		ranks      = 16
@@ -100,9 +100,8 @@ func TestPruneReleasesMemory(t *testing.T) {
 		t.Errorf("live heap %.0f B after 10 horizons, %.0f B after one: pruned records are still held", after10, after1)
 	}
 
-	// Rank 16 shares shard 0 with rank 0 (8 shards). It bursts and falls
-	// silent; once the burst is over the horizon, rank 0's next ingest prunes
-	// the shard and the burst's segments must go.
+	// Rank 16 bursts and falls silent; once the burst is over the horizon,
+	// rank 0's next ingest prunes it and the burst's segments must go.
 	const burst = 50_000
 	batch := make([]trace.Record, burst)
 	for i := range batch {
@@ -142,8 +141,7 @@ func TestFlowTableResetsWhenEmpty(t *testing.T) {
 	if got := len(db.series(0).flows); got != 4 {
 		t.Fatalf("%d flows after 4 channels, want 4", got)
 	}
-	// Rank 8 shares shard 0 with rank 0: its ingest, past the horizon,
-	// prunes rank 0 empty.
+	// Rank 8's ingest, past the horizon, prunes rank 0 empty.
 	eng.RunFor(2 * time.Second)
 	db.Ingest(states(8, 0))
 	if s := db.series(0); s.log.n != 0 || s.flows != nil {

@@ -21,22 +21,6 @@ type Metrics struct {
 // like observers.
 func (db *DB) SetMetrics(m *Metrics) { db.metrics = m }
 
-// ShardRecords returns the live (unpruned) record count of one shard, for
-// scrape-time occupancy gauges — cheaper than a full Stats walk when the
-// caller wants a single shard.
-func (db *DB) ShardRecords(i int) int {
-	n := 0
-	for _, s := range db.shards[i].series {
-		n += s.log.n
-	}
-	return n
-}
-
-// LiveRecords returns the live record count across all shards.
-func (db *DB) LiveRecords() int {
-	n := 0
-	for i := range db.shards {
-		n += db.ShardRecords(i)
-	}
-	return n
-}
+// LiveRecords returns the live (unpruned) record count, for the scrape-time
+// occupancy gauge.
+func (db *DB) LiveRecords() int { return db.Stats().Records }

@@ -33,30 +33,19 @@ func flowKey(r trace.Record) trace.Record {
 
 // flatStore is the reference model TestStoreMatchesFlatModel holds the DB to.
 // It restates the documented behaviour of every read with no index, no
-// binary search and no shard beyond what the accounting needs.
+// binary search and no rank table.
 type flatStore struct {
 	retention time.Duration
 	series    map[topo.Rank]*flatSeries
-	ingested  []uint64 // per shard
-	pruned    []uint64
+	ingested  uint64
+	pruned    uint64
 }
 
-func newFlatStore(retention time.Duration, shards int) *flatStore {
-	return &flatStore{
-		retention: retention, series: make(map[topo.Rank]*flatSeries),
-		ingested: make([]uint64, shards), pruned: make([]uint64, shards),
-	}
-}
-
-func (m *flatStore) shardOf(r topo.Rank) int {
-	if r < 0 {
-		r = -r
-	}
-	return int(r) % len(m.ingested)
+func newFlatStore(retention time.Duration) *flatStore {
+	return &flatStore{retention: retention, series: make(map[topo.Rank]*flatSeries)}
 }
 
 func (m *flatStore) ingest(now sim.Time, batch []trace.Record) {
-	touched := make(map[int]bool)
 	for _, r := range batch {
 		s := m.series[r.Rank]
 		if s == nil {
@@ -66,24 +55,20 @@ func (m *flatStore) ingest(now sim.Time, batch []trace.Record) {
 		s.recs = append(s.recs, r)
 		s.seen[r.CommID] = true
 		s.flows[flowKey(r)] = true
-		m.ingested[m.shardOf(r.Rank)]++
-		touched[m.shardOf(r.Rank)] = true
+		m.ingested++
 	}
 	cut := now.Add(-m.retention)
 	if m.retention == 0 || cut <= 0 {
 		return
 	}
-	for r, s := range m.series {
-		if !touched[m.shardOf(r)] {
-			continue
-		}
+	for _, s := range m.series {
 		var keep []trace.Record
 		for _, rec := range s.recs {
 			if rec.Time >= cut {
 				keep = append(keep, rec)
 			}
 		}
-		m.pruned[m.shardOf(r)] += uint64(len(s.recs) - len(keep))
+		m.pruned += uint64(len(s.recs) - len(keep))
 		s.recs = keep
 		if len(keep) == 0 {
 			clear(s.flows)
@@ -212,20 +197,11 @@ func page(all []trace.Record, pos, limit int, resumed bool) Result {
 }
 
 func (m *flatStore) stats() Stats {
-	st := Stats{Shards: make([]ShardStats, len(m.ingested))}
-	for i := range st.Shards {
-		st.Shards[i] = ShardStats{Ingested: m.ingested[i], Pruned: m.pruned[i]}
-		st.Ingested += m.ingested[i]
-		st.Pruned += m.pruned[i]
-	}
-	for r, s := range m.series {
-		ss := &st.Shards[m.shardOf(r)]
-		ss.Ranks++
-		ss.Records += len(s.recs)
+	st := Stats{Ingested: m.ingested, BytesIngested: m.ingested * trace.WireSize, Pruned: m.pruned}
+	for _, s := range m.series {
 		st.Ranks++
 		st.Records += len(s.recs)
 	}
-	st.BytesIngested = st.Ingested * trace.WireSize
 	return st
 }
 
@@ -385,8 +361,8 @@ func (p *storeProgram) step() {
 	case k < 9:
 		p.eng.RunFor(time.Duration(p.rng.Intn(400)) * time.Millisecond)
 	default:
-		// Far past the horizon: the next ingest empties every series of the
-		// shards it touches, and the step after refills them.
+		// Far past the horizon: the next ingest empties every series but
+		// the one it refills.
 		p.eng.RunFor(3 * modelRetention)
 		p.ingest(1)
 	}
@@ -416,9 +392,6 @@ func (p *storeProgram) check() {
 	p.equal("LiveRecords", db.LiveRecords(), m.stats().Records)
 	p.equal("Ingested", db.Ingested(), m.stats().Ingested)
 	p.equal("BytesIngested", db.BytesIngested(), m.stats().BytesIngested)
-	for i, ss := range m.stats().Shards {
-		p.equal("ShardRecords", db.ShardRecords(i), ss.Records)
-	}
 
 	for _, r := range append([]topo.Rank{-7}, p.ranks...) {
 		ip, ok := db.IPOf(r)
@@ -501,12 +474,12 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 	if testing.Short() {
 		steps = 25
 	}
-	for _, shards := range []int{1, 8, 64} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, seed := range []int64{1, 8, 64} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			eng := sim.NewEngine(1)
 			p := &storeProgram{
-				t: t, rng: rand.New(rand.NewSource(int64(shards))), eng: eng,
-				db: NewSharded(eng, modelRetention, shards), model: newFlatStore(modelRetention, shards),
+				t: t, rng: rand.New(rand.NewSource(seed)), eng: eng,
+				db: New(eng, modelRetention), model: newFlatStore(modelRetention),
 				ranks: []topo.Rank{0, 1, 2, 3, 8, 9, 64, 65, 129, 511},
 				clock: make(map[topo.Rank]sim.Time), pools: make(map[topo.Rank][]trace.Record),
 			}

@@ -12,8 +12,8 @@ import (
 
 // Query is the unified predicate query the service API exposes: a record
 // matches when it falls in the (From, To] window and passes every non-zero
-// predicate. Results are ordered by (rank, time) — the same deterministic
-// order for a given store regardless of shard count.
+// predicate. Results are ordered by (rank, time), a deterministic order for a
+// given store.
 type Query struct {
 	// Ranks restricts to these ranks (nil = every rank; when Comm is set,
 	// every member rank of that communicator).
@@ -79,10 +79,10 @@ func (db *DB) queryRanks(q Query) []topo.Rank {
 	return db.Ranks()
 }
 
-// Query runs one page of a unified query. Shards whose newest record
-// predates the window are skipped wholesale; within a shard only the
-// binary-searched window of each rank's series is touched, so the cost
-// scales with the window, not the retained history.
+// Query runs one page of a unified query. A series whose newest record
+// predates the window is skipped wholesale; otherwise only the
+// binary-searched window of the series is touched, so the cost scales with
+// the window, not the retained history.
 func (db *DB) Query(q Query) Result {
 	if m := db.metrics; m != nil {
 		m.Queries.Inc()
@@ -106,8 +106,8 @@ func (db *DB) Query(q Query) Result {
 			resuming = r == q.Cursor.Rank
 		}
 		s := db.series(r)
-		if s == nil || db.shards[s.shard].maxTime <= q.From {
-			continue // no such rank, or its whole shard predates the window
+		if s == nil || s.log.n == 0 || s.log.newest <= q.From {
+			continue // no such rank, or its whole series predates the window
 		}
 		lo, hi := s.log.window(q.From, to)
 		if resuming {

@@ -167,16 +167,14 @@ func TestQueryTotal(t *testing.T) {
 	}
 }
 
-// TestQueryPaginationShardBoundary: with one rank per shard, a page that
-// fills exactly at the end of one rank's series must resume cleanly into
-// the next rank — which lives in a different shard — and Total must stay
-// consistent across the boundary.
-func TestQueryPaginationShardBoundary(t *testing.T) {
-	db := NewSharded(sim.NewEngine(1), 0, 4)
-	fill(db, 8, 5) // ranks 0..7 → shards 0..3 twice over; 5 records each
+// TestQueryPaginationRankBoundary: a page that fills exactly at the end of
+// one rank's series must resume cleanly into the next rank, and Total must
+// stay consistent across the boundary.
+func TestQueryPaginationRankBoundary(t *testing.T) {
+	db := New(sim.NewEngine(1), 0)
+	fill(db, 8, 5) // ranks 0..7, 5 records each
 
-	// Limit 5 = exactly rank 0's series; the cursor crosses into rank 1
-	// (shard 1).
+	// Limit 5 = exactly rank 0's series; the cursor crosses into rank 1.
 	res := db.Query(Query{Limit: 5})
 	if len(res.Records) != 5 || res.Total != 40 {
 		t.Fatalf("first page: %d records, Total %d; want 5, 40", len(res.Records), res.Total)
@@ -190,7 +188,7 @@ func TestQueryPaginationShardBoundary(t *testing.T) {
 	}
 	for _, r := range res2.Records {
 		if r.Rank != 1 {
-			t.Fatalf("second page leaked rank %d across the shard boundary", r.Rank)
+			t.Fatalf("second page leaked rank %d across the rank boundary", r.Rank)
 		}
 	}
 	// Walk the rest; the stitched stream must match the unpaged one.

@@ -170,7 +170,7 @@ func TestReplicaStoreApplyAndQueries(t *testing.T) {
 	attempt := func(outcome remedy.Outcome) *remedy.Attempt {
 		return &remedy.Attempt{ID: 1, Action: remedy.Action{Kind: remedy.ActIsolateRank, Rank: 5}, Outcome: outcome, ReportedAt: 300}
 	}
-	rs := NewReplicaStore(0, 0)
+	rs := NewReplicaStore()
 	req := api.ReplicateRequest{
 		From: "p1", Job: "job-0",
 		Entries: []api.SeqEvent{
@@ -251,7 +251,7 @@ func TestReplicaStoreApplyAndQueries(t *testing.T) {
 }
 
 func TestReplicaStorePromote(t *testing.T) {
-	rs := NewReplicaStore(0, 0)
+	rs := NewReplicaStore()
 	rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{{Seq: 1}, {Seq: 2}}, Watermark: 2})
 	lag, err := rs.Promote("j", "p1", 5)
 	if err != nil || lag != 3 {

@@ -97,22 +97,15 @@ func (rj *ReplicaJob) Trace(keep func(*trace.Record) bool, limit int) (page []tr
 // arrive over /v1/cluster/replicate; jobs are created on first contact so a
 // follower needs no pre-provisioning.
 type ReplicaStore struct {
-	mu       sync.Mutex
-	logCap   int
-	traceCap int
-	jobs     map[string]*ReplicaJob
+	mu   sync.Mutex
+	jobs map[string]*ReplicaJob
 }
 
-// NewReplicaStore builds an empty store. logCap/traceCap <= 0 pick the
-// package defaults.
-func NewReplicaStore(logCap, traceCap int) *ReplicaStore {
-	if logCap <= 0 {
-		logCap = DefaultLogCap
-	}
-	if traceCap <= 0 {
-		traceCap = DefaultTraceMirror
-	}
-	return &ReplicaStore{logCap: logCap, traceCap: traceCap, jobs: make(map[string]*ReplicaJob)}
+// NewReplicaStore builds an empty store. Each job's event log and verdict
+// lists hold DefaultLogCap entries, and its trace mirror DefaultTraceMirror
+// records.
+func NewReplicaStore() *ReplicaStore {
+	return &ReplicaStore{jobs: make(map[string]*ReplicaJob)}
 }
 
 // Job returns the replica state for one job, or nil when this peer has
@@ -142,7 +135,7 @@ func (rs *ReplicaStore) obtain(job, primary string) *ReplicaJob {
 	defer rs.mu.Unlock()
 	rj := rs.jobs[job]
 	if rj == nil {
-		rj = &ReplicaJob{Job: job, Primary: primary, Log: NewEventLog(rs.logCap)}
+		rj = &ReplicaJob{Job: job, Primary: primary, Log: NewEventLog(DefaultLogCap)}
 		rs.jobs[job] = rj
 	}
 	return rj
@@ -170,14 +163,14 @@ func (rs *ReplicaStore) Apply(req api.ReplicateRequest) api.ReplicateResponse {
 		head = se.Seq
 		switch e := se.Event; {
 		case e.Trigger != nil:
-			rj.triggers = appendBounded(rj.triggers, rs.logCap, *e.Trigger)
+			rj.triggers = appendBounded(rj.triggers, DefaultLogCap, *e.Trigger)
 		case e.Report != nil:
-			rj.reports = appendBounded(rj.reports, rs.logCap, *e.Report)
+			rj.reports = appendBounded(rj.reports, DefaultLogCap, *e.Report)
 		case e.Action != nil:
 			if at := slices.IndexFunc(rj.attempts, func(a remedy.Attempt) bool { return a.ID == e.Action.ID }); at >= 0 {
 				rj.attempts[at] = *e.Action
 			} else {
-				rj.attempts = appendBounded(rj.attempts, rs.logCap, *e.Action)
+				rj.attempts = appendBounded(rj.attempts, DefaultLogCap, *e.Action)
 			}
 		}
 	}
@@ -191,7 +184,7 @@ func (rs *ReplicaStore) Apply(req api.ReplicateRequest) api.ReplicateResponse {
 			rj.traceWM = ns
 		}
 	}
-	rj.trace = appendBounded(rj.trace, rs.traceCap, req.Trace...)
+	rj.trace = appendBounded(rj.trace, DefaultTraceMirror, req.Trace...)
 	if req.TraceWatermarkNs > rj.traceWM {
 		rj.traceWM = req.TraceWatermarkNs
 	}

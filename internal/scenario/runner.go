@@ -241,22 +241,6 @@ type Prepared struct {
 	indices []int // original fleet index of each hosted member
 }
 
-// Prepare validates the spec and builds the whole fleet on one Service,
-// regardless of the spec's shared_engine flag — a served fleet is always
-// shared. seed overrides the spec's seed when non-zero.
-func Prepare(spec Spec, seed int64) (*Prepared, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if seed == 0 {
-		seed = spec.Seed
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	return prepare(spec, resolveFleet(spec.Fleet, seed), seed, nil)
-}
-
 // PrepareSubset builds only the fleet members keep selects, preserving each
 // member's identity: a kept job carries the same id ("job-N"), topology,
 // policies, and injection-schedule seed it would have in the full fleet.
@@ -264,7 +248,10 @@ func Prepare(spec Spec, seed int64) (*Prepared, error) {
 // mycroft-serve peer calls PrepareSubset with the same spec and seed but
 // its own placement predicate, and the union of the shards is
 // byte-identical to one engine hosting everything. keep == nil keeps all;
-// a peer that owns no members gets an empty (but valid) Service.
+// a peer that owns no members gets an empty (but valid) Service. The fleet
+// is built on one Service regardless of the spec's shared_engine flag — a
+// served fleet is always shared. seed overrides the spec's seed when
+// non-zero.
 func PrepareSubset(spec Spec, seed int64, keep func(index int, id string) bool) (*Prepared, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

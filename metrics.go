@@ -1,7 +1,6 @@
 package mycroft
 
 import (
-	"strconv"
 	"time"
 
 	"mycroft/internal/clouddb"
@@ -56,11 +55,6 @@ func (s *Service) registerJobMetrics(h *JobHandle) {
 	})
 	s.reg.GaugeFunc("mycroft_store_records", "Live (unpruned) records in the store.",
 		func() float64 { return float64(db.LiveRecords()) }, jl)
-	for i := 0; i < db.Shards(); i++ {
-		shard := i
-		s.reg.GaugeFunc("mycroft_store_shard_records", "Live records per store shard.",
-			func() float64 { return float64(db.ShardRecords(shard)) }, jl, obs.L("shard", strconv.Itoa(shard)))
-	}
 	s.reg.GaugeFunc("mycroft_job_health", "Job health (0 stopped, 1 healthy, 2 degraded, 3 stale).",
 		func() float64 { return float64(healthScore(h.health)) }, jl)
 	s.reg.GaugeFunc("mycroft_job_last_ingest_age_seconds", "Virtual seconds since records last reached the store.",

@@ -103,7 +103,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mycroft_channel_reports_total{job="trace",channel="perf"}`,
 		`mycroft_fusion_total{job="trace",outcome="single"}`,
 		`mycroft_store_records{job="trace"}`,
-		`mycroft_store_shard_records{job="trace",shard="0"}`,
 		`mycroft_http_requests_total{endpoint="/v1/ping"}`,
 		`mycroft_http_requests_total{endpoint="/v1/trace/query"}`,
 		`mycroft_http_request_seconds_count{endpoint="/v1/ping"}`,

@@ -10,7 +10,7 @@
 // reproduce bit-for-bit from a seed. The public API is the multi-tenant
 // Service: N independent training jobs hosted on one engine, observed
 // through typed subscriptions and a unified query layer over each job's
-// sharded trace store:
+// trace store:
 //
 //	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: 1})
 //	job := svc.MustAddJob("llm-70b", mycroft.JobOptions{})

@@ -101,7 +101,7 @@ func TestPagedQueriesShareFilters(t *testing.T) {
 		return api.SeqEvent{Seq: seq, Event: Event{Job: "j", Kind: EventTrigger, At: at,
 			Trigger: &Trigger{Kind: TriggerFailure, Rank: rank, At: sim.Time(at)}}}
 	}
-	rs := cluster.NewReplicaStore(0, 0)
+	rs := cluster.NewReplicaStore()
 	rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{
 		trigger(1, 5, 100), trigger(2, 6, 200), trigger(3, 5, 300),
 		{Seq: 4, Event: Event{Job: "j", Kind: EventReport, At: 400,

@@ -10,7 +10,7 @@ import (
 	"mycroft/internal/sim"
 )
 
-// TraceQuery asks one hosted job's sharded trace store for raw Coll-level
+// TraceQuery asks one hosted job's trace store for raw Coll-level
 // records. Zero-value predicates match everything.
 //
 // The JSON tags on the query and result types are the /v1 wire protocol (see
@@ -51,7 +51,7 @@ type TraceResult struct {
 	Next *TraceCursor `json:"next,omitempty"`
 }
 
-// QueryTrace answers a TraceQuery against the job's sharded store.
+// QueryTrace answers a TraceQuery against the job's trace store.
 func (s *Service) QueryTrace(q TraceQuery) (TraceResult, error) {
 	h, err := s.resolveJob(q.Job)
 	if err != nil {

@@ -172,7 +172,7 @@ func TestPaginateClampsNegatives(t *testing.T) {
 	if page, _ := svc.QueryTriggers(TriggerQuery{Offset: 1 << 30}); len(page.Triggers) != 0 {
 		t.Fatalf("past-the-end offset returned %d", len(page.Triggers))
 	}
-	// The trace path hands Limit to the sharded store: negative must mean
+	// The trace path hands Limit to the trace store: negative must mean
 	// "no cap" there too.
 	all, err := svc.QueryTrace(TraceQuery{Limit: -5})
 	if err != nil {

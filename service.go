@@ -384,7 +384,7 @@ func (h *JobHandle) WorldSize() int { return h.Job.Cluster.WorldSize() }
 // RecordsIngested returns how many trace records reached this job's store.
 func (h *JobHandle) RecordsIngested() uint64 { return h.Job.DB.Ingested() }
 
-// StoreStats reports the job's sharded trace-store counters.
+// StoreStats reports the job's trace-store counters.
 func (h *JobHandle) StoreStats() clouddb.Stats { return h.Job.DB.Stats() }
 
 // DependencyDOT renders the job's current dependency graph in Graphviz dot

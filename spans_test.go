@@ -18,7 +18,7 @@ func TestIncidentSpanTreeCoversPipeline(t *testing.T) {
 	if !ok {
 		t.Fatal("no pp-cascade builtin")
 	}
-	p, err := scenario.Prepare(spec, 1)
+	p, err := scenario.PrepareSubset(spec, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
