@@ -1,10 +1,11 @@
 // Package clouddb is the in-memory stand-in for Mycroft's cloud trace
 // database (§6.1): the caching layer the always-on backend queries. Each rank
-// has one series, found by indexing a table with the rank, and every ingest
-// sweeps all of them against the retention horizon. The store supports the time-window lookups the backend issues, a unified
-// predicate/pagination query layer (see query.go), a retention horizon (the
-// production system keeps one day), and volume accounting so the data-volume
-// experiment (E6) can extrapolate to cluster scale.
+// has one series, found by indexing a table with the rank. The store supports
+// the time-window lookups the backend issues, a unified predicate/pagination
+// query layer (see query.go), a retention horizon that every ingest sweeps
+// across all series (the production system keeps one day), and volume
+// accounting so the data-volume experiment (E6) can extrapolate to cluster
+// scale.
 //
 // # Layout
 //
