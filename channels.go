@@ -3,7 +3,6 @@ package mycroft
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"time"
 
 	"mycroft/internal/api"
@@ -32,9 +31,6 @@ func Modalities() []Modality { return core.Modalities() }
 
 // Evidence is one channel's contribution to a fused verdict.
 type Evidence = core.Evidence
-
-// FusionConfig tunes evidence fusion (see core.FusionConfig).
-type FusionConfig = core.FusionConfig
 
 // Fusion outcomes, for metrics and assertions.
 const (
@@ -102,10 +98,9 @@ const (
 // have. The batch it arrived in is refused whole.
 var ErrInvalidRank = errors.New("invalid rank")
 
-// channelState is one non-tracepoint channel's bookkeeping: the counts
-// ChannelStats answers with, their Prometheus twins, and the report mute.
+// channelState is one non-tracepoint channel's bookkeeping: the counters
+// ChannelStats and /metrics answer with, and the report mute.
 type channelState struct {
-	ingested, anomalies           uint64
 	muteUntil                     time.Duration
 	mIngest, mAnomalies, mReports *obs.Counter
 }
@@ -119,10 +114,6 @@ type jobChannels struct {
 
 	lastEvent map[string]time.Duration // anomaly key → last publish time
 	by        map[Modality]*channelState
-
-	fusionOutcomes map[string]uint64
-	lastOutcome    string
-	lastConfidence float64
 }
 
 // newJobChannels builds a job's channel state with its per-channel instrument
@@ -167,9 +158,7 @@ func (s *Service) ingestChannel(job JobID, m Modality, n int, rank func(i int) R
 	}
 	now := s.Eng.Now()
 	fold(h.channels, now)
-	c := h.channels.by[m]
-	c.ingested += uint64(n)
-	c.mIngest.Add(uint64(n))
+	h.channels.by[m].mIngest.Add(uint64(n))
 	// Any channel's ingest proves the job is alive: bump the heartbeat
 	// watermark the health ladder reads.
 	h.lastIngest = s.Now()
@@ -277,9 +266,7 @@ func (h *JobHandle) publishAnomaly(a ChannelAnomaly) {
 		return
 	}
 	ch.lastEvent[key] = at
-	c := ch.by[a.Channel]
-	c.anomalies++
-	c.mAnomalies.Inc()
+	ch.by[a.Channel].mAnomalies.Inc()
 	h.svc.dispatch(Event{Job: h.ID, Kind: EventLogAnomaly, At: at, LogAnomaly: &a})
 }
 
@@ -347,19 +334,11 @@ func victimsBeside(ranks []Rank, suspect Rank) []Rank {
 	return out
 }
 
-// observeFusion audits one delivered report's fusion outcome (the dispatch
+// observeFusion counts one delivered report's fusion outcome (the dispatch
 // hook). Labels are register-on-demand like remediation outcomes.
 func (h *JobHandle) observeFusion(rep Report) {
-	ch := h.channels
-	out := rep.FusionOutcome()
-	if ch.fusionOutcomes == nil { // nil until the first report, as ChannelStats answers it
-		ch.fusionOutcomes = make(map[string]uint64)
-	}
-	ch.fusionOutcomes[out]++
-	ch.lastOutcome = out
-	ch.lastConfidence = rep.Confidence
 	h.svc.reg.Counter("mycroft_fusion_total", "Delivered reports by fusion outcome.",
-		obs.L("job", string(h.ID)), obs.L("outcome", out)).Inc()
+		obs.L("job", string(h.ID)), obs.L("outcome", rep.FusionOutcome())).Inc()
 }
 
 // ChannelStats reports a job's per-channel diagnosis counters and fusion
@@ -370,9 +349,17 @@ func (s *Service) ChannelStats(job JobID) (ChannelStatsResult, error) {
 		return ChannelStatsResult{}, err
 	}
 	ch := h.channels
-	// Reports are counted from the ledger, by the channel that delivered them.
+	// Reports and fusion outcomes are counted from the ledger, reports by the
+	// channel that delivered them. Outcomes stays nil until the first report.
 	var viaTrace, viaLog, viaPerf uint64
+	fusion := FusionInfo{Window: core.FusionWindow}
 	for _, rep := range h.Backend.Reports() {
+		out := rep.FusionOutcome()
+		if fusion.Outcomes == nil {
+			fusion.Outcomes = make(map[string]uint64)
+		}
+		fusion.Outcomes[out]++
+		fusion.LastOutcome, fusion.LastConfidence = out, rep.Confidence
 		switch rep.Via {
 		case ViaLogTemplate:
 			viaLog++
@@ -383,22 +370,16 @@ func (s *Service) ChannelStats(job JobID) (ChannelStatsResult, error) {
 		}
 	}
 	logs, perf := ch.by[ModalityLog], ch.by[ModalityPerf]
-	res := ChannelStatsResult{
+	return ChannelStatsResult{
 		Job: h.ID,
 		Channels: []ChannelInfo{
 			{Channel: ModalityTracepoint, Ingested: h.Job.DB.Ingested(),
 				Anomalies: uint64(len(h.Backend.Triggers())), Reports: viaTrace},
-			{Channel: ModalityLog, Ingested: logs.ingested,
-				Anomalies: logs.anomalies, Reports: viaLog, Templates: ch.logs.Templates()},
-			{Channel: ModalityPerf, Ingested: perf.ingested,
-				Anomalies: perf.anomalies, Reports: viaPerf},
+			{Channel: ModalityLog, Ingested: logs.mIngest.Value(),
+				Anomalies: logs.mAnomalies.Value(), Reports: viaLog, Templates: ch.logs.Templates()},
+			{Channel: ModalityPerf, Ingested: perf.mIngest.Value(),
+				Anomalies: perf.mAnomalies.Value(), Reports: viaPerf},
 		},
-		Fusion: FusionInfo{
-			Window:         ch.fusion.Config().Window,
-			Outcomes:       maps.Clone(ch.fusionOutcomes), // the caller's own: it is encoded outside Server.mu
-			LastOutcome:    ch.lastOutcome,
-			LastConfidence: ch.lastConfidence,
-		},
-	}
-	return res, nil
+		Fusion: fusion,
+	}, nil
 }

@@ -36,9 +36,8 @@ func healthScore(hs HealthState) int64 {
 	}
 }
 
-// DefaultStaleAfter is the staleness threshold when ServiceOptions.StaleAfter
-// is zero: a started job with no ingest for this much virtual time is Stale
-// (and Degraded halfway there).
+// DefaultStaleAfter is the heartbeat staleness threshold: a started job with
+// no ingest for this much virtual time is Stale (and Degraded halfway there).
 const DefaultStaleAfter = 10 * time.Second
 
 // HealthChange is the payload of an EventHealth event: one job health
@@ -117,14 +116,13 @@ func (s *Service) Health() (HealthResult, error) {
 // Health returns the job's current heartbeat verdict.
 func (h *JobHandle) Health() HealthState { return h.health }
 
-// armHealthMonitor starts the heartbeat ticker (idempotent; a no-op when
-// monitoring is disabled). The ticker draws no randomness, so arming it
-// never perturbs a seeded run.
+// armHealthMonitor starts the heartbeat ticker (idempotent). The ticker
+// draws no randomness, so arming it never perturbs a seeded run.
 func (s *Service) armHealthMonitor() {
-	if s.healthTicker != nil || s.staleAfter <= 0 {
+	if s.healthTicker != nil {
 		return
 	}
-	s.healthTicker = s.Eng.NewTicker(s.staleAfter/4, func(sim.Time) { s.checkHealth() })
+	s.healthTicker = s.Eng.NewTicker(DefaultStaleAfter/4, func(sim.Time) { s.checkHealth() })
 }
 
 // disarmHealthMonitor stops the ticker.
@@ -149,12 +147,12 @@ func (s *Service) checkHealth() {
 		age := now - h.lastIngest
 		want, reason := HealthHealthy, ""
 		switch {
-		case age >= s.staleAfter:
+		case age >= DefaultStaleAfter:
 			want = HealthStale
-			reason = fmt.Sprintf("no ingest for %v (threshold %v)", age, s.staleAfter)
-		case age >= s.staleAfter/2:
+			reason = fmt.Sprintf("no ingest for %v (threshold %v)", age, DefaultStaleAfter)
+		case age >= DefaultStaleAfter/2:
 			want = HealthDegraded
-			reason = fmt.Sprintf("no ingest for %v (threshold %v)", age, s.staleAfter)
+			reason = fmt.Sprintf("no ingest for %v (threshold %v)", age, DefaultStaleAfter)
 		}
 		if want == h.health {
 			continue

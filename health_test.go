@@ -84,27 +84,6 @@ func TestHealthTransitionsToStale(t *testing.T) {
 	}
 }
 
-// TestHealthMonitorDisabled: StaleAfter < 0 turns the heartbeat monitor off —
-// a stalled job stays at its last silent state and no EventHealth fires.
-func TestHealthMonitorDisabled(t *testing.T) {
-	svc := NewService(ServiceOptions{Seed: 1, StaleAfter: -1})
-	h, err := svc.AddJob("trace", JobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Start()
-	st := svc.Subscribe(EventFilter{Kinds: []EventKind{EventHealth}})
-	svc.Run(5 * time.Second)
-	stallIngest(h)
-	svc.Run(30 * time.Second)
-	if st.Len() != 0 {
-		t.Fatalf("disabled monitor emitted %d health events", st.Len())
-	}
-	if got := h.Health(); got != HealthHealthy {
-		t.Errorf("disabled monitor moved health to %v", got)
-	}
-}
-
 // TestHealthOverWire is the wire half: the same stalled run must deliver
 // identical EventHealth events through a daemon subscription — over Dial and
 // over DialCluster to a one-peer cluster — and the daemon's /v1/health

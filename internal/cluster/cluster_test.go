@@ -76,7 +76,7 @@ func TestRingPinnedPlacement(t *testing.T) {
 }
 
 func TestEventLogAppendAndTail(t *testing.T) {
-	l := NewEventLog(0)
+	l := NewEventLog()
 	for i := 0; i < 10; i++ {
 		seq := l.Append(api.Event{Job: "j", Kind: core.EventTrigger, At: time.Duration(i)})
 		if seq != uint64(i+1) {
@@ -94,22 +94,23 @@ func TestEventLogAppendAndTail(t *testing.T) {
 }
 
 func TestEventLogTrimSurfacesAsSeqJump(t *testing.T) {
-	l := NewEventLog(4)
-	for i := 0; i < 10; i++ {
+	l := NewEventLog()
+	const n = DefaultLogCap + 6
+	for i := 0; i < n; i++ {
 		l.Append(api.Event{Job: "j", At: time.Duration(i)})
 	}
-	if l.Len() != 4 || l.Trimmed() != 6 {
+	if l.Len() != DefaultLogCap || l.Trimmed() != 6 {
 		t.Fatalf("len=%d trimmed=%d", l.Len(), l.Trimmed())
 	}
 	// A reader whose cursor predates the trim sees the jump, never a lie.
-	out, wm := l.TailAfter(2, 100)
-	if wm != 10 || len(out) != 4 || out[0].Seq != 7 {
+	out, wm := l.TailAfter(2, n)
+	if wm != n || len(out) != DefaultLogCap || out[0].Seq != 7 {
 		t.Fatalf("post-trim tail: wm=%d out=%v", wm, out)
 	}
 }
 
 func TestEventLogAppendEntriesGapAccounting(t *testing.T) {
-	l := NewEventLog(0)
+	l := NewEventLog()
 	gap := l.AppendEntries([]api.SeqEvent{{Seq: 1}, {Seq: 2}, {Seq: 3}})
 	if gap != 0 || l.Watermark() != 3 {
 		t.Fatalf("clean apply: gap=%d wm=%d", gap, l.Watermark())
@@ -123,14 +124,14 @@ func TestEventLogAppendEntriesGapAccounting(t *testing.T) {
 		t.Fatalf("want gap 3 (seqs 4,5,6), got %d", gap)
 	}
 	// A fresh follower joining late counts the missed prefix.
-	l2 := NewEventLog(0)
+	l2 := NewEventLog()
 	if gap := l2.AppendEntries([]api.SeqEvent{{Seq: 5}}); gap != 4 {
 		t.Fatalf("late join: want gap 4, got %d", gap)
 	}
 }
 
 func TestEventLogTailWait(t *testing.T) {
-	l := NewEventLog(0)
+	l := NewEventLog()
 	done := make(chan []api.SeqEvent, 1)
 	go func() {
 		out, _ := l.TailWait(0, 10, 2*time.Second, nil)

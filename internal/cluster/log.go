@@ -9,10 +9,10 @@ import (
 	"mycroft/internal/api"
 )
 
-// DefaultLogCap bounds a per-job event log when the caller does not say.
-// The log is the failover window: a subscriber that resumes on another peer
-// can only replay what the log still holds, and anything trimmed past its
-// cursor is counted (exactly, via the seq gap) as dropped.
+// DefaultLogCap bounds every per-job event log. The log is the failover
+// window: a subscriber that resumes on another peer can only replay what the
+// log still holds, and anything trimmed past its cursor is counted (exactly,
+// via the seq gap) as dropped.
 const DefaultLogCap = 4096
 
 // EventLog is one job's sequence-numbered event history. A primary appends
@@ -23,19 +23,15 @@ const DefaultLogCap = 4096
 // quiet.
 type EventLog struct {
 	mu      sync.Mutex
-	cap     int
 	entries []api.SeqEvent
 	lastSeq uint64        // highest seq held (or assigned)
 	trimmed uint64        // entries aged out of the front, lifetime
 	wake    chan struct{} // closed to broadcast growth; re-armed each time
 }
 
-// NewEventLog builds a log holding at most cap entries (<=0 = DefaultLogCap).
-func NewEventLog(cap int) *EventLog {
-	if cap <= 0 {
-		cap = DefaultLogCap
-	}
-	return &EventLog{cap: cap, wake: make(chan struct{})}
+// NewEventLog builds a log holding at most DefaultLogCap entries.
+func NewEventLog() *EventLog {
+	return &EventLog{wake: make(chan struct{})}
 }
 
 // Append assigns the next sequence number to e and stores it, trimming the
@@ -77,7 +73,7 @@ func (l *EventLog) AppendEntries(entries []api.SeqEvent) (gap uint64) {
 // push stores one entry and trims. Callers hold l.mu.
 func (l *EventLog) push(se api.SeqEvent) {
 	l.entries = append(l.entries, se)
-	if over := len(l.entries) - l.cap; over > 0 {
+	if over := len(l.entries) - DefaultLogCap; over > 0 {
 		l.entries = append(l.entries[:0], l.entries[over:]...)
 		l.trimmed += uint64(over)
 	}

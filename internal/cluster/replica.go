@@ -135,7 +135,7 @@ func (rs *ReplicaStore) obtain(job, primary string) *ReplicaJob {
 	defer rs.mu.Unlock()
 	rj := rs.jobs[job]
 	if rj == nil {
-		rj = &ReplicaJob{Job: job, Primary: primary, Log: NewEventLog(DefaultLogCap)}
+		rj = &ReplicaJob{Job: job, Primary: primary, Log: NewEventLog()}
 		rs.jobs[job] = rj
 	}
 	return rj

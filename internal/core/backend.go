@@ -365,7 +365,7 @@ func (b *Backend) DeliverExternal(rep Report, own Evidence) Report {
 func (b *Backend) fuse(rep *Report, own Evidence) {
 	if b.fusion == nil {
 		if own.Weight <= 0 {
-			own.Weight = FusionConfig{}.withDefaults().ChannelWeight(own.Channel)
+			own.Weight = ChannelWeight(own.Channel)
 		}
 		rep.Evidence = []Evidence{own}
 		rep.Confidence = own.Weight

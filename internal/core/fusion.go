@@ -77,49 +77,26 @@ const (
 	FusionConflicted   = "conflicted"
 )
 
-// FusionConfig tunes evidence fusion. Zero values take defaults.
-type FusionConfig struct {
-	// Window is how long channel evidence stays eligible for fusion.
-	// Default 60 s.
-	Window time.Duration
-	// TracepointWeight, LogWeight, PerfWeight are the per-channel priors.
-	// Defaults 0.75 / 0.6 / 0.5.
-	TracepointWeight float64
-	LogWeight        float64
-	PerfWeight       float64
-	// ConflictPenalty multiplies confidence when channels disagree on the
-	// suspect. Default 0.6.
-	ConflictPenalty float64
-}
+// FusionConfig has no fields; it stays because bench/ passes one to NewFusion.
+type FusionConfig struct{}
 
-func (c FusionConfig) withDefaults() FusionConfig {
-	if c.Window <= 0 {
-		c.Window = 60 * time.Second
-	}
-	if c.TracepointWeight <= 0 {
-		c.TracepointWeight = 0.75
-	}
-	if c.LogWeight <= 0 {
-		c.LogWeight = 0.6
-	}
-	if c.PerfWeight <= 0 {
-		c.PerfWeight = 0.5
-	}
-	if c.ConflictPenalty <= 0 {
-		c.ConflictPenalty = 0.6
-	}
-	return c
-}
+// FusionWindow is how long channel evidence stays eligible for fusion.
+const FusionWindow = 60 * time.Second
 
-// ChannelWeight returns the configured prior for a channel.
-func (c FusionConfig) ChannelWeight(m Modality) float64 {
+// conflictPenalty multiplies confidence when channels disagree on the
+// suspect.
+const conflictPenalty = 0.6
+
+// ChannelWeight returns a channel's prior: 0.75 for tracepoints, 0.6 for
+// logs and 0.5 for timing.
+func ChannelWeight(m Modality) float64 {
 	switch m {
 	case ModalityLog:
-		return c.LogWeight
+		return 0.6
 	case ModalityPerf:
-		return c.PerfWeight
+		return 0.5
 	default:
-		return c.TracepointWeight
+		return 0.75
 	}
 }
 
@@ -130,27 +107,21 @@ func (c FusionConfig) ChannelWeight(m Modality) float64 {
 // different ranks, with the dissenters attached and flagged rather than
 // dropped.
 type Fusion struct {
-	cfg    FusionConfig
 	recent []Evidence
 }
 
-// NewFusion builds a fusion state with the given config.
-func NewFusion(cfg FusionConfig) *Fusion {
-	return &Fusion{cfg: cfg.withDefaults()}
-}
-
-// Config returns the effective fusion configuration.
-func (f *Fusion) Config() FusionConfig { return f.cfg }
+// NewFusion builds an empty fusion state. The FusionConfig is ignored.
+func NewFusion(FusionConfig) *Fusion { return &Fusion{} }
 
 // Observe records one channel finding for future corroboration. Only the
 // freshest finding per (channel, rank) is kept.
 func (f *Fusion) Observe(ev Evidence) {
 	if ev.Weight <= 0 {
-		ev.Weight = f.cfg.ChannelWeight(ev.Channel)
+		ev.Weight = ChannelWeight(ev.Channel)
 	}
 	ev.Conflict = false
 	kept := f.recent[:0]
-	cut := ev.At.Add(-sim.Duration(f.cfg.Window))
+	cut := ev.At.Add(-sim.Duration(FusionWindow))
 	for _, e := range f.recent {
 		if e.At < cut {
 			continue
@@ -191,11 +162,11 @@ func compatibleCategory(a, b Category) bool {
 // it. Returns the fusion outcome (FusionSingle/Corroborated/Conflicted).
 func (f *Fusion) Finalize(rep *Report, own Evidence, now sim.Time) string {
 	if own.Weight <= 0 {
-		own.Weight = f.cfg.ChannelWeight(own.Channel)
+		own.Weight = ChannelWeight(own.Channel)
 	}
 	own.Conflict = false
 	evs := []Evidence{own}
-	cut := now.Add(-sim.Duration(f.cfg.Window))
+	cut := now.Add(-sim.Duration(FusionWindow))
 	corroborated, conflicted := false, false
 	disbelief := 1 - own.Weight
 	for _, e := range f.recent {
@@ -219,7 +190,7 @@ func (f *Fusion) Finalize(rep *Report, own Evidence, now sim.Time) string {
 	}
 	if conflicted {
 		outcome = FusionConflicted
-		confidence *= f.cfg.ConflictPenalty
+		confidence *= conflictPenalty
 	}
 	rep.Evidence = evs
 	rep.Confidence = confidence

@@ -19,8 +19,8 @@ func TestFusionSingleChannel(t *testing.T) {
 	if len(rep.Evidence) != 1 || rep.Evidence[0].Channel != ModalityTracepoint {
 		t.Fatalf("evidence = %v, want one tracepoint entry", rep.Evidence)
 	}
-	if rep.Confidence != f.Config().TracepointWeight {
-		t.Fatalf("confidence = %v, want channel prior %v", rep.Confidence, f.Config().TracepointWeight)
+	if rep.Confidence != ChannelWeight(ModalityTracepoint) {
+		t.Fatalf("confidence = %v, want channel prior %v", rep.Confidence, ChannelWeight(ModalityTracepoint))
 	}
 }
 
@@ -33,13 +33,12 @@ func TestFusionCorroborationLiftsConfidence(t *testing.T) {
 	if out := f.Finalize(&rep, own, rep.AnalyzedAt); out != FusionCorroborated {
 		t.Fatalf("outcome = %s, want %s", out, FusionCorroborated)
 	}
-	cfg := f.Config()
+	tp, lg := ChannelWeight(ModalityTracepoint), ChannelWeight(ModalityLog)
 	// Noisy-OR: strictly above either single channel's prior.
-	if rep.Confidence <= cfg.TracepointWeight || rep.Confidence <= cfg.LogWeight {
-		t.Fatalf("confidence %v not above single-channel priors (%v, %v)",
-			rep.Confidence, cfg.TracepointWeight, cfg.LogWeight)
+	if rep.Confidence <= tp || rep.Confidence <= lg {
+		t.Fatalf("confidence %v not above single-channel priors (%v, %v)", rep.Confidence, tp, lg)
 	}
-	want := 1 - (1-cfg.TracepointWeight)*(1-cfg.LogWeight)
+	want := 1 - (1-tp)*(1-lg)
 	if diff := rep.Confidence - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("confidence = %v, want noisy-OR %v", rep.Confidence, want)
 	}
@@ -59,9 +58,8 @@ func TestFusionConflictPenalizesAndFlags(t *testing.T) {
 	if out := f.Finalize(&rep, own, rep.AnalyzedAt); out != FusionConflicted {
 		t.Fatalf("outcome = %s, want %s", out, FusionConflicted)
 	}
-	cfg := f.Config()
-	if rep.Confidence >= cfg.TracepointWeight {
-		t.Fatalf("confidence %v not penalized below prior %v", rep.Confidence, cfg.TracepointWeight)
+	if tp := ChannelWeight(ModalityTracepoint); rep.Confidence >= tp {
+		t.Fatalf("confidence %v not penalized below prior %v", rep.Confidence, tp)
 	}
 	var flagged *Evidence
 	for i := range rep.Evidence {
@@ -78,7 +76,7 @@ func TestFusionConflictPenalizesAndFlags(t *testing.T) {
 }
 
 func TestFusionWindowExpiry(t *testing.T) {
-	f := NewFusion(FusionConfig{Window: 30 * time.Second})
+	f := NewFusion(FusionConfig{})
 	f.Observe(Evidence{Channel: ModalityLog, Rank: 5, Category: CatNetworkSendPath, At: fat(10 * time.Second)})
 	rep := Report{Suspect: 5, Category: CatNetworkSendPath, AnalyzedAt: fat(2 * time.Minute)}
 	own := Evidence{Channel: ModalityTracepoint, Rank: 5, Category: CatNetworkSendPath, At: rep.AnalyzedAt}

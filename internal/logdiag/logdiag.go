@@ -31,42 +31,24 @@ type Line struct {
 	Text  string
 }
 
-// Config tunes the detector. Zero values take defaults.
-type Config struct {
-	// Window is the rate-series look-back. Default 15 s.
-	Window time.Duration
-	// MinCount: occurrences (in window, on affected ranks) before a template
-	// can be anomalous. Default 3.
-	MinCount int
-	// MaxRankFrac: an anomaly must concentrate on at most this fraction of
-	// the world — fleet-wide spikes are phase changes, not faults.
-	// Default 0.5.
-	MaxRankFrac float64
-	// DomFrac: the affected ranks must carry at least this fraction of the
-	// template's windowed occurrences. Default 0.6.
-	DomFrac float64
-	// MinScore gates reporting. Default 0.25.
-	MinScore float64
-}
+// Config has no fields; it stays because bench/ passes one to New.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 15 * time.Second
-	}
-	if c.MinCount <= 0 {
-		c.MinCount = 3
-	}
-	if c.MaxRankFrac <= 0 {
-		c.MaxRankFrac = 0.5
-	}
-	if c.DomFrac <= 0 {
-		c.DomFrac = 0.6
-	}
-	if c.MinScore <= 0 {
-		c.MinScore = 0.25
-	}
-	return c
-}
+const (
+	// window is the rate-series look-back.
+	window = 15 * time.Second
+	// minCount: occurrences (in window, on affected ranks) before a
+	// template can be anomalous.
+	minCount = 3
+	// maxRankFrac: an anomaly must concentrate on at most this fraction of
+	// the world — fleet-wide spikes are phase changes, not faults.
+	maxRankFrac = 0.5
+	// domFrac: the affected ranks must carry at least this fraction of the
+	// template's windowed occurrences.
+	domFrac = 0.6
+	// minScore gates reporting.
+	minScore = 0.25
+)
 
 // Template is one online log-template cluster.
 type Template struct {
@@ -104,18 +86,17 @@ type Anomaly struct {
 // Detector clusters lines online and scores cross-rank divergence.
 type Detector struct {
 	world     int
-	cfg       Config
 	templates map[uint64]*Template
 	ingested  uint64
 	lastAt    sim.Time
 }
 
-// New builds a detector for a world-size-rank job.
-func New(world int, cfg Config) *Detector {
+// New builds a detector for a world-size-rank job. The Config is ignored.
+func New(world int, _ Config) *Detector {
 	if world < 1 {
 		world = 1
 	}
-	return &Detector{world: world, cfg: cfg.withDefaults(), templates: make(map[uint64]*Template)}
+	return &Detector{world: world, templates: make(map[uint64]*Template)}
 }
 
 // TemplateOf renders the token-hash template of a log line: tokens carrying
@@ -187,7 +168,7 @@ func (d *Detector) Ingest(l Line) {
 		t.Level = normLevel(l.Level)
 	}
 	t.Total++
-	t.byRank[l.Rank] = pruneWindow(append(t.byRank[l.Rank], l.At), l.At, d.cfg.Window)
+	t.byRank[l.Rank] = pruneWindow(append(t.byRank[l.Rank], l.At), l.At, window)
 }
 
 func normLevel(l string) string {
@@ -253,14 +234,14 @@ func (d *Detector) scoreTemplate(t *Template, now sim.Time) (Anomaly, bool) {
 	var counts []rankCount
 	fleet := 0
 	for r, ts := range t.byRank {
-		ts = pruneWindow(ts, now, d.cfg.Window)
+		ts = pruneWindow(ts, now, window)
 		t.byRank[r] = ts
 		if len(ts) > 0 {
 			counts = append(counts, rankCount{r, len(ts)})
 			fleet += len(ts)
 		}
 	}
-	if fleet < d.cfg.MinCount {
+	if fleet < minCount {
 		return Anomaly{}, false
 	}
 	sort.Slice(counts, func(i, j int) bool {
@@ -270,26 +251,26 @@ func (d *Detector) scoreTemplate(t *Template, now sim.Time) (Anomaly, bool) {
 		return counts[i].rank < counts[j].rank
 	})
 
-	// Affected set: the smallest count-descending prefix carrying DomFrac of
+	// Affected set: the smallest count-descending prefix carrying domFrac of
 	// the fleet occurrences.
 	affected, carried := []rankCount(nil), 0
 	for _, rc := range counts {
 		affected = append(affected, rc)
 		carried += rc.count
-		if float64(carried) >= d.cfg.DomFrac*float64(fleet) {
+		if float64(carried) >= domFrac*float64(fleet) {
 			break
 		}
 	}
 	rankFrac := float64(len(affected)) / float64(d.world)
-	if rankFrac > d.cfg.MaxRankFrac {
+	if rankFrac > maxRankFrac {
 		return Anomaly{}, false // fleet-wide: a phase change, not a fault
 	}
-	if carried < d.cfg.MinCount {
+	if carried < minCount {
 		return Anomaly{}, false
 	}
 	concentration := float64(carried) / float64(fleet)
 	score := concentration * (1 - rankFrac) * severityWeight(t.Level)
-	if score < d.cfg.MinScore {
+	if score < minScore {
 		return Anomaly{}, false
 	}
 	ranks := make([]topo.Rank, len(affected))

@@ -81,7 +81,7 @@ func TestDetectorIgnoresFleetWideSpike(t *testing.T) {
 }
 
 func TestDetectorWindowExpiry(t *testing.T) {
-	d := New(4, Config{Window: 5 * time.Second})
+	d := New(4, Config{})
 	for i := 0; i < 6; i++ {
 		d.Ingest(Line{Rank: 1, At: at(time.Duration(i) * time.Second), Level: "error", Text: "GPU xid 79 error"})
 	}

@@ -26,42 +26,23 @@ type Sample struct {
 	At   sim.Time
 }
 
-// Config tunes the detector. Zero values take defaults.
-type Config struct {
-	// Window is the per-rank duration window (samples). Default 16.
-	Window int
-	// MinSamples per rank before envelopes arm. Default 6.
-	MinSamples int
-	// StragglerFactor: a rank whose windowed median exceeds this multiple of
-	// the fleet median is anomalous. Default 1.3.
-	StragglerFactor float64
-	// Persist: consecutive anomalous analyses before a finding is reported.
-	// Default 3.
-	Persist int
-	// ImbalanceFrac: when more than this fraction of the world is anomalous
-	// together, the finding is stage imbalance, not a lone straggler.
-	// Default 0.25.
-	ImbalanceFrac float64
-}
+// Config has no fields; it stays because bench/ passes one to New.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 6
-	}
-	if c.StragglerFactor <= 1 {
-		c.StragglerFactor = 1.3
-	}
-	if c.Persist <= 0 {
-		c.Persist = 3
-	}
-	if c.ImbalanceFrac <= 0 {
-		c.ImbalanceFrac = 0.25
-	}
-	return c
-}
+const (
+	// window is the per-rank duration window (samples).
+	window = 16
+	// minSamples per rank before envelopes arm.
+	minSamples = 6
+	// stragglerFactor: a rank whose windowed median exceeds this multiple
+	// of the fleet median is anomalous.
+	stragglerFactor = 1.3
+	// persist: consecutive anomalous analyses before a finding is reported.
+	persist = 3
+	// imbalanceFrac: when more than this fraction of the world is anomalous
+	// together, the finding is stage imbalance, not a lone straggler.
+	imbalanceFrac = 0.25
+)
 
 // FindingKind discriminates what the envelope caught.
 type FindingKind string
@@ -105,20 +86,18 @@ type rankEnvelope struct {
 // Detector maintains per-rank timing envelopes over iteration timestamps.
 type Detector struct {
 	world    int
-	cfg      Config
 	ranks    []*rankEnvelope
 	ingested uint64
 }
 
-// New builds a detector for a world-size-rank job.
-func New(world int, cfg Config) *Detector {
+// New builds a detector for a world-size-rank job. The Config is ignored.
+func New(world int, _ Config) *Detector {
 	if world < 1 {
 		world = 1
 	}
-	cfg = cfg.withDefaults()
-	d := &Detector{world: world, cfg: cfg, ranks: make([]*rankEnvelope, world)}
+	d := &Detector{world: world, ranks: make([]*rankEnvelope, world)}
 	for i := range d.ranks {
-		d.ranks[i] = &rankEnvelope{window: stats.NewWindowQuantile(cfg.Window)}
+		d.ranks[i] = &rankEnvelope{window: stats.NewWindowQuantile(window)}
 	}
 	return d
 }
@@ -149,7 +128,7 @@ func (d *Detector) Analyze(now sim.Time) []Finding {
 	armed := make([]bool, d.world)
 	var fleet stats.Sample
 	for r, env := range d.ranks {
-		if env.window.N() < d.cfg.MinSamples {
+		if env.window.N() < minSamples {
 			continue
 		}
 		armed[r] = true
@@ -174,7 +153,7 @@ func (d *Detector) Analyze(now sim.Time) []Finding {
 		if !armed[r] {
 			continue
 		}
-		if medians[r] > d.cfg.StragglerFactor*fleetMedian {
+		if medians[r] > stragglerFactor*fleetMedian {
 			env.streak++
 			over = append(over, offender{topo.Rank(r), medians[r] / fleetMedian})
 		} else {
@@ -193,18 +172,18 @@ func (d *Detector) Analyze(now sim.Time) []Finding {
 
 	// The finding only fires once the worst offender's streak persists.
 	worst := over[0]
-	if d.ranks[worst.rank].streak < d.cfg.Persist {
+	if d.ranks[worst.rank].streak < persist {
 		return nil
 	}
 	ranks := make([]topo.Rank, 0, len(over))
 	for _, o := range over {
-		if d.ranks[o.rank].streak >= d.cfg.Persist {
+		if d.ranks[o.rank].streak >= persist {
 			ranks = append(ranks, o.rank)
 		}
 	}
 	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
 	kind := KindStraggler
-	if float64(len(ranks)) > d.cfg.ImbalanceFrac*float64(d.world) {
+	if float64(len(ranks)) > imbalanceFrac*float64(d.world) {
 		kind = KindImbalance
 	}
 	return []Finding{{

@@ -96,7 +96,7 @@ func TestRecoveryResetsStreak(t *testing.T) {
 }
 
 func TestStageImbalanceKind(t *testing.T) {
-	d := New(8, Config{ImbalanceFrac: 0.25})
+	d := New(8, Config{})
 	// Three of eight ranks slow together: a stage, not a lone straggler.
 	slow := map[topo.Rank]float64{4: 1.8, 5: 1.8, 6: 1.8}
 	end := feed(d, 8, 40, 2*time.Second, slow, 10)

@@ -50,29 +50,29 @@ type Config struct {
 	// (e.g. 0.1 = ±10%), making workloads realistically non-deterministic
 	// in duration while staying seed-deterministic. Default 0.
 	ComputeJitter float64
-	// CheckpointEvery pauses all ranks for CheckpointDelay every N
+	// CheckpointEvery pauses all ranks for checkpointDelay every N
 	// iterations (0 = never). Checkpointing happens outside the CCL, so a
 	// stuck checkpoint is py-spy's case, not Mycroft's (§6.2).
 	CheckpointEvery int
-	CheckpointDelay time.Duration // default 200 ms when CheckpointEvery > 0
 
-	// Substrate.
+	// Substrate. NICs and GPUs are rdma.DefaultNIC and gpusim.DefaultGPU.
 	CCL ccl.Config
 
-	NICConfig rdma.NICConfig
-	GPUConfig gpusim.Config
-
 	// Trace pipeline.
-	RingCapacity int // per-host ring slots (default 1<<16)
-	Collector    collector.Config
-	Retention    time.Duration // cloud DB retention (default 0: keep all)
+	Collector collector.Config
+	Retention time.Duration // cloud DB retention (default 0: keep all)
 
 	// DisableTracing turns Mycroft tracepoints off entirely (the no-tracing
 	// overhead baseline).
 	DisableTracing bool
-	// FlightRecorderSize: entries per rank (default 64; 0 keeps default).
-	FlightRecorderSize int
 }
+
+// Fixed parts of the substrate.
+const (
+	checkpointDelay    = 200 * time.Millisecond // each checkpoint's pause
+	ringCapacity       = 1 << 16                // per-host trace ring slots
+	flightRecorderSize = 64                     // flight-recorder entries per rank
+)
 
 // JobProfile selects the workload mix of JobConfig.
 type JobProfile int
@@ -125,23 +125,8 @@ func (c Config) withDefaults() Config {
 	if c.DataloaderDelay <= 0 {
 		c.DataloaderDelay = 50 * time.Millisecond
 	}
-	if c.CheckpointEvery > 0 && c.CheckpointDelay <= 0 {
-		c.CheckpointDelay = 200 * time.Millisecond
-	}
 	if c.ComputeJitter < 0 || c.ComputeJitter >= 1 {
 		c.ComputeJitter = 0
-	}
-	if c.NICConfig.Bandwidth <= 0 {
-		c.NICConfig = rdma.DefaultNIC()
-	}
-	if c.GPUConfig.CopyBandwidth <= 0 {
-		c.GPUConfig = gpusim.DefaultGPU()
-	}
-	if c.RingCapacity <= 0 {
-		c.RingCapacity = 1 << 16
-	}
-	if c.FlightRecorderSize <= 0 {
-		c.FlightRecorderSize = 64
 	}
 	return c
 }
@@ -315,18 +300,19 @@ func New(eng *sim.Engine, cfg Config) (*Job, error) {
 		iterEnd:   make(map[int]sim.Time),
 		doneRanks: make(map[int]int),
 	}
-	j.FlightRec = flightrec.New(eng, cfg.FlightRecorderSize)
+	j.FlightRec = flightrec.New(eng, flightRecorderSize)
 	j.PyStack = pystack.New(eng)
 	j.DB = clouddb.New(eng, cfg.Retention)
 
 	world := cl.WorldSize()
 	j.iterDone = make([]int, world)
+	nic, gpu := rdma.DefaultNIC(), gpusim.DefaultGPU()
 	for r := 0; r < world; r++ {
-		j.NICs = append(j.NICs, rdma.NewNIC(eng, rdma.NICID(r), fmt.Sprintf("nic%d", r), cfg.NICConfig))
-		j.GPUs = append(j.GPUs, gpusim.New(eng, gpusim.ID(r), cfg.GPUConfig))
+		j.NICs = append(j.NICs, rdma.NewNIC(eng, rdma.NICID(r), fmt.Sprintf("nic%d", r), nic))
+		j.GPUs = append(j.GPUs, gpusim.New(eng, gpusim.ID(r), gpu))
 	}
 	for _, node := range cl.Nodes {
-		ring := trace.NewRing(cfg.RingCapacity)
+		ring := trace.NewRing(ringCapacity)
 		j.Rings[node.IP] = ring
 		j.Agents = append(j.Agents, collector.NewAgent(eng, ring, j.DB, cfg.Collector))
 	}

@@ -121,7 +121,7 @@ func (rd *rankDriver) run() {
 				// checkpoint.save forever — py-spy's territory.
 				j.PyStack.Set(rd.rank, pystack.FrameCheckpoint)
 				if !rd.ckptStalled {
-					j.Eng.ScheduleAfter(j.Cfg.CheckpointDelay, rd, 0)
+					j.Eng.ScheduleAfter(checkpointDelay, rd, 0)
 				}
 				return
 			}

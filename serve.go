@@ -75,7 +75,7 @@ func NewServer(svc *Service) *Server {
 		identity: fmt.Sprintf("mycroft-serve/%d", api.Version), started: time.Now(),
 	}
 	for _, id := range svc.Jobs() {
-		sv.logs[id] = cluster.NewEventLog(0)
+		sv.logs[id] = cluster.NewEventLog()
 	}
 	svc.streamsMu.Lock()
 	svc.logEvent = func(e Event) {

@@ -27,10 +27,6 @@ type JobID = api.JobID
 type ServiceOptions struct {
 	// Seed makes every hosted job's run reproducible. Default 1.
 	Seed int64
-	// StaleAfter is the heartbeat staleness threshold: a started job with no
-	// ingest for this much virtual time is Stale (Degraded halfway there).
-	// Zero means DefaultStaleAfter; negative disables health monitoring.
-	StaleAfter time.Duration
 }
 
 // Service is Mycroft's multi-tenant analysis backend: N independent training
@@ -63,7 +59,6 @@ type Service struct {
 	reg          *obs.Registry
 	subDelivered *obs.Counter
 	subDropped   *obs.Counter
-	staleAfter   time.Duration
 	healthTicker *sim.Ticker
 }
 
@@ -72,14 +67,7 @@ func NewService(opts ServiceOptions) *Service {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	staleAfter := opts.StaleAfter
-	switch {
-	case staleAfter == 0:
-		staleAfter = DefaultStaleAfter
-	case staleAfter < 0:
-		staleAfter = 0 // monitoring disabled
-	}
-	s := &Service{Eng: sim.NewEngine(opts.Seed), jobs: make(map[JobID]*JobHandle), staleAfter: staleAfter, seed: opts.Seed}
+	s := &Service{Eng: sim.NewEngine(opts.Seed), jobs: make(map[JobID]*JobHandle), seed: opts.Seed}
 	s.initMetrics()
 	return s
 }
