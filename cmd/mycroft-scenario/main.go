@@ -60,20 +60,6 @@ run flags:
 `)
 }
 
-// load resolves a CLI argument to a spec: a readable file is parsed as
-// JSON; otherwise the argument names a builtin.
-func load(arg string) (scenario.Spec, error) {
-	if data, err := os.ReadFile(arg); err == nil {
-		return scenario.Parse(data)
-	} else if strings.ContainsAny(arg, "./") {
-		return scenario.Spec{}, fmt.Errorf("mycroft-scenario: %w", err)
-	}
-	if spec, ok := scenario.Lookup(arg); ok {
-		return spec, nil
-	}
-	return scenario.Spec{}, fmt.Errorf("mycroft-scenario: no file or builtin scenario %q (try `mycroft-scenario list`)", arg)
-}
-
 // kindsOf renders a spec's fault-kind set for the listing.
 func kindsOf(kinds []faults.Kind) string {
 	if len(kinds) == 0 {
@@ -132,7 +118,7 @@ func validate(args []string) {
 		fmt.Printf("%d builtin scenarios valid\n", len(scenario.Builtins()))
 		return
 	}
-	spec, err := load(args[0])
+	spec, err := scenario.Load(args[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -178,7 +164,7 @@ func run(args []string) {
 		fmt.Fprintf(os.Stderr, "mycroft-scenario run: unexpected argument %q (one scenario per run)\n", fs.Arg(0))
 		os.Exit(2)
 	}
-	spec, err := load(target)
+	spec, err := scenario.Load(target)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

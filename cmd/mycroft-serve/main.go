@@ -110,7 +110,7 @@ func main() {
 		jobDesc string
 	)
 	if *scen != "" {
-		spec, err := loadSpec(*scen)
+		spec, err := scenario.Load(*scen)
 		if err != nil {
 			die(err)
 		}
@@ -282,18 +282,6 @@ func slowOpScanner(svc *mycroft.Service, threshold time.Duration) func() {
 			}
 		}
 	}
-}
-
-// loadSpec resolves -scenario: a readable file parses as JSON, otherwise
-// the argument names a builtin.
-func loadSpec(arg string) (scenario.Spec, error) {
-	if data, err := os.ReadFile(arg); err == nil {
-		return scenario.Parse(data)
-	}
-	if spec, ok := scenario.Lookup(arg); ok {
-		return spec, nil
-	}
-	return scenario.Spec{}, fmt.Errorf("mycroft-serve: no file or builtin scenario %q", arg)
 }
 
 // parsePeers reads the -peers list: "p1=host:port,p2=host:port,...".

@@ -151,35 +151,47 @@ func RunWith(spec Spec, seed int64, opts RunOptions) (*Result, error) {
 	res := &Result{Name: spec.Name, Seed: seed}
 	jobs := resolveFleet(spec.Fleet, seed)
 	if spec.Fleet.SharedEngine {
-		p, err := prepare(spec, jobs, seed, nil)
+		p, err := prepare(spec, jobs, seed, seed, nil)
 		if err != nil {
 			return nil, err
 		}
-		closeRec, err := record(p.Service, p.Handles, opts.RecordDir)
-		if err != nil {
+		if res.Jobs, err = run(p, opts); err != nil {
 			return nil, err
 		}
-		p.Start()
-		p.Service.Run(p.Horizon())
-		// Footers land at the horizon, before Stop's lifecycle events — the
-		// artifact captures the analyzed run, not the teardown.
-		if err := closeRec(); err != nil {
-			return nil, err
-		}
-		defer p.Service.Stop()
-		res.Jobs = p.Collect()
 	} else {
-		for i, js := range jobs {
-			jr, err := runJob(spec, js, i, mix(seed, int64(i)), opts)
+		for i := range jobs {
+			p, err := prepare(spec, jobs, seed, mix(seed, int64(i)), func(j int, _ string) bool { return j == i })
+			if err != nil {
+				return nil, err
+			}
+			jr, err := run(p, opts)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: job %d: %w", spec.Name, i, err)
 			}
-			res.Jobs = append(res.Jobs, jr)
+			res.Jobs = append(res.Jobs, jr...)
 		}
 	}
 	res.Asserted, res.Failures = evaluate(spec, res)
 	res.Pass = len(res.Failures) == 0
 	return res, nil
+}
+
+// run drives a prepared fleet to its horizon, recording it when opts names
+// a directory, and collects its results.
+func run(p *Prepared, opts RunOptions) ([]JobResult, error) {
+	closeRec, err := record(p.Service, p.Handles, opts.RecordDir)
+	if err != nil {
+		return nil, err
+	}
+	p.Start()
+	p.Service.Run(p.Horizon())
+	// Footers land at the horizon, before Stop's lifecycle events — the
+	// artifact captures the analyzed run, not the teardown.
+	if err := closeRec(); err != nil {
+		return nil, err
+	}
+	defer p.Service.Stop()
+	return p.Collect(), nil
 }
 
 // record attaches one incident recorder per fleet member, artifacts landing
@@ -262,16 +274,17 @@ func PrepareSubset(spec Spec, seed int64, keep func(index int, id string) bool) 
 	if seed == 0 {
 		seed = 1
 	}
-	return prepare(spec, resolveFleet(spec.Fleet, seed), seed, keep)
+	return prepare(spec, resolveFleet(spec.Fleet, seed), seed, seed, keep)
 }
 
-// prepare builds the shared Service for an already-resolved fleet,
-// hosting only the members keep selects (nil keeps all). Per-member
-// identity is derived from the original fleet index regardless of the
-// subset, so shards agree with the full fleet.
-func prepare(spec Spec, jobs []jobSpec, seed int64, keep func(index int, id string) bool) (*Prepared, error) {
-	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: seed})
-	p := &Prepared{Spec: spec, Seed: seed, Service: svc}
+// prepare builds one Service for an already-resolved fleet, hosting only
+// the members keep selects (nil keeps all). Per-member identity, and the
+// injection schedule drawn from fleetSeed, are derived from the original
+// fleet index regardless of the subset, so shards agree with the full
+// fleet. svcSeed seeds the Service's engine.
+func prepare(spec Spec, jobs []jobSpec, fleetSeed, svcSeed int64, keep func(index int, id string) bool) (*Prepared, error) {
+	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: svcSeed})
+	p := &Prepared{Spec: spec, Seed: fleetSeed, Service: svc}
 	for i, js := range jobs {
 		id := fmt.Sprintf("job-%d", i)
 		if keep != nil && !keep(i, id) {
@@ -286,7 +299,7 @@ func prepare(spec Spec, jobs []jobSpec, seed int64, keep func(index int, id stri
 		}
 		p.Handles = append(p.Handles, h)
 		p.jobs = append(p.jobs, js)
-		p.plans = append(p.plans, schedule(spec, i, mix(seed, int64(i)), h))
+		p.plans = append(p.plans, schedule(spec, i, mix(fleetSeed, int64(i)), h))
 		scheduleFeeds(spec, i, svc, h)
 		p.indices = append(p.indices, i)
 	}
@@ -534,31 +547,6 @@ func collect(js jobSpec, idx int, svc *mycroft.Service, h *mycroft.JobHandle, pl
 		jr.Accuracy = float64(diagnosed) / float64(len(plan))
 	}
 	return jr
-}
-
-// runJob runs one fleet member on its own single-job Service.
-func runJob(spec Spec, js jobSpec, idx int, seed int64, opts RunOptions) (JobResult, error) {
-	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: seed})
-	h, err := svc.AddJob(mycroft.JobID(fmt.Sprintf("job-%d", idx)), jobOptions(js))
-	if err != nil {
-		return JobResult{}, err
-	}
-	if err := attachPolicies(spec, idx, svc, h); err != nil {
-		return JobResult{}, err
-	}
-	plan := schedule(spec, idx, seed, h)
-	scheduleFeeds(spec, idx, svc, h)
-	closeRec, err := record(svc, []*mycroft.JobHandle{h}, opts.RecordDir)
-	if err != nil {
-		return JobResult{}, err
-	}
-	svc.Start()
-	svc.Run(spec.runFor())
-	if err := closeRec(); err != nil {
-		return JobResult{}, err
-	}
-	defer svc.Stop()
-	return collect(js, idx, svc, h, plan), nil
 }
 
 // injectionAt returns the job's i-th time-ordered injection and its verdict.

@@ -173,6 +173,24 @@ func TestExampleSpecValidates(t *testing.T) {
 	}
 }
 
+// TestLoad pins how a command-line argument resolves: a builtin name, a spec
+// file, a path-like argument that cannot be read (the read error, never a
+// builtin lookup) and an unknown name.
+func TestLoad(t *testing.T) {
+	if spec, err := Load("nic-down"); err != nil || spec.Name != "nic-down" {
+		t.Errorf("builtin: spec %q, err %v", spec.Name, err)
+	}
+	if spec, err := Load(filepath.Join("..", "..", "scenarios", "example.json")); err != nil || spec.Name != "example" {
+		t.Errorf("file: spec %q, err %v", spec.Name, err)
+	}
+	if _, err := Load("./missing.json"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: err %v, want a not-exist error", err)
+	}
+	if _, err := Load("no-such-scenario"); err == nil || !strings.Contains(err.Error(), "no file or builtin scenario") {
+		t.Errorf("unknown name: err %v", err)
+	}
+}
+
 // TestRunDeterministic: same spec and seed render byte-identical reports —
 // the property every stress campaign leans on.
 func TestRunDeterministic(t *testing.T) {

@@ -14,8 +14,10 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"mycroft/internal/core"
@@ -422,6 +424,21 @@ func (s Spec) FaultKinds() []faults.Kind {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Load resolves a command-line argument to a spec: a readable file is parsed
+// as JSON; an unreadable argument that looks like a path (it holds a '.' or
+// a '/') is the read error; anything else names a builtin.
+func Load(arg string) (Spec, error) {
+	if data, err := os.ReadFile(arg); err == nil {
+		return Parse(data)
+	} else if strings.ContainsAny(arg, "./") {
+		return Spec{}, fmt.Errorf("scenario: %w", err)
+	}
+	if spec, ok := Lookup(arg); ok {
+		return spec, nil
+	}
+	return Spec{}, fmt.Errorf("scenario: no file or builtin scenario %q (`mycroft-scenario list` shows the builtins)", arg)
 }
 
 // Parse decodes a JSON scenario and validates it.
