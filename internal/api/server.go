@@ -59,7 +59,7 @@ func (m *Mux) Handle(method, path string, fn http.HandlerFunc) {
 					panic(p)
 				}
 				panics.Inc()
-				Fail(sw, recovered{p})
+				Fail(sw, internalError{p})
 			}
 			latency.Observe(time.Since(start).Seconds())
 			if sw.status >= 400 {
@@ -70,10 +70,11 @@ func (m *Mux) Handle(method, path string, fn http.HandlerFunc) {
 	})
 }
 
-// recovered is a handler's panic as the error Fail answers 500 for.
-type recovered struct{ value any }
+// internalError is the daemon's own fault, a handler's panic or an answer
+// that does not encode, as the error Fail answers 500 for.
+type internalError struct{ cause any }
 
-func (p recovered) Error() string { return fmt.Sprintf("api: internal error: %v", p.value) }
+func (e internalError) Error() string { return fmt.Sprintf("api: internal error: %v", e.cause) }
 
 // Get mounts one call→encode endpoint that takes no request.
 func Get[Resp any](m *Mux, path string, fn func() (Resp, error)) {
@@ -129,24 +130,40 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// Answer writes resp as JSON, or err through Fail.
+// Answer writes resp as JSON, or err through Fail. The body is encoded whole
+// before anything is sent, so it goes out with its Content-Length in one
+// write, and a value that does not encode is a 500, not a truncated 200.
 func Answer(w http.ResponseWriter, resp any, err error) {
 	if err != nil {
 		Fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	body, err := json.Marshal(resp)
+	if err != nil {
+		Fail(w, internalError{err})
+		return
+	}
+	Write(w, append(body, '\n'))
+}
+
+// Write answers 200 with body, a JSON document already encoded as Answer
+// encodes one, newline included.
+func Write(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // Fail is the one place an error becomes an HTTP answer. The error picks the
-// status: 500 for a recovered panic, 413 for a body over ReadJSON's cap, 400
-// for everything else. Clients treat every non-200 alike and read the message.
+// status: 500 for a recovered panic or an answer that does not encode, 413
+// for a body over ReadJSON's cap, 400 for everything else. Clients treat
+// every non-200 alike and read the message.
 func Fail(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	switch {
-	case errors.As(err, new(recovered)):
+	case errors.As(err, new(internalError)):
 		status = http.StatusInternalServerError
 	case errors.As(err, &tooLarge):
 		status = http.StatusRequestEntityTooLarge

@@ -337,7 +337,8 @@ func jobPath(pattern string, job JobID) string {
 }
 
 // mount derives the operation's server route: decode the request, serve it,
-// encode the answer.
+// encode the answer — by the result's own wireCodec when it has one and that
+// accepts the value, by encoding/json otherwise.
 func (o *op[Q, R]) mount(sv *Server, mux *api.Mux) {
 	mux.Handle(o.method, o.path, func(w http.ResponseWriter, r *http.Request) {
 		q, err := o.decode(w, r)
@@ -346,7 +347,14 @@ func (o *op[Q, R]) mount(sv *Server, mux *api.Mux) {
 			return
 		}
 		resp, err := o.serve(sv, q)
-		api.Answer(w, resp, err)
+		ans := any(&resp)
+		if c, ok := ans.(wireCodec); ok && err == nil {
+			if body, ok := c.appendWire(nil); ok {
+				api.Write(w, body)
+				return
+			}
+		}
+		api.Answer(w, ans, err)
 	})
 }
 

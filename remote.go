@@ -415,12 +415,21 @@ func roundTrip(hc *http.Client, method, base, path string, in, out any) error {
 // maxResponse bounds how much of a response body the client will read.
 const maxResponse = 64 << 20
 
+// decode reads one answer into out: through out's wireCodec when it has one
+// and that accepts the body, through encoding/json otherwise.
 func decode(path string, resp *http.Response, out any) error {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse+1))
-	if err != nil {
+	// A declared length sizes the buffer once, so a large page is not
+	// copied as the buffer doubles; MinRead of spare room lets the last read
+	// see EOF without growing it.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n >= 0 && n <= maxResponse {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponse+1)); err != nil {
 		return err
 	}
+	body := buf.Bytes()
 	if len(body) > maxResponse {
 		return fmt.Errorf("mycroft: %s: response exceeds %d MiB — narrow the query or page it", path, maxResponse>>20)
 	}
@@ -430,6 +439,9 @@ func decode(path string, resp *http.Response, out any) error {
 			return fmt.Errorf("%s", we.Error)
 		}
 		return fmt.Errorf("mycroft: %s: HTTP %d", path, resp.StatusCode)
+	}
+	if c, ok := out.(wireCodec); ok && c.parseWire(body) {
+		return nil
 	}
 	return json.Unmarshal(body, out)
 }

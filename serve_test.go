@@ -357,6 +357,10 @@ func TestRemoteQueriesMatchInProcess(t *testing.T) {
 		}},
 		{"channels", true, func(c Client) (any, error) { return c.ChannelStats(job) }},
 		{"trace page", false, func(c Client) (any, error) { return c.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 10}) }},
+		{"trace whole rank", false, func(c Client) (any, error) { return c.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}}) }},
+		{"trace empty window", false, func(c Client) (any, error) {
+			return c.QueryTrace(TraceQuery{Job: job, From: 10 * time.Second, To: 10 * time.Second})
+		}},
 		{"dependencies", false, func(c Client) (any, error) { return c.QueryDependencies(DependencyQuery{Job: job, RenderDOT: true}) }},
 		{"blast radius", false, func(c Client) (any, error) { return c.BlastRadius(job, 5) }},
 		{"triage", false, func(c Client) (any, error) { return c.Triage(job) }},
@@ -390,6 +394,11 @@ func TestRemoteQueriesMatchInProcess(t *testing.T) {
 	if trig.Total < 2 || rem.Total == 0 {
 		t.Fatalf("run too quiet to compare: %d triggers, %d succeeded remediations", trig.Total, rem.Total)
 	}
+	whole, _ := local.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}})
+	empty, _ := local.QueryTrace(TraceQuery{Job: job, From: 10 * time.Second, To: 10 * time.Second})
+	if len(whole.Records) <= 10 || whole.Next != nil || empty.Records != nil {
+		t.Fatalf("trace cases miss their shapes: whole rank %d records, next %v; empty window %#v", len(whole.Records), whole.Next, empty.Records)
+	}
 
 	// What a follower cannot give in full it still answers, honestly: the
 	// trace mirror pages without a cursor, span rings stay on the primary,
@@ -407,6 +416,51 @@ func TestRemoteQueriesMatchInProcess(t *testing.T) {
 	}
 	if _, err := replica.QueryDependencies(DependencyQuery{Job: job}); err == nil || !strings.Contains(err.Error(), "not replicated") {
 		t.Fatalf("replica dependencies: %v", err)
+	}
+}
+
+// TestTracePageFallback: a trace page whose job id holds bytes encoding/json
+// escapes has no canonical form, so the daemon writes it with json.Encoder,
+// the client reads it with json.Unmarshal, and the answer still equals the
+// in-process one.
+func TestTracePageFallback(t *testing.T) {
+	const job = JobID("a<b&c")
+	svc := NewService(ServiceOptions{Seed: 1})
+	if _, err := svc.AddJob(job, JobOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	srv := NewServer(svc)
+	srv.Advance(5 * time.Second)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	q := TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 10}
+	want, err := svc.QueryTrace(q)
+	if err != nil || len(want.Records) != 10 || want.Next == nil {
+		t.Fatalf("in-process page: %d records, next %v, err %v", len(want.Records), want.Next, err)
+	}
+	if _, ok := want.appendWire(nil); ok {
+		t.Fatal("appendWire took a job id encoding/json escapes")
+	}
+	resp, err := http.Post(ts.URL+api.Prefix+"/trace/query", "application/json", strings.NewReader(`{"job":"a<b&c","ranks":[5],"limit":10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !bytes.HasPrefix(raw, []byte(`{"job":"a\u003cb\u0026c","records":[{`)) {
+		t.Fatalf("daemon answered %.80s (%v), want json.Encoder's escaped job id", raw, err)
+	}
+	if new(TraceResult).parseWire(raw) {
+		t.Fatal("parseWire took an escaped job id")
+	}
+	rc, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rc.QueryTrace(q); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("remote page differs (%v):\n got  %+v\n want %+v", err, got, want)
 	}
 }
 
