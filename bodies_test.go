@@ -65,8 +65,9 @@ func (l *bodyLog) ask(state, base, method, path, body string) {
 // populated and on an empty daemon, one /v1/tail page holding each of the six
 // event kinds, and the /v1/cluster/replicate requests a primary ships. The
 // file was recorded before the wire mirror structs were deleted; since then
-// only the event page has changed, from the retired /v1/poll envelope to the
-// /v1/tail one around the same six event objects: a diff here is a wire
+// the event page has changed once, from the retired /v1/poll envelope to the
+// /v1/tail one around the same six event objects, and the replicate requests
+// once, when they stopped carrying trace records: a diff here is a wire
 // break.
 func TestWireBodiesGolden(t *testing.T) {
 	l := &bodyLog{t: t}
@@ -178,8 +179,8 @@ func TestWireBodiesGolden(t *testing.T) {
 	l.ask("six kinds", es.URL, "POST", "/tail", `{"job":"llm-70b"}`)
 
 	// The replication requests a primary ships to its follower over the first
-	// 30 s of the same faulted run: entries of every kind the run produced,
-	// the trace mirror window and the coarse snapshot.
+	// 30 s of the same faulted run: entries of every kind the run produced
+	// and the coarse snapshot.
 	var ackSeq uint64
 	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		raw, _ := io.ReadAll(r.Body)
@@ -188,7 +189,6 @@ func TestWireBodiesGolden(t *testing.T) {
 			Entries []struct {
 				Seq uint64 `json:"seq"`
 			} `json:"entries"`
-			TraceWatermarkNs int64 `json:"trace_watermark_ns"`
 		}
 		if err := json.Unmarshal(raw, &batch); err != nil {
 			t.Error(err)
@@ -196,7 +196,7 @@ func TestWireBodiesGolden(t *testing.T) {
 		if n := len(batch.Entries); n > 0 {
 			ackSeq = batch.Entries[n-1].Seq
 		}
-		fmt.Fprintf(w, `{"ack_seq":%d,"trace_ack_ns":%d}`, ackSeq, batch.TraceWatermarkNs)
+		fmt.Fprintf(w, `{"ack_seq":%d}`, ackSeq)
 	}))
 	defer follower.Close()
 	primary := faultedService(t)

@@ -1,6 +1,7 @@
 package mycroft
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -17,13 +18,14 @@ import (
 // Cluster mode: N mycroft-serve daemons form one diagnosis plane. A
 // consistent-hash ring (internal/cluster) places every job on a primary
 // peer; the primary asynchronously replicates the job's seq-numbered event
-// log (the one every daemon keeps, see Server), periodic snapshots and a
-// best-effort trace mirror to the job's R ring successors over
-// /v1/cluster/*. Replicas answer queries for followed jobs from the
-// replicated state, and serve the replicated log on the same /v1/tail the
-// primary does — which is what lets a DialCluster client fail a live
-// subscription over to a replica with exact drop accounting (drops are the
-// seq gaps, nothing else).
+// log (the one every daemon keeps, see Server) and periodic snapshots to the
+// job's R ring successors over /v1/cluster/*. Replicas answer queries for
+// followed jobs from the replicated state where that answer is exact
+// (triggers, reports, remediations, channels, health, jobs) and refuse the
+// rest (trace, spans, dependencies, blast radius), naming the primary. They
+// serve the replicated log on the same /v1/tail the primary does — which is
+// what lets a DialCluster client fail a live subscription over to a replica
+// with exact drop accounting (drops are the seq gaps, nothing else).
 
 // ClusterConfig enables cluster mode on a Server.
 type ClusterConfig struct {
@@ -39,13 +41,14 @@ type ClusterConfig struct {
 	Replicas int
 	// VNodes tunes ring smoothness (0 = cluster.DefaultVNodes).
 	VNodes int
-	// Batch caps entries and trace records per replication batch (0 = 512).
+	// Batch caps event-log entries per replication batch (0 = 512).
 	Batch int
 }
 
 // serverCluster is the per-Server cluster state: ring membership, the
-// replica store for followed jobs, and replication cursors per (peer, job).
-// The hosted jobs' event logs are the Server's own.
+// replica store for followed jobs, and one replication cursor per (peer,
+// job): the follower's acked event-log seq. The hosted jobs' event logs are
+// the Server's own.
 type serverCluster struct {
 	cfg   ClusterConfig
 	node  *cluster.Node
@@ -53,7 +56,7 @@ type serverCluster struct {
 	hc    *http.Client
 
 	ackMu sync.Mutex
-	acks  map[string]*peerAck // "peer/job" → cursors
+	acks  map[string]uint64 // "peer/job" → acked seq
 
 	reg           *obs.Registry
 	mReplEvents   *obs.Counter
@@ -63,11 +66,6 @@ type serverCluster struct {
 	mTail         map[string]*obs.Counter // by source
 }
 
-type peerAck struct {
-	seq     uint64
-	traceNs int64
-}
-
 // EnableCluster turns this server into a cluster peer. Call before the
 // drive loop starts.
 func (sv *Server) EnableCluster(cfg ClusterConfig) error {
@@ -75,7 +73,7 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 	for name, addr := range cfg.Peers {
 		peers[name] = normalizeBase(addr)
 	}
-	cfg.SelfAddr = normalizeBase(cfg.SelfAddr)
+	cfg.Peers, cfg.SelfAddr = peers, normalizeBase(cfg.SelfAddr)
 	node, err := cluster.NewNode(cfg.ID, cfg.Self, cfg.SelfAddr, peers, cfg.Replicas, cfg.VNodes)
 	if err != nil {
 		return err
@@ -87,7 +85,7 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 		cfg: cfg, node: node,
 		store: cluster.NewReplicaStore(),
 		hc:    &http.Client{Timeout: 10 * time.Second},
-		acks:  make(map[string]*peerAck),
+		acks:  make(map[string]uint64),
 	}
 
 	reg := sv.svc.Metrics()
@@ -122,24 +120,11 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 	return nil
 }
 
-func (cl *serverCluster) ack(peer string, job JobID) *peerAck {
-	cl.ackMu.Lock()
-	defer cl.ackMu.Unlock()
-	key := peer + "/" + string(job)
-	a := cl.acks[key]
-	if a == nil {
-		a = &peerAck{}
-		cl.acks[key] = a
-	}
-	return a
-}
-
 // ReplicateNow runs one synchronous replication round: for every hosted job
-// ship the log suffix past each follower's ack, the trace window past its
-// trace watermark, and a fresh snapshot. It returns the first error per
-// unreachable follower; reaching every follower returns nil. The daemon
-// calls this on a timer (StartCluster); tests call it directly for
-// deterministic replication.
+// ship the log suffix past each follower's ack and a fresh snapshot. It
+// returns the first error per unreachable follower; reaching every follower
+// returns nil. The daemon calls this on a timer (StartCluster); tests call it
+// directly for deterministic replication.
 func (sv *Server) ReplicateNow() []error {
 	cl := sv.cluster.Load()
 	if cl == nil {
@@ -168,12 +153,14 @@ func sortedJobs(logs map[JobID]*cluster.EventLog) []JobID {
 }
 
 func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cluster.EventLog) error {
-	a := cl.ack(peer, job)
-	entries, wm := log.TailAfter(a.seq, cl.cfg.Batch)
+	key := peer + "/" + string(job)
+	cl.ackMu.Lock()
+	after := cl.acks[key]
+	cl.ackMu.Unlock()
+	entries, wm := log.TailAfter(after, cl.cfg.Batch)
 
 	sv.mu.Lock()
 	snap := sv.snapshotLocked(job)
-	trace, traceWM := sv.traceSinceLocked(job, a.traceNs, cl.cfg.Batch)
 	// Replication runs off-engine, so the virtual instant and the job's
 	// tracer are captured while serialized with the drive loop.
 	tracer := sv.svc.Tracer(job)
@@ -192,8 +179,7 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 
 	req := api.ReplicateRequest{
 		ClusterID: cl.cfg.ID, From: cl.cfg.Self, Job: string(job),
-		Entries: entries, Trace: trace, TraceWatermarkNs: traceWM,
-		Snapshot: snap, Watermark: wm,
+		Entries: entries, Snapshot: snap, Watermark: wm,
 	}
 	var resp api.ReplicateResponse
 	err := clusterPost(cl.hc, cl.node.Addr(peer), "/cluster/replicate", req, &resp)
@@ -201,7 +187,7 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 	if err != nil {
 		cl.mReplFailures.Inc()
 		if span != 0 {
-			tracer.Annotate(span, "", fmt.Sprintf("%d event(s) after seq %d: ship failed: %v", len(entries), a.seq, err))
+			tracer.Annotate(span, "", fmt.Sprintf("%d event(s) after seq %d: ship failed: %v", len(entries), after, err))
 			tracer.Recorder().EndAt(span, vnow)
 		}
 		return err
@@ -211,10 +197,7 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 		tracer.Recorder().EndAt(span, vnow)
 	}
 	cl.ackMu.Lock()
-	a.seq = resp.AckSeq
-	if resp.TraceAckNs > a.traceNs {
-		a.traceNs = resp.TraceAckNs
-	}
+	cl.acks[key] = resp.AckSeq
 	cl.ackMu.Unlock()
 	cl.mReplBatches.Inc()
 	cl.mReplEvents.Add(uint64(len(entries)))
@@ -251,23 +234,6 @@ func (sv *Server) snapshotLocked(job JobID) *api.ClusterSnapshot {
 		snap.Channels = &stats
 	}
 	return &snap
-}
-
-// traceSinceLocked returns the trace window (afterNs, ...] for one job,
-// capped at limit records, plus the new watermark (max record time shipped;
-// afterNs when nothing matched). Callers hold sv.mu. Records sharing the
-// boundary timestamp with the watermark can be skipped on the next window —
-// the mirror is documented best-effort; the event log is the exact record.
-func (sv *Server) traceSinceLocked(job JobID, afterNs int64, limit int) ([]TraceRecord, int64) {
-	res, err := sv.svc.QueryTrace(TraceQuery{Job: job, From: time.Duration(afterNs + 1), Limit: limit})
-	if err != nil {
-		return nil, afterNs
-	}
-	wm := afterNs
-	for _, r := range res.Records {
-		wm = max(wm, int64(r.Time))
-	}
-	return res.Records, wm
 }
 
 // JoinPeers announces this peer to every other member once, merging the
@@ -420,6 +386,23 @@ func (cl *serverCluster) checkID(id string) error {
 	return nil
 }
 
+// errNotMember refuses a replicate or handoff whose sender is this peer
+// itself or no configured member: only another peer of the cluster may
+// create, feed or promote a replica here.
+var errNotMember = errors.New("mycroft: sender is not another member of this cluster")
+
+// checkSender admits a replicate or handoff request: the cluster id must
+// match and the sender must be one of the other configured peers.
+func (cl *serverCluster) checkSender(id, from string) error {
+	if err := cl.checkID(id); err != nil {
+		return err
+	}
+	if _, member := cl.cfg.Peers[from]; !member || from == cl.cfg.Self {
+		return fmt.Errorf("%w: %q", errNotMember, from)
+	}
+	return nil
+}
+
 func (sv *Server) clusterJoin(req api.JoinRequest) (api.JoinResponse, error) {
 	cl := sv.cluster.Load()
 	if cl == nil {
@@ -450,7 +433,7 @@ func (sv *Server) clusterReplicate(req api.ReplicateRequest) (api.ReplicateRespo
 	if cl == nil {
 		return api.ReplicateResponse{}, errClusterDisabled
 	}
-	if err := cl.checkID(req.ClusterID); err != nil {
+	if err := cl.checkSender(req.ClusterID, req.From); err != nil {
 		return api.ReplicateResponse{}, err
 	}
 	cl.node.Heard(req.From)
@@ -462,7 +445,7 @@ func (sv *Server) clusterHandoff(req api.HandoffRequest) (api.HandoffResponse, e
 	if cl == nil {
 		return api.HandoffResponse{}, errClusterDisabled
 	}
-	if err := cl.checkID(req.ClusterID); err != nil {
+	if err := cl.checkSender(req.ClusterID, req.From); err != nil {
 		return api.HandoffResponse{}, err
 	}
 	cl.node.Heard(req.From)
@@ -521,37 +504,6 @@ func (sv *Server) snapshots() []*api.ClusterSnapshot {
 	return out
 }
 
-// replicaTrace answers from the trace mirror, which has no index to push the
-// query's predicates into and no cursor: pages are Limit-bounded prefixes in
-// arrival order and Next is always nil, which Total makes visible.
-func (sv *Server) replicaTrace(q TraceQuery) (TraceResult, bool, error) {
-	rj := sv.follows(q.Job)
-	if rj == nil {
-		return TraceResult{}, false, nil
-	}
-	keep := func(r *TraceRecord) bool {
-		if len(q.Ranks) > 0 && !slices.Contains(q.Ranks, r.Rank) {
-			return false
-		}
-		if q.Comm != 0 && r.CommID != q.Comm {
-			return false
-		}
-		if len(q.Kinds) > 0 && !slices.Contains(q.Kinds, r.Kind) {
-			return false
-		}
-		return inWindow(time.Duration(r.Time), q.From, q.To)
-	}
-	recs, total := rj.Trace(keep, q.Limit)
-	return TraceResult{Job: q.Job, Records: recs, Total: total}, true, nil
-}
-
-// replicaSpans answers a span query for a followed job. Span rings live only
-// in the primary's engine — a replica answers with an empty page rather than
-// an error so a CLI riding a failover degrades gracefully.
-func (sv *Server) replicaSpans(q SpanQuery) (SpanResult, bool, error) {
-	return SpanResult{Job: q.Job}, sv.follows(q.Job) != nil, nil
-}
-
 // replicaChannels answers from the channel mirror in the job's latest
 // replicated snapshot, once one carrying it has arrived.
 func (sv *Server) replicaChannels(job JobID) (ChannelStatsResult, bool, error) {
@@ -586,14 +538,16 @@ func (sv *Server) replicaTriage(a triageArgs) (TriageResult, bool, error) {
 	}, true, nil
 }
 
-// refuseGraph answers the operations a replica cannot serve: dependency
-// graphs live only in the primary's engine.
-func (sv *Server) refuseGraph(job JobID) error {
+// refuseFollowed is the one refusal of every operation whose answer lives
+// only in the primary's engine — trace pages, spans, dependency graphs, blast
+// radius: a peer that follows the job but does not host it holds none of
+// that, so rather than answer differently from the primary it names it.
+func (sv *Server) refuseFollowed(job JobID) error {
 	if sv.follows(job) == nil {
 		return nil
 	}
 	cl := sv.cluster.Load()
 	primary, _ := cl.node.Placement(string(job))
-	return fmt.Errorf("mycroft: job %q is served from a replica here; dependency graphs are not replicated — ask its primary %s at %s",
+	return fmt.Errorf("mycroft: job %q is followed here, not hosted: this peer answers only from replicated state, which holds no trace, span or dependency graph — ask its primary %s at %s",
 		job, primary, cl.node.Addr(primary))
 }

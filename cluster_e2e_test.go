@@ -31,12 +31,12 @@ func TestDialRetriesThenUnreachable(t *testing.T) {
 	ln.Close()
 
 	start := time.Now()
-	if _, err := Dial(addr, DialAttempts(3)); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("dial to dead addr: got %v, want ErrUnreachable", err)
+	if _, err := Dial(addr); !errors.Is(err, ErrUnreachable) || !strings.Contains(err.Error(), "4 attempts") {
+		t.Fatalf("dial to dead addr: got %v, want ErrUnreachable after 4 attempts", err)
 	}
-	// 3 attempts back off 50ms then 100ms between them.
-	if took := time.Since(start); took < 100*time.Millisecond {
-		t.Fatalf("3 attempts finished in %v; backoff did not happen", took)
+	// 4 attempts back off 50ms, 100ms and 200ms between them.
+	if took := time.Since(start); took < 350*time.Millisecond {
+		t.Fatalf("4 attempts finished in %v; backoff did not happen", took)
 	}
 
 	// Late-starting daemon: the listener appears while Dial is still
@@ -472,6 +472,43 @@ func TestClusterHandoffPromotesReplica(t *testing.T) {
 	}
 }
 
+// TestClusterRefusesNonMembers: replicate and handoff are admitted only from
+// another configured peer. A sender naming this peer itself or no member is
+// refused with errNotMember, over the wire as over a direct call, and leaves
+// no replica slot behind; the same batch from a member is applied.
+func TestClusterRefusesNonMembers(t *testing.T) {
+	peers := startCluster(t, []string{"p1", "p2"}, nil, 1)
+	sv := peers["p1"].srv
+	for _, from := range []string{"intruder", "p1", ""} {
+		batch := api.ReplicateRequest{ClusterID: "test", From: from, Job: "ghost",
+			Entries: []api.SeqEvent{{Seq: 1, Event: Event{Job: "ghost", Kind: EventHealth}}}, Watermark: 1}
+		if _, err := sv.clusterReplicate(batch); !errors.Is(err, errNotMember) {
+			t.Fatalf("replicate from %q: %v, want errNotMember", from, err)
+		}
+		handoff := api.HandoffRequest{ClusterID: "test", From: from, Job: "ghost", Watermark: 1}
+		if _, err := sv.clusterHandoff(handoff); !errors.Is(err, errNotMember) {
+			t.Fatalf("handoff from %q: %v, want errNotMember", from, err)
+		}
+		body, _ := json.Marshal(batch)
+		resp, err := http.Post("http://"+peers["p1"].addr+api.Prefix+"/cluster/replicate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("replicate from %q over the wire: HTTP %d, want 400", from, resp.StatusCode)
+		}
+	}
+	if jobs := sv.cluster.Load().store.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused senders left replica slots %v", jobs)
+	}
+	ack, err := sv.clusterReplicate(api.ReplicateRequest{ClusterID: "test", From: "p2", Job: "ghost",
+		Entries: []api.SeqEvent{{Seq: 1, Event: Event{Job: "ghost", Kind: EventHealth}}}, Watermark: 1})
+	if err != nil || ack.AckSeq != 1 {
+		t.Fatalf("replicate from member p2: %+v, %v", ack, err)
+	}
+}
+
 // TestClusterMultiJobQuery: a paged query naming several jobs whose primaries
 // differ must answer with the union of the single-job answers — each listed
 // job is placed by the ring like a single-job call, so no peer is asked about
@@ -570,7 +607,7 @@ func postJSON(t *testing.T, url string, in, out any) {
 
 // BenchmarkReplicationLag measures one full replication round over loopback
 // HTTP: after one virtual second of fleet activity, ship the event-log
-// suffix, trace window, and snapshot to the follower. The reported events/op is how much log each round moved.
+// suffix and snapshot to the follower. The reported events/op is how much log each round moved.
 func BenchmarkReplicationLag(b *testing.B) {
 	names := []string{"a", "b"}
 	ring := cluster.NewRing(names, 0)

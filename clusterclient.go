@@ -44,14 +44,14 @@ const downCooldown = 3 * time.Second
 // (cluster id, peer list, vnodes, replication factor) is enough to rebuild
 // the exact placement every peer uses. Dial retry behavior (and
 // ErrUnreachable) matches Dial.
-func DialCluster(addrs []string, opts ...DialOption) (*ClusterClient, error) {
+func DialCluster(addrs []string) (*ClusterClient, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("mycroft: DialCluster needs at least one address")
 	}
 	hc := &http.Client{Timeout: 60 * time.Second}
 	var lastErr error
 	for _, addr := range addrs {
-		rc, err := Dial(addr, opts...)
+		rc, err := Dial(addr)
 		if err != nil {
 			lastErr = err
 			continue

@@ -1,14 +1,13 @@
 package api
 
-import "mycroft/internal/trace"
-
 // Cluster-mode messages: the /v1/cluster/* endpoint set that turns N
 // mycroft-serve daemons into one diagnosis plane. Peers replicate each
-// job's event log (plus periodic snapshots and a best-effort trace mirror)
-// from its primary to R followers and exchange health views by gossip; a
-// follower serves the replicated log on the same /v1/tail every daemon
-// answers, which is what lets a subscription fail over from a dead primary
-// to a replica with exact drop accounting.
+// job's event log (plus a periodic snapshot) from its primary to R followers
+// and exchange health views by gossip; a follower serves the replicated log
+// on the same /v1/tail every daemon answers, which is what lets a
+// subscription fail over from a dead primary to a replica with exact drop
+// accounting. No trace record is replicated, so a follower refuses trace,
+// span and dependency queries and names the job's primary.
 
 // Peer health states on the wire. The ladder is alive → suspect (one missed
 // contact) → dead (MissesBeforeDead consecutive misses).
@@ -131,30 +130,21 @@ type ClusterSnapshot struct {
 
 // ReplicateRequest is one asynchronous replication batch from a job's
 // primary to a follower (POST /v1/cluster/replicate): the event-log entries
-// past the follower's last ack, a best-effort trace-record mirror window,
-// and the current snapshot. Watermark is the primary's log head so the
-// follower can measure its own lag.
+// past the follower's last ack and the current snapshot. Watermark is the
+// primary's log head so the follower can measure its own lag.
 type ReplicateRequest struct {
-	ClusterID string     `json:"cluster_id"`
-	From      string     `json:"from"`
-	Job       string     `json:"job"`
-	Entries   []SeqEvent `json:"entries,omitempty"`
-	// Trace is the mirror window: records with Time > the follower's last
-	// acked trace watermark, capped per batch. The mirror is best-effort
-	// (exactness lives in the event log); equal-timestamp boundary records
-	// can be skipped and the window is capped by the primary's retention.
-	Trace []trace.Record `json:"trace,omitempty"`
-	// TraceWatermarkNs is the max record Time in Trace (0 = none shipped).
-	TraceWatermarkNs int64            `json:"trace_watermark_ns,omitempty"`
-	Snapshot         *ClusterSnapshot `json:"snapshot,omitempty"`
-	Watermark        uint64           `json:"watermark"`
+	ClusterID string           `json:"cluster_id"`
+	From      string           `json:"from"`
+	Job       string           `json:"job"`
+	Entries   []SeqEvent       `json:"entries,omitempty"`
+	Snapshot  *ClusterSnapshot `json:"snapshot,omitempty"`
+	Watermark uint64           `json:"watermark"`
 }
 
-// ReplicateResponse acks a batch: the follower's new event-log head and
-// trace watermark, which the primary uses as the next batch's start.
+// ReplicateResponse acks a batch: the follower's new event-log head, which
+// the primary uses as the next batch's start.
 type ReplicateResponse struct {
-	AckSeq     uint64 `json:"ack_seq"`
-	TraceAckNs int64  `json:"trace_ack_ns"`
+	AckSeq uint64 `json:"ack_seq"`
 	// Gap counts event sequence numbers the follower detected as missing
 	// when applying this batch (should stay 0: batches are sent in order).
 	Gap uint64 `json:"gap,omitempty"`

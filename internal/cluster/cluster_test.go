@@ -12,7 +12,6 @@ import (
 	"mycroft/internal/api"
 	"mycroft/internal/core"
 	"mycroft/internal/remedy"
-	"mycroft/internal/trace"
 )
 
 func TestRingDeterministicPlacement(t *testing.T) {
@@ -161,8 +160,8 @@ func TestEventLogTailWait(t *testing.T) {
 	}
 }
 
-// TestReplicaStoreApplyAndQueries: a batch is acked, its verdicts and trace
-// records are what the root package's shared query functions read (their
+// TestReplicaStoreApplyAndQueries: a batch is acked, its verdicts are what
+// the root package's shared query functions read (their
 // filter and page rules are pinned there, in TestPagedQueriesShareFilters),
 // redeliveries add nothing, an attempt's later transition overwrites its row,
 // and a batch naming an enum value this peer does not know never decodes into
@@ -180,16 +179,11 @@ func TestReplicaStoreApplyAndQueries(t *testing.T) {
 			{Seq: 3, Event: api.Event{Job: "job-0", Kind: core.EventAction, At: 300, Action: attempt(remedy.OutcomePending)}},
 			{Seq: 4, Event: api.Event{Job: "job-0", Kind: core.EventHealth, At: 350}},
 		},
-		Trace: []trace.Record{
-			{Kind: trace.KindCompletion, Op: trace.OpAllReduce, Time: 50, Rank: 1},
-			{Kind: trace.KindCompletion, Op: trace.OpAllReduce, Time: 150, Rank: 5},
-		},
-		TraceWatermarkNs: 150,
-		Snapshot:         &api.ClusterSnapshot{NowNs: 400, Job: api.JobInfo{ID: "job-0", WorldSize: 8}},
-		Watermark:        4,
+		Snapshot:  &api.ClusterSnapshot{NowNs: 400, Job: api.JobInfo{ID: "job-0", WorldSize: 8}},
+		Watermark: 4,
 	}
 	resp := rs.Apply(req)
-	if resp.AckSeq != 4 || resp.Gap != 0 || resp.TraceAckNs != 150 {
+	if resp.AckSeq != 4 || resp.Gap != 0 {
 		t.Fatalf("ack: %+v", resp)
 	}
 	rj := rs.Job("job-0")
@@ -215,17 +209,10 @@ func TestReplicaStoreApplyAndQueries(t *testing.T) {
 	if rm := rj.RemediationLog(); len(rm) != 1 || rm[0].Outcome != remedy.OutcomePending {
 		t.Fatalf("remediations: %+v", rm)
 	}
-	page, total := rj.Trace(func(r *trace.Record) bool { return r.Time >= 100 }, 0)
-	if total != 1 || len(page) != 1 || page[0].Time != 150 || page[0].Rank != 5 {
-		t.Fatalf("trace window: %d %+v", total, page)
-	}
-	if page, total := rj.Trace(func(*trace.Record) bool { return true }, 1); total != 2 || len(page) != 1 || page[0].Time != 50 {
-		t.Fatalf("trace prefix page: %d %+v", total, page)
-	}
 
 	// A redelivered batch (its ack was lost) changes nothing; the attempt's
 	// next transition replaces its row instead of adding one.
-	req.Trace, req.Snapshot = nil, nil
+	req.Snapshot = nil
 	req.Entries = append(req.Entries, api.SeqEvent{Seq: 5, Event: api.Event{Job: "job-0", Kind: core.EventAction, At: 400, Action: attempt(remedy.OutcomeSucceeded)}})
 	if resp := rs.Apply(req); resp.AckSeq != 5 || resp.Gap != 0 {
 		t.Fatalf("redelivery: %+v", resp)

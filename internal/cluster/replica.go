@@ -8,18 +8,12 @@ import (
 	"mycroft/internal/api"
 	"mycroft/internal/core"
 	"mycroft/internal/remedy"
-	"mycroft/internal/trace"
 )
-
-// DefaultTraceMirror bounds how many trace records a replica keeps per job.
-// The mirror is best-effort context for post-failover spelunking; the event
-// log (triggers, reports, actions, health) is the exact record.
-const DefaultTraceMirror = 65536
 
 // ReplicaJob is everything a peer holds for one job it follows: the
 // replicated event log (for tail and re-replication), the verdicts its
-// entries carried, the latest coarse snapshot, the trace mirror and the
-// handoff/promotion state.
+// entries carried, the latest coarse snapshot and the handoff/promotion
+// state. It holds no trace record.
 type ReplicaJob struct {
 	Job     string
 	Primary string
@@ -33,8 +27,6 @@ type ReplicaJob struct {
 	triggers []core.Trigger
 	reports  []core.Report
 	attempts []remedy.Attempt
-	trace    []trace.Record // ascending by (Time, arrival)
-	traceWM  int64          // max record Time received
 	promoted bool
 }
 
@@ -74,25 +66,6 @@ func (rj *ReplicaJob) RemediationLog() []remedy.Attempt {
 	return slices.Clone(rj.attempts)
 }
 
-// Trace walks the mirror once in arrival (time-ascending) order: it returns
-// the first limit records keep accepts (limit <= 0 = all of them) and how
-// many it accepted in total. The mirror has no cursor, so a page is always a
-// prefix.
-func (rj *ReplicaJob) Trace(keep func(*trace.Record) bool, limit int) (page []trace.Record, total int) {
-	rj.mu.Lock()
-	defer rj.mu.Unlock()
-	for i := range rj.trace {
-		if !keep(&rj.trace[i]) {
-			continue
-		}
-		total++
-		if limit <= 0 || len(page) < limit {
-			page = append(page, rj.trace[i])
-		}
-	}
-	return page, total
-}
-
 // ReplicaStore holds every job this peer follows, keyed by job id. Batches
 // arrive over /v1/cluster/replicate; jobs are created on first contact so a
 // follower needs no pre-provisioning.
@@ -102,8 +75,7 @@ type ReplicaStore struct {
 }
 
 // NewReplicaStore builds an empty store. Each job's event log and verdict
-// lists hold DefaultLogCap entries, and its trace mirror DefaultTraceMirror
-// records.
+// lists hold DefaultLogCap entries.
 func NewReplicaStore() *ReplicaStore {
 	return &ReplicaStore{jobs: make(map[string]*ReplicaJob)}
 }
@@ -179,24 +151,15 @@ func (rs *ReplicaStore) Apply(req api.ReplicateRequest) api.ReplicateResponse {
 		snap := *req.Snapshot
 		rj.snapshot = &snap
 	}
-	for _, r := range req.Trace {
-		if ns := int64(r.Time); ns > rj.traceWM {
-			rj.traceWM = ns
-		}
-	}
-	rj.trace = appendBounded(rj.trace, DefaultTraceMirror, req.Trace...)
-	if req.TraceWatermarkNs > rj.traceWM {
-		rj.traceWM = req.TraceWatermarkNs
-	}
-	return api.ReplicateResponse{AckSeq: rj.Log.Watermark(), TraceAckNs: rj.traceWM, Gap: gap}
+	return api.ReplicateResponse{AckSeq: rj.Log.Watermark(), Gap: gap}
 }
 
-// appendBounded appends more to held and ages the oldest entries out past
-// max, reusing the backing array.
-func appendBounded[T any](held []T, max int, more ...T) []T {
-	held = append(held, more...)
-	if over := len(held) - max; over > 0 {
-		held = append(held[:0], held[over:]...)
+// appendBounded appends v to held and ages the oldest entry out past max,
+// reusing the backing array.
+func appendBounded[T any](held []T, max int, v T) []T {
+	held = append(held, v)
+	if len(held) > max {
+		held = append(held[:0], held[1:]...)
 	}
 	return held
 }

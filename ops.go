@@ -66,7 +66,9 @@ type op[Q, R any] struct {
 
 	// replica, when set, is how a cluster peer answers for jobs it follows but
 	// does not host — from replicated state, without the engine and so outside
-	// Server.mu. It reports false to let the live path answer.
+	// Server.mu. It reports false to let the live path answer, or an error to
+	// refuse: an answer that lives only in the primary's engine is
+	// refuseFollowed, never a partial copy.
 	replica func(*Server, Q) (R, bool, error)
 	// stamp adds what only the serving process knows to a live answer (its
 	// identity, the jobs it follows). It runs under Server.mu.
@@ -122,7 +124,9 @@ var (
 		name: "QueryTrace", method: "POST", path: "/trace/query",
 		call:  Client.QueryTrace,
 		route: byJob, job: func(q *TraceQuery) *JobID { return &q.Job },
-		replica: (*Server).replicaTrace,
+		replica: func(sv *Server, q TraceQuery) (TraceResult, bool, error) {
+			return TraceResult{}, false, sv.refuseFollowed(q.Job)
+		},
 	}
 	opQueryTriggers = &op[TriggerQuery, TriggerResult]{
 		name: "QueryTriggers", method: "POST", path: "/triggers/query",
@@ -163,7 +167,7 @@ var (
 		call:  Client.QueryDependencies,
 		route: byJob, job: func(q *DependencyQuery) *JobID { return &q.Job },
 		replica: func(sv *Server, q DependencyQuery) (DependencyResult, bool, error) {
-			return DependencyResult{}, false, sv.refuseGraph(q.Job)
+			return DependencyResult{}, false, sv.refuseFollowed(q.Job)
 		},
 	}
 	opBlastRadius = &op[blastArgs, blastResult]{
@@ -174,7 +178,7 @@ var (
 		},
 		route: byJob, job: func(a *blastArgs) *JobID { return &a.Job },
 		replica: func(sv *Server, a blastArgs) (blastResult, bool, error) {
-			return blastResult{}, false, sv.refuseGraph(a.Job)
+			return blastResult{}, false, sv.refuseFollowed(a.Job)
 		},
 	}
 	opQueryRemediations = &op[RemediationQuery, RemediationResult]{
@@ -199,7 +203,9 @@ var (
 		call:    Client.QuerySpans,
 		toQuery: spanQueryToValues, fromQuery: spanQueryFromValues,
 		route: byJob, job: func(q *SpanQuery) *JobID { return &q.Job },
-		replica: (*Server).replicaSpans,
+		replica: func(sv *Server, q SpanQuery) (SpanResult, bool, error) {
+			return SpanResult{}, false, sv.refuseFollowed(q.Job)
+		},
 	}
 	opTriage = &op[triageArgs, TriageResult]{
 		name: "Triage", method: "POST", path: "/triage",
@@ -402,9 +408,9 @@ func (o *op[Q, R]) encode(q Q) (path string, body any) {
 	return path, body
 }
 
-// serve answers one decoded request. A replica answer needs no engine and
-// takes no lock beyond the replica store's own; the live call and its stamp
-// run under Server.mu, serialized with Advance.
+// serve answers one decoded request. A replica answer or refusal needs no
+// engine and takes no lock beyond the replica store's own; the live call and
+// its stamp run under Server.mu, serialized with Advance.
 //
 // The result is encoded by the caller after serve returns, so a slow client
 // never holds the engine: the result value is the one thing read outside

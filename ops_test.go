@@ -370,7 +370,8 @@ func TestTableOpsRaceAdvance(t *testing.T) {
 						default:
 						}
 						// A follower refuses what replication does not carry
-						// (graphs, channel ingest); everything else must answer.
+						// (trace, spans, graphs, channel ingest); everything
+						// else must answer.
 						if err := ask(rc); err != nil && hosts {
 							t.Errorf("%s on %s: %v", name, p.name, err)
 							return

@@ -47,27 +47,6 @@ type RemoteClient struct {
 	serverStarted time.Time
 }
 
-// DialOption tunes Dial's connection-retry behavior.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	attempts  int
-	baseDelay time.Duration
-	maxDelay  time.Duration
-}
-
-// DialAttempts sets how many connection attempts Dial makes before giving
-// up with ErrUnreachable (default 4; minimum 1). Only refused/reset/timeout
-// transport errors are retried — a daemon that answers with the wrong wire
-// version fails immediately.
-func DialAttempts(n int) DialOption {
-	return func(c *dialConfig) {
-		if n >= 1 {
-			c.attempts = n
-		}
-	}
-}
-
 // normalizeBase turns "host:port" or an http URL into a canonical base URL.
 func normalizeBase(addr string) string {
 	base := addr
@@ -103,35 +82,35 @@ func isTransportErr(err error) bool {
 	return errors.As(err, &oe)
 }
 
+// dialAttempts is how many connection attempts Dial makes before giving up
+// with ErrUnreachable.
+const dialAttempts = 4
+
 // Dial connects to a daemon at addr ("host:port" or a full http:// URL),
 // verifying the wire-protocol version via /v1/ping. Refused or reset
-// connections are retried with capped exponential backoff (a daemon that is
-// still binding its port wins the race within a few attempts); exhausting
-// the retries returns an error wrapping ErrUnreachable.
-func Dial(addr string, opts ...DialOption) (*RemoteClient, error) {
-	cfg := dialConfig{attempts: 4, baseDelay: 50 * time.Millisecond, maxDelay: time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// connections are retried dialAttempts times in all, 50 ms apart and
+// doubling (a daemon that is still binding its port wins the race within a
+// few attempts); exhausting the retries returns an error wrapping
+// ErrUnreachable. A daemon that answers with anything else — the wrong wire
+// version included — fails at once.
+func Dial(addr string) (*RemoteClient, error) {
 	c := &RemoteClient{base: normalizeBase(addr), hc: &http.Client{Timeout: 60 * time.Second}}
 	var ping api.PingResponse
 	var err error
-	delay := cfg.baseDelay
+	delay := 50 * time.Millisecond
 	for attempt := 1; ; attempt++ {
 		err = c.do(http.MethodGet, api.Prefix+"/ping", nil, &ping)
 		if err == nil {
 			break
 		}
-		if !isTransportErr(err) || attempt >= cfg.attempts {
-			if isTransportErr(err) {
-				return nil, fmt.Errorf("mycroft: dialing %s (%d attempts): %w: %v", addr, attempt, ErrUnreachable, err)
-			}
+		if !isTransportErr(err) {
 			return nil, fmt.Errorf("mycroft: dialing %s: %w", addr, err)
 		}
-		time.Sleep(delay)
-		if delay *= 2; delay > cfg.maxDelay {
-			delay = cfg.maxDelay
+		if attempt == dialAttempts {
+			return nil, fmt.Errorf("mycroft: dialing %s (%d attempts): %w: %v", addr, attempt, ErrUnreachable, err)
 		}
+		time.Sleep(delay)
+		delay *= 2
 	}
 	if ping.Version != api.Version {
 		return nil, fmt.Errorf("mycroft: daemon at %s speaks wire version %d, this client speaks %d", addr, ping.Version, api.Version)

@@ -400,22 +400,41 @@ func TestRemoteQueriesMatchInProcess(t *testing.T) {
 		t.Fatalf("trace cases miss their shapes: whole rank %d records, next %v; empty window %#v", len(whole.Records), whole.Next, empty.Records)
 	}
 
-	// What a follower cannot give in full it still answers, honestly: the
-	// trace mirror pages without a cursor, span rings stay on the primary,
-	// triage repeats the replicated verdict, and graphs are refused.
-	page, err := replica.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 10})
-	wantPage, _ := local.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 10})
-	if err != nil || len(page.Records) != 10 || page.Next != nil || wantPage.Next == nil {
-		t.Fatalf("replica trace page: %d records, next %v, err %v", len(page.Records), page.Next, err)
+	// What a follower cannot give in full it refuses, with one error naming
+	// the primary: trace records, span rings and the dependency graph stay in
+	// the primary's engine. Triage repeats the replicated verdict.
+	refusals := map[string]func() error{
+		"trace": func() error {
+			_, err := replica.QueryTrace(TraceQuery{Job: job, Ranks: []Rank{5}, Limit: 10})
+			return err
+		},
+		"spans": func() error {
+			_, err := replica.QuerySpans(SpanQuery{Job: job})
+			return err
+		},
+		"dependencies": func() error {
+			_, err := replica.QueryDependencies(DependencyQuery{Job: job})
+			return err
+		},
+		"blast radius": func() error {
+			_, err := replica.BlastRadius(job, 5)
+			return err
+		},
 	}
-	if sp, err := replica.QuerySpans(SpanQuery{Job: job}); err != nil || sp.Job != job || len(sp.Spans) != 0 {
-		t.Fatalf("replica spans: %+v, %v", sp, err)
+	var refusal string
+	for name, ask := range refusals {
+		err := ask()
+		if err == nil || !strings.Contains(err.Error(), "ask its primary "+primary.name) || !strings.Contains(err.Error(), primary.addr) {
+			t.Fatalf("replica %s: %v, want a refusal naming primary %s at %s", name, err, primary.name, primary.addr)
+		}
+		if refusal == "" {
+			refusal = err.Error()
+		} else if err.Error() != refusal {
+			t.Fatalf("replica %s refuses with %q, the others with %q", name, err, refusal)
+		}
 	}
 	if tri, err := replica.Triage(job); err != nil || tri.Rank != 5 || !strings.Contains(tri.Summary, "replicated verdict") {
 		t.Fatalf("replica triage: %+v, %v", tri, err)
-	}
-	if _, err := replica.QueryDependencies(DependencyQuery{Job: job}); err == nil || !strings.Contains(err.Error(), "not replicated") {
-		t.Fatalf("replica dependencies: %v", err)
 	}
 }
 
