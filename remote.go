@@ -87,11 +87,11 @@ func isTransportErr(err error) bool {
 const dialAttempts = 4
 
 // Dial connects to a daemon at addr ("host:port" or a full http:// URL),
-// verifying the wire-protocol version via /v1/ping. Refused or reset
-// connections are retried dialAttempts times in all, 50 ms apart and
-// doubling (a daemon that is still binding its port wins the race within a
-// few attempts); exhausting the retries returns an error wrapping
-// ErrUnreachable. A daemon that answers with anything else — the wrong wire
+// verifying the wire-protocol version via /v1/ping. A refused or reset
+// connection is tried dialAttempts times in all, waiting 50 ms and then
+// twice as long before each retry (a daemon that is still binding its port
+// wins the race within a few attempts); exhausting them returns an error
+// wrapping ErrUnreachable. A daemon that answers with anything else — the wrong wire
 // version included — fails at once.
 func Dial(addr string) (*RemoteClient, error) {
 	c := &RemoteClient{base: normalizeBase(addr), hc: &http.Client{Timeout: 60 * time.Second}}
