@@ -394,20 +394,20 @@ func (e *Encoder) Close(endNs int64) error {
 // end) or a typed error.
 //
 // A decoder allocates nothing per entry in the steady state. It reads every
-// chunk into one payload buffer and decodes every batch into one record
+// chunk into one payload buffer and Next decodes every batch into one record
 // buffer, both grown to the largest seen and reused, so an Entry's Batch is
-// valid only until the next call to Next. Per rank it keeps, in a table
-// indexed by rank and sized by the header's world size, the newest record
-// time (for the order check) and the IP the rank last reported from: each
-// record is decoded over that IP, so a string is allocated only when a rank
-// moves host.
+// valid only until the next call to Next. (Replay's read-ahead decodes into
+// page buffers of its own.) Per rank it keeps, in a table indexed by rank and
+// sized by the header's world size, the newest record time (for the order
+// check) and the IP the rank last reported from: each record is decoded over
+// that IP, so a string is allocated only when a rank moves host.
 type Decoder struct {
 	r      *bufio.Reader
 	header Header
 
-	chunk  []byte // current chunk payload; its backing array is reused
-	off    int    // read offset into chunk
-	batch  []trace.Record
+	chunk  []byte         // current chunk payload; its backing array is reused
+	off    int            // read offset into chunk
+	batch  []trace.Record // Next's record buffer
 	lastAt int64
 	ranks  []rankCursor // indexed by rank
 
@@ -546,6 +546,22 @@ func (d *Decoder) take(n int) ([]byte, error) {
 // EOF every further call returns the same result. A batch entry's records
 // live in the decoder's buffer and are overwritten by the next call.
 func (d *Decoder) Next() (Entry, error) {
+	e, err := d.next(d.batch, true)
+	if cap(e.Batch) > cap(d.batch) {
+		d.batch = e.Batch
+	}
+	return e, err
+}
+
+// errNoRoom is next's answer when a batch does not fit the room it was given
+// and it may not grow: the entry is left unread.
+var errNoRoom = errors.New("replay: batch does not fit")
+
+// next decodes the next entry. A batch's records are decoded into room when
+// its capacity holds them. When it does not, next decodes them into a new
+// slice if grow is set, and otherwise leaves the entry unread and returns
+// errNoRoom.
+func (d *Decoder) next(room []trace.Record, grow bool) (Entry, error) {
 	if d.done {
 		if d.firstErr != nil {
 			return Entry{}, d.firstErr
@@ -561,6 +577,7 @@ func (d *Decoder) Next() (Entry, error) {
 			return Entry{}, err
 		}
 	}
+	start, prevAt := d.off, d.lastAt
 	tag, err := d.take(1)
 	if err != nil {
 		return Entry{}, err
@@ -587,10 +604,16 @@ func (d *Decoder) Next() (Entry, error) {
 		if int(n)*trace.WireSize > len(d.chunk)-d.off {
 			return Entry{}, d.fail(fmt.Errorf("%w: batch of %d records overruns chunk", ErrCorrupt, n))
 		}
-		if cap(d.batch) < int(n) {
-			d.batch = make([]trace.Record, n)
+		var recs []trace.Record
+		switch {
+		case int(n) <= cap(room):
+			recs = room[:n]
+		case grow:
+			recs = make([]trace.Record, n)
+		default:
+			d.off, d.lastAt = start, prevAt
+			return Entry{}, errNoRoom
 		}
-		recs := d.batch[:n]
 		for i := range recs {
 			b, err := d.take(trace.WireSize)
 			if err != nil {

@@ -280,8 +280,9 @@ func evalEntry(atNs int64) []byte {
 	return out
 }
 
-// TestCorruptInputs maps every malformed-input class onto its typed error.
-// None of these may panic — the decoder fronts untrusted downloads.
+// TestCorruptInputs maps every malformed-input class onto its typed error,
+// through Next and through Replay's read-ahead alike. None of these may
+// panic — the decoder fronts untrusted downloads.
 func TestCorruptInputs(t *testing.T) {
 	good := buildFixture(t)
 	hdrEnd := len(prefixOnly(t))
@@ -331,6 +332,9 @@ func TestCorruptInputs(t *testing.T) {
 			err := drain(tc.data)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+			if ahead := drainAhead(tc.data); ahead == nil || ahead.Error() != err.Error() {
+				t.Fatalf("the read-ahead ended in %v, Next in %v", ahead, err)
 			}
 		})
 	}

@@ -75,6 +75,12 @@ type Result struct {
 // are the clock, applied in recorded order after the engine catches up to
 // each entry's instant (so deferred straggler analyses scheduled by earlier
 // entries fire exactly where they originally did).
+//
+// The artifact is decoded on a goroutine of its own, at most a few pages of
+// entries ahead of the calling goroutine, which applies them in the same
+// order a serial replay would; with GOMAXPROCS=1 the two take turns. A decode
+// error is returned once every entry before it has been applied, and the
+// decoding goroutine has returned, whatever the outcome, before Replay does.
 func Replay(r io.Reader, opts Options) (*Result, error) {
 	dec, err := NewDecoder(r)
 	if err != nil {
@@ -110,36 +116,45 @@ func Replay(r io.Reader, opts Options) (*Result, error) {
 		}
 	})
 
+	ra := startReadAhead(dec)
+	defer ra.close()
 	lastAt := h.StartNs
 	for {
-		entry, err := dec.Next()
+		p := ra.next()
+		for i := range p.entries {
+			entry := &p.entries[i]
+			lastAt = entry.At
+			// Catch the engine up first: anything the backend deferred (the
+			// straggler settle) to an instant at or before this entry
+			// originally ran before it, because it was scheduled strictly
+			// earlier.
+			eng.RunUntil(sim.Time(entry.At))
+			switch entry.Kind {
+			case EntryBatch:
+				db.Ingest(entry.Batch)
+				res.RecordsIngested += uint64(len(entry.Batch))
+			case EntryEval:
+				bk.Evaluate(sim.Time(entry.At))
+				res.Evals++
+			case EntryEvent:
+				// Lifecycle, action and health events are part of the
+				// artifact's audit trail but not of the RCA outcome being
+				// compared.
+				switch ev := entry.Event; {
+				case ev.Trigger != nil:
+					res.Recorded.Triggers = append(res.Recorded.Triggers, *ev.Trigger)
+				case ev.Report != nil:
+					res.Recorded.Reports = append(res.Recorded.Reports, *ev.Report)
+				}
+			}
+		}
+		err := p.err
+		ra.release(p)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
-		}
-		lastAt = entry.At
-		// Catch the engine up first: anything the backend deferred (the
-		// straggler settle) to an instant at or before this entry originally
-		// ran before it, because it was scheduled strictly earlier.
-		eng.RunUntil(sim.Time(entry.At))
-		switch entry.Kind {
-		case EntryBatch:
-			db.Ingest(entry.Batch)
-			res.RecordsIngested += uint64(len(entry.Batch))
-		case EntryEval:
-			bk.Evaluate(sim.Time(entry.At))
-			res.Evals++
-		case EntryEvent:
-			// Lifecycle, action and health events are part of the artifact's
-			// audit trail but not of the RCA outcome being compared.
-			switch ev := entry.Event; {
-			case ev.Trigger != nil:
-				res.Recorded.Triggers = append(res.Recorded.Triggers, *ev.Trigger)
-			case ev.Report != nil:
-				res.Recorded.Reports = append(res.Recorded.Reports, *ev.Report)
-			}
 		}
 	}
 	endNs := lastAt

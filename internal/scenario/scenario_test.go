@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +34,8 @@ import (
 // evaluation instant and event of the substrate. (d) Each rendered Result
 // must equal its section of testdata/results.golden, which pins the detect,
 // rca and accuracy lines the scoring code computes; it was recorded before
-// that code moved onto faults.Judge.
+// that code moved onto faults.Judge. (e) Replaying each artifact must
+// reproduce the triggers and the tracepoint reports it recorded exactly.
 func TestBuiltinsPass(t *testing.T) {
 	builtins := Builtins()
 	if len(builtins) < 12 {
@@ -59,6 +61,7 @@ func TestBuiltinsPass(t *testing.T) {
 			if got, want := artifactDigests(t, dir, res), golden[spec.Name]; !reflect.DeepEqual(got, want) {
 				t.Errorf("artifact digests differ from the golden:\n got %+v\nwant %+v", got, want)
 			}
+			replayParity(t, dir, res)
 			got := res.Render()
 			fmt.Fprintf(&rendered, "### %s\n%s", spec.Name, got)
 			if !*updateResults && got != results[spec.Name] {
@@ -139,6 +142,36 @@ func artifactDigests(t *testing.T, dir string, res *Result) map[string]artifactD
 		out[j.JobID] = artifactDigest{SHA256: hex.EncodeToString(sum[:]), Records: j.Records, Dispatched: j.dispatched}
 	}
 	return out
+}
+
+// replayParity replays every artifact a recorded run left in dir: each must
+// reproduce the triggers and reports it recorded exactly, bar the reports the
+// log and perf channels concluded. An artifact records trace evidence only,
+// not the log lines and iteration timings those channels read, so a replay
+// cannot reach their verdicts (corroborated-cascade, log-only-nic-down and
+// silent-straggler-perf publish some).
+func replayParity(t *testing.T, dir string, res *Result) {
+	t.Helper()
+	for _, j := range res.Jobs {
+		f, err := os.Open(filepath.Join(dir, j.JobID+".mycrec"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mycroft.Replay(f, mycroft.ReplayOptions{})
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: replay: %v", j.JobID, err)
+		}
+		if !rep.Complete || rep.RecordsIngested != j.Records {
+			t.Errorf("%s: replayed %d records (complete %v), the job recorded %d", j.JobID, rep.RecordsIngested, rep.Complete, j.Records)
+		}
+		rep.Recorded.Reports = slices.DeleteFunc(rep.Recorded.Reports, func(r core.Report) bool {
+			return r.Via == core.ViaLogTemplate || r.Via == core.ViaPerfEnvelope
+		})
+		if d := mycroft.DiffOutcomes(rep.Recorded, rep.Replayed); !d.Zero() {
+			t.Errorf("%s: replay drifted from the recording:\n%s", j.JobID, d.Render())
+		}
+	}
 }
 
 // TestBuiltinsCoverAllKinds: the library exercises the full fault catalog.

@@ -158,7 +158,7 @@ type Job struct {
 	iterDone  []int // per rank
 	iterStart map[int]sim.Time
 	iterEnd   map[int]sim.Time
-	doneRanks map[int]int
+	doneRanks map[int]int // ranks done, per iteration some rank has yet to finish
 	// OnIteration fires when every rank finishes iteration i.
 	OnIteration func(i int, start, end sim.Time)
 	// OnRankIteration fires as each individual rank finishes an iteration —

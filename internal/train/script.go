@@ -134,6 +134,8 @@ func (rd *rankDriver) run() {
 			}
 			j.doneRanks[rd.iter]++
 			if j.doneRanks[rd.iter] == j.Cluster.WorldSize() {
+				// Every rank is past it, so nothing counts it again.
+				delete(j.doneRanks, rd.iter)
 				j.iterEnd[rd.iter] = now
 				if j.OnIteration != nil {
 					j.OnIteration(rd.iter, j.iterStart[rd.iter], now)

@@ -2,6 +2,7 @@ package train
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,6 +58,31 @@ func TestIterationTimesMonotone(t *testing.T) {
 	for i := 1; i < len(ends); i++ {
 		if ends[i] <= ends[i-1] {
 			t.Fatalf("iteration ends not monotone: %v", ends)
+		}
+	}
+}
+
+// TestDoneRanksBounded: the per-iteration count of finished ranks is dropped
+// once every rank has finished that iteration, so after 120 virtual-s it
+// holds only the iterations some rank is still inside, while every past
+// iteration keeps its start and end.
+func TestDoneRanksBounded(t *testing.T) {
+	eng := sim.NewEngine(1)
+	j := MustNew(eng, smallCfg())
+	j.Start()
+	eng.RunFor(120 * time.Second)
+	lo, hi := j.IterationsDone(), slices.Max(j.iterDone)
+	if lo < 20 {
+		t.Fatalf("only %d iterations in 120s", lo)
+	}
+	for i, n := range j.doneRanks {
+		if i < lo || i >= hi || n <= 0 || n >= j.Cluster.WorldSize() {
+			t.Errorf("doneRanks[%d] = %d kept; only iterations in [%d, %d) are in flight", i, n, lo, hi)
+		}
+	}
+	for i := 0; i < lo; i++ {
+		if s, e, ok := j.IterationTime(i); !ok || e <= s {
+			t.Fatalf("iteration %d times: %v %v %v", i, s, e, ok)
 		}
 	}
 }

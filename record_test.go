@@ -56,45 +56,51 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayAllocBudget holds a replay's allocations per replayed record: a
-// 64-rank self-healing job (TP8 PP4 DP2, a nic-down healed by the policy,
-// 120 virtual seconds) is recorded to memory and replayed. The decoder reuses
-// its buffers, and the store and the dependency graph index ranks with
-// tables, so what is left is mostly the backend's window reads and the
-// store's segments. It reads 0.060 per record; it read 0.212 while the
-// decoder allocated every batch and chunk and the store and the graph kept
-// their ranks in maps.
-func TestReplayAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("a malloc count; -short is how the race job runs")
-	}
+// healArtifact records a 64-rank self-healing job (TP8 PP4 DP2, a nic-down
+// at 15 s healed by the policy, 120 virtual seconds) to memory and returns
+// the artifact with the count of records the job ingested.
+func healArtifact(tb testing.TB) ([]byte, uint64) {
+	tb.Helper()
 	svc := NewService(ServiceOptions{Seed: 1})
 	h, err := svc.AddJob("heal", JobOptions{
 		Topo:    TopoConfig{Nodes: 8, GPUsPerNode: 8, TP: 8, PP: 4, DP: 2},
 		Backend: BackendConfig{RearmDelay: 10 * time.Second},
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := svc.AttachPolicy("heal", SelfHealPolicy()); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	rec, err := svc.Record("heal", &buf)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	svc.Start()
 	h.Inject(Fault{Kind: faults.NICDown, Rank: 21, At: 15 * time.Second})
 	svc.Run(120 * time.Second)
 	if err := rec.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	svc.Stop()
 	if log := h.RemediationLog(); len(log) == 0 || log[len(log)-1].Outcome != RemedySucceeded {
-		t.Fatalf("the job did not heal: %+v", log)
+		tb.Fatalf("the job did not heal: %+v", log)
 	}
-	data := buf.Bytes()
+	return buf.Bytes(), h.RecordsIngested()
+}
+
+// TestReplayAllocBudget holds a replay of healArtifact's job to its
+// allocations per replayed record. The decoder reuses its buffers, and the
+// store and the dependency graph index ranks with tables, so what is left is
+// mostly the backend's window reads and the store's segments. It reads 0.057
+// per record; it read 0.212 while the decoder allocated every batch and
+// chunk and the store and the graph kept their ranks in maps.
+func TestReplayAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a malloc count; -short is how the race job runs")
+	}
+	data, records := healArtifact(t)
 
 	if _, err := Replay(bytes.NewReader(data), ReplayOptions{}); err != nil { // warm-up
 		t.Fatal(err)
@@ -106,8 +112,8 @@ func TestReplayAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RecordsIngested != h.RecordsIngested() {
-		t.Fatalf("replayed %d records, the job ingested %d", res.RecordsIngested, h.RecordsIngested())
+	if res.RecordsIngested != records {
+		t.Fatalf("replayed %d records, the job ingested %d", res.RecordsIngested, records)
 	}
 	if len(res.Replayed.Reports) == 0 {
 		t.Fatal("the replay concluded nothing: the budget would price an idle job")
@@ -121,6 +127,28 @@ func TestReplayAllocBudget(t *testing.T) {
 	if perRecord >= 0.08 {
 		t.Errorf("%.4f mallocs per replayed record, want < 0.08", perRecord)
 	}
+}
+
+// BenchmarkReplay prices a replay of healArtifact's job per replayed record,
+// in wall time and mallocs.
+func BenchmarkReplay(b *testing.B) {
+	data, records := healArtifact(b)
+	if _, err := Replay(bytes.NewReader(data), ReplayOptions{}); err != nil { // warm-up
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Replay(bytes.NewReader(data), ReplayOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(records)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
 }
 
 // TestRecordErrors covers the attachment preconditions.
@@ -218,38 +246,4 @@ func BenchmarkRecordIngest(b *testing.B) {
 	}
 	b.Run("bare", func(b *testing.B) { run(b, false) })
 	b.Run("recorded", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkReplayThroughput measures replay speed in records/sec over an
-// in-memory artifact of a 30s faulted run.
-func BenchmarkReplayThroughput(b *testing.B) {
-	svc := NewService(ServiceOptions{Seed: 1})
-	h, err := svc.AddJob("bench", JobOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	rec, err := svc.Record("bench", &buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc.Start()
-	h.Inject(Fault{Kind: faults.NICDown, Rank: 5, At: 15 * time.Second})
-	svc.Run(30 * time.Second)
-	if err := rec.Close(); err != nil {
-		b.Fatal(err)
-	}
-	svc.Stop()
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	var records uint64
-	for i := 0; i < b.N; i++ {
-		res, err := Replay(bytes.NewReader(data), ReplayOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		records = res.RecordsIngested
-	}
-	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 }
