@@ -586,6 +586,50 @@ func TestClusterMultiJobQuery(t *testing.T) {
 	}
 }
 
+// TestClusterHealthPrefersLive: a follower's replicated health row never
+// shadows the primary's live one, even when the follower's name sorts first
+// and its snapshot has gone stale.
+func TestClusterHealthPrefersLive(t *testing.T) {
+	// Pinned placement as in TestClusterMultiJobQuery: job-0 lives on p2 and
+	// replicates to p1.
+	peers := startCluster(t, []string{"p1", "p2", "p3"}, []JobID{"job-0", "job-2"}, 1)
+	for _, p := range peers {
+		p.srv.Advance(5 * time.Second)
+		if errs := p.srv.ReplicateNow(); len(errs) > 0 {
+			t.Fatalf("replication: %v", errs[0])
+		}
+	}
+	peers["p2"].srv.Advance(20 * time.Second) // p1's snapshot of job-0 goes stale
+	cc, err := DialCluster([]string{peers["p3"].addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	live, err := peers["p2"].svc.Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := cc.Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(res HealthResult) JobHealth {
+		for _, j := range res.Jobs {
+			if j.Job == "job-0" {
+				return j
+			}
+		}
+		t.Fatalf("no job-0 row in %+v", res.Jobs)
+		return JobHealth{}
+	}
+	got, want := row(merged), row(live)
+	got.Source = ""
+	if got != want {
+		t.Fatalf("cluster health row for job-0 = %+v, want the primary's live %+v", got, want)
+	}
+}
+
 func postJSON(t *testing.T, url string, in, out any) {
 	t.Helper()
 	body, err := json.Marshal(in)

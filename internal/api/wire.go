@@ -132,6 +132,9 @@ type JobHealth struct {
 	LastIngest time.Duration `json:"last_ingest_ns"`
 	// Reason explains a non-healthy state ("" when healthy or stopped).
 	Reason string `json:"reason,omitempty"`
+	// Source marks a row not hosted by the answering daemon: "replica" when
+	// it came from a cluster peer's replicated snapshot ("" = live local).
+	Source string `json:"source,omitempty"`
 }
 
 // JobInfo describes one hosted job: identity, size, progress, store

@@ -237,7 +237,7 @@ func TestFIFOPerRank(t *testing.T) {
 
 func TestNICDownSignature(t *testing.T) {
 	e := newEnv(4, 1)
-	c := e.comm(Config{Channels: 1, PipelineDepth: 4})
+	c := e.comm(Config{Channels: 1})
 	op := c.AllReduce(400<<20, nil)
 	// Fault rank 1's NIC shortly after start.
 	e.eng.After(time.Millisecond, func() { e.nics[1].SetDown(true) })

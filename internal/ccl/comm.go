@@ -101,6 +101,15 @@ type OpMeta struct {
 	Bytes  int64
 }
 
+const (
+	// pipelineDepth bounds chunks staged ahead of transmission (the
+	// preallocated GPU buffer slots).
+	pipelineDepth = 4
+	// nvlinkBandwidth (B/s) and nvlinkLatency characterize intra-node hops.
+	nvlinkBandwidth = 200e9
+	nvlinkLatency   = time.Microsecond
+)
+
 // Config tunes a communicator. Zero values take defaults.
 type Config struct {
 	// Channels is the number of network flows (NCCL channels). Default 2.
@@ -108,14 +117,8 @@ type Config struct {
 	// ChunkBytes is the pipeline chunk size — "the smallest data unit per
 	// network path" (§3.2). Default 4 MiB.
 	ChunkBytes int64
-	// PipelineDepth bounds chunks staged ahead of transmission (the
-	// preallocated GPU buffer slots). Default 4.
-	PipelineDepth int
 	// StateLogPeriod is the real-time state log interval. Default 100 ms.
 	StateLogPeriod time.Duration
-	// NVLink characteristics for intra-node hops. Defaults: 200 GB/s, 1 µs.
-	NVLinkBandwidth float64
-	NVLinkLatency   time.Duration
 
 	// SinkFor returns the trace sink for a rank (its host's ring buffer).
 	// Default: trace.Null for every rank.
@@ -143,17 +146,8 @@ func (c Config) withDefaults() Config {
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 4 << 20
 	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 4
-	}
 	if c.StateLogPeriod <= 0 {
 		c.StateLogPeriod = 100 * time.Millisecond
-	}
-	if c.NVLinkBandwidth <= 0 {
-		c.NVLinkBandwidth = 200e9
-	}
-	if c.NVLinkLatency <= 0 {
-		c.NVLinkLatency = time.Microsecond
 	}
 	if c.SinkFor == nil {
 		c.SinkFor = func(topo.Rank) trace.Sink { return trace.Null }
@@ -304,7 +298,7 @@ func (c *Communicator) makeLink(ch, a, b int) rdma.Link {
 	id := int(c.id)*100000 + c.nextQP
 	ra, rb := c.ranks[a].info, c.ranks[b].info
 	if ra.Node == rb.Node {
-		return rdma.NewNVLink(c.eng, id, c.cfg.NVLinkBandwidth, c.cfg.NVLinkLatency)
+		return rdma.NewNVLink(c.eng, id, nvlinkBandwidth, nvlinkLatency)
 	}
 	return rdma.NewQP(id, ra.NIC, rb.NIC).AsLink()
 }

@@ -381,7 +381,7 @@ func (rr *rankRun) begin() {
 	rr.checkDone()
 }
 
-// fillStaging keeps up to PipelineDepth chunks in the preallocated buffer
+// fillStaging keeps up to pipelineDepth chunks in the preallocated buffer
 // slots of §4.2. A slot is reclaimed when its WR completes (CQE), as NCCL
 // does, so a send path that stops acking starves staging after depth chunks.
 func (cr *chanRun) fillStaging() {
@@ -389,8 +389,7 @@ func (cr *chanRun) fillStaging() {
 	if rc.crashed {
 		return
 	}
-	depth := rc.comm.cfg.PipelineDepth
-	for cr.stageReq < len(cr.sends) && cr.stageReq < cr.acked+depth {
+	for cr.stageReq < len(cr.sends) && cr.stageReq < cr.acked+pipelineDepth {
 		i := cr.stageReq
 		cr.stageReq++
 		rc.info.GPU.Copy(cr.sends[i], cr, int32(i))

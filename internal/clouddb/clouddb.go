@@ -176,73 +176,6 @@ func (db *DB) AddIngestObserver(fn func([]trace.Record)) (remove func()) {
 	}
 }
 
-// Replay feeds every live record to fn, ranks in ascending order and each
-// rank's records in ingestion (= emission) order. Observers attached after
-// ingest began bootstrap from this; per-rank order is the only ordering
-// invariant the store guarantees, and Replay preserves it.
-func (db *DB) Replay(fn func(trace.Record)) {
-	for _, r := range db.Ranks() {
-		s := db.series(r)
-		for i := 0; i < s.log.n; i++ {
-			fn(s.record(s.log.at(i)))
-		}
-	}
-}
-
-// Export feeds every live record with Time in (from, to] to fn in one global
-// deterministic order — ascending (Time, Rank) — and returns how many were
-// visited. fn returning false stops the walk early. Within one rank records
-// keep their ingestion order, so re-Ingesting an exported stream can never
-// trip the per-rank monotonicity check: this is the incident recorder's
-// preamble iterator, and a merged stream is also what an operator expects a
-// downloaded artifact to contain. A simple k-way merge over the per-rank
-// series; memory stays O(ranks), not O(records).
-func (db *DB) Export(from, to sim.Time, fn func(trace.Record) bool) uint64 {
-	ranks := db.Ranks()
-	type cursor struct {
-		s     *rankSeries
-		i, hi int
-		next  *slot // slot i, nil once the cursor is spent
-	}
-	cursors := make([]cursor, 0, len(ranks))
-	for _, r := range ranks {
-		s := db.series(r)
-		lo, hi := s.log.window(from, to)
-		if lo < hi {
-			cursors = append(cursors, cursor{s: s, i: lo, hi: hi, next: s.log.at(lo)})
-		}
-	}
-	var visited uint64
-	for {
-		best := -1
-		for i := range cursors {
-			c := &cursors[i]
-			if c.next == nil {
-				continue
-			}
-			// Cursors are rank-ascending, so strict time comparison alone
-			// gives the (Time, Rank) order: ties keep the earlier cursor.
-			if best < 0 || c.next.time < cursors[best].next.time {
-				best = i
-			}
-		}
-		if best < 0 {
-			return visited
-		}
-		c := &cursors[best]
-		rec := c.s.record(c.next)
-		if c.i++; c.i < c.hi {
-			c.next = c.s.log.at(c.i)
-		} else {
-			c.next = nil
-		}
-		visited++
-		if !fn(rec) {
-			return visited
-		}
-	}
-}
-
 // prune drops records older than the retention horizon from every series. A
 // series gives back every segment the cut has passed, and all of them and its
 // flow table once it has no live record left.

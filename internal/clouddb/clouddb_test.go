@@ -213,10 +213,9 @@ func TestOutOfOrderIngestPanicMessage(t *testing.T) {
 	db.Ingest([]trace.Record{rec(1, 1, 50, trace.KindState)})
 }
 
-// TestIngestObserverAndReplay covers the dependency-graph hook points:
-// observers see every batch after it is stored, and Replay feeds the full
-// live history rank by rank in ingestion order.
-func TestIngestObserverAndReplay(t *testing.T) {
+// TestIngestObserver covers the dependency-graph hook point: observers see
+// every batch after it is stored.
+func TestIngestObserver(t *testing.T) {
 	eng := sim.NewEngine(1)
 	db := New(eng, 0)
 	var seen []trace.Record
@@ -232,19 +231,6 @@ func TestIngestObserverAndReplay(t *testing.T) {
 		t.Fatalf("observer saw %d records, want 3", len(seen))
 	}
 
-	var replayed []trace.Record
-	db.Replay(func(r trace.Record) { replayed = append(replayed, r) })
-	if len(replayed) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(replayed))
-	}
-	// Ranks ascend; per-rank order is ingestion order.
-	if replayed[0].Rank != 3 || replayed[1].Rank != 3 || replayed[2].Rank != 5 {
-		t.Fatalf("replay order: %v", replayed)
-	}
-	if replayed[0].Time != 100 || replayed[1].Time != 200 {
-		t.Fatalf("per-rank replay order broken: %v", replayed)
-	}
-
 	// A second observer attaches independently and can be removed; removal
 	// must not disturb the first observer.
 	n := 0
@@ -258,58 +244,5 @@ func TestIngestObserverAndReplay(t *testing.T) {
 	db.Ingest([]trace.Record{rec(5, 1, 400, trace.KindState)})
 	if n != 1 || len(seen) != 5 {
 		t.Fatalf("after remove: n=%d seen=%d", n, len(seen))
-	}
-}
-
-func TestExportGlobalMergeOrder(t *testing.T) {
-	eng := sim.NewEngine(1)
-	db := New(eng, 0)
-	// Three ranks with interleaved and colliding times; per-rank ingest order
-	// is the store's only invariant, Export must weave the (Time, Rank) order.
-	db.Ingest([]trace.Record{rec(2, 1, 100, trace.KindState), rec(0, 1, 150, trace.KindState)})
-	db.Ingest([]trace.Record{rec(1, 1, 100, trace.KindState), rec(2, 1, 200, trace.KindState)})
-	db.Ingest([]trace.Record{rec(0, 1, 300, trace.KindCompletion)})
-
-	var got []trace.Record
-	n := db.Export(0, 1000, func(r trace.Record) bool {
-		got = append(got, r)
-		return true
-	})
-	if n != 5 || len(got) != 5 {
-		t.Fatalf("Export visited %d records, collected %d; want 5", n, len(got))
-	}
-	type key struct {
-		t sim.Time
-		r topo.Rank
-	}
-	want := []key{{100, 1}, {100, 2}, {150, 0}, {200, 2}, {300, 0}}
-	for i, w := range want {
-		if got[i].Time != w.t || got[i].Rank != w.r {
-			t.Fatalf("Export[%d] = (t=%v, rank=%d), want (t=%v, rank=%d)", i, got[i].Time, got[i].Rank, w.t, w.r)
-		}
-	}
-}
-
-func TestExportWindowAndEarlyStop(t *testing.T) {
-	eng := sim.NewEngine(1)
-	db := New(eng, 0)
-	for i := 1; i <= 10; i++ {
-		db.Ingest([]trace.Record{rec(0, 1, sim.Time(i*100), trace.KindState)})
-	}
-	var got []trace.Record
-	db.Export(200, 500, func(r trace.Record) bool {
-		got = append(got, r)
-		return true
-	})
-	if len(got) != 3 { // (200, 500]: 300, 400, 500
-		t.Fatalf("windowed Export returned %d records: %+v", len(got), got)
-	}
-	stopped := 0
-	n := db.Export(0, 10000, func(trace.Record) bool {
-		stopped++
-		return stopped < 2
-	})
-	if stopped != 2 || n != 2 {
-		t.Fatalf("early-stop Export: fn ran %d times, visited %d; want 2, 2", stopped, n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -136,17 +135,6 @@ func (m *flatStore) lastStatePerChannel(r topo.Rank, comm uint64, t sim.Time, wi
 			out[rec.Channel] = rec
 		}
 	}
-	return out
-}
-
-// export returns the records in (from, to] in (Time, Rank) order, each rank's
-// in ingestion order.
-func (m *flatStore) export(from, to sim.Time) []trace.Record {
-	var out []trace.Record
-	for _, r := range m.ranks() {
-		out = append(out, m.scan(r, from, to, anyRecord)...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
 }
 
@@ -426,20 +414,6 @@ func (p *storeProgram) check() {
 		w := windows[rng.Intn(len(windows))]
 		p.equal("QueryGroup", db.QueryGroup(comm, w[0], w[1]), m.queryGroup(comm, w[0], w[1]))
 	}
-
-	for _, w := range windows {
-		var got []trace.Record
-		visited := db.Export(w[0], w[1], func(rec trace.Record) bool { got = append(got, rec); return true })
-		want := m.export(w[0], w[1])
-		p.equal("Export", got, want)
-		p.equal("Export count", visited, uint64(len(want)))
-	}
-	var replayed, stored []trace.Record
-	db.Replay(func(rec trace.Record) { replayed = append(replayed, rec) })
-	for _, r := range m.ranks() {
-		stored = append(stored, m.series[r].recs...)
-	}
-	p.equal("Replay", replayed, stored)
 
 	some := []topo.Rank{p.ranks[rng.Intn(len(p.ranks))], p.ranks[3], p.ranks[rng.Intn(len(p.ranks))]}
 	slices.Sort(some)

@@ -68,18 +68,24 @@ type Backend struct {
 	Evaluations uint64
 }
 
-// NewBackend creates (but does not start) a backend over the sampled ranks.
+// NewBackend creates (but does not start) a backend over the sampled ranks,
+// with an empty evidence-fusion state of its own. The store must not have
+// taken in any record yet: the dependency graph is maintained as records
+// ingest, from the first one on. The observer stays attached for the store's
+// lifetime (Stop only pauses trigger evaluation), so build at most one
+// backend per DB.
 func NewBackend(eng *sim.Engine, db *clouddb.DB, sampled []topo.Rank, cfg Config) *Backend {
 	if len(sampled) == 0 {
 		panic("core: no sampled ranks")
 	}
+	if n := db.Ingested(); n > 0 {
+		panic(fmt.Sprintf("core: store already holds %d ingested records", n))
+	}
 	cfg = cfg.withDefaults()
-	b := &Backend{eng: eng, db: db, graph: depgraph.New(), cfg: cfg, sampled: sampled, state: make(map[topo.Rank]*rankState)}
-	// The dependency graph is maintained as records ingest; anything already
-	// stored bootstraps it so a backend attached mid-run sees history too.
-	// The observer stays attached for the store's lifetime (Stop only pauses
-	// trigger evaluation), so build at most one backend per DB.
-	db.Replay(b.graph.Observe)
+	b := &Backend{
+		eng: eng, db: db, graph: depgraph.New(), cfg: cfg, sampled: sampled,
+		state: make(map[topo.Rank]*rankState), fusion: NewFusion(FusionConfig{}),
+	}
 	db.AddIngestObserver(b.graph.ObserveBatch)
 	for _, r := range sampled {
 		b.state[r] = &rankState{
@@ -331,12 +337,9 @@ func (b *Backend) fire(tr Trigger) {
 	}
 }
 
-// SetFusion attaches an evidence-fusion state: every verdict the backend
-// delivers (its own tracepoint analyses and DeliverExternal channel reports)
-// is fused against the other channels' recent findings before publishing.
-func (b *Backend) SetFusion(f *Fusion) { b.fusion = f }
-
-// Fusion returns the attached fusion state (nil when none).
+// Fusion returns the evidence-fusion state every verdict the backend
+// delivers — its own tracepoint analyses and DeliverExternal channel reports
+// — is fused against before publishing.
 func (b *Backend) Fusion() *Fusion { return b.fusion }
 
 // DeliverExternal routes a channel-sourced verdict (log or perf diagnosis)
@@ -347,7 +350,8 @@ func (b *Backend) Fusion() *Fusion { return b.fusion }
 // own verdicts take the same tail (deliver). Returns the fused report as
 // published.
 func (b *Backend) DeliverExternal(rep Report, own Evidence) Report {
-	b.fuse(&rep, own)
+	b.fusion.Observe(own)
+	b.fusion.Finalize(&rep, own, rep.AnalyzedAt)
 	b.reports = append(b.reports, rep)
 	if m := b.metrics; m != nil {
 		m.Reports.Inc()
@@ -359,20 +363,6 @@ func (b *Backend) DeliverExternal(rep Report, own Evidence) Report {
 	}
 	b.emit(Event{Kind: EventReport, At: rep.AnalyzedAt, Report: &rep})
 	return rep
-}
-
-// fuse attaches evidence and confidence to a report about to be delivered.
-func (b *Backend) fuse(rep *Report, own Evidence) {
-	if b.fusion == nil {
-		if own.Weight <= 0 {
-			own.Weight = ChannelWeight(own.Channel)
-		}
-		rep.Evidence = []Evidence{own}
-		rep.Confidence = own.Weight
-		return
-	}
-	b.fusion.Observe(own)
-	b.fusion.Finalize(rep, own, rep.AnalyzedAt)
 }
 
 // deliver closes the rca span fire opened and hands one of the backend's own

@@ -253,6 +253,20 @@ func TestEmptySampledPanics(t *testing.T) {
 	NewBackend(sim.NewEngine(1), clouddb.New(sim.NewEngine(1), 0), nil, Config{})
 }
 
+// TestBackendAfterFirstRecordPanics: a backend is wired before its store's
+// first record, so its dependency graph sees every record.
+func TestBackendAfterFirstRecordPanics(t *testing.T) {
+	eng := sim.NewEngine(1)
+	db := clouddb.New(eng, 0)
+	db.Ingest([]trace.Record{{Kind: trace.KindState, Time: 1, IP: ipOf(0), CommID: 7}})
+	defer func() {
+		if r := recover(); r != "core: store already holds 1 ingested records" {
+			t.Errorf("panic = %v, want the stored-records refusal", r)
+		}
+	}()
+	NewBackend(eng, db, []topo.Rank{0}, Config{})
+}
+
 // --- Algorithm 2: failure analysis ---
 
 func stuckTrigger(f *fixture, comm uint64) Trigger {

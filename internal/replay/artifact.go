@@ -115,9 +115,8 @@ type Header struct {
 	// every §9 threshold the replay needs to reproduce, or override, the
 	// original verdicts.
 	Backend core.Config `json:"backend"`
-	// StartNs is the virtual time recording began. A recorder attached at
-	// job start captures the whole run; one attached mid-run carries the
-	// store's prior contents as a preamble batch stamped StartNs.
+	// StartNs is the virtual time recording began: before the job's first
+	// record, so the artifact holds the whole run.
 	StartNs int64 `json:"start_ns"`
 }
 

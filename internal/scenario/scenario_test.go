@@ -149,7 +149,9 @@ func artifactDigests(t *testing.T, dir string, res *Result) map[string]artifactD
 // log and perf channels concluded. An artifact records trace evidence only,
 // not the log lines and iteration timings those channels read, so a replay
 // cannot reach their verdicts (corroborated-cascade, log-only-nic-down and
-// silent-straggler-perf publish some).
+// silent-straggler-perf publish some). A replay delivers through the same
+// evidence fusion a hosted job does, so every report whose recorded evidence
+// is tracepoint-only must also carry the recorded Evidence and Confidence.
 func replayParity(t *testing.T, dir string, res *Result) {
 	t.Helper()
 	for _, j := range res.Jobs {
@@ -170,6 +172,17 @@ func replayParity(t *testing.T, dir string, res *Result) {
 		})
 		if d := mycroft.DiffOutcomes(rep.Recorded, rep.Replayed); !d.Zero() {
 			t.Errorf("%s: replay drifted from the recording:\n%s", j.JobID, d.Render())
+			continue
+		}
+		for i, want := range rep.Recorded.Reports {
+			if slices.ContainsFunc(want.Evidence, func(e core.Evidence) bool { return e.Channel != core.ModalityTracepoint }) {
+				continue
+			}
+			got := rep.Replayed.Reports[i]
+			if !reflect.DeepEqual(got.Evidence, want.Evidence) || got.Confidence != want.Confidence {
+				t.Errorf("%s: report %d fused to %v (confidence %v), recorded %v (confidence %v)",
+					j.JobID, i, got.Evidence, got.Confidence, want.Evidence, want.Confidence)
+			}
 		}
 	}
 }

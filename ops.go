@@ -522,11 +522,12 @@ func mergeJobs(_ struct{}, parts []JobsResult) JobsResult {
 	return out
 }
 
-// mergeHealth merges every peer's health: one row per job (the first peer to
-// report it wins), summed subscription stats, furthest clock, longest uptime.
+// mergeHealth merges every peer's health: one row per job (live rows win over
+// replicated snapshots of the same job, as in mergeJobs), summed subscription
+// stats, furthest clock, longest uptime.
 func mergeHealth(_ struct{}, parts []HealthResult) HealthResult {
 	var out HealthResult
-	seen := make(map[JobID]bool)
+	byJob := make(map[JobID]JobHealth)
 	for _, res := range parts {
 		out.Now = max(out.Now, res.Now)
 		out.Uptime = max(out.Uptime, res.Uptime)
@@ -534,11 +535,13 @@ func mergeHealth(_ struct{}, parts []HealthResult) HealthResult {
 		out.Subs.Delivered += res.Subs.Delivered
 		out.Subs.Dropped += res.Subs.Dropped
 		for _, j := range res.Jobs {
-			if !seen[j.Job] {
-				seen[j.Job] = true
-				out.Jobs = append(out.Jobs, j)
+			if have, ok := byJob[j.Job]; !ok || (have.Source != "" && j.Source == "") {
+				byJob[j.Job] = j
 			}
 		}
+	}
+	for _, j := range byJob {
+		out.Jobs = append(out.Jobs, j)
 	}
 	sort.Slice(out.Jobs, func(i, j int) bool { return out.Jobs[i].Job < out.Jobs[j].Job })
 	out.Server = fmt.Sprintf("mycroft-cluster/%d peers=%d", api.Version, len(parts))
@@ -562,8 +565,9 @@ func (sv *Server) stampHealth(res *HealthResult) {
 	res.Uptime = time.Since(sv.started)
 	res.Server = sv.identity
 	for _, snap := range sv.snapshots() {
-		if snap.Health.Job != "" {
-			res.Jobs = append(res.Jobs, snap.Health)
+		if jh := snap.Health; jh.Job != "" {
+			jh.Source = "replica"
+			res.Jobs = append(res.Jobs, jh)
 		}
 	}
 }

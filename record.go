@@ -1,6 +1,7 @@
 package mycroft
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -41,13 +42,15 @@ func Replay(r io.Reader, opts ReplayOptions) (*ReplayResult, error) {
 // what-if runs) element-wise.
 func DiffOutcomes(a, b ReplayOutcome) *ReplayDiff { return replay.Diff(a, b) }
 
+// ErrRecordTooLate refuses a recorder for a job whose store has already
+// taken in records: the artifact would miss the evidence the job's analysis
+// stack has seen, and would not replay byte-for-byte. Test with errors.Is.
+var ErrRecordTooLate = errors.New("recording must start before the job's first record")
+
 // Recorder streams one hosted job's diagnosis inputs and outputs — ingested
 // trace batches, Algorithm 1 evaluation instants, published events — to an
-// incident artifact as they happen. Attach before Start for a byte-for-byte
-// replayable capture; a recorder attached mid-run carries the store's prior
-// records as a preamble, which rebuilds the dependency graph exactly but
-// re-derives detection baselines from the preamble's timestamps, so replay
-// fidelity is only guaranteed from a start-of-run attach.
+// incident artifact as they happen. It attaches before the job's first
+// record, so every artifact replays byte-for-byte.
 //
 // The recorder runs inside engine dispatch; a write error (full disk, closed
 // pipe) latches in Err and stops the capture rather than failing the run.
@@ -62,7 +65,8 @@ type Recorder struct {
 
 // Record attaches an incident recorder to a hosted job, writing the artifact
 // to w incrementally (chunked, no whole-run buffering). One recorder per job
-// at a time; Close writes the footer and detaches.
+// at a time; Close writes the footer and detaches. A job whose store already
+// holds records is refused with ErrRecordTooLate, and nothing is written.
 func (s *Service) Record(id JobID, w io.Writer) (*Recorder, error) {
 	h, ok := s.jobs[id]
 	if !ok {
@@ -70,6 +74,9 @@ func (s *Service) Record(id JobID, w io.Writer) (*Recorder, error) {
 	}
 	if h.recorder != nil {
 		return nil, fmt.Errorf("mycroft: job %q is already being recorded", id)
+	}
+	if n := h.Job.DB.Ingested(); n > 0 {
+		return nil, fmt.Errorf("mycroft: job %q has %d records stored: %w", id, n, ErrRecordTooLate)
 	}
 	sampled := h.Backend.Sampled()
 	hdr := replay.Header{
@@ -89,17 +96,6 @@ func (s *Service) Record(id JobID, w io.Writer) (*Recorder, error) {
 		return nil, err
 	}
 	rec := &Recorder{svc: s, h: h, enc: enc}
-	// Preamble: a mid-run attach snapshots the store's current contents as
-	// one batch stamped "now", in the global (Time, Rank) merge order — so
-	// the replayed graph bootstrap sees exactly what this backend saw.
-	if h.Job.DB.Ingested() > 0 {
-		var pre []trace.Record
-		h.Job.DB.Export(0, s.Eng.Now(), func(r trace.Record) bool {
-			pre = append(pre, r)
-			return true
-		})
-		enc.WriteBatch(int64(s.Now()), pre)
-	}
 	rec.removeIngest = h.Job.DB.AddIngestObserver(func(batch []trace.Record) {
 		enc.WriteBatch(int64(s.Now()), batch)
 	})

@@ -2,7 +2,9 @@ package mycroft
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -179,23 +181,41 @@ func TestRecordErrors(t *testing.T) {
 	}
 }
 
-// TestRecordMidRunAttach: a recorder attached mid-run carries the store's
-// prior records as a preamble, so the artifact still decodes and replays
-// cleanly (graph-exact, baselines approximate — see the Recorder doc).
-func TestRecordMidRunAttach(t *testing.T) {
+// TestRecordRefusedAfterFirstRecord: a job whose store already holds records
+// is refused with ErrRecordTooLate, and nothing is written, by Record and by
+// the server's RecordTo alike. A job added to the running service and
+// recorded before its first record replays with zero drift.
+func TestRecordRefusedAfterFirstRecord(t *testing.T) {
 	svc := NewService(ServiceOptions{Seed: 5})
-	h, err := svc.AddJob("mid", JobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	early := svc.MustAddJob("early", JobOptions{})
 	svc.Start()
 	svc.Run(10 * time.Second)
+	var refused bytes.Buffer
+	if _, err := svc.Record("early", &refused); !errors.Is(err, ErrRecordTooLate) {
+		t.Fatalf("recording a job with %d stored records: err = %v, want ErrRecordTooLate", early.RecordsIngested(), err)
+	}
+	if refused.Len() != 0 {
+		t.Fatalf("a refused recorder wrote %d bytes", refused.Len())
+	}
+	if _, ok := early.Recording(); ok {
+		t.Fatal("a refused recorder is attached")
+	}
+	dir := t.TempDir()
+	if err := NewServer(svc).RecordTo(dir); !errors.Is(err, ErrRecordTooLate) {
+		t.Fatalf("RecordTo: err = %v, want ErrRecordTooLate", err)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("a refused RecordTo left %v (%v)", files, err)
+	}
+
+	late := svc.MustAddJob("late", JobOptions{})
 	var buf bytes.Buffer
-	rec, err := svc.Record("mid", &buf)
+	rec, err := svc.Record("late", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Run(10 * time.Second)
+	late.Inject(Fault{Kind: faults.NICDown, Rank: 5, At: 15 * time.Second})
+	svc.Run(40 * time.Second)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +223,16 @@ func TestRecordMidRunAttach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Header.StartNs != int64(10*time.Second) {
-		t.Fatalf("mid-run header StartNs = %d", res.Header.StartNs)
+	if res.Header.StartNs != int64(10*time.Second) || res.RecordsIngested != late.RecordsIngested() {
+		t.Fatalf("artifact starts at %dns with %d records; want 10s and all %d", res.Header.StartNs, res.RecordsIngested, late.RecordsIngested())
 	}
-	if res.RecordsIngested == 0 {
-		t.Fatal("preamble carried no records")
+	if len(res.Recorded.Triggers) == 0 || len(res.Recorded.Reports) == 0 {
+		t.Fatalf("faulted late job recorded no conclusions: %d triggers, %d reports",
+			len(res.Recorded.Triggers), len(res.Recorded.Reports))
 	}
-	_ = h
+	if d := DiffOutcomes(res.Recorded, res.Replayed); !d.Zero() {
+		t.Fatalf("replay drifted:\n%s", d.Render())
+	}
 }
 
 // BenchmarkRecordIngest measures the recorder's tax on a live run: the same

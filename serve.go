@@ -99,8 +99,8 @@ func NewServer(svc *Service) *Server {
 // RecordTo attaches an incident recorder to every hosted job, writing one
 // artifact per job to <dir>/<job>.mycrec (the job id path-escaped, so an id
 // holding a separator still names one file), and makes the live captures
-// downloadable at GET /v1/jobs/{id}/record. Call before the first Advance so
-// the artifacts replay byte-for-byte.
+// downloadable at GET /v1/jobs/{id}/record. A job that already holds records
+// is refused with ErrRecordTooLate, so call it before the first Advance.
 func (sv *Server) RecordTo(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -123,6 +123,7 @@ func (sv *Server) RecordTo(dir string) error {
 		rec, err := sv.svc.Record(j.ID, f)
 		if err != nil {
 			f.Close()
+			os.Remove(path)
 			return err
 		}
 		sv.records[j.ID] = &servedRecord{rec: rec, path: path, f: f}

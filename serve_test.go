@@ -586,6 +586,9 @@ func recordDownloadRoundTrip(t *testing.T, job JobID) {
 	if mid.RecordsIngested == 0 || len(mid.Replayed.Triggers) == 0 {
 		t.Fatalf("snapshot too empty: %d records, %d triggers", mid.RecordsIngested, len(mid.Replayed.Triggers))
 	}
+	if d := DiffOutcomes(mid.Recorded, mid.Replayed); !d.Zero() {
+		t.Fatalf("mid-run snapshot replay drifted:\n%s", d.Render())
+	}
 
 	// The other by-job routes address the same job and agree with the
 	// in-process answers.

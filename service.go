@@ -164,11 +164,9 @@ func (s *Service) AddJob(id JobID, opts JobOptions) (*JobHandle, error) {
 			LogAnomaly: ev.LogAnomaly,
 		})
 	})
-	// The non-tracepoint channels and the evidence fusion every channel —
-	// including the backend's own tracepoint verdicts — reports through.
-	fusion := core.NewFusion(core.FusionConfig{})
-	bk.SetFusion(fusion)
-	h.channels = s.newJobChannels(id, job.Cluster.WorldSize(), fusion)
+	// The non-tracepoint channels report through the backend's evidence
+	// fusion, as its own tracepoint verdicts do.
+	h.channels = s.newJobChannels(id, job.Cluster.WorldSize(), bk.Fusion())
 	s.registerJobMetrics(h)
 	// The heartbeat watermark: any batch reaching the store proves the job's
 	// agents are alive right now (virtual time).
