@@ -210,7 +210,7 @@ func TestWireBodiesGolden(t *testing.T) {
 	}
 	err := psrv.EnableCluster(ClusterConfig{
 		ID: "test", Self: self, SelfAddr: "127.0.0.1:1",
-		Peers: map[string]string{self: "127.0.0.1:1", other: follower.URL}, Replicas: 1, Batch: 3,
+		Peers: map[string]string{self: "127.0.0.1:1", other: follower.URL}, Replicas: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,11 +39,10 @@ type ClusterConfig struct {
 	// Replicas is R: how many ring successors each job replicates to.
 	// Clamped to len(Peers)-1.
 	Replicas int
-	// VNodes tunes ring smoothness (0 = cluster.DefaultVNodes).
-	VNodes int
-	// Batch caps event-log entries per replication batch (0 = 512).
-	Batch int
 }
+
+// replicateBatch caps the event-log entries one replication batch carries.
+const replicateBatch = 512
 
 // serverCluster is the per-Server cluster state: ring membership, the
 // replica store for followed jobs, and one replication cursor per (peer,
@@ -62,7 +61,6 @@ type serverCluster struct {
 	mReplEvents   *obs.Counter
 	mReplBatches  *obs.Counter
 	mReplFailures *obs.Counter
-	mHandoffs     *obs.Counter
 	mTail         map[string]*obs.Counter // by source
 }
 
@@ -74,12 +72,9 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 		peers[name] = normalizeBase(addr)
 	}
 	cfg.Peers, cfg.SelfAddr = peers, normalizeBase(cfg.SelfAddr)
-	node, err := cluster.NewNode(cfg.ID, cfg.Self, cfg.SelfAddr, peers, cfg.Replicas, cfg.VNodes)
+	node, err := cluster.NewNode(cfg.ID, cfg.Self, cfg.SelfAddr, peers, cfg.Replicas)
 	if err != nil {
 		return err
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 512
 	}
 	cl := &serverCluster{
 		cfg: cfg, node: node,
@@ -93,9 +88,8 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 	cl.mReplEvents = reg.Counter("mycroft_cluster_replicated_events_total", "Event-log entries shipped to followers.")
 	cl.mReplBatches = reg.Counter("mycroft_cluster_replication_batches_total", "Replication batches acknowledged by followers.")
 	cl.mReplFailures = reg.Counter("mycroft_cluster_replication_failures_total", "Replication batches that failed to reach a follower.")
-	cl.mHandoffs = reg.Counter("mycroft_cluster_handoffs_total", "Clean-shutdown job handoffs completed.")
 	cl.mTail = map[string]*obs.Counter{}
-	for _, src := range []string{"primary", "replica", "promoted"} {
+	for _, src := range []string{"primary", "replica"} {
 		cl.mTail[src] = reg.Counter("mycroft_cluster_tails_total",
 			"Tail pages served, by answering role — the replica series climbing is the server-visible failover signal.",
 			obs.L("source", src))
@@ -157,7 +151,7 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 	cl.ackMu.Lock()
 	after := cl.acks[key]
 	cl.ackMu.Unlock()
-	entries, wm := log.TailAfter(after, cl.cfg.Batch)
+	entries, wm := log.TailAfter(after, replicateBatch)
 
 	sv.mu.Lock()
 	snap := sv.snapshotLocked(job)
@@ -236,42 +230,31 @@ func (sv *Server) snapshotLocked(job JobID) *api.ClusterSnapshot {
 	return &snap
 }
 
-// JoinPeers announces this peer to every other member once, merging the
-// views that come back. Unreachable peers are marked and retried by the
-// gossip loop; join is best-effort because membership is static anyway.
-func (sv *Server) JoinPeers() {
-	if cl := sv.cluster.Load(); cl != nil {
-		join := api.JoinRequest{ClusterID: cl.cfg.ID, Name: cl.cfg.Self, Addr: cl.cfg.SelfAddr}
-		exchangeViews(cl, "/cluster/join", join, func(r api.JoinResponse) []api.ClusterPeer { return r.Peers })
-	}
-}
-
-// GossipOnce exchanges health views with every other peer and merges the
-// responses by freshest LastSeen.
+// GossipOnce exchanges health views with every other peer, records each
+// contact's outcome on the health ladder and merges the views that come back
+// by freshest LastSeen. Membership is static (the -peers flag), so a peer's
+// first round is also its hello.
 func (sv *Server) GossipOnce() {
-	if cl := sv.cluster.Load(); cl != nil {
-		gossip := api.GossipRequest{ClusterID: cl.cfg.ID, From: cl.cfg.Self, Peers: cl.node.View()}
-		exchangeViews(cl, "/cluster/gossip", gossip, func(r api.GossipResponse) []api.ClusterPeer { return r.Peers })
+	cl := sv.cluster.Load()
+	if cl == nil {
+		return
 	}
-}
-
-// exchangeViews posts req to every other peer, records each contact's outcome
-// on the health ladder and merges the membership view each answer carries.
-func exchangeViews[Resp any](cl *serverCluster, path string, req any, view func(Resp) []api.ClusterPeer) {
+	req := api.GossipRequest{ClusterID: cl.cfg.ID, From: cl.cfg.Self, Peers: cl.node.View()}
 	for _, peer := range cl.node.Others() {
-		var resp Resp
-		err := clusterPost(cl.hc, cl.node.Addr(peer), path, req, &resp)
+		var resp api.GossipResponse
+		err := clusterPost(cl.hc, cl.node.Addr(peer), "/cluster/gossip", req, &resp)
 		cl.node.MarkContact(peer, err == nil)
 		if err == nil {
-			cl.node.Merge(view(resp))
+			cl.node.Merge(resp.Peers)
 		}
 	}
 }
 
-// StartCluster launches the wall-clock cluster loops — one join sweep, then
-// replication every replicateEvery and gossip every gossipEvery — and
-// returns a stop function. Use from a daemon; tests drive ReplicateNow and
-// GossipOnce directly for determinism.
+// StartCluster launches the wall-clock cluster loops — one gossip round at
+// once, then replication every replicateEvery and gossip every gossipEvery —
+// and returns a stop function. Use from a daemon; tests drive ReplicateNow
+// and GossipOnce directly for determinism. A clean shutdown stops the loops
+// and runs one last ReplicateNow, so followers hold the whole log.
 func (sv *Server) StartCluster(replicateEvery, gossipEvery time.Duration) (stop func()) {
 	if replicateEvery <= 0 {
 		replicateEvery = 250 * time.Millisecond
@@ -281,7 +264,7 @@ func (sv *Server) StartCluster(replicateEvery, gossipEvery time.Duration) (stop 
 	}
 	done := make(chan struct{})
 	go func() {
-		sv.JoinPeers()
+		sv.GossipOnce()
 		rt := time.NewTicker(replicateEvery)
 		gt := time.NewTicker(gossipEvery)
 		defer rt.Stop()
@@ -298,37 +281,6 @@ func (sv *Server) StartCluster(replicateEvery, gossipEvery time.Duration) (stop 
 		}
 	}()
 	return func() { close(done) }
-}
-
-// HandoffAll is the clean-shutdown path: flush one final replication round,
-// then tell the first reachable follower of every hosted job that it now
-// answers authoritatively. It returns how many jobs were handed off.
-func (sv *Server) HandoffAll() int {
-	cl := sv.cluster.Load()
-	if cl == nil {
-		return 0
-	}
-	sv.ReplicateNow()
-	n := 0
-	for _, job := range sortedJobs(sv.logs) {
-		log := sv.logs[job]
-		_, replicas := cl.node.Placement(string(job))
-		for _, peer := range replicas {
-			if !cl.node.Alive(peer) {
-				continue
-			}
-			var resp api.HandoffResponse
-			err := clusterPost(cl.hc, cl.node.Addr(peer), "/cluster/handoff",
-				api.HandoffRequest{ClusterID: cl.cfg.ID, From: cl.cfg.Self, Job: string(job), Watermark: log.Watermark()}, &resp)
-			cl.node.MarkContact(peer, err == nil)
-			if err == nil && resp.Accepted {
-				cl.mHandoffs.Inc()
-				n++
-				break
-			}
-		}
-	}
-	return n
 }
 
 // clusterPost is the peer-to-peer call: one JSON POST, no retries — the
@@ -351,16 +303,14 @@ func (sv *Server) clusterInfo() (api.ClusterInfoResponse, error) {
 	}
 	resp := api.ClusterInfoResponse{
 		ClusterID: cl.cfg.ID, Self: cl.node.Self,
-		Replicas: cl.node.Replicas, VNodes: cl.node.VNodes,
+		Replicas: cl.node.Replicas, VNodes: cluster.DefaultVNodes,
 		Peers: cl.node.View(),
 		Stats: &api.ClusterStats{
 			ReplicatedEvents:    cl.mReplEvents.Value(),
 			ReplicationBatches:  cl.mReplBatches.Value(),
 			ReplicationFailures: cl.mReplFailures.Value(),
-			Handoffs:            cl.mHandoffs.Value(),
 			TailPrimary:         cl.mTail["primary"].Value(),
 			TailReplica:         cl.mTail["replica"].Value(),
-			TailPromoted:        cl.mTail["promoted"].Value(),
 		},
 	}
 	for _, job := range sortedJobs(sv.logs) {
@@ -379,81 +329,44 @@ func (sv *Server) clusterInfo() (api.ClusterInfoResponse, error) {
 	return resp, nil
 }
 
-func (cl *serverCluster) checkID(id string) error {
-	if id != cl.cfg.ID {
-		return fmt.Errorf("mycroft: cluster id mismatch: peer says %q, this daemon is %q", id, cl.cfg.ID)
-	}
-	return nil
-}
-
-// errNotMember refuses a replicate or handoff whose sender is this peer
-// itself or no configured member: only another peer of the cluster may
-// create, feed or promote a replica here.
+// errNotMember refuses a gossip or replicate request whose sender is this
+// peer itself or no configured member: only another peer of the cluster may
+// mark peers alive or dead here, or create or feed a replica.
 var errNotMember = errors.New("mycroft: sender is not another member of this cluster")
 
-// checkSender admits a replicate or handoff request: the cluster id must
-// match and the sender must be one of the other configured peers.
-func (cl *serverCluster) checkSender(id, from string) error {
-	if err := cl.checkID(id); err != nil {
-		return err
+// admit is the door of both peer-to-peer write routes: the cluster id must
+// match and the sender must be one of the other configured peers, which is
+// then marked heard.
+func (sv *Server) admit(id, from string) (*serverCluster, error) {
+	cl := sv.cluster.Load()
+	switch {
+	case cl == nil:
+		return nil, errClusterDisabled
+	case id != cl.cfg.ID:
+		return nil, fmt.Errorf("mycroft: cluster id mismatch: peer says %q, this daemon is %q", id, cl.cfg.ID)
 	}
 	if _, member := cl.cfg.Peers[from]; !member || from == cl.cfg.Self {
-		return fmt.Errorf("%w: %q", errNotMember, from)
+		return nil, fmt.Errorf("%w: %q", errNotMember, from)
 	}
-	return nil
-}
-
-func (sv *Server) clusterJoin(req api.JoinRequest) (api.JoinResponse, error) {
-	cl := sv.cluster.Load()
-	if cl == nil {
-		return api.JoinResponse{}, errClusterDisabled
-	}
-	if err := cl.checkID(req.ClusterID); err != nil {
-		return api.JoinResponse{}, err
-	}
-	cl.node.Heard(req.Name)
-	return api.JoinResponse{Accepted: true, Self: cl.node.Self, Peers: cl.node.View()}, nil
+	cl.node.Heard(from)
+	return cl, nil
 }
 
 func (sv *Server) clusterGossip(req api.GossipRequest) (api.GossipResponse, error) {
-	cl := sv.cluster.Load()
-	if cl == nil {
-		return api.GossipResponse{}, errClusterDisabled
-	}
-	if err := cl.checkID(req.ClusterID); err != nil {
+	cl, err := sv.admit(req.ClusterID, req.From)
+	if err != nil {
 		return api.GossipResponse{}, err
 	}
-	cl.node.Heard(req.From)
 	cl.node.Merge(req.Peers)
 	return api.GossipResponse{Peers: cl.node.View()}, nil
 }
 
 func (sv *Server) clusterReplicate(req api.ReplicateRequest) (api.ReplicateResponse, error) {
-	cl := sv.cluster.Load()
-	if cl == nil {
-		return api.ReplicateResponse{}, errClusterDisabled
-	}
-	if err := cl.checkSender(req.ClusterID, req.From); err != nil {
+	cl, err := sv.admit(req.ClusterID, req.From)
+	if err != nil {
 		return api.ReplicateResponse{}, err
 	}
-	cl.node.Heard(req.From)
 	return cl.store.Apply(req), nil
-}
-
-func (sv *Server) clusterHandoff(req api.HandoffRequest) (api.HandoffResponse, error) {
-	cl := sv.cluster.Load()
-	if cl == nil {
-		return api.HandoffResponse{}, errClusterDisabled
-	}
-	if err := cl.checkSender(req.ClusterID, req.From); err != nil {
-		return api.HandoffResponse{}, err
-	}
-	cl.node.Heard(req.From)
-	lag, err := cl.store.Promote(req.Job, req.From, req.Watermark)
-	if err != nil {
-		return api.HandoffResponse{}, err
-	}
-	return api.HandoffResponse{Accepted: true, Lag: lag}, nil
 }
 
 // --- replica answers -------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 
 	"mycroft/internal/api"
 	"mycroft/internal/cluster"
+	"mycroft/internal/obs"
 )
 
 // TestDialRetriesThenUnreachable covers both halves of the dial-backoff
@@ -422,8 +424,8 @@ func TestClusterFailover(t *testing.T) {
 	if len(tail.Entries) == 0 {
 		t.Fatal("replica tail returned no entries")
 	}
-	if tail.Source != "replica" && tail.Source != "promoted" {
-		t.Fatalf("tail source %q, want replica or promoted", tail.Source)
+	if tail.Source != "replica" {
+		t.Fatalf("tail source %q, want replica", tail.Source)
 	}
 	if tail.Entries[0].Seq == 0 {
 		t.Fatal("replicated entries lost their primary-assigned seqs")
@@ -445,67 +447,177 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
-// TestClusterHandoffPromotesReplica: a clean SIGTERM path — the draining
-// primary flushes replication and hands its jobs off, after which the
-// follower answers as "promoted" and its triage carries the verdict.
-func TestClusterHandoffPromotesReplica(t *testing.T) {
+// TestClusterCleanShutdown: a clean SIGTERM path is one final replication
+// round. The primary has run on through its incident since its last timed
+// round; after its final ReplicateNow every follower holds each of its jobs' logs up to the
+// primary's watermark, the lag gauge reads 0, and once the primary is gone a
+// follower's tail answers from seq 1 as the replica.
+func TestClusterCleanShutdown(t *testing.T) {
 	jobs := []JobID{"job-0", "job-1", "job-2", "job-3"}
 	peers := startCluster(t, []string{"p1", "p2", "p3"}, jobs, 2)
-	peers["p2"].handles["job-0"].Inject(Fault{Kind: NICDown, Rank: 5, At: 15 * time.Second})
-
-	for i := 0; i < 40; i++ {
+	primary := peers["p2"]
+	primary.handles["job-0"].Inject(Fault{Kind: NICDown, Rank: 5, At: 15 * time.Second})
+	for i := 0; i < 10; i++ {
 		for _, p := range peers {
 			p.srv.Advance(time.Second)
 			p.srv.ReplicateNow()
 		}
 	}
-	if n := peers["p2"].srv.HandoffAll(); n == 0 {
-		t.Fatal("handoff transferred nothing")
+	primary.srv.Advance(30 * time.Second)
+
+	cl := primary.srv.cluster.Load()
+	followed := func(peer string, job JobID) uint64 {
+		rj := peers[peer].srv.cluster.Load().store.Job(string(job))
+		if rj == nil {
+			t.Fatalf("%s follows no %s", peer, job)
+		}
+		return rj.Log.Watermark()
 	}
-	peers["p2"].hs.Close()
+	behind := 0
+	for job, log := range primary.srv.logs {
+		_, followers := cl.node.Placement(string(job))
+		for _, f := range followers {
+			if followed(f, job) < log.Watermark() {
+				behind++
+			}
+		}
+	}
+	if behind == 0 {
+		t.Fatal("no follower lags the primary before its final round; the test proves nothing")
+	}
+
+	if errs := primary.srv.ReplicateNow(); len(errs) > 0 {
+		t.Fatalf("final replication round: %v", errs[0])
+	}
+	for job, log := range primary.srv.logs {
+		_, followers := cl.node.Placement(string(job))
+		if len(followers) != 2 {
+			t.Fatalf("%s has followers %v, want 2", job, followers)
+		}
+		for _, f := range followers {
+			if got, want := followed(f, job), log.Watermark(); got != want {
+				t.Errorf("%s's log on %s ends at seq %d, the primary's at %d", job, f, got, want)
+			}
+			lag := cl.reg.Gauge("mycroft_cluster_replication_lag_events", "", obs.L("job", string(job)), obs.L("peer", f))
+			if lag.Value() != 0 {
+				t.Errorf("lag gauge for %s on %s reads %d after the final round", job, f, lag.Value())
+			}
+		}
+	}
+	primary.srv.AnnounceShutdown()
+	primary.srv.CloseSubscriptions()
+	primary.hs.Close()
 
 	var tail api.TailResponse
 	postJSON(t, "http://"+peers["p1"].addr+api.Prefix+"/tail",
 		api.TailRequest{Job: "job-0", AfterSeq: 0, Max: 10}, &tail)
-	if tail.Source != "promoted" {
-		t.Fatalf("post-handoff tail source %q, want promoted", tail.Source)
+	if len(tail.Entries) == 0 || tail.Entries[0].Seq != 1 || tail.Source != "replica" {
+		t.Fatalf("follower tail after the primary left: source %q, %d entries from seq %v; want the replica from seq 1",
+			tail.Source, len(tail.Entries), tail.Entries)
 	}
 }
 
-// TestClusterRefusesNonMembers: replicate and handoff are admitted only from
+// TestClusterRefusesNonMembers: gossip and replicate are admitted only from
 // another configured peer. A sender naming this peer itself or no member is
-// refused with errNotMember, over the wire as over a direct call, and leaves
-// no replica slot behind; the same batch from a member is applied.
+// refused with errNotMember, over the wire as over a direct call: it marks no
+// peer alive and leaves no replica slot behind. The same requests from a
+// member are applied.
 func TestClusterRefusesNonMembers(t *testing.T) {
 	peers := startCluster(t, []string{"p1", "p2"}, nil, 1)
 	sv := peers["p1"].srv
-	for _, from := range []string{"intruder", "p1", ""} {
-		batch := api.ReplicateRequest{ClusterID: "test", From: from, Job: "ghost",
-			Entries: []api.SeqEvent{{Seq: 1, Event: Event{Job: "ghost", Kind: EventHealth}}}, Watermark: 1}
-		if _, err := sv.clusterReplicate(batch); !errors.Is(err, errNotMember) {
-			t.Fatalf("replicate from %q: %v, want errNotMember", from, err)
-		}
-		handoff := api.HandoffRequest{ClusterID: "test", From: from, Job: "ghost", Watermark: 1}
-		if _, err := sv.clusterHandoff(handoff); !errors.Is(err, errNotMember) {
-			t.Fatalf("handoff from %q: %v, want errNotMember", from, err)
-		}
-		body, _ := json.Marshal(batch)
-		resp, err := http.Post("http://"+peers["p1"].addr+api.Prefix+"/cluster/replicate", "application/json", bytes.NewReader(body))
+	cl := sv.cluster.Load()
+	post := func(path string, body any) int {
+		data, _ := json.Marshal(body)
+		resp, err := http.Post("http://"+peers["p1"].addr+api.Prefix+path, "application/json", bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("replicate from %q over the wire: HTTP %d, want 400", from, resp.StatusCode)
+		return resp.StatusCode
+	}
+	// A view that, admitted, would mark p2 freshly seen.
+	view := []api.ClusterPeer{{Name: "p2", State: api.PeerAlive, LastSeenUnixMs: time.Now().UnixMilli()}}
+	for _, from := range []string{"intruder", "p1", ""} {
+		batch := api.ReplicateRequest{ClusterID: "test", From: from, Job: "ghost",
+			Entries: []api.SeqEvent{{Seq: 1, Event: Event{Job: "ghost", Kind: EventHealth}}}, Watermark: 1}
+		gossip := api.GossipRequest{ClusterID: "test", From: from, Peers: view}
+		if _, err := sv.clusterReplicate(batch); !errors.Is(err, errNotMember) {
+			t.Fatalf("replicate from %q: %v, want errNotMember", from, err)
+		}
+		if _, err := sv.clusterGossip(gossip); !errors.Is(err, errNotMember) {
+			t.Fatalf("gossip from %q: %v, want errNotMember", from, err)
+		}
+		for path, body := range map[string]any{"/cluster/replicate": batch, "/cluster/gossip": gossip} {
+			if code := post(path, body); code != http.StatusBadRequest {
+				t.Fatalf("%s from %q over the wire: HTTP %d, want 400", path, from, code)
+			}
 		}
 	}
-	if jobs := sv.cluster.Load().store.Jobs(); len(jobs) != 0 {
+	if jobs := cl.store.Jobs(); len(jobs) != 0 {
 		t.Fatalf("refused senders left replica slots %v", jobs)
+	}
+	for _, row := range cl.node.View() {
+		if row.Name == "p2" && row.LastSeenUnixMs != 0 {
+			t.Fatalf("refused gossip marked p2 seen: %+v", row)
+		}
 	}
 	ack, err := sv.clusterReplicate(api.ReplicateRequest{ClusterID: "test", From: "p2", Job: "ghost",
 		Entries: []api.SeqEvent{{Seq: 1, Event: Event{Job: "ghost", Kind: EventHealth}}}, Watermark: 1})
 	if err != nil || ack.AckSeq != 1 {
 		t.Fatalf("replicate from member p2: %+v, %v", ack, err)
+	}
+	if _, err := sv.clusterGossip(api.GossipRequest{ClusterID: "test", From: "p2", Peers: view}); err != nil {
+		t.Fatalf("gossip from member p2: %v", err)
+	}
+}
+
+// TestRemoteSoleLiveJob: a peer that hosts one job and follows another
+// resolves an empty job selector to the job it hosts, as a Service does, on
+// every route that carries the job in its path and in a subscription.
+func TestRemoteSoleLiveJob(t *testing.T) {
+	ring := cluster.NewRing([]string{"p1", "p2"}, 0)
+	var jobs []JobID
+	hosted := map[string]JobID{}
+	for i := 0; len(hosted) < 2; i++ {
+		job := JobID(fmt.Sprintf("job-%d", i))
+		if p := ring.Primary(string(job)); hosted[p] == "" {
+			hosted[p] = job
+			jobs = append(jobs, job)
+		}
+	}
+	peers := startCluster(t, []string{"p1", "p2"}, jobs, 1)
+	for _, p := range peers {
+		p.srv.Advance(5 * time.Second)
+		if errs := p.srv.ReplicateNow(); len(errs) > 0 {
+			t.Fatalf("replication: %v", errs[0])
+		}
+	}
+	rc, err := Dial(peers["p1"].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	listed, err := rc.ListJobs()
+	if err != nil || len(listed.Jobs) != 2 {
+		t.Fatalf("p1 lists %+v, %v; want its hosted job and its followed one", listed.Jobs, err)
+	}
+
+	want := hosted["p1"]
+	spans, err := rc.QuerySpans(SpanQuery{})
+	if err != nil || spans.Job != want {
+		t.Fatalf("QuerySpans with no job: job %q, %v; want %q", spans.Job, err, want)
+	}
+	stats, err := rc.ChannelStats("")
+	if err != nil || stats.Job != want {
+		t.Fatalf("ChannelStats with no job: job %q, %v; want %q", stats.Job, err, want)
+	}
+	if _, err := rc.IngestLogs("", nil); err != nil {
+		t.Fatalf("IngestLogs with no job: %v", err)
+	}
+	st := rc.Subscribe(EventFilter{})
+	defer st.Close()
+	if err := st.Err(); err != nil {
+		t.Fatalf("Subscribe with no job: %v", err)
 	}
 }
 

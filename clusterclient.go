@@ -190,28 +190,6 @@ func eachPeer[R any](cc *ClusterClient, fn func(*RemoteClient) (R, error)) (answ
 	return answers, nil
 }
 
-// resolveJob fills an empty job selector the way a single daemon does:
-// allowed only when the fleet hosts exactly one live job.
-func (cc *ClusterClient) resolveJob(job JobID) (JobID, error) {
-	if job != "" {
-		return job, nil
-	}
-	res, err := cc.ListJobs()
-	if err != nil {
-		return "", err
-	}
-	var live []JobID
-	for _, j := range res.Jobs {
-		if j.Source == "" {
-			live = append(live, j.ID)
-		}
-	}
-	if len(live) == 1 {
-		return live[0], nil
-	}
-	return "", fmt.Errorf("mycroft: cluster hosts %d jobs; specify one", len(live))
-}
-
 // ClusterInfo merges the fleet's own view with this client's direct
 // observations: the first answering peer's table is the base, every peer
 // the client cannot reach right now is overridden to dead, and job rows are
@@ -234,14 +212,12 @@ func (cc *ClusterClient) ClusterInfo() (api.ClusterInfoResponse, error) {
 			stats.ReplicatedEvents += s.ReplicatedEvents
 			stats.ReplicationBatches += s.ReplicationBatches
 			stats.ReplicationFailures += s.ReplicationFailures
-			stats.Handoffs += s.Handoffs
 			stats.TailPrimary += s.TailPrimary
 			stats.TailReplica += s.TailReplica
-			stats.TailPromoted += s.TailPromoted
 		}
 		for _, row := range info.Jobs {
 			have, ok := jobs[row.ID]
-			if !ok || (!have.Local && row.Local) || (!have.Local && !have.Promoted && row.Promoted) {
+			if !ok || (!have.Local && row.Local) {
 				jobs[row.ID] = row
 			}
 		}

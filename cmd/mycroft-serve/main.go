@@ -76,7 +76,6 @@ func main() {
 		selfName  = flag.String("self", "", "this peer's name in -peers")
 		peerList  = flag.String("peers", "", "comma-separated name=addr list of every cluster member, including self")
 		replicas  = flag.Int("replicas", 1, "replication factor R: ring successors each job replicates to")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per peer on the placement ring (0 = default)")
 		replEvery = flag.Duration("replicate-every", 250*time.Millisecond, "wall-time between replication pushes")
 		gossEvery = flag.Duration("gossip-every", time.Second, "wall-time between peer-health gossip rounds")
 	)
@@ -96,7 +95,7 @@ func main() {
 		}
 		clusterCfg = &mycroft.ClusterConfig{
 			ID: *clusterID, Self: *selfName, SelfAddr: peers[*selfName],
-			Peers: peers, Replicas: *replicas, VNodes: *vnodes,
+			Peers: peers, Replicas: *replicas,
 		}
 	}
 
@@ -119,7 +118,7 @@ func main() {
 		// exactly the full fleet.
 		var keep func(index int, id string) bool
 		if clusterCfg != nil {
-			ring := cluster.NewRing(peerNames(clusterCfg.Peers), clusterCfg.VNodes)
+			ring := cluster.NewRing(peerNames(clusterCfg.Peers), cluster.DefaultVNodes)
 			keep = func(_ int, id string) bool { return ring.Primary(id) == clusterCfg.Self }
 		}
 		p, err := scenario.PrepareSubset(spec, *seed, keep)
@@ -189,7 +188,6 @@ func main() {
 
 	stopCluster := func() {}
 	if clusterCfg != nil {
-		srv.JoinPeers()
 		stopCluster = srv.StartCluster(*replEvery, *gossEvery)
 		fmt.Fprintf(os.Stderr, "mycroft-serve: cluster %q peer %s (R=%d, %d peer(s))\n",
 			clusterCfg.ID, clusterCfg.Self, clusterCfg.Replicas, len(clusterCfg.Peers))
@@ -217,13 +215,9 @@ func main() {
 
 	<-ctx.Done()
 	stopCluster()
-	if clusterCfg != nil {
-		// Final replication push plus explicit handoff, so a replica is
-		// promoted (and queryable) before this peer's listener dies.
-		if n := srv.HandoffAll(); n > 0 {
-			fmt.Fprintf(os.Stderr, "mycroft-serve: handed off %d job(s)\n", n)
-		}
-	}
+	// One final replication round, so every reachable follower holds the
+	// whole log before this peer's listener dies (a no-op outside a cluster).
+	srv.ReplicateNow()
 	// Subscribers get a terminal server-shutdown event before their tails
 	// close — a watcher sees the daemon leave, not a silent hangup.
 	srv.AnnounceShutdown()

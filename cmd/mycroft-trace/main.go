@@ -649,10 +649,7 @@ func dumpClusterStatus(cc *mycroft.ClusterClient, w io.Writer) error {
 		fmt.Fprintf(w, "  %-10s %-8s %-14s %-10s %s\n", "JOB", "PRIMARY", "REPLICAS", "WHERE", "WATERMARK")
 		for _, j := range info.Jobs {
 			where := "replicated"
-			switch {
-			case j.Promoted:
-				where = "promoted"
-			case j.Local:
+			if j.Local {
 				where = "primary"
 			}
 			fmt.Fprintf(w, "  %-10s %-8s %-14s %-10s %d\n",
@@ -660,10 +657,10 @@ func dumpClusterStatus(cc *mycroft.ClusterClient, w io.Writer) error {
 		}
 	}
 	if s := info.Stats; s != nil {
-		fmt.Fprintf(w, "  replication: %d event(s) in %d batch(es), %d failure(s), %d handoff(s)\n",
-			s.ReplicatedEvents, s.ReplicationBatches, s.ReplicationFailures, s.Handoffs)
-		fmt.Fprintf(w, "  tail pages served: %d primary, %d replica, %d promoted\n",
-			s.TailPrimary, s.TailReplica, s.TailPromoted)
+		fmt.Fprintf(w, "  replication: %d event(s) in %d batch(es), %d failure(s)\n",
+			s.ReplicatedEvents, s.ReplicationBatches, s.ReplicationFailures)
+		fmt.Fprintf(w, "  tail pages served: %d primary, %d replica\n",
+			s.TailPrimary, s.TailReplica)
 	}
 	if n := cc.Failovers(); n > 0 {
 		fmt.Fprintf(w, "  failovers this session: %d\n", n)

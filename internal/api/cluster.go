@@ -41,9 +41,6 @@ type ClusterJob struct {
 	// job; Replicated that it holds a replica store for it.
 	Local      bool `json:"local,omitempty"`
 	Replicated bool `json:"replicated,omitempty"`
-	// Promoted reports that the answering peer received a handoff for this
-	// job and now answers authoritatively for it.
-	Promoted bool `json:"promoted,omitempty"`
 	// Watermark is the answering peer's event-log high sequence for the job
 	// (its own log when local, the replicated log otherwise).
 	Watermark uint64 `json:"watermark,omitempty"`
@@ -59,13 +56,10 @@ type ClusterStats struct {
 	ReplicatedEvents    uint64 `json:"replicated_events"`
 	ReplicationBatches  uint64 `json:"replication_batches"`
 	ReplicationFailures uint64 `json:"replication_failures,omitempty"`
-	// Handoffs counts clean-shutdown job transfers this peer completed.
-	Handoffs uint64 `json:"handoffs,omitempty"`
-	// Tail pages served by answering role: the replica/promoted series
-	// climbing is the server-visible failover signal.
-	TailPrimary  uint64 `json:"tail_primary,omitempty"`
-	TailReplica  uint64 `json:"tail_replica,omitempty"`
-	TailPromoted uint64 `json:"tail_promoted,omitempty"`
+	// Tail pages served by answering role: the replica series climbing is
+	// the server-visible failover signal.
+	TailPrimary uint64 `json:"tail_primary,omitempty"`
+	TailReplica uint64 `json:"tail_replica,omitempty"`
 }
 
 // ClusterInfoResponse answers GET /v1/cluster/info: identity, ring
@@ -83,23 +77,6 @@ type ClusterInfoResponse struct {
 	// (merged by summation in a cluster-aware client; omitted by peers
 	// predating it).
 	Stats *ClusterStats `json:"stats,omitempty"`
-}
-
-// JoinRequest announces a peer to another peer (POST /v1/cluster/join).
-// Membership is static (the -peers flag); join validates agreement and
-// freshens the health tables on both sides.
-type JoinRequest struct {
-	ClusterID string `json:"cluster_id"`
-	Name      string `json:"name"`
-	Addr      string `json:"addr,omitempty"`
-}
-
-// JoinResponse acks a join with the receiver's identity and current view,
-// so the joiner leaves the exchange with a fresh table.
-type JoinResponse struct {
-	Accepted bool          `json:"accepted"`
-	Self     string        `json:"self"`
-	Peers    []ClusterPeer `json:"peers,omitempty"`
 }
 
 // GossipRequest exchanges health views (POST /v1/cluster/gossip): the
@@ -148,23 +125,4 @@ type ReplicateResponse struct {
 	// Gap counts event sequence numbers the follower detected as missing
 	// when applying this batch (should stay 0: batches are sent in order).
 	Gap uint64 `json:"gap,omitempty"`
-}
-
-// HandoffRequest is the clean-shutdown transfer (POST /v1/cluster/handoff):
-// a draining primary flushes its replication queues, then tells a follower
-// it is now the authoritative answerer for the job.
-type HandoffRequest struct {
-	ClusterID string `json:"cluster_id"`
-	From      string `json:"from"`
-	Job       string `json:"job"`
-	// Watermark is the primary's final event-log head; the follower can
-	// compare it with its own to report how clean the handoff was.
-	Watermark uint64 `json:"watermark"`
-}
-
-// HandoffResponse acks a handoff. Lag is how many log entries the follower
-// was missing at handoff time (final flush should make it 0).
-type HandoffResponse struct {
-	Accepted bool   `json:"accepted"`
-	Lag      uint64 `json:"lag"`
 }

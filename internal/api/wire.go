@@ -231,8 +231,7 @@ type TailRequest struct {
 }
 
 // TailResponse is one tail page. Source reports which role answered
-// ("primary" on the daemon hosting the job, "replica" or "promoted" on a
-// follower); a client counts drops from the seq gaps between consecutive
+// ("primary" on the daemon hosting the job, "replica" on a follower); a client counts drops from the seq gaps between consecutive
 // entries (a trimmed or lagging log shows up as a jump), so there is no
 // separate dropped field to trust. Closed reports that the daemon is shutting
 // down and holds nothing past the cursor. StartedUnixNs is the answering

@@ -238,25 +238,9 @@ func TestReplicaStoreApplyAndQueries(t *testing.T) {
 	check("after redelivery and refusal", 5)
 }
 
-func TestReplicaStorePromote(t *testing.T) {
-	rs := NewReplicaStore()
-	rs.Apply(api.ReplicateRequest{From: "p1", Job: "j", Entries: []api.SeqEvent{{Seq: 1}, {Seq: 2}}, Watermark: 2})
-	lag, err := rs.Promote("j", "p1", 5)
-	if err != nil || lag != 3 {
-		t.Fatalf("lag=%d err=%v", lag, err)
-	}
-	if !rs.Job("j").Promoted() {
-		t.Fatal("not promoted")
-	}
-	// Handoff for a never-seen job still succeeds (empty follower).
-	if lag, err := rs.Promote("ghost", "p1", 4); err != nil || lag != 4 {
-		t.Fatalf("ghost handoff: lag=%d err=%v", lag, err)
-	}
-}
-
 func TestNodePlacementAndHealthLadder(t *testing.T) {
 	peers := map[string]string{"p1": "127.0.0.1:1", "p2": "127.0.0.1:2", "p3": "127.0.0.1:3"}
-	n, err := NewNode("c1", "p2", "127.0.0.1:2", peers, 1, 0)
+	n, err := NewNode("c1", "p2", "127.0.0.1:2", peers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +257,12 @@ func TestNodePlacementAndHealthLadder(t *testing.T) {
 		t.Fatalf("initial: %s", n.State("p1"))
 	}
 	n.MarkContact("p1", false)
-	if n.State("p1") != api.PeerSuspect || !n.Alive("p1") {
+	if n.State("p1") != api.PeerSuspect {
 		t.Fatalf("after 1 miss: %s", n.State("p1"))
 	}
 	n.MarkContact("p1", false)
 	n.MarkContact("p1", false)
-	if n.State("p1") != api.PeerDead || n.Alive("p1") {
+	if n.State("p1") != api.PeerDead {
 		t.Fatalf("after 3 misses: %s", n.State("p1"))
 	}
 	n.MarkContact("p1", true)
@@ -292,7 +276,7 @@ func TestNodePlacementAndHealthLadder(t *testing.T) {
 
 func TestNodeGossipMergeByFreshness(t *testing.T) {
 	peers := map[string]string{"p1": "a", "p2": "b", "p3": "c"}
-	n, _ := NewNode("c1", "p1", "a", peers, 1, 0)
+	n, _ := NewNode("c1", "p1", "a", peers, 1)
 	n.MarkContact("p3", false)
 	n.MarkContact("p3", false)
 	n.MarkContact("p3", false)
@@ -320,7 +304,7 @@ func TestNodeGossipMergeByFreshness(t *testing.T) {
 }
 
 func TestNodeReplicasClamped(t *testing.T) {
-	n, _ := NewNode("c1", "solo", "a", map[string]string{"solo": "a"}, 2, 0)
+	n, _ := NewNode("c1", "solo", "a", map[string]string{"solo": "a"}, 2)
 	if n.Replicas != 0 {
 		t.Fatalf("solo cluster must clamp R to 0, got %d", n.Replicas)
 	}

@@ -43,7 +43,6 @@ type Node struct {
 	Self      string
 	SelfAddr  string
 	Replicas  int // R: followers per job
-	VNodes    int
 
 	ring *Ring
 
@@ -52,9 +51,9 @@ type Node struct {
 }
 
 // NewNode builds a node. peers maps name → addr and must include self (it
-// is added if missing). replicas is clamped to the number of other peers;
-// vnodes <= 0 picks DefaultVNodes.
-func NewNode(clusterID, self, selfAddr string, peers map[string]string, replicas, vnodes int) (*Node, error) {
+// is added if missing). replicas is clamped to the number of other peers.
+// The ring has DefaultVNodes per peer.
+func NewNode(clusterID, self, selfAddr string, peers map[string]string, replicas int) (*Node, error) {
 	if clusterID == "" {
 		return nil, fmt.Errorf("cluster: empty cluster id")
 	}
@@ -63,8 +62,8 @@ func NewNode(clusterID, self, selfAddr string, peers map[string]string, replicas
 	}
 	n := &Node{
 		ClusterID: clusterID, Self: self, SelfAddr: selfAddr,
-		Replicas: replicas, VNodes: vnodes,
-		peers: make(map[string]*Peer, len(peers)+1),
+		Replicas: replicas,
+		peers:    make(map[string]*Peer, len(peers)+1),
 	}
 	names := make([]string, 0, len(peers)+1)
 	for name, addr := range peers {
@@ -83,10 +82,7 @@ func NewNode(clusterID, self, selfAddr string, peers map[string]string, replicas
 	if max := len(names) - 1; n.Replicas > max {
 		n.Replicas = max
 	}
-	if n.VNodes <= 0 {
-		n.VNodes = DefaultVNodes
-	}
-	n.ring = NewRing(names, n.VNodes)
+	n.ring = NewRing(names, DefaultVNodes)
 	return n, nil
 }
 
@@ -153,13 +149,6 @@ func (n *Node) State(name string) string {
 	return api.PeerDead
 }
 
-// Alive reports whether a peer is currently contactable per this node's
-// table. Suspect still counts as usable (one miss can be a blip); only dead
-// is excluded. Self is always alive.
-func (n *Node) Alive(name string) bool {
-	return n.State(name) != api.PeerDead
-}
-
 // View renders the health table as wire rows, sorted by name, marking self.
 func (n *Node) View() []api.ClusterPeer {
 	n.mu.Lock()
@@ -212,8 +201,9 @@ func (n *Node) Merge(rows []api.ClusterPeer) {
 	}
 }
 
-// Heard freshens a peer's LastSeen from inbound traffic (a join or gossip
-// request from it proves liveness just as well as an outbound success).
+// Heard freshens a peer's LastSeen from inbound traffic (a gossip or
+// replicate request from it proves liveness just as well as an outbound
+// success).
 func (n *Node) Heard(name string) { n.MarkContact(name, true) }
 
 // Others lists every peer name except self, sorted.

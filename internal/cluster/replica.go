@@ -12,12 +12,10 @@ import (
 
 // ReplicaJob is everything a peer holds for one job it follows: the
 // replicated event log (for tail and re-replication), the verdicts its
-// entries carried, the latest coarse snapshot and the handoff/promotion
-// state. It holds no trace record.
+// entries carried and the latest coarse snapshot. It holds no trace record.
 type ReplicaJob struct {
-	Job     string
-	Primary string
-	Log     *EventLog
+	Job string
+	Log *EventLog
 
 	mu       sync.Mutex
 	snapshot *api.ClusterSnapshot
@@ -27,7 +25,6 @@ type ReplicaJob struct {
 	triggers []core.Trigger
 	reports  []core.Report
 	attempts []remedy.Attempt
-	promoted bool
 }
 
 // Snapshot returns the latest replicated coarse state (nil before the
@@ -36,13 +33,6 @@ func (rj *ReplicaJob) Snapshot() *api.ClusterSnapshot {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
 	return rj.snapshot
-}
-
-// Promoted reports whether this peer received a handoff for the job.
-func (rj *ReplicaJob) Promoted() bool {
-	rj.mu.Lock()
-	defer rj.mu.Unlock()
-	return rj.promoted
 }
 
 // Triggers returns the replicated Algorithm 1 firings in seq order.
@@ -102,12 +92,12 @@ func (rs *ReplicaStore) Jobs() []string {
 
 // obtain returns (creating if needed) the job slot. Callers must not hold
 // rs.mu.
-func (rs *ReplicaStore) obtain(job, primary string) *ReplicaJob {
+func (rs *ReplicaStore) obtain(job string) *ReplicaJob {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rj := rs.jobs[job]
 	if rj == nil {
-		rj = &ReplicaJob{Job: job, Primary: primary, Log: NewEventLog()}
+		rj = &ReplicaJob{Job: job, Log: NewEventLog()}
 		rs.jobs[job] = rj
 	}
 	return rj
@@ -121,7 +111,7 @@ func (rs *ReplicaStore) Apply(req api.ReplicateRequest) api.ReplicateResponse {
 	if req.Job == "" {
 		return api.ReplicateResponse{}
 	}
-	rj := rs.obtain(req.Job, req.From)
+	rj := rs.obtain(req.Job)
 
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
@@ -164,29 +154,7 @@ func appendBounded[T any](held []T, max int, v T) []T {
 	return held
 }
 
-// Promote records a handoff: this peer now answers authoritatively for the
-// job. It returns the lag (entries the departing primary had that this peer
-// does not) — 0 after a clean final flush.
-func (rs *ReplicaStore) Promote(job, from string, primaryWatermark uint64) (lag uint64, err error) {
-	rj := rs.Job(job)
-	if rj == nil {
-		// A handoff for a job never replicated here still succeeds — the
-		// follower can only serve what it has (nothing), but refusing would
-		// strand the draining primary.
-		rj = rs.obtain(job, from)
-	}
-	rj.mu.Lock()
-	defer rj.mu.Unlock()
-	rj.promoted = true
-	if wm := rj.Log.Watermark(); primaryWatermark > wm {
-		lag = primaryWatermark - wm
-	}
-	return lag, nil
-}
-
 // Describe renders this replica slot as a ClusterJob row.
 func (rj *ReplicaJob) Describe() api.ClusterJob {
-	return api.ClusterJob{
-		ID: rj.Job, Replicated: true, Promoted: rj.Promoted(), Watermark: rj.Log.Watermark(),
-	}
+	return api.ClusterJob{ID: rj.Job, Replicated: true, Watermark: rj.Log.Watermark()}
 }

@@ -447,7 +447,7 @@ func (o *op[Q, R]) serve(sv *Server, q Q) (res R, err error) {
 func remoteCall[Q, R any](c *RemoteClient, o *op[Q, R], q Q) (res R, err error) {
 	if o.jobInPath() {
 		at := o.job(&q)
-		if *at, err = c.resolveRemoteJob(*at); err != nil {
+		if *at, err = soleLiveJob(c, *at); err != nil {
 			return res, err
 		}
 	}
@@ -466,7 +466,7 @@ func clusterCall[Q, R any](cc *ClusterClient, o *op[Q, R], q Q) (res R, err erro
 	switch o.route {
 	case byJob:
 		at := o.job(&q)
-		if *at, err = cc.resolveJob(*at); err != nil {
+		if *at, err = soleLiveJob(cc, *at); err != nil {
 			return res, err
 		}
 		return routed(cc, *at, leg(q))

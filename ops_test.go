@@ -62,8 +62,6 @@ func TestServerRoutes(t *testing.T) {
 		"GET /v1/ping",
 		"POST /v1/blast-radius",
 		"POST /v1/cluster/gossip",
-		"POST /v1/cluster/handoff",
-		"POST /v1/cluster/join",
 		"POST /v1/cluster/replicate",
 		"POST /v1/dependencies/query",
 		"POST /v1/jobs/{id}/logs",

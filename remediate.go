@@ -44,20 +44,6 @@ const (
 	RemedyEscalated = remedy.OutcomeEscalated
 )
 
-// DefaultRemedyPolicy is a sane starting policy: recover what the substrate
-// can undo in place, replace straggling hardware, and page for everything
-// the CCL cannot see into. Budgets take the remedy package defaults, sized
-// for the default 30 s backend re-arm delay.
-func DefaultRemedyPolicy() RemedyPolicy {
-	p := SelfHealPolicy()
-	p.Name = "default"
-	for i := range p.Rules {
-		p.Rules[i].MaxAttempts, p.Rules[i].Backoff, p.Rules[i].VerifyWindow = 0, 0, 0
-	}
-	p.Rules = append(p.Rules, RemedyRule{Name: "page", Action: RemedyEscalate})
-	return p
-}
-
 // SelfHealPolicy is the tuned self-healing rule set the builtin scenarios,
 // the mycroft-trace remedy CLI and BenchmarkRemediationLoop all share:
 // in-place recovery and straggler isolation with tight budgets, sized for a

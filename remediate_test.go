@@ -104,13 +104,13 @@ func TestAttachPolicyErrors(t *testing.T) {
 	if err := svc.AttachPolicy("a", RemedyPolicy{}); err == nil {
 		t.Fatal("empty policy attached")
 	}
-	if err := svc.AttachPolicy("nope", DefaultRemedyPolicy()); err == nil {
+	if err := svc.AttachPolicy("nope", SelfHealPolicy()); err == nil {
 		t.Fatal("unknown job accepted")
 	}
-	if err := svc.AttachPolicy("a", DefaultRemedyPolicy()); err != nil {
+	if err := svc.AttachPolicy("a", SelfHealPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.AttachPolicy("a", DefaultRemedyPolicy()); err == nil {
+	if err := svc.AttachPolicy("a", SelfHealPolicy()); err == nil {
 		t.Fatal("duplicate policy attached")
 	}
 }

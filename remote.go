@@ -137,20 +137,42 @@ func (c *RemoteClient) Now() (time.Duration, error) {
 	return time.Duration(ping.NowNs), nil
 }
 
-// resolveRemoteJob fills an empty job selector against the daemon's job
-// list, mirroring the in-process "sole hosted job" rule.
-func (c *RemoteClient) resolveRemoteJob(job JobID) (JobID, error) {
+// jobLister is a daemon or a fleet answering ListJobs.
+type jobLister interface {
+	ListJobs() (JobsResult, error)
+}
+
+// liveJobs lists the jobs the daemon or fleet behind l hosts a live engine
+// for. A cluster peer also lists the jobs it follows, from their replicated
+// snapshots (Source "replica"); it does not host those, so they do not count.
+func liveJobs(l jobLister) ([]JobID, error) {
+	res, err := l.ListJobs()
+	if err != nil {
+		return nil, err
+	}
+	var live []JobID
+	for _, j := range res.Jobs {
+		if j.Source == "" {
+			live = append(live, j.ID)
+		}
+	}
+	return live, nil
+}
+
+// soleLiveJob fills an empty job selector the way a Service does: allowed
+// only when l hosts exactly one live job.
+func soleLiveJob(l jobLister, job JobID) (JobID, error) {
 	if job != "" {
 		return job, nil
 	}
-	res, err := c.ListJobs()
+	live, err := liveJobs(l)
 	if err != nil {
 		return "", err
 	}
-	if len(res.Jobs) != 1 {
-		return "", fmt.Errorf("mycroft: query needs a Job id (daemon hosts %d jobs)", len(res.Jobs))
+	if len(live) != 1 {
+		return "", fmt.Errorf("mycroft: query needs a Job id (%d live jobs)", len(live))
 	}
-	return res.Jobs[0].ID, nil
+	return live[0], nil
 }
 
 // FetchRecord streams a job's incident artifact snapshot from the daemon
@@ -194,7 +216,7 @@ func (c *RemoteClient) failover(string)             {}
 // tailFleet is where a remote subscription reads a job's event log: the
 // peers that may serve it, in the order to ask them, and a transport to each.
 type tailFleet interface {
-	ListJobs() (JobsResult, error)
+	jobLister
 	candidates(job string) []string
 	client(peer string) *RemoteClient
 	markUp(peer string)
@@ -213,15 +235,10 @@ func subscribe(fl tailFleet, f EventFilter) *Stream {
 	st := newStream(nil, f)
 	jobs := f.Jobs
 	if len(jobs) == 0 {
-		res, err := fl.ListJobs()
-		if err != nil {
+		var err error
+		if jobs, err = liveJobs(fl); err != nil {
 			st.fail(err)
 			return st
-		}
-		for _, j := range res.Jobs {
-			if j.Source == "" {
-				jobs = append(jobs, j.ID)
-			}
 		}
 		if len(jobs) == 0 {
 			st.fail(fmt.Errorf("mycroft: no hosted jobs to subscribe to"))
@@ -311,8 +328,8 @@ func (t *jobTail) follow() {
 
 // ask sends one tail request to the job's candidates in order and returns
 // the first page a peer serves. A peer that fails at the transport layer or
-// refuses (after a handoff the authoritative peer may not be the ring
-// primary) passes the request on. It returns errTailsClosed once every
+// refuses (a follower that has not heard of the job yet) passes the request
+// on. It returns errTailsClosed once every
 // candidate has answered closed, ErrUnreachable when every one it asked
 // failed at the transport layer, and ErrSubscriptionLost when a peer answers
 // with a start instant other than its first: that daemon restarted, its

@@ -177,10 +177,8 @@ func (sv *Server) v1() *api.Mux {
 	})
 	mux.Handle("GET", "/jobs/{id}/record", sv.serveRecord)
 	api.Get(mux, "/cluster/info", sv.clusterInfo)
-	api.Post(mux, "/cluster/join", sv.clusterJoin)
 	api.Post(mux, "/cluster/gossip", sv.clusterGossip)
 	api.Post(mux, "/cluster/replicate", sv.clusterReplicate)
-	api.Post(mux, "/cluster/handoff", sv.clusterHandoff)
 	return mux
 }
 
@@ -254,9 +252,6 @@ func (sv *Server) tail(req api.TailRequest) (api.TailResponse, error) {
 			return api.TailResponse{}, fmt.Errorf("mycroft: daemon neither hosts nor follows job %q", req.Job)
 		}
 		log, source = rj.Log, "replica"
-		if rj.Promoted() {
-			source = "promoted"
-		}
 	}
 	timeout := min(time.Duration(req.TimeoutMs)*time.Millisecond, 30*time.Second)
 	entries, wm := log.TailWait(req.AfterSeq, req.Max, timeout, sv.shutdown)
