@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mycroft"
 	"mycroft/internal/faults"
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
@@ -35,42 +36,57 @@ func matrixPositions(tc topo.Config) []topo.Coord {
 	return out
 }
 
+// matrixCell is one verdict-matrix run: a fault kind at one position.
+type matrixCell struct {
+	kind faults.Kind
+	at   topo.Coord
+	rank topo.Rank
+}
+
+var (
+	matrixOnce     sync.Once
+	matrixCells    []matrixCell
+	matrixVerdicts []faults.Verdict
+)
+
+// runMatrix judges every fault kind at every matrix position, once per test
+// binary: the golden and the score read the same runs.
+func runMatrix() ([]matrixCell, []faults.Verdict) {
+	matrixOnce.Do(func() {
+		cl := topo.MustNew(matrixTopo)
+		for _, k := range faults.All() {
+			for _, c := range matrixPositions(matrixTopo) {
+				matrixCells = append(matrixCells, matrixCell{k, c, cl.RankAt(c)})
+			}
+		}
+		matrixVerdicts = make([]faults.Verdict, len(matrixCells))
+		next := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					spec := faults.Spec{Kind: matrixCells[i].kind, Rank: matrixCells[i].rank}
+					matrixVerdicts[i] = RunCase(1, matrixTopo, spec, 15*time.Second, 30*time.Second).Verdict
+				}
+			}()
+		}
+		for i := range matrixCells {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
+	})
+	return matrixCells, matrixVerdicts
+}
+
 // TestVerdictMatrixGolden pins Judge's verdict for every fault kind at each
 // matrix position. It was recorded with the verdicts as they stood, wrong
 // ones included: a fix to detection or RCA regenerates it on purpose, and
 // the diff is that fix's before and after.
 func TestVerdictMatrixGolden(t *testing.T) {
-	cl := topo.MustNew(matrixTopo)
-	type cell struct {
-		kind faults.Kind
-		at   topo.Coord
-		rank topo.Rank
-	}
-	var cells []cell
-	for _, k := range faults.All() {
-		for _, c := range matrixPositions(matrixTopo) {
-			cells = append(cells, cell{k, c, cl.RankAt(c)})
-		}
-	}
-	verdicts := make([]faults.Verdict, len(cells))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				spec := faults.Spec{Kind: cells[i].kind, Rank: cells[i].rank}
-				verdicts[i] = RunCase(1, matrixTopo, spec, 15*time.Second, 30*time.Second).Verdict
-			}
-		}()
-	}
-	for i := range cells {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
+	cells, verdicts := runMatrix()
 	rows := make([][]string, len(cells))
 	for i, c := range cells {
 		v := verdicts[i]
@@ -124,5 +140,60 @@ func TestVerdictMatrixGolden(t *testing.T) {
 		if g != w {
 			t.Fatalf("verdicts drifted from %s at line %d:\n got  %s\n want %s", path, i+1, g, w)
 		}
+	}
+}
+
+// TestVerdictScore holds the matrix's score to committed floors, and a
+// healthy job's trigger count to a ceiling. A detector change that moves a
+// count in the good direction moves its bound in the same commit; none moves
+// the other way.
+func TestVerdictScore(t *testing.T) {
+	const (
+		minDetected15s  = 8
+		minDiagnosed20s = 7
+		minExact        = 77
+		minNoSpurious   = 14
+		// A fault-free 64-rank job at 120 virtual seconds with the re-arm mute
+		// off: every trigger it raises is false.
+		maxHealthyTriggers = 58
+	)
+	_, verdicts := runMatrix()
+	injected := sim.Time(15 * time.Second)
+	var detected, diagnosed, exact, clean int
+	for _, v := range verdicts {
+		if v.Detected != nil && v.Detected.At.Sub(injected) <= 15*time.Second {
+			detected++
+		}
+		if v.Diagnosed != nil && v.Diagnosed.AnalyzedAt.Sub(injected) <= 20*time.Second {
+			diagnosed++
+		}
+		if v.Suspect == faults.SuspectExact {
+			exact++
+		}
+		if len(v.Spurious) == 0 {
+			clean++
+		}
+	}
+	healthy, _ := host(1, mycroft.JobOptions{Topo: matrixTopo, Backend: mycroft.BackendConfig{RearmDelay: time.Nanosecond}},
+		faults.Spec{}, 120*time.Second)
+	triggers := len(healthy.Triggers())
+	t.Logf("of %d cells: %d detected within 15s, %d diagnosed within 20s, %d exact suspects, %d with no spurious report; healthy job: %d triggers",
+		len(verdicts), detected, diagnosed, exact, clean, triggers)
+
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"cells detected within 15s", detected, minDetected15s},
+		{"cells diagnosed within 20s", diagnosed, minDiagnosed20s},
+		{"cells with the exact suspect", exact, minExact},
+		{"cells with no spurious report", clean, minNoSpurious},
+	} {
+		if c.got < c.want {
+			t.Errorf("%s: %d, below the floor of %d", c.name, c.got, c.want)
+		}
+	}
+	if triggers > maxHealthyTriggers {
+		t.Errorf("healthy job raised %d triggers, above the ceiling of %d", triggers, maxHealthyTriggers)
 	}
 }

@@ -16,6 +16,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mycroft/internal/core"
@@ -208,8 +209,11 @@ type Verdict struct {
 	TriggerAfter time.Duration
 	ReportAfter  time.Duration
 	// Detected is the first of those triggers whose kind the expectation
-	// accepts. Diagnosed is the first of those reports it accepts as correct:
-	// an accepted category, naming the injected rank when the kind localizes.
+	// accepts and which led to a report (Report.Trigger) whose suspect grades
+	// exact or same-host: a trigger that blamed another host, or was never
+	// analyzed, did not detect this fault. Diagnosed is the first of those
+	// reports the expectation accepts as correct: an accepted category,
+	// naming the injected rank when the kind localizes.
 	Detected  *core.Trigger
 	Diagnosed *core.Report
 	// Suspect grades Report's suspect ("" without a Report), and
@@ -237,7 +241,9 @@ func Judge(s Spec, cl *topo.Cluster, triggers []core.Trigger, reports []core.Rep
 		if v.Trigger == nil {
 			v.Trigger, v.TriggerAfter = tr, tr.At.Sub(at)
 		}
-		if exp.TriggerOK(tr.Kind) {
+		if exp.TriggerOK(tr.Kind) && slices.ContainsFunc(reports, func(rep core.Report) bool {
+			return rep.Trigger == *tr && grade(cl, s.Rank, rep.Suspect) != SuspectWrong
+		}) {
 			v.Detected = tr
 			break
 		}

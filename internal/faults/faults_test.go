@@ -297,9 +297,9 @@ func TestSpecDefaultsAndValidation(t *testing.T) {
 }
 
 // TestJudge scores fabricated runs: what fired before the injection is
-// ignored except as spurious, the first accepted trigger and the first
-// correct report are found past earlier wrong ones, and suspects grade by
-// host.
+// ignored except as spurious, the first accepted trigger whose report names
+// the injected host and the first correct report are found past earlier
+// wrong ones, and suspects grade by host.
 func TestJudge(t *testing.T) {
 	cl := topo.MustNew(topo.Config{Nodes: 2, GPUsPerNode: 4, TP: 2, PP: 2, DP: 2})
 	at := func(s int) sim.Time { return sim.Time(time.Duration(s) * time.Second) }
@@ -307,15 +307,16 @@ func TestJudge(t *testing.T) {
 	trigs := []core.Trigger{
 		{Kind: core.TriggerFailure, Rank: 0, At: at(6)},
 		{Kind: core.TriggerFailure, Rank: 0, At: at(18)},
+		{Kind: core.TriggerStraggler, Rank: 1, At: at(19)}, // never analyzed
 		{Kind: core.TriggerStraggler, Rank: 1, At: at(20)},
 	}
 	reps := []core.Report{
-		{Suspect: 2, Category: core.CatNotLaunched, AnalyzedAt: at(6)},
-		{Suspect: 6, Category: core.CatNetworkDegrade, AnalyzedAt: at(24)},
-		{Suspect: 5, Category: core.CatNetworkDegrade, AnalyzedAt: at(30)},
+		{Trigger: trigs[0], Suspect: 2, Category: core.CatNotLaunched, AnalyzedAt: at(6)},
+		{Trigger: trigs[3], Suspect: 6, Category: core.CatNetworkDegrade, AnalyzedAt: at(24)},
+		{Trigger: trigs[3], Suspect: 5, Category: core.CatNetworkDegrade, AnalyzedAt: at(30)},
 	}
 	v := Judge(spec, cl, trigs, reps)
-	if v.Trigger != &trigs[1] || v.TriggerAfter != 3*time.Second || v.Detected != &trigs[2] {
+	if v.Trigger != &trigs[1] || v.TriggerAfter != 3*time.Second || v.Detected != &trigs[3] {
 		t.Errorf("triggers: first %v (+%v), detected %v", v.Trigger, v.TriggerAfter, v.Detected)
 	}
 	if v.Report != &reps[1] || v.ReportAfter != 9*time.Second || v.Diagnosed != &reps[2] {
@@ -326,6 +327,11 @@ func TestJudge(t *testing.T) {
 	}
 	if len(v.Spurious) != 2 || v.Spurious[0].Suspect != 2 || v.Spurious[1].Suspect != 6 {
 		t.Errorf("spurious = %v", v.Spurious)
+	}
+	// An accepted trigger whose analysis blamed another host detected nothing.
+	wrongHost := []core.Report{{Trigger: trigs[3], Suspect: 2, Category: core.CatNetworkDegrade, AnalyzedAt: at(24)}}
+	if g := Judge(spec, cl, trigs, wrongHost); g.Detected != nil {
+		t.Errorf("trigger blamed on rank 2 counted as detecting rank 5's fault: %v", g.Detected)
 	}
 	if g := Judge(spec, cl, nil, reps[:1]); g.Report != nil || g.Suspect != "" || len(g.Spurious) != 1 {
 		t.Errorf("pre-injection report judged: %+v", g)
