@@ -253,8 +253,8 @@ func (sv *Server) GossipOnce() {
 // StartCluster launches the wall-clock cluster loops — one gossip round at
 // once, then replication every replicateEvery and gossip every gossipEvery —
 // and returns a stop function. Use from a daemon; tests drive ReplicateNow
-// and GossipOnce directly for determinism. A clean shutdown stops the loops
-// and runs one last ReplicateNow, so followers hold the whole log.
+// and GossipOnce directly for determinism. A clean shutdown calls stop, then
+// ReplicateNow once more, so every reachable follower holds the log so far.
 func (sv *Server) StartCluster(replicateEvery, gossipEvery time.Duration) (stop func()) {
 	if replicateEvery <= 0 {
 		replicateEvery = 250 * time.Millisecond

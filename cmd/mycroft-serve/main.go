@@ -215,8 +215,8 @@ func main() {
 
 	<-ctx.Done()
 	stopCluster()
-	// One final replication round, so every reachable follower holds the
-	// whole log before this peer's listener dies (a no-op outside a cluster).
+	// One final replication round, so every reachable follower holds the log
+	// so far before this peer's listener dies (a no-op outside a cluster).
 	srv.ReplicateNow()
 	// Subscribers get a terminal server-shutdown event before their tails
 	// close — a watcher sees the daemon leave, not a silent hangup.
