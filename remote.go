@@ -329,11 +329,10 @@ func (t *jobTail) follow() {
 // ask sends one tail request to the job's candidates in order and returns
 // the first page a peer serves. A peer that fails at the transport layer or
 // refuses (a follower that has not heard of the job yet) passes the request
-// on. It returns errTailsClosed once every
-// candidate has answered closed, ErrUnreachable when every one it asked
-// failed at the transport layer, and ErrSubscriptionLost when a peer answers
-// with a start instant other than its first: that daemon restarted, its
-// log's seqs with it.
+// on. It returns errTailsClosed once every candidate has answered closed,
+// ErrUnreachable when every one it asked failed at the transport layer, and
+// ErrSubscriptionLost when a peer answers with a start instant other than its
+// first: that daemon restarted, its log's seqs with it.
 func (t *jobTail) ask(after uint64, timeoutMs int) (api.TailResponse, error) {
 	req := api.TailRequest{Job: t.job, AfterSeq: after, TimeoutMs: timeoutMs, Max: 256}
 	peers := t.fl.candidates(t.job)
