@@ -193,17 +193,24 @@ func buildService(seed int64, faultName string, rank int, at time.Duration, reme
 }
 
 // jobInfo resolves which hosted job to report on: the -job flag, or the
-// sole job when the flag is empty.
+// sole job when the flag is empty. A cluster peer also lists the jobs it
+// follows (Source "replica"); it does not host those, so they do not count.
 func jobInfo(c mycroft.Client, job mycroft.JobID) (mycroft.JobsResult, mycroft.JobInfo, error) {
 	jobs, err := c.ListJobs()
 	if err != nil {
 		return mycroft.JobsResult{}, mycroft.JobInfo{}, err
 	}
 	if job == "" {
-		if len(jobs.Jobs) != 1 {
-			return mycroft.JobsResult{}, mycroft.JobInfo{}, fmt.Errorf("service hosts %d jobs; pick one with -job", len(jobs.Jobs))
+		var hosted []mycroft.JobInfo
+		for _, j := range jobs.Jobs {
+			if j.Source == "" {
+				hosted = append(hosted, j)
+			}
 		}
-		return jobs, jobs.Jobs[0], nil
+		if len(hosted) != 1 {
+			return mycroft.JobsResult{}, mycroft.JobInfo{}, fmt.Errorf("service hosts %d jobs; pick one with -job", len(hosted))
+		}
+		return jobs, hosted[0], nil
 	}
 	for _, j := range jobs.Jobs {
 		if j.ID == job {

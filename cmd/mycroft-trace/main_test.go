@@ -32,6 +32,34 @@ func dialTestDaemon(t *testing.T, seed int64, fault string, rank int, at, horizo
 	return rc
 }
 
+// listing is a Client whose job listing is fixed.
+type listing struct {
+	mycroft.Client
+	jobs mycroft.JobsResult
+}
+
+func (l listing) ListJobs() (mycroft.JobsResult, error) { return l.jobs, nil }
+
+// TestJobInfoSkipsFollowedJobs: with no -job, a cluster peer that hosts one
+// job and follows another reports on the one it hosts; a followed job is
+// still reachable by name.
+func TestJobInfoSkipsFollowedJobs(t *testing.T) {
+	c := listing{jobs: mycroft.JobsResult{Jobs: []mycroft.JobInfo{
+		{ID: "followed", Source: "replica"},
+		{ID: "hosted"},
+	}}}
+	if _, info, err := jobInfo(c, ""); err != nil || info.ID != "hosted" {
+		t.Fatalf("jobInfo without -job = %q, %v; want the hosted job", info.ID, err)
+	}
+	if _, info, err := jobInfo(c, "followed"); err != nil || info.ID != "followed" {
+		t.Fatalf("jobInfo -job followed = %q, %v", info.ID, err)
+	}
+	c.jobs.Jobs = append(c.jobs.Jobs, mycroft.JobInfo{ID: "second"})
+	if _, _, err := jobInfo(c, ""); err == nil {
+		t.Fatal("jobInfo without -job picked one of two hosted jobs")
+	}
+}
+
 // TestRemoteOutputByteIdentical is the PR's acceptance criterion: every
 // mycroft-trace subcommand must render byte-identical output for the same
 // seeded run whether it queries an in-process Service or a mycroft-serve

@@ -15,22 +15,28 @@
 // chunk counters and the stuck time change. So each series keeps a flow
 // table — one entry per distinct (IP, communicator, GPU, channel, QP, op,
 // message size, total chunks, kind) tuple — and a log of fixed-length
-// segments of 56-byte slots (seglog.go) that hold the changing fields and a
-// flow index. A segment is pointer-free memory the collector never scans,
-// sized to fill one of the allocator's size classes. Ingest writes one slot
-// and allocates only when a rank's last segment is full or its record starts
-// a flow; nothing stored is ever copied, cleared or regrown. Retention
-// releases whole segments as the horizon passes them, and all of a rank's,
-// flow table included, once it has no live record: the table holds one flow
-// per distinct tuple since the log was last empty. Readers binary-search and
-// walk the slots in place, test their time, communicator, kind and channel
-// predicates on the slot's flow, and rebuild a trace.Record only for what
-// they return.
+// segments (seglog.go). A segment holds 256 32-byte slots, which keep the
+// changing fields and a row index, and a table of 40 rows, which keep what a
+// run of one flow's records repeats: op seq, start, end and the flow index.
+// Rows a segment needs past its 40 spill into a side table of its log. A
+// segment is pointer-free memory the collector never scans, sized to fill
+// one of the allocator's size classes exactly. Ingest writes one slot, and a
+// row when the record's flow has none for its operation in the segment; it
+// allocates only when a rank's last segment is full, its record starts a
+// flow, or a row spills. Nothing stored is ever copied, cleared or regrown.
+// Retention releases whole segments, their spilled rows with them, as the
+// horizon passes them, and all of a rank's, flow table included, once it has
+// no live record: the table holds one flow per distinct tuple since the log
+// was last empty. Readers binary-search and walk the slots in place, test
+// their time, communicator, kind and channel predicates on the flow the
+// slot's row names, and rebuild a trace.Record only for what they return.
 //
-// Ingest probes no map per record. Ranks are dense in [0, world size), so the
+// Ingest probes no map per record, bar a row that spills. Ranks are dense in [0, world size), so the
 // series table is a slice indexed by rank. A record is matched against the
 // two flows its rank used last, then the rest of the table newest first; a
-// communicator is indexed only when a flow is added.
+// communicator is indexed only when a flow is added. The flow caches the row
+// its last record used, so a record repeating its operation compares three
+// fields and writes no row.
 package clouddb
 
 import (
@@ -45,8 +51,8 @@ import (
 )
 
 // rankSeries holds one rank's records in emission order: its log of slots
-// and the flow table they index, which together rebuild exactly the record
-// that was ingested. ip is the first-seen IP — what IPOf answers with; a
+// and rows and the flow table the rows index, which together rebuild exactly
+// the record that was ingested. ip is the first-seen IP — what IPOf answers with; a
 // record that arrives with a different one (a rank re-homed to another host
 // mid-run) starts a flow of its own.
 type rankSeries struct {
@@ -126,7 +132,8 @@ func (s *rankSeries) noteComm(db *DB, comm uint64) {
 // ranks must be non-negative: the series table is as long as the highest
 // rank ingested. Every ingest prunes the whole store, so a silent rank keeps
 // its over-horizon records only until the next batch from any rank
-// (retention is a horizon, not an instant).
+// (retention is a horizon, not an instant). An empty batch neither stores nor
+// prunes.
 func (db *DB) Ingest(batch []trace.Record) {
 	if len(batch) == 0 {
 		return
@@ -143,7 +150,8 @@ func (db *DB) Ingest(batch []trace.Record) {
 		if l := &series.log; l.n > 0 && l.newest > r.Time {
 			panic(fmt.Sprintf("clouddb: out-of-order ingest for rank %d: %v after %v", r.Rank, r.Time, l.newest))
 		}
-		series.log.push(r.Time).store(r, series.flowOf(db, r))
+		fi := series.flowOf(db, r)
+		series.log.push(r, &series.flows[fi], fi)
 	}
 	db.ingested += uint64(len(batch))
 	db.bytesIngested += uint64(len(batch)) * trace.WireSize
@@ -297,8 +305,8 @@ func (db *DB) QueryGroup(commID uint64, from, to sim.Time) map[topo.Rank][]trace
 		var members []trace.Record // stays nil for a member silent in the window
 		lo, hi := s.log.window(from, to)
 		for i := lo; i < hi; i++ {
-			if sl := s.log.at(i); s.flows[sl.flow].commID == commID {
-				members = s.appendTo(members, sl)
+			if sl, rw := s.log.at(i); s.flows[rw.flow].commID == commID {
+				members = s.appendTo(members, sl, rw)
 			}
 		}
 		out[r] = members
@@ -314,8 +322,8 @@ func (db *DB) LastRecord(r topo.Rank, commID uint64, t sim.Time) (trace.Record, 
 		return trace.Record{}, false
 	}
 	for i := s.log.firstAfter(t) - 1; i >= 0; i-- {
-		if sl := s.log.at(i); commID == 0 || s.flows[sl.flow].commID == commID {
-			return s.record(sl), true
+		if sl, rw := s.log.at(i); commID == 0 || s.flows[rw.flow].commID == commID {
+			return s.record(sl, rw), true
 		}
 	}
 	return trace.Record{}, false
@@ -329,8 +337,8 @@ func (db *DB) LastCompletion(r topo.Rank, t sim.Time) (trace.Record, bool) {
 		return trace.Record{}, false
 	}
 	for i := s.log.firstAfter(t) - 1; i >= 0; i-- {
-		if sl := s.log.at(i); s.flows[sl.flow].kind == trace.KindCompletion {
-			return s.record(sl), true
+		if sl, rw := s.log.at(i); s.flows[rw.flow].kind == trace.KindCompletion {
+			return s.record(sl, rw), true
 		}
 	}
 	return trace.Record{}, false
@@ -346,13 +354,13 @@ func (db *DB) LastStatePerChannel(r topo.Rank, commID uint64, t sim.Time, window
 	}
 	lo, hi := s.log.window(t.Add(-window), t)
 	for i := hi - 1; i >= lo; i-- { // newest first: a channel's first hit is its last state
-		sl := s.log.at(i)
-		f := &s.flows[sl.flow]
+		sl, rw := s.log.at(i)
+		f := &s.flows[rw.flow]
 		if f.kind != trace.KindState || f.commID != commID {
 			continue
 		}
 		if _, seen := out[f.channel]; !seen {
-			out[f.channel] = s.record(sl)
+			out[f.channel] = s.record(sl, rw)
 		}
 	}
 	return out

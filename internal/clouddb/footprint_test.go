@@ -36,9 +36,10 @@ func perRankBatches(ranks, n int, start sim.Time, step time.Duration) [][]trace.
 }
 
 // TestIngestFootprint pins what the segmented layout is for: a stored record
-// costs its 56-byte slot plus a few bytes of segment tail and index, not the
-// 128-byte record plus append's doubling slack (159 B at the flat layout) or
-// an 88-byte slot that repeats its flow's fields (~89 B), and ingest
+// costs its 32-byte slot plus its share of its segment's row table, segment
+// tail and index, not the 128-byte record plus append's doubling slack (159 B
+// at the flat layout), an 88-byte slot that repeats its flow's fields (~89 B)
+// or a 56-byte slot that repeats its operation's (~57 B), and ingest
 // allocates once per segment, not once per regrow of every rank.
 func TestIngestFootprint(t *testing.T) {
 	const ranks, perRank = 64, 3125 // 200 k records
@@ -54,8 +55,8 @@ func TestIngestFootprint(t *testing.T) {
 		t.Fatalf("stored %d records, want %d", got, ranks*perRank)
 	}
 	records := float64(ranks * perRank)
-	if perRecord := (float64(heap1) - float64(heap0)) / records; perRecord > 64 {
-		t.Errorf("%.1f heap bytes per stored record, want ≤ 64", perRecord)
+	if perRecord := (float64(heap1) - float64(heap0)) / records; perRecord > 44 {
+		t.Errorf("%.1f heap bytes per stored record, want ≤ 44", perRecord)
 	}
 	// One malloc per segment; per rank, the series, its flow table, its
 	// communicator list, its communicator's member list, and the doublings

@@ -44,7 +44,12 @@ func newFlatStore(retention time.Duration) *flatStore {
 	return &flatStore{retention: retention, series: make(map[topo.Rank]*flatSeries)}
 }
 
+// ingest stores a batch and prunes, as DB.Ingest does; an empty batch does
+// neither.
 func (m *flatStore) ingest(now sim.Time, batch []trace.Record) {
+	if len(batch) == 0 {
+		return
+	}
 	for _, r := range batch {
 		s := m.series[r.Rank]
 		if s == nil {
@@ -204,7 +209,13 @@ type storeProgram struct {
 	clock map[topo.Rank]sim.Time // newest record time per rank
 	moved bool                   // rank ranks[3] reports from its second host
 	pools map[topo.Rank][]trace.Record
-	cycle int // position of rank ranks[2] in its round of flows
+	ops   map[topo.Rank][]trace.Record // each rank's operations
+	cur   map[trace.Record]int         // the operation each flow names, by flowKey
+	cycle int                          // position of rank ranks[2] in its round of flows
+
+	// Full segments seen by check whose rows fit beside their slots, and
+	// those that spilled.
+	packed, spilled int
 }
 
 const (
@@ -213,6 +224,9 @@ const (
 	// modelFlows is the size of each rank's pool of flows: one drawn whole
 	// and one per flow field, which it alone changes from an earlier flow.
 	modelFlows = 10
+	// modelOps is the size of each rank's pool of operations: one drawn whole
+	// and one per row field, which it alone changes from an earlier one.
+	modelOps = 4
 )
 
 // randomFlow draws every flow field of a record of rank r.
@@ -263,6 +277,53 @@ func (p *storeProgram) pool(r topo.Rank) []trace.Record {
 	return fl
 }
 
+// randomOp draws the operation fields of rc: the ones a row holds.
+func (p *storeProgram) randomOp(rc *trace.Record) {
+	rc.OpSeq, rc.Start, rc.End = p.rng.Uint64(), sim.Time(p.rng.Int63()), sim.Time(-p.rng.Int63())
+}
+
+// op sets rc's operation fields. A flow names one operation of its rank's
+// pool for a run of records, as a rank's state logs name one op until it
+// completes, so the run shares a row, which the store must reuse only within
+// a segment; and the flows of a rank name the same operations, as its
+// channels of one collective do. The pool is drawn on first use like the
+// flows: op k > 0 copies an earlier one and changes row field k-1 alone, so a
+// row compare that skips any field merges two operations. Now and then a
+// record names an operation never seen.
+func (p *storeProgram) op(rc *trace.Record) {
+	rng := p.rng
+	if rng.Intn(64) == 0 {
+		p.randomOp(rc)
+		return
+	}
+	ops, ok := p.ops[rc.Rank]
+	if !ok {
+		p.randomOp(rc)
+		ops = []trace.Record{*rc}
+		for k := 1; k < modelOps; k++ {
+			o := ops[rng.Intn(k)]
+			switch k - 1 {
+			case 0:
+				o.OpSeq++
+			case 1:
+				o.Start++
+			case 2:
+				o.End++
+			}
+			ops = append(ops, o)
+		}
+		p.ops[rc.Rank] = ops
+	}
+	key := flowKey(*rc)
+	cur := p.cur[key]
+	if rng.Intn(32) == 0 {
+		cur = rng.Intn(len(ops))
+		p.cur[key] = cur
+	}
+	o := &ops[cur]
+	rc.OpSeq, rc.Start, rc.End = o.OpSeq, o.Start, o.End
+}
+
 // record draws one record for rank r at time at; every stored field varies so
 // a slot that drops or swaps one cannot round-trip. Its flow is mostly one of
 // the rank's first two (the two a rank alternates between), else any of its
@@ -286,8 +347,8 @@ func (p *storeProgram) record(r topo.Rank, at sim.Time) trace.Record {
 	if r == p.ranks[3] && p.moved {
 		rc.IP = "10.9.9.9"
 	}
-	rc.Time, rc.OpSeq = at, rng.Uint64()
-	rc.Start, rc.End = sim.Time(rng.Int63()), sim.Time(-rng.Int63())
+	rc.Time = at
+	p.op(&rc)
 	rc.GPUReady, rc.RDMATransmitted, rc.RDMADone = rng.Uint32(), rng.Uint32(), rng.Uint32()
 	rc.StuckNs = -rng.Int63()
 	return rc
@@ -363,6 +424,25 @@ func (p *storeProgram) equal(what string, got, want any, context ...any) {
 	}
 }
 
+// segments checks that rank r's spill table holds rows only for its live
+// segments, and counts its full segments that spilled and those that did not.
+func (p *storeProgram) segments(r topo.Rank) {
+	p.t.Helper()
+	l := &p.db.series(r).log
+	for seg := range l.spill {
+		if !slices.Contains(l.segs, seg) {
+			p.t.Fatalf("at %v: rank %d keeps spilled rows for a released segment", p.eng.Now(), r)
+		}
+	}
+	for _, seg := range l.segs[:max(len(l.segs)-1, 0)] {
+		if _, ok := l.spill[seg]; ok {
+			p.spilled++
+		} else {
+			p.packed++
+		}
+	}
+}
+
 // check compares every read the store offers against the model.
 func (p *storeProgram) check() {
 	p.t.Helper()
@@ -388,6 +468,7 @@ func (p *storeProgram) check() {
 			// The flow table holds each distinct flow once, and nothing from
 			// before the log was last empty.
 			p.equal("flows", len(db.series(r).flows), len(s.flows), r)
+			p.segments(r)
 		} else {
 			p.equal("IPOf", []any{ip, ok}, []any{topo.IP(""), false})
 		}
@@ -456,6 +537,7 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 				db: New(eng, modelRetention), model: newFlatStore(modelRetention),
 				ranks: []topo.Rank{0, 1, 2, 3, 8, 9, 64, 65, 129, 511},
 				clock: make(map[topo.Rank]sim.Time), pools: make(map[topo.Rank][]trace.Record),
+				ops: make(map[topo.Rank][]trace.Record), cur: make(map[trace.Record]int),
 			}
 			// The store first sees ranks in descending, sparse order: its
 			// rank table grows to 512 on its first record and is filled in
@@ -497,6 +579,9 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 			}
 			if p.db.Pruned() == 0 || p.db.LiveRecords() == 0 {
 				t.Fatalf("program pruned %d and left %d live: it exercised nothing", p.db.Pruned(), p.db.LiveRecords())
+			}
+			if p.packed == 0 || p.spilled == 0 {
+				t.Fatalf("checked %d packed and %d spilled full segments: a row path went unexercised", p.packed, p.spilled)
 			}
 		})
 	}

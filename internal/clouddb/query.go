@@ -57,8 +57,8 @@ type Result struct {
 	Next *Cursor
 }
 
-// matches applies the non-window predicates to a stored slot's flow, so a
-// record the query does not return is never rebuilt.
+// matches applies the non-window predicates to the flow a stored slot's row
+// names, so a record the query does not return is never rebuilt.
 func (q *Query) matches(f *flow) bool {
 	if q.Comm != 0 && f.commID != q.Comm {
 		return false
@@ -117,8 +117,8 @@ func (db *DB) Query(q Query) Result {
 		}
 		skip := 0
 		for i := lo; i < hi; i++ {
-			sl := s.log.at(i)
-			if !q.matches(&s.flows[sl.flow]) {
+			sl, rw := s.log.at(i)
+			if !q.matches(&s.flows[rw.flow]) {
 				continue
 			}
 			if resuming && sl.time == q.Cursor.Time && skip < q.Cursor.Emitted {
@@ -155,7 +155,7 @@ func (db *DB) Query(q Query) Result {
 				// Size the page once instead of doubling up to it.
 				res.Records = make([]trace.Record, 0, min(q.Limit, hi-i))
 			}
-			res.Records = s.appendTo(res.Records, sl)
+			res.Records = s.appendTo(res.Records, sl, rw)
 		}
 	}
 	return res

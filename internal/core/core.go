@@ -331,23 +331,3 @@ func SampleRanks(dpGroups []*topo.Group, max int) []topo.Rank {
 	}
 	return out
 }
-
-// SampleWorld spreads max samples evenly over the world when no parallelism
-// plan is known (the paper notes other schemes work because anomalies
-// propagate).
-func SampleWorld(world int, max int) []topo.Rank {
-	if max <= 0 {
-		max = 10
-	}
-	if world <= 0 {
-		return nil
-	}
-	if max > world {
-		max = world
-	}
-	out := make([]topo.Rank, 0, max)
-	for i := 0; i < max; i++ {
-		out = append(out, topo.Rank(i*world/max))
-	}
-	return out
-}

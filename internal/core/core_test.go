@@ -74,19 +74,6 @@ func TestSampleRanksCap(t *testing.T) {
 	}
 }
 
-func TestSampleWorld(t *testing.T) {
-	s := SampleWorld(100, 10)
-	if len(s) != 10 || s[0] != 0 || s[9] != 90 {
-		t.Fatalf("SampleWorld = %v", s)
-	}
-	if got := SampleWorld(3, 10); len(got) != 3 {
-		t.Fatalf("small world: %v", got)
-	}
-	if SampleWorld(0, 10) != nil {
-		t.Fatal("empty world sampled")
-	}
-}
-
 func TestNoTriggerBeforeJobProducesLogs(t *testing.T) {
 	f := newFixture(t, []topo.Rank{0}, Config{})
 	f.b.Evaluate(sec(10))

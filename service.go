@@ -142,9 +142,6 @@ func (s *Service) AddJob(id JobID, opts JobOptions) (*JobHandle, error) {
 		return nil, err
 	}
 	sampled := core.SampleRanks(job.Cluster.DPGroups(), opts.Backend.MaxSampled)
-	if len(sampled) == 0 {
-		sampled = core.SampleWorld(job.Cluster.WorldSize(), opts.Backend.MaxSampled)
-	}
 	bk := core.NewBackend(s.Eng, job.DB, sampled, opts.Backend)
 	h := &JobHandle{ID: id, svc: s, Job: job, Backend: bk, health: HealthStopped}
 	// One span recorder per job: every pipeline layer — collector upload,
