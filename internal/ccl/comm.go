@@ -40,10 +40,14 @@
 // counters start at zero, each pipeline a copy of its plan entry plus a
 // pointer to the peer's pipeline in the same frame (nil when OpSpec.Skip
 // leaves that peer out — who skips belongs to the op, not to the shape).
-// Frames are never reused, so the *Op Submit returns may be kept for as long
-// as the caller likes: Done, DoneTime, RankStart, RankDone and Snapshot keep
-// answering for that op after the communicator has moved on, and the frame is
-// garbage once the last holder lets go.
+// A frame is reused once nothing refers to it: every rank has passed the op,
+// and the caller has given back the *Op Submit returned with Op.Free. Every
+// op on a communicator has the same ranks and channels, so any spare frame
+// fits the next Submit, and a caller that frees each handle (the training
+// layer does) runs its steady state without a malloc. A caller that keeps a
+// handle keeps its frame: Done, DoneTime, RankStart, RankDone and Snapshot
+// keep answering for that op after the communicator has moved on, and the
+// frame is garbage once the last holder lets go.
 package ccl
 
 import (
@@ -195,6 +199,7 @@ type Communicator struct {
 	// every op it ever ran.
 	ops     []*opRun
 	opsBase int
+	spare   *opRun // frames of freed, passed ops, linked through next
 	nextSeq uint64
 	nextQP  int
 	ticker  *sim.Ticker // state logs, see the package comment

@@ -28,8 +28,30 @@ type OpSpec struct {
 	OnRankDone func(topo.Rank, sim.Time)
 }
 
-// Op is a handle on a submitted operation.
+// Op is a handle on a submitted operation. A caller that keeps it may ask it
+// about its op for as long as it likes: Done, DoneTime, RankStart, RankDone
+// and Snapshot keep answering after the communicator has moved on. A caller
+// that is finished with it calls Free, once the op is Done, and uses the
+// handle no more; the communicator then reuses the op's frame for a later
+// op. A handle that is never freed is never reused.
 type Op struct{ run *opRun }
+
+// Free gives the handle back. It panics if the op is not Done or the handle
+// was already freed. The frame is reused once every rank has also passed the
+// op (see pump); until then Free changes nothing the engine sees.
+func (o *Op) Free() {
+	op := o.run
+	switch {
+	case op.freed:
+		panic("ccl: op handle freed twice")
+	case !op.globalDone:
+		panic("ccl: op handle freed before the op is done")
+	}
+	op.freed = true
+	if op.passed == len(op.comm.ranks) {
+		op.comm.recycle(op)
+	}
+}
 
 // Meta returns the operation's identity.
 func (o *Op) Meta() OpMeta { return o.run.meta }
@@ -130,7 +152,9 @@ type chanPlan struct {
 }
 
 // opRun is the engine-side state of one op: one frame of two slabs, filled
-// from the shape's plan.
+// from the shape's plan. Two references keep a frame from reuse: the
+// window's, dropped when the last rank passes the op, and the handle's,
+// dropped by Op.Free.
 type opRun struct {
 	handle     Op
 	comm       *Communicator
@@ -145,7 +169,9 @@ type opRun struct {
 	startTime  sim.Time
 	doneTime   sim.Time
 	globalDone bool
+	freed      bool // the handle was given back (Op.Free)
 	onAllDone  func(sim.Time)
+	next       *opRun // the next spare frame, while this one is spare
 }
 
 // rankRun is one rank's share of an op.
@@ -190,13 +216,10 @@ func (c *Communicator) Submit(spec OpSpec, onAllDone func(sim.Time)) *Op {
 		panic(fmt.Sprintf("ccl: non-positive op bytes %d", spec.Bytes))
 	}
 	plan := c.plan(spec)
-	R, C := len(c.ranks), c.cfg.Channels
-	op := &opRun{
-		comm: c, spec: spec, idx: c.opsBase + len(c.ops), onAllDone: onAllDone,
-		meta:     OpMeta{CommID: c.id, Seq: c.nextSeq, Kind: spec.Kind, Bytes: spec.Bytes},
-		rankRuns: make([]rankRun, R), chans: make([]chanRun, R*C),
-	}
-	op.handle.run = op
+	C := c.cfg.Channels
+	op := c.frame()
+	op.handle.run, op.comm, op.spec, op.idx, op.onAllDone = op, c, spec, c.opsBase+len(c.ops), onAllDone
+	op.meta = OpMeta{CommID: c.id, Seq: c.nextSeq, Kind: spec.Kind, Bytes: spec.Bytes}
 	c.nextSeq++
 	skips := func(i int) bool { return spec.Skip[c.ranks[i].info.Rank] }
 	now := c.eng.Now()
@@ -224,6 +247,28 @@ func (c *Communicator) Submit(spec OpSpec, onAllDone func(sim.Time)) *Op {
 		}
 	}
 	return &op.handle
+}
+
+// frame returns a blank op frame: a spare one when there is one, with both
+// slabs cleared, else a new one. Every op on a communicator has the same
+// number of ranks and channels, so any spare fits.
+func (c *Communicator) frame() *opRun {
+	op := c.spare
+	if op == nil {
+		R, C := len(c.ranks), c.cfg.Channels
+		return &opRun{rankRuns: make([]rankRun, R), chans: make([]chanRun, R*C)}
+	}
+	c.spare = op.next
+	rankRuns, chans := op.rankRuns, op.chans
+	clear(rankRuns)
+	clear(chans)
+	*op = opRun{rankRuns: rankRuns, chans: chans}
+	return op
+}
+
+// recycle puts a frame nothing refers to any more on the spare list.
+func (c *Communicator) recycle(op *opRun) {
+	op.next, c.spare = c.spare, op
 }
 
 // plan returns the plan of spec's shape, [rank index × Channels + channel],
@@ -354,6 +399,18 @@ func (rc *rankCtx) pump() {
 			c.ops[last] = nil
 			c.ops = c.ops[:last]
 			c.opsBase++
+			// With the window's reference gone, a freed frame is spare. No
+			// event still points into it: every rank is done, so each
+			// channel has acked every send, and a send's delivery, its
+			// staging copy and any ChunkOverhead post all fire before its
+			// CQE. Nor does a call on the stack read it again: begin runs
+			// inside its rank's pump, which passes the op only after begin
+			// returns, and Free needs the op Done, which the last rank's
+			// checkDone sets with nothing left to run but onAllDone and a
+			// pump.
+			if op.freed {
+				c.recycle(op)
+			}
 		}
 	}
 }

@@ -175,9 +175,11 @@ func TestSkipDoesNotLeakIntoTheShape(t *testing.T) {
 
 // TestSubmitSteadyStateAllocs: once a shape is planned, submitting and
 // running it again costs the op's frame — a fixed number of mallocs however
-// many ranks take part. (Before plans were kept this was 9·R+3: 75 at R=8.)
+// many ranks take part — and nothing at all when each handle is freed, so a
+// spare frame is there to reuse. (Before plans were kept this was 9·R+3: 75
+// at R=8.)
 func TestSubmitSteadyStateAllocs(t *testing.T) {
-	perOp := func(nodes, gpusPer int) float64 {
+	perOp := func(nodes, gpusPer int, free bool) float64 {
 		e := newEnv(nodes, gpusPer)
 		c := NewCommunicator(e.eng, 1, e.infos, Config{})
 		R := c.Size()
@@ -192,18 +194,135 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 				if !op.Done() {
 					t.Fatalf("R=%d: %v incomplete", R, op.Meta().Kind)
 				}
+				if free {
+					op.Free()
+				}
 			}
 		}
 		round() // plans each shape; the event queue and free lists reach their depth
 		return testing.AllocsPerRun(5, round) / 3
 	}
-	two, eight, sixteen := perOp(2, 1), perOp(2, 4), perOp(4, 4)
-	if two != eight || eight != sixteen {
-		t.Errorf("mallocs per op grow with the communicator: %v at R=2, %v at R=8, %v at R=16", two, eight, sixteen)
+	for _, free := range []bool{false, true} {
+		two, eight, sixteen := perOp(2, 1, free), perOp(2, 4, free), perOp(4, 4, free)
+		if two != eight || eight != sixteen {
+			t.Errorf("free=%v: mallocs per op grow with the communicator: %v at R=2, %v at R=8, %v at R=16", free, two, eight, sixteen)
+		}
+		if !free && eight > 3 {
+			t.Errorf("%v mallocs per steady-state op, want the frame's 3 (op, rank slab, channel slab)", eight)
+		}
+		if free && eight != 0 {
+			t.Errorf("%v mallocs per steady-state op with freed handles, want 0", eight)
+		}
 	}
-	if eight > 3 {
-		t.Errorf("%v mallocs per steady-state op, want the frame's 3 (op, rank slab, channel slab)", eight)
+}
+
+// runOpSequence submits one fixed sequence of ops, 2 ms apart, on a 2-node ×
+// 2-GPU communicator after fault has scheduled its faults, and returns every
+// rank's records, each op's completion time, the engine's dispatch count and
+// how many distinct frames the ops ran in. With free, each handle is freed
+// once its op is Done, so later ops reuse frames; without, every handle is
+// held to the end and no frame is reused. Every sixth op is a SendRecv that a
+// bystander skips, so frames pass between ops with and without a skip.
+func runOpSequence(t *testing.T, cfg Config, fault func(*env), free bool) (recs [][]trace.Record, doneAt []sim.Time, dispatched uint64, frames int) {
+	t.Helper()
+	e := newEnv(2, 2)
+	c := e.comm(cfg)
+	fault(e)
+	specs := []OpSpec{
+		{Kind: trace.OpAllReduce, Bytes: 24<<20 + 3},
+		{Kind: trace.OpSendRecv, Bytes: 8 << 20, Src: 0, Dst: 3},
+		{Kind: trace.OpSendRecv, Bytes: 8 << 20, Src: 1, Dst: 2, Skip: map[topo.Rank]bool{3: true}},
+		{Kind: trace.OpBroadcast, Bytes: 12 << 20, Root: 1},
+		{Kind: trace.OpAllGather, Bytes: 6 << 20},
+		{Kind: trace.OpReduceScatter, Bytes: 16 << 20},
 	}
+	seen := make(map[*opRun]bool)
+	var live []*Op
+	for i := 0; i < 60; i++ {
+		k := len(doneAt)
+		doneAt = append(doneAt, 0)
+		op := c.Submit(specs[i%len(specs)], func(at sim.Time) { doneAt[k] = at })
+		seen[op.run] = true
+		live = append(live, op)
+		e.eng.RunFor(2 * time.Millisecond)
+		if free {
+			live = slices.DeleteFunc(live, func(op *Op) bool {
+				if op.Done() {
+					op.Free()
+					return true
+				}
+				return false
+			})
+		}
+	}
+	e.eng.RunFor(time.Second)
+	if slices.Contains(doneAt, 0) {
+		t.Fatalf("free=%v: an op never completed: %v", free, doneAt)
+	}
+	for r := range c.Size() {
+		recs = append(recs, *e.recs[topo.Rank(r)])
+	}
+	return recs, doneAt, e.eng.Dispatched(), len(seen)
+}
+
+// TestFrameReuseIsInvisible: freeing every handle, so that later ops run in
+// reused frames, changes nothing a rank emits or the engine dispatches —
+// through a NIC outage, a GPU hang, synchronous per-chunk overhead, and ops a
+// rank skips.
+func TestFrameReuseIsInvisible(t *testing.T) {
+	at := func(ms int) sim.Time { return sim.Time(time.Duration(ms) * time.Millisecond) }
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		fault func(*env)
+	}{
+		{"healthy", Config{}, func(*env) {}},
+		{"nic-down-up", Config{}, func(e *env) {
+			e.eng.At(at(21), func() { e.nics[2].SetDown(true) })
+			e.eng.At(at(63), func() { e.nics[2].SetDown(false) })
+		}},
+		{"gpu-hang-unhang", Config{}, func(e *env) {
+			e.eng.At(at(33), func() { e.gpus[1].SetHang(true) })
+			e.eng.At(at(79), func() { e.gpus[1].SetHang(false) })
+		}},
+		{"chunk-overhead", Config{ChunkOverhead: 3 * time.Microsecond}, func(*env) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			heldRecs, heldDone, heldEvents, heldFrames := runOpSequence(t, tc.cfg, tc.fault, false)
+			freedRecs, freedDone, freedEvents, freedFrames := runOpSequence(t, tc.cfg, tc.fault, true)
+			if heldFrames != len(heldDone) || freedFrames > len(freedDone)/2 {
+				t.Fatalf("%d ops ran in %d frames held and %d freed: frames were not reused", len(heldDone), heldFrames, freedFrames)
+			}
+			for r := range heldRecs {
+				if !slices.Equal(heldRecs[r], freedRecs[r]) {
+					t.Errorf("rank %d emitted %d records with held handles and %d with freed ones, or they differ", r, len(heldRecs[r]), len(freedRecs[r]))
+				}
+			}
+			if !slices.Equal(heldDone, freedDone) || heldEvents != freedEvents {
+				t.Errorf("held: %d events, done at %v\nfreed: %d events, done at %v", heldEvents, heldDone, freedEvents, freedDone)
+			}
+		})
+	}
+}
+
+// TestFreeMisusePanics: a handle is freed once, and only once its op is done.
+func TestFreeMisusePanics(t *testing.T) {
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := newEnv(2, 1)
+	c := e.comm(Config{})
+	op := c.AllReduce(8<<20, nil)
+	panics("freeing an op in flight", op.Free)
+	e.eng.RunFor(time.Second)
+	op.Free()
+	panics("freeing a handle twice", op.Free)
 }
 
 // TestOpHandleSurvivesLaterOps: a caller may keep an *Op for as long as it

@@ -25,7 +25,15 @@ type Entry struct {
 type Recorder struct {
 	eng *sim.Engine
 	n   int
-	buf map[topo.Rank][]Entry
+	buf map[topo.Rank]*ring
+}
+
+// ring is one rank's last n launches. It is allocated whole on the rank's
+// first launch and filled in order; once full, each launch overwrites the
+// oldest entry, at next.
+type ring struct {
+	entries []Entry
+	next    int
 }
 
 // New creates a recorder keeping n entries per rank (PyTorch's default ring
@@ -34,21 +42,34 @@ func New(eng *sim.Engine, n int) *Recorder {
 	if n <= 0 {
 		panic(fmt.Sprintf("flightrec: non-positive ring size %d", n))
 	}
-	return &Recorder{eng: eng, n: n, buf: make(map[topo.Rank][]Entry)}
+	return &Recorder{eng: eng, n: n, buf: make(map[topo.Rank]*ring)}
 }
 
-// Record appends a launch; wire it to ccl.Config.OnLaunch.
+// Record appends a launch; wire it to ccl.Config.OnLaunch. After a rank's
+// first launch it allocates nothing.
 func (rec *Recorder) Record(r topo.Rank, meta ccl.OpMeta) {
-	b := append(rec.buf[r], Entry{Rank: r, Meta: meta, At: rec.eng.Now()})
-	if len(b) > rec.n {
-		b = b[len(b)-rec.n:]
+	b := rec.buf[r]
+	if b == nil {
+		b = &ring{entries: make([]Entry, 0, rec.n)}
+		rec.buf[r] = b
 	}
-	rec.buf[r] = b
+	e := Entry{Rank: r, Meta: meta, At: rec.eng.Now()}
+	if len(b.entries) < rec.n {
+		b.entries = append(b.entries, e)
+		return
+	}
+	b.entries[b.next] = e
+	b.next = (b.next + 1) % rec.n
 }
 
 // Dump returns rank r's ring, oldest first.
 func (rec *Recorder) Dump(r topo.Rank) []Entry {
-	return append([]Entry(nil), rec.buf[r]...)
+	b := rec.buf[r]
+	if b == nil {
+		return nil
+	}
+	out := make([]Entry, 0, len(b.entries))
+	return append(append(out, b.entries[b.next:]...), b.entries[:b.next]...)
 }
 
 // Ranks lists ranks with any recorded launches.
@@ -84,8 +105,8 @@ func (rec *Recorder) Analyze(now sim.Time, stale sim.Duration) []Finding {
 	seqSets := make(map[uint64]map[topo.Rank]map[uint64]bool)
 	newest := make(map[uint64]sim.Time)
 	sizeByOp := make(map[uint64]map[uint64]map[int64][]topo.Rank) // comm -> seq -> size -> ranks
-	for r, entries := range rec.buf {
-		for _, e := range entries {
+	for r, b := range rec.buf {
+		for _, e := range b.entries {
 			m := lastSeq[e.Meta.CommID]
 			if m == nil {
 				m = make(map[topo.Rank]uint64)
@@ -131,34 +152,43 @@ func (rec *Recorder) Analyze(now sim.Time, stale sim.Duration) []Finding {
 		// Skipped-launch: rank r launched a later seq without ever launching
 		// seq s that a peer launched — a hole in its sequence. This is exact
 		// regardless of quiescence (each ring buffer bounds the horizon: only
-		// seqs at or above the rank's oldest retained entry are judged).
+		// seqs at or above the rank's oldest retained entry are judged). The
+		// details name the lowest skipper's lowest hole.
 		if len(m) > 1 {
 			ss := seqSets[c]
 			union := make(map[uint64]bool)
-			for _, set := range ss {
+			ranks := make([]topo.Rank, 0, len(ss))
+			for r, set := range ss {
+				ranks = append(ranks, r)
 				for s := range set {
 					union[s] = true
 				}
 			}
+			sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
 			var skippers []topo.Rank
 			var skipDetail string
-			for r, set := range ss {
+			for _, r := range ranks {
+				set := ss[r]
 				low := ^uint64(0)
 				for s := range set {
 					if s < low {
 						low = s
 					}
 				}
+				hole := ^uint64(0) // none: every hole is below m[r]
 				for s := range union {
 					if s >= low && s < m[r] && !set[s] {
-						skippers = append(skippers, r)
-						skipDetail = fmt.Sprintf("rank %d launched seq %d but never seq %d", r, m[r], s)
-						break
+						hole = min(hole, s)
+					}
+				}
+				if hole != ^uint64(0) {
+					skippers = append(skippers, r)
+					if skipDetail == "" {
+						skipDetail = fmt.Sprintf("rank %d launched seq %d but never seq %d", r, m[r], hole)
 					}
 				}
 			}
 			if len(skippers) > 0 {
-				sort.Slice(skippers, func(i, j int) bool { return skippers[i] < skippers[j] })
 				findings = append(findings, Finding{
 					CommID: c, Kind: "skipped-launch", Ranks: skippers, Details: skipDetail,
 				})
@@ -201,8 +231,13 @@ func (rec *Recorder) Analyze(now sim.Time, stale sim.Duration) []Finding {
 				})
 			}
 		}
-		for seq, bm := range sizeByOp[c] {
-			if len(bm) > 1 {
+		seqs := make([]uint64, 0, len(sizeByOp[c]))
+		for seq := range sizeByOp[c] {
+			seqs = append(seqs, seq)
+		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		for _, seq := range seqs {
+			if bm := sizeByOp[c][seq]; len(bm) > 1 {
 				var all []topo.Rank
 				for _, rs := range bm {
 					all = append(all, rs...)
@@ -222,8 +257,8 @@ func (rec *Recorder) Analyze(now sim.Time, stale sim.Duration) []Finding {
 // per-stream view used to visualize abnormal devices.
 func (rec *Recorder) LastOpPerRank(commID uint64) map[topo.Rank]uint64 {
 	out := make(map[topo.Rank]uint64)
-	for r, entries := range rec.buf {
-		for _, e := range entries {
+	for r, b := range rec.buf {
+		for _, e := range b.entries {
 			if e.Meta.CommID != commID {
 				continue
 			}

@@ -1,6 +1,8 @@
 package flightrec
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,15 +16,73 @@ func meta(comm, seq uint64, bytes int64) ccl.OpMeta {
 	return ccl.OpMeta{CommID: comm, Seq: seq, Kind: trace.OpAllReduce, Bytes: bytes}
 }
 
+// TestRingBounded: before, at and after each wrap of the ring, Dump is the
+// last n launches, oldest first.
 func TestRingBounded(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rec := New(eng, 3)
+	if d := rec.Dump(0); d != nil {
+		t.Fatalf("dump of a rank that never launched = %+v", d)
+	}
 	for i := 0; i < 10; i++ {
 		rec.Record(0, meta(1, uint64(i), 100))
+		d := rec.Dump(0)
+		if len(d) != min(i+1, 3) {
+			t.Fatalf("after %d launches: dump = %+v", i+1, d)
+		}
+		for k, e := range d {
+			if e.Meta.Seq != uint64(i+1-len(d)+k) {
+				t.Fatalf("after %d launches: dump = %+v", i+1, d)
+			}
+		}
 	}
-	d := rec.Dump(0)
-	if len(d) != 3 || d[0].Meta.Seq != 7 || d[2].Meta.Seq != 9 {
+}
+
+// TestRecordAllocatesNothing: a rank's ring is allocated once, on its first
+// launch; every launch after that fills or overwrites it in place.
+func TestRecordAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	rec := New(eng, 8)
+	rec.Record(3, meta(1, 0, 100))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seq := uint64(1); seq < 1000; seq++ {
+		rec.Record(3, meta(1, seq, 100))
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d mallocs over 999 launches after the first, want 0", n)
+	}
+	if d := rec.Dump(3); len(d) != 8 || d[7].Meta.Seq != 999 {
 		t.Fatalf("dump = %+v", d)
+	}
+}
+
+// TestSkippedLaunchDetailsDeterministic: with two ranks skipping ops, the
+// finding names both and describes the lowest skipper's lowest hole, the
+// same on every call.
+func TestSkippedLaunchDetailsDeterministic(t *testing.T) {
+	eng := sim.NewEngine(1)
+	rec := New(eng, 16)
+	holes := map[topo.Rank][]uint64{2: {2, 3}, 3: {2, 4}}
+	for r := topo.Rank(0); r < 4; r++ {
+		for seq := uint64(0); seq <= 5; seq++ {
+			if !slices.Contains(holes[r], seq) {
+				rec.Record(r, meta(1, seq, 100))
+			}
+		}
+	}
+	const want = "rank 2 launched seq 5 but never seq 2"
+	for i := 0; i < 200; i++ {
+		var skipped []Finding
+		for _, f := range rec.Analyze(eng.Now(), 5*time.Second) {
+			if f.Kind == "skipped-launch" {
+				skipped = append(skipped, f)
+			}
+		}
+		if len(skipped) != 1 || !slices.Equal(skipped[0].Ranks, []topo.Rank{2, 3}) || skipped[0].Details != want {
+			t.Fatalf("call %d: skipped-launch findings = %+v, want ranks [2 3] and %q", i, skipped, want)
+		}
 	}
 }
 
@@ -135,6 +195,30 @@ func TestAnalyzeSizeMismatch(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("size mismatch not found: %+v", fs)
+	}
+}
+
+// TestSizeMismatchesInSeqOrder: several mismatched ops on one comm are
+// reported in op order, the same on every call.
+func TestSizeMismatchesInSeqOrder(t *testing.T) {
+	eng := sim.NewEngine(1)
+	rec := New(eng, 16)
+	for seq := uint64(0); seq < 8; seq++ {
+		rec.Record(0, meta(1, seq, 100))
+		rec.Record(1, meta(1, seq, 100+int64(seq%2))) // odd seqs disagree
+	}
+	for i := 0; i < 50; i++ {
+		var got []string
+		for _, f := range rec.Analyze(eng.Now(), 5*time.Second) {
+			got = append(got, f.Details)
+		}
+		want := []string{
+			"op seq 1 launched with 2 distinct sizes", "op seq 3 launched with 2 distinct sizes",
+			"op seq 5 launched with 2 distinct sizes", "op seq 7 launched with 2 distinct sizes",
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: findings %q, want %q", i, got, want)
+		}
 	}
 }
 

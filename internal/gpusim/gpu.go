@@ -50,7 +50,7 @@ type GPU struct {
 
 	copyFree sim.Time // copy-engine serialization pointer
 	stalled  []*copyReq
-	free     sim.FreeList[copyReq]
+	free     *copyReq // recycled requests, linked through next
 
 	copies      uint64
 	bytesStaged uint64
@@ -71,6 +71,7 @@ type copyReq struct {
 	bytes int64
 	done  CopyDone
 	arg   int32
+	next  *copyReq // the next free request, while this one is free
 }
 
 // New creates a GPU on the engine.
@@ -140,7 +141,12 @@ func (g *GPU) Copy(n int64, done CopyDone, arg int32) {
 	if n < 0 {
 		panic(fmt.Sprintf("gpusim: negative copy size %d", n))
 	}
-	r := g.free.Get()
+	r := g.free
+	if r == nil {
+		r = new(copyReq)
+	} else {
+		g.free = r.next
+	}
 	*r = copyReq{g: g, bytes: n, done: done, arg: arg}
 	if g.hang {
 		g.stalled = append(g.stalled, r)
@@ -167,7 +173,7 @@ func (r *copyReq) Fire(int32) {
 	g, done, arg := r.g, r.done, r.arg
 	g.copies++
 	g.bytesStaged += uint64(r.bytes)
-	g.free.Put(r)
+	r.next, g.free = g.free, r
 	if done != nil {
 		done.CopyDone(arg)
 	}

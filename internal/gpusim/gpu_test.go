@@ -213,7 +213,11 @@ func TestCopyRecyclingKeepsIdentity(t *testing.T) {
 	if len(log.done) != 11 || g.Copies() != 11 {
 		t.Fatalf("%d completions, %d copies, want 11", len(log.done), g.Copies())
 	}
-	if len(g.free) > 4 {
-		t.Fatalf("free list holds %d requests for at most 4 in flight", len(g.free))
+	free := 0
+	for r := g.free; r != nil; r = r.next {
+		free++
+	}
+	if free > 4 {
+		t.Fatalf("free list holds %d requests for at most 4 in flight", free)
 	}
 }

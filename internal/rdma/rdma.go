@@ -63,7 +63,7 @@ type NIC struct {
 	nextFree sim.Time       // transmit serialization pointer
 	pending  []*wr          // WRs accepted while down
 	sending  []transmission // transmitted bytes BytesSent has yet to count
-	free     sim.FreeList[wr]
+	free     *wr            // recycled WRs, linked through next
 
 	counters Counters
 }
@@ -234,7 +234,11 @@ type wr struct {
 	bytes int64
 	done  Completion
 	arg   int32
+	next  *wr // the next free WR, while this one is free
 }
+
+// put returns w to n's free list. Nothing scheduled may still refer to it.
+func (n *NIC) put(w *wr) { w.next, n.free = n.free, w }
 
 // QP is a queue pair: a unidirectional flow from a source NIC to a
 // destination NIC (NCCL opens one or more QPs per channel per peer).
@@ -290,7 +294,12 @@ func (q *QP) Post(n int64, done Completion, arg int32) {
 	q.posted++
 	nic := q.src
 	nic.counters.WRsPosted++
-	w := nic.free.Get()
+	w := nic.free
+	if w == nil {
+		w = new(wr)
+	} else {
+		nic.free = w.next
+	}
 	*w = wr{qp: q, bytes: n, done: done, arg: arg}
 	if nic.down {
 		nic.pending = append(nic.pending, w)
@@ -321,7 +330,7 @@ func (n *NIC) transmit(w *wr) {
 	n.sending = append(n.sending, transmission{finish: finish, bytes: w.bytes, qp: w.qp})
 
 	if n.wireLoss {
-		n.free.Put(w) // data vanishes on the wire: no delivery, no CQE
+		n.put(w) // data vanishes on the wire: no delivery, no CQE
 		return
 	}
 	n.eng.Schedule(finish.Add(n.propLat), w, stageDeliver)
@@ -342,7 +351,7 @@ func (w *wr) Fire(stage int32) {
 	n.counters.WRsCompleted++
 	n.counters.BytesAcked += uint64(w.bytes)
 	q.completed++
-	n.free.Put(w)
+	n.put(w)
 	if done != nil {
 		done.OnCQE(arg)
 	}
@@ -377,7 +386,7 @@ type NVLink struct {
 	lat      time.Duration
 	nextFree sim.Time
 	scale    float64
-	free     sim.FreeList[nvSend]
+	free     *nvSend // recycled transfers, linked through next
 }
 
 // nvSend is one NVLink transfer and the receiver of its one engine event.
@@ -385,6 +394,7 @@ type nvSend struct {
 	l    *NVLink
 	done Completion
 	arg  int32
+	next *nvSend // the next free transfer, while this one is free
 }
 
 // NewNVLink creates an intra-node link (default A100-class: 200 GB/s,
@@ -414,7 +424,12 @@ func (l *NVLink) Send(n int64, done Completion, arg int32) {
 	dur := time.Duration(float64(n) / (l.bw * l.scale) * float64(time.Second))
 	finish := start.Add(dur)
 	l.nextFree = finish
-	s := l.free.Get()
+	s := l.free
+	if s == nil {
+		s = new(nvSend)
+	} else {
+		l.free = s.next
+	}
 	*s = nvSend{l: l, done: done, arg: arg}
 	l.eng.Schedule(finish.Add(l.lat), s, stageDeliver)
 }
@@ -422,7 +437,7 @@ func (l *NVLink) Send(n int64, done Completion, arg int32) {
 // Fire implements sim.Handler: delivery and completion together.
 func (s *nvSend) Fire(int32) {
 	done, arg := s.done, s.arg
-	s.l.free.Put(s)
+	s.next, s.l.free = s.l.free, s
 	if done != nil {
 		done.OnDeliver(arg)
 		done.OnCQE(arg)

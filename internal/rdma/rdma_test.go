@@ -369,7 +369,11 @@ func TestWRRecyclingKeepsIdentity(t *testing.T) {
 	if c := a.Counters(); c.WRsPosted != 24 || c.WRsCompleted != 23 || c.BytesSent != 24*1000 {
 		t.Errorf("counters = %+v, want 24 posted, 23 completed, 24000 bytes sent", c)
 	}
-	if len(a.free) > 12 {
-		t.Errorf("free list holds %d WRs for at most 12 in flight", len(a.free))
+	free := 0
+	for w := a.free; w != nil; w = w.next {
+		free++
+	}
+	if free > 12 {
+		t.Errorf("free list holds %d WRs for at most 12 in flight", free)
 	}
 }

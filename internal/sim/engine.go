@@ -10,8 +10,10 @@
 // or dispatching an event allocates nothing. At and After schedule a plain
 // func as the receiver; hot paths implement Handler on a long-lived object and
 // pass a chunk index or stage as the argument instead of building a closure
-// per event. Virtual time is measured in nanoseconds from the start of the
-// run.
+// per event. A device whose receiver is one object per transfer (a work
+// request, a copy request) recycles it itself, on a free list linked through
+// the objects, once its last event has fired. Virtual time is measured in
+// nanoseconds from the start of the run.
 package sim
 
 import (
@@ -55,26 +57,6 @@ type Func func()
 
 // Fire implements Handler.
 func (f Func) Fire(int32) { f() }
-
-// FreeList recycles the per-event objects of one device (work requests, copy
-// requests): Get hands out a recycled object or a new one, Put takes one back
-// once its last scheduled event has fired. The engine is single-threaded, so
-// a plain slice will do.
-type FreeList[T any] []*T
-
-// Get returns a recycled object, or a new zero one. A recycled object still
-// holds its previous contents; the caller overwrites it.
-func (f *FreeList[T]) Get() *T {
-	if k := len(*f); k > 0 {
-		x := (*f)[k-1]
-		*f = (*f)[:k-1]
-		return x
-	}
-	return new(T)
-}
-
-// Put recycles x. Nothing scheduled may still refer to it.
-func (f *FreeList[T]) Put(x *T) { *f = append(*f, x) }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all simulated concurrency is expressed as events.

@@ -234,9 +234,11 @@ func (cs *commState) entry() *pendingOp {
 	return p
 }
 
-// unref drops one of p's two references; the second one frees it for reuse.
+// unref drops one of p's two references; the second one frees it, and the
+// CCL's handle on its op, for reuse.
 func (cs *commState) unref(p *pendingOp) {
 	if p.refs--; p.refs == 0 {
+		p.op.Free()
 		p.op, p.skip, p.arrived = nil, nil, 0
 		cs.free = append(cs.free, p)
 	}
