@@ -25,7 +25,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
@@ -262,7 +261,7 @@ func (g *Graph) Comms() []uint64 {
 	for id := range g.comms {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -373,41 +372,43 @@ func (g *Graph) HopKind(r topo.Rank, comm uint64) EdgeKind {
 	return EdgeNested
 }
 
-// commEdges derives one communicator's current wait edges from its member
-// frontiers:
+// appendCommEdges appends one communicator's current wait edges, derived
+// from its member frontiers, to out:
 //
 //   - members in flight at seq > the group minimum wait on every member
 //     still at the minimum (barrier / pipeline order), and
 //   - when the whole group is in flight on the same op, stuck members wait
 //     on the member whose flows stalled longest (the ring coupling the
 //     CheckMinData analysis exploits).
-func commEdges(cv *commView) []Edge {
+func appendCommEdges(out []Edge, cv *commView) []Edge {
 	members := cv.members
 	if len(members) < 2 {
-		return nil
+		return out
 	}
 	minSeq := cv.minSeq()
-	var laggards []*rankComm
+	laggards := 0
 	for _, rc := range members {
 		if rc.seq == minSeq {
-			laggards = append(laggards, rc)
+			laggards++
 		}
 	}
-	var edges []Edge
-	if len(laggards) < len(members) {
+	if laggards < len(members) {
 		for _, rc := range members {
 			if rc.seq == minSeq || !rc.inFlight() {
 				continue
 			}
-			for _, lag := range laggards {
-				edges = append(edges, Edge{
+			for _, lag := range members {
+				if lag.seq != minSeq {
+					continue
+				}
+				out = append(out, Edge{
 					From: Node{Rank: rc.rank, Comm: cv.id, Seq: rc.seq},
 					To:   Node{Rank: lag.rank, Comm: cv.id, Seq: lag.seq},
 					Kind: waitKind(rc.op),
 				})
 			}
 		}
-		return edges
+		return out
 	}
 	// Everyone is on the same op: the stalled-first member holds the ring.
 	var hub *rankComm
@@ -420,26 +421,25 @@ func commEdges(cv *commView) []Edge {
 		}
 	}
 	if hub == nil {
-		return nil
+		return out
 	}
 	for _, rc := range members {
 		if rc == hub || !rc.inFlight() || rc.stuckNs <= 0 {
 			continue
 		}
-		edges = append(edges, Edge{
+		out = append(out, Edge{
 			From: Node{Rank: rc.rank, Comm: cv.id, Seq: rc.seq},
 			To:   Node{Rank: hub.rank, Comm: cv.id, Seq: hub.seq},
 			Kind: waitKind(rc.op),
 		})
 	}
-	return edges
+	return out
 }
 
-// nestedEdges derives the inter-communicator edges: rank r never launched
-// comm A's next op (its frontier is a completion below the group maximum)
-// while visibly in flight on comm B.
-func (g *Graph) nestedEdges(cv *commView) []Edge {
-	var edges []Edge
+// appendNestedEdges appends the inter-communicator edges out of cv to out:
+// rank r never launched comm A's next op (its frontier is a completion below
+// the group maximum) while visibly in flight on comm B.
+func appendNestedEdges(out []Edge, cv *commView) []Edge {
 	for _, rc := range cv.members {
 		if rc.inFlight() || rc.seq >= cv.maxSeq {
 			continue
@@ -456,20 +456,20 @@ func (g *Graph) nestedEdges(cv *commView) []Edge {
 		if busy == nil {
 			continue
 		}
-		edges = append(edges, Edge{
+		out = append(out, Edge{
 			From: Node{Rank: rc.rank, Comm: cv.id, Seq: rc.seq + 1},
 			To:   Node{Rank: rc.rank, Comm: busy.comm, Seq: busy.seq},
 			Kind: EdgeNested,
 		})
 	}
-	return edges
+	return out
 }
 
 // Edges derives the current dependency edges, grouped per communicator in
 // ascending id order: each comm's wait edges first (by from-rank), then its
 // nested hops (by rank). comm 0 means all; a non-zero comm restricts to
 // edges touching that communicator (including nested hops out of it). The
-// ordering is deterministic.
+// ordering is deterministic, and a graph with no edges answers nil.
 func (g *Graph) Edges(comm uint64) []Edge {
 	var out []Edge
 	for _, id := range g.Comms() {
@@ -477,8 +477,8 @@ func (g *Graph) Edges(comm uint64) []Edge {
 			continue
 		}
 		cv := g.comms[id]
-		out = append(out, commEdges(cv)...)
-		out = append(out, g.nestedEdges(cv)...)
+		out = appendCommEdges(out, cv)
+		out = appendNestedEdges(out, cv)
 	}
 	return out
 }

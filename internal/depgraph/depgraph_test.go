@@ -431,3 +431,30 @@ func TestInterleavingInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgesAllocs: a dependency query appends every communicator's edges
+// into one slice, so the allocations it makes are that slice's growth and
+// the sorted comm list, not a few per communicator. The 256-rank graph has
+// 32 TP groups of 8 with one rank behind (barrier edges plus a nested hop
+// each) and 8 DP rings of 32 all stalled on one op (ring coupling edges).
+func TestEdgesAllocs(t *testing.T) {
+	g := New()
+	for r := topo.Rank(0); r < 256; r++ {
+		tp, dp := 1+uint64(r/8), 101+uint64(r%8)
+		if r%8 == 0 {
+			g.Observe(completion(r, tp, 4, sec(4)))
+		} else {
+			g.Observe(state(r, tp, 5, sec(10), 2*time.Second))
+		}
+		g.Observe(state(r, dp, 9, sec(11), time.Duration(1+r)*time.Millisecond))
+	}
+	edges := g.Edges(0)
+	if len(edges) != 32*7+32+8*31 {
+		t.Fatalf("%d edges, want %d", len(edges), 32*7+32+8*31)
+	}
+	n := testing.AllocsPerRun(20, func() { g.Edges(0) })
+	t.Logf("%v mallocs per Edges(0)", n)
+	if n > 16 {
+		t.Fatalf("Edges made %v mallocs, want at most 16", n)
+	}
+}

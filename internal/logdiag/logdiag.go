@@ -12,11 +12,12 @@
 package logdiag
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"mycroft/internal/core"
 	"mycroft/internal/sim"
@@ -83,12 +84,21 @@ type Anomaly struct {
 	At       sim.Time
 }
 
+type rankCount struct {
+	rank  topo.Rank
+	count int
+}
+
 // Detector clusters lines online and scores cross-rank divergence.
 type Detector struct {
 	world     int
 	templates map[uint64]*Template
 	ingested  uint64
 	lastAt    sim.Time
+	// order and counts are Analyze's scratch, reused across passes so a
+	// pass allocates only the anomalies it returns.
+	order  []*Template
+	counts []rankCount
 }
 
 // New builds a detector for a world-size-rank job. The Config is ignored.
@@ -112,12 +122,58 @@ func TemplateOf(text string) string {
 	return strings.Join(fields, " ")
 }
 
-// TemplateID hashes a templated line to its cluster id.
-func TemplateID(template string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(template))
-	return h.Sum64()
+// FNV-64a, the cluster-id hash.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }
+
+// TemplateID hashes a templated line to its cluster id (FNV-64a).
+func TemplateID(template string) uint64 { return fnvAdd(fnvOffset, template) }
+
+// templateIDOf is TemplateID(TemplateOf(text)). An ASCII line is hashed in
+// one scan that builds nothing: fields split where strings.Fields splits
+// them and the hash takes the bytes the template would hold. A line with any
+// other byte, where Fields splits on Unicode whitespace too, builds its
+// template.
+func templateIDOf(text string) uint64 {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return TemplateID(TemplateOf(text))
+		}
+	}
+	h := uint64(fnvOffset)
+	sep := ""
+	for i := 0; i < len(text); {
+		if asciiSpace[text[i]] {
+			i++
+			continue
+		}
+		start, digit := i, false
+		for ; i < len(text) && !asciiSpace[text[i]]; i++ {
+			digit = digit || '0' <= text[i] && text[i] <= '9'
+		}
+		h = fnvAdd(h, sep)
+		sep = " "
+		if digit {
+			h = fnvAdd(h, "<*>")
+		} else {
+			h = fnvAdd(h, text[start:i])
+		}
+	}
+	return h
+}
+
+// asciiSpace marks the bytes strings.Fields splits an ASCII string on.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 func hasDigit(s string) bool {
 	for _, r := range s {
@@ -157,11 +213,10 @@ func (d *Detector) Ingest(l Line) {
 	if l.At > d.lastAt {
 		d.lastAt = l.At
 	}
-	tpl := TemplateOf(l.Text)
-	id := TemplateID(tpl)
+	id := templateIDOf(l.Text)
 	t := d.templates[id]
 	if t == nil {
-		t = &Template{ID: id, Text: tpl, Level: normLevel(l.Level), byRank: make(map[topo.Rank][]sim.Time)}
+		t = &Template{ID: id, Text: TemplateOf(l.Text), Level: normLevel(l.Level), byRank: make(map[topo.Rank][]sim.Time)}
 		d.templates[id] = t
 	}
 	if severityRank(normLevel(l.Level)) > severityRank(t.Level) {
@@ -202,24 +257,23 @@ func (d *Detector) Templates() int { return len(d.templates) }
 // and returns the anomalies above threshold, strongest first (template text
 // breaks score ties deterministically).
 func (d *Detector) Analyze(now sim.Time) []Anomaly {
-	ids := make([]uint64, 0, len(d.templates))
-	for id := range d.templates {
-		ids = append(ids, id)
+	d.order = d.order[:0]
+	for _, t := range d.templates {
+		d.order = append(d.order, t)
 	}
-	sort.Slice(ids, func(i, j int) bool { return d.templates[ids[i]].Text < d.templates[ids[j]].Text })
+	slices.SortFunc(d.order, func(a, b *Template) int { return strings.Compare(a.Text, b.Text) })
 
 	var out []Anomaly
-	for _, id := range ids {
-		t := d.templates[id]
+	for _, t := range d.order {
 		if a, ok := d.scoreTemplate(t, now); ok {
 			out = append(out, a)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortStableFunc(out, func(a, b Anomaly) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return out[i].Template < out[j].Template
+		return strings.Compare(a.Template, b.Template)
 	})
 	return out
 }
@@ -227,11 +281,7 @@ func (d *Detector) Analyze(now sim.Time) []Anomaly {
 // scoreTemplate computes the divergence score of one template: how strongly
 // its windowed occurrences concentrate on a small subset of ranks.
 func (d *Detector) scoreTemplate(t *Template, now sim.Time) (Anomaly, bool) {
-	type rankCount struct {
-		rank  topo.Rank
-		count int
-	}
-	var counts []rankCount
+	counts := d.counts[:0]
 	fleet := 0
 	for r, ts := range t.byRank {
 		ts = pruneWindow(ts, now, window)
@@ -241,23 +291,24 @@ func (d *Detector) scoreTemplate(t *Template, now sim.Time) (Anomaly, bool) {
 			fleet += len(ts)
 		}
 	}
+	d.counts = counts
 	if fleet < minCount {
 		return Anomaly{}, false
 	}
-	sort.Slice(counts, func(i, j int) bool {
-		if counts[i].count != counts[j].count {
-			return counts[i].count > counts[j].count
+	slices.SortFunc(counts, func(a, b rankCount) int {
+		if a.count != b.count {
+			return cmp.Compare(b.count, a.count)
 		}
-		return counts[i].rank < counts[j].rank
+		return cmp.Compare(a.rank, b.rank)
 	})
 
 	// Affected set: the smallest count-descending prefix carrying domFrac of
 	// the fleet occurrences.
-	affected, carried := []rankCount(nil), 0
-	for _, rc := range counts {
-		affected = append(affected, rc)
+	affected, carried := counts, 0
+	for i, rc := range counts {
 		carried += rc.count
 		if float64(carried) >= domFrac*float64(fleet) {
+			affected = counts[:i+1]
 			break
 		}
 	}
@@ -278,7 +329,7 @@ func (d *Detector) scoreTemplate(t *Template, now sim.Time) (Anomaly, bool) {
 		ranks[i] = rc.rank
 	}
 	dominant := affected[0].rank
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+	slices.Sort(ranks)
 	return Anomaly{
 		TemplateID: t.ID, Template: t.Text, Level: t.Level,
 		Rank: dominant, Ranks: ranks, Count: carried, Fleet: fleet,

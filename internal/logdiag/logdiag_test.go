@@ -161,3 +161,44 @@ func BenchmarkTemplateCluster(b *testing.B) {
 		_ = TemplateID(TemplateOf(lines[i%len(lines)]))
 	}
 }
+
+// TestIngestKnownTemplateAllocatesNothing: a line whose template exists is
+// hashed while scanned and filed in place, so the steady-state ingest path
+// (64 lines a post) allocates nothing.
+func TestIngestKnownTemplateAllocatesNothing(t *testing.T) {
+	d := New(256, Config{})
+	i := 0
+	ingest := func() {
+		d.Ingest(Line{
+			Rank: topo.Rank(i % 256), At: sim.Time(i) * sim.Time(10*time.Millisecond),
+			Level: "info", Text: "iteration 1234 done in 2.5s loss 0.25",
+		})
+		i++
+	}
+	for i < 5000 {
+		ingest()
+	}
+	if n := testing.AllocsPerRun(1000, ingest); n != 0 {
+		t.Fatalf("Ingest made %v mallocs per known line, want 0", n)
+	}
+	if d.Templates() != 1 {
+		t.Fatalf("templates = %d, want 1", d.Templates())
+	}
+}
+
+// TestAnalyzeFleetWideAllocatesNothing: scoring a template every rank emits
+// (a phase change, not an anomaly) reuses the detector's scratch.
+func TestAnalyzeFleetWideAllocatesNothing(t *testing.T) {
+	d := New(256, Config{})
+	for r := 0; r < 256; r++ {
+		for k := 0; k < 3; k++ {
+			d.Ingest(Line{Rank: topo.Rank(r), At: at(time.Duration(k) * time.Second), Level: "error", Text: "checkpoint shard 4 saved"})
+		}
+	}
+	if got := d.Analyze(at(3 * time.Second)); got != nil {
+		t.Fatalf("fleet-wide template flagged: %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Analyze(at(3 * time.Second)) }); n != 0 {
+		t.Fatalf("Analyze made %v mallocs per pass, want 0", n)
+	}
+}

@@ -11,8 +11,9 @@
 package perfdiag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mycroft/internal/sim"
 	"mycroft/internal/stats"
@@ -77,17 +78,31 @@ func (f Finding) String() string {
 }
 
 type rankEnvelope struct {
-	lastAt  sim.Time
+	lastAt sim.Time
+	window *stats.WindowQuantile
+	streak int // consecutive anomalous analyses
+	// median caches window.Median(); fresh marks a window that took a
+	// sample since the last analysis, so only those ranks re-sort.
+	median  float64
 	hasLast bool
-	window  *stats.WindowQuantile
-	streak  int // consecutive anomalous analyses
+	fresh   bool
+}
+
+type offender struct {
+	rank  topo.Rank
+	ratio float64
 }
 
 // Detector maintains per-rank timing envelopes over iteration timestamps.
 type Detector struct {
 	world    int
-	ranks    []*rankEnvelope
+	ranks    []rankEnvelope
 	ingested uint64
+	// fleet and over are Analyze's scratch, grown by the first passes and
+	// kept, so a job that never posts timings holds none and a later pass
+	// allocates only the finding it returns.
+	fleet []float64
+	over  []offender
 }
 
 // New builds a detector for a world-size-rank job. The Config is ignored.
@@ -95,24 +110,30 @@ func New(world int, _ Config) *Detector {
 	if world < 1 {
 		world = 1
 	}
-	d := &Detector{world: world, ranks: make([]*rankEnvelope, world)}
+	d := &Detector{world: world, ranks: make([]rankEnvelope, world)}
 	for i := range d.ranks {
-		d.ranks[i] = &rankEnvelope{window: stats.NewWindowQuantile(window)}
+		d.ranks[i].window = stats.NewWindowQuantile(window)
 	}
 	return d
 }
 
 // Ingest folds one iteration completion timestamp in. The duration sample is
 // the gap to the rank's previous completion, so the channel needs only
-// timestamps, never explicit durations.
+// timestamps, never explicit durations. A sample at or before the rank's
+// latest one (a retried post, a reordered batch) changes nothing: taking it
+// would rewind the clock and let the next gap span the repeat.
 func (d *Detector) Ingest(s Sample) {
 	if int(s.Rank) < 0 || int(s.Rank) >= d.world {
 		return
 	}
 	d.ingested++
-	env := d.ranks[s.Rank]
-	if env.hasLast && s.At > env.lastAt {
+	env := &d.ranks[s.Rank]
+	if env.hasLast {
+		if s.At <= env.lastAt {
+			return
+		}
 		env.window.Add(s.At.Sub(env.lastAt).Seconds())
+		env.fresh = true
 	}
 	env.lastAt, env.hasLast = s.At, true
 }
@@ -124,50 +145,48 @@ func (d *Detector) Ingested() uint64 { return d.ingested }
 // median and returns the findings that have persisted long enough, worst
 // first. A nil return means every rank is inside the envelope.
 func (d *Detector) Analyze(now sim.Time) []Finding {
-	medians := make([]float64, d.world)
-	armed := make([]bool, d.world)
-	var fleet stats.Sample
-	for r, env := range d.ranks {
+	d.fleet = d.fleet[:0]
+	for r := range d.ranks {
+		env := &d.ranks[r]
 		if env.window.N() < minSamples {
 			continue
 		}
-		armed[r] = true
-		medians[r] = env.window.Median()
-		fleet.Add(medians[r])
+		if env.fresh {
+			env.median, env.fresh = env.window.Median(), false
+		}
+		d.fleet = append(d.fleet, env.median)
 	}
-	if fleet.N() < 2 {
+	if len(d.fleet) < 2 {
 		return nil
 	}
-	fleetMedian := fleet.Quantile(0.5)
+	slices.Sort(d.fleet)
+	fleetMedian := stats.QuantileSorted(d.fleet, 0.5)
 	if fleetMedian <= 0 {
 		return nil
 	}
 
-	type offender struct {
-		rank  topo.Rank
-		ratio float64
-	}
-	var over []offender
-	for r := 0; r < d.world; r++ {
-		env := d.ranks[r]
-		if !armed[r] {
+	over := d.over[:0]
+	for r := range d.ranks {
+		env := &d.ranks[r]
+		if env.window.N() < minSamples {
 			continue
 		}
-		if medians[r] > stragglerFactor*fleetMedian {
+		if env.median > stragglerFactor*fleetMedian {
 			env.streak++
-			over = append(over, offender{topo.Rank(r), medians[r] / fleetMedian})
+			over = append(over, offender{topo.Rank(r), env.median / fleetMedian})
 		} else {
 			env.streak = 0
 		}
 	}
+	d.over = over
 	if len(over) == 0 {
 		return nil
 	}
-	sort.Slice(over, func(i, j int) bool {
-		if over[i].ratio != over[j].ratio {
-			return over[i].ratio > over[j].ratio
+	slices.SortFunc(over, func(a, b offender) int {
+		if a.ratio != b.ratio {
+			return cmp.Compare(b.ratio, a.ratio)
 		}
-		return over[i].rank < over[j].rank
+		return cmp.Compare(a.rank, b.rank)
 	})
 
 	// The finding only fires once the worst offender's streak persists.
@@ -181,14 +200,14 @@ func (d *Detector) Analyze(now sim.Time) []Finding {
 			ranks = append(ranks, o.rank)
 		}
 	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+	slices.Sort(ranks)
 	kind := KindStraggler
 	if float64(len(ranks)) > imbalanceFrac*float64(d.world) {
 		kind = KindImbalance
 	}
 	return []Finding{{
 		Kind: kind, Rank: worst.rank, Ranks: ranks,
-		RankMedian: medians[worst.rank], FleetMedian: fleetMedian,
+		RankMedian: d.ranks[worst.rank].median, FleetMedian: fleetMedian,
 		Ratio: worst.ratio, Persisted: d.ranks[worst.rank].streak, At: now,
 	}}
 }

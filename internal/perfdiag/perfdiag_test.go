@@ -12,10 +12,14 @@ import (
 // iterations, rank by rank in lockstep, with the given per-rank period and a
 // slow-factor applied to the ranks in slow after iteration after.
 func feed(d *Detector, world, iters int, period time.Duration, slow map[topo.Rank]float64, after int) sim.Time {
-	at := make([]sim.Time, world)
+	return feedFrom(d, make([]sim.Time, world), iters, period, slow, after)
+}
+
+// feedFrom is feed continuing each rank's clock from at, which it advances.
+func feedFrom(d *Detector, at []sim.Time, iters int, period time.Duration, slow map[topo.Rank]float64, after int) sim.Time {
 	var last sim.Time
 	for i := 0; i < iters; i++ {
-		for r := 0; r < world; r++ {
+		for r := range at {
 			p := period
 			if f, ok := slow[topo.Rank(r)]; ok && i >= after {
 				p = time.Duration(float64(period) * f)
@@ -83,11 +87,12 @@ func TestPersistGateSuppressesTransients(t *testing.T) {
 
 func TestRecoveryResetsStreak(t *testing.T) {
 	d := New(8, Config{})
-	end := feed(d, 8, 40, 2*time.Second, map[topo.Rank]float64{3: 1.8}, 10)
+	at := make([]sim.Time, 8)
+	end := feedFrom(d, at, 40, 2*time.Second, map[topo.Rank]float64{3: 1.8}, 10)
 	d.Analyze(end)
 	d.Analyze(end)
 	// Rank 3 recovers: enough healthy iterations to flush its window.
-	end = feed(d, 8, 20, 2*time.Second, nil, 0)
+	end = feedFrom(d, at, 20, 2*time.Second, nil, 0)
 	for i := 0; i < 5; i++ {
 		if got := d.Analyze(end); got != nil {
 			t.Fatalf("recovered rank still flagged: %v", got)
@@ -127,5 +132,46 @@ func TestIgnoresOutOfRangeAndStaleSamples(t *testing.T) {
 	d.Ingest(Sample{Rank: 0, At: sim.Time(3 * time.Second)})
 	if n := d.ranks[0].window.N(); n != 0 {
 		t.Fatalf("stale timestamp produced %d duration samples, want 0", n)
+	}
+}
+
+// TestRepeatedSampleKeepsClock: a retried post repeats a timestamp the rank
+// already passed. It must leave the rank's clock where it was, or the next
+// sample's gap spans the repeat and reads as a straggler.
+func TestRepeatedSampleKeepsClock(t *testing.T) {
+	d := New(1, Config{})
+	for s := 1; s <= 10; s++ {
+		d.Ingest(Sample{Rank: 0, Iter: s, At: sim.Time(time.Duration(s) * time.Second)})
+	}
+	d.Ingest(Sample{Rank: 0, Iter: 3, At: sim.Time(3 * time.Second)})
+	d.Ingest(Sample{Rank: 0, Iter: 11, At: sim.Time(11 * time.Second)})
+	w := d.ranks[0].window
+	if w.N() != 10 || w.Quantile(0) != 1 || w.Quantile(1) != 1 {
+		t.Fatalf("window holds %d gaps in [%vs, %vs], want ten 1-s gaps", w.N(), w.Quantile(0), w.Quantile(1))
+	}
+}
+
+// TestAnalyzeAllocatesNothing: an analysis pass over an armed fleet inside
+// its envelope allocates nothing, new samples or not — the pass runs on
+// every timing post.
+func TestAnalyzeAllocatesNothing(t *testing.T) {
+	const world = 256
+	d := New(world, Config{})
+	at := make([]sim.Time, world)
+	end := feedFrom(d, at, 2*window, 2*time.Second, nil, 0)
+	if got := d.Analyze(end); got != nil {
+		t.Fatalf("quiet fleet flagged: %v", got)
+	}
+	r := 0
+	n := testing.AllocsPerRun(200, func() {
+		at[r] = at[r].Add(2 * time.Second)
+		d.Ingest(Sample{Rank: topo.Rank(r), At: at[r]})
+		r = (r + 1) % world
+		if d.Analyze(at[r]) != nil {
+			t.Fatal("quiet fleet flagged")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Analyze made %v mallocs per pass, want 0", n)
 	}
 }

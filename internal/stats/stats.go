@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -27,7 +28,7 @@ func (s *Sample) N() int { return len(s.xs) }
 
 func (s *Sample) sort() {
 	if !s.sorted {
-		sort.Float64s(s.xs)
+		slices.Sort(s.xs)
 		s.sorted = true
 	}
 }
@@ -38,23 +39,33 @@ func (s *Sample) Quantile(q float64) float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
+	s.sort()
+	return QuantileSorted(s.xs, q)
+}
+
+// QuantileSorted returns the q-quantile (0 ≤ q ≤ 1) of xs, which must be
+// sorted ascending, interpolating linearly between the two nearest ranks. An
+// empty xs answers 0. It is the one interpolation behind Sample and
+// WindowQuantile, and it allocates nothing.
+func QuantileSorted(xs []float64, q float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
 	if q <= 0 {
-		s.sort()
-		return s.xs[0]
+		return xs[0]
 	}
 	if q >= 1 {
-		s.sort()
-		return s.xs[len(s.xs)-1]
+		return xs[n-1]
 	}
-	s.sort()
-	pos := q * float64(len(s.xs)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return s.xs[lo]
+		return xs[lo]
 	}
 	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
 // Mean returns the arithmetic mean, or 0 if empty.

@@ -1,19 +1,14 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "slices"
 
 // WindowQuantile is an exact quantile estimator over a sliding window of the
 // last N samples — the primitive perfdiag's timing envelopes ride on. Adding
 // past capacity evicts the oldest sample. The zero cost of exactness is fine
 // at envelope scale (tens of samples per rank).
 type WindowQuantile struct {
-	cap  int
-	ring []float64
-	head int  // next write position
-	full bool // ring has wrapped at least once
+	ring []float64 // capacity is the window size
+	head int       // oldest sample once the ring is full
 }
 
 // NewWindowQuantile builds a window holding the last n samples (n >= 1).
@@ -21,53 +16,40 @@ func NewWindowQuantile(n int) *WindowQuantile {
 	if n < 1 {
 		n = 1
 	}
-	return &WindowQuantile{cap: n, ring: make([]float64, 0, n)}
+	return &WindowQuantile{ring: make([]float64, 0, n)}
 }
 
 // Add folds in a sample, evicting the oldest once the window is full.
 func (w *WindowQuantile) Add(x float64) {
-	if len(w.ring) < w.cap {
+	if len(w.ring) < cap(w.ring) {
 		w.ring = append(w.ring, x)
-		w.head = len(w.ring) % w.cap
-		w.full = len(w.ring) == w.cap
 		return
 	}
 	w.ring[w.head] = x
-	w.head = (w.head + 1) % w.cap
+	w.head = (w.head + 1) % len(w.ring)
 }
 
 // N returns how many samples the window currently holds.
 func (w *WindowQuantile) N() int { return len(w.ring) }
 
 // Full reports whether the window has reached capacity.
-func (w *WindowQuantile) Full() bool { return w.full }
+func (w *WindowQuantile) Full() bool { return len(w.ring) == cap(w.ring) }
+
+// stackWindow is the largest window Quantile sorts in a stack array; a
+// larger one sorts into a fresh slice.
+const stackWindow = 64
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of the windowed samples using
 // linear interpolation, or 0 when the window is empty. A single sample
 // answers every quantile with itself; all-equal samples answer with the
-// common value.
+// common value. It sorts a copy of the window, so a window of up to
+// stackWindow samples answers without allocating and the window keeps no
+// second buffer.
 func (w *WindowQuantile) Quantile(q float64) float64 {
-	n := len(w.ring)
-	if n == 0 {
-		return 0
-	}
-	xs := make([]float64, n)
-	copy(xs, w.ring)
-	sort.Float64s(xs)
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return xs[lo]
-	}
-	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
+	var buf [stackWindow]float64
+	xs := append(buf[:0], w.ring...)
+	slices.Sort(xs)
+	return QuantileSorted(xs, q)
 }
 
 // Median is Quantile(0.5).

@@ -93,3 +93,19 @@ func TestWindowQuantileDegenerateCapacity(t *testing.T) {
 		t.Fatalf("N = %d, want 1", w.N())
 	}
 }
+
+// TestWindowMedianAllocatesNothing holds the envelope primitive off the
+// allocator: perfdiag asks every rank's median on every timing post.
+func TestWindowMedianAllocatesNothing(t *testing.T) {
+	w := NewWindowQuantile(16)
+	for i := 0; i < 20; i++ {
+		w.Add(float64(i % 7))
+	}
+	var got float64
+	if n := testing.AllocsPerRun(100, func() { got = w.Median() }); n != 0 {
+		t.Fatalf("Median made %v mallocs, want 0", n)
+	}
+	if got != 3.5 {
+		t.Fatalf("median = %v, want 3.5", got)
+	}
+}
