@@ -314,36 +314,6 @@ func (db *DB) QueryGroup(commID uint64, from, to sim.Time) map[topo.Rank][]trace
 	return out
 }
 
-// LastRecord returns rank r's most recent record at or before t for the
-// given communicator (commID 0 matches any), and whether one exists.
-func (db *DB) LastRecord(r topo.Rank, commID uint64, t sim.Time) (trace.Record, bool) {
-	s := db.series(r)
-	if s == nil {
-		return trace.Record{}, false
-	}
-	for i := s.log.firstAfter(t) - 1; i >= 0; i-- {
-		if sl, rw := s.log.at(i); commID == 0 || s.flows[rw.flow].commID == commID {
-			return s.record(sl, rw), true
-		}
-	}
-	return trace.Record{}, false
-}
-
-// LastCompletion returns rank r's most recent completion log at or before t
-// (any communicator), and whether one exists.
-func (db *DB) LastCompletion(r topo.Rank, t sim.Time) (trace.Record, bool) {
-	s := db.series(r)
-	if s == nil {
-		return trace.Record{}, false
-	}
-	for i := s.log.firstAfter(t) - 1; i >= 0; i-- {
-		if sl, rw := s.log.at(i); s.flows[rw.flow].kind == trace.KindCompletion {
-			return s.record(sl, rw), true
-		}
-	}
-	return trace.Record{}, false
-}
-
 // LastStatePerChannel returns rank r's most recent state log per channel for
 // a communicator, looking back at most window from t.
 func (db *DB) LastStatePerChannel(r topo.Rank, commID uint64, t sim.Time, window time.Duration) map[int32]trace.Record {

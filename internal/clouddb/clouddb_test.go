@@ -106,28 +106,6 @@ func TestIPIndex(t *testing.T) {
 	}
 }
 
-func TestLastRecord(t *testing.T) {
-	eng := sim.NewEngine(1)
-	db := New(eng, 0)
-	db.Ingest([]trace.Record{
-		rec(0, 7, 10, trace.KindState),
-		rec(0, 8, 20, trace.KindState),
-		rec(0, 7, 30, trace.KindCompletion),
-	})
-	if r, ok := db.LastRecord(0, 0, 100); !ok || r.Time != 30 {
-		t.Fatalf("LastRecord any = %+v %v", r, ok)
-	}
-	if r, ok := db.LastRecord(0, 8, 100); !ok || r.Time != 20 {
-		t.Fatalf("LastRecord comm 8 = %+v %v", r, ok)
-	}
-	if r, ok := db.LastRecord(0, 7, 25); !ok || r.Time != 10 {
-		t.Fatalf("LastRecord before 25 = %+v %v", r, ok)
-	}
-	if _, ok := db.LastRecord(0, 9, 100); ok {
-		t.Fatal("LastRecord unknown comm reported ok")
-	}
-}
-
 func TestLastStatePerChannel(t *testing.T) {
 	eng := sim.NewEngine(1)
 	db := New(eng, 0)

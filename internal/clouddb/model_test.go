@@ -125,14 +125,6 @@ func (m *flatStore) queryGroup(comm uint64, from, to sim.Time) map[topo.Rank][]t
 	return out
 }
 
-// last returns the newest record of rank r at or before t that passes keep.
-func (m *flatStore) last(r topo.Rank, t sim.Time, keep func(*trace.Record) bool) (trace.Record, bool) {
-	if recs := m.scan(r, -1<<63, t, keep); len(recs) > 0 {
-		return recs[len(recs)-1], true
-	}
-	return trace.Record{}, false
-}
-
 func (m *flatStore) lastStatePerChannel(r topo.Rank, comm uint64, t sim.Time, window time.Duration) map[int32]trace.Record {
 	out := make(map[int32]trace.Record)
 	for _, rec := range m.scan(r, t.Add(-window), t, anyRecord) {
@@ -477,14 +469,6 @@ func (p *storeProgram) check() {
 			p.equal("QueryRank", db.QueryRank(r, w[0], w[1]), m.scan(r, w[0], w[1], anyRecord))
 		}
 		for _, t := range []sim.Time{now, when()} {
-			for _, c := range []uint64{0, comm} {
-				got, ok := db.LastRecord(r, c, t)
-				want, wantOK := m.last(r, t, func(rec *trace.Record) bool { return c == 0 || rec.CommID == c })
-				p.equal("LastRecord", []any{got, ok}, []any{want, wantOK})
-			}
-			got, ok := db.LastCompletion(r, t)
-			want, wantOK := m.last(r, t, func(rec *trace.Record) bool { return rec.Kind == trace.KindCompletion })
-			p.equal("LastCompletion", []any{got, ok}, []any{want, wantOK})
 			win := time.Duration(rng.Intn(1000)) * time.Millisecond
 			p.equal("LastStatePerChannel", db.LastStatePerChannel(r, comm, t, win), m.lastStatePerChannel(r, comm, t, win))
 		}

@@ -15,13 +15,11 @@ import (
 
 // rankState is the backend's per-sampled-rank rolling baseline.
 type rankState struct {
-	everSeen      bool
-	everCompleted bool
-	tpBaseline    *stats.RollingRate // bytes per second over the window
-	gapBaseline   *stats.RollingRate // mean completion interval (seconds)
-	baselineObs   int
-	tpHist        []bool // recent windows violating the throughput rule
-	gapHist       []bool // recent windows violating the interval rule
+	tpBaseline  *stats.RollingRate // bytes per second over the window
+	gapBaseline *stats.RollingRate // mean completion interval (seconds)
+	baselineObs int
+	tpHist      []bool // recent windows violating the throughput rule
+	gapHist     []bool // recent windows violating the interval rule
 }
 
 func pushHist(h []bool, v bool, span int) []bool {
@@ -63,9 +61,6 @@ type Backend struct {
 	metrics *Metrics
 	spans   *otrace.Tracer
 	fusion  *Fusion
-
-	// Evaluations counts trigger passes (for the M-benchmarks).
-	Evaluations uint64
 }
 
 // NewBackend creates (but does not start) a backend over the sampled ranks,
@@ -143,7 +138,6 @@ func (b *Backend) Evaluate(t sim.Time) {
 	if b.evalObs != nil {
 		b.evalObs(t)
 	}
-	b.Evaluations++
 	if t < b.muteUntil {
 		return
 	}
@@ -160,14 +154,12 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 	if t < sim.Time(b.cfg.Window) {
 		return Trigger{}, false // the look-back window is not yet full
 	}
+	frontier, seen := b.graph.Rank(rank)
+	if !seen {
+		return Trigger{}, false // job not producing yet
+	}
 	st := b.state[rank]
 	recs := b.db.QueryRank(rank, t.Add(-b.cfg.Window), t)
-	if !st.everSeen {
-		if _, ok := b.db.LastRecord(rank, 0, t); !ok {
-			return Trigger{}, false // job not producing yet
-		}
-		st.everSeen = true
-	}
 
 	var completions, states []trace.Record
 	for _, r := range recs {
@@ -180,11 +172,6 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 	}
 
 	ip, _ := b.db.IPOf(rank)
-	if !st.everCompleted {
-		if _, ok := b.db.LastCompletion(rank, t); ok {
-			st.everCompleted = true
-		}
-	}
 	if len(completions) == 0 {
 		// Stalled mid-operation (state logs without completion) or silent
 		// entirely (proxy crash / dead host). Guard against warm-up: before
@@ -196,7 +183,7 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 				maxStuck = s.StuckNs
 			}
 		}
-		if !st.everCompleted && maxStuck <= int64(b.cfg.Window)/2 {
+		if !frontier.Completed && maxStuck <= int64(b.cfg.Window)/2 {
 			return Trigger{}, false
 		}
 		reason := "no CollOp completed in window"
@@ -208,7 +195,6 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 			CommID: b.implicatedComm(rank, t), Reason: reason,
 		}, true
 	}
-	st.everCompleted = true
 
 	// Performance rules: windowed throughput and op interval vs. baselines.
 	// The interval metric is the MEDIAN gap between completions: a single
@@ -270,16 +256,14 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 }
 
 // implicatedComm picks the communicator a rank's freshest logs point at:
-// the in-flight op's comm if state logs exist (a dependency-graph frontier
-// lookup), else the last record's.
+// the in-flight op's comm if state logs exist, else the newest record's. Both
+// are dependency-graph frontier lookups.
 func (b *Backend) implicatedComm(rank topo.Rank, t sim.Time) uint64 {
 	if comm, ok := b.graph.StuckComm(rank, 0, t.Add(-b.cfg.Window), t); ok {
 		return comm
 	}
-	if last, ok := b.db.LastRecord(rank, 0, t); ok {
-		return last.CommID
-	}
-	return 0
+	frontier, _ := b.graph.Rank(rank)
+	return frontier.Comm
 }
 
 // fire records a trigger, publishes it, runs Algorithm 2, and mutes the

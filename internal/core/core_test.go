@@ -213,14 +213,16 @@ func TestRearmMutesAfterTrigger(t *testing.T) {
 
 func TestStartStopTicker(t *testing.T) {
 	f := newFixture(t, []topo.Rank{0}, Config{Interval: time.Second})
+	passes := 0
+	f.b.SetEvalObserver(func(sim.Time) { passes++ })
 	f.b.Start()
 	f.eng.RunFor(5 * time.Second)
-	if f.b.Evaluations != 5 {
-		t.Fatalf("evaluations = %d, want 5", f.b.Evaluations)
+	if passes != 5 {
+		t.Fatalf("evaluations = %d, want 5", passes)
 	}
 	f.b.Stop()
 	f.eng.RunFor(5 * time.Second)
-	if f.b.Evaluations != 5 {
+	if passes != 5 {
 		t.Fatal("ticker survived Stop")
 	}
 	func() {

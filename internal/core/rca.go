@@ -14,6 +14,12 @@ import (
 // behind (CheckMinOp) or, failing that, the rank whose flows stalled first
 // (CheckMinData), and classify it with the RC table.
 //
+// The last logs are the dependency graph's frontier, so the group last-log,
+// silent-proxy and CheckMinOp steps read no store; CheckMinData and the RC
+// table read each candidate's freshest per-channel state logs from the store,
+// which keeps one record per channel where the frontier keeps one per
+// communicator.
+//
 // When the suspect never launched the blocked op, the cause lives in another
 // dependency: either outside the CCL entirely, or inside a *different*
 // communicator the suspect is stuck on (nested parallelism groups). The
@@ -70,116 +76,86 @@ func (b *Backend) fillVictims(rep *Report) {
 
 // analyzeCommFailure analyzes one communicator's stuck state.
 func (b *Backend) analyzeCommFailure(commID uint64, t sim.Time) (topo.Rank, Via, Category, string) {
-	members := b.db.RanksOfComm(commID)
+	// AcquireGroupLastLog: every member's frontier on this comm.
+	members := b.graph.Members(commID)
 	if len(members) == 0 {
 		return -1, ViaNone, CatUnknown, fmt.Sprintf("no members known for comm %d", commID)
 	}
-
-	// AcquireGroupLastLog: the latest record per member for this comm.
-	last := make(map[topo.Rank]trace.Record, len(members))
 	var maxSeq uint64
 	haveFresh := false
 	freshCut := t.Add(-b.cfg.StateFresh)
-	for _, r := range members {
-		rec, ok := b.db.LastRecord(r, commID, t)
-		if !ok {
-			continue
-		}
-		last[r] = rec
-		if rec.OpSeq > maxSeq {
-			maxSeq = rec.OpSeq
-		}
-		if rec.Kind == trace.KindState && rec.Time >= freshCut {
+	for _, m := range members {
+		maxSeq = max(maxSeq, m.Seq)
+		if m.Kind == trace.KindState && m.Last >= freshCut {
 			haveFresh = true
 		}
-	}
-	if len(last) == 0 {
-		return -1, ViaNone, CatUnknown, fmt.Sprintf("no logs for comm %d", commID)
 	}
 
 	// Silent proxy: a member whose logging stopped mid-op (its last record
 	// is a stale state log) while peers still log. The absence of logs is
 	// the signal (§4.2).
 	if haveFresh {
-		for _, r := range members {
-			rec, ok := last[r]
-			if ok && rec.Kind == trace.KindState && rec.Time < freshCut {
-				return r, ViaSilentProxy, CatProxyCrash,
-					fmt.Sprintf("state logs stopped at %v mid-op seq %d while peers keep logging", rec.Time, rec.OpSeq)
+		for _, m := range members {
+			if m.Kind == trace.KindState && m.Last < freshCut {
+				return m.Rank, ViaSilentProxy, CatProxyCrash,
+					fmt.Sprintf("state logs stopped at %v mid-op seq %d while peers keep logging", m.Last, m.Seq)
 			}
 		}
 	}
 
-	// CheckMinOp: a member strictly behind in op sequence.
-	minRank := topo.Rank(-1)
-	minSeq := maxSeq
-	for _, r := range members {
-		rec, ok := last[r]
-		seq := rec.OpSeq
-		if !ok {
-			seq = 0 // never logged: maximally behind
-		}
-		if seq < minSeq || (!ok && minSeq > 0) {
-			minSeq = seq
-			minRank = r
+	// CheckMinOp: the lowest-ranked member strictly behind in op sequence.
+	lag := members[0]
+	for _, m := range members[1:] {
+		if m.Seq < lag.Seq {
+			lag = m
 		}
 	}
-	if minRank >= 0 && minSeq < maxSeq {
-		rec, ok := last[minRank]
-		if ok && rec.Kind == trace.KindState {
+	if lag.Seq < maxSeq {
+		if lag.Kind == trace.KindState {
 			// Behind and visibly stuck mid-op inside this comm.
-			cat, detail := b.checkRCTable(minRank, commID, t)
-			return minRank, ViaMinOp, cat, fmt.Sprintf("lagging at op seq %d < %d; %s", minSeq, maxSeq, detail)
+			cat, detail := checkRCTable(b.stuckMost(lag.Rank, commID, t))
+			return lag.Rank, ViaMinOp, cat, fmt.Sprintf("lagging at op seq %d < %d; %s", lag.Seq, maxSeq, detail)
 		}
 		// Cleanly finished an earlier op and never launched the next.
-		return minRank, ViaMinOp, CatNotLaunched,
-			fmt.Sprintf("last log is completion of seq %d while peers reached %d", minSeq, maxSeq)
+		return lag.Rank, ViaMinOp, CatNotLaunched,
+			fmt.Sprintf("last log is completion of seq %d while peers reached %d", lag.Seq, maxSeq)
 	}
 
 	// CheckMinData: everyone is on the same op; the root cause stalled
-	// first, so it carries the maximum stuck time across its flows.
-	suspect := topo.Rank(-1)
-	var worst int64 = -1
-	for _, r := range members {
-		for _, st := range b.db.LastStatePerChannel(r, commID, t, 2*b.cfg.Window) {
-			if st.TotalChunks == 0 {
-				continue
-			}
-			if st.StuckNs > worst {
-				worst = st.StuckNs
-				suspect = r
-			}
+	// first, so it carries the maximum stuck time across its flows (the
+	// lower rank breaks ties).
+	suspect, worst := topo.Rank(-1), trace.Record{StuckNs: -1}
+	for _, m := range members {
+		if st, ok := b.stuckMost(m.Rank, commID, t); ok && st.StuckNs > worst.StuckNs {
+			suspect, worst = m.Rank, st
 		}
 	}
 	if suspect < 0 {
 		return -1, ViaNone, CatUnknown, "no per-channel state available"
 	}
-	cat, detail := b.checkRCTable(suspect, commID, t)
+	cat, detail := checkRCTable(worst, true)
 	return suspect, ViaMinData, cat, detail
 }
 
-// checkRCTable classifies a suspect rank from its freshest per-channel state
-// logs — the paper's CheckRCTable.
-func (b *Backend) checkRCTable(r topo.Rank, commID uint64, t sim.Time) (Category, string) {
-	chans := b.db.LastStatePerChannel(r, commID, t, 2*b.cfg.Window)
-	// Iterate channels in id order: map order would break StuckNs ties
-	// nondeterministically, and runs must reproduce bit-for-bit.
-	ids := make([]int32, 0, len(chans))
-	for ch := range chans {
-		ids = append(ids, ch)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var pick *trace.Record
-	for _, ch := range ids {
-		rec := chans[ch]
+// stuckMost returns rank r's freshest state log on its stuck-most active
+// channel of a communicator (the lower channel breaks ties), and whether it
+// has an active channel at all.
+func (b *Backend) stuckMost(r topo.Rank, commID uint64, t sim.Time) (pick trace.Record, ok bool) {
+	for _, rec := range b.db.LastStatePerChannel(r, commID, t, 2*b.cfg.Window) {
 		if rec.TotalChunks == 0 {
 			continue
 		}
-		if pick == nil || rec.StuckNs > pick.StuckNs {
-			pick = &rec
+		if !ok || rec.StuckNs > pick.StuckNs || (rec.StuckNs == pick.StuckNs && rec.Channel < pick.Channel) {
+			pick, ok = rec, true
 		}
 	}
-	if pick == nil {
+	return pick, ok
+}
+
+// checkRCTable classifies a suspect rank from its stuck-most active channel
+// (ok false: it has none) — the paper's CheckRCTable.
+func checkRCTable(pick trace.Record, ok bool) (Category, string) {
+	if !ok {
 		return CatUnknown, "no active flows in state logs"
 	}
 	outstanding := int64(pick.RDMATransmitted) - int64(pick.RDMADone)

@@ -13,7 +13,13 @@
 //
 // The graph is updated incrementally as records ingest into the cloud store,
 // so root cause analysis walks an already-materialized frontier instead of
-// re-scanning the trace database on every trigger. A record costs no map
+// re-scanning the trace database on every trigger. The frontier (Members,
+// Rank) is what failure analysis reads for every member's newest record —
+// the group's last logs, the silent-proxy check and CheckMinOp — and what the
+// failure rule reads for whether a rank has logged anything or ever completed
+// an op; StuckComm and StuckCommDuring drive the cross-communicator chases.
+// Only windows of records (per-channel state logs, the straggler analysis's
+// group window) are still read from the store. A record costs no map
 // probe and, in the steady state, no allocation: ranks index a table, a
 // rank's few communicators (~3) are a short slice, and a run of records on
 // one (rank, communicator) resolves it once. All queries iterate in sorted
@@ -133,8 +139,10 @@ const commsPerRank = 4
 
 // rankView indexes one rank's per-communicator frontiers.
 type rankView struct {
-	ord   uint64      // records observed for this rank, in emission order
-	comms []*rankComm // in order first seen
+	ord       uint64      // records observed for this rank, in emission order
+	comms     []*rankComm // in order first seen
+	newest    uint64      // communicator of the newest record
+	completed bool        // a completion has been observed
 }
 
 // Graph is the incrementally maintained dependency graph of one job.
@@ -213,6 +221,7 @@ func (g *Graph) observe(rec *trace.Record) {
 	}
 	rv := rc.rv
 	rv.ord++
+	rv.newest = rec.CommID
 
 	switch {
 	case rec.OpSeq > rc.seq || (rc.last == 0 && rc.kind == 0):
@@ -231,7 +240,9 @@ func (g *Graph) observe(rec *trace.Record) {
 		rc.cv.maxSeq = rec.OpSeq
 	}
 
-	if rec.Kind == trace.KindState {
+	if rec.Kind == trace.KindCompletion {
+		rv.completed = true
+	} else if rec.Kind == trace.KindState {
 		rc.lastState = rec.Time
 		rc.stateOrd = rv.ord
 		rc.stuckNs = rec.StuckNs
@@ -265,17 +276,51 @@ func (g *Graph) Comms() []uint64 {
 	return out
 }
 
-// Members returns a communicator's observed member ranks, sorted.
-func (g *Graph) Members(comm uint64) []topo.Rank {
+// Member is one member's frontier on a communicator: the highest op seq the
+// rank has logged there, and the kind and emission time of its newest record
+// there.
+//
+// Failure analysis reads these in place of a backward scan of the store for
+// each member's newest record. The two agree because of two invariants of
+// the collective library's trace stream: per (rank, communicator), op seqs
+// never decrease in emission order, so the newest record carries the highest
+// seq; and no state log for op k follows the rank's completion of k (a rank
+// writes state logs only for an op it has started and not finished), so the
+// newest record at that seq is the completion once there is one.
+type Member struct {
+	Rank topo.Rank
+	Seq  uint64
+	Kind trace.Kind
+	Last sim.Time
+}
+
+// Members returns a communicator's member frontiers, sorted by rank; nil for
+// a communicator never observed.
+func (g *Graph) Members(comm uint64) []Member {
 	cv := g.comms[comm]
 	if cv == nil {
 		return nil
 	}
-	out := make([]topo.Rank, len(cv.members))
+	out := make([]Member, len(cv.members))
 	for i, rc := range cv.members {
-		out[i] = rc.rank
+		out[i] = Member{Rank: rc.rank, Seq: rc.seq, Kind: rc.kind, Last: rc.last}
 	}
 	return out
+}
+
+// RankFrontier is one rank's frontier across its communicators.
+type RankFrontier struct {
+	Comm      uint64 // communicator of the rank's newest record
+	Completed bool   // the rank has logged a completion on any communicator
+}
+
+// Rank returns rank r's frontier, and whether the graph has observed r.
+func (g *Graph) Rank(r topo.Rank) (RankFrontier, bool) {
+	rv := g.rank(r)
+	if rv == nil {
+		return RankFrontier{}, false
+	}
+	return RankFrontier{Comm: rv.newest, Completed: rv.completed}, true
 }
 
 // StuckComm returns the communicator (≠ exclude; exclude 0 excludes none) on

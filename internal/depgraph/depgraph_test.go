@@ -292,11 +292,21 @@ func TestObserveBatchAndAccessors(t *testing.T) {
 	if comms := g.Comms(); len(comms) != 2 || comms[0] != 7 || comms[1] != 9 {
 		t.Fatalf("comms = %v", comms)
 	}
-	if m := g.Members(7); len(m) != 1 || m[0] != 0 {
-		t.Fatalf("members = %v", m)
+	if m := g.Members(7); len(m) != 1 || m[0] != (Member{Rank: 0, Seq: 1, Kind: trace.KindState, Last: sec(1)}) {
+		t.Fatalf("members = %+v", m)
 	}
 	if g.Members(99) != nil {
 		t.Fatal("unknown comm has members")
+	}
+	g.Observe(completion(0, 9, 1, sec(2)))
+	if f, ok := g.Rank(0); !ok || f != (RankFrontier{Comm: 9, Completed: true}) {
+		t.Fatalf("rank 0 frontier = %+v %v", f, ok)
+	}
+	if f, ok := g.Rank(1); !ok || f != (RankFrontier{Comm: 9}) {
+		t.Fatalf("rank 1 frontier = %+v %v", f, ok)
+	}
+	if _, ok := g.Rank(99); ok {
+		t.Fatal("unknown rank has a frontier")
 	}
 }
 
@@ -380,6 +390,8 @@ func transcript(g *Graph, end sim.Time) []string {
 			add("FrontierOp(%d, %d) = %v; HopKind %v", r, c, g.FrontierOp(r, c), g.HopKind(r, c))
 		}
 		add("Victims(%d) = %v", r, g.Victims(r))
+		f, ok := g.Rank(r)
+		add("Rank(%d) = %+v %v", r, f, ok)
 	}
 	for _, c := range append([]uint64{0}, comms...) {
 		add("Members(%d) = %v", c, g.Members(c))
@@ -393,7 +405,7 @@ func transcript(g *Graph, end sim.Time) []string {
 // sequence alone. The same records, fed in two cross-rank interleavings that
 // each keep every rank's order (one batch at a time, one record at a time),
 // give identical StuckComm, StuckCommDuring, FrontierOp, Edges, Victims,
-// Members and DOT answers.
+// Members, Rank and DOT answers.
 func TestInterleavingInvariance(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
