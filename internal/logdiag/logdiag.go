@@ -58,9 +58,30 @@ type Template struct {
 	Level string // highest severity seen for this template
 	Total uint64 // lifetime occurrences
 
-	// byRank holds the in-window occurrence timestamps per rank, pruned
-	// lazily on ingest and analysis.
-	byRank map[topo.Rank][]sim.Time
+	// byRank holds the in-window occurrences per rank, pruned lazily on
+	// ingest and analysis.
+	byRank map[topo.Rank]occurrences
+}
+
+// occurrences is one rank's occurrence times of a template, oldest first:
+// ts[head:] are in the window. Expiring an entry moves head; the dead prefix
+// is compacted away once it is half the slice, so a line costs amortized
+// O(1) however many occurrences the window holds.
+type occurrences struct {
+	ts   []sim.Time
+	head int
+}
+
+// prune drops the occurrences before the window ending at now.
+func (o *occurrences) prune(now sim.Time) {
+	cut := now.Add(-sim.Duration(window))
+	for o.head < len(o.ts) && o.ts[o.head] < cut {
+		o.head++
+	}
+	if o.head > 0 && 2*o.head >= len(o.ts) {
+		o.ts = append(o.ts[:0], o.ts[o.head:]...)
+		o.head = 0
+	}
 }
 
 // Anomaly is one cross-rank divergence finding: a template spiking on a
@@ -216,14 +237,17 @@ func (d *Detector) Ingest(l Line) {
 	id := templateIDOf(l.Text)
 	t := d.templates[id]
 	if t == nil {
-		t = &Template{ID: id, Text: TemplateOf(l.Text), Level: normLevel(l.Level), byRank: make(map[topo.Rank][]sim.Time)}
+		t = &Template{ID: id, Text: TemplateOf(l.Text), Level: normLevel(l.Level), byRank: make(map[topo.Rank]occurrences)}
 		d.templates[id] = t
 	}
 	if severityRank(normLevel(l.Level)) > severityRank(t.Level) {
 		t.Level = normLevel(l.Level)
 	}
 	t.Total++
-	t.byRank[l.Rank] = pruneWindow(append(t.byRank[l.Rank], l.At), l.At, window)
+	o := t.byRank[l.Rank]
+	o.ts = append(o.ts, l.At)
+	o.prune(l.At)
+	t.byRank[l.Rank] = o
 }
 
 func normLevel(l string) string {
@@ -233,18 +257,6 @@ func normLevel(l string) string {
 	default:
 		return "info"
 	}
-}
-
-func pruneWindow(ts []sim.Time, now sim.Time, w time.Duration) []sim.Time {
-	cut := now.Add(-sim.Duration(w))
-	i := 0
-	for i < len(ts) && ts[i] < cut {
-		i++
-	}
-	if i > 0 {
-		ts = append(ts[:0], ts[i:]...)
-	}
-	return ts
 }
 
 // Ingested returns lifetime lines folded in.
@@ -283,12 +295,12 @@ func (d *Detector) Analyze(now sim.Time) []Anomaly {
 func (d *Detector) scoreTemplate(t *Template, now sim.Time) (Anomaly, bool) {
 	counts := d.counts[:0]
 	fleet := 0
-	for r, ts := range t.byRank {
-		ts = pruneWindow(ts, now, window)
-		t.byRank[r] = ts
-		if len(ts) > 0 {
-			counts = append(counts, rankCount{r, len(ts)})
-			fleet += len(ts)
+	for r, o := range t.byRank {
+		o.prune(now)
+		t.byRank[r] = o
+		if n := len(o.ts) - o.head; n > 0 {
+			counts = append(counts, rankCount{r, n})
+			fleet += n
 		}
 	}
 	d.counts = counts
