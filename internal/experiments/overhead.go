@@ -57,8 +57,8 @@ func runOverheadJob(seed int64, d baseline.Kind, dur time.Duration) (busBW float
 	switch d {
 	case baseline.Coll:
 		// Mycroft's tracepoints are asynchronous shared-memory writes; their
-		// real CPU cost is measured by the M-benchmarks and is off the
-		// simulated critical path.
+		// real CPU cost is bench's trace.emit_ns and trace.drain_ns_per_record
+		// rows, and is off the simulated critical path.
 	case baseline.None:
 		cfg.DisableTracing = true
 	default:

@@ -4,10 +4,11 @@
 //
 // The hot-path instruments (Counter.Add, Gauge.Set, Histogram.Observe) are
 // single atomic operations — no locks, no allocation — so the ingest and
-// dispatch paths can be instrumented without moving the M-benchmarks.
-// Registration is mutex-guarded and idempotent: asking for the same
-// (name, labels) series twice returns the same instrument, so wiring code
-// never has to thread instrument pointers around. GaugeFunc registers a
+// dispatch paths can be instrumented without moving the bench rows that price
+// them (clouddb.ingest_ns_per_record, events.deliver_p50_ms; obs.counter_ns
+// prices one Add). Registration is mutex-guarded and idempotent: asking for
+// the same (name, labels) series twice returns the same instrument, so wiring
+// code never has to thread instrument pointers around. GaugeFunc registers a
 // scrape-time callback for values that are cheaper to read than to track
 // (store occupancy, live subscription counts); callers are responsible for
 // making those callbacks safe at scrape time (the daemon scrapes under the
