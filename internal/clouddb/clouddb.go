@@ -271,11 +271,6 @@ func (db *DB) IPOf(r topo.Rank) (topo.IP, bool) {
 	return "", false
 }
 
-// RanksOfComm returns the member ranks observed for a communicator, ascending.
-func (db *DB) RanksOfComm(commID uint64) []topo.Rank {
-	return slices.Clone(db.commRanks[commID])
-}
-
 // CommsOfRank returns the communicators rank r has produced records for.
 func (db *DB) CommsOfRank(r topo.Rank) []uint64 {
 	s := db.series(r)
@@ -300,7 +295,7 @@ func (db *DB) QueryRank(r topo.Rank, from, to sim.Time) []trace.Record {
 // (from, to] that belong to that communicator.
 func (db *DB) QueryGroup(commID uint64, from, to sim.Time) map[topo.Rank][]trace.Record {
 	out := make(map[topo.Rank][]trace.Record)
-	for _, r := range db.RanksOfComm(commID) {
+	for _, r := range db.commRanks[commID] {
 		s := db.series(r)
 		var members []trace.Record // stays nil for a member silent in the window
 		lo, hi := s.log.window(from, to)

@@ -60,9 +60,6 @@ func TestGroupIndexes(t *testing.T) {
 		rec(1, 7, 11, trace.KindState),
 		rec(2, 8, 12, trace.KindState),
 	})
-	if got := db.RanksOfComm(7); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("RanksOfComm(7) = %v", got)
-	}
 	if got := db.CommsOfRank(1); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("CommsOfRank(1) = %v", got)
 	}

@@ -475,7 +475,6 @@ func (p *storeProgram) check() {
 	}
 
 	for comm := uint64(1); comm <= modelComms+1; comm++ {
-		p.equal("RanksOfComm", db.RanksOfComm(comm), m.ranksOfComm(comm))
 		w := windows[rng.Intn(len(windows))]
 		p.equal("QueryGroup", db.QueryGroup(comm, w[0], w[1]), m.queryGroup(comm, w[0], w[1]))
 	}

@@ -66,7 +66,8 @@ func (q *Query) matches(f *flow) bool {
 	return len(q.Kinds) == 0 || slices.Contains(q.Kinds, f.kind)
 }
 
-// queryRanks resolves the rank list a query walks, ascending.
+// queryRanks resolves the rank list a query walks, ascending. A
+// communicator's list is the store's own, which the walk only reads.
 func (db *DB) queryRanks(q Query) []topo.Rank {
 	if len(q.Ranks) > 0 {
 		out := append([]topo.Rank(nil), q.Ranks...)
@@ -74,7 +75,7 @@ func (db *DB) queryRanks(q Query) []topo.Rank {
 		return out
 	}
 	if q.Comm != 0 {
-		return db.RanksOfComm(q.Comm)
+		return db.commRanks[q.Comm]
 	}
 	return db.Ranks()
 }

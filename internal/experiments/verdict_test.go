@@ -194,13 +194,13 @@ func TestVerdictSymmetry(t *testing.T) {
 		job.Start()
 		bk.Start()
 		faults.Inject(job, spec)
-		eng.RunFor(45 * time.Second)
+		eng.RunFor(spec.At + 30*time.Second)
 		return faults.Judge(spec, job.Cluster, bk.Triggers(), bk.Reports())
 	})
 	same := 0
 	for i, c := range cells {
-		// Past the position column, the mirror's row with its ranks mapped
-		// back is the golden row.
+		// Past the kind and position columns, the mirror's row with its ranks
+		// mapped back is the golden row.
 		want := strings.Join(matrixRow(c, golden[i], func(r topo.Rank) topo.Rank { return r })[2:], "  ")
 		got := strings.Join(matrixRow(mirrored[i], verdicts[i], mirror)[2:], "  ")
 		if got != want {
