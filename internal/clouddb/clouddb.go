@@ -11,32 +11,34 @@
 //
 // At fleet size the store, not the simulator, is what fills the heap, so a
 // rank's records are not kept as trace.Records. A rank's state logs repeat
-// their metadata and operation rows every tick; only the timestamps, the
-// chunk counters and the stuck time change. So each series keeps a flow
+// their metadata and operation rows every tick, and while a channel waits
+// its chunk counters and the instant it last progressed (Time − StuckNs)
+// hold still too; only the timestamp changes. So each series keeps a flow
 // table — one entry per distinct (IP, communicator, GPU, channel, QP, op,
 // message size, total chunks, kind) tuple — and a log of fixed-length
-// segments (seglog.go). A segment holds 256 32-byte slots, which keep the
-// changing fields and a row index, and a table of 40 rows, which keep what a
-// run of one flow's records repeats: op seq, start, end and the flow index.
-// Rows a segment needs past its 40 spill into a side table of its log. A
-// segment is pointer-free memory the collector never scans, sized to fill
-// one of the allocator's size classes exactly. Ingest writes one slot, and a
-// row when the record's flow has none for its operation in the segment; it
-// allocates only when a rank's last segment is full, its record starts a
-// flow, or a row spills. Nothing stored is ever copied, cleared or regrown.
-// Retention releases whole segments, their spilled rows with them, as the
-// horizon passes them, and all of a rank's, flow table included, once it has
-// no live record: the table holds one flow per distinct tuple since the log
-// was last empty. Readers binary-search and walk the slots in place, test
-// their time, communicator, kind and channel predicates on the flow the
-// slot's row names, and rebuild a trace.Record only for what they return.
+// segments (seglog.go). A segment holds 256 records, each an 8-byte time
+// and a 1-byte row index, and a table of 53 48-byte rows, which keep what a
+// run of one flow's records repeats: op seq, start, end, progress instant,
+// the three chunk counters and the flow index. Rows a segment needs past
+// its 53 spill into a side table of its log. A segment is pointer-free
+// memory the collector never scans, sized to fit one of the allocator's
+// size classes. Ingest writes a time and a row byte, and a row when the
+// record's flow has none holding its fields in the segment; it allocates
+// only when a rank's last segment is full, its record starts a flow, or a
+// row spills. Nothing stored is ever copied, cleared or regrown. Retention
+// releases whole segments, their spilled rows with them, as the horizon
+// passes them, and all of a rank's, flow table included, once it has no
+// live record: the table holds one flow per distinct tuple since the log
+// was last empty. Readers binary-search and walk the times in place, test
+// their communicator, kind and channel predicates on the flow each record's
+// row names, and rebuild a trace.Record only for what they return.
 //
 // Ingest probes no map per record, bar a row that spills. Ranks are dense in [0, world size), so the
 // series table is a slice indexed by rank. A record is matched against the
 // two flows its rank used last, then the rest of the table newest first; a
 // communicator is indexed only when a flow is added. The flow caches the row
-// its last record used, so a record repeating its operation compares three
-// fields and writes no row.
+// its last record used, so a record that repeats it compares seven fields
+// and writes no row.
 package clouddb
 
 import (
@@ -50,7 +52,7 @@ import (
 	"mycroft/internal/trace"
 )
 
-// rankSeries holds one rank's records in emission order: its log of slots
+// rankSeries holds one rank's records in emission order: its log of times
 // and rows and the flow table the rows index, which together rebuild exactly
 // the record that was ingested. ip is the first-seen IP — what IPOf answers with; a
 // record that arrives with a different one (a rank re-homed to another host
@@ -300,8 +302,8 @@ func (db *DB) QueryGroup(commID uint64, from, to sim.Time) map[topo.Rank][]trace
 		var members []trace.Record // stays nil for a member silent in the window
 		lo, hi := s.log.window(from, to)
 		for i := lo; i < hi; i++ {
-			if sl, rw := s.log.at(i); s.flows[rw.flow].commID == commID {
-				members = s.appendTo(members, sl, rw)
+			if t, rw := s.log.at(i); s.flows[rw.flow].commID == commID {
+				members = s.appendTo(members, t, rw)
 			}
 		}
 		out[r] = members
@@ -319,13 +321,13 @@ func (db *DB) LastStatePerChannel(r topo.Rank, commID uint64, t sim.Time, window
 	}
 	lo, hi := s.log.window(t.Add(-window), t)
 	for i := hi - 1; i >= lo; i-- { // newest first: a channel's first hit is its last state
-		sl, rw := s.log.at(i)
+		at, rw := s.log.at(i)
 		f := &s.flows[rw.flow]
 		if f.kind != trace.KindState || f.commID != commID {
 			continue
 		}
 		if _, seen := out[f.channel]; !seen {
-			out[f.channel] = s.record(sl, rw)
+			out[f.channel] = s.record(at, rw)
 		}
 	}
 	return out

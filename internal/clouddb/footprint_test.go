@@ -22,49 +22,84 @@ func liveHeap() (heap, mallocs uint64) {
 }
 
 // perRankBatches builds batches of one record per rank per tick, n ticks,
-// spaced step apart from start.
+// spaced step apart from start, shaped as ccl emits state logs: a rank names
+// one op for 32 ticks, and its channel progresses every 8, moving the chunk
+// counters and the instant its StuckNs counts from.
 func perRankBatches(ranks, n int, start sim.Time, step time.Duration) [][]trace.Record {
 	batches := make([][]trace.Record, n)
 	for i := range batches {
 		at := start.Add(time.Duration(i) * step)
+		moved := i - i%8
 		batches[i] = make([]trace.Record, ranks)
 		for r := range batches[i] {
-			batches[i][r] = rec(topo.Rank(r), uint64(r%4+1), at, trace.KindState)
+			rc := rec(topo.Rank(r), uint64(r%4+1), at, trace.KindState)
+			rc.OpSeq = uint64(i / 32)
+			rc.GPUReady, rc.RDMATransmitted, rc.RDMADone = uint32(moved), uint32(moved), uint32(moved/2)
+			rc.StuckNs = int64(time.Duration(i-moved) * step)
+			batches[i][r] = rc
 		}
 	}
 	return batches
 }
 
-// TestIngestFootprint pins what the segmented layout is for: a stored record
-// costs its 32-byte slot plus its share of its segment's row table, segment
-// tail and index, not the 128-byte record plus append's doubling slack (159 B
-// at the flat layout), an 88-byte slot that repeats its flow's fields (~89 B)
-// or a 56-byte slot that repeats its operation's (~57 B), and ingest
-// allocates once per segment, not once per regrow of every rank.
-func TestIngestFootprint(t *testing.T) {
-	const ranks, perRank = 64, 3125 // 200 k records
-	batches := perRankBatches(ranks, perRank, 1, time.Millisecond)
+// ingestFootprint stores batches in a new DB and returns the live heap it
+// added per record and the mallocs it took.
+func ingestFootprint(t *testing.T, batches [][]trace.Record) (perRecord float64, mallocs uint64) {
+	t.Helper()
 	heap0, mallocs0 := liveHeap()
 	db := New(sim.NewEngine(1), 0)
+	records := 0
 	for _, b := range batches {
 		db.Ingest(b)
+		records += len(b)
 	}
 	heap1, mallocs1 := liveHeap()
 	runtime.KeepAlive(batches) // on both sides of the difference
-	if got := db.LiveRecords(); got != ranks*perRank {
-		t.Fatalf("stored %d records, want %d", got, ranks*perRank)
+	if got := db.LiveRecords(); got != records {
+		t.Fatalf("stored %d records, want %d", got, records)
 	}
-	records := float64(ranks * perRank)
-	if perRecord := (float64(heap1) - float64(heap0)) / records; perRecord > 44 {
-		t.Errorf("%.1f heap bytes per stored record, want ≤ 44", perRecord)
+	runtime.KeepAlive(db)
+	return (float64(heap1) - float64(heap0)) / float64(records), mallocs1 - mallocs0
+}
+
+// TestIngestFootprint pins what the segmented layout is for: a stored record
+// costs its 8-byte time and row byte plus its share of its segment's row
+// table, segment tail and index, not the 128-byte record plus append's
+// doubling slack (159 B at the flat layout), an 88-byte slot that repeats its
+// flow's fields (~89 B), a 56-byte one that repeats its operation's (~57 B)
+// or a 32-byte one that repeats its counters and stuck time (~39 B); and
+// ingest allocates once per segment, not once per regrow of every rank. When
+// every record needs its own row, spilling, it still costs less than with
+// 32-byte slots (~71 B).
+func TestIngestFootprint(t *testing.T) {
+	// A segment fills Go's 4,864-byte size class: one row more would move it
+	// to the next, 5,376.
+	if size := unsafe.Sizeof(segment{}); size > 4864 || 4864-size >= unsafe.Sizeof(row{}) {
+		t.Fatalf("a segment is %d B, want the most rows that fit in 4,864", size)
+	}
+	const ranks, perRank = 64, 3125 // 200 k records
+	batches := perRankBatches(ranks, perRank, 1, time.Millisecond)
+	perRecord, mallocs := ingestFootprint(t, batches)
+	if perRecord > 24 {
+		t.Errorf("%.1f heap bytes per stored record, want ≤ 24", perRecord)
 	}
 	// One malloc per segment; per rank, the series, its flow table, its
 	// communicator list, its communicator's member list, and the doublings
 	// of a segment-pointer slice that ends a few dozen long.
-	if got, max := mallocs1-mallocs0, uint64(ranks*perRank/segLen+32*ranks); got > max {
-		t.Errorf("%d mallocs ingesting %d records over %d ranks, want ≤ %d", got, ranks*perRank, ranks, max)
+	if max := uint64(ranks*perRank/segLen + 32*ranks); mallocs > max {
+		t.Errorf("%d mallocs ingesting %d records over %d ranks, want ≤ %d", mallocs, ranks*perRank, ranks, max)
 	}
-	runtime.KeepAlive(db)
+
+	for i, b := range batches {
+		for r := range b {
+			b[r].OpSeq, b[r].RDMADone = uint64(i), uint32(i)
+		}
+	}
+	worst, _ := ingestFootprint(t, batches)
+	if worst > 70 {
+		t.Errorf("%.1f heap bytes per stored record when each has its own row, want ≤ 70", worst)
+	}
+	t.Logf("%.1f heap bytes per record, %.1f when each needs its own row", perRecord, worst)
 }
 
 // TestPruneReleasesMemory: under a retention horizon the store's heap is the
@@ -116,7 +151,7 @@ func TestPruneReleasesMemory(t *testing.T) {
 	if got := len(db.QueryRank(ranks, 0, sim.Infinity)); got != 0 {
 		t.Fatalf("silent rank still has %d live records", got)
 	}
-	if freed, want := before-held(), 0.9*burst*float64(unsafe.Sizeof(slot{})); freed < want {
+	if freed, want := before-held(), 0.9*burst*float64(unsafe.Sizeof(segment{}.times[0])+unsafe.Sizeof(segment{}.rowOf[0])); freed < want {
 		t.Errorf("pruning a silent rank's %d records freed %.0f B, want ≥ %.0f", burst, freed, want)
 	}
 	runtime.KeepAlive(db)

@@ -2,6 +2,7 @@ package clouddb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -201,11 +202,11 @@ type storeProgram struct {
 	clock map[topo.Rank]sim.Time // newest record time per rank
 	moved bool                   // rank ranks[3] reports from its second host
 	pools map[topo.Rank][]trace.Record
-	ops   map[topo.Rank][]trace.Record // each rank's operations
-	cur   map[trace.Record]int         // the operation each flow names, by flowKey
-	cycle int                          // position of rank ranks[2] in its round of flows
+	runs  map[topo.Rank][]modelRun // each rank's pool of runs
+	cur   map[trace.Record]int     // the run each flow is in, by flowKey
+	cycle int                      // position of rank ranks[2] in its round of flows
 
-	// Full segments seen by check whose rows fit beside their slots, and
+	// Full segments seen by check whose rows fit beside their records, and
 	// those that spilled.
 	packed, spilled int
 }
@@ -216,9 +217,9 @@ const (
 	// modelFlows is the size of each rank's pool of flows: one drawn whole
 	// and one per flow field, which it alone changes from an earlier flow.
 	modelFlows = 10
-	// modelOps is the size of each rank's pool of operations: one drawn whole
-	// and one per row field, which it alone changes from an earlier one.
-	modelOps = 4
+	// modelRuns is the size of each rank's pool of runs: one drawn whole and
+	// one per row field, which it alone changes from an earlier one.
+	modelRuns = 8
 )
 
 // randomFlow draws every flow field of a record of rank r.
@@ -269,55 +270,88 @@ func (p *storeProgram) pool(r topo.Rank) []trace.Record {
 	return fl
 }
 
-// randomOp draws the operation fields of rc: the ones a row holds.
-func (p *storeProgram) randomOp(rc *trace.Record) {
-	rc.OpSeq, rc.Start, rc.End = p.rng.Uint64(), sim.Time(p.rng.Int63()), sim.Time(-p.rng.Int63())
+// modelRun is what a run of one flow's records repeats beyond the flow: the
+// operation, the chunk counters and the instant the channel last progressed,
+// from which each record's StuckNs is counted.
+type modelRun struct {
+	opSeq                               uint64
+	start, end, progress                sim.Time
+	gpuReady, rdmaTransmitted, rdmaDone uint32
 }
 
-// op sets rc's operation fields. A flow names one operation of its rank's
-// pool for a run of records, as a rank's state logs name one op until it
-// completes, so the run shares a row, which the store must reuse only within
-// a segment; and the flows of a rank name the same operations, as its
-// channels of one collective do. The pool is drawn on first use like the
-// flows: op k > 0 copies an earlier one and changes row field k-1 alone, so a
-// row compare that skips any field merges two operations. Now and then a
-// record names an operation never seen.
-func (p *storeProgram) op(rc *trace.Record) {
+// randomRun draws every field of a run.
+func (p *storeProgram) randomRun() modelRun {
 	rng := p.rng
+	return modelRun{
+		opSeq: rng.Uint64(), start: sim.Time(rng.Int63()), end: sim.Time(-rng.Int63()), progress: sim.Time(rng.Uint64()),
+		gpuReady: rng.Uint32(), rdmaTransmitted: rng.Uint32(), rdmaDone: rng.Uint32(),
+	}
+}
+
+// run sets rc's row fields from a run. A flow stays in one run of its rank's
+// pool for a stretch of records, as a rank's state logs name one op, hold
+// their counters and count StuckNs from one instant while a channel waits, so
+// the stretch shares a row, which the store must reuse only within a segment;
+// and the flows of a rank draw from the same runs, as its channels of one
+// collective name the same op. The pool is drawn on first use like the flows:
+// run k > 0 copies an earlier one and changes row field k-1 alone, so a row
+// compare that skips any field merges two runs. Now and then a record is in a
+// run never seen.
+func (p *storeProgram) run(rc *trace.Record) {
+	rng := p.rng
+	var o modelRun
 	if rng.Intn(64) == 0 {
-		p.randomOp(rc)
-		return
-	}
-	ops, ok := p.ops[rc.Rank]
-	if !ok {
-		p.randomOp(rc)
-		ops = []trace.Record{*rc}
-		for k := 1; k < modelOps; k++ {
-			o := ops[rng.Intn(k)]
-			switch k - 1 {
-			case 0:
-				o.OpSeq++
-			case 1:
-				o.Start++
-			case 2:
-				o.End++
+		o = p.randomRun()
+	} else {
+		runs, ok := p.runs[rc.Rank]
+		if !ok {
+			runs = []modelRun{p.randomRun()}
+			for k := 1; k < modelRuns; k++ {
+				o := runs[rng.Intn(k)]
+				switch k - 1 {
+				case 0:
+					o.opSeq++
+				case 1:
+					o.start++
+				case 2:
+					o.end++
+				case 3:
+					o.progress++
+				case 4:
+					o.gpuReady++
+				case 5:
+					o.rdmaTransmitted++
+				case 6:
+					o.rdmaDone++
+				}
+				runs = append(runs, o)
 			}
-			ops = append(ops, o)
+			p.runs[rc.Rank] = runs
 		}
-		p.ops[rc.Rank] = ops
+		key := flowKey(*rc)
+		cur := p.cur[key]
+		if rng.Intn(32) == 0 {
+			cur = rng.Intn(len(runs))
+			p.cur[key] = cur
+		}
+		o = runs[cur]
 	}
-	key := flowKey(*rc)
-	cur := p.cur[key]
-	if rng.Intn(32) == 0 {
-		cur = rng.Intn(len(ops))
-		p.cur[key] = cur
+	rc.OpSeq, rc.Start, rc.End = o.opSeq, o.start, o.end
+	rc.GPUReady, rc.RDMATransmitted, rc.RDMADone = o.gpuReady, o.rdmaTransmitted, o.rdmaDone
+	rc.StuckNs = int64(rc.Time - o.progress)
+	// The stuck times at which Time − StuckNs wraps, and none at all.
+	switch rng.Intn(128) {
+	case 0:
+		rc.StuckNs = math.MinInt64
+	case 1:
+		rc.StuckNs = math.MaxInt64
+	case 2:
+		rc.StuckNs = 0
 	}
-	o := &ops[cur]
-	rc.OpSeq, rc.Start, rc.End = o.OpSeq, o.Start, o.End
 }
 
 // record draws one record for rank r at time at; every stored field varies so
-// a slot that drops or swaps one cannot round-trip. Its flow is mostly one of
+// a store that drops or swaps one cannot round-trip. Its flow is mostly one of
 // the rank's first two (the two a rank alternates between), else any of its
 // pool, else one never seen; rank ranks[2] instead cycles through three, so
 // neither of the two flows it used last is ever its next.
@@ -340,9 +374,7 @@ func (p *storeProgram) record(r topo.Rank, at sim.Time) trace.Record {
 		rc.IP = "10.9.9.9"
 	}
 	rc.Time = at
-	p.op(&rc)
-	rc.GPUReady, rc.RDMATransmitted, rc.RDMADone = rng.Uint32(), rng.Uint32(), rng.Uint32()
-	rc.StuckNs = -rng.Int63()
+	p.run(&rc)
 	return rc
 }
 
@@ -520,7 +552,7 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 				db: New(eng, modelRetention), model: newFlatStore(modelRetention),
 				ranks: []topo.Rank{0, 1, 2, 3, 8, 9, 64, 65, 129, 511},
 				clock: make(map[topo.Rank]sim.Time), pools: make(map[topo.Rank][]trace.Record),
-				ops: make(map[topo.Rank][]trace.Record), cur: make(map[trace.Record]int),
+				runs: make(map[topo.Rank][]modelRun), cur: make(map[trace.Record]int),
 			}
 			// The store first sees ranks in descending, sparse order: its
 			// rank table grows to 512 on its first record and is filled in
@@ -563,6 +595,7 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 			if p.db.Pruned() == 0 || p.db.LiveRecords() == 0 {
 				t.Fatalf("program pruned %d and left %d live: it exercised nothing", p.db.Pruned(), p.db.LiveRecords())
 			}
+			t.Logf("checked %d packed and %d spilled full segments", p.packed, p.spilled)
 			if p.packed == 0 || p.spilled == 0 {
 				t.Fatalf("checked %d packed and %d spilled full segments: a row path went unexercised", p.packed, p.spilled)
 			}

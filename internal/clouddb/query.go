@@ -57,7 +57,7 @@ type Result struct {
 	Next *Cursor
 }
 
-// matches applies the non-window predicates to the flow a stored slot's row
+// matches applies the non-window predicates to the flow a stored record's row
 // names, so a record the query does not return is never rebuilt.
 func (q *Query) matches(f *flow) bool {
 	if q.Comm != 0 && f.commID != q.Comm {
@@ -118,11 +118,11 @@ func (db *DB) Query(q Query) Result {
 		}
 		skip := 0
 		for i := lo; i < hi; i++ {
-			sl, rw := s.log.at(i)
+			at, rw := s.log.at(i)
 			if !q.matches(&s.flows[rw.flow]) {
 				continue
 			}
-			if resuming && sl.time == q.Cursor.Time && skip < q.Cursor.Emitted {
+			if resuming && at == q.Cursor.Time && skip < q.Cursor.Emitted {
 				skip++
 				continue
 			}
@@ -156,7 +156,7 @@ func (db *DB) Query(q Query) Result {
 				// Size the page once instead of doubling up to it.
 				res.Records = make([]trace.Record, 0, min(q.Limit, hi-i))
 			}
-			res.Records = s.appendTo(res.Records, sl, rw)
+			res.Records = s.appendTo(res.Records, at, rw)
 		}
 	}
 	return res

@@ -8,32 +8,27 @@ import (
 	"mycroft/internal/trace"
 )
 
-// slot is one stored record: the trace.Record fields that change from one
-// record to the next, and the index of its row in its segment's row table,
-// which holds the rest a run of records repeats. A slot is 32 bytes against
-// the record's 128 and holds no pointer, so the collector allocates segments
-// from no-scan spans and never looks inside one.
-type slot struct {
-	time    sim.Time
-	stuckNs int64
-
-	gpuReady, rdmaTransmitted, rdmaDone uint32
-	row                                 uint32 // index into segment.rows, then recLog.spill
-}
-
 // row is what a run of one flow's records repeats within a segment: the
-// operation they describe and the index of the flow. A rank's state logs for
-// one op share a row until the op completes, so a segment of 256 slots needs
-// a few dozen rows: at most 38 in sim-512 and serve-live at seed 1.
+// operation they describe, the chunk counters, the instant the channel last
+// progressed and the index of the flow. A stored record is its time and the
+// index of its row. A rank's state logs for one op share a row while the
+// channel waits — the counters hold still and Time − StuckNs is the fixed
+// instant it last moved — so a segment of 256 records needs a few dozen rows:
+// at most 38 in sim-512 and 41 in serve-live at seed 1. A channel that moves
+// every tick, as on a degraded link, needs a row a record and spills.
 type row struct {
-	opSeq      uint64
-	start, end sim.Time
-	flow       uint32 // index into rankSeries.flows
+	opSeq                               uint64
+	start, end                          sim.Time
+	progress                            sim.Time // Time − StuckNs, wrapping
+	flow                                uint32   // index into rankSeries.flows
+	gpuReady, rdmaTransmitted, rdmaDone uint32
 }
 
-// names reports whether r describes the operation rw holds.
+// names reports whether rw holds every field of r a row keeps.
 func (rw *row) names(r *trace.Record) bool {
-	return rw.opSeq == r.OpSeq && rw.start == r.Start && rw.end == r.End
+	return rw.progress == r.Time-sim.Time(r.StuckNs) && rw.opSeq == r.OpSeq &&
+		rw.start == r.Start && rw.end == r.End && rw.gpuReady == r.GPUReady &&
+		rw.rdmaTransmitted == r.RDMATransmitted && rw.rdmaDone == r.RDMADone
 }
 
 // flow is what every record of one (rank, channel) stream repeats: the
@@ -52,7 +47,7 @@ type flow struct {
 	op                   trace.OpKind
 
 	seg uint64 // recLog.seq of the segment holding row; 0 when none does
-	row uint32
+	row uint8
 }
 
 // is reports whether r belongs to f, testing the channel first: it is the
@@ -63,88 +58,91 @@ func (f *flow) is(r *trace.Record) bool {
 		f.kind == r.Kind && f.op == r.Op && f.ip == r.IP
 }
 
-// segLen is the fixed number of slots in a segment and segRows the rows it
-// holds beside them: 256 × 32 B + 40 × 32 B = 9,472 B, exactly one of Go's
-// size classes. A segment whose records name more than segRows distinct rows
-// spills the rest into its log's side table.
+// segLen is the fixed number of records in a segment and segRows the rows it
+// holds beside them: 256 × 8 B of times + 256 row bytes + 53 × 48 B of rows =
+// 4,848 B, in Go's 4,864-byte size class. A segment whose records name more
+// than segRows distinct rows spills the rest into its log's side table.
 const (
 	segLen  = 256
-	segRows = 40
+	segRows = 53
 )
 
-// segment is the unit of allocation and of release.
+// A push adds at most one row, so a segment's row indices fit a byte.
+const _ uint8 = segLen - 1
+
+// segment is the unit of allocation and of release. It holds no pointer, so
+// the collector allocates it from a no-scan span and never looks inside.
 type segment struct {
-	slots [segLen]slot
+	times [segLen]sim.Time
+	rowOf [segLen]uint8 // index into rows, then recLog.spill
 	rows  [segRows]row
 }
 
 // recLog is one rank's records, oldest first, in fixed-length segments.
-// Appending writes one slot, and a row when the record's flow has none for its
-// operation in the last segment; it allocates only when the last segment is
-// full. A slot, once written, is never copied or cleared again. Retention
-// advances head and hands whole segments, and their spilled rows, back to the
-// collector.
+// Appending writes a time and a row index, and a row when the record's flow
+// has none for it in the last segment; it allocates only when the last
+// segment is full. A record, once written, is never copied or cleared again.
+// Retention advances head and hands whole segments, and their spilled rows,
+// back to the collector.
 type recLog struct {
 	segs []*segment
-	head int    // slots of segs[0] that retention has dropped
-	n    int    // live slots
-	free []slot // the unwritten rest of the last segment
-	rows uint32 // rows the last segment uses, spilled ones included
+	head int    // records of segs[0] that retention has dropped
+	n    int    // live records
+	rows int    // rows the last segment uses, spilled ones included
 	seq  uint64 // sequence number of the last segment, from 1, never reused
 	// spill holds the rows past segRows of each segment that needed them.
 	spill  map[*segment][]row
-	newest sim.Time // time of the newest live slot, when n > 0
+	newest sim.Time // time of the newest live record, when n > 0
 }
 
-// at returns live slot i, 0 ≤ i < n, oldest first, and its row.
-func (l *recLog) at(i int) (*slot, *row) {
+// at returns the time and row of live record i, 0 ≤ i < n, oldest first.
+func (l *recLog) at(i int) (sim.Time, *row) {
 	p := uint(l.head + i)
 	seg := l.segs[p/segLen]
-	sl := &seg.slots[p%segLen]
-	return sl, l.rowOf(seg, sl.row)
+	return seg.times[p%segLen], l.rowAt(seg, seg.rowOf[p%segLen])
 }
 
-// timeAt is the time of live slot i, for the searches, which need no row.
+// timeAt is the time of live record i, for the searches, which need no row.
 func (l *recLog) timeAt(i int) sim.Time {
 	p := uint(l.head + i)
-	return l.segs[p/segLen].slots[p%segLen].time
+	return l.segs[p/segLen].times[p%segLen]
 }
 
-// rowOf returns row i of seg.
-func (l *recLog) rowOf(seg *segment, i uint32) *row {
+// rowAt returns row i of seg.
+func (l *recLog) rowAt(seg *segment, i uint8) *row {
 	if i < segRows {
 		return &seg.rows[i]
 	}
 	return &l.spill[seg][i-segRows]
 }
 
-// push appends r, whose flow f has index fi. The slot reuses the row of f's
-// previous record when that row sits in the same segment and names the same
-// operation; otherwise it takes the segment's next row. The log keeps r's
+// push appends r, whose flow f has index fi. The record reuses the row of
+// f's previous record when that row sits in the same segment and holds the
+// same fields; otherwise it takes the segment's next row. The log keeps r's
 // time beside its bookkeeping, so the order check on the next push reads no
-// slot.
+// segment.
 func (l *recLog) push(r *trace.Record, f *flow, fi uint32) {
-	if len(l.free) == 0 {
-		seg := new(segment)
-		l.segs = append(l.segs, seg)
-		l.free, l.rows = seg.slots[:], 0
+	p := uint(l.head + l.n)
+	if p == uint(len(l.segs))*segLen {
+		l.segs = append(l.segs, new(segment))
+		l.rows = 0
 		l.seq++
 	}
-	if seg := l.segs[len(l.segs)-1]; f.seg != l.seq || !l.rowOf(seg, f.row).names(r) {
-		f.seg, f.row = l.seq, l.addRow(seg, row{opSeq: r.OpSeq, start: r.Start, end: r.End, flow: fi})
+	seg := l.segs[len(l.segs)-1]
+	if f.seg != l.seq || !l.rowAt(seg, f.row).names(r) {
+		f.seg, f.row = l.seq, l.addRow(seg, row{
+			opSeq: r.OpSeq, start: r.Start, end: r.End, progress: r.Time - sim.Time(r.StuckNs), flow: fi,
+			gpuReady: r.GPUReady, rdmaTransmitted: r.RDMATransmitted, rdmaDone: r.RDMADone,
+		})
 	}
-	// Field by field: a composite literal is built on the stack and copied over.
-	sl := &l.free[0]
-	sl.time, sl.stuckNs = r.Time, r.StuckNs
-	sl.gpuReady, sl.rdmaTransmitted, sl.rdmaDone = r.GPUReady, r.RDMATransmitted, r.RDMADone
-	sl.row = f.row
-	l.free, l.newest = l.free[1:], r.Time
+	seg.times[p%segLen], seg.rowOf[p%segLen] = r.Time, f.row
+	l.newest = r.Time
 	l.n++
 }
 
 // addRow appends rw to seg, the last segment, and returns its index.
-func (l *recLog) addRow(seg *segment, rw row) uint32 {
-	i := l.rows
+func (l *recLog) addRow(seg *segment, rw row) uint8 {
+	i := uint8(l.rows)
 	l.rows++
 	if i < segRows {
 		seg.rows[i] = rw
@@ -157,8 +155,8 @@ func (l *recLog) addRow(seg *segment, rw row) uint32 {
 	return i
 }
 
-// firstAfter returns the index of the first live slot with time > t (n when
-// there is none); slots are in non-decreasing time order.
+// firstAfter returns the index of the first live record with time > t (n
+// when there is none); records are in non-decreasing time order.
 func (l *recLog) firstAfter(t sim.Time) int {
 	return sort.Search(l.n, func(i int) bool { return l.timeAt(i) > t })
 }
@@ -168,12 +166,12 @@ func (l *recLog) firstFrom(t sim.Time) int {
 	return sort.Search(l.n, func(i int) bool { return l.timeAt(i) >= t })
 }
 
-// window returns the half-open index range of slots with time in (from, to].
+// window returns the half-open index range of records with time in (from, to].
 func (l *recLog) window(from, to sim.Time) (lo, hi int) {
 	return l.firstAfter(from), l.firstAfter(to)
 }
 
-// dropFront discards the k oldest slots and releases every segment that no
+// dropFront discards the k oldest records and releases every segment that no
 // longer holds a live one, with its spilled rows — including, when the log
 // empties, the partly filled last one, so a rank that falls silent keeps
 // nothing.
@@ -229,42 +227,42 @@ func (s *rankSeries) flowOf(db *DB, r *trace.Record) uint32 {
 	return s.recent[0]
 }
 
-// load rebuilds in dst the record that was pushed for sl, whose row is rw,
-// every field.
-func (s *rankSeries) load(dst *trace.Record, sl *slot, rw *row) {
+// load rebuilds in dst the record that was pushed at time t with row rw,
+// every field; the wrapping subtraction undoes push's exactly.
+func (s *rankSeries) load(dst *trace.Record, t sim.Time, rw *row) {
 	f := &s.flows[rw.flow]
-	dst.Kind, dst.Time = f.kind, sl.time
+	dst.Kind, dst.Time = f.kind, t
 	dst.IP, dst.CommID, dst.Rank = f.ip, f.commID, s.rank
 	dst.GPUID, dst.Channel, dst.QPID = f.gpuID, f.channel, f.qpID
 	dst.Op, dst.OpSeq, dst.MsgSize = f.op, rw.opSeq, f.msgSize
 	dst.Start, dst.End = rw.start, rw.end
-	dst.TotalChunks, dst.GPUReady = f.totalChunks, sl.gpuReady
-	dst.RDMATransmitted, dst.RDMADone, dst.StuckNs = sl.rdmaTransmitted, sl.rdmaDone, sl.stuckNs
+	dst.TotalChunks, dst.GPUReady = f.totalChunks, rw.gpuReady
+	dst.RDMATransmitted, dst.RDMADone, dst.StuckNs = rw.rdmaTransmitted, rw.rdmaDone, int64(t-rw.progress)
 }
 
 // record is load by value, for the single-record reads.
-func (s *rankSeries) record(sl *slot, rw *row) trace.Record {
+func (s *rankSeries) record(t sim.Time, rw *row) trace.Record {
 	var r trace.Record
-	s.load(&r, sl, rw)
+	s.load(&r, t, rw)
 	return r
 }
 
-// appendTo appends sl's record to out, rebuilt in place.
-func (s *rankSeries) appendTo(out []trace.Record, sl *slot, rw *row) []trace.Record {
+// appendTo appends the record at t with row rw to out, rebuilt in place.
+func (s *rankSeries) appendTo(out []trace.Record, t sim.Time, rw *row) []trace.Record {
 	out = append(out, trace.Record{})
-	s.load(&out[len(out)-1], sl, rw)
+	s.load(&out[len(out)-1], t, rw)
 	return out
 }
 
-// records materialises live slots [lo, hi) in order; nil when empty.
+// records materialises live records [lo, hi) in order; nil when empty.
 func (s *rankSeries) records(lo, hi int) []trace.Record {
 	if lo >= hi {
 		return nil
 	}
 	out := make([]trace.Record, hi-lo)
 	for i := range out {
-		sl, rw := s.log.at(lo + i)
-		s.load(&out[i], sl, rw)
+		t, rw := s.log.at(lo + i)
+		s.load(&out[i], t, rw)
 	}
 	return out
 }
