@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,6 +23,7 @@ import (
 	"mycroft/internal/core"
 	"mycroft/internal/faults"
 	"mycroft/internal/remedy"
+	"mycroft/internal/replay"
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
 )
@@ -106,9 +110,12 @@ func readResults(t *testing.T) map[string]string {
 	return out
 }
 
-// artifactDigest pins one recorded job.
+// artifactDigest pins one recorded job: the artifact's bytes, and apart from
+// them what it carries (Stream), so a change to the encoding alone moves
+// SHA256 and nothing else.
 type artifactDigest struct {
 	SHA256     string `json:"sha256"`
+	Stream     string `json:"stream"`
 	Records    uint64 `json:"records"`
 	Dispatched uint64 `json:"dispatched"`
 }
@@ -139,9 +146,63 @@ func artifactDigests(t *testing.T, dir string, res *Result) map[string]artifactD
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(raw)
-		out[j.JobID] = artifactDigest{SHA256: hex.EncodeToString(sum[:]), Records: j.Records, Dispatched: j.dispatched}
+		out[j.JobID] = artifactDigest{
+			SHA256: hex.EncodeToString(sum[:]), Stream: streamDigest(t, raw),
+			Records: j.Records, Dispatched: j.dispatched,
+		}
 	}
 	return out
+}
+
+// streamDigest is a sha256 over an artifact's decoded entries, whatever
+// their encoding: each entry's kind and time, then a batch's record count
+// and each record's MarshalBinary, or an event's JSON, and last the footer.
+func streamDigest(t *testing.T, raw []byte) string {
+	t.Helper()
+	dec, err := replay.NewDecoder(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
+	}
+	for {
+		e, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte{byte(e.Kind)})
+		put(uint64(e.At))
+		switch e.Kind {
+		case replay.EntryBatch:
+			put(uint64(len(e.Batch)))
+			for i := range e.Batch {
+				b, err := e.Batch[i].MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(b)
+			}
+		case replay.EntryEvent:
+			b, err := json.Marshal(e.Event)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+		}
+	}
+	f, ok := dec.Footer()
+	if !ok {
+		t.Fatal("artifact has no footer")
+	}
+	put(uint64(f.EndNs), f.Records, f.Evals, f.Events)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // replayParity replays every artifact a recorded run left in dir: each must
