@@ -9,10 +9,10 @@
 // replay re-runs the same evidence under overridden thresholds or an
 // alternative remediation policy and diffs the verdicts.
 //
-// # Wire layout (format version 1)
+// # Wire layout (format version 2)
 //
 //	magic   6 bytes  "MYCREC"
-//	version u16 LE   1
+//	version u16 LE   2
 //	header  u32 LE length, then that many bytes of JSON (Header)
 //	chunks  repeated: u32 LE payload length, u32 LE CRC-32 (IEEE) of the
 //	        payload, then the payload
@@ -21,16 +21,19 @@
 // so a reader can stream arbitrarily large artifacts one chunk at a time and
 // a torn final chunk loses at most one chunk of tail. Entry encodings:
 //
-//	'B' batch  i64 time ns, u32 count, count × trace.WireSize record bytes
+//	'B' batch  i64 time ns, u32 count ≤ maxBatch, count records (codec.go)
 //	'V' eval   i64 time ns (one Algorithm 1 pass at that instant)
 //	'E' event  i64 time ns, u32 length, api.Event JSON
 //	'Z' footer i64 end ns, u64 records, u64 evals, u64 events
 //
 // Entry times are non-decreasing across the whole stream, and record times
 // are non-decreasing per rank — the decoder enforces both, so a replayer can
-// feed batches straight into clouddb.Ingest. A clean EOF at a chunk boundary
-// without a footer is a valid *incomplete* artifact: that is what a live
-// download from a still-running daemon looks like.
+// feed batches straight into clouddb.Ingest. A record is written as a delta
+// against the previous record of its flow, whatever chunk that sits in, so a
+// stream decodes from its start; ~7 B a record where the tracepoint slot
+// takes trace.WireSize. A clean EOF at a chunk boundary without a footer is a
+// valid *incomplete* artifact: that is what a live download from a
+// still-running daemon looks like.
 //
 // Artifacts double as the fixture format for the planned 10k-rank stress
 // harness: the chunked framing streams multi-GB captures without buffering.
@@ -53,8 +56,9 @@ import (
 	"mycroft/internal/trace"
 )
 
-// FormatVersion is the artifact format this package reads and writes.
-const FormatVersion = 1
+// FormatVersion is the artifact format this package reads and writes. It
+// reads no other: version 1 wrote each record as its trace.WireSize slot.
+const FormatVersion = 2
 
 // magic identifies an incident artifact.
 var magic = [6]byte{'M', 'Y', 'C', 'R', 'E', 'C'}
@@ -66,6 +70,12 @@ const chunkTarget = 64 << 10
 // maxChunk bounds a decoded chunk payload so a corrupt length field cannot
 // ask for an absurd allocation.
 const maxChunk = 64 << 20
+
+// maxBatch bounds the records of one batch entry: as many tracepoint slots
+// as a chunk holds, which was the most a version-1 artifact could carry. The
+// encoder refuses a larger batch and the decoder a larger count before it
+// sizes any buffer by it.
+const maxBatch = maxChunk / trace.WireSize
 
 // maxHeader bounds the decoded header JSON.
 const maxHeader = 1 << 20
@@ -86,9 +96,11 @@ var (
 	ErrTruncated = errors.New("replay: truncated artifact")
 	// ErrCorrupt: a CRC mismatch, an unknown entry tag, an entry overrunning
 	// its chunk, undecodable header/event JSON, a world size outside
-	// [1, 2^20], or a record whose rank is outside [0, world size).
+	// [1, 2^20], a batch over maxBatch records, a record naming a flow not
+	// yet opened, or a record whose rank is outside [0, world size).
 	ErrCorrupt = errors.New("replay: corrupt artifact")
-	// ErrOutOfOrder: entry times decrease, or a rank's record times decrease.
+	// ErrOutOfOrder: entry times decrease, or a rank's record times decrease
+	// (a time delta that wraps).
 	ErrOutOfOrder = errors.New("replay: out-of-order artifact")
 )
 
@@ -164,12 +176,13 @@ type Entry struct {
 // Close. The encoder enforces the ordering invariants at write time so every
 // artifact it produces decodes cleanly.
 type Encoder struct {
-	w       io.Writer
-	buf     bytes.Buffer // current chunk payload
-	scratch [21]byte
+	w   io.Writer
+	buf []byte // current chunk payload
 
 	lastAt   int64
 	rankLast []int64 // newest record time per rank, math.MinInt64 before its first
+	flows    []flow  // by flow id
+	flowIDs  map[flowKey]uint32
 	footer   Footer
 	closed   bool
 	err      error
@@ -202,7 +215,7 @@ func NewEncoder(w io.Writer, h Header) (*Encoder, error) {
 	for i := range rankLast {
 		rankLast[i] = math.MinInt64
 	}
-	return &Encoder{w: w, lastAt: h.StartNs, rankLast: rankLast}, nil
+	return &Encoder{w: w, lastAt: h.StartNs, rankLast: rankLast, flowIDs: make(map[flowKey]uint32)}, nil
 }
 
 // checkWorld refuses a header world size the rank tables cannot be sized by.
@@ -241,8 +254,10 @@ func (e *Encoder) checkAt(atNs int64) error {
 	return nil
 }
 
-// WriteBatch appends one ingested batch at virtual time atNs. It refuses a
-// record whose rank is outside the header's world, as the decoder does.
+// WriteBatch appends one ingested batch at virtual time atNs. It refuses, as
+// the decoder does, a batch of more than maxBatch records, a record whose
+// rank is outside the header's world or whose IP is longer than the
+// tracepoint slot's, and a rank's record older than its previous one.
 func (e *Encoder) WriteBatch(atNs int64, recs []trace.Record) error {
 	if len(recs) == 0 {
 		return e.err
@@ -250,30 +265,28 @@ func (e *Encoder) WriteBatch(atNs int64, recs []trace.Record) error {
 	if err := e.checkAt(atNs); err != nil {
 		return err
 	}
+	if len(recs) > maxBatch {
+		return e.fail(fmt.Errorf("replay: batch of %d records over the %d-record cap: %w", len(recs), maxBatch, ErrCorrupt))
+	}
+	start := e.startEntry(EntryBatch, atNs)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(recs)))
 	for i := range recs {
 		r := &recs[i]
 		if r.Rank < 0 || int(r.Rank) >= len(e.rankLast) {
 			return e.fail(fmt.Errorf("replay: record rank %d outside the %d-rank world: %w", r.Rank, len(e.rankLast), ErrCorrupt))
 		}
-		if last := e.rankLast[r.Rank]; int64(r.Time) < last {
+		if len(r.IP) > maxIP {
+			return e.fail(fmt.Errorf("replay: record IP %q longer than %d bytes: %w", r.IP, maxIP, ErrCorrupt))
+		}
+		last := e.rankLast[r.Rank]
+		if int64(r.Time) < last {
 			return e.fail(fmt.Errorf("replay: rank %d record at %dns after %dns: %w", r.Rank, int64(r.Time), last, ErrOutOfOrder))
 		}
+		e.buf = e.appendRecord(e.buf, r, last)
 		e.rankLast[r.Rank] = int64(r.Time)
 	}
-	need := 1 + 8 + 4 + len(recs)*trace.WireSize
-	e.reserve(need)
-	e.buf.WriteByte(byte(EntryBatch))
-	e.putI64(atNs)
-	e.putU32(uint32(len(recs)))
-	var rb [trace.WireSize]byte
-	for i := range recs {
-		if err := recs[i].MarshalBinaryTo(rb[:]); err != nil {
-			return e.fail(fmt.Errorf("replay: encoding record: %w", err))
-		}
-		e.buf.Write(rb[:])
-	}
 	e.footer.Records += uint64(len(recs))
-	return e.maybeFlush()
+	return e.endEntry(start)
 }
 
 // WriteEval appends one Algorithm 1 evaluation instant.
@@ -281,11 +294,8 @@ func (e *Encoder) WriteEval(atNs int64) error {
 	if err := e.checkAt(atNs); err != nil {
 		return err
 	}
-	e.reserve(1 + 8)
-	e.buf.WriteByte(byte(EntryEval))
-	e.putI64(atNs)
 	e.footer.Evals++
-	return e.maybeFlush()
+	return e.endEntry(e.startEntry(EntryEval, atNs))
 }
 
 // WriteEvent appends one published service event.
@@ -297,35 +307,33 @@ func (e *Encoder) WriteEvent(atNs int64, ev api.Event) error {
 	if err != nil {
 		return e.fail(fmt.Errorf("replay: encoding event: %w", err))
 	}
-	e.reserve(1 + 8 + 4 + len(payload))
-	e.buf.WriteByte(byte(EntryEvent))
-	e.putI64(atNs)
-	e.putU32(uint32(len(payload)))
-	e.buf.Write(payload)
+	start := e.startEntry(EntryEvent, atNs)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(payload)))
+	e.buf = append(e.buf, payload...)
 	e.footer.Events++
-	return e.maybeFlush()
+	return e.endEntry(start)
 }
 
-// reserve flushes the current chunk when appending need bytes would overrun
-// the target, keeping entries whole within chunks.
-func (e *Encoder) reserve(need int) {
-	if e.buf.Len() > 0 && e.buf.Len()+need > chunkTarget {
-		e.flush()
+// startEntry appends an entry's tag and time to the chunk and returns where
+// the entry starts.
+func (e *Encoder) startEntry(kind EntryKind, atNs int64) int {
+	start := len(e.buf)
+	e.buf = binary.LittleEndian.AppendUint64(append(e.buf, byte(kind)), uint64(atNs))
+	return start
+}
+
+// endEntry closes the entry that starts at buf[start:]. An entry never spans
+// chunks: when it took the chunk past chunkTarget, the entries before it go
+// out as one chunk and it starts the next. A chunk at the target is flushed.
+func (e *Encoder) endEntry(start int) error {
+	if n := len(e.buf) - start; n > maxChunk {
+		return e.fail(fmt.Errorf("replay: %q entry of %d bytes over the %d-byte chunk cap: %w", e.buf[start], n, maxChunk, ErrCorrupt))
 	}
-}
-
-func (e *Encoder) putI64(v int64) {
-	binary.LittleEndian.PutUint64(e.scratch[:8], uint64(v))
-	e.buf.Write(e.scratch[:8])
-}
-
-func (e *Encoder) putU32(v uint32) {
-	binary.LittleEndian.PutUint32(e.scratch[:4], v)
-	e.buf.Write(e.scratch[:4])
-}
-
-func (e *Encoder) maybeFlush() error {
-	if e.buf.Len() >= chunkTarget {
+	if start > 0 && len(e.buf) > chunkTarget {
+		e.writeChunk(e.buf[:start])
+		e.buf = e.buf[:copy(e.buf, e.buf[start:])]
+	}
+	if len(e.buf) >= chunkTarget {
 		e.flush()
 	}
 	return e.err
@@ -333,10 +341,17 @@ func (e *Encoder) maybeFlush() error {
 
 // flush frames and writes the buffered chunk.
 func (e *Encoder) flush() {
-	if e.err != nil || e.buf.Len() == 0 {
+	if len(e.buf) > 0 {
+		e.writeChunk(e.buf)
+		e.buf = e.buf[:0]
+	}
+}
+
+// writeChunk frames and writes one chunk payload.
+func (e *Encoder) writeChunk(payload []byte) {
+	if e.err != nil {
 		return
 	}
-	payload := e.buf.Bytes()
 	var frame [8]byte
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
@@ -346,9 +361,7 @@ func (e *Encoder) flush() {
 	}
 	if _, err := e.w.Write(payload); err != nil {
 		e.fail(err)
-		return
 	}
-	e.buf.Reset()
 }
 
 // Sync flushes the partial chunk so the bytes written so far form a valid
@@ -374,15 +387,11 @@ func (e *Encoder) Close(endNs int64) error {
 		endNs = e.lastAt
 	}
 	e.footer.EndNs = endNs
-	e.reserve(1 + 8 + 24)
-	e.buf.WriteByte(byte(entryFooter))
-	e.putI64(e.footer.EndNs)
-	binary.LittleEndian.PutUint64(e.scratch[:8], e.footer.Records)
-	e.buf.Write(e.scratch[:8])
-	binary.LittleEndian.PutUint64(e.scratch[:8], e.footer.Evals)
-	e.buf.Write(e.scratch[:8])
-	binary.LittleEndian.PutUint64(e.scratch[:8], e.footer.Events)
-	e.buf.Write(e.scratch[:8])
+	start := e.startEntry(entryFooter, endNs)
+	for _, n := range []uint64{e.footer.Records, e.footer.Evals, e.footer.Events} {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, n)
+	}
+	e.endEntry(start)
 	e.flush()
 	e.closed = true
 	return e.err
@@ -397,9 +406,10 @@ func (e *Encoder) Close(endNs int64) error {
 // buffer, both grown to the largest seen and reused, so an Entry's Batch is
 // valid only until the next call to Next. (Replay's read-ahead decodes into
 // page buffers of its own.) Per rank it keeps, in a table indexed by rank and
-// sized by the header's world size, the newest record time (for the order
-// check) and the IP the rank last reported from: each record is decoded over
-// that IP, so a string is allocated only when a rank moves host.
+// sized by the header's world size, the newest record time (the base of the
+// next time delta) and the IP the rank last reported from: a flow opened or
+// moved to that IP takes the rank's string, so a string is allocated only
+// when a rank moves host. Its flow table is one slice grown by append.
 type Decoder struct {
 	r      *bufio.Reader
 	header Header
@@ -409,6 +419,7 @@ type Decoder struct {
 	batch  []trace.Record // Next's record buffer
 	lastAt int64
 	ranks  []rankCursor // indexed by rank
+	flows  []flow       // by flow id
 
 	footer   *Footer
 	seen     Footer // running counts, cross-checked against the footer
@@ -600,7 +611,10 @@ func (d *Decoder) next(room []trace.Record, grow bool) (Entry, error) {
 			return Entry{}, err
 		}
 		n := binary.LittleEndian.Uint32(nB)
-		if int(n)*trace.WireSize > len(d.chunk)-d.off {
+		if n > maxBatch {
+			return Entry{}, d.fail(fmt.Errorf("%w: batch of %d records over the %d-record cap", ErrCorrupt, n, maxBatch))
+		}
+		if int(n)*minRecord > len(d.chunk)-d.off {
 			return Entry{}, d.fail(fmt.Errorf("%w: batch of %d records overruns chunk", ErrCorrupt, n))
 		}
 		var recs []trace.Record
@@ -614,23 +628,9 @@ func (d *Decoder) next(room []trace.Record, grow bool) (Entry, error) {
 			return Entry{}, errNoRoom
 		}
 		for i := range recs {
-			b, err := d.take(trace.WireSize)
-			if err != nil {
+			if err := d.record(&recs[i]); err != nil {
 				return Entry{}, err
 			}
-			rank := trace.WireRank(b)
-			if rank < 0 || int(rank) >= len(d.ranks) {
-				return Entry{}, d.fail(fmt.Errorf("%w: record %d: rank %d outside the %d-rank world", ErrCorrupt, i, rank, len(d.ranks)))
-			}
-			rc, r := &d.ranks[rank], &recs[i]
-			r.IP = rc.ip // UnmarshalBinary keeps it when the bytes agree
-			if err := r.UnmarshalBinary(b); err != nil {
-				return Entry{}, d.fail(fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err))
-			}
-			if int64(r.Time) < rc.last {
-				return Entry{}, d.fail(fmt.Errorf("%w: rank %d record at %dns after %dns", ErrOutOfOrder, r.Rank, int64(r.Time), rc.last))
-			}
-			rc.last, rc.ip = int64(r.Time), r.IP
 		}
 		d.seen.Records += uint64(n)
 		return Entry{Kind: EntryBatch, At: at, Batch: recs}, nil

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -250,18 +251,22 @@ func worldPrefix(world int) []byte {
 	return prefixWith(h)
 }
 
-// batchEntry renders one 'B' entry, whatever its records' ranks.
+// batchEntry renders one 'B' entry as the first of a stream, whatever its
+// records' ranks.
 func batchEntry(atNs int64, recs ...trace.Record) []byte {
-	out := make([]byte, 13, 13+len(recs)*trace.WireSize)
+	e := &Encoder{flowIDs: make(map[flowKey]uint32)}
+	out := make([]byte, 13)
 	out[0] = byte(EntryBatch)
 	binary.LittleEndian.PutUint64(out[1:], uint64(atNs))
 	binary.LittleEndian.PutUint32(out[9:], uint32(len(recs)))
+	last := map[topo.Rank]int64{}
 	for i := range recs {
-		b := make([]byte, trace.WireSize)
-		if err := recs[i].MarshalBinaryTo(b); err != nil {
-			panic(err)
+		l, ok := last[recs[i].Rank]
+		if !ok {
+			l = math.MinInt64
 		}
-		out = append(out, b...)
+		out = e.appendRecord(out, &recs[i], l)
+		last[recs[i].Rank] = int64(recs[i].Time)
 	}
 	return out
 }

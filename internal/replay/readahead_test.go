@@ -7,19 +7,23 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 
+	"mycroft/internal/sim"
 	"mycroft/internal/trace"
 )
 
 // pagedFixture encodes a 16-rank artifact several read-ahead pages long: runs
 // of 64-record batches with an eval every tenth, one batch larger than a
 // page's record buffer, and a run of events longer than a page's entry cap.
-// It spans 48 chunks and 9 pages.
+// Every record's operation, counters and stuck time are drawn at random, so
+// no field repeats its flow's previous record and a record encodes to ~80 B.
+// It spans 37 chunks and 9 pages.
 func pagedFixture(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -27,11 +31,17 @@ func pagedFixture(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(1))
 	at := int64(0)
 	batch := func(n int) {
 		recs := make([]trace.Record, n)
 		for i := range recs {
-			recs[i] = fixtureRecord(i%16, at+int64(i/16))
+			r := fixtureRecord(i%16, at+int64(i/16))
+			r.GPUID, r.QPID = rng.Int31(), rng.Int31()
+			r.OpSeq, r.MsgSize = rng.Uint64(), rng.Int63()
+			r.Start, r.End, r.StuckNs = sim.Time(rng.Int63()), sim.Time(rng.Int63()), rng.Int63()
+			r.TotalChunks, r.GPUReady, r.RDMATransmitted, r.RDMADone = rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()
+			recs[i] = r
 		}
 		at += int64(n/16) + 1
 		if err := enc.WriteBatch(at, recs); err != nil {
@@ -236,7 +246,7 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 // a Read of a page not yet handed over.
 func TestReadAheadCloseEarly(t *testing.T) {
 	start := runtime.NumGoroutine()
-	// The first page is ~460 kB: the Read held is one of the second's.
+	// The first page is ~330 kB: the Read held is one of the second's.
 	held := make(chan struct{})
 	r := &gatedReader{r: bytes.NewReader(pagedFixture(t)), left: 600 << 10, held: held, gate: make(chan struct{})}
 	dec, err := NewDecoder(r)
