@@ -147,42 +147,43 @@ func (e *Encoder) appendRecord(b []byte, r *trace.Record, last int64) []byte {
 
 // record decodes the next record of the current batch into r.
 func (d *Decoder) record(r *trace.Record) error {
-	id, err := d.uvarint()
-	if err != nil {
-		return err
+	b := d.chunk
+	id, i := uvarintAt(b, d.off)
+	if i < 0 {
+		return d.badVarint()
 	}
-	switch {
-	case id == uint64(len(d.flows)):
+	if id >= uint64(len(d.flows)) {
+		if id > uint64(len(d.flows)) {
+			return d.fail(fmt.Errorf("%w: unknown flow id %d of %d", ErrCorrupt, id, len(d.flows)))
+		}
+		d.off = i
 		if err := d.newFlow(); err != nil {
 			return err
 		}
-	case id > uint64(len(d.flows)):
-		return d.fail(fmt.Errorf("%w: unknown flow id %d of %d", ErrCorrupt, id, len(d.flows)))
+		i = d.off
 	}
 	f := &d.flows[id]
 	rc := &d.ranks[f.rank]
-	dt, err := d.uvarint()
-	if err != nil {
-		return err
+	dt, i := uvarintAt(b, i)
+	mask, i := uvarintAt(b, i)
+	if i < 0 {
+		return d.badVarint()
 	}
 	t := int64(uint64(rc.last) + dt)
 	if t < rc.last {
 		return d.fail(fmt.Errorf("%w: rank %d record %dns after %dns wraps past the newest time", ErrOutOfOrder, f.rank, dt, rc.last))
 	}
-	mask, err := d.uvarint()
-	if err != nil {
-		return err
-	}
 	if mask > maskAll {
 		return d.fail(fmt.Errorf("%w: field mask %#x", ErrCorrupt, mask))
 	}
 	for m := mask &^ maskIP; m != 0; m &= m - 1 {
-		delta, err := d.uvarint()
-		if err != nil {
-			return err
+		var zz uint64
+		if zz, i = uvarintAt(b, i); i < 0 {
+			return d.badVarint()
 		}
-		f.w[bits.TrailingZeros64(m)] += uint64(int64(delta>>1) ^ -int64(delta&1))
+		f.w[bits.TrailingZeros64(m)] += uint64(int64(zz>>1) ^ -int64(zz&1))
 	}
+	d.off = i
 	if mask&maskIP != 0 {
 		n, err := d.take(1)
 		if err != nil {
@@ -200,18 +201,24 @@ func (d *Decoder) record(r *trace.Record) error {
 		}
 		f.ip = rc.ip
 	}
-	rc.last, rc.ip = t, f.ip
-	w := &f.w
-	*r = trace.Record{
-		Kind: trace.Kind(w[wKind]), Time: sim.Time(t),
-		IP: f.ip, CommID: f.commID, Rank: f.rank,
-		GPUID: int32(w[wGPUID]), Channel: f.channel, QPID: int32(w[wQPID]),
-		Op: trace.OpKind(w[wOp]), OpSeq: w[wOpSeq], MsgSize: int64(w[wMsgSize]),
-		Start: sim.Time(w[wStart]), End: sim.Time(w[wEnd]),
-		TotalChunks: uint32(w[wTotalChunks]), GPUReady: uint32(w[wGPUReady]),
-		RDMATransmitted: uint32(w[wRDMATransmitted]), RDMADone: uint32(w[wRDMADone]),
-		StuckNs: t - int64(w[wProgress]),
+	rc.last = t
+	// Field by field, and a string only when it differs: r is usually a
+	// reused buffer slot, and a whole-record store would copy the record
+	// twice and take a write barrier for the IP every time.
+	if rc.ip != f.ip {
+		rc.ip = f.ip
 	}
+	if r.IP != f.ip {
+		r.IP = f.ip
+	}
+	w := &f.w
+	r.Kind, r.Op, r.Time = trace.Kind(w[wKind]), trace.OpKind(w[wOp]), sim.Time(t)
+	r.CommID, r.Rank, r.Channel = f.commID, f.rank, f.channel
+	r.GPUID, r.QPID, r.MsgSize = int32(w[wGPUID]), int32(w[wQPID]), int64(w[wMsgSize])
+	r.OpSeq, r.Start, r.End = w[wOpSeq], sim.Time(w[wStart]), sim.Time(w[wEnd])
+	r.TotalChunks, r.GPUReady = uint32(w[wTotalChunks]), uint32(w[wGPUReady])
+	r.RDMATransmitted, r.RDMADone = uint32(w[wRDMATransmitted]), uint32(w[wRDMADone])
+	r.StuckNs = t - int64(w[wProgress])
 	return nil
 }
 
@@ -242,14 +249,33 @@ func (d *Decoder) newFlow() error {
 
 // uvarint reads the next unsigned varint of the current chunk.
 func (d *Decoder) uvarint() (uint64, error) {
-	if d.off < len(d.chunk) && d.chunk[d.off] < 0x80 {
-		d.off++
-		return uint64(d.chunk[d.off-1]), nil
+	v, i := uvarintAt(d.chunk, d.off)
+	if i < 0 {
+		return 0, d.badVarint()
 	}
-	v, n := binary.Uvarint(d.chunk[d.off:])
-	if n <= 0 {
-		return 0, d.fail(fmt.Errorf("%w: varint overruns its chunk or 64 bits", ErrCorrupt))
-	}
-	d.off += n
+	d.off = i
 	return v, nil
+}
+
+// uvarintAt reads the unsigned varint at b[i:] and returns it with the index
+// past it, or with -1 when it overruns b. A read at -1 returns -1 again, so a
+// run of reads needs one check after the last. It drops the bits a tenth
+// byte holds past 64, which no encoder writes, and is small enough to inline.
+func uvarintAt(b []byte, i int) (uint64, int) {
+	var v uint64
+	for s := uint(0); uint(i) < uint(len(b)) && s < 64; s += 7 {
+		c := b[i]
+		i++
+		v |= uint64(c&0x7f) << s
+		if c < 0x80 {
+			return v, i
+		}
+	}
+	return 0, -1
+}
+
+// badVarint fails the decode on a varint that overruns its chunk or ten
+// bytes.
+func (d *Decoder) badVarint() error {
+	return d.fail(fmt.Errorf("%w: varint overruns its chunk or ten bytes", ErrCorrupt))
 }
