@@ -310,15 +310,12 @@ func TestCorruptInputs(t *testing.T) {
 		return append(prefixOnly(t), frame(f)...)
 	}()
 
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
+	cases := []brokenCase{
 		{"empty", nil, ErrBadMagic},
 		{"bad magic", []byte("NOTANARTIFACT___"), ErrBadMagic},
 		{"short prefix", good[:4], ErrBadMagic},
 		{"future version", withVersion(99), ErrUnsupportedVersion},
+		{"version 1", withVersion(1), ErrUnsupportedVersion},
 		{"truncated header", good[:hdrEnd/2], ErrTruncated},
 		{"truncated mid-chunk", good[:hdrEnd+12], ErrTruncated},
 		{"crc mismatch", flipInChunk(), ErrCorrupt},
@@ -332,7 +329,7 @@ func TestCorruptInputs(t *testing.T) {
 		{"world size 2^31", worldPrefix(1 << 31), ErrCorrupt},
 		{"world size above the bound", worldPrefix(maxWorld + 1), ErrCorrupt},
 	}
-	for _, tc := range cases {
+	for _, tc := range append(cases, recordCases(t)...) {
 		t.Run(tc.name, func(t *testing.T) {
 			err := drain(tc.data)
 			if !errors.Is(err, tc.want) {
@@ -438,6 +435,10 @@ func FuzzDecodeArtifact(f *testing.F) {
 	f.Add(outOfWorld(f, 16))
 	f.Add(worldPrefix(0))
 	f.Add(worldPrefix(1 << 31))
+	f.Add(rawBatch(f, 1, newFlowLiteral...))
+	for _, c := range recordCases(f) {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		err := drain(data)
 		if err != nil &&
