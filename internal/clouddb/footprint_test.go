@@ -70,7 +70,8 @@ func ingestFootprint(t *testing.T, batches [][]trace.Record) (perRecord float64,
 // or a 32-byte one that repeats its counters and stuck time (~39 B); and
 // ingest allocates once per segment, not once per regrow of every rank. When
 // every record needs its own row, spilling, it still costs less than with
-// 32-byte slots (~71 B).
+// 32-byte slots (~71 B), and a segment's spill is sized once, not grown by
+// doubling (~68 B and ~9 mallocs a spilled segment when it was).
 func TestIngestFootprint(t *testing.T) {
 	// A segment fills Go's 4,864-byte size class: one row more would move it
 	// to the next, 5,376.
@@ -95,11 +96,17 @@ func TestIngestFootprint(t *testing.T) {
 			b[r].OpSeq, b[r].RDMADone = uint64(i), uint32(i)
 		}
 	}
-	worst, _ := ingestFootprint(t, batches)
-	if worst > 70 {
-		t.Errorf("%.1f heap bytes per stored record when each has its own row, want ≤ 70", worst)
+	worst, worstMallocs := ingestFootprint(t, batches)
+	if worst > 62 {
+		t.Errorf("%.1f heap bytes per stored record when each has its own row, want ≤ 62", worst)
 	}
-	t.Logf("%.1f heap bytes per record, %.1f when each needs its own row", perRecord, worst)
+	// Every full segment spills; a rank's last holds 53 records, which fit.
+	spilled := ranks * (perRank / segLen)
+	if perSpill := float64(worstMallocs-mallocs) / float64(spilled); perSpill > 2 {
+		t.Errorf("%.2f mallocs per spilled segment, want ≤ 2", perSpill)
+	}
+	t.Logf("%.1f heap bytes per record, %.1f when each needs its own row, %.2f mallocs per spilled segment",
+		perRecord, worst, float64(worstMallocs-mallocs)/float64(spilled))
 }
 
 // TestPruneReleasesMemory: under a retention horizon the store's heap is the

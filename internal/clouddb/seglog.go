@@ -130,7 +130,7 @@ func (l *recLog) push(r *trace.Record, f *flow, fi uint32) {
 	}
 	seg := l.segs[len(l.segs)-1]
 	if f.seg != l.seq || !l.rowAt(seg, f.row).names(r) {
-		f.seg, f.row = l.seq, l.addRow(seg, row{
+		f.seg, f.row = l.seq, l.addRow(seg, p%segLen, row{
 			opSeq: r.OpSeq, start: r.Start, end: r.End, progress: r.Time - sim.Time(r.StuckNs), flow: fi,
 			gpuReady: r.GPUReady, rdmaTransmitted: r.RDMATransmitted, rdmaDone: r.RDMADone,
 		})
@@ -140,8 +140,10 @@ func (l *recLog) push(r *trace.Record, f *flow, fi uint32) {
 	l.n++
 }
 
-// addRow appends rw to seg, the last segment, and returns its index.
-func (l *recLog) addRow(seg *segment, rw row) uint8 {
+// addRow appends rw, the row of the record at position pos of seg, the last
+// segment, and returns its index. Each record adds at most one row, so a
+// segment's first spilled row sizes its spill for every record it has left.
+func (l *recLog) addRow(seg *segment, pos uint, rw row) uint8 {
 	i := uint8(l.rows)
 	l.rows++
 	if i < segRows {
@@ -151,7 +153,11 @@ func (l *recLog) addRow(seg *segment, rw row) uint8 {
 	if l.spill == nil {
 		l.spill = make(map[*segment][]row)
 	}
-	l.spill[seg] = append(l.spill[seg], rw)
+	sp := l.spill[seg]
+	if sp == nil {
+		sp = make([]row, 0, segLen-pos)
+	}
+	l.spill[seg] = append(sp, rw)
 	return i
 }
 
