@@ -156,23 +156,10 @@ const ipBytes = 16
 
 // MarshalBinary encodes the record into a fixed WireSize buffer.
 func (r *Record) MarshalBinary() ([]byte, error) {
-	b := make([]byte, WireSize)
-	if err := r.MarshalBinaryTo(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// MarshalBinaryTo encodes the record into the first WireSize bytes of b,
-// which must be at least that long. Bulk encoders (the incident recorder's
-// batch writer) use this to avoid one allocation per record.
-func (r *Record) MarshalBinaryTo(b []byte) error {
 	if len(r.IP) > ipBytes-1 {
-		return fmt.Errorf("trace: IP %q longer than %d bytes", r.IP, ipBytes-1)
+		return nil, fmt.Errorf("trace: IP %q longer than %d bytes", r.IP, ipBytes-1)
 	}
-	if len(b) < WireSize {
-		return fmt.Errorf("trace: short buffer %d < %d", len(b), WireSize)
-	}
+	b := make([]byte, WireSize)
 	b[0] = byte(r.Kind)
 	b[1] = byte(r.Op)
 	b[2] = byte(len(r.IP))
@@ -193,14 +180,7 @@ func (r *Record) MarshalBinaryTo(b []byte) error {
 	le.PutUint32(b[90:], r.RDMATransmitted)
 	le.PutUint32(b[94:], r.RDMADone)
 	le.PutUint64(b[98:], uint64(r.StuckNs))
-	return nil
-}
-
-// WireRank returns the rank of the record encoded in the first WireSize bytes
-// of b without decoding the rest, so a bulk decoder can check the rank and
-// pick the IP to seed UnmarshalBinary with first.
-func WireRank(b []byte) topo.Rank {
-	return topo.Rank(int32(binary.LittleEndian.Uint32(b[34:])))
+	return b, nil
 }
 
 // UnmarshalBinary decodes a fixed WireSize buffer. The IP is the one field
