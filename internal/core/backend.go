@@ -161,13 +161,19 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 	st := b.state[rank]
 	recs := b.db.QueryRank(rank, t.Add(-b.cfg.Window), t)
 
-	var completions, states []trace.Record
+	// One pass over the window, which QueryRank copied out for this call:
+	// its completions move to the front of it, in order, and its state logs
+	// count only through their number and their longest stuck time.
+	completions := recs[:0]
+	var states int
+	var maxStuck int64
 	for _, r := range recs {
 		switch r.Kind {
 		case trace.KindCompletion:
 			completions = append(completions, r)
 		case trace.KindState:
-			states = append(states, r)
+			states++
+			maxStuck = max(maxStuck, r.StuckNs)
 		}
 	}
 
@@ -177,17 +183,11 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 		// entirely (proxy crash / dead host). Guard against warm-up: before
 		// the rank has ever completed an op, require a visibly stuck flow
 		// rather than mere absence of completions.
-		var maxStuck int64
-		for _, s := range states {
-			if s.StuckNs > maxStuck {
-				maxStuck = s.StuckNs
-			}
-		}
 		if !frontier.Completed && maxStuck <= int64(b.cfg.Window)/2 {
 			return Trigger{}, false
 		}
 		reason := "no CollOp completed in window"
-		if len(states) == 0 {
+		if states == 0 {
 			reason = "rank silent: no logs at all in window"
 		}
 		return Trigger{
