@@ -15,7 +15,7 @@ import (
 // decoder each build from the stream itself. A flow is one (rank, comm,
 // channel) stream of records and its id is the order it was first seen in,
 // so the table is never written out. Within a flow the metadata never
-// changes and the operation and counters change a few times in ten records,
+// changes and the operation and counters change once in ten records or less,
 // so a record is mostly its flow id, its time and an empty mask.
 //
 //	record   uvarint flow id; when it equals the number of flows so far the
