@@ -1,17 +1,13 @@
 package mycroft
 
 import (
-	"bytes"
-	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"mycroft/internal/clouddb"
 	"mycroft/internal/depgraph"
 	"mycroft/internal/sim"
-	"mycroft/internal/trace"
 )
 
 // TraceQuery asks one hosted job's trace store for raw Coll-level
@@ -53,110 +49,6 @@ type TraceResult struct {
 	Total int `json:"total"`
 	// Next is non-nil when Limit cut the page short.
 	Next *TraceCursor `json:"next,omitempty"`
-}
-
-// wireCodec is a result with its own codec for its canonical JSON form, the
-// bytes json.Encoder writes for it. Each half reports false to hand the value
-// to encoding/json, which handles every input and is the reference the two
-// are held to; nothing but the bytes chooses between them.
-type wireCodec interface {
-	appendWire(dst []byte) ([]byte, bool)
-	parseWire(body []byte) bool
-}
-
-// recordJSONSize is a trace record's usual canonical length rounded up, to
-// size a page's buffer once.
-const recordJSONSize = 320
-
-// appendWire appends the page as json.Encoder writes it, newline included. It
-// reports false, leaving dst as it was, when a string in the page is one
-// encoding/json escapes or a record's kind or op is outside its set.
-func (res *TraceResult) appendWire(dst []byte) ([]byte, bool) {
-	n := len(dst)
-	dst = slices.Grow(dst, 64+len(res.Records)*recordJSONSize)
-	dst = append(dst, `{"job":`...)
-	dst, ok := trace.AppendJSONString(dst, string(res.Job))
-	if !ok {
-		return dst[:n], false
-	}
-	if res.Records == nil {
-		dst = append(dst, `,"records":null`...)
-	} else {
-		dst = append(dst, `,"records":[`...)
-		for i := range res.Records {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, ok = trace.AppendJSON(dst, &res.Records[i]); !ok {
-				return dst[:n], false
-			}
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"total":`...)
-	dst = strconv.AppendInt(dst, int64(res.Total), 10)
-	if c := res.Next; c != nil {
-		dst = append(dst, `,"next":{"rank":`...)
-		dst = strconv.AppendInt(dst, int64(c.Rank), 10)
-		dst = append(dst, `,"time_ns":`...)
-		dst = strconv.AppendInt(dst, int64(c.Time), 10)
-		dst = append(dst, `,"emitted":`...)
-		dst = strconv.AppendInt(dst, int64(c.Emitted), 10)
-		dst = append(dst, '}')
-	}
-	return append(dst, "}\n"...), true
-}
-
-// recordStart opens every record of a canonical page and occurs nowhere else
-// in one, since a canonical string holds no quote. Counting it sizes the page
-// once; MinJSONSize caps that count for a body that is not canonical.
-var recordStart = []byte(`{"kind":`)
-
-// parseWire reads a page in the form appendWire writes into res and reports
-// true, or reports false and leaves res alone. Each record's IP string is the
-// previous record's when their bytes are equal.
-func (res *TraceResult) parseWire(body []byte) bool {
-	p := trace.JSONReader{B: body, OK: true}
-	p.Lit(`{"job":`)
-	job := p.Str()
-	var recs []TraceRecord
-	switch {
-	case p.Skip(`,"records":null`):
-	case p.Skip(`,"records":[]`):
-		recs = []TraceRecord{}
-	default:
-		p.Lit(`,"records":[`)
-		recs = make([]TraceRecord, 0, min(bytes.Count(p.B, recordStart), len(p.B)/trace.MinJSONSize))
-		for p.OK {
-			var r TraceRecord
-			if len(recs) > 0 {
-				r.IP = recs[len(recs)-1].IP
-			}
-			recs = append(recs, r)
-			p.Record(&recs[len(recs)-1])
-			if !p.Skip(",") {
-				break
-			}
-		}
-		p.Lit("]")
-	}
-	p.Lit(`,"total":`)
-	total := p.Int(math.MinInt, math.MaxInt)
-	var next *TraceCursor
-	if p.Skip(`,"next":{"rank":`) {
-		next = &TraceCursor{Rank: Rank(p.Int(math.MinInt, math.MaxInt))}
-		p.Lit(`,"time_ns":`)
-		next.Time = sim.Time(p.Int(math.MinInt64, math.MaxInt64))
-		p.Lit(`,"emitted":`)
-		next.Emitted = int(p.Int(math.MinInt, math.MaxInt))
-		p.Lit("}")
-	}
-	p.Lit("}\n")
-	if !p.OK || len(p.B) > 0 {
-		return false
-	}
-	*res = TraceResult{Job: JobID(job), Records: recs, Total: int(total), Next: next}
-	return true
 }
 
 // QueryTrace answers a TraceQuery against the job's trace store.

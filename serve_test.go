@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -438,9 +439,9 @@ func TestRemoteQueriesMatchInProcess(t *testing.T) {
 	}
 }
 
-// TestTracePageFallback: a trace page whose job id holds bytes encoding/json
-// escapes has no canonical form, so the daemon writes it with json.Encoder,
-// the client reads it with json.Unmarshal, and the answer still equals the
+// TestTracePageFallback: a job id holding bytes encoding/json escapes falls
+// back to encoding/json for that one string: the daemon still writes
+// json.Encoder's bytes, the page codec reads them, and the answer equals the
 // in-process one.
 func TestTracePageFallback(t *testing.T) {
 	const job = JobID("a<b&c")
@@ -459,8 +460,8 @@ func TestTracePageFallback(t *testing.T) {
 	if err != nil || len(want.Records) != 10 || want.Next == nil {
 		t.Fatalf("in-process page: %d records, next %v, err %v", len(want.Records), want.Next, err)
 	}
-	if _, ok := want.appendWire(nil); ok {
-		t.Fatal("appendWire took a job id encoding/json escapes")
+	if got, ok := want.appendWire(nil); !ok || !bytes.Equal(got, encoderBytes(t, &want)) {
+		t.Fatalf("appendWire (took %v) wrote\n%.80s\nnot json.Encoder's bytes", ok, got)
 	}
 	resp, err := http.Post(ts.URL+api.Prefix+"/trace/query", "application/json", strings.NewReader(`{"job":"a<b&c","ranks":[5],"limit":10}`))
 	if err != nil {
@@ -471,8 +472,9 @@ func TestTracePageFallback(t *testing.T) {
 	if err != nil || !bytes.HasPrefix(raw, []byte(`{"job":"a\u003cb\u0026c","records":[{`)) {
 		t.Fatalf("daemon answered %.80s (%v), want json.Encoder's escaped job id", raw, err)
 	}
-	if new(TraceResult).parseWire(raw) {
-		t.Fatal("parseWire took an escaped job id")
+	var back TraceResult
+	if !back.parseWire(raw) || back.Job != job {
+		t.Fatalf("parseWire did not read the escaped job id: %q", back.Job)
 	}
 	rc, err := Dial(ts.URL)
 	if err != nil {
@@ -480,6 +482,81 @@ func TestTracePageFallback(t *testing.T) {
 	}
 	if got, err := rc.QueryTrace(q); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("remote page differs (%v):\n got  %+v\n want %+v", err, got, want)
+	}
+}
+
+// TestVerdictPageFallback: the trigger, report and dependency pages of a job
+// whose id holds bytes encoding/json escapes go through their codecs with
+// that one string through encoding/json, and the remote pages equal the
+// in-process ones; a report with a NaN confidence, which encoding/json
+// refuses, is still a 500.
+func TestVerdictPageFallback(t *testing.T) {
+	const job = JobID("a<b&c")
+	svc := NewService(ServiceOptions{Seed: 1})
+	h, err := svc.AddJob(job, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	h.Inject(Fault{Kind: NICDown, Rank: 5, At: 15 * time.Second})
+	srv := NewServer(svc)
+	srv.Advance(40 * time.Second)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	rc, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		route       string
+		local, wire func() (wireCodec, error)
+	}{
+		{"/triggers/query",
+			func() (wireCodec, error) { r, err := svc.QueryTriggers(TriggerQuery{}); return &r, err },
+			func() (wireCodec, error) { r, err := rc.QueryTriggers(TriggerQuery{}); return &r, err }},
+		{"/reports/query",
+			func() (wireCodec, error) { r, err := svc.QueryReports(ReportQuery{}); return &r, err },
+			func() (wireCodec, error) { r, err := rc.QueryReports(ReportQuery{}); return &r, err }},
+		{"/dependencies/query",
+			func() (wireCodec, error) { r, err := svc.QueryDependencies(DependencyQuery{Job: job}); return &r, err },
+			func() (wireCodec, error) { r, err := rc.QueryDependencies(DependencyQuery{Job: job}); return &r, err }},
+	} {
+		want, err := c.local()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := json.Marshal(want); !bytes.Contains(b, []byte(`"a\u003cb\u0026c"`)) || bytes.Contains(b, []byte(`null`)) {
+			t.Fatalf("%s: in-process page holds no escaped job id, or an empty list: %s", c.route, b)
+		}
+		if got, ok := want.appendWire(nil); !ok || !bytes.Equal(got, encoderBytes(t, want)) {
+			t.Fatalf("%s: appendWire (took %v) wrote\n%s\nnot json.Encoder's bytes", c.route, ok, got)
+		}
+		got, err := c.wire()
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: remote page differs (%v):\n got  %+v\n want %+v", c.route, err, got, want)
+		}
+	}
+
+	nan := *opQueryReports
+	nan.path, nan.replica = "/nan-reports", nil
+	nan.call = func(Client, ReportQuery) (ReportResult, error) {
+		return ReportResult{Reports: []JobReport{{Job: job, Report: Report{Trigger: Trigger{Kind: TriggerFailure},
+			Confidence: math.NaN()}}}, Total: 1, NextOffset: -1}, nil
+	}
+	mux := api.NewMux(svc.Metrics())
+	nan.mount(srv, mux)
+	ns := httptest.NewServer(mux)
+	defer ns.Close()
+	resp, err := http.Post(ns.URL+api.Prefix+"/nan-reports", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed api.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&failed)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(failed.Error, "NaN") {
+		t.Fatalf("a NaN confidence answered %d %+v (%v), want a 500 naming it", resp.StatusCode, failed, err)
 	}
 }
 
