@@ -527,11 +527,15 @@ func (d *Decoder) nextChunk() error {
 	if n == 0 || n > maxChunk {
 		return d.fail(fmt.Errorf("%w: chunk length %d", ErrCorrupt, n))
 	}
-	if cap(d.chunk) < int(n) {
-		d.chunk = make([]byte, n)
+	var payload []byte
+	var err error
+	if cap(d.chunk) >= int(n) {
+		payload = d.chunk[:n]
+		_, err = io.ReadFull(d.r, payload)
+	} else {
+		payload, err = readChunk(d.r, int(n))
 	}
-	payload := d.chunk[:n]
-	if _, err := io.ReadFull(d.r, payload); err != nil {
+	if err != nil {
 		return d.fail(fmt.Errorf("%w: chunk body (%d bytes expected)", ErrTruncated, n))
 	}
 	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(frame[4:]) {
@@ -539,6 +543,26 @@ func (d *Decoder) nextChunk() error {
 	}
 	d.chunk, d.off = payload, 0
 	return nil
+}
+
+// chunkStep is the most a new chunk buffer starts with. A frame's length is
+// only a claim, so a larger buffer doubles as its payload arrives, and an
+// input that ends early costs about what it held rather than what its frame
+// claimed.
+const chunkStep = 256 << 10
+
+// readChunk reads an n-byte chunk payload into a new buffer, starting at most
+// chunkStep long.
+func readChunk(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, chunkStep))
+	read := 0
+	for {
+		m, err := io.ReadFull(r, buf[read:])
+		if read += m; err != nil || read == n {
+			return buf, err
+		}
+		buf = append(buf, make([]byte, min(n, 2*len(buf))-len(buf))...)
+	}
 }
 
 // take returns the next n bytes of the current chunk.

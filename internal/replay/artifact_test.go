@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -448,6 +449,26 @@ func FuzzDecodeArtifact(f *testing.F) {
 			t.Fatalf("untyped decode error: %v", err)
 		}
 	})
+}
+
+// TestChunkClaimCostsItsInput: a chunk frame is only a claim, so 20 bytes
+// of input whose frame claims the 64 MiB cap fail ErrTruncated having
+// allocated a fraction of a MiB, not the claim.
+func TestChunkClaimCostsItsInput(t *testing.T) {
+	data := prefixOnly(t)
+	frame := binary.LittleEndian.AppendUint32(nil, maxChunk)
+	frame = binary.LittleEndian.AppendUint32(frame, 0)
+	data = append(append(data, frame...), make([]byte, 12)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := drain(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("drain = %v, want ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("a 64 MiB claim on 20 bytes allocated %d bytes, want under 1 MiB", n)
+	}
 }
 
 // TestDecodeBatchReused: a batch lives in the decoder's buffer until the next
