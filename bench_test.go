@@ -1,5 +1,5 @@
-// The two end-to-end benchmarks CI's "Bench smoke" runs once each so the
-// closed loop and the scenario runner cannot silently rot. Per-layer timings
+// The end-to-end benchmarks CI's "Bench smoke" runs once each so the closed
+// loop, the scenario runner and the wire round trip cannot silently rot. Per-layer timings
 // live in bench/ (one named row each, with a trajectory); the paper's tables
 // are printed by cmd/mycroft-eval and asserted by internal/experiments' tests.
 //
@@ -8,6 +8,7 @@
 package mycroft_test
 
 import (
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -79,6 +80,44 @@ func BenchmarkScenarioRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(records), "records/run")
+}
+
+// BenchmarkRemoteRoundTrip prices one wire round trip over loopback against an
+// in-process daemon, client and server together: Health, the smallest
+// answer, and a 256-record trace page. It uses only the public API.
+func BenchmarkRemoteRoundTrip(b *testing.B) {
+	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: 1})
+	svc.MustAddJob("rt", mycroft.JobOptions{})
+	svc.Start()
+	svc.Run(20 * time.Second)
+	ts := httptest.NewServer(mycroft.NewServer(svc).Handler())
+	defer ts.Close()
+	rc, err := mycroft.Dial(ts.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rc.Close()
+	b.Run("Health", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rc.Health(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("QueryTrace256", func(b *testing.B) {
+		q := mycroft.TraceQuery{Job: "rt", Limit: 256}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := rc.QueryTrace(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Records) != 256 {
+				b.Fatalf("a page of %d records, want 256", len(res.Records))
+			}
+		}
+	})
 }
 
 // TestFullSizeAllocBudget holds the substrate's steady-state malloc and

@@ -52,7 +52,8 @@ type serverCluster struct {
 	cfg   ClusterConfig
 	node  *cluster.Node
 	store *cluster.ReplicaStore
-	hc    *http.Client
+	// wire holds the client to every peer, by name.
+	wire map[string]*wireClient
 
 	ackMu sync.Mutex
 	acks  map[string]uint64 // "peer/job" → acked seq
@@ -79,8 +80,15 @@ func (sv *Server) EnableCluster(cfg ClusterConfig) error {
 	cl := &serverCluster{
 		cfg: cfg, node: node,
 		store: cluster.NewReplicaStore(),
-		hc:    &http.Client{Timeout: 10 * time.Second},
+		wire:  make(map[string]*wireClient, len(peers)),
 		acks:  make(map[string]uint64),
+	}
+	for name, addr := range peers {
+		w := newWireClient(addr, 10*time.Second)
+		if w.err != nil {
+			return fmt.Errorf("mycroft: cluster peer %s: %w", name, w.err)
+		}
+		cl.wire[name] = w
 	}
 
 	reg := sv.svc.Metrics()
@@ -176,7 +184,7 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 		Entries: entries, Snapshot: snap, Watermark: wm,
 	}
 	var resp api.ReplicateResponse
-	err := clusterPost(cl.hc, cl.node.Addr(peer), "/cluster/replicate", req, &resp)
+	err := cl.post(peer, "/cluster/replicate", req, &resp)
 	cl.node.MarkContact(peer, err == nil)
 	if err != nil {
 		cl.mReplFailures.Inc()
@@ -242,7 +250,7 @@ func (sv *Server) GossipOnce() {
 	req := api.GossipRequest{ClusterID: cl.cfg.ID, From: cl.cfg.Self, Peers: cl.node.View()}
 	for _, peer := range cl.node.Others() {
 		var resp api.GossipResponse
-		err := clusterPost(cl.hc, cl.node.Addr(peer), "/cluster/gossip", req, &resp)
+		err := cl.post(peer, "/cluster/gossip", req, &resp)
 		cl.node.MarkContact(peer, err == nil)
 		if err == nil {
 			cl.node.Merge(resp.Peers)
@@ -283,13 +291,10 @@ func (sv *Server) StartCluster(replicateEvery, gossipEvery time.Duration) (stop 
 	return func() { close(done) }
 }
 
-// clusterPost is the peer-to-peer call: one JSON POST, no retries — the
-// health ladder (MarkContact) is the retry policy.
-func clusterPost(hc *http.Client, base, path string, in, out any) error {
-	if base == "" {
-		return fmt.Errorf("mycroft: no address for peer")
-	}
-	return roundTrip(hc, http.MethodPost, base, api.Prefix+path, in, out)
+// post is the peer-to-peer call: one JSON POST, no retries — the health
+// ladder (MarkContact) is the retry policy.
+func (cl *serverCluster) post(peer, path string, in, out any) error {
+	return cl.wire[peer].do(http.MethodPost, api.Prefix+path, in, out)
 }
 
 // --- /v1/cluster/* endpoints ----------------------------------------------

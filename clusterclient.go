@@ -26,7 +26,6 @@ type ClusterClient struct {
 	ring     *cluster.Ring
 	replicas int
 	addrs    map[string]string // peer name → base URL
-	hc       *http.Client
 
 	mu        sync.Mutex
 	clients   map[string]*RemoteClient
@@ -48,7 +47,6 @@ func DialCluster(addrs []string) (*ClusterClient, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("mycroft: DialCluster needs at least one address")
 	}
-	hc := &http.Client{Timeout: 60 * time.Second}
 	var lastErr error
 	for _, addr := range addrs {
 		rc, err := Dial(addr)
@@ -58,6 +56,7 @@ func DialCluster(addrs []string) (*ClusterClient, error) {
 		}
 		var info api.ClusterInfoResponse
 		if err := rc.do(http.MethodGet, api.Prefix+"/cluster/info", nil, &info); err != nil {
+			rc.Close()
 			lastErr = fmt.Errorf("mycroft: %s: %w", addr, err)
 			continue
 		}
@@ -65,12 +64,17 @@ func DialCluster(addrs []string) (*ClusterClient, error) {
 			ring:      cluster.NewRing(peerNames(info.Peers), info.VNodes),
 			replicas:  info.Replicas,
 			addrs:     make(map[string]string, len(info.Peers)),
-			hc:        hc,
 			clients:   make(map[string]*RemoteClient),
 			downUntil: make(map[string]time.Time),
 		}
 		for _, p := range info.Peers {
 			cc.addrs[p.Name] = normalizeBase(p.Addr)
+		}
+		// The dialed connection carries the answering peer's calls on.
+		if cc.addrs[info.Self] == rc.wire.base {
+			cc.clients[info.Self] = rc
+		} else {
+			rc.Close()
 		}
 		return cc, nil
 	}
@@ -89,9 +93,13 @@ func peerNames(peers []api.ClusterPeer) []string {
 // peer onto the next candidate since dial.
 func (cc *ClusterClient) Failovers() uint64 { return cc.failovers.Load() }
 
-// Close releases idle transport connections.
+// Close closes the idle connections to every peer.
 func (cc *ClusterClient) Close() error {
-	cc.hc.CloseIdleConnections()
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for _, rc := range cc.clients {
+		rc.Close()
+	}
 	return nil
 }
 
@@ -102,7 +110,7 @@ func (cc *ClusterClient) client(name string) *RemoteClient {
 	defer cc.mu.Unlock()
 	rc := cc.clients[name]
 	if rc == nil {
-		rc = &RemoteClient{base: cc.addrs[name], hc: cc.hc}
+		rc = &RemoteClient{wire: newWireClient(cc.addrs[name], 60*time.Second)}
 		cc.clients[name] = rc
 	}
 	return rc

@@ -178,7 +178,7 @@ func TestRemoteTreatsEveryNon200Alike(t *testing.T) {
 		fmt.Fprint(w, body)
 	}))
 	defer ts.Close()
-	rc := &RemoteClient{base: ts.URL, hc: ts.Client()}
+	rc := &RemoteClient{wire: newWireClient(ts.URL, time.Minute)}
 	for _, code := range []int{http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusInternalServerError} {
 		status, body = code, `{"error":"the daemon's own words"}`
 		if _, err := rc.Health(); err == nil || err.Error() != "the daemon's own words" {

@@ -410,7 +410,8 @@ func (o *op[Q, R]) encode(q Q) (path string, body any) {
 
 // serve answers one decoded request. A replica answer or refusal needs no
 // engine and takes no lock beyond the replica store's own; the live call and
-// its stamp run under Server.mu, serialized with Advance.
+// its stamp run under Server.mu, serialized with Advance; how long each call
+// waited for the lock and held it is observed per operation on /metrics.
 //
 // The result is encoded by the caller after serve returns, so a slow client
 // never holds the engine: the result value is the one thing read outside
@@ -432,8 +433,7 @@ func (o *op[Q, R]) serve(sv *Server, q Q) (res R, err error) {
 			return res, err
 		}
 	}
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
+	defer sv.lock(o.name).unlock()
 	if res, err = o.call(sv.svc, q); err == nil && o.stamp != nil {
 		o.stamp(sv, &res)
 	}

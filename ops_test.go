@@ -249,7 +249,7 @@ func TestOpPanicIsA500(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(failed.Error, "boom") {
 		t.Fatalf("panicking op answered %d %+v (%v), want 500 naming the panic", resp.StatusCode, failed, err)
 	}
-	rc := &RemoteClient{base: ts.URL, hc: http.DefaultClient}
+	rc := &RemoteClient{wire: newWireClient(ts.URL, time.Minute)}
 	if jobs, err := rc.ListJobs(); err != nil || len(jobs.Jobs) != 1 {
 		t.Fatalf("request after the panic: %+v, %v", jobs, err)
 	}
@@ -358,7 +358,7 @@ func TestTableOpsRaceAdvance(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rc := &RemoteClient{base: "http://" + p.addr, hc: http.DefaultClient}
+				rc := &RemoteClient{wire: newWireClient("http://"+p.addr, time.Minute)}
 				hosts := p.handles[job] != nil
 				for {
 					for name, ask := range asks {

@@ -38,8 +38,7 @@ var ErrSubscriptionLost = errors.New("subscription lost")
 // the in-process Service hands out; failures close the stream and surface via
 // Stream.Err.
 type RemoteClient struct {
-	base string
-	hc   *http.Client
+	wire *wireClient
 
 	// serverID and serverStarted are captured from the dial-time ping so
 	// callers can log what they connected to.
@@ -94,7 +93,10 @@ const dialAttempts = 4
 // wrapping ErrUnreachable. A daemon that answers with anything else — the wrong wire
 // version included — fails at once.
 func Dial(addr string) (*RemoteClient, error) {
-	c := &RemoteClient{base: normalizeBase(addr), hc: &http.Client{Timeout: 60 * time.Second}}
+	c := &RemoteClient{wire: newWireClient(normalizeBase(addr), 60*time.Second)}
+	if c.wire.err != nil {
+		return nil, fmt.Errorf("mycroft: dialing %s: %w", addr, c.wire.err)
+	}
 	var ping api.PingResponse
 	var err error
 	delay := 50 * time.Millisecond
@@ -182,7 +184,7 @@ func soleLiveJob(l jobLister, job JobID) (JobID, error) {
 // the JSON response cap by design.
 func (c *RemoteClient) FetchRecord(job JobID, w io.Writer) error {
 	path := jobPath("/jobs/{id}/record", job)
-	resp, err := c.hc.Get(c.base + path)
+	resp, err := c.wire.send(http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
@@ -208,7 +210,7 @@ func (c *RemoteClient) Subscribe(f EventFilter) *Stream { return subscribe(c, f)
 
 // To a subscription a RemoteClient is a fleet of one peer with no health to
 // keep.
-func (c *RemoteClient) candidates(string) []string  { return []string{c.base} }
+func (c *RemoteClient) candidates(string) []string  { return []string{c.wire.base} }
 func (c *RemoteClient) client(string) *RemoteClient { return c }
 func (c *RemoteClient) markUp(string)               {}
 func (c *RemoteClient) failover(string)             {}
@@ -370,41 +372,16 @@ func (t *jobTail) ask(after uint64, timeoutMs int) (api.TailResponse, error) {
 	return api.TailResponse{}, err
 }
 
-// Close releases idle transport connections. Live subscriptions close
+// Close closes the idle connections to the daemon. Live subscriptions close
 // themselves through their own Stream.Close.
 func (c *RemoteClient) Close() error {
-	c.hc.CloseIdleConnections()
+	c.wire.closeIdle()
 	return nil
 }
 
 // do is one wire round trip against this client's daemon.
 func (c *RemoteClient) do(method, path string, in, out any) error {
-	return roundTrip(c.hc, method, c.base, path, in, out)
-}
-
-// roundTrip sends one request to base+path — in as a JSON body, or none when
-// nil — and decodes the JSON answer into out.
-func roundTrip(hc *http.Client, method, base, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(data)
-	}
-	req, err := http.NewRequest(method, base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	return decode(path, resp, out)
+	return c.wire.do(method, path, in, out)
 }
 
 // maxResponse bounds how much of a response body the client will read.

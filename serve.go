@@ -55,7 +55,15 @@ type Server struct {
 	// cluster is set once EnableCluster ran: this daemon is one peer of a
 	// sharded/replicated fleet (see cluster.go).
 	cluster atomic.Pointer[serverCluster]
+
+	// lockTimes holds each table operation's Server.mu histograms, by
+	// Client method. The map is never written after NewServer.
+	lockTimes map[string]lockTimes
 }
+
+// lockTimes is one operation's pair of Server.mu histograms: how long its
+// calls waited for the lock and how long they held it.
+type lockTimes struct{ wait, hold *obs.Histogram }
 
 // servedRecord is one job's live incident capture: the recorder plus the
 // artifact file it streams to, kept open for snapshot reads.
@@ -93,7 +101,46 @@ func NewServer(svc *Service) *Server {
 		obs.L("server", sv.identity), obs.L("go", runtime.Version()))
 	reg.GaugeFunc("mycroft_uptime_seconds", "Wall-clock seconds since the serving process started.",
 		func() float64 { return time.Since(sv.started).Seconds() })
+	sv.lockTimes = make(map[string]lockTimes, len(opTable))
+	for _, o := range opTable {
+		op := obs.L("op", o.clientMethod())
+		sv.lockTimes[o.clientMethod()] = lockTimes{
+			wait: reg.Histogram("mycroft_serve_lock_wait_seconds",
+				"Wall-clock seconds a wire request waited for the server lock Advance holds, by operation.", obs.LatencyBuckets, op),
+			hold: reg.Histogram("mycroft_serve_lock_hold_seconds",
+				"Wall-clock seconds a wire request held the server lock, by operation.", obs.LatencyBuckets, op),
+		}
+	}
 	return sv
+}
+
+// heldLock is Server.mu held for one table operation.
+type heldLock struct {
+	sv   *Server
+	hold *obs.Histogram
+	at   time.Time
+}
+
+// lock takes Server.mu for the named operation and observes how long it
+// waited; an operation outside the table is not timed. Neither it nor unlock
+// allocates.
+func (sv *Server) lock(op string) heldLock {
+	lt, timed := sv.lockTimes[op]
+	start := time.Now()
+	sv.mu.Lock()
+	at := time.Now()
+	if timed {
+		lt.wait.Observe(at.Sub(start).Seconds())
+	}
+	return heldLock{sv: sv, hold: lt.hold, at: at}
+}
+
+// unlock observes how long the lock was held and releases it.
+func (h heldLock) unlock() {
+	if h.hold != nil {
+		h.hold.Observe(time.Since(h.at).Seconds())
+	}
+	h.sv.mu.Unlock()
 }
 
 // RecordTo attaches an incident recorder to every hosted job, writing one
