@@ -16,25 +16,33 @@
 // hold still too; only the timestamp changes. So each series keeps a flow
 // table — one entry per distinct (IP, communicator, GPU, channel, QP, op,
 // message size, total chunks, kind) tuple — and a log of fixed-length
-// segments (seglog.go). A segment holds 256 records, each an 8-byte time
-// and a 1-byte row index, and a table of 53 48-byte rows, which keep what a
+// segments (seglog.go). A segment holds 256 records, each a time and a
+// 1-byte row index, and the rows they name, 48 bytes each, which keep what a
 // run of one flow's records repeats: op seq, start, end, progress instant,
-// the three chunk counters and the flow index. Rows a segment needs past
-// its 53 spill into a side table of its log. A segment is pointer-free
-// memory the collector never scans, sized to fit one of the allocator's
-// size classes. Ingest writes a time and a row byte, and a row when the
-// record's flow has none holding its fields in the segment; it allocates
-// only when a rank's last segment is full, its record starts a flow, or a
-// row spills. Nothing stored is ever copied, cleared or regrown. Retention
-// releases whole segments, their spilled rows with them, as the horizon
-// passes them, and all of a rank's, flow table included, once it has no
-// live record: the table holds one flow per distinct tuple since the log
-// was last empty. Readers binary-search and walk the times in place, test
-// their communicator, kind and channel predicates on the flow each record's
-// row names, and rebuild a trace.Record only for what they return.
+// the three chunk counters and the flow index. A segment is pointer-free
+// bytes the collector never scans: a base time, 256 offsets from it, 256 row
+// bytes and the rows. A rank writes its last segment into one open buffer,
+// 3,417 B with room for 39 rows in the allocator's 3,456-byte size class.
+// When the segment fills it is sealed: copied once into a block of exactly
+// its size — the open buffer with its unused rows cut off — and the open
+// buffer is reused for the next. Offsets take 5 bytes, or 8 in a segment
+// whose times span 2^40 ns or more; a segment that needs wide offsets or
+// more rows lays its open buffer out again, and the rank keeps the larger
+// buffer. Ingest writes a time and a row byte, and a row when the record's
+// flow has none holding its fields in the segment; it allocates only when a
+// segment seals, its record starts a flow, or an open buffer first grows. A
+// stored record is copied once, when its segment seals, and never cleared or
+// regrown. Retention releases whole sealed blocks as the horizon passes
+// them, and all of a rank's, open buffer and flow table included, once it
+// has no live record: the table holds one flow per distinct tuple since the
+// log was last empty. Readers binary-search the segments' base times and
+// then one segment's offsets, walk the records in place, test their
+// communicator, kind and channel predicates on the flow each record's row
+// names, and rebuild a trace.Record only for what they return. StoreBytes
+// counts what the store holds as it goes.
 //
-// Ingest probes no map per record, bar a row that spills. Ranks are dense in [0, world size), so the
-// series table is a slice indexed by rank. A record is matched against the
+// Ingest probes no map per record. Ranks are dense in [0, world size), so
+// the series table is a slice indexed by rank. A record is matched against the
 // two flows its rank used last, then the rest of the table newest first; a
 // communicator is indexed only when a flow is added. The flow caches the row
 // its last record used, so a record that repeats it compares seven fields
@@ -83,6 +91,7 @@ type DB struct {
 	ingested      uint64 // records
 	bytesIngested uint64
 	pruned        uint64 // records dropped by retention
+	held          int    // bytes of every series' log and flow table; see StoreBytes
 
 	observers []func([]trace.Record)
 	metrics   *Metrics
@@ -153,7 +162,7 @@ func (db *DB) Ingest(batch []trace.Record) {
 			panic(fmt.Sprintf("clouddb: out-of-order ingest for rank %d: %v after %v", r.Rank, r.Time, l.newest))
 		}
 		fi := series.flowOf(db, r)
-		series.log.push(r, &series.flows[fi], fi)
+		db.held += series.log.push(r, &series.flows[fi], fi)
 	}
 	db.ingested += uint64(len(batch))
 	db.bytesIngested += uint64(len(batch)) * trace.WireSize
@@ -204,7 +213,8 @@ func (db *DB) prune() {
 		}
 		if i := s.log.firstFrom(cut); i > 0 {
 			dropped += uint64(i)
-			if s.log.dropFront(i); s.log.n == 0 {
+			if db.held -= s.log.dropFront(i); s.log.n == 0 {
+				db.held -= cap(s.flows) * flowSize
 				s.flows, s.recent = nil, [2]uint32{}
 			}
 		}
@@ -226,7 +236,9 @@ func (db *DB) series(r topo.Rank) *rankSeries {
 // Ingested returns how many records have been stored.
 func (db *DB) Ingested() uint64 { return db.ingested }
 
-// BytesIngested returns the stored volume in encoded bytes.
+// BytesIngested returns the ingested volume counted at the 112-byte wire
+// slot (trace.WireSize) a record, which E6 extrapolates from; what the store
+// holds is StoreBytes.
 func (db *DB) BytesIngested() uint64 { return db.bytesIngested }
 
 // Pruned returns how many records retention dropped.
@@ -302,7 +314,7 @@ func (db *DB) QueryGroup(commID uint64, from, to sim.Time) map[topo.Rank][]trace
 		var members []trace.Record // stays nil for a member silent in the window
 		lo, hi := s.log.window(from, to)
 		for i := lo; i < hi; i++ {
-			if t, rw := s.log.at(i); s.flows[rw.flow].commID == commID {
+			if t, rw := s.log.at(i); s.flows[rw.flow()].commID == commID {
 				members = s.appendTo(members, t, rw)
 			}
 		}
@@ -322,7 +334,7 @@ func (db *DB) LastStatePerChannel(r topo.Rank, commID uint64, t sim.Time, window
 	lo, hi := s.log.window(t.Add(-window), t)
 	for i := hi - 1; i >= lo; i-- { // newest first: a channel's first hit is its last state
 		at, rw := s.log.at(i)
-		f := &s.flows[rw.flow]
+		f := &s.flows[rw.flow()]
 		if f.kind != trace.KindState || f.commID != commID {
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-	"unsafe"
 
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
@@ -63,30 +62,32 @@ func ingestFootprint(t *testing.T, batches [][]trace.Record) (perRecord float64,
 }
 
 // TestIngestFootprint pins what the segmented layout is for: a stored record
-// costs its 8-byte time and row byte plus its share of its segment's row
-// table, segment tail and index, not the 128-byte record plus append's
-// doubling slack (159 B at the flat layout), an 88-byte slot that repeats its
-// flow's fields (~89 B), a 56-byte one that repeats its operation's (~57 B)
-// or a 32-byte one that repeats its counters and stuck time (~39 B); and
-// ingest allocates once per segment, not once per regrow of every rank. When
-// every record needs its own row, spilling, it still costs less than with
-// 32-byte slots (~71 B), and a segment's spill is sized once, not grown by
-// doubling (~68 B and ~9 mallocs a spilled segment when it was).
+// costs its 5-byte time offset and row byte plus its share of its sealed
+// segment's rows and of its rank's open buffer, not the 128-byte record plus
+// append's doubling slack (159 B at the flat layout), an 88-byte slot that
+// repeats its flow's fields (~89 B), a 56-byte one that repeats its
+// operation's (~57 B), a 32-byte one that repeats its counters and stuck
+// time (~39 B), or an 8-byte time in a fixed 4,864-byte segment (~20.4 B);
+// and ingest allocates once per segment, not once per regrow of every rank.
+// When every record needs its own row it still costs less than with 32-byte
+// slots (~71 B), and a rank grows its open buffer once and keeps it, not a
+// side table per segment by doubling (~68 B and ~9 mallocs a segment when
+// it did).
 func TestIngestFootprint(t *testing.T) {
-	// A segment fills Go's 4,864-byte size class: one row more would move it
-	// to the next, 5,376.
-	if size := unsafe.Sizeof(segment{}); size > 4864 || 4864-size >= unsafe.Sizeof(row{}) {
-		t.Fatalf("a segment is %d B, want the most rows that fit in 4,864", size)
+	// A new open buffer fills Go's 3,456-byte size class, under 4,096: one
+	// row more would move it to the next, 4,096.
+	if size := blockSize(narrow, segRows); size > 3456 || 3456-size >= rowSize {
+		t.Fatalf("an open buffer is %d B, want the most rows that fit in 3,456", size)
 	}
 	const ranks, perRank = 64, 3125 // 200 k records
 	batches := perRankBatches(ranks, perRank, 1, time.Millisecond)
 	perRecord, mallocs := ingestFootprint(t, batches)
-	if perRecord > 24 {
-		t.Errorf("%.1f heap bytes per stored record, want ≤ 24", perRecord)
+	if perRecord > 14.9 {
+		t.Errorf("%.1f heap bytes per stored record, want ≤ 14.9", perRecord)
 	}
 	// One malloc per segment; per rank, the series, its flow table, its
 	// communicator list, its communicator's member list, and the doublings
-	// of a segment-pointer slice that ends a few dozen long.
+	// of a sealed-block slice that ends a few dozen long.
 	if max := uint64(ranks*perRank/segLen + 32*ranks); mallocs > max {
 		t.Errorf("%d mallocs ingesting %d records over %d ranks, want ≤ %d", mallocs, ranks*perRank, ranks, max)
 	}
@@ -100,13 +101,15 @@ func TestIngestFootprint(t *testing.T) {
 	if worst > 62 {
 		t.Errorf("%.1f heap bytes per stored record when each has its own row, want ≤ 62", worst)
 	}
-	// Every full segment spills; a rank's last holds 53 records, which fit.
-	spilled := ranks * (perRank / segLen)
-	if perSpill := float64(worstMallocs-mallocs) / float64(spilled); perSpill > 2 {
-		t.Errorf("%.2f mallocs per spilled segment, want ≤ 2", perSpill)
+	// Every full segment outgrows a new open buffer; a rank's last holds 53
+	// records, which need 53 rows. The buffer a rank's first segment grew
+	// serves the rest.
+	grown := ranks * (perRank / segLen)
+	if perGrown := float64(worstMallocs-mallocs) / float64(grown); perGrown > 2 {
+		t.Errorf("%.2f mallocs per segment that outgrows a new open buffer, want ≤ 2", perGrown)
 	}
-	t.Logf("%.1f heap bytes per record, %.1f when each needs its own row, %.2f mallocs per spilled segment",
-		perRecord, worst, float64(worstMallocs-mallocs)/float64(spilled))
+	t.Logf("%.1f heap bytes per record, %.1f when each needs its own row, %.2f mallocs per segment that outgrows a new open buffer",
+		perRecord, worst, float64(worstMallocs-mallocs)/float64(grown))
 }
 
 // TestPruneReleasesMemory: under a retention horizon the store's heap is the
@@ -158,7 +161,7 @@ func TestPruneReleasesMemory(t *testing.T) {
 	if got := len(db.QueryRank(ranks, 0, sim.Infinity)); got != 0 {
 		t.Fatalf("silent rank still has %d live records", got)
 	}
-	if freed, want := before-held(), 0.9*burst*float64(unsafe.Sizeof(segment{}.times[0])+unsafe.Sizeof(segment{}.rowOf[0])); freed < want {
+	if freed, want := before-held(), 0.9*burst*float64(narrow+1); freed < want {
 		t.Errorf("pruning a silent rank's %d records freed %.0f B, want ≥ %.0f", burst, freed, want)
 	}
 	runtime.KeepAlive(db)
@@ -203,5 +206,44 @@ func TestFlowTableResetsWhenEmpty(t *testing.T) {
 	}
 	if got, want := db.CommsOfRank(0), []uint64{1, 2, 3}; !slices.Equal(got, want) {
 		t.Fatalf("CommsOfRank(0) = %v, want %v", got, want)
+	}
+}
+
+// TestStoreBytesMatchesWalk: the running count StoreBytes keeps equals a walk
+// of every series' sealed blocks, open buffer and flow table after
+// ingest, after a retention cut releases sealed blocks, and after a silent
+// rank is pruned empty.
+func TestStoreBytesMatchesWalk(t *testing.T) {
+	eng := sim.NewEngine(1)
+	db := New(eng, time.Second)
+	check := func(when string) int {
+		t.Helper()
+		if got, want := db.StoreBytes(), storeBytes(db); got != want {
+			t.Fatalf("%s: StoreBytes = %d, a walk of the store finds %d", when, got, want)
+		}
+		return db.StoreBytes()
+	}
+	ingest := func(ranks, ticks int) {
+		for _, b := range perRankBatches(ranks, ticks, eng.Now()+1, time.Millisecond) {
+			for r := range b {
+				if r == 3 { // rank 3 needs a row a record, and outgrows its open buffer
+					b[r].OpSeq = uint64(b[r].Time)
+				}
+			}
+			eng.RunUntil(b[0].Time)
+			db.Ingest(b)
+		}
+	}
+	ingest(4, 900)
+	filled := check("after ingest")
+	ingest(3, 900) // rank 3 falls silent
+	if cut := check("after a retention cut"); cut >= filled {
+		t.Fatalf("a retention cut left %d B held of %d", cut, filled)
+	}
+	eng.RunFor(time.Second)
+	ingest(1, 1)
+	check("after a silent rank is pruned empty")
+	if s := db.series(3); s.log.bytes() != 0 || s.flows != nil {
+		t.Fatalf("rank 3 pruned empty holds %d B and %d flows", s.log.bytes(), len(s.flows))
 	}
 }

@@ -9,7 +9,7 @@ import "mycroft/internal/obs"
 // layer owns registration and labeling (typically one set per job).
 type Metrics struct {
 	Records      *obs.Counter   // records stored, lifetime
-	Bytes        *obs.Counter   // encoded bytes stored, lifetime
+	Bytes        *obs.Counter   // trace.WireSize bytes a record ingested, lifetime
 	Batches      *obs.Counter   // ingest batches accepted
 	Pruned       *obs.Counter   // records dropped by the retention horizon
 	Queries      *obs.Counter   // unified Query pages served
@@ -24,3 +24,9 @@ func (db *DB) SetMetrics(m *Metrics) { db.metrics = m }
 // LiveRecords returns the live (unpruned) record count, for the scrape-time
 // occupancy gauge.
 func (db *DB) LiveRecords() int { return db.Stats().Records }
+
+// StoreBytes returns the bytes the store holds: every sealed block and open
+// buffer at its allocator size class, and the flow tables. It is a running
+// count, moved as segments seal and are released, for the scrape-time
+// footprint gauge.
+func (db *DB) StoreBytes() int { return db.held }

@@ -206,9 +206,10 @@ type storeProgram struct {
 	cur   map[trace.Record]int     // the run each flow is in, by flowKey
 	cycle int                      // position of rank ranks[2] in its round of flows
 
-	// Full segments seen by check whose rows fit beside their records, and
-	// those that spilled.
-	packed, spilled int
+	// Sealed segments seen by check whose rows fit a new open buffer, that
+	// needed more and that are wide, and segments that need an offset's fifth
+	// byte.
+	packed, grown, wide, fifth int
 }
 
 const (
@@ -448,23 +449,58 @@ func (p *storeProgram) equal(what string, got, want any, context ...any) {
 	}
 }
 
-// segments checks that rank r's spill table holds rows only for its live
-// segments, and counts its full segments that spilled and those that did not.
+// segments checks rank r's log against what sealing promises — its open
+// buffer has room for its rows and a new buffer's, every sealed block is
+// exactly the size of the rows its records use, and a segment is wide
+// exactly when its times span wideFrom or more — and counts the sealed
+// blocks whose rows fit a new open buffer, that needed more, that are wide,
+// and the segments whose narrow offsets need their fifth byte.
 func (p *storeProgram) segments(r topo.Rank) {
 	p.t.Helper()
 	l := &p.db.series(r).log
-	for seg := range l.spill {
-		if !slices.Contains(l.segs, seg) {
-			p.t.Fatalf("at %v: rank %d keeps spilled rows for a released segment", p.eng.Now(), r)
+	if l.open != nil && l.open.room() < max(l.rows, segRows) {
+		p.t.Fatalf("at %v: rank %d's open buffer has room for %d rows, want at least %d and %d", p.eng.Now(), r, l.open.room(), l.rows, segRows)
+	}
+	span := func(b block, n int) {
+		if (b.width() == wide) != (uint64(b.time(n-1))-uint64(b.base()) >= wideFrom) {
+			p.t.Fatalf("at %v: rank %d holds a segment %d B wide whose %d times span %v", p.eng.Now(), r, b.width(), n, b.time(n-1)-b.base())
+		}
+		if b.width() == narrow && b.time(n-1)-b.base() >= 1<<32 {
+			p.fifth++
 		}
 	}
-	for _, seg := range l.segs[:max(len(l.segs)-1, 0)] {
-		if _, ok := l.spill[seg]; ok {
-			p.spilled++
-		} else {
+	for _, b := range l.sealed {
+		span(b, segLen)
+		rows := 0
+		for j := range segLen {
+			rows = max(rows, b.rowOf(j)+1)
+		}
+		if want := blockSize(b.width(), rows); len(b) != want {
+			p.t.Fatalf("at %v: rank %d seals %d rows in %d B, want %d", p.eng.Now(), r, rows, len(b), want)
+		}
+		switch {
+		case b.width() == wide:
+			p.wide++
+		case rows > segRows:
+			p.grown++
+		default:
 			p.packed++
 		}
 	}
+	if open := l.head + l.n - len(l.sealed)*segLen; open > 0 {
+		span(l.open, open)
+	}
+}
+
+// storeBytes walks what db holds, as StoreBytes counts it.
+func storeBytes(db *DB) int {
+	held := 0
+	for _, s := range db.byRank {
+		if s != nil {
+			held += s.log.bytes() + cap(s.flows)*flowSize
+		}
+	}
+	return held
 }
 
 // check compares every read the store offers against the model.
@@ -484,6 +520,7 @@ func (p *storeProgram) check() {
 	p.equal("LiveRecords", db.LiveRecords(), m.stats().Records)
 	p.equal("Ingested", db.Ingested(), m.stats().Ingested)
 	p.equal("BytesIngested", db.BytesIngested(), m.stats().BytesIngested)
+	p.equal("StoreBytes", db.StoreBytes(), storeBytes(db))
 
 	for _, r := range append([]topo.Rank{-7}, p.ranks...) {
 		ip, ok := db.IPOf(r)
@@ -585,7 +622,31 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 			if got := p.db.Pruned() - pruned; got != segLen {
 				t.Fatalf("boundary cut pruned %d records, want %d", got, segLen)
 			}
+			if l := &p.db.series(0).log; len(l.sealed) != 0 || l.head != 0 {
+				t.Fatalf("boundary cut left %d sealed segments and %d dropped records", len(l.sealed), l.head)
+			}
 			p.check()
+
+			// Segments whose times span 2^32 ns and 2^40 ns. In one batch, so
+			// nothing is pruned before the reads, rank 1 fills a narrow
+			// segment that jumps 2^39 ns, a wide one that jumps 2^40 and
+			// seals so, and half an open one that widens.
+			far := make([]trace.Record, 2*segLen+segLen/2)
+			at := eng.Now()
+			for i := range far {
+				switch i {
+				case 100:
+					at = at.Add(1 << 39)
+				case 300, 600:
+					at = at.Add(1 << 40)
+				}
+				far[i] = p.record(1, at)
+			}
+			p.db.Ingest(slices.Clone(far))
+			p.model.ingest(eng.Now(), far)
+			p.clock[1] = at
+			p.check()
+			eng.RunUntil(at)
 
 			for i := 0; i < steps; i++ {
 				p.moved = i >= steps/3 && i < 2*steps/3 // there and back again
@@ -595,9 +656,11 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 			if p.db.Pruned() == 0 || p.db.LiveRecords() == 0 {
 				t.Fatalf("program pruned %d and left %d live: it exercised nothing", p.db.Pruned(), p.db.LiveRecords())
 			}
-			t.Logf("checked %d packed and %d spilled full segments", p.packed, p.spilled)
-			if p.packed == 0 || p.spilled == 0 {
-				t.Fatalf("checked %d packed and %d spilled full segments: a row path went unexercised", p.packed, p.spilled)
+			t.Logf("checked %d packed, %d grown and %d wide sealed segments, %d segments needing a fifth offset byte",
+				p.packed, p.grown, p.wide, p.fifth)
+			if p.packed == 0 || p.grown == 0 || p.wide == 0 || p.fifth == 0 {
+				t.Fatalf("checked %d packed, %d grown and %d wide sealed segments, %d needing a fifth offset byte: a path went unexercised",
+					p.packed, p.grown, p.wide, p.fifth)
 			}
 		})
 	}

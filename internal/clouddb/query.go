@@ -119,7 +119,7 @@ func (db *DB) Query(q Query) Result {
 		skip := 0
 		for i := lo; i < hi; i++ {
 			at, rw := s.log.at(i)
-			if !q.matches(&s.flows[rw.flow]) {
+			if !q.matches(&s.flows[rw.flow()]) {
 				continue
 			}
 			if resuming && at == q.Cursor.Time && skip < q.Cursor.Emitted {

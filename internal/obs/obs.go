@@ -11,8 +11,8 @@
 // code never has to thread instrument pointers around. GaugeFunc registers a
 // scrape-time callback for values that are cheaper to read than to track
 // (store occupancy, live subscription counts); callers are responsible for
-// making those callbacks safe at scrape time (the daemon scrapes under the
-// same mutex that serializes the engine).
+// making those callbacks safe at scrape time (the daemon samples them under
+// the mutex that serializes the engine, with Snapshot, and renders after).
 package obs
 
 import (
@@ -270,20 +270,55 @@ func (r *Registry) registerWith(name, help string, kind metricKind, labels []Lab
 // families sorted by name with one HELP/TYPE header each, series sorted by
 // label set within a family. GaugeFunc callbacks run on the calling
 // goroutine, so a caller that registered engine-reading callbacks must hold
-// whatever serializes the engine.
+// whatever serializes the engine — or take a Snapshot under it and render
+// the snapshot after letting go.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	return r.Snapshot().WritePrometheus(w)
+}
+
+// Snapshot is a scrape split in two: taking it runs every GaugeFunc
+// callback, and rendering it reads the counters and histograms, which are
+// atomic, so only the first step needs the lock the callbacks' state is
+// guarded by.
+type Snapshot struct{ series []sample }
+
+// sample is one series of a snapshot, with its GaugeFunc's value if it has one.
+type sample struct {
+	m     *metric
+	gauge float64
+}
+
+// Snapshot lists every registered series and samples each GaugeFunc on the
+// calling goroutine.
+func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
-	ms := append([]*metric(nil), r.order...)
+	series := make([]sample, len(r.order))
+	for i, m := range r.order {
+		series[i].m = m
+	}
 	r.mu.Unlock()
-	sort.SliceStable(ms, func(i, j int) bool {
-		if ms[i].name != ms[j].name {
-			return ms[i].name < ms[j].name
+	for i := range series {
+		if m := series[i].m; m.kind == kindGaugeFunc {
+			series[i].gauge = m.gaugeFn()
 		}
-		return ms[i].lstr < ms[j].lstr
+	}
+	return &Snapshot{series: series}
+}
+
+// WritePrometheus renders the snapshot as Registry.WritePrometheus does, with
+// each GaugeFunc at its sampled value and every other series at its value now.
+func (s *Snapshot) WritePrometheus(w io.Writer) error {
+	sort.SliceStable(s.series, func(i, j int) bool {
+		a, b := s.series[i].m, s.series[j].m
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.lstr < b.lstr
 	})
 	var b strings.Builder
 	prev := ""
-	for _, m := range ms {
+	for _, sm := range s.series {
+		m := sm.m
 		if m.name != prev {
 			prev = m.name
 			fmt.Fprintf(&b, "# HELP %s %s\n", m.name, escapeHelp(m.help))
@@ -295,7 +330,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case kindGauge:
 			fmt.Fprintf(&b, "%s%s %d\n", m.name, m.lstr, m.gauge.Value())
 		case kindGaugeFunc:
-			fmt.Fprintf(&b, "%s%s %s\n", m.name, m.lstr, formatFloat(m.gaugeFn()))
+			fmt.Fprintf(&b, "%s%s %s\n", m.name, m.lstr, formatFloat(sm.gauge))
 		case kindHistogram:
 			// The exemplar (worst exemplared observation + its span ID)
 			// renders OpenMetrics-style on the one bucket line it fell into.

@@ -63,6 +63,28 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestSnapshotSamplesGaugeFuncs: a snapshot renders each GaugeFunc at the
+// value it sampled when taken, and every other series as it is when written,
+// so a caller can take it under a lock and render it after.
+func TestSnapshotSamplesGaugeFuncs(t *testing.T) {
+	r := New()
+	v := 1.0
+	r.GaugeFunc("sampled", "computed", func() float64 { return v })
+	c := r.Counter("live_total", "counted")
+	snap := r.Snapshot()
+	v = 2
+	c.Add(3)
+	var b strings.Builder
+	if err := snap.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nsampled 1\n", "\nlive_total 3\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("snapshot missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestWritePrometheusOrderingAndEscaping(t *testing.T) {
 	r := New()
 	r.Counter("zzz_total", "last family").Inc()

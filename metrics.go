@@ -10,8 +10,8 @@ import (
 
 // initMetrics builds the service's registry and the service-wide
 // instruments. The GaugeFunc callbacks here read engine-owned state, so a
-// scraper must serialize with the drive loop (the daemon scrapes under its
-// request mutex).
+// scraper must serialize with the drive loop (the daemon samples them under
+// its request mutex and renders the scrape after).
 func (s *Service) initMetrics() {
 	s.reg = obs.New()
 	s.subDelivered = s.reg.Counter("mycroft_subscription_events_total",
@@ -38,7 +38,7 @@ func (s *Service) registerJobMetrics(h *JobHandle) {
 	db := h.Job.DB
 	db.SetMetrics(&clouddb.Metrics{
 		Records:      s.reg.Counter("mycroft_ingest_records_total", "Trace records ingested into the store.", jl),
-		Bytes:        s.reg.Counter("mycroft_ingest_bytes_total", "Encoded trace bytes ingested.", jl),
+		Bytes:        s.reg.Counter("mycroft_ingest_bytes_total", "Trace bytes ingested, counted as the 112-byte wire slot (trace.WireSize) per record.", jl),
 		Batches:      s.reg.Counter("mycroft_ingest_batches_total", "Ingest batches accepted.", jl),
 		Pruned:       s.reg.Counter("mycroft_store_pruned_records_total", "Records dropped by the retention horizon.", jl),
 		Queries:      s.reg.Counter("mycroft_queries_total", "Unified store query pages served.", jl),
@@ -55,6 +55,8 @@ func (s *Service) registerJobMetrics(h *JobHandle) {
 	})
 	s.reg.GaugeFunc("mycroft_store_records", "Live (unpruned) records in the store.",
 		func() float64 { return float64(db.LiveRecords()) }, jl)
+	s.reg.GaugeFunc("mycroft_store_bytes", "Heap bytes the store holds: sealed segments and open buffers at their size class, and flow tables.",
+		func() float64 { return float64(db.StoreBytes()) }, jl)
 	s.reg.GaugeFunc("mycroft_job_health", "Job health (0 stopped, 1 healthy, 2 degraded, 3 stale).",
 		func() float64 { return float64(healthScore(h.health)) }, jl)
 	s.reg.GaugeFunc("mycroft_job_last_ingest_age_seconds", "Virtual seconds since records last reached the store.",

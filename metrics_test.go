@@ -103,6 +103,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mycroft_channel_reports_total{job="trace",channel="perf"}`,
 		`mycroft_fusion_total{job="trace",outcome="single"}`,
 		`mycroft_store_records{job="trace"}`,
+		`mycroft_store_bytes{job="trace"}`,
 		`mycroft_http_requests_total{endpoint="/v1/ping"}`,
 		`mycroft_http_requests_total{endpoint="/v1/trace/query"}`,
 		`mycroft_http_request_seconds_count{endpoint="/v1/ping"}`,
@@ -147,5 +148,79 @@ func TestIngestCountersMatchStore(t *testing.T) {
 	got := rest[:strings.IndexByte(rest, '\n')]
 	if want := strconv.FormatUint(info.Records, 10); got != want {
 		t.Errorf("ingest counter %s, store ingested %s (live %d, pruned %d)", got, want, info.Store.Records, info.Store.Pruned)
+	}
+}
+
+// stallWriter is a ResponseWriter whose first Write says the scrape is
+// rendering and then waits to be released.
+type stallWriter struct {
+	header    http.Header
+	rendering chan struct{}
+	release   chan struct{}
+	body      strings.Builder
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Write(p []byte) (int, error) {
+	if w.body.Len() == 0 {
+		close(w.rendering)
+		<-w.release
+	}
+	return w.body.Write(p)
+}
+
+// TestScrapeDoesNotStallAdvance: GET /metrics samples its gauges under the
+// server mutex and renders after letting go, so Advance runs while a scrape
+// is still being written, and scrapes beside a running Advance read nothing
+// it writes unguarded (run with -race).
+func TestScrapeDoesNotStallAdvance(t *testing.T) {
+	srv := NewServer(metricsService(t))
+	h := srv.Handler()
+	srv.Advance(20 * time.Second)
+
+	w := &stallWriter{header: http.Header{}, rendering: make(chan struct{}), release: make(chan struct{})}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	}()
+	<-w.rendering
+	advanced := make(chan struct{})
+	go func() {
+		defer close(advanced)
+		srv.Advance(time.Second)
+	}()
+	select {
+	case <-advanced:
+		close(w.release)
+	case <-time.After(30 * time.Second):
+		close(w.release)
+		<-advanced
+		t.Fatal("Advance waited for a scrape to finish rendering")
+	}
+	<-scraped
+	if !strings.Contains(w.body.String(), `mycroft_store_bytes{job="trace"} `) {
+		t.Fatalf("scrape is missing the store bytes gauge:\n%s", w.body.String())
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 10 {
+			srv.Advance(time.Second)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /metrics beside Advance: HTTP %d", rec.Code)
+		}
 	}
 }

@@ -237,12 +237,14 @@ func (sv *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle(api.Prefix+"/", sv.v1())
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Scrape under the server mutex: gauge callbacks read engine-owned
+		// Sample under the server mutex: gauge callbacks read engine-owned
 		// state (store occupancy, stream lists) that the drive loop mutates.
+		// Render after, so a scrape holds Advance off only for the callbacks.
 		sv.mu.Lock()
-		defer sv.mu.Unlock()
+		snap := reg.Snapshot()
+		sv.mu.Unlock()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
+		snap.WritePrometheus(w)
 	})
 	return mux
 }
