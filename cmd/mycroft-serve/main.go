@@ -163,18 +163,21 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	outer := http.NewServeMux()
-	outer.Handle("/", srv.Handler())
+	handler := srv.Handler()
 	if *pprofOn {
 		// Explicit mounts keep the daemon's mux self-contained instead of
-		// leaning on http.DefaultServeMux.
+		// leaning on http.DefaultServeMux. Without -pprof a request crosses
+		// the daemon's one ServeMux only.
+		outer := http.NewServeMux()
+		outer.Handle("/", handler)
 		outer.HandleFunc("GET /debug/pprof/", pprof.Index)
 		outer.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		outer.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 		outer.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		outer.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		handler = outer
 	}
-	hs := newHTTPServer(outer)
+	hs := newHTTPServer(handler)
 	fmt.Fprintf(os.Stderr, "mycroft-serve: listening on http://%s (%s, horizon %v, seed %d)\n",
 		ln.Addr(), jobDesc, runFor, *seed)
 

@@ -13,12 +13,13 @@ import (
 	"mycroft/internal/obs"
 )
 
-// Mux is the /v1 route set. Every route is mounted under Prefix and carries
-// a request counter, an error counter and a latency histogram labeled by its
-// pattern (not the raw URL, so job ids never explode the label space). The
-// root package's Server fills it: one route per entry of its Client
-// operation table, plus the endpoints that are not a request and a response
-// (event tails, record download, /v1/cluster/*) mounted as plain handlers.
+// Mux is the daemon's one route set. Every route Handle mounts sits under
+// Prefix and carries a request counter, an error counter and a latency
+// histogram labeled by its pattern (not the raw URL, so job ids never explode
+// the label space). The root package's Server fills it: one route per entry
+// of its Client operation table, plus the endpoints that are not a request
+// and a response (event tails, record download, /v1/cluster/*) mounted as
+// plain handlers, and /metrics through HandleRaw.
 //
 // Requests are JSON bodies (or a query string on GET routes); errors come
 // back as ErrorResponse with the status Fail picks. A handler that panics is
@@ -39,6 +40,10 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) { m.mux.ServeHTT
 
 // Routes lists every mounted route as "METHOD pattern", in mount order.
 func (m *Mux) Routes() []string { return m.routes }
+
+// HandleRaw mounts fn at pattern as it is: outside Prefix, with no
+// instruments, and not listed by Routes.
+func (m *Mux) HandleRaw(pattern string, fn http.HandlerFunc) { m.mux.HandleFunc(pattern, fn) }
 
 // Handle mounts fn at method + Prefix + path, instrumented.
 func (m *Mux) Handle(method, path string, fn http.HandlerFunc) {
@@ -117,6 +122,9 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) error {
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	// length holds the Content-Length value Write sets, so the header needs
+	// no slice of its own.
+	length [1]string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -146,12 +154,22 @@ func Answer(w http.ResponseWriter, resp any, err error) {
 	Write(w, append(body, '\n'))
 }
 
+// jsonType is every answer's Content-Type value. Headers share it, and
+// nothing mutates it: net/http copies the header when it is written.
+var jsonType = []string{"application/json"}
+
 // Write answers 200 with body, a JSON document already encoded as Answer
 // encodes one, newline included.
 func Write(w http.ResponseWriter, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h["Content-Type"] = jsonType
+	n := strconv.Itoa(len(body))
+	if sw, ok := w.(*statusWriter); ok {
+		sw.length[0] = n
+		h["Content-Length"] = sw.length[:]
+	} else {
+		h["Content-Length"] = []string{n}
+	}
 	w.Write(body)
 }
 
@@ -168,7 +186,7 @@ func Fail(w http.ResponseWriter, err error) {
 	case errors.As(err, &tooLarge):
 		status = http.StatusRequestEntityTooLarge
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }

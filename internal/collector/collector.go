@@ -62,10 +62,9 @@ type Agent struct {
 	uploads []upload
 	idle    []int32
 
-	batches       uint64
-	recordsSent   uint64
-	bytesUploaded uint64
-	spans         *otrace.Tracer
+	batches     uint64
+	recordsSent uint64
+	spans       *otrace.Tracer
 }
 
 // upload is one drained batch on its way to the store.
@@ -107,7 +106,6 @@ func (a *Agent) drain() {
 	}
 	a.batches++
 	a.recordsSent += uint64(len(batch))
-	a.bytesUploaded += uint64(len(batch)) * trace.WireSize
 	a.uploads[slot] = upload{batch: batch, span: a.spans.Batch(otrace.StageUpload)}
 	a.eng.ScheduleAfter(a.cfg.UploadLatency, a, slot)
 }
@@ -127,6 +125,6 @@ func (a *Agent) Stop() { a.ticker.Stop() }
 func (a *Agent) Flush() { a.drain() }
 
 // Stats reports the agent's lifetime counters.
-func (a *Agent) Stats() (batches, records, bytes, lost uint64) {
-	return a.batches, a.recordsSent, a.bytesUploaded, a.reader.Lost()
+func (a *Agent) Stats() (batches, records, lost uint64) {
+	return a.batches, a.recordsSent, a.reader.Lost()
 }

@@ -80,6 +80,61 @@ func TestServerRoutes(t *testing.T) {
 	}
 }
 
+// TestHandlerRoutes pins what the daemon's handler answers by path and
+// method: every /v1 route answers its own method with neither 404 nor 405,
+// and the other method with 405 and an Allow naming its own; an unknown /v1
+// path is 404, as is bare /v1; GET /metrics is the Prometheus page, and any
+// other method there is 405; a path that is not clean is a 301 to its clean
+// form.
+func TestHandlerRoutes(t *testing.T) {
+	sv := NewServer(NewService(ServiceOptions{}))
+	h := sv.Handler()
+	serve := func(method, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		return rec
+	}
+	routes := sv.v1().Routes()
+	if len(routes) == 0 {
+		t.Fatal("no routes")
+	}
+	for _, route := range routes {
+		method, pattern, _ := strings.Cut(route, " ")
+		path := strings.Replace(pattern, "{id}", "nope", 1)
+		other, allow := http.MethodPost, "GET, HEAD"
+		if method == http.MethodPost {
+			other, allow = http.MethodGet, "POST"
+		}
+		if rec := serve(method, path); rec.Code == http.StatusNotFound || rec.Code == http.StatusMethodNotAllowed {
+			t.Errorf("%s %s answered %d", method, path, rec.Code)
+		}
+		rec := serve(other, path)
+		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != allow {
+			t.Errorf("%s %s answered %d with Allow %q, want 405 with %q", other, path, rec.Code, rec.Header().Get("Allow"), allow)
+		}
+	}
+	for _, c := range []struct {
+		method, path string
+		code         int
+		header, want string
+	}{
+		{"GET", api.Prefix + "/nope", http.StatusNotFound, "", ""},
+		{"GET", api.Prefix + "/jobs/nope/nope", http.StatusNotFound, "", ""},
+		{"GET", api.Prefix, http.StatusNotFound, "", ""},
+		{"GET", api.Prefix + "/", http.StatusNotFound, "", ""},
+		{"GET", "/nope", http.StatusNotFound, "", ""},
+		{"GET", "/metrics", http.StatusOK, "Content-Type", "text/plain; version=0.0.4; charset=utf-8"},
+		{"POST", "/metrics", http.StatusMethodNotAllowed, "Allow", "GET, HEAD"},
+		{"GET", api.Prefix + "//ping", http.StatusMovedPermanently, "Location", api.Prefix + "/ping"},
+		{"GET", api.Prefix + "/jobs/../ping", http.StatusMovedPermanently, "Location", api.Prefix + "/ping"},
+	} {
+		rec := serve(c.method, c.path)
+		if rec.Code != c.code || c.header != "" && rec.Header().Get(c.header) != c.want {
+			t.Errorf("%s %s answered %d with %s %q, want %d with %q", c.method, c.path, rec.Code, c.header, rec.Header().Get(c.header), c.code, c.want)
+		}
+	}
+}
+
 // replicaOf adapts a ReplicaStore job to the paged queries' input.
 func replicaOf(t *testing.T, rs *cluster.ReplicaStore, job JobID) []jobLog {
 	t.Helper()

@@ -184,20 +184,15 @@ func soleLiveJob(l jobLister, job JobID) (JobID, error) {
 // the JSON response cap by design.
 func (c *RemoteClient) FetchRecord(job JobID, w io.Writer) error {
 	path := jobPath("/jobs/{id}/record", job)
-	resp, err := c.wire.send(http.MethodGet, path, nil)
+	b, err := c.wire.send(http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		var we api.ErrorResponse
-		if json.Unmarshal(body, &we) == nil && we.Error != "" {
-			return fmt.Errorf("%s", we.Error)
-		}
-		return fmt.Errorf("mycroft: %s: HTTP %d", path, resp.StatusCode)
+	if b.status != http.StatusOK {
+		return decode(path, b, nil)
 	}
-	_, err = io.Copy(w, resp.Body)
+	defer b.Close()
+	_, err = io.Copy(w, b)
 	return err
 }
 
@@ -387,33 +382,43 @@ func (c *RemoteClient) do(method, path string, in, out any) error {
 // maxResponse bounds how much of a response body the client will read.
 const maxResponse = 64 << 20
 
-// decode reads one answer into out: through out's wireCodec when it has one
-// and that accepts the body, through encoding/json otherwise.
-func decode(path string, resp *http.Response, out any) error {
-	defer resp.Body.Close()
+// decode reads one answer, at most maxResponse bytes, and closes it. A 200
+// is decoded into out: through out's wireCodec when it has one and that
+// accepts the body, through encoding/json otherwise. Any other status is the
+// error the body names.
+func decode(path string, b *wireBody, out any) error {
+	defer b.Close()
+	if b.length > maxResponse {
+		return tooLarge(path)
+	}
 	// A declared length sizes the buffer once, so a large page is not
 	// copied as the buffer doubles; MinRead of spare room lets the last read
 	// see EOF without growing it.
 	var buf bytes.Buffer
-	if n := resp.ContentLength; n >= 0 && n <= maxResponse {
-		buf.Grow(int(n) + bytes.MinRead)
+	if b.length >= 0 {
+		buf.Grow(int(b.length) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponse+1)); err != nil {
+	b.max = maxResponse
+	if _, err := buf.ReadFrom(b); err != nil {
+		if err == errTooLarge {
+			return tooLarge(path)
+		}
 		return err
 	}
 	body := buf.Bytes()
-	if len(body) > maxResponse {
-		return fmt.Errorf("mycroft: %s: response exceeds %d MiB — narrow the query or page it", path, maxResponse>>20)
-	}
-	if resp.StatusCode != http.StatusOK {
+	if b.status != http.StatusOK {
 		var we api.ErrorResponse
 		if json.Unmarshal(body, &we) == nil && we.Error != "" {
 			return fmt.Errorf("%s", we.Error)
 		}
-		return fmt.Errorf("mycroft: %s: HTTP %d", path, resp.StatusCode)
+		return fmt.Errorf("mycroft: %s: HTTP %d", path, b.status)
 	}
 	if c, ok := out.(wireCodec); ok && c.parseWire(body) {
 		return nil
 	}
 	return json.Unmarshal(body, out)
+}
+
+func tooLarge(path string) error {
+	return fmt.Errorf("mycroft: %s: response exceeds %d MiB — narrow the query or page it", path, maxResponse>>20)
 }

@@ -230,13 +230,13 @@ func (sv *Server) v1() *api.Mux {
 }
 
 // Handler serves the /v1 endpoint set plus GET /metrics, the service
-// registry in Prometheus text format. Every /v1 route carries per-endpoint
-// request/error/latency instruments registered on the same registry.
+// registry in Prometheus text format, from one ServeMux. Every /v1 route
+// carries per-endpoint request/error/latency instruments registered on the
+// same registry; /metrics carries none.
 func (sv *Server) Handler() http.Handler {
 	reg := sv.svc.Metrics()
-	mux := http.NewServeMux()
-	mux.Handle(api.Prefix+"/", sv.v1())
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux := sv.v1()
+	mux.HandleRaw("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Sample under the server mutex: gauge callbacks read engine-owned
 		// state (store occupancy, stream lists) that the drive loop mutates.
 		// Render after, so a scrape holds Advance off only for the callbacks.

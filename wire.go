@@ -2,12 +2,15 @@ package mycroft
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httputil"
+	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
@@ -18,9 +21,10 @@ import (
 // wireClient is the client half of the wire for one daemon address. Each
 // round trip runs on the calling goroutine: it takes a kept HTTP/1.1
 // connection from a small idle pool (or dials one), writes the request
-// through the connection's bufio.Writer and reads the answer with
-// http.ReadResponse, so Content-Length and chunked bodies are framed as
-// net/http frames them. No goroutine is started per connection or request.
+// through the connection's bufio.Writer and reads the answer's head itself
+// (readHead). It frames the body by Content-Length or chunked coding as
+// net/http frames it, and builds no header map and no http.Response. No
+// goroutine is started per connection or request.
 //
 // What it keeps of http.Client:
 //   - timeout is one deadline on the connection covering dial, write and the
@@ -91,17 +95,18 @@ func validTarget(s string) bool {
 // do is one round trip: in as a JSON body, or none when nil, and the JSON
 // answer decoded into out.
 func (w *wireClient) do(method, path string, in, out any) error {
-	resp, err := w.send(method, path, in)
+	b, err := w.send(method, path, in)
 	if err != nil {
 		return err
 	}
-	return decode(path, resp, out)
+	return decode(path, b, out)
 }
 
 // send writes one request and reads the answer's status line and header. The
 // caller reads the body and closes it, which returns the connection to the
-// pool or closes it.
-func (w *wireClient) send(method, path string, in any) (*http.Response, error) {
+// pool or closes it. The body lives in the connection, so it is valid until
+// it is closed.
+func (w *wireClient) send(method, path string, in any) (*wireBody, error) {
 	if w.err != nil {
 		return nil, w.fail(method, path, w.err)
 	}
@@ -121,9 +126,9 @@ func (w *wireClient) send(method, path string, in any) (*http.Response, error) {
 		if err != nil {
 			return nil, w.fail(method, path, err)
 		}
-		resp, sent, err := wc.roundTrip(method, path, body)
+		b, sent, err := wc.roundTrip(method, path, body)
 		if err == nil {
-			return resp, nil
+			return b, nil
 		}
 		wc.nc.Close()
 		if !reused || retried || isTimeout(err) || (sent && method != http.MethodGet) {
@@ -202,7 +207,7 @@ func (w *wireClient) closeIdle() {
 	}
 }
 
-// wireConn is one kept connection and its buffers.
+// wireConn is one kept connection, its buffers and the answer in flight.
 type wireConn struct {
 	w  *wireClient
 	nc net.Conn
@@ -233,7 +238,7 @@ func (wc *wireConn) Write(p []byte) (int, error) {
 
 // roundTrip writes the request and reads the answer's head. sent reports
 // whether any byte of the request reached the socket.
-func (wc *wireConn) roundTrip(method, path string, body []byte) (resp *http.Response, sent bool, err error) {
+func (wc *wireConn) roundTrip(method, path string, body []byte) (b *wireBody, sent bool, err error) {
 	before := wc.written
 	w, bw := wc.w, wc.bw
 	bw.WriteString(method)
@@ -253,41 +258,317 @@ func (wc *wireConn) roundTrip(method, path string, body []byte) (resp *http.Resp
 	if err := bw.Flush(); err != nil {
 		return nil, wc.written > before, err
 	}
-	if resp, err = http.ReadResponse(wc.br, nil); err != nil {
+	if err := wc.readHead(); err != nil {
 		return nil, true, err
 	}
-	wc.body = wireBody{wc: wc, rc: resp.Body, keep: !resp.Close}
-	resp.Body = &wc.body
-	return resp, true, nil
+	return &wc.body, true, nil
 }
 
-// wireBody is an answer's body. Closing it returns the connection to the pool
-// when the body was read to EOF, the answer let the connection stay open and
-// nothing past the answer was read; otherwise the connection is closed, and
-// an unread body is never drained.
+// readHead reads the answer's status line and header lines into wc.body. It
+// acts on Content-Length, Transfer-Encoding and Connection as
+// http.ReadResponse does and skips every other header after checking its
+// bytes, so a head it accepts http.ReadResponse accepts too, with the same
+// status, length and close flag (FuzzWireHead). It is stricter: it refuses a
+// 1xx answer, an HTTP version other than 1.0 and 1.1, a folded header line,
+// Transfer-Encoding beside Content-Length or on HTTP/1.0, and a line longer
+// than the read buffer.
+func (wc *wireConn) readHead() error {
+	line, err := wc.headLine()
+	if err != nil {
+		return err
+	}
+	var http10 bool
+	switch {
+	case bytes.HasPrefix(line, []byte("HTTP/1.1 ")):
+	case bytes.HasPrefix(line, []byte("HTTP/1.0 ")):
+		http10 = true
+	default:
+		return headError("malformed status line", line)
+	}
+	code := bytes.TrimLeft(line[len("HTTP/1.1 "):], " ")
+	if len(code) < 3 || len(code) > 3 && code[3] != ' ' {
+		return headError("malformed status code", line)
+	}
+	status := 0
+	for _, c := range code[:3] {
+		if c < '0' || c > '9' {
+			return headError("malformed status code", line)
+		}
+		status = status*10 + int(c-'0')
+	}
+	if status < 200 {
+		return headError("interim or invalid status", line)
+	}
+
+	var (
+		length    = int64(-1)
+		digits    [18]byte // the first Content-Length, to compare a repeat with
+		nDigits   int
+		chunked   bool
+		closing   bool
+		keepAlive bool
+	)
+	for {
+		if line, err = wc.headLine(); err != nil {
+			return err
+		}
+		if len(line) == 0 {
+			break
+		}
+		if line[0] == ' ' || line[0] == '\t' {
+			return headError("folded header line", line)
+		}
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 {
+			return headError("header line with no colon or an empty name", line)
+		}
+		key, value := line[:colon], line[colon+1:]
+		for _, c := range key {
+			if !tokenByte(c) {
+				return headError("malformed header field name", line)
+			}
+		}
+		for _, c := range value {
+			if c < ' ' && c != '\t' || c == 0x7f {
+				return headError("control byte in a header value", line)
+			}
+		}
+		value = trimOWS(value)
+		switch {
+		case equalFold(key, "Content-Length"):
+			if nDigits > 0 {
+				if string(value) != string(digits[:nDigits]) {
+					return headError("a second, different Content-Length", line)
+				}
+				continue
+			}
+			if len(value) == 0 || len(value) > len(digits) {
+				return headError("malformed Content-Length", line)
+			}
+			length = 0
+			for _, c := range value {
+				if c < '0' || c > '9' {
+					return headError("malformed Content-Length", line)
+				}
+				length = length*10 + int64(c-'0')
+			}
+			nDigits = copy(digits[:], value)
+		case equalFold(key, "Transfer-Encoding"):
+			if chunked || !equalFold(value, "chunked") {
+				return headError("unsupported Transfer-Encoding", line)
+			}
+			chunked = true
+		case equalFold(key, "Connection"):
+			closing = closing || hasToken(value, "close")
+			keepAlive = keepAlive || hasToken(value, "keep-alive")
+		}
+	}
+	if chunked && (http10 || nDigits > 0) {
+		return errors.New("mycroft: answer head: Transfer-Encoding with Content-Length or on HTTP/1.0")
+	}
+	if http10 {
+		closing = closing || !keepAlive
+	}
+	b := &wc.body
+	*b = wireBody{wc: wc, status: status, length: length}
+	switch {
+	case status == http.StatusNoContent || status == http.StatusNotModified:
+		b.length = 0
+	case chunked:
+		b.chunked = httputil.NewChunkedReader(wc.br)
+	case length < 0:
+		closing = true // the body ends when the connection does
+	}
+	b.rest, b.keep, b.open = b.length, !closing, true
+	return nil
+}
+
+// headLine reads one line of the head, without its line end.
+func (wc *wireConn) headLine() ([]byte, error) {
+	line, err := wc.br.ReadSlice('\n')
+	switch {
+	case err == bufio.ErrBufferFull:
+		return nil, fmt.Errorf("mycroft: answer head line longer than %d bytes", wc.br.Size())
+	case err == io.EOF:
+		return nil, io.ErrUnexpectedEOF
+	case err != nil:
+		return nil, err
+	}
+	line = line[:len(line)-1]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, nil
+}
+
+func headError(what string, line []byte) error {
+	return fmt.Errorf("mycroft: answer head: %s: %q", what, line)
+}
+
+// equalFold reports whether b is s, ignoring ASCII case.
+func equalFold(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i, c := range b {
+		if lowerASCII(c) != lowerASCII(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
+}
+
+// hasToken reports whether the comma-separated list v holds token, as
+// net/http reads a Connection header.
+func hasToken(v []byte, token string) bool {
+	for len(v) > 0 {
+		item := v
+		if i := bytes.IndexByte(v, ','); i >= 0 {
+			item, v = v[:i], v[i+1:]
+		} else {
+			v = nil
+		}
+		if equalFold(trimOWS(item), token) {
+			return true
+		}
+	}
+	return false
+}
+
+// trimOWS cuts the spaces and tabs around b.
+func trimOWS(b []byte) []byte {
+	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
+		b = b[1:]
+	}
+	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t') {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// tokenByte reports whether c may appear in a header field name (RFC 7230's
+// tchar).
+func tokenByte(c byte) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		return true
+	}
+	return strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0
+}
+
+// errTooLarge is a body that passed the limit its reader set.
+var errTooLarge = errors.New("mycroft: answer body over its limit")
+
+// wireBody is an answer's status and body, framed by its head: a counted
+// Content-Length body, a chunked one, or one that runs to the end of the
+// connection. Closing it returns the connection to the pool when the body
+// was read to EOF, the answer let the connection stay open and nothing past
+// the answer was read; otherwise the connection is closed, and an unread
+// body is never drained.
 type wireBody struct {
-	wc   *wireConn
-	rc   io.ReadCloser
-	keep bool
-	eof  bool
+	wc     *wireConn
+	status int
+	// length is the declared Content-Length; -1 when chunked or unknown.
+	length int64
+	// rest is what is left of a Content-Length body; -1 for the others.
+	rest    int64
+	chunked io.Reader
+	// max, when above 0, is the most body bytes a reader takes; read counts
+	// them.
+	max, read int64
+	keep      bool
+	eof       bool
+	open      bool
 }
 
-func (b *wireBody) Read(p []byte) (int, error) {
-	n, err := b.rc.Read(p)
+func (b *wireBody) Read(p []byte) (n int, err error) {
+	switch {
+	case b.eof:
+		return 0, io.EOF
+	case b.rest == 0:
+		b.eof = true
+		return 0, io.EOF
+	case b.rest > 0:
+		if int64(len(p)) > b.rest {
+			p = p[:b.rest]
+		}
+		n, err = b.wc.br.Read(p)
+		b.rest -= int64(n)
+		switch {
+		case err == io.EOF:
+			err = io.ErrUnexpectedEOF
+		case err == nil && b.rest == 0:
+			err = io.EOF
+		}
+	case b.chunked != nil:
+		if n, err = b.chunked.Read(p); err == io.EOF {
+			if terr := b.readTrailer(); terr != nil {
+				err = terr
+			}
+		}
+	default:
+		n, err = b.wc.br.Read(p)
+	}
 	if err == io.EOF {
 		b.eof = true
+	}
+	if b.max > 0 {
+		if b.read += int64(n); b.read > b.max {
+			return 0, errTooLarge
+		}
 	}
 	return n, err
 }
 
+// readTrailer reads what follows a chunked body's last chunk, as net/http
+// reads it: an empty line, or trailer fields, which are dropped.
+func (b *wireBody) readTrailer() error {
+	br := b.wc.br
+	buf, err := br.Peek(2)
+	switch {
+	case string(buf) == "\r\n":
+		br.Discard(2)
+		return nil
+	case len(buf) < 2:
+		return errTrailerEOF
+	case err != nil:
+		return err
+	}
+	// Like net/http, refuse a trailer that does not end within the buffer.
+	for n := 4; ; n++ {
+		buf, err := br.Peek(n)
+		if bytes.HasSuffix(buf, []byte("\r\n\r\n")) {
+			break
+		}
+		if err != nil {
+			return errors.New("mycroft: answer trailer longer than the read buffer")
+		}
+	}
+	if _, err := textproto.NewReader(br).ReadMIMEHeader(); err != nil {
+		if err == io.EOF {
+			return errTrailerEOF
+		}
+		return err
+	}
+	return nil
+}
+
+var errTrailerEOF = errors.New("mycroft: unexpected EOF reading the answer trailer")
+
 func (b *wireBody) Close() error {
-	if b.rc == nil {
+	if !b.open {
 		return nil
 	}
-	rc, wc := b.rc, b.wc
-	b.rc = nil
+	b.open = false
+	wc := b.wc
 	if b.eof && b.keep && wc.br.Buffered() == 0 {
-		rc.Close() // a body read to EOF closes without reading
 		wc.w.putIdle(wc)
 		return nil
 	}

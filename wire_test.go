@@ -1,6 +1,8 @@
 package mycroft
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -117,14 +119,14 @@ func TestWirePoolKeepsOnlyFinishedConnections(t *testing.T) {
 	step("/close", 0)
 	step("/ok", 1)
 
-	resp, err := w.send(http.MethodGet, "/long", nil)
+	b, err := w.send(http.MethodGet, "/long", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := io.ReadFull(resp.Body, make([]byte, 1024)); err != nil {
+	if _, err := io.ReadFull(b, make([]byte, 1024)); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	b.Close()
 	if n := idleConns(w); n != 0 {
 		t.Fatalf("a body closed before its end left %d idle connections", n)
 	}
@@ -413,5 +415,150 @@ func TestServeLockTimingAllocatesNothing(t *testing.T) {
 	}
 	if c := srv.lockTimes["Health"].wait.Count(); c == 0 {
 		t.Fatal("the timed locks observed nothing")
+	}
+}
+
+// capture sends one raw request asking to close to h and returns every byte
+// of the answer, head and body, as net/http's server writes them.
+func capture(t testing.TB, h http.Handler, request string) []byte {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	c, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, request); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// FuzzWireHead: whenever readHead accepts an answer's head, http.ReadResponse
+// accepts it too, with the same status, length (-1 for chunked or unknown)
+// and close flag, and both read the same body bytes to EOF and stop at the
+// same byte, or both fail.
+func FuzzWireHead(f *testing.F) {
+	daemon := NewServer(NewService(ServiceOptions{})).Handler()
+	get := func(path string) string {
+		return "GET " + path + " HTTP/1.1\r\nHost: d\r\nConnection: close\r\n\r\n"
+	}
+	f.Add(capture(f, daemon, get(api.Prefix+"/ping")))                                        // a JSON page
+	f.Add(capture(f, daemon, get(api.Prefix+"/jobs/nope/channels")))                          // a Fail answer
+	f.Add(capture(f, daemon, get(api.Prefix+"/jobs/"+strings.Repeat("n", 3000)+"/channels"))) // a Fail answer over 2 KiB, chunked
+	for _, s := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n3\r\n{\"a\r\n4\r\n\":1}\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\nX-Trailer: 1\r\n\r\n",
+		"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.0 200 OK\r\n\r\nto the end",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nConnection: Upgrade, CLOSE\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 02\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 204 No Content\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Long: " + strings.Repeat("x", 5000) + "\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\nContent-Length: 1\n\nx",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, hsrc := bytes.NewReader(data), bytes.NewReader(data)
+		wc := &wireConn{br: bufio.NewReader(src)}
+		if wc.readHead() != nil {
+			return
+		}
+		hr := bufio.NewReader(hsrc)
+		resp, err := http.ReadResponse(hr, nil)
+		if err != nil {
+			t.Fatalf("readHead accepted a head http.ReadResponse refuses: %v", err)
+		}
+		b := &wc.body
+		if b.status != resp.StatusCode || b.length != resp.ContentLength || !b.keep != resp.Close {
+			t.Fatalf("readHead: status %d, length %d, close %v; http.ReadResponse: %d, %d, %v",
+				b.status, b.length, !b.keep, resp.StatusCode, resp.ContentLength, resp.Close)
+		}
+		got, gotErr := io.ReadAll(b)
+		want, wantErr := io.ReadAll(resp.Body)
+		if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("body %q (%v), net/http reads %q (%v)", got, gotErr, want, wantErr)
+		}
+		// What follows a finished answer is the next one, so both must stop
+		// at the same byte: a trailer left unread would poison a pooled
+		// connection.
+		left, hleft := src.Len()+wc.br.Buffered(), hsrc.Len()+hr.Buffered()
+		if gotErr == nil && left != hleft {
+			t.Fatalf("%d bytes left past the answer, net/http leaves %d", left, hleft)
+		}
+	})
+}
+
+// TestWireAnswerAllocatesNothing: on a pooled connection, sending a request
+// without a body, reading a Content-Length answer to EOF and closing it costs
+// no malloc. The server is a bare listener writing one canned answer per
+// request, so it allocates nothing either.
+func TestWireAnswerAllocatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a malloc count taken under the race detector is not the program's")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	answer := []byte("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nDate: Mon, 19 Oct 2026 16:00:00 GMT\r\nContent-Length: 13\r\n\r\n{\"status\":1}\n")
+	end := []byte("\r\n\r\n")
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var buf [4096]byte
+		have := 0
+		for have < len(buf) {
+			n, err := c.Read(buf[have:])
+			if err != nil {
+				return
+			}
+			have += n
+			for i := bytes.Index(buf[:have], end); i >= 0; i = bytes.Index(buf[:have], end) {
+				have = copy(buf[:], buf[i+len(end):have])
+				c.Write(answer)
+			}
+		}
+	}()
+	w := newWireClient("http://"+ln.Addr().String(), time.Minute)
+	var p [8]byte
+	var total int
+	round := func() {
+		b, err := w.send(http.MethodGet, api.Prefix+"/health", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			var n int
+			n, err = b.Read(p[:])
+			total += n
+		}
+		if err != io.EOF {
+			t.Fatal(err)
+		}
+		b.Close()
+	}
+	round() // dials the connection the rounds below reuse
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("a pooled round trip allocates %.1f times", n)
+	}
+	if total != 13*102 || idleConns(w) != 1 {
+		t.Fatalf("read %d body bytes over %d pooled connections, want %d over 1", total, idleConns(w), 13*102)
 	}
 }
