@@ -296,15 +296,6 @@ func (db *DB) CommsOfRank(r topo.Rank) []uint64 {
 	return out
 }
 
-// QueryRank returns rank r's records with Time in (from, to], in order.
-func (db *DB) QueryRank(r topo.Rank, from, to sim.Time) []trace.Record {
-	s := db.series(r)
-	if s == nil {
-		return nil
-	}
-	return s.records(s.log.window(from, to))
-}
-
 // QueryGroup returns, per member rank of the communicator, the records in
 // (from, to] that belong to that communicator.
 func (db *DB) QueryGroup(commID uint64, from, to sim.Time) map[topo.Rank][]trace.Record {

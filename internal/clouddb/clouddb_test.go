@@ -28,14 +28,14 @@ func TestIngestAndQueryRank(t *testing.T) {
 	if db.BytesIngested() != 10*trace.WireSize {
 		t.Fatalf("BytesIngested = %d", db.BytesIngested())
 	}
-	got := db.QueryRank(3, 100, 500)
+	got := db.Query(Query{Ranks: []topo.Rank{3}, From: 100, To: 500}).Records
 	if len(got) != 4 { // times 200,300,400,500: (100, 500]
-		t.Fatalf("QueryRank returned %d records: %+v", len(got), got)
+		t.Fatalf("Query returned %d records: %+v", len(got), got)
 	}
 	if got[0].Time != 200 || got[3].Time != 500 {
 		t.Fatalf("window bounds wrong: %v..%v", got[0].Time, got[3].Time)
 	}
-	if db.QueryRank(99, 0, 1000) != nil {
+	if db.Query(Query{Ranks: []topo.Rank{99}, To: 1000}).Records != nil {
 		t.Fatal("unknown rank returned records")
 	}
 }
@@ -131,7 +131,7 @@ func TestRetentionPrunes(t *testing.T) {
 	if db.Pruned() != 1 {
 		t.Fatalf("Pruned = %d, want 1", db.Pruned())
 	}
-	if got := db.QueryRank(0, 0, sim.Time(10*time.Second)); len(got) != 1 {
+	if got := db.Query(Query{Ranks: []topo.Rank{0}, To: sim.Time(10 * time.Second)}).Records; len(got) != 1 {
 		t.Fatalf("retention left %d records", len(got))
 	}
 }
@@ -156,7 +156,7 @@ func TestRetentionSweepsWholeStore(t *testing.T) {
 
 	// Only rank 0 ingests again; rank 1's expired record goes too.
 	db.Ingest([]trace.Record{rec(0, 1, sim.Time(5*time.Second), trace.KindState)})
-	if got := db.QueryRank(1, 0, sim.Time(10*time.Second)); got != nil {
+	if got := db.Query(Query{Ranks: []topo.Rank{1}, To: sim.Time(10 * time.Second)}).Records; got != nil {
 		t.Fatalf("silent rank 1 kept %d expired records", len(got))
 	}
 	if db.Pruned() != 2 {

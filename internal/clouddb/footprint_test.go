@@ -158,7 +158,7 @@ func TestPruneReleasesMemory(t *testing.T) {
 	before := held()
 	eng.RunFor(2 * horizon)
 	db.Ingest([]trace.Record{rec(0, 1, eng.Now(), trace.KindState)})
-	if got := len(db.QueryRank(ranks, 0, sim.Infinity)); got != 0 {
+	if got := len(db.Query(Query{Ranks: []topo.Rank{ranks}}).Records); got != 0 {
 		t.Fatalf("silent rank still has %d live records", got)
 	}
 	if freed, want := before-held(), 0.9*burst*float64(narrow+1); freed < want {
@@ -198,7 +198,7 @@ func TestFlowTableResetsWhenEmpty(t *testing.T) {
 		t.Fatalf("%d flows after refilling with 2 new ones, want 2", got)
 	}
 	var channels []int32
-	for _, r := range db.QueryRank(0, 0, sim.Infinity) {
+	for _, r := range db.Query(Query{Ranks: []topo.Rank{0}}).Records {
 		channels = append(channels, r.Channel)
 	}
 	if want := []int32{4, 5, 4}; !slices.Equal(channels, want) {

@@ -43,7 +43,7 @@ var roundTripSeeds = [][]byte{
 type sealing struct{ fifth, wide, grown, boundary bool }
 
 // FuzzStoreRoundTrip: whatever per-rank time-ordered stream is ingested,
-// QueryRank gives back every field of every record, and after a retention
+// Query gives back every field of every record, and after a retention
 // cut every field of every record the cut keeps.
 func FuzzStoreRoundTrip(f *testing.F) {
 	for _, seed := range roundTripSeeds {
@@ -94,7 +94,7 @@ func roundTrip(t *testing.T, data []byte) (reached sealing) {
 					want = append(want, rc)
 				}
 			}
-			if got := db.QueryRank(r, -1, sim.Infinity); !slices.Equal(got, want) {
+			if got := db.Query(Query{Ranks: []topo.Rank{r}, From: -1}).Records; !slices.Equal(got, want) {
 				t.Fatalf("rank %d after a cut at %v: %d records back, want %d\n got %+v\nwant %+v", r, cut, len(got), len(want), got, want)
 			}
 		}
@@ -173,7 +173,7 @@ func roundTrip(t *testing.T, data []byte) (reached sealing) {
 	}
 	cut := newest / 255 * sim.Time(cutAt)
 	eng.RunUntil(cut.Add(time.Second))
-	// A record of another rank prunes the store; QueryRank reads only
+	// A record of another rank prunes the store; check reads only
 	// ranks 0–3.
 	db.Ingest([]trace.Record{{Kind: trace.KindState, Time: eng.Now(), Rank: 4, IP: "10.0.0.2"}})
 	check(cut)

@@ -535,7 +535,8 @@ func (p *storeProgram) check() {
 		}
 		comm := uint64(1 + rng.Intn(modelComms))
 		for _, w := range windows {
-			p.equal("QueryRank", db.QueryRank(r, w[0], w[1]), m.scan(r, w[0], w[1], anyRecord))
+			q := Query{Ranks: []topo.Rank{r}, From: w[0], To: w[1]}
+			p.equal("Query of one rank", db.Query(q).Records, m.matches(q), q)
 		}
 		for _, t := range []sim.Time{now, when()} {
 			win := time.Duration(rng.Intn(1000)) * time.Millisecond

@@ -210,13 +210,20 @@ func TestQueryPaginationRankBoundary(t *testing.T) {
 	}
 }
 
-func TestQueryMatchesQueryRank(t *testing.T) {
+// TestQueryOneRankWindow: a query of one rank over (From, To] returns that
+// rank's part of the whole store's answer, those times only.
+func TestQueryOneRankWindow(t *testing.T) {
 	db := New(sim.NewEngine(1), 0)
 	fill(db, 4, 20)
-	want := db.QueryRank(2, 300, 1500)
+	var want []trace.Record
+	for _, rec := range db.Query(Query{}).Records {
+		if rec.Rank == 2 && rec.Time > 300 && rec.Time <= 1500 {
+			want = append(want, rec)
+		}
+	}
 	got := db.Query(Query{Ranks: []topo.Rank{2}, From: 300, To: 1500})
-	if len(got.Records) != len(want) {
-		t.Fatalf("Query %d vs QueryRank %d", len(got.Records), len(want))
+	if len(got.Records) != len(want) || len(want) == 0 {
+		t.Fatalf("Query %d vs whole-store slice %d", len(got.Records), len(want))
 	}
 	for i := range want {
 		if got.Records[i] != want[i] {

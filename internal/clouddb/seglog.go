@@ -401,16 +401,3 @@ func (s *rankSeries) appendTo(out []trace.Record, t sim.Time, rw *row) []trace.R
 	s.load(&out[len(out)-1], t, rw)
 	return out
 }
-
-// records materialises live records [lo, hi) in order; nil when empty.
-func (s *rankSeries) records(lo, hi int) []trace.Record {
-	if lo >= hi {
-		return nil
-	}
-	out := make([]trace.Record, hi-lo)
-	for i := range out {
-		t, rw := s.log.at(lo + i)
-		s.load(&out[i], t, rw)
-	}
-	return out
-}

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"time"
 
 	"mycroft/internal/clouddb"
 	"mycroft/internal/depgraph"
@@ -13,21 +14,49 @@ import (
 	"mycroft/internal/trace"
 )
 
-// rankState is the backend's per-sampled-rank rolling baseline.
+// rankState is the backend's Algorithm 1 state for one sampled rank: its
+// rolling baselines, and what the rules read of its records, kept as they
+// ingest (observe). Evaluate runs at or after the newest ingested record, so
+// from t = Window on the window (t−Window, t] holds exactly the kept
+// completions newer than t−Window, and a state log (one stuck over Window/2)
+// exactly when the newest such log is newer than t−Window.
 type rankState struct {
 	tpBaseline  *stats.RollingRate // bytes per second over the window
 	gapBaseline *stats.RollingRate // mean completion interval (seconds)
 	baselineObs int
 	tpHist      []bool // recent windows violating the throughput rule
 	gapHist     []bool // recent windows violating the interval rule
+
+	done      []completion // completions newer than the newest one minus Window, in order
+	lastState sim.Time     // newest state log's time
+	lastStuck sim.Time     // newest state log's time with StuckNs over Window/2
+}
+
+// completion is what the rules read of a completion log.
+type completion struct {
+	at    sim.Time
+	bytes int64
+}
+
+// window evicts the completions at or before t−w, moving the rest to the
+// buffer's front so appends reuse it, and returns what (t−w, t] holds: the
+// completions, whether a state log, and whether one stuck over w/2.
+func (st *rankState) window(t sim.Time, w time.Duration) (done []completion, states, stuck bool) {
+	cut, i := t.Add(-w), 0
+	for i < len(st.done) && st.done[i].at <= cut {
+		i++
+	}
+	if i > 0 {
+		st.done = st.done[:copy(st.done, st.done[i:])]
+	}
+	return st.done, st.lastState > cut, st.lastStuck > cut
 }
 
 func pushHist(h []bool, v bool, span int) []bool {
-	h = append(h, v)
-	if len(h) > span {
-		h = h[len(h)-span:]
+	if len(h) == span {
+		h = h[:copy(h, h[1:])]
 	}
-	return h
+	return append(h, v)
 }
 
 func countTrue(h []bool) int {
@@ -48,7 +77,8 @@ type Backend struct {
 	graph   *depgraph.Graph
 	cfg     Config
 	sampled []topo.Rank
-	state   map[topo.Rank]*rankState
+	state   []*rankState // indexed by rank; nil for a rank not sampled
+	gaps    []float64    // scratch for the median completion interval
 
 	ticker    *sim.Ticker
 	muteUntil sim.Time
@@ -65,10 +95,10 @@ type Backend struct {
 
 // NewBackend creates (but does not start) a backend over the sampled ranks,
 // with an empty evidence-fusion state of its own. The store must not have
-// taken in any record yet: the dependency graph is maintained as records
-// ingest, from the first one on. The observer stays attached for the store's
-// lifetime (Stop only pauses trigger evaluation), so build at most one
-// backend per DB.
+// taken in any record yet: the dependency graph and the sampled ranks' window
+// state are maintained as records ingest, from the first one on. The
+// observers stay attached for the store's lifetime (Stop only pauses trigger
+// evaluation), so build at most one backend per DB.
 func NewBackend(eng *sim.Engine, db *clouddb.DB, sampled []topo.Rank, cfg Config) *Backend {
 	if len(sampled) == 0 {
 		panic("core: no sampled ranks")
@@ -79,9 +109,10 @@ func NewBackend(eng *sim.Engine, db *clouddb.DB, sampled []topo.Rank, cfg Config
 	cfg = cfg.withDefaults()
 	b := &Backend{
 		eng: eng, db: db, graph: depgraph.New(), cfg: cfg, sampled: sampled,
-		state: make(map[topo.Rank]*rankState), fusion: NewFusion(FusionConfig{}),
+		state: make([]*rankState, slices.Max(sampled)+1), fusion: NewFusion(FusionConfig{}),
 	}
 	db.AddIngestObserver(b.graph.ObserveBatch)
+	db.AddIngestObserver(b.observe)
 	for _, r := range sampled {
 		b.state[r] = &rankState{
 			tpBaseline:  stats.NewRollingRate(0.3),
@@ -89,6 +120,26 @@ func NewBackend(eng *sim.Engine, db *clouddb.DB, sampled []topo.Rank, cfg Config
 		}
 	}
 	return b
+}
+
+// observe folds an ingested batch into the sampled ranks' window state.
+func (b *Backend) observe(batch []trace.Record) {
+	for i := range batch {
+		r := &batch[i]
+		if int(r.Rank) >= len(b.state) || b.state[r.Rank] == nil {
+			continue
+		}
+		switch st := b.state[r.Rank]; r.Kind {
+		case trace.KindCompletion:
+			st.window(r.Time, b.cfg.Window) // evicts what this completion's window has passed
+			st.done = append(st.done, completion{r.Time, r.MsgSize})
+		case trace.KindState:
+			st.lastState = r.Time
+			if r.StuckNs > int64(b.cfg.Window)/2 {
+				st.lastStuck = r.Time
+			}
+		}
+	}
 }
 
 // Sampled returns the monitored ranks.
@@ -131,9 +182,10 @@ func (b *Backend) Stop() {
 // exactly the recorded instants instead of re-arming the timer.
 func (b *Backend) SetEvalObserver(fn func(sim.Time)) { b.evalObs = fn }
 
-// Evaluate runs one Algorithm 1 pass over the sampled ranks at time t. It is
-// exported so tests and ad-hoc tooling can drive the backend without the
-// timer.
+// Evaluate runs one Algorithm 1 pass over the sampled ranks at time t, which
+// must be at or after the newest ingested record's time: the pass reads the
+// state kept at ingest, not the store (see rankState). It is exported so
+// tests and ad-hoc tooling can drive the backend without the timer.
 func (b *Backend) Evaluate(t sim.Time) {
 	if b.evalObs != nil {
 		b.evalObs(t)
@@ -149,7 +201,8 @@ func (b *Backend) Evaluate(t sim.Time) {
 	}
 }
 
-// evaluateRank applies Algorithm 1's rules to one sampled rank.
+// evaluateRank applies Algorithm 1's rules to one sampled rank's window
+// state. It queries no store.
 func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 	if t < sim.Time(b.cfg.Window) {
 		return Trigger{}, false // the look-back window is not yet full
@@ -159,35 +212,19 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 		return Trigger{}, false // job not producing yet
 	}
 	st := b.state[rank]
-	recs := b.db.QueryRank(rank, t.Add(-b.cfg.Window), t)
-
-	// One pass over the window, which QueryRank copied out for this call:
-	// its completions move to the front of it, in order, and its state logs
-	// count only through their number and their longest stuck time.
-	completions := recs[:0]
-	var states int
-	var maxStuck int64
-	for _, r := range recs {
-		switch r.Kind {
-		case trace.KindCompletion:
-			completions = append(completions, r)
-		case trace.KindState:
-			states++
-			maxStuck = max(maxStuck, r.StuckNs)
-		}
-	}
+	done, states, stuck := st.window(t, b.cfg.Window)
 
 	ip, _ := b.db.IPOf(rank)
-	if len(completions) == 0 {
+	if len(done) == 0 {
 		// Stalled mid-operation (state logs without completion) or silent
 		// entirely (proxy crash / dead host). Guard against warm-up: before
 		// the rank has ever completed an op, require a visibly stuck flow
 		// rather than mere absence of completions.
-		if !frontier.Completed && maxStuck <= int64(b.cfg.Window)/2 {
+		if !frontier.Completed && !stuck {
 			return Trigger{}, false
 		}
 		reason := "no CollOp completed in window"
-		if states == 0 {
+		if !states {
 			reason = "rank silent: no logs at all in window"
 		}
 		return Trigger{
@@ -202,18 +239,18 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 	// step, §9) must not read as degradation, while a uniform stretch of
 	// the cadence must.
 	var bytes int64
-	for _, c := range completions {
-		bytes += c.MsgSize
+	for _, c := range done {
+		bytes += c.bytes
 	}
 	tp := float64(bytes) / b.cfg.Window.Seconds()
 	var gap float64
-	if len(completions) >= 2 {
-		gaps := make([]float64, 0, len(completions)-1)
-		for i := 1; i < len(completions); i++ {
-			gaps = append(gaps, completions[i].Time.Sub(completions[i-1].Time).Seconds())
+	if len(done) >= 2 {
+		b.gaps = b.gaps[:0]
+		for i := 1; i < len(done); i++ {
+			b.gaps = append(b.gaps, done[i].at.Sub(done[i-1].at).Seconds())
 		}
-		sort.Float64s(gaps)
-		gap = gaps[len(gaps)/2]
+		slices.Sort(b.gaps)
+		gap = b.gaps[len(b.gaps)/2]
 	}
 
 	if st.baselineObs >= b.cfg.MinBaselineSamples {
@@ -227,24 +264,21 @@ func (b *Backend) evaluateRank(rank topo.Rank, t sim.Time) (Trigger, bool) {
 		}
 		st.tpHist = pushHist(st.tpHist, tpBad, b.cfg.BadWindowSpan)
 		st.gapHist = pushHist(st.gapHist, gapBad, b.cfg.BadWindowSpan)
-		if countTrue(st.tpHist) >= b.cfg.BadWindows {
-			st.tpHist, st.gapHist = nil, nil
-			return Trigger{
-				Kind: TriggerStraggler, Rank: rank, IP: ip, At: t,
-				CommID: b.implicatedComm(rank, t),
-				Reason: fmt.Sprintf("throughput %.2g B/s below %.0f%% of baseline %.2g B/s in %d of %d windows", tp, 100*b.cfg.ThroughputDrop, tpBase, b.cfg.BadWindows, b.cfg.BadWindowSpan),
-			}, true
-		}
-		if countTrue(st.gapHist) >= b.cfg.BadWindows {
-			st.tpHist, st.gapHist = nil, nil
-			return Trigger{
-				Kind: TriggerStraggler, Rank: rank, IP: ip, At: t,
-				CommID: b.implicatedComm(rank, t),
-				Reason: fmt.Sprintf("op interval %.3gs over %.1f× baseline %.3gs in %d of %d windows", gap, b.cfg.IntervalGrow, gapBase, b.cfg.BadWindows, b.cfg.BadWindowSpan),
-			}, true
-		}
-		if tpBad || gapBad {
+		var reason string
+		switch {
+		case countTrue(st.tpHist) >= b.cfg.BadWindows:
+			reason = fmt.Sprintf("throughput %.2g B/s below %.0f%% of baseline %.2g B/s in %d of %d windows", tp, 100*b.cfg.ThroughputDrop, tpBase, b.cfg.BadWindows, b.cfg.BadWindowSpan)
+		case countTrue(st.gapHist) >= b.cfg.BadWindows:
+			reason = fmt.Sprintf("op interval %.3gs over %.1f× baseline %.3gs in %d of %d windows", gap, b.cfg.IntervalGrow, gapBase, b.cfg.BadWindows, b.cfg.BadWindowSpan)
+		case tpBad || gapBad:
 			return Trigger{}, false // suspicious: freeze baselines, wait for persistence
+		}
+		if reason != "" {
+			st.tpHist, st.gapHist = nil, nil
+			return Trigger{
+				Kind: TriggerStraggler, Rank: rank, IP: ip, At: t,
+				CommID: b.implicatedComm(rank, t), Reason: reason,
+			}, true
 		}
 	}
 	st.tpBaseline.Observe(tp)

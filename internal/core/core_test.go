@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,17 @@ func TestFailureTriggerOnStall(t *testing.T) {
 	}
 }
 
+// TestWindowOpenEdge: the window (t−Window, t] is open at its start, so a
+// completion exactly Window before the pass is outside it.
+func TestWindowOpenEdge(t *testing.T) {
+	f := newFixture(t, []topo.Rank{0}, Config{})
+	f.completion(0, 7, 0, sec(2.5), sec(3), 1<<30)
+	f.b.Evaluate(sec(8))
+	if trs := f.b.Triggers(); len(trs) != 1 || trs[0].Kind != TriggerFailure {
+		t.Fatalf("triggers = %v, want the failure rule's", trs)
+	}
+}
+
 func TestFailureTriggerOnTotalSilence(t *testing.T) {
 	f := newFixture(t, []topo.Rank{0}, Config{})
 	f.completion(0, 7, 0, sec(0.2), sec(0.5), 1<<30)
@@ -113,14 +125,17 @@ func TestFailureTriggerOnTotalSilence(t *testing.T) {
 	}
 }
 
+// The Algorithm 1 tests evaluate each instant only once every record up to
+// it is ingested, as the timer and replay do.
+
 func TestNoFalseTriggerOnHealthyCadence(t *testing.T) {
 	f := newFixture(t, []topo.Rank{0}, Config{})
 	for i := 0; i < 30; i++ {
 		ts := sec(float64(i))
 		f.completion(0, 7, uint64(i), ts, ts.Add(200*time.Millisecond), 1<<30)
-	}
-	for ts := 5.0; ts < 30; ts++ {
-		f.b.Evaluate(sec(ts))
+		if i >= 4 {
+			f.b.Evaluate(sec(float64(i + 1)))
+		}
 	}
 	if n := len(f.b.Triggers()); n != 0 {
 		t.Fatalf("healthy run produced %d triggers: %v", n, f.b.Triggers())
@@ -135,9 +150,9 @@ func TestStragglerTriggerOnThroughputDrop(t *testing.T) {
 		ts := sec(float64(i))
 		f.completion(0, 7, seq, ts, ts.Add(200*time.Millisecond), 1<<30)
 		seq++
-	}
-	for ts := 5.0; ts <= 10; ts++ {
-		f.b.Evaluate(sec(ts))
+		if i >= 4 {
+			f.b.Evaluate(sec(float64(i + 1)))
+		}
 	}
 	if len(f.b.Triggers()) != 0 {
 		t.Fatalf("premature trigger: %v", f.b.Triggers())
@@ -147,9 +162,7 @@ func TestStragglerTriggerOnThroughputDrop(t *testing.T) {
 		ts := sec(float64(10 + i))
 		f.completion(0, 7, seq, ts, ts.Add(200*time.Millisecond), 1<<27)
 		seq++
-	}
-	for ts := 11.0; ts <= 20; ts++ {
-		f.b.Evaluate(sec(ts))
+		f.b.Evaluate(sec(float64(11 + i)))
 	}
 	trs := f.b.Triggers()
 	if len(trs) != 1 || trs[0].Kind != TriggerStraggler {
@@ -168,9 +181,9 @@ func TestStragglerTriggerOnIntervalGrowth(t *testing.T) {
 		ts := sec(float64(i))
 		f.completion(0, 7, seq, ts, ts.Add(100*time.Millisecond), 1<<30)
 		seq++
-	}
-	for ts := 5.0; ts <= 12; ts++ {
-		f.b.Evaluate(sec(ts))
+		if i >= 4 {
+			f.b.Evaluate(sec(float64(i + 1)))
+		}
 	}
 	if len(f.b.Triggers()) != 0 {
 		t.Fatalf("premature trigger: %v", f.b.Triggers())
@@ -178,12 +191,13 @@ func TestStragglerTriggerOnIntervalGrowth(t *testing.T) {
 	// Slow phase: completions every 2.5 s. Message size scales with the gap
 	// so windowed throughput stays at the baseline — only the interval rule
 	// can fire.
-	for i := 0; i < 6; i++ {
-		ts := sec(14.5 + 2.5*float64(i))
-		f.completion(0, 7, seq, ts, ts.Add(100*time.Millisecond), 5<<29) // 2.5 GiB
-		seq++
-	}
+	next := 0
 	for ts := 13.0; ts <= 30; ts++ {
+		for ; next < 6 && 14.6+2.5*float64(next) <= ts; next++ {
+			at := sec(14.5 + 2.5*float64(next))
+			f.completion(0, 7, seq, at, at.Add(100*time.Millisecond), 5<<29) // 2.5 GiB
+			seq++
+		}
 		f.b.Evaluate(sec(ts))
 	}
 	trs := f.b.Triggers()
@@ -192,6 +206,37 @@ func TestStragglerTriggerOnIntervalGrowth(t *testing.T) {
 	}
 	if !strings.Contains(trs[0].Reason, "interval") {
 		t.Fatalf("reason = %q", trs[0].Reason)
+	}
+}
+
+// TestEvaluateAllocatesNothing: once its buffers have grown, an Algorithm 1
+// pass over the sampled ranks allocates nothing — it reads the state kept at
+// ingest, not a copy of each rank's window out of the store.
+func TestEvaluateAllocatesNothing(t *testing.T) {
+	sampled := []topo.Rank{0, 1, 2}
+	f := newFixture(t, sampled, Config{})
+	var seq uint64
+	allocs := 0.0
+	for s := 0; s < 40; s++ {
+		for i := 0; i < 4; i++ {
+			ts := sec(float64(s) + 0.25*float64(i))
+			for _, r := range sampled {
+				f.completion(r, 7, seq, ts, ts.Add(100*time.Millisecond), 1<<30)
+			}
+			seq++
+		}
+		now := sec(float64(s + 1))
+		if s < 20 {
+			f.b.Evaluate(now)
+			continue
+		}
+		allocs += testing.AllocsPerRun(1, func() { f.b.Evaluate(now) })
+	}
+	if n := len(f.b.Triggers()); n != 0 {
+		t.Fatalf("a steady cadence fired %d triggers: %v", n, f.b.Triggers())
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state passes allocated %v times", allocs)
 	}
 }
 
@@ -450,6 +495,104 @@ func TestStragglerTieBreakDeterministic(t *testing.T) {
 		if rep.Suspect != 1 {
 			t.Fatalf("run %d: suspect = %d, want 1 (deterministic tie-break)", run, rep.Suspect)
 		}
+	}
+}
+
+// TestStragglerPicks pins the straggler analysis's choices where several
+// members qualify, or none does: the lowest rank wins a tie, a sub-quorum
+// late start whose chase finds no suspect leaves the verdict to flow
+// pressure, and a member without state snapshots of an active flow is never
+// pressured.
+func TestStragglerPicks(t *testing.T) {
+	// lateStarts logs ops 0..n-1 on comm 7 for ranks 0–3, 4 s apart from
+	// 1 s on, with each rank in late starting them 2 s late.
+	lateStarts := func(f *fixture, n int, late ...topo.Rank) {
+		for i := 0; i < n; i++ {
+			for r := topo.Rank(0); r < 4; r++ {
+				start := sec(float64(1 + 4*i))
+				if slices.Contains(late, r) {
+					start = start.Add(2 * time.Second)
+				}
+				f.completion(r, 7, uint64(i), start, start.Add(500*time.Millisecond), 1<<30)
+			}
+		}
+	}
+	// snapshots logs ten state snapshots per rank on comm 7 from 10 s on:
+	// NIC-bound (outstanding WRs) for the ranks in nic, neither bound for
+	// the rest.
+	snapshots := func(f *fixture, nic ...topo.Rank) {
+		for i := 0; i < 10; i++ {
+			ts := sec(10 + 0.1*float64(i))
+			for r := topo.Rank(0); r < 4; r++ {
+				if slices.Contains(nic, r) {
+					f.state(r, 7, 9, ts, 0, 100, uint32(10+i), uint32(10+i), uint32(8+i), 0)
+				} else {
+					f.state(r, 7, 9, ts, 0, 100, uint32(14+i), uint32(10+i), uint32(10+i), 0)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		setup   func(*testing.T, *fixture)
+		suspect topo.Rank
+		cat     Category
+		via     Via
+	}{
+		{
+			name:    "equal late counts convict the lower rank",
+			setup:   func(_ *testing.T, f *fixture) { lateStarts(f, 6, 3, 1) },
+			suspect: 1, cat: CatComputeStraggler, via: ViaLateStart,
+		},
+		{
+			name: "a sub-quorum chase that names no one falls through to flow pressure",
+			setup: func(t *testing.T, f *fixture) {
+				// Rank 2 starts op 1 late (one late op: under quorum) while
+				// it is busy on comm 9, where no member shows a pattern.
+				f.completion(2, 7, 0, 0, sec(0.5), 1<<30)
+				for i := 0; i < 3; i++ {
+					f.state(2, 9, 1, sec(4.5+0.5*float64(i)), 0, 100, 14, 10, 10, 0)
+					f.state(5, 9, 1, sec(4.5+0.5*float64(i)), 0, 100, 14, 10, 10, 0)
+				}
+				f.completion(2, 7, 1, sec(6), sec(6.5), 1<<30)
+				for _, r := range []topo.Rank{0, 1, 3} {
+					f.completion(r, 7, 0, 0, sec(0.5), 1<<30)
+					f.completion(r, 7, 1, sec(4), sec(4.5), 1<<30)
+				}
+				snapshots(f, 3)
+				if busy, ok := f.b.graph.StuckCommDuring(2, sec(4), sec(6), 7); !ok || busy != 9 {
+					t.Fatalf("rank 2 is busy on comm %d (%v) while late, want 9", busy, ok)
+				}
+			},
+			suspect: 3, cat: CatNetworkDegrade, via: ViaFlowPressure,
+		},
+		{
+			name:    "equal NIC-bound shares pick the lower rank",
+			setup:   func(_ *testing.T, f *fixture) { snapshots(f, 3, 1) },
+			suspect: 1, cat: CatNetworkDegrade, via: ViaFlowPressure,
+		},
+		{
+			name: "members with no state snapshots give no pressure verdict",
+			setup: func(_ *testing.T, f *fixture) {
+				lateStarts(f, 2)
+				// Rank 2's only state logs name no active flow (no chunks).
+				for i := 0; i < 10; i++ {
+					f.state(2, 7, 9, sec(10+0.1*float64(i)), 0, 0, 0, 2, 1, 0)
+				}
+			},
+			suspect: -1, cat: CatUnknown, via: ViaNone,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, []topo.Rank{0}, Config{StragglerLate: time.Second, LateCount: 3})
+			tc.setup(t, f)
+			f.eng.RunUntil(sec(12))
+			rep := f.b.AnalyzeStraggler(Trigger{Kind: TriggerStraggler, Rank: 0, IP: ipOf(0), At: sec(12), CommID: 7})
+			want := []Hop{{Comm: 7, Suspect: tc.suspect, Via: tc.via}}
+			if rep.Suspect != tc.suspect || rep.Category != tc.cat || rep.Via != tc.via || !slices.Equal(rep.Chain, want) {
+				t.Fatalf("report = %+v, want suspect %d (%s) via %s, chain %v", rep, tc.suspect, tc.cat, tc.via, want)
+			}
+		})
 	}
 }
 

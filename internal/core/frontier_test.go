@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -118,5 +119,72 @@ func TestFrontierMatchesStore(t *testing.T) {
 	}
 	if !crashed || !skipped {
 		t.Fatalf("proxy crash seen %v, sync mismatch seen %v", crashed, skipped)
+	}
+}
+
+// TestRankStateMatchesStore holds what Algorithm 1 keeps of each sampled rank
+// as records ingest to the store, on a 64-rank job whose sampled ranks
+// straggle, stall and fall silent. At every evaluation instant t from Window
+// on (Algorithm 1 reads nothing before the window fills) the store
+// must hold no record of a sampled rank newer than t, and a Query over
+// (t−Window, t] must find the kept completions (time and size, in order),
+// a state log exactly when the kept state says one falls in the window, and
+// one stuck over Window/2 exactly when the kept state says so.
+func TestRankStateMatchesStore(t *testing.T) {
+	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: 1})
+	h := svc.MustAddJob("", mycroft.JobOptions{Topo: topo.Config{Nodes: 8, GPUsPerNode: 8, TP: 8, PP: 4, DP: 2}})
+	db, b := h.Job.DB, h.Backend
+	sampled, window := b.Sampled(), b.Config().Window
+
+	var checks, paced, stuckOnly, silent int
+	b.SetEvalObserver(func(now sim.Time) {
+		if now < sim.Time(window) {
+			return // the window is not yet full: Algorithm 1 reads nothing
+		}
+		for _, r := range sampled {
+			if late := db.Query(clouddb.Query{Ranks: []topo.Rank{r}, From: now}).Records; len(late) > 0 {
+				t.Fatalf("at %v, rank %d: the store holds a record at %v", now, r, late[0].Time)
+			}
+			var times []sim.Time
+			var bytes []int64
+			var states, stuck bool
+			for _, rec := range db.Query(clouddb.Query{Ranks: []topo.Rank{r}, From: now.Add(-window), To: now}).Records {
+				switch rec.Kind {
+				case trace.KindCompletion:
+					times, bytes = append(times, rec.Time), append(bytes, rec.MsgSize)
+				case trace.KindState:
+					states = true
+					stuck = stuck || rec.StuckNs > int64(window)/2
+				}
+			}
+			keptTimes, keptBytes, keptStates, keptStuck := b.KeptWindow(r, now)
+			if !slices.Equal(keptTimes, times) || !slices.Equal(keptBytes, bytes) || keptStates != states || keptStuck != stuck {
+				t.Fatalf("at %v, rank %d: kept completions %v sized %v, state log %v, stuck %v; the store's %v sized %v, %v, %v",
+					now, r, keptTimes, keptBytes, keptStates, keptStuck, times, bytes, states, stuck)
+			}
+			checks++
+			switch {
+			case len(times) >= 2:
+				paced++
+			case len(times) == 0 && stuck:
+				stuckOnly++
+			case len(times) == 0 && !states:
+				silent++
+			}
+		}
+	})
+
+	for _, f := range []faults.Spec{
+		{Kind: faults.NICDegrade, Rank: 5, Severity: 4, At: 8 * time.Second},
+		{Kind: faults.ProxyCrash, Rank: sampled[1], At: 20 * time.Second},
+		{Kind: faults.GPUHang, Rank: 20, At: 30 * time.Second},
+	} {
+		h.Inject(f)
+	}
+	svc.Start()
+	svc.Run(50 * time.Second)
+	t.Logf("%d rank windows checked: %d with ≥ 2 completions, %d stuck without one, %d silent", checks, paced, stuckOnly, silent)
+	if paced == 0 || stuckOnly == 0 || silent == 0 {
+		t.Fatalf("the job never reached every case")
 	}
 }

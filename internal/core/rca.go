@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"mycroft/internal/sim"
 	"mycroft/internal/topo"
@@ -189,196 +188,154 @@ func (b *Backend) AnalyzeStraggler(tr Trigger) Report {
 	return rep
 }
 
+// stragglerMember is what the straggler analysis gathers of one member of a
+// communicator over the straggler window.
+type stragglerMember struct {
+	rank     topo.Rank
+	late     int      // ops it started more than StragglerLate after the first member
+	gapFrom  sim.Time // its latest late start: the first member's start ...
+	gapTo    sim.Time // ... and its own
+	snaps    int      // state snapshots of active flows
+	nicBound int      // of those, with outstanding WRs
+	gpuBound int      // of those, with an empty staging buffer
+}
+
 // analyzeStragglerComm analyzes one communicator. chain carries the hops
 // already walked; each recursion level appends its own hop, so the returned
 // report's Chain reads trigger comm first, verdict comm last. chain is
 // always appended through appendHop (which copies), so sibling speculative
 // chases never alias one another's backing array.
+//
+// Members are indexed in rank order, so wherever the analysis picks the
+// first of equal candidates it picks the lowest rank.
 func (b *Backend) analyzeStragglerComm(tr Trigger, commID uint64, visited map[uint64]bool, chain []Hop) Report {
-	t := tr.At
 	visited[commID] = true
-	rep := Report{Trigger: tr, CommID: commID, Category: CatUnknown, Via: ViaNone, AnalyzedAt: t, Suspect: -1}
-	group := b.db.QueryGroup(commID, t.Add(-b.cfg.StragglerWindow), t)
+	group := b.db.QueryGroup(commID, tr.At.Add(-b.cfg.StragglerWindow), tr.At)
 	if len(group) == 0 {
-		rep.Details = "no group logs in straggler window"
-		rep.Chain = appendHop(chain, Hop{Comm: commID, Suspect: -1, Via: ViaNone})
-		rep.AnalyzedAt = b.eng.Now()
-		return rep
+		return b.stragglerVerdict(tr, commID, chain, -1, CatUnknown, ViaNone, "no group logs in straggler window")
 	}
 
 	// Late-start analysis per op seq. Completion logs carry the rank-local
 	// start; state logs do too, which lets the analysis see ops still in
 	// flight — a heavy straggler's current op counts before it finishes.
-	type se struct{ start, end sim.Time }
-	bySeq := make(map[uint64]map[topo.Rank]se)
-	for r, recs := range group {
-		for _, rec := range recs {
+	// Flow pressure over state logs: which member's flows are NIC-bound
+	// (outstanding WRs) or staging-bound (empty buffer)?
+	type start struct {
+		member int
+		at     sim.Time
+	}
+	bySeq := make(map[uint64][]start)
+	members := b.graph.Members(commID) // the group's members, in rank order
+	ms := make([]stragglerMember, len(members))
+	for i, m := range members {
+		ms[i].rank = m.Rank
+		for _, rec := range group[m.Rank] {
+			if rec.Kind == trace.KindState && rec.TotalChunks > 0 {
+				ms[i].snaps++
+				if rec.RDMATransmitted > rec.RDMADone {
+					ms[i].nicBound++
+				}
+				if rec.GPUReady == rec.RDMATransmitted && rec.GPUReady < rec.TotalChunks {
+					ms[i].gpuBound++
+				}
+			}
 			if rec.Start == 0 {
 				continue
 			}
-			m := bySeq[rec.OpSeq]
-			if m == nil {
-				m = make(map[topo.Rank]se)
-				bySeq[rec.OpSeq] = m
-			}
-			if prev, ok := m[r]; !ok || rec.Start < prev.start {
-				m[r] = se{start: rec.Start, end: rec.End}
+			// Members come in order, so this member's start, if any, is last.
+			starts := bySeq[rec.OpSeq]
+			if n := len(starts); n > 0 && starts[n-1].member == i {
+				starts[n-1].at = min(starts[n-1].at, rec.Start)
+			} else {
+				bySeq[rec.OpSeq] = append(starts, start{i, rec.Start})
 			}
 		}
 	}
-	late := make(map[topo.Rank]int)
-	type gapT struct{ from, to sim.Time }
-	lastGap := make(map[topo.Rank]gapT) // most recent late gap per rank
 	seqs := 0
-	for _, m := range bySeq {
-		if len(m) < 2 {
+	for _, starts := range bySeq {
+		if len(starts) < 2 {
 			continue
 		}
 		seqs++
-		minStart := sim.Time(1<<63 - 1)
-		for _, v := range m {
-			if v.start < minStart {
-				minStart = v.start
-			}
+		first := starts[0].at
+		for _, s := range starts[1:] {
+			first = min(first, s.at)
 		}
-		for r, v := range m {
-			if v.start.Sub(minStart) > b.cfg.StragglerLate {
-				late[r]++
-				if g, ok := lastGap[r]; !ok || v.start > g.to {
-					lastGap[r] = gapT{from: minStart, to: v.start}
-				}
-			}
-		}
-	}
-	// "Constant late starts" (Algorithm 2): at least LateCount late ops AND
-	// a third of the observed ops — isolated skew from pipeline drift must
-	// not convict a rank.
-	lateNeed := b.cfg.LateCount
-	if frac := seqs / 3; frac > lateNeed {
-		lateNeed = frac
-	}
-	var lateRanks []topo.Rank
-	for r, n := range late {
-		if n >= lateNeed {
-			lateRanks = append(lateRanks, r)
-		}
-	}
-	if len(lateRanks) > 0 {
-		// Order by late count, rank breaking ties: the slice is populated
-		// from map iteration, so without the tie-break equal-count ranks
-		// would flip between identical runs.
-		sort.Slice(lateRanks, func(i, j int) bool {
-			ni, nj := late[lateRanks[i]], late[lateRanks[j]]
-			if ni != nj {
-				return ni > nj
-			}
-			return lateRanks[i] < lateRanks[j]
-		})
-		r := lateRanks[0]
-		// A rank that starts late because it is still INSIDE another
-		// collective is a victim, not the cause: chase the dependency into
-		// that communicator (nested parallelism groups, §3.1).
-		if g, ok := lastGap[r]; ok && len(visited) < b.cfg.ChaseDepth {
-			if busy, ok := b.graph.StuckCommDuring(r, g.from, g.to, commID); ok && !visited[busy] {
-				hop := Hop{Comm: commID, Suspect: r, Via: ViaLateStart, Edge: b.graph.HopKind(r, busy)}
-				return b.analyzeStragglerComm(tr, busy, visited, appendHop(chain, hop))
-			}
-		}
-		rep.Suspect = r
-		rep.SuspectIP, _ = b.db.IPOf(r)
-		rep.Category = CatComputeStraggler
-		rep.Via = ViaLateStart
-		rep.Details = fmt.Sprintf("late start (> %v) in %d/%d ops", b.cfg.StragglerLate, late[r], seqs)
-		rep.Chain = appendHop(chain, Hop{Comm: commID, Suspect: r, Via: ViaLateStart})
-		rep.AnalyzedAt = b.eng.Now()
-		return rep
-	}
-	if len(late) > 0 && len(visited) < b.cfg.ChaseDepth {
-		// Sub-quorum lateness: not enough evidence to convict on this comm
-		// (slow cadences yield few ops per window), but the latest late gap
-		// still points at where the rank was held up — follow it.
-		var r topo.Rank = -1
-		best := 0
-		for cand, n := range late {
-			if n > best || (n == best && (r < 0 || cand < r)) {
-				best, r = n, cand
-			}
-		}
-		if g, ok := lastGap[r]; ok {
-			if busy, ok := b.graph.StuckCommDuring(r, g.from, g.to, commID); ok && !visited[busy] {
-				hop := Hop{Comm: commID, Suspect: r, Via: ViaLateStart, Edge: b.graph.HopKind(r, busy)}
-				if sub := b.analyzeStragglerComm(tr, busy, visited, appendHop(chain, hop)); sub.Suspect >= 0 {
-					return sub
+		for _, s := range starts {
+			if m := &ms[s.member]; s.at.Sub(first) > b.cfg.StragglerLate {
+				m.late++
+				if s.at > m.gapTo {
+					m.gapFrom, m.gapTo = first, s.at
 				}
 			}
 		}
 	}
 
-	// Flow-pressure analysis over state logs: which rank's flows are
-	// NIC-bound (outstanding WRs) or staging-bound (empty buffer)?
-	type pressure struct{ snaps, nicBound, gpuBound int }
-	per := make(map[topo.Rank]*pressure)
-	for r, recs := range group {
-		p := &pressure{}
-		per[r] = p
-		for _, rec := range recs {
-			if rec.Kind != trace.KindState || rec.TotalChunks == 0 {
-				continue
-			}
-			p.snaps++
-			if rec.RDMATransmitted > rec.RDMADone {
-				p.nicBound++
-			}
-			if rec.GPUReady == rec.RDMATransmitted && rec.GPUReady < rec.TotalChunks {
-				p.gpuBound++
-			}
+	// "Constant late starts" (Algorithm 2): at least LateCount late ops AND
+	// a third of the observed ops — isolated skew from pipeline drift must
+	// not convict a rank. A rank that starts late because it is still INSIDE
+	// another collective is a victim, not the cause: chase the dependency
+	// into that communicator (nested parallelism groups, §3.1). Below that
+	// quorum there is not enough evidence to convict here (slow cadences
+	// yield few ops per window), but the latest late gap still points at
+	// where the rank was held up: follow it, and keep its verdict if it
+	// names a suspect.
+	var m stragglerMember // the member with the most late starts
+	for _, c := range ms {
+		if c.late > m.late {
+			m = c
 		}
 	}
-	best := topo.Rank(-1)
-	bestFrac := 0.0
-	for r, p := range per {
-		if p.snaps == 0 {
+	if m.late > 0 {
+		quorum := m.late >= max(b.cfg.LateCount, seqs/3)
+		if busy, ok := b.graph.StuckCommDuring(m.rank, m.gapFrom, m.gapTo, commID); ok && len(visited) < b.cfg.ChaseDepth && !visited[busy] {
+			hop := Hop{Comm: commID, Suspect: m.rank, Via: ViaLateStart, Edge: b.graph.HopKind(m.rank, busy)}
+			if sub := b.analyzeStragglerComm(tr, busy, visited, appendHop(chain, hop)); quorum || sub.Suspect >= 0 {
+				return sub
+			}
+		}
+		if quorum {
+			return b.stragglerVerdict(tr, commID, chain, m.rank, CatComputeStraggler, ViaLateStart,
+				fmt.Sprintf("late start (> %v) in %d/%d ops", b.cfg.StragglerLate, m.late, seqs))
+		}
+	}
+
+	if r, frac := mostBound(ms, func(m *stragglerMember) int { return m.nicBound }); frac >= b.cfg.FlowPressureFrac {
+		return b.stragglerVerdict(tr, commID, chain, r, CatNetworkDegrade, ViaFlowPressure,
+			fmt.Sprintf("NIC queue occupied in %.0f%% of state snapshots", 100*frac))
+	}
+	if r, frac := mostBound(ms, func(m *stragglerMember) int { return m.gpuBound }); frac >= b.cfg.FlowPressureFrac {
+		return b.stragglerVerdict(tr, commID, chain, r, CatPCIeDegrade, ViaFlowPressure,
+			fmt.Sprintf("staging-bound in %.0f%% of state snapshots", 100*frac))
+	}
+	return b.stragglerVerdict(tr, commID, chain, -1, CatUnknown, ViaNone, "no straggler pattern matched")
+}
+
+// mostBound returns the member with the highest share of its state snapshots
+// that bound counts (the lowest rank among equals) and that share; no member
+// and 0 when no member has a snapshot bound counts.
+func mostBound(ms []stragglerMember, bound func(*stragglerMember) int) (topo.Rank, float64) {
+	best, bestFrac := topo.Rank(-1), 0.0
+	for i := range ms {
+		if ms[i].snaps == 0 {
 			continue
 		}
-		f := float64(p.nicBound) / float64(p.snaps)
-		if f > bestFrac || (f == bestFrac && best >= 0 && r < best) {
-			bestFrac, best = f, r
+		if f := float64(bound(&ms[i])) / float64(ms[i].snaps); f > bestFrac {
+			best, bestFrac = ms[i].rank, f
 		}
 	}
-	if best >= 0 && bestFrac >= b.cfg.FlowPressureFrac {
-		rep.Suspect = best
-		rep.SuspectIP, _ = b.db.IPOf(best)
-		rep.Category = CatNetworkDegrade
-		rep.Via = ViaFlowPressure
-		rep.Details = fmt.Sprintf("NIC queue occupied in %.0f%% of state snapshots", 100*bestFrac)
-		rep.Chain = appendHop(chain, Hop{Comm: commID, Suspect: best, Via: ViaFlowPressure})
-		rep.AnalyzedAt = b.eng.Now()
-		return rep
+	return best, bestFrac
+}
+
+// stragglerVerdict is the report a straggler analysis of commID ends with:
+// suspect (-1 for none) found via via, its hop appended to chain.
+// AnalyzeStraggler stamps AnalyzedAt.
+func (b *Backend) stragglerVerdict(tr Trigger, commID uint64, chain []Hop, suspect topo.Rank, cat Category, via Via, details string) Report {
+	ip, _ := b.db.IPOf(suspect) // "" for no suspect
+	return Report{
+		Trigger: tr, Suspect: suspect, SuspectIP: ip, CommID: commID, Category: cat, Via: via, Details: details,
+		Chain: appendHop(chain, Hop{Comm: commID, Suspect: suspect, Via: via}),
 	}
-	best, bestFrac = -1, 0
-	for r, p := range per {
-		if p.snaps == 0 {
-			continue
-		}
-		f := float64(p.gpuBound) / float64(p.snaps)
-		if f > bestFrac || (f == bestFrac && best >= 0 && r < best) {
-			bestFrac, best = f, r
-		}
-	}
-	if best >= 0 && bestFrac >= b.cfg.FlowPressureFrac {
-		rep.Suspect = best
-		rep.SuspectIP, _ = b.db.IPOf(best)
-		rep.Category = CatPCIeDegrade
-		rep.Via = ViaFlowPressure
-		rep.Details = fmt.Sprintf("staging-bound in %.0f%% of state snapshots", 100*bestFrac)
-		rep.Chain = appendHop(chain, Hop{Comm: commID, Suspect: best, Via: ViaFlowPressure})
-		rep.AnalyzedAt = b.eng.Now()
-		return rep
-	}
-	rep.Details = "no straggler pattern matched"
-	rep.Chain = appendHop(chain, Hop{Comm: commID, Suspect: -1, Via: ViaNone})
-	rep.AnalyzedAt = b.eng.Now()
-	return rep
 }
 
 // appendHop copies-then-appends so recursive chases never share a chain's

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mycroft/internal/clouddb"
 	"mycroft/internal/collector"
 	"mycroft/internal/pystack"
 	"mycroft/internal/sim"
@@ -97,7 +98,7 @@ func TestTraceRecordsReachDB(t *testing.T) {
 	}
 	// Every rank must have produced completion logs on its DP comm.
 	for r := 0; r < j.Cluster.WorldSize(); r++ {
-		recs := j.DB.QueryRank(topo.Rank(r), 0, eng.Now())
+		recs := j.DB.Query(clouddb.Query{Ranks: []topo.Rank{topo.Rank(r)}, To: eng.Now()}).Records
 		var completions, states int
 		for _, rec := range recs {
 			switch rec.Kind {
@@ -181,7 +182,7 @@ func TestComputeHangFreezesRank(t *testing.T) {
 	j.StallCompute(1)
 	eng.RunFor(20 * time.Second)
 	// Rank 1 must stop completing ops; its TP peer blocks with it.
-	recs := j.DB.QueryRank(1, eng.Now().Add(-5*time.Second), eng.Now())
+	recs := j.DB.Query(clouddb.Query{Ranks: []topo.Rank{1}, From: eng.Now().Add(-5 * time.Second), To: eng.Now()}).Records
 	for _, rec := range recs {
 		if rec.Kind == trace.KindCompletion {
 			t.Fatalf("hung rank still completing ops: %+v", rec)
@@ -224,7 +225,7 @@ func TestProxyCrashStopsRankLogs(t *testing.T) {
 	eng.RunFor(2 * time.Second) // let in-flight uploads land
 	mark := eng.Now()
 	eng.RunFor(10 * time.Second)
-	if recs := j.DB.QueryRank(2, mark, eng.Now()); len(recs) != 0 {
+	if recs := j.DB.Query(clouddb.Query{Ranks: []topo.Rank{2}, From: mark, To: eng.Now()}).Records; len(recs) != 0 {
 		t.Fatalf("crashed rank produced %d records", len(recs))
 	}
 }
@@ -238,13 +239,13 @@ func TestMasterExtraDelaysRankZero(t *testing.T) {
 	eng.RunFor(15 * time.Second)
 	// Rank 0's TP all-reduce starts must trail its TP peer's.
 	var start0, start1 sim.Time
-	for _, rec := range j.DB.QueryRank(0, 0, eng.Now()) {
+	for _, rec := range j.DB.Query(clouddb.Query{Ranks: []topo.Rank{0}, To: eng.Now()}).Records {
 		if rec.Kind == trace.KindCompletion && rec.CommID == j.TPComms[0].ID() {
 			start0 = rec.Start
 			break
 		}
 	}
-	for _, rec := range j.DB.QueryRank(1, 0, eng.Now()) {
+	for _, rec := range j.DB.Query(clouddb.Query{Ranks: []topo.Rank{1}, To: eng.Now()}).Records {
 		if rec.Kind == trace.KindCompletion && rec.CommID == j.TPComms[0].ID() {
 			start1 = rec.Start
 			break

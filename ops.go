@@ -48,7 +48,7 @@ const (
 type op[Q, R any] struct {
 	name   string // the Client method
 	method string // HTTP method
-	path   string // route under api.Prefix; "{id}" is the job
+	path   string // route, api.Prefix included, so a call without a job builds no path; "{id}" is the job
 	call   func(Client, Q) (R, error)
 
 	// toQuery and fromQuery are set on a GET route whose request rides the
@@ -115,13 +115,13 @@ type (
 
 var (
 	opListJobs = &op[struct{}, JobsResult]{
-		name: "ListJobs", method: "GET", path: "/jobs",
+		name: "ListJobs", method: "GET", path: api.Prefix + "/jobs",
 		call:  func(c Client, _ struct{}) (JobsResult, error) { return c.ListJobs() },
 		route: everyPeer, merge: mergeJobs,
 		stamp: (*Server).stampJobs,
 	}
 	opQueryTrace = &op[TraceQuery, TraceResult]{
-		name: "QueryTrace", method: "POST", path: "/trace/query",
+		name: "QueryTrace", method: "POST", path: api.Prefix + "/trace/query",
 		call:  Client.QueryTrace,
 		route: byJob, job: func(q *TraceQuery) *JobID { return &q.Job },
 		replica: func(sv *Server, q TraceQuery) (TraceResult, bool, error) {
@@ -129,7 +129,7 @@ var (
 		},
 	}
 	opQueryTriggers = &op[TriggerQuery, TriggerResult]{
-		name: "QueryTriggers", method: "POST", path: "/triggers/query",
+		name: "QueryTriggers", method: "POST", path: api.Prefix + "/triggers/query",
 		call:   Client.QueryTriggers,
 		route:  fanOut,
 		paging: func(q *TriggerQuery) (*[]JobID, *int, *int) { return &q.Jobs, &q.Offset, &q.Limit },
@@ -146,7 +146,7 @@ var (
 		},
 	}
 	opQueryReports = &op[ReportQuery, ReportResult]{
-		name: "QueryReports", method: "POST", path: "/reports/query",
+		name: "QueryReports", method: "POST", path: api.Prefix + "/reports/query",
 		call:   Client.QueryReports,
 		route:  fanOut,
 		paging: func(q *ReportQuery) (*[]JobID, *int, *int) { return &q.Jobs, &q.Offset, &q.Limit },
@@ -163,7 +163,7 @@ var (
 		},
 	}
 	opQueryDependencies = &op[DependencyQuery, DependencyResult]{
-		name: "QueryDependencies", method: "POST", path: "/dependencies/query",
+		name: "QueryDependencies", method: "POST", path: api.Prefix + "/dependencies/query",
 		call:  Client.QueryDependencies,
 		route: byJob, job: func(q *DependencyQuery) *JobID { return &q.Job },
 		replica: func(sv *Server, q DependencyQuery) (DependencyResult, bool, error) {
@@ -171,7 +171,7 @@ var (
 		},
 	}
 	opBlastRadius = &op[blastArgs, blastResult]{
-		name: "BlastRadius", method: "POST", path: "/blast-radius",
+		name: "BlastRadius", method: "POST", path: api.Prefix + "/blast-radius",
 		call: func(c Client, a blastArgs) (blastResult, error) {
 			victims, err := c.BlastRadius(a.Job, a.Suspect)
 			return blastResult{a.Job, a.Suspect, victims}, err
@@ -182,7 +182,7 @@ var (
 		},
 	}
 	opQueryRemediations = &op[RemediationQuery, RemediationResult]{
-		name: "QueryRemediations", method: "POST", path: "/remediations/query",
+		name: "QueryRemediations", method: "POST", path: api.Prefix + "/remediations/query",
 		call:   Client.QueryRemediations,
 		route:  fanOut,
 		paging: func(q *RemediationQuery) (*[]JobID, *int, *int) { return &q.Jobs, &q.Offset, &q.Limit },
@@ -199,7 +199,7 @@ var (
 		},
 	}
 	opQuerySpans = &op[SpanQuery, SpanResult]{
-		name: "QuerySpans", method: "GET", path: "/jobs/{id}/spans",
+		name: "QuerySpans", method: "GET", path: api.Prefix + "/jobs/{id}/spans",
 		call:    Client.QuerySpans,
 		toQuery: spanQueryToValues, fromQuery: spanQueryFromValues,
 		route: byJob, job: func(q *SpanQuery) *JobID { return &q.Job },
@@ -208,29 +208,29 @@ var (
 		},
 	}
 	opTriage = &op[triageArgs, TriageResult]{
-		name: "Triage", method: "POST", path: "/triage",
+		name: "Triage", method: "POST", path: api.Prefix + "/triage",
 		call:  func(c Client, a triageArgs) (TriageResult, error) { return c.Triage(a.Job) },
 		route: byJob, job: func(a *triageArgs) *JobID { return &a.Job },
 		replica: (*Server).replicaTriage,
 	}
 	opHealth = &op[struct{}, HealthResult]{
-		name: "Health", method: "GET", path: "/health",
+		name: "Health", method: "GET", path: api.Prefix + "/health",
 		call:  func(c Client, _ struct{}) (HealthResult, error) { return c.Health() },
 		route: everyPeer, merge: mergeHealth,
 		stamp: (*Server).stampHealth,
 	}
 	opIngestLogs = &op[logsArgs, IngestResult]{
-		name: "IngestLogs", method: "POST", path: "/jobs/{id}/logs",
+		name: "IngestLogs", method: "POST", path: api.Prefix + "/jobs/{id}/logs",
 		call:  func(c Client, a logsArgs) (IngestResult, error) { return c.IngestLogs(a.Job, a.Lines) },
 		route: byJob, job: func(a *logsArgs) *JobID { return &a.Job },
 	}
 	opIngestTimings = &op[timingsArgs, IngestResult]{
-		name: "IngestTimings", method: "POST", path: "/jobs/{id}/timings",
+		name: "IngestTimings", method: "POST", path: api.Prefix + "/jobs/{id}/timings",
 		call:  func(c Client, a timingsArgs) (IngestResult, error) { return c.IngestTimings(a.Job, a.Samples) },
 		route: byJob, job: func(a *timingsArgs) *JobID { return &a.Job },
 	}
 	opChannelStats = &op[JobID, ChannelStatsResult]{
-		name: "ChannelStats", method: "GET", path: "/jobs/{id}/channels",
+		name: "ChannelStats", method: "GET", path: api.Prefix + "/jobs/{id}/channels",
 		call:  Client.ChannelStats,
 		route: byJob, job: func(job *JobID) *JobID { return job },
 		replica: (*Server).replicaChannels,
@@ -336,17 +336,17 @@ func (o *op[Q, R]) clientMethod() string { return o.name }
 // jobInPath reports whether the route carries the job id as a path segment.
 func (o *op[Q, R]) jobInPath() bool { return strings.Contains(o.path, "{id}") }
 
-// jobPath fills a by-job route pattern ("/jobs/{id}/...") with an escaped
-// job id: the one place such a URL is built.
-func jobPath(pattern string, job JobID) string {
-	return api.Prefix + strings.Replace(pattern, "{id}", url.PathEscape(string(job)), 1)
+// jobPath fills a by-job route ("/v1/jobs/{id}/...") with an escaped job id:
+// the one place such a URL is built.
+func jobPath(route string, job JobID) string {
+	return strings.Replace(route, "{id}", url.PathEscape(string(job)), 1)
 }
 
 // mount derives the operation's server route: decode the request, serve it,
 // encode the answer — by the result's own wireCodec when it has one and that
 // accepts the value, by encoding/json otherwise.
 func (o *op[Q, R]) mount(sv *Server, mux *api.Mux) {
-	mux.Handle(o.method, o.path, func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle(o.method, strings.TrimPrefix(o.path, api.Prefix), func(w http.ResponseWriter, r *http.Request) {
 		q, err := o.decode(w, r)
 		if err != nil {
 			api.Fail(w, err)
@@ -393,7 +393,7 @@ func (o *op[Q, R]) recode(r *http.Request) (string, any, error) {
 // with the job and query string in place, and the JSON body (nil when the
 // route takes none).
 func (o *op[Q, R]) encode(q Q) (path string, body any) {
-	path = api.Prefix + o.path
+	path = o.path
 	if o.jobInPath() {
 		path = jobPath(o.path, *o.job(&q))
 	}

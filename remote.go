@@ -183,7 +183,7 @@ func soleLiveJob(l jobLister, job JobID) (JobID, error) {
 // responses, the download is unbounded — artifacts from long runs can exceed
 // the JSON response cap by design.
 func (c *RemoteClient) FetchRecord(job JobID, w io.Writer) error {
-	path := jobPath("/jobs/{id}/record", job)
+	path := jobPath(api.Prefix+"/jobs/{id}/record", job)
 	b, err := c.wire.send(http.MethodGet, path, nil)
 	if err != nil {
 		return err
