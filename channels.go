@@ -51,7 +51,7 @@ const (
 type ChannelAnomaly = core.LogAnomaly
 
 // LogLine is one structured training-log line on the ingest path. At is
-// virtual time; zero means "now".
+// virtual time; zero means "now", and a negative one is refused.
 type LogLine struct {
 	Rank  Rank          `json:"rank"`
 	At    time.Duration `json:"at_ns,omitempty"`
@@ -60,7 +60,8 @@ type LogLine struct {
 }
 
 // IterationSample is one per-rank iteration-completion timestamp — the only
-// signal the black-box perf channel needs.
+// signal the black-box perf channel needs. At is as in LogLine; a negative
+// Iter is refused.
 type IterationSample struct {
 	Rank Rank          `json:"rank"`
 	Iter int           `json:"iter"`
@@ -97,6 +98,11 @@ const (
 // ErrInvalidRank reports a channel ingest item naming a rank the job does not
 // have. The batch it arrived in is refused whole.
 var ErrInvalidRank = errors.New("invalid rank")
+
+// ErrNegativeStamp reports a channel ingest item whose at_ns or iter is
+// negative. The batch it arrived in is refused whole. A time ahead of the
+// job's clock is taken: timings may be stamped by the job's own clock.
+var ErrNegativeStamp = errors.New("negative stamp")
 
 // channelState is one non-tracepoint channel's bookkeeping: the counters
 // ChannelStats and /metrics answer with, and the report mute.
@@ -143,17 +149,22 @@ func (s *Service) newJobChannels(id JobID, world int, fusion *core.Fusion) *jobC
 
 // ingestChannel is the pipeline IngestLogs and IngestTimings share around
 // their own fold loop and analysis pass: resolve the job, refuse the whole
-// batch if any item's rank is outside [0, WorldSize) — before anything is
-// folded, counted or analyzed — then fold, count, bump the heartbeat, analyze.
-func (s *Service) ingestChannel(job JobID, m Modality, n int, rank func(i int) Rank,
+// batch if any item's rank is outside [0, WorldSize) or its at_ns or iter is
+// negative — before anything is folded, counted or analyzed — then fold,
+// count, bump the heartbeat, analyze.
+func (s *Service) ingestChannel(job JobID, m Modality, n int, item func(i int) (Rank, time.Duration, int),
 	fold func(ch *jobChannels, now sim.Time), analyze func(h *JobHandle, now sim.Time) int) (IngestResult, error) {
 	h, err := s.resolveJob(job)
 	if err != nil {
 		return IngestResult{}, err
 	}
 	for i, world := 0, h.WorldSize(); i < n; i++ {
-		if r := rank(i); r < 0 || int(r) >= world {
+		r, at, iter := item(i)
+		if r < 0 || int(r) >= world {
 			return IngestResult{}, fmt.Errorf("mycroft: job %q: %w %d (world size %d)", h.ID, ErrInvalidRank, r, world)
+		}
+		if at < 0 || iter < 0 {
+			return IngestResult{}, fmt.Errorf("mycroft: job %q: %w: item %d has at_ns %d, iter %d", h.ID, ErrNegativeStamp, i, at, iter)
 		}
 	}
 	now := s.Eng.Now()
@@ -165,9 +176,9 @@ func (s *Service) ingestChannel(job JobID, m Modality, n int, rank func(i int) R
 	return IngestResult{Job: h.ID, Accepted: n, Anomalies: analyze(h, now)}, nil
 }
 
-// stampOr is an ingest item's virtual time: zero (or less) means "now".
+// stampOr is an ingest item's virtual time: zero means "now".
 func stampOr(at time.Duration, now sim.Time) sim.Time {
-	if at <= 0 {
+	if at == 0 {
 		return now
 	}
 	return sim.Time(at)
@@ -179,7 +190,7 @@ func stampOr(at time.Duration, now sim.Time) sim.Time {
 // remediation) through here.
 func (s *Service) IngestLogs(job JobID, lines []LogLine) (IngestResult, error) {
 	return s.ingestChannel(job, ModalityLog, len(lines),
-		func(i int) Rank { return lines[i].Rank },
+		func(i int) (Rank, time.Duration, int) { return lines[i].Rank, lines[i].At, 0 },
 		func(ch *jobChannels, now sim.Time) {
 			for _, l := range lines {
 				ch.logs.Ingest(logdiag.Line{Rank: l.Rank, At: stampOr(l.At, now), Level: l.Level, Text: l.Text})
@@ -191,7 +202,7 @@ func (s *Service) IngestLogs(job JobID, lines []LogLine) (IngestResult, error) {
 // perf channel and runs one analysis pass.
 func (s *Service) IngestTimings(job JobID, samples []IterationSample) (IngestResult, error) {
 	return s.ingestChannel(job, ModalityPerf, len(samples),
-		func(i int) Rank { return samples[i].Rank },
+		func(i int) (Rank, time.Duration, int) { return samples[i].Rank, samples[i].At, samples[i].Iter },
 		func(ch *jobChannels, now sim.Time) {
 			for _, smp := range samples {
 				ch.perf.Ingest(perfdiag.Sample{Rank: smp.Rank, Iter: smp.Iter, At: stampOr(smp.At, now)})

@@ -333,3 +333,76 @@ func TestIngestRejectsUnknownRank(t *testing.T) {
 		t.Errorf("refused batches published %d log anomalies: %v", n, anomalies.Drain())
 	}
 }
+
+// TestIngestOverWireMatchesInProcess: IngestLogs and IngestTimings answer
+// over Dial and over DialCluster exactly what they answer in process, on
+// three identical jobs fed the same batches in the same order: the same
+// result for every batch taken (escaped, non-ASCII and invalid UTF-8 texts,
+// every level, empty and nil batches) and the same error for every batch
+// refused (a rank outside the world, a negative at_ns or iter). A time ahead
+// of the job's clock is taken.
+func TestIngestOverWireMatchesInProcess(t *testing.T) {
+	local, _ := tracelessService(t)
+	clients := map[string]Client{"in-process": local}
+	advance := []func(time.Duration){func(d time.Duration) { local.Run(d) }}
+	for _, rc := range remoteClients {
+		svc, _ := tracelessService(t)
+		srv := NewServer(svc)
+		clients[rc.name] = serveDaemon(t, srv, rc.clustered)
+		advance = append(advance, srv.Advance)
+	}
+
+	errorLines := []LogLine{
+		{Rank: 5, Level: "error", Text: `NET/IB "qp 17" timeout <port 1> & retry`},
+		{Rank: 5, Level: "error", Text: "NET/IB qp 18 timeout — port 1 ✗"},
+		{Rank: 5, Level: "error", Text: "NET/IB qp 19 timeout \xff port 1"},
+		{Rank: 5, Level: "fatal", Text: "NET/IB qp 20 timeout on port 1"},
+	}
+	type batch struct {
+		lines   []LogLine
+		samples []IterationSample
+		refused bool
+	}
+	batches := []batch{
+		{lines: logBatch(64, 8)},
+		{lines: errorLines},
+		{lines: []LogLine{}},
+		{lines: nil},
+		{lines: []LogLine{{Rank: 1, At: time.Hour, Level: "warn", Text: "ahead of the clock"}}},
+		{lines: append(logBatch(3, 8), LogLine{Rank: 2, At: -1, Text: "before time"}), refused: true},
+		{lines: append(logBatch(3, 8), LogLine{Rank: 8, Text: "outside the world"}), refused: true},
+		{samples: []IterationSample{{Rank: 0, Iter: 1, At: time.Second}, {Rank: 1, Iter: 1}}},
+		{samples: []IterationSample{{Rank: 0, Iter: 2, At: time.Hour}}},
+		{samples: []IterationSample{{Rank: 0, Iter: 3}, {Rank: 1, Iter: -1}}, refused: true},
+		{samples: []IterationSample{{Rank: 0, Iter: 3}, {Rank: 1, Iter: 3, At: -time.Second}}, refused: true},
+		{samples: []IterationSample{{Rank: -1, Iter: 3}}, refused: true},
+		{samples: []IterationSample{}},
+	}
+	for i, b := range batches {
+		for _, step := range advance {
+			step(time.Second)
+		}
+		var want string
+		for _, name := range []string{"in-process", "Dial", "DialCluster"} {
+			var res IngestResult
+			var err error
+			if b.samples != nil {
+				res, err = clients[name].IngestTimings("llm", b.samples)
+			} else {
+				res, err = clients[name].IngestLogs("llm", b.lines)
+			}
+			if (err != nil) != b.refused {
+				t.Fatalf("batch %d over %s: error %v, want refused %v", i, name, err, b.refused)
+			}
+			got := fmt.Sprintf("%+v %v", res, err)
+			if name == "in-process" {
+				want = got
+				if b.refused && !errors.Is(err, ErrInvalidRank) && !errors.Is(err, ErrNegativeStamp) {
+					t.Errorf("batch %d refused with %v, want ErrInvalidRank or ErrNegativeStamp", i, err)
+				}
+			} else if got != want {
+				t.Errorf("batch %d over %s answered\n%s\nin process\n%s", i, name, got, want)
+			}
+		}
+	}
+}

@@ -1,13 +1,14 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"mycroft/internal/obs"
@@ -56,7 +57,8 @@ func (m *Mux) Handle(method, path string, fn http.HandlerFunc) {
 	m.routes = append(m.routes, method+" "+pattern)
 	m.mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := statusWriters.Get().(*statusWriter)
+		sw.ResponseWriter = w
 		start := time.Now()
 		defer func() {
 			if p := recover(); p != nil {
@@ -70,10 +72,18 @@ func (m *Mux) Handle(method, path string, fn http.HandlerFunc) {
 			if sw.status >= 400 {
 				failed.Inc()
 			}
+			*sw = statusWriter{}
+			statusWriters.Put(sw)
 		}()
 		fn(sw, r)
 	})
 }
+
+// statusWriters keeps the instrumented routes' writers between requests. A
+// writer goes back cleared once its handler has returned: by then net/http
+// has copied the header that may point at its length, which it does when the
+// status is written.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 // internalError is the daemon's own fault, a handler's panic or an answer
 // that does not encode, as the error Fail answers 500 for.
@@ -102,13 +112,42 @@ func Post[Req, Resp any](m *Mux, path string, fn func(Req) (Resp, error)) {
 	})
 }
 
+// maxBody caps a request body; firstRead caps the buffer a declared
+// Content-Length sizes before any of its bytes arrive, so a client that
+// claims the whole cap and sends nothing costs no more than firstRead.
+const (
+	maxBody   = 4 << 20
+	firstRead = 64 << 10
+)
+
 // ReadJSON decodes a size-capped JSON request body into v; an empty body
 // leaves v at its zero value.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
+	body, err := ReadBody(w, r)
 	if err != nil {
-		return fmt.Errorf("api: reading request: %w", err)
+		return err
 	}
+	return DecodeJSON(body, v)
+}
+
+// ReadBody reads a request body whole, at most 4 MiB of it. A declared
+// length sizes the first buffer, up to firstRead; past that the buffer grows
+// only as the bytes arrive.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// MinRead of spare room lets the last read see EOF without growing.
+		buf.Grow(int(min(n, firstRead)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		return nil, fmt.Errorf("api: reading request: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeJSON decodes a request body ReadBody read into v through
+// encoding/json; an empty body leaves v at its zero value.
+func DecodeJSON(body []byte, v any) error {
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, v); err != nil {
 			return fmt.Errorf("api: decoding request: %w", err)

@@ -89,7 +89,7 @@ func TestFailureTriggerOnStall(t *testing.T) {
 	f.completion(0, 7, 0, sec(0.2), sec(1), 1<<30)
 	// Then only state logs: op 1 in flight, stuck.
 	for i := 0; i < 10; i++ {
-		f.state(0, 7, 1, sec(2+0.1*float64(i)), 0, 100, 10, 10, 10, time.Duration(float64(time.Second)*0.1*float64(i)))
+		f.state(0, 7, 1, sec(4+0.1*float64(i)), 0, 100, 10, 10, 10, time.Duration(float64(time.Second)*0.1*float64(i)))
 	}
 	f.b.Evaluate(sec(8)) // window (3,8]: states only
 	trs := f.b.Triggers()
@@ -98,6 +98,9 @@ func TestFailureTriggerOnStall(t *testing.T) {
 	}
 	if trs[0].CommID != 7 || trs[0].Rank != 0 {
 		t.Fatalf("trigger meta wrong: %+v", trs[0])
+	}
+	if trs[0].Reason != "no CollOp completed in window" {
+		t.Fatalf("reason = %q, want the stalled rule's, not the silent one's", trs[0].Reason)
 	}
 }
 

@@ -237,7 +237,10 @@ func (d *Detector) Ingest(l Line) {
 	id := templateIDOf(l.Text)
 	t := d.templates[id]
 	if t == nil {
-		t = &Template{ID: id, Text: TemplateOf(l.Text), Level: normLevel(l.Level), byRank: make(map[topo.Rank]occurrences)}
+		// The template outlives the line, and TemplateOf hands back a
+		// one-word line's own text, which may be a slice of a whole request
+		// body: the clone keeps only the template.
+		t = &Template{ID: id, Text: strings.Clone(TemplateOf(l.Text)), Level: normLevel(l.Level), byRank: make(map[topo.Rank]occurrences)}
 		d.templates[id] = t
 	}
 	if severityRank(normLevel(l.Level)) > severityRank(t.Level) {
@@ -250,10 +253,14 @@ func (d *Detector) Ingest(l Line) {
 	t.byRank[l.Rank] = o
 }
 
+// normLevel maps a line's level to one of the three constants, so nothing
+// kept holds the line's own string.
 func normLevel(l string) string {
 	switch l {
-	case "warn", "error":
-		return l
+	case "warn":
+		return "warn"
+	case "error":
+		return "error"
 	default:
 		return "info"
 	}

@@ -2,8 +2,10 @@ package logdiag
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mycroft/internal/core"
 	"mycroft/internal/sim"
@@ -200,5 +202,24 @@ func TestAnalyzeFleetWideAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { d.Analyze(at(3 * time.Second)) }); n != 0 {
 		t.Fatalf("Analyze made %v mallocs per pass, want 0", n)
+	}
+}
+
+// TestTemplateKeepsNoLine: a line's text may be a slice of a whole request
+// body, and TemplateOf hands back a one-word line's own text, so a new
+// template keeps a copy of its text and its level is the constant, never
+// the line's own strings.
+func TestTemplateKeepsNoLine(t *testing.T) {
+	body := `{"lines":[{"rank":0,"level":"warn","text":"dataloader-stalled"}]}`
+	slice := func(s string) string { i := strings.Index(body, s); return body[i : i+len(s)] }
+	d := New(8, Config{})
+	d.Ingest(Line{Rank: 0, Level: slice("warn"), Text: slice("dataloader-stalled")})
+	addr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	for _, tpl := range d.templates {
+		for _, s := range []string{tpl.Text, tpl.Level} {
+			if p := addr(s); p >= addr(body) && p < addr(body)+uintptr(len(body)) {
+				t.Errorf("template keeps %q, a slice of the line's body", s)
+			}
+		}
 	}
 }

@@ -288,6 +288,22 @@ func (p *JSONReader) Text() string {
 	return *slot
 }
 
+// TextIn reads a string as Str does and returns its value as a string: a
+// verbatim value is sliced from doc, which holds the bytes the reader started
+// on, so a document read whole holds every such text in one string (and a
+// text kept keeps all of doc); any other value is decoded on its own.
+func (p *JSONReader) TextIn(doc string) string {
+	at := len(doc) - len(p.B) + 1
+	b, ok := p.raw()
+	switch {
+	case !p.OK:
+		return ""
+	case !ok:
+		return p.unquote()
+	}
+	return doc[at : at+len(b)]
+}
+
 // Enum reads a string into v through its UnmarshalText, as json.Unmarshal
 // reads a quoted value into a field that has one.
 func (p *JSONReader) Enum(v encoding.TextUnmarshaler) {

@@ -5,10 +5,12 @@ import (
 	"sync"
 )
 
-// ringInitialSlots is the backing store a ring starts with: a few drain
-// periods of one host's traffic (a 512-rank job writes ~140 records/s per
-// host against a 50 ms drain, in bursts of a few dozen).
-const ringInitialSlots = 256
+// ringInitialSlots is the backing store a ring starts with: the most
+// undrained records one host's ring held at seed 1, fault included, both on
+// the 512-rank sim-512 job and on the 256-rank serve job (64 at each, so no
+// ring grew; a 512-rank job writes ~140 records/s per host against a 50 ms
+// drain, in bursts of a few dozen). A busier host grows its ring.
+const ringInitialSlots = 64
 
 // Ring is the circular buffer tracepoints write into. The production system
 // preallocates 512 MB of shared memory per host (§6.1) and writes fixed-size

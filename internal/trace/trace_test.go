@@ -293,7 +293,7 @@ func TestRingHoldsOccupancyNotBudget(t *testing.T) {
 // growth of the backing store.
 func TestRingNoDuplicationProperty(t *testing.T) {
 	f := func(batches []uint8) bool {
-		rb := NewRing(2 * ringInitialSlots)
+		rb := NewRing(512)
 		eager, lazy := rb.NewReader(), rb.NewReader()
 		var next, eagerNext, lazyNext uint64
 		check := func(rd *Reader, expect *uint64) bool {
@@ -314,7 +314,7 @@ func TestRingNoDuplicationProperty(t *testing.T) {
 				return false
 			}
 			// Two batches of at most 255 stay inside the 512-slot budget
-			// but outgrow the initial store.
+			// but outgrow the initial store of ringInitialSlots.
 			if i%2 == 1 && !check(lazy, &lazyNext) {
 				return false
 			}

@@ -365,14 +365,22 @@ func (o *op[Q, R]) mount(sv *Server, mux *api.Mux) {
 }
 
 // decode reads the request — query string, JSON body or nothing — taking the
-// job from the path when the route carries it there. An enum name outside its
-// set fails here, in the field's UnmarshalText, before any Service call.
+// job from the path when the route carries it there. A body is read by the
+// request's wireReader when it has one and that accepts it, and by
+// encoding/json otherwise. An enum name outside its set fails here, in the
+// field's UnmarshalText, before any Service call.
 func (o *op[Q, R]) decode(w http.ResponseWriter, r *http.Request) (q Q, err error) {
 	switch {
 	case o.fromQuery != nil:
 		q, err = o.fromQuery(r.URL.Query())
 	case o.method == http.MethodPost:
-		err = api.ReadJSON(w, r, &q)
+		var body []byte
+		if body, err = api.ReadBody(w, r); err != nil {
+			break
+		}
+		if rd, ok := any(&q).(wireReader); !ok || !rd.parseWire(body) {
+			err = api.DecodeJSON(body, &q)
+		}
 	}
 	if err == nil && o.jobInPath() {
 		*o.job(&q) = JobID(r.PathValue("id"))

@@ -22,6 +22,13 @@ import (
 // are held to; nothing but the bytes chooses between them.
 type wireCodec interface {
 	appendWire(dst []byte) ([]byte, bool)
+	wireReader
+}
+
+// wireReader is a codec's parse half on its own: a request body with a
+// reader (ingestwire.go) is read by it when it is in its canonical form and
+// by encoding/json otherwise, and so is an answer (remote.go's decode).
+type wireReader interface {
 	parseWire(body []byte) bool
 }
 

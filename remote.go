@@ -383,7 +383,7 @@ func (c *RemoteClient) do(method, path string, in, out any) error {
 const maxResponse = 64 << 20
 
 // decode reads one answer, at most maxResponse bytes, and closes it. A 200
-// is decoded into out: through out's wireCodec when it has one and that
+// is decoded into out: through out's wireReader when it has one and that
 // accepts the body, through encoding/json otherwise. Any other status is the
 // error the body names.
 func decode(path string, b *wireBody, out any) error {
@@ -413,7 +413,7 @@ func decode(path string, b *wireBody, out any) error {
 		}
 		return fmt.Errorf("mycroft: %s: HTTP %d", path, b.status)
 	}
-	if c, ok := out.(wireCodec); ok && c.parseWire(body) {
+	if c, ok := out.(wireReader); ok && c.parseWire(body) {
 		return nil
 	}
 	return json.Unmarshal(body, out)
