@@ -164,7 +164,7 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 	sv.mu.Lock()
 	snap := sv.snapshotLocked(job)
 	// Replication runs off-engine, so the virtual instant and the job's
-	// tracer are captured while serialized with the drive loop.
+	// span recorder are captured while serialized with the drive loop.
 	tracer := sv.svc.Tracer(job)
 	vnow := sv.svc.Eng.Now()
 	sv.mu.Unlock()
@@ -173,9 +173,8 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 	// peer; if an incident is open it joins that tree, so per-peer fan-out
 	// segments show up alongside detection and remediation stages.
 	var span otrace.SpanID
-	if tracer != nil && len(entries) > 0 {
-		parent, cause := tracer.Incident()
-		span = tracer.Recorder().BeginAt(string(job), otrace.StageReplicate, cause, parent, vnow)
+	if len(entries) > 0 {
+		span = tracer.StageAt(otrace.StageReplicate, vnow)
 		tracer.Annotate(span, peer, "")
 	}
 
@@ -190,13 +189,13 @@ func (sv *Server) replicateTo(cl *serverCluster, peer string, job JobID, log *cl
 		cl.mReplFailures.Inc()
 		if span != 0 {
 			tracer.Annotate(span, "", fmt.Sprintf("%d event(s) after seq %d: ship failed: %v", len(entries), after, err))
-			tracer.Recorder().EndAt(span, vnow)
+			tracer.EndAt(span, vnow)
 		}
 		return err
 	}
 	if span != 0 {
 		tracer.Annotate(span, "", fmt.Sprintf("%d event(s) shipped, ack seq %d", len(entries), resp.AckSeq))
-		tracer.Recorder().EndAt(span, vnow)
+		tracer.EndAt(span, vnow)
 	}
 	cl.ackMu.Lock()
 	cl.acks[key] = resp.AckSeq
@@ -339,10 +338,16 @@ func (sv *Server) clusterInfo() (api.ClusterInfoResponse, error) {
 // mark peers alive or dead here, or create or feed a replica.
 var errNotMember = errors.New("mycroft: sender is not another member of this cluster")
 
+// errOverBound refuses a gossip or replicate request carrying more rows than
+// any peer of this cluster sends: a view with more rows than there are
+// configured peers, or a batch of more than replicateBatch entries.
+var errOverBound = errors.New("mycroft: cluster message over its bound")
+
 // admit is the door of both peer-to-peer write routes: the cluster id must
-// match and the sender must be one of the other configured peers, which is
-// then marked heard.
-func (sv *Server) admit(id, from string) (*serverCluster, error) {
+// match, the sender must be one of the other configured peers, and the
+// message may carry at most maxRows(cl) rows. Only then is the sender marked
+// heard.
+func (sv *Server) admit(id, from string, rows int, maxRows func(*serverCluster) int) (*serverCluster, error) {
 	cl := sv.cluster.Load()
 	switch {
 	case cl == nil:
@@ -353,12 +358,16 @@ func (sv *Server) admit(id, from string) (*serverCluster, error) {
 	if _, member := cl.cfg.Peers[from]; !member || from == cl.cfg.Self {
 		return nil, fmt.Errorf("%w: %q", errNotMember, from)
 	}
+	if max := maxRows(cl); rows > max {
+		return nil, fmt.Errorf("%w: %d rows, at most %d", errOverBound, rows, max)
+	}
 	cl.node.Heard(from)
 	return cl, nil
 }
 
 func (sv *Server) clusterGossip(req api.GossipRequest) (api.GossipResponse, error) {
-	cl, err := sv.admit(req.ClusterID, req.From)
+	cl, err := sv.admit(req.ClusterID, req.From, len(req.Peers),
+		func(cl *serverCluster) int { return len(cl.cfg.Peers) })
 	if err != nil {
 		return api.GossipResponse{}, err
 	}
@@ -367,7 +376,8 @@ func (sv *Server) clusterGossip(req api.GossipRequest) (api.GossipResponse, erro
 }
 
 func (sv *Server) clusterReplicate(req api.ReplicateRequest) (api.ReplicateResponse, error) {
-	cl, err := sv.admit(req.ClusterID, req.From)
+	cl, err := sv.admit(req.ClusterID, req.From, len(req.Entries),
+		func(*serverCluster) int { return replicateBatch })
 	if err != nil {
 		return api.ReplicateResponse{}, err
 	}

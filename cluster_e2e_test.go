@@ -527,13 +527,7 @@ func TestClusterRefusesNonMembers(t *testing.T) {
 	sv := peers["p1"].srv
 	cl := sv.cluster.Load()
 	post := func(path string, body any) int {
-		data, _ := json.Marshal(body)
-		resp, err := http.Post("http://"+peers["p1"].addr+api.Prefix+path, "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+		return postStatus(t, "http://"+peers["p1"].addr+api.Prefix+path, body)
 	}
 	// A view that, admitted, would mark p2 freshly seen.
 	view := []api.ClusterPeer{{Name: "p2", State: api.PeerAlive, LastSeenUnixMs: time.Now().UnixMilli()}}
@@ -568,6 +562,62 @@ func TestClusterRefusesNonMembers(t *testing.T) {
 	}
 	if _, err := sv.clusterGossip(api.GossipRequest{ClusterID: "test", From: "p2", Peers: view}); err != nil {
 		t.Fatalf("gossip from member p2: %v", err)
+	}
+}
+
+// TestClusterRefusesOverBound: a member's replicate batch of more than
+// replicateBatch entries, or gossip view with more rows than there are
+// configured peers, is refused with errOverBound, over the wire as over a
+// direct call, before it marks the sender heard or leaves a replica slot.
+// The largest messages a peer sends are applied.
+func TestClusterRefusesOverBound(t *testing.T) {
+	peers := startCluster(t, []string{"p1", "p2"}, nil, 1)
+	sv := peers["p1"].srv
+	cl := sv.cluster.Load()
+	post := func(path string, body any) int {
+		return postStatus(t, "http://"+peers["p1"].addr+api.Prefix+path, body)
+	}
+	entries := func(n int) []api.SeqEvent {
+		out := make([]api.SeqEvent, n)
+		for i := range out {
+			out[i] = api.SeqEvent{Seq: uint64(i + 1), Event: Event{Job: "ghost", Kind: EventHealth}}
+		}
+		return out
+	}
+	seen := time.Now().UnixMilli()
+	view := []api.ClusterPeer{
+		{Name: "p1", State: api.PeerAlive, LastSeenUnixMs: seen},
+		{Name: "p2", State: api.PeerAlive, LastSeenUnixMs: seen},
+	}
+	batch := api.ReplicateRequest{ClusterID: "test", From: "p2", Job: "ghost",
+		Entries: entries(replicateBatch + 1), Watermark: replicateBatch + 1}
+	gossip := api.GossipRequest{ClusterID: "test", From: "p2",
+		Peers: append(view, api.ClusterPeer{Name: "p3", State: api.PeerAlive, LastSeenUnixMs: seen})}
+	if _, err := sv.clusterReplicate(batch); !errors.Is(err, errOverBound) {
+		t.Fatalf("replicate of %d entries: %v, want errOverBound", len(batch.Entries), err)
+	}
+	if _, err := sv.clusterGossip(gossip); !errors.Is(err, errOverBound) {
+		t.Fatalf("gossip of %d rows: %v, want errOverBound", len(gossip.Peers), err)
+	}
+	for path, body := range map[string]any{"/cluster/replicate": batch, "/cluster/gossip": gossip} {
+		if code := post(path, body); code != http.StatusBadRequest {
+			t.Fatalf("%s over its bound, over the wire: HTTP %d, want 400", path, code)
+		}
+	}
+	if jobs := cl.store.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused batches left replica slots %v", jobs)
+	}
+	for _, row := range cl.node.View() {
+		if row.Name == "p2" && row.LastSeenUnixMs != 0 {
+			t.Fatalf("refused messages marked p2 seen: %+v", row)
+		}
+	}
+	batch.Entries, batch.Watermark = entries(replicateBatch), replicateBatch
+	if ack, err := sv.clusterReplicate(batch); err != nil || ack.AckSeq != replicateBatch {
+		t.Fatalf("replicate of %d entries: %+v, %v", replicateBatch, ack, err)
+	}
+	if _, err := sv.clusterGossip(api.GossipRequest{ClusterID: "test", From: "p2", Peers: view}); err != nil {
+		t.Fatalf("gossip of %d rows: %v", len(view), err)
 	}
 }
 
@@ -740,6 +790,21 @@ func TestClusterHealthPrefersLive(t *testing.T) {
 	if got != want {
 		t.Fatalf("cluster health row for job-0 = %+v, want the primary's live %+v", got, want)
 	}
+}
+
+// postStatus posts in as JSON and returns the answer's HTTP status.
+func postStatus(t *testing.T, url string, in any) int {
+	t.Helper()
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func postJSON(t *testing.T, url string, in, out any) {

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -199,7 +200,7 @@ func main() {
 	// Drive loop: advance virtual time in steps so subscribers attached
 	// early watch the run unfold, then idle serving the final state.
 	go func() {
-		scan := slowOpScanner(svc, *slowOp)
+		scan := slowOpScanner(svc, *slowOp, os.Stderr)
 		for driven := time.Duration(0); driven < runFor; {
 			d := *step
 			if rem := runFor - driven; d > rem {
@@ -252,11 +253,11 @@ func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
-// slowOpScanner returns a closure that logs pipeline spans whose wall-clock
-// cost crossed the -slow-op threshold. Each call scans every job's recorder
-// incrementally (spans past the last one seen) between engine advances, so
-// the scan never races the simulation. Threshold 0 disables it.
-func slowOpScanner(svc *mycroft.Service, threshold time.Duration) func() {
+// slowOpScanner returns a closure that logs to w the pipeline spans whose
+// wall-clock cost crossed the -slow-op threshold. Each call scans every job's
+// recorder incrementally (spans past the last one seen) between engine
+// advances, so the scan never races the simulation. Threshold 0 disables it.
+func slowOpScanner(svc *mycroft.Service, threshold time.Duration, w io.Writer) func() {
 	if threshold <= 0 {
 		return func() {}
 	}
@@ -273,7 +274,7 @@ func slowOpScanner(svc *mycroft.Service, threshold time.Duration) func() {
 				// roots, pending remedies): their wall span is dominated by
 				// tick pacing, not processing cost, so only closed spans count.
 				if s.WallEnd != 0 && s.WallDur() >= threshold {
-					fmt.Fprintf(os.Stderr, "mycroft-serve: slow-op job=%s span=%d stage=%s cause=%s wall=%v virt=%v\n",
+					fmt.Fprintf(w, "mycroft-serve: slow-op job=%s span=%d stage=%s cause=%s wall=%v virt=%v\n",
 						id, s.ID, s.Stage, s.Cause, s.WallDur(), s.Dur())
 				}
 			}

@@ -32,7 +32,9 @@ func BenchmarkIngestInstrumented(b *testing.B) {
 			})
 		}
 		if spanned {
-			db.SetTracer(otrace.NewTracer(otrace.NewRecorder(otrace.DefaultCapacity, eng.Now), "bench"))
+			spans := otrace.NewRecorder(otrace.DefaultCapacity, eng.Now)
+			spans.Job = "bench"
+			db.SetTracer(spans)
 		}
 		batch := make([]trace.Record, 64)
 		ts := sim.Time(0)

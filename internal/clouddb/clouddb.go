@@ -95,15 +95,15 @@ type DB struct {
 
 	observers []func([]trace.Record)
 	metrics   *Metrics
-	spans     *otrace.Tracer
+	spans     *otrace.Recorder
 }
 
-// SetTracer attaches a pipeline span tracer: every subsequent Ingest batch
+// SetTracer attaches the job's span recorder: every subsequent Ingest batch
 // records one StageIngest span covering store, prune and observers (the
 // dependency-graph update rides the observer list, so its cost lands inside
 // the span's wall window). Nil detaches. Like SetMetrics, the hot path pays
-// one pointer check when no tracer is attached.
-func (db *DB) SetTracer(t *otrace.Tracer) { db.spans = t }
+// one pointer check when no recorder is attached.
+func (db *DB) SetTracer(r *otrace.Recorder) { db.spans = r }
 
 // New creates a DB with the given retention horizon (0 = keep forever).
 func New(eng *sim.Engine, retention time.Duration) *DB {

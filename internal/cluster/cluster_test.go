@@ -326,3 +326,17 @@ func BenchmarkClusterRoute(b *testing.B) {
 		r.Candidates(keys[i%len(keys)], 3)
 	}
 }
+
+// BenchmarkEventLogAppendFull prices one Append to a log already holding
+// DefaultLogCap entries, so every append also ages the oldest out.
+func BenchmarkEventLogAppendFull(b *testing.B) {
+	l := NewEventLog()
+	for i := 0; i < DefaultLogCap; i++ {
+		l.Append(api.Event{Job: "j", Kind: core.EventHealth})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Append(api.Event{Job: "j", Kind: core.EventHealth})
+	}
+}

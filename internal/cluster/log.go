@@ -48,7 +48,10 @@ func (l *EventLog) Append(e api.Event) uint64 {
 // assigned seqs. Entries at or below the current head are duplicates of an
 // already-applied batch and are skipped. It returns how many sequence
 // numbers were skipped over (a gap means a batch was lost in transit —
-// the sender's cursor protocol should keep this 0).
+// the sender's cursor protocol should keep this 0). On the first entry ever
+// the gap counts seqs 1..Seq-1, which happened before this replica started
+// following: that is lag, not loss in transit, counted so the caller can
+// decide.
 func (l *EventLog) AppendEntries(entries []api.SeqEvent) (gap uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -56,25 +59,21 @@ func (l *EventLog) AppendEntries(entries []api.SeqEvent) (gap uint64) {
 		if se.Seq <= l.lastSeq {
 			continue
 		}
-		if l.lastSeq != 0 || len(l.entries) > 0 {
-			gap += se.Seq - l.lastSeq - 1
-		} else if se.Seq > 1 {
-			// First entry ever: seqs 1..Seq-1 happened before this replica
-			// started following. That is lag, not loss in transit; count it
-			// so the caller can decide.
-			gap += se.Seq - 1
-		}
+		gap += se.Seq - l.lastSeq - 1
 		l.lastSeq = se.Seq
 		l.push(se)
 	}
 	return gap
 }
 
-// push stores one entry and trims. Callers hold l.mu.
+// push stores one entry and trims the front by reslicing, so a full log
+// moves no held entry; append copies the held window only when it outgrows
+// the backing array. Callers hold l.mu.
 func (l *EventLog) push(se api.SeqEvent) {
 	l.entries = append(l.entries, se)
 	if over := len(l.entries) - DefaultLogCap; over > 0 {
-		l.entries = append(l.entries[:0], l.entries[over:]...)
+		clear(l.entries[:over]) // release the aged-out events' payloads
+		l.entries = l.entries[over:]
 		l.trimmed += uint64(over)
 	}
 	close(l.wake)

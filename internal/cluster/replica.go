@@ -144,12 +144,13 @@ func (rs *ReplicaStore) Apply(req api.ReplicateRequest) api.ReplicateResponse {
 	return api.ReplicateResponse{AckSeq: rj.Log.Watermark(), Gap: gap}
 }
 
-// appendBounded appends v to held and ages the oldest entry out past max,
-// reusing the backing array.
+// appendBounded appends v to held and ages the oldest entry out past max by
+// reslicing, as EventLog.push does.
 func appendBounded[T any](held []T, max int, v T) []T {
 	held = append(held, v)
-	if len(held) > max {
-		held = append(held[:0], held[1:]...)
+	if over := len(held) - max; over > 0 {
+		clear(held[:over])
+		held = held[over:]
 	}
 	return held
 }

@@ -64,7 +64,7 @@ type Agent struct {
 
 	batches     uint64
 	recordsSent uint64
-	spans       *otrace.Tracer
+	spans       *otrace.Recorder
 }
 
 // upload is one drained batch on its way to the store.
@@ -73,10 +73,10 @@ type upload struct {
 	span  otrace.SpanID
 }
 
-// SetTracer attaches a pipeline span tracer: each drained batch records one
+// SetTracer attaches the job's span recorder: each drained batch records one
 // StageUpload span covering the drain→ingest pipeline hop, whose virtual
 // width is exactly the configured UploadLatency. Nil detaches.
-func (a *Agent) SetTracer(t *otrace.Tracer) { a.spans = t }
+func (a *Agent) SetTracer(r *otrace.Recorder) { a.spans = r }
 
 // NewAgent starts an agent over the host ring. It begins draining
 // immediately.

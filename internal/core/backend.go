@@ -89,7 +89,7 @@ type Backend struct {
 	publish func(Event)
 	evalObs func(sim.Time)
 	metrics *Metrics
-	spans   *otrace.Tracer
+	spans   *otrace.Recorder
 	fusion  *Fusion
 }
 
@@ -303,12 +303,13 @@ func (b *Backend) implicatedComm(rank topo.Rank, t sim.Time) uint64 {
 // fire records a trigger, publishes it, runs Algorithm 2, and mutes the
 // backend while the fault is being handled.
 //
-// With a tracer attached this is also where an incident's span tree is
-// rooted: the trigger opens the incident, the freshest upload/ingest spans
+// With a span recorder attached this is also where an incident's span tree
+// is rooted: the trigger opens the incident, the freshest upload/ingest spans
 // are adopted as its first children (the batch that carried the evidence),
 // a zero-width detect span marks the firing pass, and an rca span opens
-// here to be closed by deliver at verdict time — so the trigger→verdict
-// stage reads straight off the tree, including the straggler settle window.
+// here to be closed by deliver at this trigger's verdict time — so the
+// trigger→verdict stage reads straight off the tree, including the straggler
+// settle window, even when two straggler analyses overlap.
 func (b *Backend) fire(tr Trigger) {
 	b.triggers = append(b.triggers, tr)
 	b.muteUntil = tr.At.Add(b.cfg.RearmDelay)
@@ -330,7 +331,7 @@ func (b *Backend) fire(tr Trigger) {
 	b.emit(Event{Kind: EventTrigger, At: tr.At, Trigger: &tr})
 	switch tr.Kind {
 	case TriggerFailure:
-		b.deliver(b.timedAnalysis(rcaSpan, func() Report { return b.AnalyzeFailure(tr) }))
+		b.deliver(rcaSpan, b.timedAnalysis(rcaSpan, func() Report { return b.AnalyzeFailure(tr) }))
 	default:
 		// Let post-onset evidence (late launches, pressured flows) land in
 		// the store before analyzing a performance anomaly.
@@ -350,7 +351,7 @@ func (b *Backend) fire(tr Trigger) {
 				return rep
 			})
 			rep.Trigger = tr
-			b.deliver(rep)
+			b.deliver(rcaSpan, rep)
 		})
 	}
 }
@@ -383,14 +384,13 @@ func (b *Backend) DeliverExternal(rep Report, own Evidence) Report {
 	return rep
 }
 
-// deliver closes the rca span fire opened and hands one of the backend's own
-// tracepoint verdicts to the tail every channel's verdict takes.
-func (b *Backend) deliver(rep Report) {
+// deliver closes the rca span fire opened for rep's trigger and hands one of
+// the backend's own tracepoint verdicts to the tail every channel's verdict
+// takes.
+func (b *Backend) deliver(rcaSpan otrace.SpanID, rep Report) {
 	if t := b.spans; t != nil {
-		if id := t.Recorder().LastOpen(otrace.StageRCA); id != 0 {
-			t.Annotate(id, "", fmt.Sprintf("suspect rank %d (%s): chain=%d victims=%d", rep.Suspect, rep.Category, len(rep.Chain), len(rep.Victims)))
-			t.EndAt(id, rep.AnalyzedAt)
-		}
+		t.Annotate(rcaSpan, "", fmt.Sprintf("suspect rank %d (%s): chain=%d victims=%d", rep.Suspect, rep.Category, len(rep.Chain), len(rep.Victims)))
+		t.EndAt(rcaSpan, rep.AnalyzedAt)
 	}
 	b.DeliverExternal(rep, Evidence{
 		Channel: ModalityTracepoint, Rank: rep.Suspect, Category: rep.Category,

@@ -22,11 +22,11 @@ type Metrics struct {
 // before Start, like the publisher.
 func (b *Backend) SetMetrics(m *Metrics) { b.metrics = m }
 
-// SetTracer attaches (or with nil, detaches) a pipeline span tracer. Each
+// SetTracer attaches (or with nil, detaches) the job's span recorder. Each
 // trigger firing then opens an incident span tree — detect, rca and publish
 // stages — that the hosting layer extends with fan-out, remediation and
 // replication spans. Wire it up before Start, like the publisher.
-func (b *Backend) SetTracer(t *otrace.Tracer) { b.spans = t }
+func (b *Backend) SetTracer(r *otrace.Recorder) { b.spans = r }
 
 // timedAnalysis runs one Algorithm 2 analysis under the RCA wall-clock
 // histogram. Virtual time never moves inside fn, so wall clock is the only

@@ -7,11 +7,13 @@
 // form ordering, the CLI waterfall), wall timestamps price the real compute
 // cost of a stage for slow-op logging and profiling.
 //
-// The recorder is a fixed ring guarded by one uncontended mutex. Begin/End
-// write a preallocated slot in place — zero allocations — so the hot ingest
-// path can be spanned without moving bench's clouddb.ingest_ns_per_record
-// row (otrace.span_ns prices one span). Span IDs are
-// monotonic; a slot overwritten by ring wrap-around is counted in Dropped.
+// Each job has one Recorder: a fixed ring of spans plus the job's label and
+// its open incident, all guarded by one uncontended mutex. Every record
+// method writes a preallocated slot in place — zero allocations — so the hot
+// ingest path can be spanned without moving bench's
+// clouddb.ingest_ns_per_record row (otrace.span_ns prices one span). Span IDs
+// are monotonic; a slot overwritten by ring wrap-around is counted in
+// Dropped.
 package otrace
 
 import (
@@ -22,7 +24,7 @@ import (
 )
 
 // SpanID identifies one recorded span. IDs are monotonic per recorder,
-// starting at 1; 0 means "no span" everywhere (parent links, nil tracers).
+// starting at 1; 0 means "no span" everywhere (parent links, nil recorders).
 type SpanID uint64
 
 // Pipeline stage labels. Every layer that records spans uses these
@@ -104,16 +106,24 @@ func (s Span) WallDur() time.Duration {
 // DefaultCapacity is the per-job ring size when NewRecorder gets cap <= 0.
 const DefaultCapacity = 4096
 
-// Recorder is the ring-buffered span store. All methods are safe for
-// concurrent use and safe on a nil receiver (no-ops returning zero), so
-// instrumented layers pay exactly one pointer check when tracing is off.
+// Recorder is one job's ring-buffered span store, and it tracks that job's
+// open incident so instrumented layers can parent their stage spans without
+// threading span IDs through every call. All methods are safe for concurrent
+// use and safe on a nil receiver (no-ops returning zero), so instrumented
+// layers pay exactly one pointer check when tracing is off.
 type Recorder struct {
-	mu      sync.Mutex
-	ring    []Span
-	next    uint64 // next SpanID to assign (1-based)
-	dropped uint64 // spans overwritten by ring wrap-around
-	now     func() sim.Time
-	wall    func() int64
+	// Job labels every span StageAt, Batch and OpenIncident record. Set it
+	// before the recorder is shared.
+	Job string
+
+	mu       sync.Mutex
+	ring     []Span
+	next     uint64 // next SpanID to assign (1-based)
+	dropped  uint64 // spans overwritten by ring wrap-around
+	incident SpanID // the open incident root (0 if none)
+	cause    string // the open incident's cause label
+	now      func() sim.Time
+	wall     func() int64
 }
 
 // NewRecorder builds a recorder holding the last capacity spans, reading
@@ -143,22 +153,8 @@ func (r *Recorder) slotLocked(id SpanID) *Span {
 	return s
 }
 
-// Begin records a new span starting now. Returns 0 on a nil recorder.
-func (r *Recorder) Begin(job, stage, cause string, parent SpanID) SpanID {
-	if r == nil {
-		return 0
-	}
-	return r.BeginAt(job, stage, cause, parent, r.now())
-}
-
-// BeginAt records a new span with an explicit virtual start (stages whose
-// true start is known only retroactively, like a backoff window).
-func (r *Recorder) BeginAt(job, stage, cause string, parent SpanID, at sim.Time) SpanID {
-	if r == nil {
-		return 0
-	}
-	w := r.wall()
-	r.mu.Lock()
+// beginLocked writes a new span into the ring with wall start w.
+func (r *Recorder) beginLocked(job, stage, cause string, parent SpanID, at sim.Time, w int64) SpanID {
 	id := SpanID(r.next)
 	r.next++
 	s := &r.ring[(uint64(id)-1)%uint64(len(r.ring))]
@@ -166,8 +162,18 @@ func (r *Recorder) BeginAt(job, stage, cause string, parent SpanID, at sim.Time)
 		r.dropped++
 	}
 	*s = Span{ID: id, Parent: parent, Job: job, Stage: stage, Cause: cause, Start: at, WallStart: w}
-	r.mu.Unlock()
 	return id
+}
+
+// Begin records a new span starting now. Returns 0 on a nil recorder.
+func (r *Recorder) Begin(job, stage, cause string, parent SpanID) SpanID {
+	if r == nil {
+		return 0
+	}
+	at, w := r.now(), r.wall()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.beginLocked(job, stage, cause, parent, at, w)
 }
 
 // End closes the span at the current virtual instant.
@@ -211,59 +217,96 @@ func (r *Recorder) Annotate(id SpanID, peer, detail string) {
 	r.mu.Unlock()
 }
 
-// Adopt re-parents a span into an incident tree and stamps its cause —
-// how the triggering ingest batch, recorded before the incident existed,
-// joins the tree once the trigger fires.
-func (r *Recorder) Adopt(id, parent SpanID, cause string) {
+// OpenIncident begins an incident root span at the given virtual time and
+// makes it the open incident: subsequent StageAt spans parent under it and
+// inherit its cause label.
+func (r *Recorder) OpenIncident(cause string, at sim.Time) SpanID {
+	if r == nil {
+		return 0
+	}
+	w := r.wall()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.incident = r.beginLocked(r.Job, StageIncident, cause, 0, at, w)
+	r.cause = cause
+	return r.incident
+}
+
+// CloseIncident ends the open incident root at the given virtual time.
+func (r *Recorder) CloseIncident(at sim.Time) {
+	if r == nil {
+		return
+	}
+	w := r.wall()
+	r.mu.Lock()
+	if s := r.slotLocked(r.incident); s != nil && s.WallEnd == 0 {
+		s.End = at
+		s.WallEnd = w
+	}
+	r.incident, r.cause = 0, ""
+	r.mu.Unlock()
+}
+
+// Incident returns the open incident root and its cause (0, "" if none).
+func (r *Recorder) Incident() (SpanID, string) {
+	if r == nil {
+		return 0, ""
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.incident, r.cause
+}
+
+// StageAt begins a child span of the open incident at an explicit virtual
+// start (parentless with cause "" when no incident is open).
+func (r *Recorder) StageAt(stage string, at sim.Time) SpanID {
+	if r == nil {
+		return 0
+	}
+	w := r.wall()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.beginLocked(r.Job, stage, r.cause, r.incident, at, w)
+}
+
+// Batch begins a parentless, causeless span at the current virtual instant
+// regardless of any open incident — the shape for routine per-batch
+// pipeline spans (upload, ingest), which join an incident's tree only when
+// detection adopts the triggering batch via AdoptLatest. Parenting every
+// batch that merely overlaps an open incident would bury the causal tree.
+func (r *Recorder) Batch(stage string) SpanID {
+	if r == nil {
+		return 0
+	}
+	return r.Begin(r.Job, stage, "", 0)
+}
+
+// AdoptLatest re-parents the most recent span of a stage, open or closed,
+// into the open incident's tree and stamps its cause — how the triggering
+// ingest batch, recorded before the incident existed, joins the tree once
+// the trigger fires. No-op without an open incident or a live span of that
+// stage.
+func (r *Recorder) AdoptLatest(stage string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	if s := r.slotLocked(id); s != nil {
-		s.Parent = parent
-		s.Cause = cause
-	}
-	r.mu.Unlock()
-}
-
-// LastID returns the most recent span with the given stage (0 if none
-// live), open or closed. Used to adopt the freshest ingest batch into a
-// firing incident's tree.
-func (r *Recorder) LastID(stage string) SpanID {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.incident == 0 {
+		return
+	}
 	for id := r.next - 1; id >= 1; id-- {
 		s := r.slotLocked(SpanID(id))
 		if s == nil {
-			break // older slots are overwritten too
+			return // older slots are overwritten too
 		}
 		if s.Stage == stage {
-			return s.ID
+			if s.ID != r.incident {
+				s.Parent, s.Cause = r.incident, r.cause
+			}
+			return
 		}
 	}
-	return 0
-}
-
-// LastOpen returns the most recent still-open span with the given stage.
-func (r *Recorder) LastOpen(stage string) SpanID {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for id := r.next - 1; id >= 1; id-- {
-		s := r.slotLocked(SpanID(id))
-		if s == nil {
-			break
-		}
-		if s.Stage == stage && s.WallEnd == 0 {
-			return s.ID
-		}
-	}
-	return 0
 }
 
 // Query filters the live ring.
@@ -328,121 +371,4 @@ func (r *Recorder) Spans(q Query) Result {
 		}
 	}
 	return out
-}
-
-// Tracer binds a recorder to one job and tracks the active incident, so
-// instrumented layers can parent their stage spans without threading span
-// IDs through every call. All methods are nil-safe: a layer holding a nil
-// *Tracer pays one pointer check and records nothing.
-type Tracer struct {
-	r   *Recorder
-	job string
-
-	mu       sync.Mutex
-	incident SpanID
-	cause    string
-}
-
-// NewTracer binds recorder r to a job label.
-func NewTracer(r *Recorder, job string) *Tracer {
-	return &Tracer{r: r, job: job}
-}
-
-// Recorder exposes the underlying ring (nil-safe).
-func (t *Tracer) Recorder() *Recorder {
-	if t == nil {
-		return nil
-	}
-	return t.r
-}
-
-// OpenIncident begins an incident root span at the given virtual time and
-// makes it the active incident: subsequent Stage spans parent under it and
-// inherit its cause label.
-func (t *Tracer) OpenIncident(cause string, at sim.Time) SpanID {
-	if t == nil {
-		return 0
-	}
-	id := t.r.BeginAt(t.job, StageIncident, cause, 0, at)
-	t.mu.Lock()
-	t.incident, t.cause = id, cause
-	t.mu.Unlock()
-	return id
-}
-
-// CloseIncident ends the active incident root at the given virtual time.
-func (t *Tracer) CloseIncident(at sim.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	id := t.incident
-	t.incident, t.cause = 0, ""
-	t.mu.Unlock()
-	t.r.EndAt(id, at)
-}
-
-// Incident returns the active incident root and its cause (0, "" if none).
-func (t *Tracer) Incident() (SpanID, string) {
-	if t == nil {
-		return 0, ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.incident, t.cause
-}
-
-// Stage begins a child span of the active incident at the current virtual
-// instant (parentless with cause "" when no incident is open).
-func (t *Tracer) Stage(stage string) SpanID {
-	if t == nil {
-		return 0
-	}
-	return t.StageAt(stage, t.r.now())
-}
-
-// StageAt is Stage with an explicit virtual start.
-func (t *Tracer) StageAt(stage string, at sim.Time) SpanID {
-	if t == nil {
-		return 0
-	}
-	parent, cause := t.Incident()
-	return t.r.BeginAt(t.job, stage, cause, parent, at)
-}
-
-// Batch begins a parentless, causeless span at the current virtual instant
-// regardless of any open incident — the shape for routine per-batch
-// pipeline spans (upload, ingest), which join an incident's tree only when
-// detection adopts the triggering batch via AdoptLatest. Parenting every
-// batch that merely overlaps an open incident would bury the causal tree.
-func (t *Tracer) Batch(stage string) SpanID {
-	if t == nil {
-		return 0
-	}
-	return t.r.Begin(t.job, stage, "", 0)
-}
-
-// End closes a span at the current virtual instant (nil/zero-safe).
-func (t *Tracer) End(id SpanID) { t.Recorder().End(id) }
-
-// EndAt closes a span at an explicit virtual time (nil/zero-safe).
-func (t *Tracer) EndAt(id SpanID, at sim.Time) { t.Recorder().EndAt(id, at) }
-
-// Annotate forwards to the recorder (nil-safe).
-func (t *Tracer) Annotate(id SpanID, peer, detail string) { t.Recorder().Annotate(id, peer, detail) }
-
-// AdoptLatest pulls the most recent span of a stage into the active
-// incident's tree (the triggering ingest batch). No-op without an open
-// incident or a live span of that stage.
-func (t *Tracer) AdoptLatest(stage string) {
-	if t == nil {
-		return
-	}
-	root, cause := t.Incident()
-	if root == 0 {
-		return
-	}
-	if id := t.r.LastID(stage); id != 0 && id != root {
-		t.r.Adopt(id, root, cause)
-	}
 }

@@ -11,7 +11,9 @@ import (
 
 func testRecorder(capacity int) (*Recorder, *sim.Time) {
 	now := new(sim.Time)
-	return NewRecorder(capacity, func() sim.Time { return *now }), now
+	r := NewRecorder(capacity, func() sim.Time { return *now })
+	r.Job = "job"
+	return r, now
 }
 
 func TestSpanLifecycle(t *testing.T) {
@@ -43,20 +45,19 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestIncidentTree(t *testing.T) {
 	r, now := testRecorder(64)
-	tr := NewTracer(r, "job")
 
 	*now = sim.Time(10 * time.Second)
-	ing := tr.Stage(StageIngest) // pre-incident: parentless, no cause
-	tr.End(ing)
+	ing := r.StageAt(StageIngest, *now) // pre-incident: parentless, no cause
+	r.End(ing)
 
 	*now = sim.Time(15 * time.Second)
-	root := tr.OpenIncident("trigger-1", *now)
-	tr.AdoptLatest(StageIngest)
-	rca := tr.StageAt(StageRCA, *now)
+	root := r.OpenIncident("trigger-1", *now)
+	r.AdoptLatest(StageIngest)
+	rca := r.StageAt(StageRCA, *now)
 	*now = sim.Time(16 * time.Second)
-	tr.EndAt(rca, *now)
+	r.EndAt(rca, *now)
 	*now = sim.Time(30 * time.Second)
-	tr.CloseIncident(*now)
+	r.CloseIncident(*now)
 
 	res := r.Spans(Query{Cause: "trigger-1"})
 	if res.Total != 3 {
@@ -67,11 +68,11 @@ func TestIncidentTree(t *testing.T) {
 			t.Errorf("span %s not parented to root: %+v", s.Stage, s)
 		}
 	}
-	if id, _ := tr.Incident(); id != 0 {
+	if id, _ := r.Incident(); id != 0 {
 		t.Errorf("incident still active after close: %d", id)
 	}
 	// Post-incident stages are parentless again.
-	if id := tr.Stage(StageDeliver); id != 0 {
+	if id := r.StageAt(StageDeliver, *now); id != 0 {
 		got := r.Spans(Query{Stage: StageDeliver}).Spans[0]
 		if got.Parent != 0 || got.Cause != "" {
 			t.Errorf("post-incident stage inherited stale incident: %+v", got)
@@ -103,15 +104,14 @@ func TestRingWrapCountsDropped(t *testing.T) {
 
 func TestQueryFilters(t *testing.T) {
 	r, now := testRecorder(64)
-	tr := NewTracer(r, "job")
-	root := tr.OpenIncident("trigger-1", *now)
+	root := r.OpenIncident("trigger-1", *now)
 	_ = root
-	a := tr.Stage(StageRCA)
-	tr.End(a)
-	b := tr.Stage(StageDeliver)
-	tr.End(b)
+	a := r.StageAt(StageRCA, *now)
+	r.End(a)
+	b := r.StageAt(StageDeliver, *now)
+	r.End(b)
 	*now = sim.Time(time.Second)
-	tr.CloseIncident(*now)
+	r.CloseIncident(*now)
 
 	if got := r.Spans(Query{Stage: StageRCA}).Total; got != 1 {
 		t.Errorf("stage filter: got %d, want 1", got)
@@ -129,7 +129,6 @@ func TestQueryFilters(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var r *Recorder
-	var tr *Tracer
 	if id := r.Begin("j", "s", "", 0); id != 0 {
 		t.Fatal("nil recorder returned a span id")
 	}
@@ -138,12 +137,16 @@ func TestNilSafety(t *testing.T) {
 	if res := r.Spans(Query{}); res.Total != 0 {
 		t.Fatal("nil recorder returned spans")
 	}
-	if id := tr.OpenIncident("c", 0); id != 0 {
-		t.Fatal("nil tracer opened an incident")
+	if id := r.OpenIncident("c", 0); id != 0 {
+		t.Fatal("nil recorder opened an incident")
 	}
-	tr.CloseIncident(0)
-	tr.End(tr.Stage("s"))
-	tr.AdoptLatest("s")
+	r.CloseIncident(0)
+	r.End(r.StageAt("s", 0))
+	r.End(r.Batch("s"))
+	r.AdoptLatest("s")
+	if id, cause := r.Incident(); id != 0 || cause != "" {
+		t.Fatal("nil recorder has an incident")
+	}
 }
 
 // TestConcurrentRecordAndQuery is the race-detector check: many producers
@@ -151,7 +154,6 @@ func TestNilSafety(t *testing.T) {
 // querying mid-write. Run with -race.
 func TestConcurrentRecordAndQuery(t *testing.T) {
 	r, _ := testRecorder(128)
-	tr := NewTracer(r, "job")
 	const producers = 4
 	const perProducer = 500
 	var wg sync.WaitGroup
@@ -164,15 +166,15 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 			for i := 0; i < perProducer; i++ {
 				var id SpanID
 				if i%10 == 0 {
-					id = tr.OpenIncident(fmt.Sprintf("trigger-%d-%d", p, i), sim.Time(i))
+					id = r.OpenIncident(fmt.Sprintf("trigger-%d-%d", p, i), sim.Time(i))
 				} else {
-					id = tr.Stage(StageIngest)
+					id = r.StageAt(StageIngest, 0)
 				}
-				tr.Annotate(id, "", "concurrent")
+				r.Annotate(id, "", "concurrent")
 				if i%10 == 9 {
-					tr.CloseIncident(sim.Time(i))
+					r.CloseIncident(sim.Time(i))
 				} else {
-					tr.End(id)
+					r.End(id)
 				}
 			}
 		}(p)
@@ -219,6 +221,23 @@ func TestSpanRecordAllocs(t *testing.T) {
 		r.End(r.Begin("job", StageIngest, "", 0))
 	}); allocs != 0 {
 		t.Fatalf("Begin/End allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestIncidentRecordAllocs pins the same 0-alloc budget for one incident's
+// whole life on a wrapping ring: the batches it adopts, its stage spans and
+// its root.
+func TestIncidentRecordAllocs(t *testing.T) {
+	r, now := testRecorder(64)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.End(r.Batch(StageIngest))
+		r.OpenIncident("trigger-1", *now)
+		r.AdoptLatest(StageIngest)
+		rca := r.StageAt(StageRCA, *now)
+		r.EndAt(rca, *now)
+		r.CloseIncident(*now)
+	}); allocs != 0 {
+		t.Fatalf("one incident allocates %.1f/op, want 0", allocs)
 	}
 }
 

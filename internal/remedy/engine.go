@@ -43,7 +43,7 @@ type Engine struct {
 	state map[topo.Rank]*rankState
 	log   []Attempt
 
-	tracer *otrace.Tracer
+	tracer *otrace.Recorder
 	// spans tracks the open apply/verify spans per audit-log index, plus the
 	// incident cause active when the attempt started — so a terminal
 	// transition closes exactly its own incident root, not a newer trigger's.
@@ -57,11 +57,11 @@ type attemptSpans struct {
 	cause  string
 }
 
-// SetTracer attaches (or with nil, detaches) a pipeline span tracer: each
+// SetTracer attaches (or with nil, detaches) the job's span recorder: each
 // attempt then records a remedy-apply span (verdict→action, the backoff
 // window) and a remedy-verify span (action→outcome, the quiet window), and
 // a terminal outcome closes the owning incident's root span.
-func (e *Engine) SetTracer(t *otrace.Tracer) { e.tracer = t }
+func (e *Engine) SetTracer(r *otrace.Recorder) { e.tracer = r }
 
 // New builds an engine for one job. The policy must have been Validated;
 // emit (optional) observes every audit-log transition — the service layer

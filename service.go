@@ -146,9 +146,10 @@ func (s *Service) AddJob(id JobID, opts JobOptions) (*JobHandle, error) {
 	h := &JobHandle{ID: id, svc: s, Job: job, Backend: bk, health: HealthStopped}
 	// One span recorder per job: every pipeline layer — collector upload,
 	// store ingest, detection, RCA, publish, fan-out, remediation — threads
-	// its stage spans through the same tracer so an incident reads as one
+	// its stage spans through the same recorder so an incident reads as one
 	// causal tree.
-	h.tracer = otrace.NewTracer(otrace.NewRecorder(otrace.DefaultCapacity, s.Eng.Now), string(id))
+	h.tracer = otrace.NewRecorder(otrace.DefaultCapacity, s.Eng.Now)
+	h.tracer.Job = string(id)
 	job.DB.SetTracer(h.tracer)
 	bk.SetTracer(h.tracer)
 	for _, agent := range job.Agents {
@@ -185,10 +186,10 @@ func (s *Service) MustAddJob(id JobID, opts JobOptions) *JobHandle {
 	return h
 }
 
-// Tracer returns a hosted job's pipeline span tracer (nil for unknown jobs).
+// Tracer returns a hosted job's span recorder (nil for unknown jobs).
 // Hosting layers — the cluster node's replicator, say — use it to extend an
 // incident's tree with their own stages.
-func (s *Service) Tracer(job JobID) *otrace.Tracer {
+func (s *Service) Tracer(job JobID) *otrace.Recorder {
 	if h, ok := s.jobs[job]; ok {
 		return h.tracer
 	}
@@ -313,7 +314,7 @@ type JobHandle struct {
 	remedy   *remedy.Engine
 	isolated []Rank
 	recorder *Recorder
-	tracer   *otrace.Tracer
+	tracer   *otrace.Recorder
 	channels *jobChannels
 
 	// Heartbeat state, owned by the service's health monitor. lastIngest is

@@ -115,7 +115,7 @@ func (s *Service) QuerySpans(q SpanQuery) (SpanResult, error) {
 	if err != nil {
 		return SpanResult{}, err
 	}
-	res := h.tracer.Recorder().Spans(otrace.Query{
+	res := h.tracer.Spans(otrace.Query{
 		Cause: q.Incident, Stage: q.Stage, AfterID: q.AfterID, MinWall: q.MinWall, Limit: q.Limit,
 	})
 	return SpanResult{Job: h.ID, Spans: res.Spans, Total: res.Total, Dropped: res.Dropped}, nil

@@ -2,9 +2,12 @@ package mycroft_test
 
 import (
 	"testing"
+	"time"
 
 	"mycroft"
 	"mycroft/internal/scenario"
+	"mycroft/internal/topo"
+	"mycroft/internal/train"
 )
 
 // TestIncidentSpanTreeCoversPipeline is the tracing acceptance criterion:
@@ -116,6 +119,54 @@ func TestIncidentSpanTreeCoversPipeline(t *testing.T) {
 	if verify.Detail != "succeeded" {
 		t.Errorf("verify span outcome %q, want succeeded", verify.Detail)
 	}
+}
+
+// TestOverlappingRCASpansEndAtOwnVerdict: with the re-arm mute off, a
+// healthy 64-rank TP8 PP4 job raises straggler triggers closer together than
+// StragglerSettle, so their analyses overlap. Each rca span opens at its
+// trigger and must end at the AnalyzedAt of that trigger's own report, not
+// at the verdict of whichever analysis finished first.
+func TestOverlappingRCASpansEndAtOwnVerdict(t *testing.T) {
+	cfg := train.JobConfig(topo.Config{Nodes: 8, GPUsPerNode: 8, TP: 8, PP: 4, DP: 2}, train.ComputeHeavy)
+	opts := mycroft.JobOptions{Train: &cfg}
+	opts.Backend.RearmDelay = time.Nanosecond
+	svc := mycroft.NewService(mycroft.ServiceOptions{Seed: 1})
+	h := svc.MustAddJob("", opts)
+	svc.Start()
+	svc.Run(60 * time.Second)
+
+	verdictAt := make(map[time.Duration]time.Duration)
+	for _, rep := range h.Reports() {
+		verdictAt[time.Duration(rep.Trigger.At)] = time.Duration(rep.AnalyzedAt)
+	}
+	res, err := svc.QuerySpans(mycroft.SpanQuery{Job: h.ID, Stage: mycroft.StageRCA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlaps, closed := 0, 0
+	for i, s := range res.Spans {
+		if i > 0 && (res.Spans[i-1].Open() || res.Spans[i-1].End > s.Start) {
+			overlaps++
+		}
+		if s.Open() {
+			continue
+		}
+		closed++
+		want, ok := verdictAt[time.Duration(s.Start)]
+		if !ok {
+			t.Errorf("rca span #%d (%s) starts at %v, where no reported trigger fired", s.ID, s.Cause, time.Duration(s.Start))
+			continue
+		}
+		if time.Duration(s.End) != want {
+			t.Errorf("rca span #%d (%s) from %v ends at %v, want its verdict at %v",
+				s.ID, s.Cause, time.Duration(s.Start), time.Duration(s.End), want)
+		}
+	}
+	if overlaps == 0 || closed == 0 {
+		t.Fatalf("%d rca spans, %d closed, %d overlapping: the job no longer overlaps its analyses", len(res.Spans), closed, overlaps)
+	}
+	t.Logf("%d triggers, %d rca spans, %d closed, %d overlapping the previous one",
+		len(h.Triggers()), len(res.Spans), closed, overlaps)
 }
 
 func stages(m map[string][]mycroft.Span) []string {
